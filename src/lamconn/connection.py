@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ABElement, conj_b, homogeneous_components
-from .errors import HypothesisError, InputError, SingularMatrixError
-from .exact import Rat, invert
+from .errors import HypothesisError, InputError
+from .exact import Rat
 from .exponents import ExponentData
 
 
@@ -59,18 +59,11 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
     """Read sigma and tau off the last row of the inverted bordered matrix."""
     if len(mu.beta) != data.n + 1:
         raise InputError(f"mu must have {data.n + 1} entries, got {len(mu.beta)}")
-    try:
-        inv = invert(data.matrix_m_tilde())
-    except SingularMatrixError:
-        raise HypothesisError(
-            "bordered exponent matrix is singular; hypothesis i) fails"
-        ) from None
-    last = data.n + 1
-    sigma = inv.entry(last, 0)
-    tau = sum(
-        (inv.entry(last, i + 1) * (mu.beta[i] + 1) for i in range(data.n + 1)),
-        Fraction(0),
-    )
+    row = data.analysis.inverse_last_row
+    if row is None:
+        raise HypothesisError("bordered exponent matrix is singular; hypothesis i) fails")
+    sigma = row[0]
+    tau = sum((row[i + 1] * (mu.beta[i] + 1) for i in range(data.n + 1)), Fraction(0))
     return SigmaTau(sigma=sigma, tau=tau, mu=mu)
 
 

@@ -3,10 +3,16 @@
 Every quantity in this package is an exact rational; floats are never
 introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
 guarantee a positive denominator, full reduction and a unique zero.
+
+Matrix determinant, rank, inverse and solution all come from one
+fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``): rows
+are scaled to integers, every division is exact, and the result is turned
+back into Fractions only once at the end.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -314,48 +320,74 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
+def _eliminate(rows: Iterable[Sequence[Rat | int]], width: int) -> tuple[int, int, int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on the first width columns.
+
+    Each row is first scaled to integers by the lcm of its denominators;
+    scale is the product of those multipliers.  Columns without a pivot are
+    skipped.  Every update (p * x - f * y) // prev divides by the previous
+    pivot, which is exact because every entry stays a minor of the scaled
+    matrix (Bareiss, Math. Comp. 22, 1968).  A row swap negates the row moved
+    down, so the last pivot carries the sign: for a square matrix of full
+    rank it is the determinant of the scaled matrix.  Returns the rank, the
+    last pivot (1 when the rank is 0), scale and the reduced rows; every pivot
+    row holds the last pivot in its pivot column and zero in the others, so
+    an augmented column holds pivot * solution.
+    """
+    work: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        work.append([x.numerator * (s // x.denominator) for x in row])
+    nrows = len(work)
+    rk = 0
+    prev = 1
+    for col in range(width):
+        pivot = next((r for r in range(rk, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rk:
+            work[rk], work[pivot] = work[pivot], [-x for x in work[rk]]
+        top = work[rk]
+        p = top[col]
+        for r in range(nrows):
+            if r == rk:
+                continue
+            row = work[r]
+            f = row[col]
+            if f:
+                work[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                work[r] = [p * x // prev for x in row]
+        prev = p
+        rk += 1
+        if rk == nrows:
+            break
+    return rk, prev, scale, work
+
+
+def _solve_square(rows: Iterable[Sequence[Rat | int]], n: int) -> tuple[int, Rat, list[list[Rat]] | None]:
+    """One elimination of [A | B] for square A of size n, given row by row.
+
+    Returns rank A, det A and the rows of A^-1 B, which are None when A is
+    singular.
+    """
+    rk, pivot, scale, reduced = _eliminate(rows, n)
+    if rk < n:
+        return rk, Fraction(0), None
+    return rk, Fraction(pivot, scale), [[Fraction(x, pivot) for x in row[n:]] for row in reduced]
+
+
 def det(m: RatMatrix) -> Rat:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant: the signed last pivot of the elimination over the row scales."""
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
-    n = m.nrows
-    rows = [list(r) for r in m.rows()]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        pval = rows[col][col]
-        result *= pval
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pval
-            if factor == 0:
-                continue
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return sign * result
+    return _solve_square(m.rows(), m.nrows)[1]
 
 
 def rank(m: RatMatrix) -> int:
-    rows = [list(r) for r in m.rows()]
-    rk = 0
-    for col in range(m.ncols):
-        pivot = next((r for r in range(rk, m.nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        pval = rows[rk][col]
-        for r in range(rk + 1, m.nrows):
-            factor = rows[r][col] / pval
-            if factor != 0:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rk])]
-        rk += 1
-        if rk == m.nrows:
-            break
-    return rk
+    return _eliminate(m.rows(), m.ncols)[0]
 
 
 def invert(m: RatMatrix) -> RatMatrix:
@@ -363,21 +395,11 @@ def invert(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = m.nrows
-    rows = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, r in enumerate(m.rows())]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError()
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pval = rows[col][col]
-        rows[col] = [x / pval for x in rows[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if factor != 0:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return RatMatrix([row[n:] for row in rows])
+    augmented = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(m.rows())]
+    inverse = _solve_square(augmented, n)[2]
+    if inverse is None:
+        raise SingularMatrixError()
+    return RatMatrix(inverse)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
@@ -386,19 +408,7 @@ def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
         raise DimensionError("solve needs a square matrix")
     if len(rhs) != m.nrows:
         raise DimensionError("right-hand side length does not match")
-    n = m.nrows
-    rows = [list(r) + [Fraction(v)] for r, v in zip(m.rows(), rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError()
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pval = rows[col][col]
-        rows[col] = [x / pval for x in rows[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col]
-            if factor != 0:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][n] for i in range(n)]
+    x = _solve_square([r + (Fraction(v),) for r, v in zip(m.rows(), rhs)], m.nrows)[2]
+    if x is None:
+        raise SingularMatrixError()
+    return [row[0] for row in x]

@@ -12,6 +12,14 @@ cleared to the minimal integer relation r * alpha_(n+2) = sum p_j * alpha_j.
 The sign pattern of the p_j splits the analysis into two cases and fixes the
 rational sigma together with the lam power carried by the lower operator
 block downstream.
+
+All of the rank, determinant and solution data comes from two fraction-free
+eliminations per layout, done once and cached on the ExponentData instance
+(``ExponentData.analysis``): M~^T | e_(n+2) gives the bordered rank, det M~
+and the last row of M~^-1; M' | alpha_(n+2) gives the basis rank, det M' and
+the rational basis expansion of the last exponent.  validate_hypotheses,
+dependency, dependency_solution, det_identity_check and
+connection.sigma_tau all read it.
 """
 
 from __future__ import annotations
@@ -20,9 +28,27 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import HypothesisError, InputError
-from .exact import Rat, RatMatrix, det, rank, solve
+from .errors import ContractError, HypothesisError, InputError
+from .exact import Rat, RatMatrix, _solve_square
+
+
+@dataclass(frozen=True)
+class LayoutAnalysis:
+    """Rank, determinant and solution data of one layout's two matrices.
+
+    inverse_last_row is the last row of M~^-1 and relation the expansion of
+    alpha_(n+2) in the first n+1 exponents; each is None when its matrix is
+    singular, and the determinant is then 0.
+    """
+
+    rank_m_tilde: int
+    det_m_tilde: Rat
+    inverse_last_row: tuple[Rat, ...] | None
+    rank_m_prime: int
+    det_m_prime: Rat
+    relation: tuple[Rat, ...] | None
 
 
 @dataclass(frozen=True)
@@ -33,7 +59,7 @@ class ExponentData:
     alphas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError(f"n must be an integer >= 1, got {self.n!r}")
         alphas = tuple(tuple(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
@@ -56,6 +82,25 @@ class ExponentData:
         """All n+2 exponent columns bordered by a first row of ones."""
         cols = [(1,) + a for a in self.alphas]
         return RatMatrix.from_columns(cols)
+
+    @cached_property
+    def analysis(self) -> LayoutAnalysis:
+        """Both eliminations of this layout, computed on first use."""
+        last = self.n + 1
+        # M~^T | e_(n+2): the solution is the last row of M~^-1
+        rk_tilde, det_tilde, inverse = _solve_square(
+            [(1,) + a + (int(j == last),) for j, a in enumerate(self.alphas)], last + 1
+        )
+        # M' | alpha_(n+2): the rows of the matrix with all n+2 exponents as columns
+        rk_prime, det_prime, relation = _solve_square(zip(*self.alphas), last)
+        return LayoutAnalysis(
+            rank_m_tilde=rk_tilde,
+            det_m_tilde=det_tilde,
+            inverse_last_row=None if inverse is None else tuple(row[0] for row in inverse),
+            rank_m_prime=rk_prime,
+            det_m_prime=det_prime,
+            relation=None if relation is None else tuple(row[0] for row in relation),
+        )
 
     @classmethod
     def from_json(cls, obj) -> "ExponentData":
@@ -106,8 +151,8 @@ class HypothesisReport:
 
 def validate_hypotheses(data: ExponentData) -> HypothesisReport:
     """Rank checks for both hypotheses; never raises on a well-formed input."""
-    rk_tilde = rank(data.matrix_m_tilde())
-    rk_prime = rank(data.matrix_m_prime())
+    rk_tilde = data.analysis.rank_m_tilde
+    rk_prime = data.analysis.rank_m_prime
     ok_i = rk_tilde == data.n + 2
     ok_ii = rk_prime == data.n + 1
     note = None
@@ -172,7 +217,11 @@ def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
     report = validate_hypotheses(data)
     if not report.basis_ok:
         raise HypothesisError("; ".join(report.failure_messages(data.n)))
-    q = solve(data.matrix_m_prime(), [Fraction(x) for x in data.alphas[-1]])
+    return _integer_relation(data)
+
+
+def _integer_relation(data: ExponentData) -> tuple[int, tuple[int, ...]]:
+    q = data.analysis.relation
     r = math.lcm(*(x.denominator for x in q))
     p = tuple(int(x * r) for x in q)
     return r, p
@@ -183,15 +232,16 @@ def dependency(data: ExponentData) -> DependencyData:
     report = validate_hypotheses(data)
     if not report.passed:
         raise HypothesisError("; ".join(report.failure_messages(data.n)))
-    r, p = dependency_solution(data)
+    r, p = _integer_relation(data)
     if all(x == 0 for x in p):
         raise InputError("the parameter monomial has exponent zero; no usable relation")
     sum_p = sum(p)
     side_nonpos = r - sum(x for x in p if x <= 0)
     side_pos = sum(x for x in p if x > 0)
-    # Equality would force det of the bordered matrix to vanish, which
-    # hypothesis i) has already excluded.
-    assert side_nonpos != side_pos
+    if side_nonpos == side_pos:
+        # Equality would force det of the bordered matrix to vanish, which
+        # hypothesis i) has already excluded.
+        raise ContractError(f"degenerate case split r - sum(p_j <= 0) = sum(p_j > 0) = {side_pos}")
     d = min(side_nonpos, side_pos)
     h = max(side_nonpos, side_pos) - d
     case = Case.CASE_I if side_nonpos > side_pos else Case.CASE_II
@@ -247,8 +297,8 @@ def det_identity_check(data: ExponentData, dep: DependencyData | None = None) ->
     else:
         r, p = dependency_solution(data)
     sum_p = sum(p)
-    d_prime = det(data.matrix_m_prime())
-    d_tilde = det(data.matrix_m_tilde())
+    d_prime = data.analysis.det_m_prime
+    d_tilde = data.analysis.det_m_tilde
     sign = Fraction(-1) ** (data.n + 1)
     predicted = sign * (1 - Fraction(sum_p, r)) * d_prime
     identity_holds = d_tilde == predicted

@@ -169,6 +169,7 @@ def _check_sigma_routes() -> tuple[bool, str]:
             data.matrix_m_tilde()
         )
         relation_route = Fraction(dep.r, dep.r - dep.sum_p)
+        # three distinct eliminations: inverse row of M~^T, relation from M' | alpha, fresh dets
         if not (st.sigma == det_route == relation_route == dep.sigma):
             return False, f"disagreement on {data.to_json()}"
     return True, f"three sigma routes agree on {len(corpus)} random layouts"
@@ -178,6 +179,7 @@ def _check_det_identity() -> tuple[bool, str]:
     corpus = _sigma_corpus()
     for data in corpus:
         dep = dependency(data)
+        # fresh determinants, independent of the relation read off the cached M' | alpha elimination
         lhs = det(data.matrix_m_tilde())
         rhs = Fraction(-1) ** (data.n + 1) * (1 - Fraction(dep.sum_p, dep.r)) * det(
             data.matrix_m_prime()

@@ -6,8 +6,14 @@ outcome, so `pytest -v` shows one line per criterion and a failure carries
 the criterion's own detail text.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import lamconn
 from lamconn.selftest import CRITERIA, run_criterion
 
 IDS = [f"criterion_{cid:02d}" for cid, _, _ in CRITERIA]
@@ -22,3 +28,19 @@ def test_criterion(cid, description):
 
 def test_battery_is_complete():
     assert [cid for cid, _, _ in CRITERIA] == list(range(1, 12))
+
+
+def test_battery_passes_with_asserts_stripped():
+    """Under python -O every assert is gone, so no invariant may live only in one."""
+    src = str(Path(lamconn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lamconn.cli", "selftest"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("PASS ") for line in proc.stdout.splitlines()) == 11

@@ -42,11 +42,34 @@ def inverse_adjugate(rows):
 
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
+# Integer and rational entries mixed, so rows take both the integer path and
+# the path that first scales a row by the lcm of its denominators.
+matrix_entry = st.integers(min_value=-9, max_value=9) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=6
+)
 
-def square_matrix(n, entries=st.integers(min_value=-9, max_value=9)):
+
+def matrix(nrows, ncols, entries=matrix_entry):
     return st.lists(
-        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
     ).map(RatMatrix)
+
+
+def square_matrix(n, entries=matrix_entry):
+    return matrix(n, n, entries)
+
+
+def rank_deficient_matrix(nrows, ncols):
+    """A product (nrows x k) @ (k x ncols) with k < min(nrows, ncols), so rank <= k."""
+    return st.integers(min_value=1, max_value=max(1, min(nrows, ncols) - 1)).flatmap(
+        lambda k: st.tuples(matrix(nrows, k), matrix(k, ncols)).map(lambda pair: pair[0] @ pair[1])
+    )
+
+
+def rectangular_matrix():
+    return st.tuples(
+        st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)
+    ).flatmap(lambda shape: matrix(*shape) | rank_deficient_matrix(*shape))
 
 
 class TestRat:
@@ -207,9 +230,7 @@ class TestMatrixProperties:
         st.integers(min_value=1, max_value=4).flatmap(
             lambda n: st.tuples(
                 square_matrix(n),
-                st.lists(
-                    st.integers(min_value=-9, max_value=9), min_size=n, max_size=n
-                ),
+                st.lists(matrix_entry, min_size=n, max_size=n),
             )
         )
     )
@@ -225,3 +246,11 @@ class TestMatrixProperties:
     @given(st.integers(min_value=1, max_value=4).flatmap(square_matrix))
     def test_rank_full_iff_nonsingular(self, m):
         assert (rank(m) == m.nrows) == (det(m) != 0)
+
+    @given(rectangular_matrix())
+    def test_rank_matches_sympy(self, m):
+        sympy = pytest.importorskip("sympy")
+        oracle = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows()]
+        )
+        assert rank(m) == oracle.rank()

@@ -1,14 +1,15 @@
 """Rank hypotheses, the minimal integer relation and the case split."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lamconn.errors import HypothesisError, InputError
-from lamconn.exact import det
+from lamconn.errors import ContractError, HypothesisError, InputError, SingularMatrixError
+from lamconn.exact import det, invert, rank, solve
 from lamconn.exponents import (
     Case,
     ExponentData,
@@ -43,6 +44,12 @@ class TestValidation:
             ExponentData(n=2, alphas=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(InputError):
             ExponentData(n=1, alphas=((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+
+    def test_bool_n_rejected(self):
+        with pytest.raises(InputError):
+            ExponentData(n=True, alphas=((1, 0), (0, 1), (1, 1)))
+        with pytest.raises(InputError):
+            ExponentData.from_json({"n": True, "alphas": [[1, 0], [0, 1], [1, 1]]})
 
     def test_negative_entries_rejected(self):
         with pytest.raises(InputError):
@@ -122,6 +129,14 @@ class TestDependency:
         data = ExponentData(n=1, alphas=((1, 0), (0, 1), (0, 0)))
         assert validate_hypotheses(data).passed
         with pytest.raises(InputError):
+            dependency(data)
+
+    def test_degenerate_case_split_raises(self):
+        # Only reachable when the analysis claims full bordered rank for a
+        # quasi-homogeneous layout; the guard must not be a bare assert.
+        data = ExponentData(n=1, alphas=((2, 0), (0, 2), (1, 1)))
+        data.__dict__["analysis"] = replace(data.analysis, rank_m_tilde=3)
+        with pytest.raises(ContractError):
             dependency(data)
 
     def test_relation_holds_and_r_minimal(self):
@@ -214,3 +229,51 @@ class TestRandomLayouts:
             assert r >= 1
             if any(p):
                 assert math.gcd(r, *(abs(x) for x in p)) == 1
+
+
+def layouts_with_failures():
+    """Random layouts, a third built to fail hypothesis i) and a third to fail ii)."""
+
+    def degrade(args):
+        (n, alphas), kind = args
+        alphas = list(alphas)
+        if kind == "fail_i":
+            # the last exponent is the midpoint of the first two: quasi-homogeneous
+            alphas[-1] = tuple(x + y for x, y in zip(alphas[0], alphas[1]))
+            alphas[0] = tuple(2 * x for x in alphas[0])
+            alphas[1] = tuple(2 * x for x in alphas[1])
+        elif kind == "fail_ii":
+            alphas[1] = tuple(2 * x for x in alphas[0])
+        return n, tuple(alphas)
+
+    return st.tuples(exponent_layouts(), st.sampled_from(["free", "fail_i", "fail_ii"])).map(degrade)
+
+
+class TestCachedAnalysis:
+    @given(layouts_with_failures())
+    @example((2, CUBE.alphas))
+    @example((1, ((1, 0), (2, 0), (0, 1))))
+    def test_analysis_matches_fresh_elimination(self, layout):
+        n, alphas = layout
+        if len(set(alphas)) != n + 2:
+            return
+        data = ExponentData(n=n, alphas=alphas)
+        analysis = data.analysis
+        m_tilde, m_prime = data.matrix_m_tilde(), data.matrix_m_prime()
+        assert analysis.rank_m_tilde == rank(m_tilde)
+        assert analysis.rank_m_prime == rank(m_prime)
+        assert analysis.det_m_tilde == det(m_tilde)
+        assert analysis.det_m_prime == det(m_prime)
+        if analysis.det_m_tilde == 0:
+            assert analysis.inverse_last_row is None
+            with pytest.raises(SingularMatrixError):
+                invert(m_tilde)
+        else:
+            assert analysis.inverse_last_row == invert(m_tilde).row(n + 1)
+        if analysis.det_m_prime == 0:
+            assert analysis.relation is None
+            with pytest.raises(SingularMatrixError):
+                solve(m_prime, alphas[-1])
+        else:
+            assert list(analysis.relation) == solve(m_prime, alphas[-1])
+        assert data.analysis is analysis
