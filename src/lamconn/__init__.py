@@ -12,7 +12,6 @@ order-by-order propagation of log expansion coefficients.
 from .algebra import (
     ABElement,
     HomogeneousPart,
-    ab_mul,
     as_homogeneous,
     conj_b,
     homogeneous_components,
@@ -44,7 +43,7 @@ from .errors import (
     InputError,
     SingularMatrixError,
 )
-from .exact import LaurentPoly, Rat, RatMatrix, det, format_rat, invert, parse_rat, rank, rat, solve
+from .exact import LaurentPoly, Rat, RatMatrix, det, invert, parse_rat, rank, solve
 from .exponents import (
     Case,
     DependencyData,
@@ -93,7 +92,6 @@ __all__ = [
     "RatMatrix",
     "SigmaTau",
     "SingularMatrixError",
-    "ab_mul",
     "as_homogeneous",
     "conj_b",
     "cross_validate",
@@ -104,7 +102,6 @@ __all__ = [
     "factored_display",
     "family_a",
     "family_b",
-    "format_rat",
     "homogeneous_components",
     "integrate_log",
     "invert",
@@ -118,7 +115,6 @@ __all__ = [
     "push_nabla",
     "push_nabla_via_shift",
     "rank",
-    "rat",
     "shift_identity_check",
     "sigma_tau",
     "solve",

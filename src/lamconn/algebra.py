@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError
-from .exact import LaurentPoly, Rat, parse_rat, split_factors, split_terms
+from .exact import LaurentPoly, Rat, join_signed, parse_int, split_factors, split_terms
 
 Key = tuple[int, int]
 
@@ -39,7 +39,7 @@ class ABElement:
                 i, j = key
                 if i < 0 or j < 0:
                     raise InputError(f"negative generator power in key {key!r}")
-                if not isinstance(coeff, LaurentPoly):
+                if type(coeff) is not LaurentPoly:
                     coeff = LaurentPoly.const(coeff)
                 if not coeff.is_zero():
                     clean[(i, j)] = coeff
@@ -105,7 +105,7 @@ class ABElement:
         return ABElement({k: -c for k, c in self._terms.items()})
 
     def scale(self, c: LaurentPoly | Rat | int) -> "ABElement":
-        if not isinstance(c, LaurentPoly):
+        if type(c) is not LaurentPoly:
             c = LaurentPoly.const(c)
         return ABElement({k: v * c for k, v in self._terms.items()})
 
@@ -144,17 +144,10 @@ class ABElement:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for i, j in sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            coeff = self._terms[(i, j)]
-            sign, body = _term_text(coeff, i, j)
-            if not chunks:
-                chunks.append(body if sign > 0 else "-" + body)
-            else:
-                chunks.append((" + " if sign > 0 else " - ") + body)
-        return "".join(chunks)
+        return join_signed(
+            _term_text(self._terms[(i, j)], i, j)
+            for i, j in sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        )
 
     def __repr__(self) -> str:
         return f"ABElement({self})"
@@ -178,7 +171,7 @@ class ABElement:
                     coeff = coeff * lam_part
                     continue
                 name, exp_s = m.group(1), m.group(2)
-                exp = int(exp_s) if exp_s is not None else 1
+                exp = parse_int(exp_s) if exp_s is not None else 1
                 if name == "a":
                     if seen_b:
                         raise InputError(f"a after b in {term!r}: text must be normally ordered")
@@ -197,8 +190,8 @@ def _accumulate(store: dict[Key, LaurentPoly], key: Key, value: LaurentPoly) -> 
     store[key] = store[key] + value if key in store else value
 
 
-def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[int, str]:
-    """Render one normal term; returns (sign for the joining operator, body text)."""
+def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[bool, str]:
+    """Render one normal term; returns (negative, body text) for join_signed."""
     monomial = "*".join(
         part
         for part in (
@@ -209,22 +202,17 @@ def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[int, str]:
     )
     if coeff.is_const():
         value = coeff.const_value()
-        sign = 1 if value > 0 else -1
+        negative = value < 0
         mag = abs(value)
         if not monomial:
-            return sign, str(mag)
+            return negative, str(mag)
         if mag == 1:
-            return sign, monomial
-        return sign, f"{mag}*{monomial}"
+            return negative, monomial
+        return negative, f"{mag}*{monomial}"
     # A coefficient involving lam is always parenthesized so the term
     # boundary stays unambiguous; its sign lives inside the parentheses.
     body = f"({coeff})"
-    return 1, f"{body}*{monomial}" if monomial else body
-
-
-def ab_mul(x: ABElement, y: ABElement) -> ABElement:
-    """Product of two normally ordered elements, result normally ordered."""
-    return x * y
+    return False, f"{body}*{monomial}" if monomial else body
 
 
 def conj_b(x: ABElement) -> ABElement:

@@ -16,6 +16,9 @@ N+1 is zero), integrates in L, and adds the free integration constant
 supplied by the seed.  Degrees in L grow by at most one per order, hence
 deg c[i,k,m] <= m.
 
+The coefficients are LogPoly values, LaurentPoly's sparse polynomial printed
+in L instead of lam.
+
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
 well defined, so such input is rejected outright.
@@ -30,109 +33,51 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .exact import Rat, parse_rat
+from .exact import LaurentPoly, Rat, parse_rat
 
 SeedKey = tuple[int, int, int]
 
 
-class LogPoly:
-    """Polynomial in L = Log(lam/lam0) with Fraction coefficients."""
+class LogPoly(LaurentPoly):
+    """Polynomial in L = Log(lam/lam0) with Fraction coefficients.
 
-    __slots__ = ("_coeffs",)
+    The sparse storage, arithmetic, equality and text form are LaurentPoly's,
+    printed and parsed in L; degrees in L are never negative.
+    """
+
+    __slots__ = ()
+
+    VAR = "L"
 
     def __init__(self, coeffs: Mapping[int, Rat | int] | None = None):
-        clean: dict[int, Rat] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(e, int) or e < 0:
-                    raise InputError(f"log degree must be a nonnegative integer, got {e!r}")
-                c = Fraction(c)
-                if c != 0:
-                    clean[e] = c
-        self._coeffs = clean
-
-    @classmethod
-    def const(cls, c: Rat | int) -> "LogPoly":
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def zero(cls) -> "LogPoly":
-        return cls()
+        for e in coeffs or ():
+            if not isinstance(e, int) or e < 0:
+                raise InputError(f"log degree must be a nonnegative integer, got {e!r}")
+        super().__init__(coeffs)
 
     @property
     def coeffs(self) -> dict[int, Rat]:
-        return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.terms
 
     def degree(self) -> int:
         """Degree in L; the zero polynomial has degree -1 by convention."""
-        return max(self._coeffs, default=-1)
+        return max(self._terms, default=-1)
 
     def constant_term(self) -> Rat:
         """The value at L = 0."""
-        return self._coeffs.get(0, Fraction(0))
-
-    def __add__(self, other: "LogPoly") -> "LogPoly":
-        if not isinstance(other, LogPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LogPoly(out)
-
-    def __sub__(self, other: "LogPoly") -> "LogPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LogPoly":
-        return LogPoly({e: -c for e, c in self._coeffs.items()})
-
-    def scale(self, c: Rat | int) -> "LogPoly":
-        c = Fraction(c)
-        return LogPoly({e: v * c for e, v in self._coeffs.items()})
+        return self.coefficient(0)
 
     def deriv(self) -> "LogPoly":
         """d/dL, which is lam*d/dlam on coefficient functions of lam."""
-        return LogPoly({e - 1: e * c for e, c in self._coeffs.items() if e > 0})
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LogPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == LogPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        chunks: list[str] = []
-        for e in sorted(self._coeffs):
-            c = self._coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "L" if e == 1 else f"L^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append((" + " if c > 0 else " - ") + body)
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"LogPoly({self})"
+        return self._make({e - 1: e * c for e, c in self._terms.items() if e > 0})
 
     def to_json(self) -> dict[str, str]:
-        return {str(e): str(c) for e, c in sorted(self._coeffs.items())}
+        return {str(e): str(c) for e, c in sorted(self._terms.items())}
 
 
 def integrate_log(d: LogPoly) -> LogPoly:
     """Antiderivative in L with zero constant term: L^e -> L^(e+1)/(e+1)."""
-    return LogPoly({e + 1: c / (e + 1) for e, c in d.coeffs.items()})
+    return LogPoly._make({e + 1: c / (e + 1) for e, c in d._terms.items()})
 
 
 @dataclass(frozen=True)

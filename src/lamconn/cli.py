@@ -35,6 +35,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past Python's int/str digit limit
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:

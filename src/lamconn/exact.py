@@ -4,6 +4,11 @@ Every quantity in this package is an exact rational; floats are never
 introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
 guarantee a positive denominator, full reduction and a unique zero.
 
+``LaurentPoly`` is the package's one sparse polynomial in a single variable;
+``asymptotics.LogPoly`` is the same type printed in L instead of lam.  The
+text helpers here (``join_signed``, ``split_terms``, ``split_factors``) are
+shared with the algebra's parser and printer.
+
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``): rows
 are scaled to integers, every division is exact, and the result is turned
@@ -24,8 +29,12 @@ Rat = Fraction
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def rat(numerator: int | Rat, denominator: int = 1) -> Rat:
-    return Fraction(numerator, denominator)
+def parse_int(digits: str) -> int:
+    """int() of a digit string; one longer than Python's conversion limit is bad input."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(f"integer literal of {len(digits)} digits is too long") from None
 
 
 def parse_rat(text: str) -> Rat:
@@ -33,26 +42,42 @@ def parse_rat(text: str) -> Rat:
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise InputError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = parse_int(m.group(1))
+    den = parse_int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 
-def format_rat(x: Rat) -> str:
-    return str(x)
+def join_signed(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs as "-x + y - z"; no pairs at all give "0"."""
+    chunks: list[str] = []
+    for negative, body in terms:
+        if chunks:
+            chunks.append(" - " if negative else " + ")
+        elif negative:
+            chunks.append("-")
+        chunks.append(body)
+    return "".join(chunks) or "0"
 
 
 class LaurentPoly:
-    """Polynomial in lam and lam^-1 with Fraction coefficients.
+    """Sparse polynomial in one variable, with integer exponents and Fraction coefficients.
 
-    Stored sparsely as exponent -> coefficient with zero coefficients pruned,
-    so equality of the term maps is equality of the polynomials.  Instances
-    are treated as immutable.
+    Stored as exponent -> coefficient with zero coefficients pruned, so
+    equality of the term maps is equality of the polynomials.  Instances are
+    treated as immutable.  ``VAR`` names the variable for printing and
+    parsing: lam here, L in the subclass ``asymptotics.LogPoly``.  Arithmetic
+    and equality take only an operand of exactly the same type (or an int or
+    Fraction), so polynomials in different variables never mix.
+
+    ``__init__``, ``const`` and ``lam_power`` validate what they are given;
+    every arithmetic result is built by ``_make``, which trusts its input.
     """
 
     __slots__ = ("_terms",)
+
+    VAR = "lam"
 
     def __init__(self, terms: Mapping[int, Rat | int] | None = None):
         clean: dict[int, Rat] = {}
@@ -64,6 +89,13 @@ class LaurentPoly:
                 if c != 0:
                     clean[e] = c
         self._terms = clean
+
+    @classmethod
+    def _make(cls, terms: dict[int, Rat]) -> "LaurentPoly":
+        """Trusted constructor: int exponents and Fraction values; only zeros are dropped."""
+        poly = object.__new__(cls)
+        poly._terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     @classmethod
     def const(cls, c: Rat | int) -> "LaurentPoly":
@@ -96,27 +128,29 @@ class LaurentPoly:
         return self._terms.get(e, Fraction(0))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out)
+            out[e] = out[e] + c if e in out else c
+        return self._make(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return self._make({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: "LaurentPoly | Rat | int") -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
+        if type(other) is type(self):
             out: dict[int, Rat] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
                     e = e1 + e2
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-            return LaurentPoly(out)
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+            return self._make(out)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -125,56 +159,49 @@ class LaurentPoly:
 
     def scale(self, c: Rat | int) -> "LaurentPoly":
         c = Fraction(c)
-        return LaurentPoly({e: v * c for e, v in self._terms.items()})
+        return self._make({e: v * c for e, v in self._terms.items()})
 
     def theta(self) -> "LaurentPoly":
         """Apply the Euler operator lam * d/dlam, i.e. lam^t -> t * lam^t."""
-        return LaurentPoly({e: e * c for e, c in self._terms.items()})
+        return self._make({e: e * c for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
+        if type(other) is type(self):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(other)
+            return self.is_const() and self.coefficient(0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            body = _lam_term(abs(c), e)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append((" + " if c > 0 else " - ") + body)
-        return "".join(chunks)
+        return join_signed(
+            (c < 0, _term_text(self.VAR, abs(c), e)) for e, c in sorted(self._terms.items())
+        )
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+        return f"{type(self).__name__}({self})"
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam"."""
-        out = cls.zero()
-        for sign, term in split_terms(text, "Laurent polynomial"):
-            coeff, lam_exp = parse_lam_term(term)
-            out = out + LaurentPoly.lam_power(lam_exp, sign * coeff)
-        return out
+        """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
+        terms: dict[int, Rat] = {}
+        for sign, term in split_terms(text, f"polynomial in {cls.VAR}"):
+            coeff, e = parse_lam_term(term, cls.VAR)
+            terms[e] = terms.get(e, 0) + sign * coeff
+        return cls(terms)
 
     def to_json(self) -> str:
         return str(self)
 
 
-def _lam_term(c: Rat, e: int) -> str:
+def _term_text(var: str, c: Rat, e: int) -> str:
+    """One term of magnitude c > 0: "c", "var", "var^e", "c*var" or "c*var^e"."""
     if e == 0:
         return str(c)
-    lam = "lam" if e == 1 else f"lam^{e}"
-    return lam if c == 1 else f"{c}*{lam}"
+    power = var if e == 1 else f"{var}^{e}"
+    return power if c == 1 else f"{c}*{power}"
 
 
 def split_terms(text: str, what: str) -> list[tuple[int, str]]:
@@ -216,19 +243,19 @@ def split_terms(text: str, what: str) -> list[tuple[int, str]]:
     return pieces
 
 
-def parse_lam_term(term: str) -> tuple[Rat, int]:
-    """Parse a product of rational and lam-power factors into (coefficient, exponent)."""
+def parse_lam_term(term: str, var: str) -> tuple[Rat, int]:
+    """Parse a product of rational and var-power factors into (coefficient, exponent)."""
     coeff = Fraction(1)
-    lam_exp = 0
+    exp = 0
     for factor in split_factors(term):
         if factor.startswith("("):
             raise InputError(f"nested parentheses not allowed here: {term!r}")
-        m = re.match(r"^lam(?:\^(-?\d+))?$", factor)
+        m = re.match(rf"^{var}(?:\^(-?\d+))?$", factor)
         if m is not None:
-            lam_exp += int(m.group(1)) if m.group(1) is not None else 1
+            exp += parse_int(m.group(1)) if m.group(1) is not None else 1
         else:
             coeff *= parse_rat(factor)
-    return coeff, lam_exp
+    return coeff, exp
 
 
 def split_factors(term: str) -> list[str]:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from lamconn.algebra import (
     ABElement,
     HomogeneousPart,
-    ab_mul,
     as_homogeneous,
     conj_b,
     homogeneous_components,
@@ -276,6 +275,11 @@ class TestTextFormat:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(InputError):
             ABElement.parse(bad)
+
+    def test_parse_rejects_oversized_exponent(self):
+        # one digit past Python's default int/str conversion limit
+        with pytest.raises(InputError, match="too long"):
+            ABElement.parse("a^" + "1" * 4301)
 
     @given(abelement)
     def test_round_trip(self, x):

@@ -1,11 +1,13 @@
 """Order-by-order propagation in L and the exact residual check."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lamconn.algebra import ABElement
 from lamconn.asymptotics import (
     ExpansionSpec,
     ExpansionTable,
@@ -16,6 +18,7 @@ from lamconn.asymptotics import (
     verify_table,
 )
 from lamconn.errors import InputError
+from lamconn.exact import LaurentPoly
 
 GOLDEN = ExpansionSpec(rhos=(F(1, 2),), log_depth=0, order=2, alpha=1, beta=0)
 GOLDEN_LOG = ExpansionSpec(rhos=(F(0),), log_depth=1, order=1, alpha=0, beta=1)
@@ -86,6 +89,23 @@ class TestLogPoly:
 
     def test_json(self):
         assert LogPoly({1: F(1, 3), 0: -2}).to_json() == {"0": "-2", "1": "1/3"}
+
+    def test_does_not_mix_with_laurent(self):
+        log, laurent = LogPoly({0: 1, 1: 2}), LaurentPoly({0: 1, 1: 2})
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(log, laurent)
+            with pytest.raises(TypeError):
+                op(laurent, log)
+        assert log != laurent
+        assert laurent != log
+        assert LogPoly.const(1) != LaurentPoly.const(1)
+
+    def test_not_an_algebra_coefficient(self):
+        with pytest.raises(TypeError):
+            ABElement({(0, 0): LogPoly.const(1)})
+        with pytest.raises(TypeError):
+            ABElement.one().scale(LogPoly.const(1))
 
 
 class TestSpecValidation:

@@ -1,9 +1,18 @@
-"""End-to-end runs of the command line front end, in process through main()."""
+"""End-to-end runs of the command line front end, in process through main().
+
+The oversized-literal runs start a fresh interpreter instead, so that an
+uncaught exception would show as a traceback on stderr.
+"""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lamconn
 from lamconn.cli import main
 
 FAMILY_A_INPUT = {"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}
@@ -12,6 +21,22 @@ CUBE_INPUT = {"n": 2, "alphas": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]}
 GOLDEN_EXPANSION = {"rhos": ["1/2"], "N": 0, "M": 2, "alpha": "1", "beta": "0", "seed": {"0,0,0": "1"}}
 
 FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
+
+
+# One digit past Python's default int/str conversion limit.
+LONG_DIGITS = "1" * 4301
+
+
+def run_cli(*args):
+    src = str(Path(lamconn.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lamconn.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def write_json(tmp_path, obj, name="input.json"):
@@ -192,6 +217,24 @@ class TestInputHandling:
         path.write_text("{not json", encoding="utf-8")
         assert main(["check", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_oversized_json_integer(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, %s]]}' % LONG_DIGITS,
+            encoding="utf-8",
+        )
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "input error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_oversized_seed_literal(self, tmp_path):
+        obj = {**GOLDEN_EXPANSION, "seed": {"0,0,0": LONG_DIGITS}}
+        proc = run_cli("propagate", write_json(tmp_path, obj))
+        assert proc.returncode == 1
+        assert "input error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "obj",

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lamconn.asymptotics import LogPoly, integrate_log
 from lamconn.errors import DimensionError, InputError, SingularMatrixError
-from lamconn.exact import LaurentPoly, RatMatrix, det, format_rat, invert, parse_rat, rank, solve
+from lamconn.exact import LaurentPoly, RatMatrix, det, invert, parse_rat, rank, solve
 
 # Bordered exponent matrices of the two golden instances; every frozen value
 # below was produced by the oracles in this file before the implementation
@@ -41,6 +42,16 @@ def inverse_adjugate(rows):
 
 
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+# One digit past Python's default int/str conversion limit.
+LONG_DIGITS = "1" * 4301
+
+
+def polys(cls, min_exponent):
+    return st.dictionaries(
+        st.integers(min_value=min_exponent, max_value=4), small_fraction, max_size=5
+    ).map(cls)
+
 
 # Integer and rational entries mixed, so rows take both the integer path and
 # the path that first scales a row by the lcm of its denominators.
@@ -79,18 +90,23 @@ class TestRat:
         assert parse_rat(" 3/6 ") == F(1, 2)
 
     def test_format(self):
-        assert format_rat(F(-7, 4)) == "-7/4"
-        assert format_rat(F(10, 2)) == "5"
-        assert format_rat(F(0)) == "0"
+        assert str(F(-7, 4)) == "-7/4"
+        assert str(F(10, 2)) == "5"
+        assert str(F(0)) == "0"
 
     @pytest.mark.parametrize("bad", ["1.5", "", "a", "1/0", "1e3", "+-3", "1/ 2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
             parse_rat(bad)
 
+    @pytest.mark.parametrize("text", [LONG_DIGITS, "-" + LONG_DIGITS, "1/" + LONG_DIGITS])
+    def test_parse_rejects_oversized_literal(self, text):
+        with pytest.raises(InputError, match="too long"):
+            parse_rat(text)
+
     @given(small_fraction)
     def test_round_trip(self, x):
-        assert parse_rat(format_rat(x)) == x
+        assert parse_rat(str(x)) == x
 
 
 class TestLaurentPoly:
@@ -115,6 +131,10 @@ class TestLaurentPoly:
         with pytest.raises(InputError):
             LaurentPoly.parse(bad)
 
+    def test_parse_rejects_oversized_exponent(self):
+        with pytest.raises(InputError, match="too long"):
+            LaurentPoly.parse("lam^" + LONG_DIGITS)
+
     def test_theta(self):
         p = LaurentPoly({3: 5, 0: 7, -2: 1})
         assert p.theta() == LaurentPoly({3: 15, -2: -2})
@@ -129,12 +149,9 @@ class TestLaurentPoly:
         assert LaurentPoly({5: 0}).is_zero()
         assert (LaurentPoly({1: 1}) - LaurentPoly({1: 1})).is_zero()
 
-    @given(
-        st.dictionaries(st.integers(min_value=-4, max_value=4), small_fraction, max_size=5)
-    )
-    def test_str_parse_round_trip(self, terms):
-        p = LaurentPoly(terms)
-        assert LaurentPoly.parse(str(p)) == p
+    @given(polys(LaurentPoly, -4) | polys(LogPoly, 0))
+    def test_str_parse_round_trip(self, p):
+        assert type(p).parse(str(p)) == p
 
     @given(
         st.dictionaries(st.integers(min_value=-3, max_value=3), small_fraction, max_size=4),
@@ -143,6 +160,24 @@ class TestLaurentPoly:
     def test_theta_is_a_derivation(self, t1, t2):
         p, q = LaurentPoly(t1), LaurentPoly(t2)
         assert (p * q).theta() == p.theta() * q + p * q.theta()
+
+
+same_type_pair = st.tuples(polys(LaurentPoly, -4), polys(LaurentPoly, -4)) | st.tuples(
+    polys(LogPoly, 0), polys(LogPoly, 0)
+)
+
+
+class TestTrustedConstructor:
+    @given(same_type_pair, small_fraction)
+    def test_results_hold_only_nonzero_fractions(self, pair, c):
+        p, q = pair
+        results = [p + q, p - q, -p, p * q, p.scale(c), p.theta()]
+        if type(p) is LogPoly:
+            results += [p.deriv(), integrate_log(p)]
+        for r in results:
+            assert type(r) is type(p)
+            assert all(type(e) is int for e in r.terms)
+            assert all(type(v) is F and v != 0 for v in r.terms.values())
 
 
 class TestMatrixFrozen:
