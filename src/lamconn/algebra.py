@@ -1,15 +1,18 @@
 """Normally ordered elements of the algebra generated by a and b.
 
-The two generators satisfy a*b - b*a = b^2.  Every element is kept as a sum
-of monomials a^i * b^j with all a factors on the left and coefficients that
-are Laurent polynomials in lam.  Right multiplication by a single generator
-is the primitive rewrite step: from b^j * a = (a - j*b) * b^j one gets
+The two generators satisfy a*b - b*a = b^2 (the Jordan plane).  Every element
+is kept as a sum of monomials a^i * b^j with all a factors on the left and
+coefficients that are Laurent polynomials in lam.  Normal ordering has a
+closed form: from b^j * a = (a - j*b) * b^j, induction on k gives
 
-    (a^i * b^j) * a = a^(i+1) * b^j - j * a^i * b^(j+1)
-    (a^i * b^j) * b = a^i * b^(j+1)
+    b^j * a^k = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(k-t) * b^(j+t)
 
-and every product reduces through these two moves, so normal forms are closed
-under multiplication without any global rewriting pass.
+for t = 0..k, so the product of two normal monomials is
+
+    (a^i * b^j) * (a^k * b^l) = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(i+k-t) * b^(j+t+l)
+
+and ``ABElement.__mul__`` applies it once per pair of terms.  Conjugation by
+b is the same product followed by lowering every b power by one.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ _GEN_RE = re.compile(r"^(a|b)(?:\^(\d+))?$")
 
 
 class ABElement:
-    """Finite sum of coefficient * a^i * b^j terms, zero coefficients pruned."""
+    """Finite sum of coefficient * a^i * b^j terms, zero coefficients pruned.
+
+    ``__init__``, ``monomial``, ``map_coefficients`` and ``parse`` validate
+    what they are given; every arithmetic result is built by ``_make``, which
+    trusts its input.
+    """
 
     __slots__ = ("_terms",)
 
@@ -44,6 +52,13 @@ class ABElement:
                 if not coeff.is_zero():
                     clean[(i, j)] = coeff
         self._terms = clean
+
+    @classmethod
+    def _make(cls, terms: dict[Key, LaurentPoly]) -> "ABElement":
+        """Trusted constructor: nonnegative int keys, LaurentPoly values; only zeros are dropped."""
+        x = object.__new__(cls)
+        x._terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        return x
 
     @classmethod
     def zero(cls) -> "ABElement":
@@ -95,45 +110,39 @@ class ABElement:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out[k] + c if k in out else c
-        return ABElement(out)
+            _accumulate(out, k, c)
+        return ABElement._make(out)
 
     def __sub__(self, other: "ABElement") -> "ABElement":
         return self + (-other)
 
     def __neg__(self) -> "ABElement":
-        return ABElement({k: -c for k, c in self._terms.items()})
+        return ABElement._make({k: -c for k, c in self._terms.items()})
 
     def scale(self, c: LaurentPoly | Rat | int) -> "ABElement":
         if type(c) is not LaurentPoly:
             c = LaurentPoly.const(c)
-        return ABElement({k: v * c for k, v in self._terms.items()})
+        return ABElement._make({k: v * c for k, v in self._terms.items()})
 
     def times_a(self) -> "ABElement":
-        out: dict[Key, LaurentPoly] = {}
-        for (i, j), c in self._terms.items():
-            _accumulate(out, (i + 1, j), c)
-            if j:
-                _accumulate(out, (i, j + 1), c.scale(-j))
-        return ABElement(out)
-
-    def shift_b(self, j: int) -> "ABElement":
-        if j == 0:
-            return self
-        return ABElement({(i, l + j): c for (i, l), c in self._terms.items()})
+        return self * ABElement.gen_a()
 
     def __mul__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        result: dict[Key, LaurentPoly] = {}
-        for (i, j), c in other._terms.items():
-            piece = self
-            for _ in range(i):
-                piece = piece.times_a()
-            piece = piece.shift_b(j)
-            for k, v in piece.scale(c)._terms.items():
-                _accumulate(result, k, v)
-        return ABElement(result)
+        out: dict[Key, LaurentPoly] = {}
+        for (i, j), c1 in self._terms.items():
+            for (k, l), c2 in other._terms.items():
+                c = c1 * c2
+                # n = (-1)^t C(k,t) j(j+1)...(j+t-1); the division is exact
+                # and n becomes 0 after t = 0 when j = 0.
+                n = 1
+                for t in range(k + 1):
+                    _accumulate(out, (i + k - t, j + t + l), c if n == 1 else c.scale(n))
+                    n = -n * (k - t) * (j + t) // (t + 1)
+                    if not n:
+                        break
+        return ABElement._make(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABElement):
@@ -155,7 +164,7 @@ class ABElement:
     @classmethod
     def parse(cls, text: str) -> "ABElement":
         """Parse canonical text such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2"."""
-        out = cls.zero()
+        terms: dict[Key, LaurentPoly] = {}
         for sign, term in split_terms(text, "algebra element"):
             coeff = LaurentPoly.const(sign)
             a_pow = 0
@@ -179,8 +188,8 @@ class ABElement:
                 else:
                     seen_b = True
                     b_pow += exp
-            out = out + cls.monomial(a_pow, b_pow, coeff)
-        return out
+            _accumulate(terms, (a_pow, b_pow), coeff)
+        return cls(terms)
 
     def to_json(self) -> str:
         return str(self)
@@ -216,26 +225,14 @@ def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[bool, str]:
 
 
 def conj_b(x: ABElement) -> ABElement:
-    """Conjugation by b: the algebra map a -> a - b, b -> b.
+    """Conjugation by b: x -> b * x * b^(-1), the algebra map a -> a - b, b -> b.
 
-    This is exactly the effect of forming b * x * b^(-1); no inverse of b is
-    ever materialized.  It preserves total degree and is invertible (send a
-    to a + b).
+    Computed as b * x with every b power lowered by one; each term of b * x
+    has at least one b factor, so no inverse of b is ever materialized.  It
+    preserves total degree and is invertible (send a to a + b).
     """
-    max_a = max((i for i, _ in x._terms), default=0)
-    powers = _a_minus_b_powers(max_a)
-    out = ABElement.zero()
-    for (i, j), c in x._terms.items():
-        out = out + powers[i].shift_b(j).scale(c)
-    return out
-
-
-def _a_minus_b_powers(max_power: int) -> list[ABElement]:
-    powers = [ABElement.one()]
-    base = ABElement.gen_a() - ABElement.gen_b()
-    for _ in range(max_power):
-        powers.append(powers[-1] * base)
-    return powers
+    bx = ABElement.gen_b() * x
+    return ABElement._make({(i, j - 1): c for (i, j), c in bx._terms.items()})
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
@@ -272,10 +269,10 @@ def as_homogeneous(x: ABElement) -> HomogeneousPart:
 def homogeneous_components(x: ABElement) -> list[HomogeneousPart]:
     """Split into homogeneous parts, highest total degree first."""
     buckets: dict[int, dict[Key, LaurentPoly]] = {}
-    for (i, j), c in x.terms.items():
+    for (i, j), c in x._terms.items():
         buckets.setdefault(i + j, {})[(i, j)] = c
     return [
-        HomogeneousPart(degree, ABElement(terms))
+        HomogeneousPart(degree, ABElement._make(terms))
         for degree, terms in sorted(buckets.items(), reverse=True)
     ]
 

@@ -172,13 +172,20 @@ def _cmd_propagate(args) -> int:
             raise InputError(f"seed value for {key_text!r} must be a rational string or integer")
         seed[parse_seed_key(key_text)] = parse_rat(str(value))
     table = propagate(spec, seed)
-    lines = [
-        f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
-        f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
-    ]
-    for (i, k, m), poly in sorted(table.entries.items()):
-        lines.append(f"c[{i},{k},{m}] = {poly}")
-    _emit(table.to_json(), args.json, lines)
+    try:
+        lines = [
+            f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
+            f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
+        ]
+        for (i, k, m), poly in sorted(table.entries.items()):
+            lines.append(f"c[{i},{k},{m}] = {poly}")
+        payload = table.to_json()
+    except ValueError:  # str() of an integer past Python's int/str digit limit
+        raise InputError(
+            f"a coefficient of the table has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's int/str conversion limit; lower M or N"
+        ) from None
+    _emit(payload, args.json, lines)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:

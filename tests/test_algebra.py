@@ -8,7 +8,7 @@ test never sees it.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lamconn.algebra import (
@@ -104,6 +104,13 @@ class TestNormalForm:
         rhs = (A - B.scale(j)) * b_j
         assert lhs == rhs
 
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("j", range(7))
+    def test_closed_rule_on_whole_powers(self, j, k):
+        # b^j * a^k, the one product the closed normal-ordering rule expands
+        product = ABElement.monomial(0, j) * ABElement.monomial(k, 0)
+        assert element_to_word_map(product) == rewrite_words({"b" * j + "a" * k: F(1)})
+
     @given(st.lists(st.text(alphabet="ab", max_size=5), min_size=1, max_size=3))
     def test_products_match_word_oracle(self, words):
         product_word = "".join(words)
@@ -130,13 +137,24 @@ abelement = st.dictionaries(
     max_size=4,
 ).map(ABElement)
 
+lam_abelement = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    st.dictionaries(st.integers(min_value=-3, max_value=3), small_fraction, max_size=3).map(
+        LaurentPoly
+    ),
+    max_size=3,
+).map(ABElement)
+
+# Either kind of coefficient, for the properties that must hold over Q[lam, 1/lam].
+any_abelement = abelement | lam_abelement
+
 
 class TestRingAxioms:
-    @given(abelement, abelement, abelement)
+    @given(any_abelement, any_abelement, any_abelement)
     def test_associative(self, x, y, z):
         assert (x * y) * z == x * (y * z)
 
-    @given(abelement, abelement, abelement)
+    @given(any_abelement, any_abelement, any_abelement)
     def test_distributive(self, x, y, z):
         assert x * (y + z) == x * y + x * z
         assert (x + y) * z == x * z + y * z
@@ -158,7 +176,7 @@ class TestConjugation:
         assert conj_b(B) == B
         assert conj_b(A * A) == ABElement({(2, 0): 1, (1, 1): -2, (0, 2): 2})
 
-    @given(abelement, abelement)
+    @given(any_abelement, any_abelement)
     def test_homomorphism(self, x, y):
         assert conj_b(x * y) == conj_b(x) * conj_b(y)
         assert conj_b(x + y) == conj_b(x) + conj_b(y)
@@ -176,12 +194,42 @@ class TestConjugation:
             powers.append(powers[-1] * plus)
         inverse = ABElement.zero()
         for (i, j), coeff in x.terms.items():
-            inverse = inverse + powers[i].shift_b(j).scale(coeff)
+            inverse = inverse + (powers[i] * ABElement.monomial(0, j)).scale(coeff)
         assert conj_b(inverse) == x
 
     def test_preserves_lam_coefficients(self):
         x = ABElement({(1, 0): LaurentPoly({-2: -4})})
         assert conj_b(x) == ABElement({(1, 0): LaurentPoly({-2: -4}), (0, 1): LaurentPoly({-2: 4})})
+
+
+class TestTrustedConstructor:
+    # (a + b)*(a - b) = a^2 - 2*b^2 cancels its a*b term, scaling by 0
+    # cancels every term, and x - x must have no terms at all.
+    @example(A + B, A - B, F(0))
+    @example(A + B.scale(LaurentPoly({-1: 2})), A + B.scale(LaurentPoly({-1: 2})), F(1))
+    @given(
+        any_abelement,
+        any_abelement,
+        small_fraction | st.dictionaries(st.integers(-2, 2), small_fraction).map(LaurentPoly),
+    )
+    def test_results_hold_only_nonzero_laurent_coefficients(self, x, y, c):
+        assert not (x - x).terms
+        results = [
+            x + y,
+            x - y,
+            -x,
+            x * y,
+            x.scale(c),
+            x.times_a(),
+            conj_b(x),
+            x.map_coefficients(LaurentPoly.theta),
+        ]
+        results += [part.element for part in homogeneous_components(x + y)]
+        for r in results:
+            assert type(r) is ABElement
+            for key, coeff in r.terms.items():
+                assert all(type(e) is int and e >= 0 for e in key)
+                assert type(coeff) is LaurentPoly and not coeff.is_zero()
 
 
 class TestLinearFactors:
@@ -285,17 +333,7 @@ class TestTextFormat:
     def test_round_trip(self, x):
         assert ABElement.parse(str(x)) == x
 
-    @given(
-        st.dictionaries(
-            st.tuples(
-                st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)
-            ),
-            st.dictionaries(
-                st.integers(min_value=-3, max_value=3), small_fraction, max_size=3
-            ).map(LaurentPoly),
-            max_size=3,
-        ).map(ABElement)
-    )
+    @given(lam_abelement)
     def test_round_trip_with_lam(self, x):
         assert ABElement.parse(str(x)) == x
 

@@ -1,6 +1,6 @@
 """End-to-end runs of the command line front end, in process through main().
 
-The oversized-literal runs start a fresh interpreter instead, so that an
+The oversized-input runs start a fresh interpreter instead, so that an
 uncaught exception would show as a traceback on stderr.
 """
 
@@ -235,6 +235,24 @@ class TestInputHandling:
         assert proc.returncode == 1
         assert "input error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_oversized_table_coefficient(self, tmp_path):
+        # Short input whose table holds coefficients past the int/str digit
+        # limit, so the failure comes while rendering, not while parsing.
+        obj = {
+            "rhos": ["1/3", "1/2"],
+            "N": 3,
+            "M": 720,
+            "alpha": "-7/5",
+            "beta": "11/3",
+            "seed": {"0,3,0": "1", "1,3,0": "1"},
+        }
+        proc = run_cli("propagate", write_json(tmp_path, obj))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("input error:")
+        assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "obj",

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lamconn.asymptotics import LogPoly, integrate_log
@@ -168,6 +168,9 @@ same_type_pair = st.tuples(polys(LaurentPoly, -4), polys(LaurentPoly, -4)) | st.
 
 
 class TestTrustedConstructor:
+    # A lam^1 term: theta multiplies its coefficient by the int 1, which must
+    # still leave a Fraction.
+    @example((LaurentPoly({1: 2, -1: F(1, 2)}), LaurentPoly({1: -2})), F(3))
     @given(same_type_pair, small_fraction)
     def test_results_hold_only_nonzero_fractions(self, pair, c):
         p, q = pair

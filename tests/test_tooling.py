@@ -2,29 +2,37 @@
 
 benchmarks/tracing.py wraps the functions and methods in its TARGETS list,
 looking methods up in their class's own __dict__; benchmarks/workloads.py
-calls LogPoly methods to check expansion tables.  A refactor that moves one
-of these would otherwise only show when a traced benchmark run fails.
+runs each workload's op against the public API and checks its output, down
+to the term maps of ABElement and LogPoly.  A refactor that moves or reshapes
+one of these would otherwise only show when a benchmark run fails.
 """
 
 import importlib
 import importlib.util
+import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
+import lamconn
 from lamconn.asymptotics import LogPoly
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("lamconn_bench_tracing", TRACING)
+def load_benchmark_module(name):
+    path = BENCHMARKS / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"lamconn_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it executes
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("target", load_tracing().TARGETS, ids=lambda t: f"{t[1]}.{t[2]}")
+@pytest.mark.parametrize(
+    "target", load_benchmark_module("tracing").TARGETS, ids=lambda t: f"{t[1]}.{t[2]}"
+)
 def test_trace_target_resolves(target):
     _, module_name, attr = target
     module = importlib.import_module(f"lamconn.{module_name}")
@@ -38,3 +46,14 @@ def test_trace_target_resolves(target):
 @pytest.mark.parametrize("name", ["const", "coeffs", "constant_term", "degree"])
 def test_logpoly_keeps_what_the_expansion_check_calls(name):
     assert hasattr(LogPoly, name)
+
+
+@pytest.mark.parametrize("name", ["layouts", "operators", "expansions"])
+def test_workload_checks_accept_runs_and_reject_corruptions(name):
+    workload = load_benchmark_module("workloads").WORKLOADS[name]
+    for inp in islice(workload.inputs(0), 3):
+        out = workload.run(lamconn, inp)
+        assert workload.check(lamconn, inp, out) is None
+        assert workload.check(lamconn, inp, workload.corrupt(lamconn, out)) is not None
+        assert type(workload.fingerprint(out)) is str
+        assert type(workload.coeff_bits(out)) is int
