@@ -1,8 +1,9 @@
 """Normally ordered elements of the algebra generated by a and b.
 
 The two generators satisfy a*b - b*a = b^2 (the Jordan plane).  Every element
-is kept as a sum of monomials a^i * b^j with all a factors on the left and
-coefficients that are Laurent polynomials in lam.  Normal ordering has a
+is a sum of terms c * lam^e * a^i * b^j with all a factors on the left and c
+rational, stored flat as one map (i, j, e) -> c; grouped by (i, j), the terms
+give the Laurent polynomial coefficients in lam.  Normal ordering has a
 closed form: from b^j * a = (a - j*b) * b^j, induction on k gives
 
     b^j * a^k = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(k-t) * b^(j+t)
@@ -11,8 +12,10 @@ for t = 0..k, so the product of two normal monomials is
 
     (a^i * b^j) * (a^k * b^l) = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(i+k-t) * b^(j+t+l)
 
-and ``ABElement.__mul__`` applies it once per pair of terms.  Conjugation by
-b is the same product followed by lowering every b power by one.
+and ``ABElement.__mul__`` applies it once per pair of terms, adding their lam
+exponents.  It is the one product: ``scale`` and ``times_a`` multiply by a
+degree-0 element and by a, and conjugation by b is b * x with every b power
+lowered by one.
 """
 
 from __future__ import annotations
@@ -20,44 +23,45 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ContractError, InputError
 from .exact import LaurentPoly, Rat, join_signed, parse_int, split_factors, split_terms
 
 Key = tuple[int, int]
+FlatKey = tuple[int, int, int]
 
 _GEN_RE = re.compile(r"^(a|b)(?:\^(\d+))?$")
 
 
 class ABElement:
-    """Finite sum of coefficient * a^i * b^j terms, zero coefficients pruned.
+    """Finite sum of c * lam^e * a^i * b^j terms; ``_terms`` maps (i, j, e) to nonzero c.
 
     ``__init__``, ``monomial``, ``map_coefficients`` and ``parse`` validate
-    what they are given; every arithmetic result is built by ``_make``, which
-    trusts its input.
+    LaurentPoly coefficients and flatten them; ``terms``, ``coefficient`` and
+    ``__str__`` group the map by (i, j).  Every arithmetic result is built by
+    ``_make``, which trusts its input.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
-        clean: dict[Key, LaurentPoly] = {}
-        if terms:
-            for key, coeff in terms.items():
-                i, j = key
-                if i < 0 or j < 0:
-                    raise InputError(f"negative generator power in key {key!r}")
-                if type(coeff) is not LaurentPoly:
-                    coeff = LaurentPoly.const(coeff)
-                if not coeff.is_zero():
-                    clean[(i, j)] = coeff
-        self._terms = clean
+        flat: dict[FlatKey, Rat] = {}
+        for key, coeff in (terms or {}).items():
+            i, j = key
+            if i < 0 or j < 0:
+                raise InputError(f"negative generator power in key {key!r}")
+            if type(coeff) is not LaurentPoly:
+                coeff = LaurentPoly.const(coeff)
+            for e, c in coeff._terms.items():
+                flat[(i, j, e)] = c
+        self._terms = flat
 
     @classmethod
-    def _make(cls, terms: dict[Key, LaurentPoly]) -> "ABElement":
-        """Trusted constructor: nonnegative int keys, LaurentPoly values; only zeros are dropped."""
+    def _make(cls, terms: dict[FlatKey, Rat]) -> "ABElement":
+        """Trusted constructor: (i, j, e) int keys, i, j >= 0, Fraction values; drops only zeros."""
         x = object.__new__(cls)
-        x._terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        x._terms = {k: c for k, c in terms.items() if c}
         return x
 
     @classmethod
@@ -82,35 +86,36 @@ class ABElement:
 
     @property
     def terms(self) -> dict[Key, LaurentPoly]:
-        return dict(self._terms)
+        grouped: dict[Key, dict[int, Rat]] = {}
+        for (i, j, e), c in self._terms.items():
+            grouped.setdefault((i, j), {})[e] = c
+        return {k: LaurentPoly._make(v) for k, v in grouped.items()}
 
     def coefficient(self, i: int, j: int) -> LaurentPoly:
-        return self._terms.get((i, j), LaurentPoly.zero())
+        return self.terms.get((i, j), LaurentPoly.zero())
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def support_degrees(self) -> set[int]:
-        return {i + j for i, j in self._terms}
+        return {i + j for i, j, _ in self._terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.support_degrees()) <= 1
 
     def degree(self) -> int:
         """Total degree in a, b; the zero element has degree -1 by convention."""
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
+        return max(self.support_degrees(), default=-1)
 
     def map_coefficients(self, fn) -> "ABElement":
-        return ABElement({k: fn(c) for k, c in self._terms.items()})
+        return ABElement({k: fn(c) for k, c in self.terms.items()})
 
     def __add__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            _accumulate(out, k, c)
+            out[k] = out[k] + c if k in out else c
         return ABElement._make(out)
 
     def __sub__(self, other: "ABElement") -> "ABElement":
@@ -120,9 +125,7 @@ class ABElement:
         return ABElement._make({k: -c for k, c in self._terms.items()})
 
     def scale(self, c: LaurentPoly | Rat | int) -> "ABElement":
-        if type(c) is not LaurentPoly:
-            c = LaurentPoly.const(c)
-        return ABElement._make({k: v * c for k, v in self._terms.items()})
+        return self * ABElement.monomial(0, 0, c)
 
     def times_a(self) -> "ABElement":
         return self * ABElement.gen_a()
@@ -130,15 +133,18 @@ class ABElement:
     def __mul__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        out: dict[Key, LaurentPoly] = {}
-        for (i, j), c1 in self._terms.items():
-            for (k, l), c2 in other._terms.items():
+        out: dict[FlatKey, Rat] = {}
+        for (i, j, e1), c1 in self._terms.items():
+            for (k, l, e2), c2 in other._terms.items():
                 c = c1 * c2
+                e = e1 + e2
                 # n = (-1)^t C(k,t) j(j+1)...(j+t-1); the division is exact
                 # and n becomes 0 after t = 0 when j = 0.
                 n = 1
                 for t in range(k + 1):
-                    _accumulate(out, (i + k - t, j + t + l), c if n == 1 else c.scale(n))
+                    key = (i + k - t, j + t + l, e)
+                    v = c if n == 1 else n * c
+                    out[key] = out[key] + v if key in out else v
                     n = -n * (k - t) * (j + t) // (t + 1)
                     if not n:
                         break
@@ -153,10 +159,8 @@ class ABElement:
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        return join_signed(
-            _term_text(self._terms[(i, j)], i, j)
-            for i, j in sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
-        )
+        ordered = sorted(self.terms.items(), key=lambda kc: (-sum(kc[0]), -kc[0][0]))
+        return join_signed(_term_text(c, i, j) for (i, j), c in ordered)
 
     def __repr__(self) -> str:
         return f"ABElement({self})"
@@ -164,20 +168,17 @@ class ABElement:
     @classmethod
     def parse(cls, text: str) -> "ABElement":
         """Parse canonical text such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2"."""
-        terms: dict[Key, LaurentPoly] = {}
+        terms: dict[FlatKey, Rat] = {}
         for sign, term in split_terms(text, "algebra element"):
             coeff = LaurentPoly.const(sign)
-            a_pow = 0
-            b_pow = 0
+            a_pow = b_pow = 0
             seen_b = False
             for factor in split_factors(term):
-                if factor.startswith("(") and factor.endswith(")"):
-                    coeff = coeff * LaurentPoly.parse(factor[1:-1])
-                    continue
                 m = _GEN_RE.match(factor)
                 if m is None:
-                    lam_part = LaurentPoly.parse(factor)
-                    coeff = coeff * lam_part
+                    if factor.startswith("(") and factor.endswith(")"):
+                        factor = factor[1:-1]
+                    coeff = coeff * LaurentPoly.parse(factor)
                     continue
                 name, exp_s = m.group(1), m.group(2)
                 exp = parse_int(exp_s) if exp_s is not None else 1
@@ -188,15 +189,13 @@ class ABElement:
                 else:
                     seen_b = True
                     b_pow += exp
-            _accumulate(terms, (a_pow, b_pow), coeff)
-        return cls(terms)
+            for e, c in coeff._terms.items():
+                key = (a_pow, b_pow, e)
+                terms[key] = terms[key] + c if key in terms else c
+        return cls._make(terms)
 
     def to_json(self) -> str:
         return str(self)
-
-
-def _accumulate(store: dict[Key, LaurentPoly], key: Key, value: LaurentPoly) -> None:
-    store[key] = store[key] + value if key in store else value
 
 
 def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[bool, str]:
@@ -232,7 +231,7 @@ def conj_b(x: ABElement) -> ABElement:
     preserves total degree and is invertible (send a to a + b).
     """
     bx = ABElement.gen_b() * x
-    return ABElement._make({(i, j - 1): c for (i, j), c in bx._terms.items()})
+    return ABElement._make({(i, j - 1, e): c for (i, j, e), c in bx._terms.items()})
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
@@ -253,7 +252,7 @@ class HomogeneousPart:
     def __post_init__(self):
         if self.degree < 0:
             raise ContractError("degree must be nonnegative")
-        bad = [k for k in self.element.terms if k[0] + k[1] != self.degree]
+        bad = sorted({(i, j) for i, j, _ in self.element._terms if i + j != self.degree})
         if bad:
             raise ContractError(f"terms {bad} do not have degree {self.degree}")
 
@@ -268,9 +267,9 @@ def as_homogeneous(x: ABElement) -> HomogeneousPart:
 
 def homogeneous_components(x: ABElement) -> list[HomogeneousPart]:
     """Split into homogeneous parts, highest total degree first."""
-    buckets: dict[int, dict[Key, LaurentPoly]] = {}
-    for (i, j), c in x._terms.items():
-        buckets.setdefault(i + j, {})[(i, j)] = c
+    buckets: dict[int, dict[FlatKey, Rat]] = {}
+    for key, c in x._terms.items():
+        buckets.setdefault(key[0] + key[1], {})[key] = c
     return [
         HomogeneousPart(degree, ABElement._make(terms))
         for degree, terms in sorted(buckets.items(), reverse=True)

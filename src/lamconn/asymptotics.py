@@ -37,6 +37,12 @@ from .exact import LaurentPoly, Rat, parse_rat
 
 SeedKey = tuple[int, int, int]
 
+# Largest N and M that ExpansionSpec.from_json accepts, bounding a JSON spec's
+# work up front; they admit N=3, M=720 and N=16, M=400.  At N=16, M=720 one rho
+# propagates in about 12 s (Python 3.11, 2-core VM).
+MAX_LOG_DEPTH = 16
+MAX_ORDER = 720
+
 
 class LogPoly(LaurentPoly):
     """Polynomial in L = Log(lam/lam0) with Fraction coefficients.
@@ -122,6 +128,9 @@ class ExpansionSpec:
             raise InputError("rhos must be a list")
         if not isinstance(obj["N"], int) or not isinstance(obj["M"], int):
             raise InputError("N and M must be integers")
+        for key, limit in (("N", MAX_LOG_DEPTH), ("M", MAX_ORDER)):
+            if obj[key] > limit:
+                raise InputError(f"{key} must be at most {limit}")
         return cls(
             rhos=tuple(_json_rat(x) for x in obj["rhos"]),
             log_depth=obj["N"],
@@ -196,8 +205,8 @@ class ExpansionTable:
         writer = csv.writer(buf)
         writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
         for (i, k, m), poly in sorted(self.entries.items()):
-            coeffs = poly.coeffs
-            writer.writerow([i, k, m] + [str(coeffs.get(e, Fraction(0))) for e in range(width)])
+            cells = [str(poly._terms[e]) if e in poly._terms else "0" for e in range(width)]
+            writer.writerow([i, k, m] + cells)
         return buf.getvalue()
 
 

@@ -108,40 +108,25 @@ def _cmd_analyze(args) -> int:
         f"pde: {PDE_RAW}",
         f"normalized: {PDE_NORMALIZED} with alpha = {pde.alpha}, beta = {pde.beta}",
     ]
-    if family is not None:
-        validation = cross_validate(family)
-        payload["family"] = family.to_json()
-        payload["family"]["cross_validation"] = validation.to_json()
-        candidates = ", ".join(str(x) for x in monodromy_candidates(family))
-        lines += [
-            f"recognized family {family.label()}",
-            f"operator = {family.full_operator}",
-            f"factored: {family.factored_display()}",
-            f"monodromy candidates: {candidates}",
-            f"cross validation: {'pass' if validation.passed else 'FAIL'}",
-        ]
-        if not validation.passed:
-            _emit(payload, args.json, lines)
-            print("family cross validation failed", file=sys.stderr)
-            return 2
-    _emit(payload, args.json, lines)
-    return 0
+    if family is None:
+        _emit(payload, args.json, lines)
+        return 0
+    payload["family"] = family.to_json()
+    lines.append(f"recognized family {family.label()}")
+    return _emit_family(family, payload, payload["family"], lines, [], args.json)
 
 
-def _family_command(result, as_json: bool) -> int:
+def _emit_family(
+    result, payload: dict, family_payload: dict, lines: list[str], details: list[str], as_json: bool
+) -> int:
+    """Cross validate, append the family lines around ``details``, emit; 2 if a check fails."""
     validation = cross_validate(result)
-    payload = result.to_json()
-    payload["cross_validation"] = validation.to_json()
+    family_payload["cross_validation"] = validation.to_json()
     candidates = ", ".join(str(x) for x in monodromy_candidates(result))
-    lines = [
-        f"family {result.label()}",
-        f"exponents: {result.exponents.to_json()['alphas']}",
+    lines += [
         f"operator = {result.full_operator}",
         f"factored: {result.factored_display()}",
-        f"top roots: {[str(x) for x in result.roots_top]}",
-        f"low roots: {[str(x) for x in result.roots_low]}",
-        f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
-        f"lam*nabla([1]) = ({result.nabla_one})[1]",
+        *details,
         f"monodromy candidates: {candidates}",
         f"cross validation: {'pass' if validation.passed else 'FAIL'}",
     ]
@@ -150,6 +135,18 @@ def _family_command(result, as_json: bool) -> int:
         print("family cross validation failed", file=sys.stderr)
         return 2
     return 0
+
+
+def _family_command(result, as_json: bool) -> int:
+    payload = result.to_json()
+    lines = [f"family {result.label()}", f"exponents: {result.exponents.to_json()['alphas']}"]
+    details = [
+        f"top roots: {[str(x) for x in result.roots_top]}",
+        f"low roots: {[str(x) for x in result.roots_low]}",
+        f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
+        f"lam*nabla([1]) = ({result.nabla_one})[1]",
+    ]
+    return _emit_family(result, payload, payload, lines, details, as_json)
 
 
 def _cmd_family_a(args) -> int:

@@ -26,6 +26,7 @@ from .errors import DimensionError, InputError, SingularMatrixError
 
 Rat = Fraction
 
+_ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -122,10 +123,10 @@ class LaurentPoly:
     def const_value(self) -> Rat:
         if not self.is_const():
             raise InputError(f"not a constant: {self}")
-        return self._terms.get(0, Fraction(0))
+        return self._terms.get(0, _ZERO)
 
     def coefficient(self, e: int) -> Rat:
-        return self._terms.get(e, Fraction(0))
+        return self._terms.get(e, _ZERO)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if type(other) is not type(self):

@@ -106,35 +106,31 @@ def random_seed_map(rng: random.Random, spec: ExpansionSpec) -> dict:
     return seed
 
 
+def _check_golden(result, expected_operator: ABElement, nabla_text: str) -> tuple[bool, str]:
+    expected_nabla = ABElement.parse(nabla_text)
+    ok_op = result.full_operator == expected_operator
+    ok_nabla = result.nabla_one == expected_nabla
+    st = sigma_tau(result.exponents, MonomialMu.unit(2))
+    ok_route = nabla_formula(st) == expected_nabla
+    detail = f"operator match {ok_op}, nabla match {ok_nabla}, matrix route {ok_route}"
+    return ok_op and ok_nabla and ok_route, detail
+
+
 def _check_golden_a() -> tuple[bool, str]:
-    result = family_a(2, 2, 1)
     lam_m2 = LaurentPoly.lam_power(-2, Fraction(-4))
     inner = linear_factor_product([Fraction(7, 4), Fraction(3, 4)]) + linear_factor_product(
         [Fraction(1)]
     ).scale(lam_m2)
-    expected_operator = linear_factor_product([Fraction(5, 2)]) * inner
-    expected_nabla = ABElement.parse("2*a - 2*b")
-    ok_op = result.full_operator == expected_operator
-    ok_nabla = result.nabla_one == expected_nabla
-    st = sigma_tau(result.exponents, MonomialMu.unit(2))
-    ok_route = nabla_formula(st) == expected_nabla
-    detail = f"operator match {ok_op}, nabla match {ok_nabla}, matrix route {ok_route}"
-    return ok_op and ok_nabla and ok_route, detail
+    expected = linear_factor_product([Fraction(5, 2)]) * inner
+    return _check_golden(family_a(2, 2, 1), expected, "2*a - 2*b")
 
 
 def _check_golden_b() -> tuple[bool, str]:
-    result = family_b(2, 2, 1, 1)
     lam_p2 = LaurentPoly.lam_power(2, Fraction(-4))
-    expected_operator = linear_factor_product(
+    expected = linear_factor_product(
         [Fraction(5, 2), Fraction(5, 4), Fraction(3, 4)]
     ) + linear_factor_product([Fraction(2), Fraction(1)]).scale(lam_p2)
-    expected_nabla = ABElement.parse("-2*a + 3/2*b")
-    ok_op = result.full_operator == expected_operator
-    ok_nabla = result.nabla_one == expected_nabla
-    st = sigma_tau(result.exponents, MonomialMu.unit(2))
-    ok_route = nabla_formula(st) == expected_nabla
-    detail = f"operator match {ok_op}, nabla match {ok_nabla}, matrix route {ok_route}"
-    return ok_op and ok_nabla and ok_route, detail
+    return _check_golden(family_b(2, 2, 1, 1), expected, "-2*a + 3/2*b")
 
 
 def _check_case_data() -> tuple[bool, str]:
@@ -332,8 +328,4 @@ def run_criterion(cid: int) -> CriterionResult:
 
 
 def run_all() -> list[CriterionResult]:
-    results = []
-    for num, description, fn in CRITERIA:
-        passed, detail = fn()
-        results.append(CriterionResult(cid=num, description=description, passed=passed, detail=detail))
-    return results
+    return [run_criterion(num) for num, _, _ in CRITERIA]

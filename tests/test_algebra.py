@@ -147,6 +147,9 @@ lam_abelement = st.dictionaries(
 
 # Either kind of coefficient, for the properties that must hold over Q[lam, 1/lam].
 any_abelement = abelement | lam_abelement
+any_coefficient = small_fraction | st.dictionaries(st.integers(-2, 2), small_fraction).map(
+    LaurentPoly
+)
 
 
 class TestRingAxioms:
@@ -210,7 +213,7 @@ class TestTrustedConstructor:
     @given(
         any_abelement,
         any_abelement,
-        small_fraction | st.dictionaries(st.integers(-2, 2), small_fraction).map(LaurentPoly),
+        any_coefficient,
     )
     def test_results_hold_only_nonzero_laurent_coefficients(self, x, y, c):
         assert not (x - x).terms
@@ -230,6 +233,21 @@ class TestTrustedConstructor:
             for key, coeff in r.terms.items():
                 assert all(type(e) is int and e >= 0 for e in key)
                 assert type(coeff) is LaurentPoly and not coeff.is_zero()
+
+    @given(any_abelement, any_abelement, any_coefficient)
+    def test_flat_storage(self, x, y, c):
+        for r in (x, x + y, -x, x * y, x.scale(c), x.times_a(), conj_b(x)):
+            for key, coeff in r._terms.items():
+                assert type(key) is tuple and len(key) == 3
+                assert all(type(e) is int for e in key) and key[0] >= 0 and key[1] >= 0
+                assert type(coeff) is F and coeff != 0
+        assert ABElement(x.terms) == x
+        assert all(x.coefficient(i, j) == v for (i, j), v in x.terms.items())
+        assert x.scale(c) == x * ABElement.monomial(0, 0, c)
+        # Scaling checked against LaurentPoly's own product, coefficient by coefficient.
+        poly = c if type(c) is LaurentPoly else LaurentPoly.const(c)
+        expected = {k: v * poly for k, v in x.terms.items() if not (v * poly).is_zero()}
+        assert x.scale(c).terms == expected
 
 
 class TestLinearFactors:

@@ -11,6 +11,8 @@ from lamconn.algebra import ABElement
 from lamconn.asymptotics import (
     ExpansionSpec,
     ExpansionTable,
+    MAX_LOG_DEPTH,
+    MAX_ORDER,
     LogPoly,
     integrate_log,
     parse_seed_key,
@@ -149,6 +151,14 @@ class TestSpecValidation:
     def test_from_json_rejects(self, obj):
         with pytest.raises(InputError):
             ExpansionSpec.from_json(obj)
+
+    def test_from_json_limits(self):
+        base = {"rhos": ["1/2"], "alpha": "1", "beta": "0"}
+        spec = ExpansionSpec.from_json({**base, "N": MAX_LOG_DEPTH, "M": MAX_ORDER})
+        assert (spec.log_depth, spec.order) == (MAX_LOG_DEPTH, MAX_ORDER)
+        for over in ({"N": MAX_LOG_DEPTH + 1, "M": 0}, {"N": 0, "M": MAX_ORDER + 1}):
+            with pytest.raises(InputError, match="must be at most"):
+                ExpansionSpec.from_json({**base, **over})
 
     def test_parse_seed_key(self):
         assert parse_seed_key("1,2,3") == (1, 2, 3)

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import lamconn
+from lamconn import cli
+from lamconn.asymptotics import MAX_LOG_DEPTH, MAX_ORDER
 from lamconn.cli import main
+from lamconn.families import CheckOutcome, CrossValidationReport
 
 FAMILY_A_INPUT = {"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}
 FAMILY_B_INPUT = {"n": 2, "alphas": [[4, 0, 1], [0, 4, 1], [0, 0, 2], [2, 2, 0]]}
@@ -127,6 +130,23 @@ class TestAnalyze:
 
 
 class TestFamilyCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [["family-a", "--u", "2", "--v", "2", "--w", "1"], ["analyze", "FAMILY_A_FILE"]],
+    )
+    def test_failed_cross_validation_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        failing = CrossValidationReport("forced", (CheckOutcome("forced", False, "1", "0"),))
+        monkeypatch.setattr(cli, "cross_validate", lambda result: failing)
+        argv = [write_json(tmp_path, FAMILY_A_INPUT) if a == "FAMILY_A_FILE" else a for a in argv]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out.rstrip().endswith("cross validation: FAIL")
+        assert out.err == "family cross validation failed\n"
+        assert main(argv + ["--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        family = payload if argv[0] == "family-a" else payload["family"]
+        assert family["cross_validation"]["passed"] is False
+
     def test_family_a_golden_json(self, tmp_path, capsys):
         assert main(["family-a", "--u", "2", "--v", "2", "--w", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -253,6 +273,18 @@ class TestInputHandling:
         assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("over", [{"N": MAX_LOG_DEPTH + 1}, {"M": MAX_ORDER + 1}])
+    def test_spec_just_over_limit(self, tmp_path, capsys, monkeypatch, over):
+        def no_propagation(*args):
+            raise AssertionError("propagate ran on a spec over the limit")
+
+        monkeypatch.setattr(cli, "propagate", no_propagation)
+        obj = {**GOLDEN_EXPANSION, **over}
+        assert main(["propagate", write_json(tmp_path, obj)]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("input error:") and "must be at most" in out.err
+        assert out.out == ""
 
     @pytest.mark.parametrize(
         "obj",
