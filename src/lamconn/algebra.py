@@ -20,27 +20,24 @@ lowered by one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ContractError, InputError
-from .exact import LaurentPoly, Rat, join_signed, parse_int, split_factors, split_terms
+from .exact import LaurentPoly, Rat, join_signed, power_text, read_terms, term_text
 
 Key = tuple[int, int]
 FlatKey = tuple[int, int, int]
-
-_GEN_RE = re.compile(r"^(a|b)(?:\^(\d+))?$")
 
 
 class ABElement:
     """Finite sum of c * lam^e * a^i * b^j terms; ``_terms`` maps (i, j, e) to nonzero c.
 
-    ``__init__``, ``monomial``, ``map_coefficients`` and ``parse`` validate
-    LaurentPoly coefficients and flatten them; ``terms``, ``coefficient`` and
-    ``__str__`` group the map by (i, j).  Every arithmetic result is built by
-    ``_make``, which trusts its input.
+    ``__init__``, ``monomial`` and ``map_coefficients`` validate LaurentPoly
+    coefficients and flatten them, and ``parse`` reads text straight into the
+    map; ``terms``, ``coefficient`` and ``__str__`` group it by (i, j).  Every
+    arithmetic result is built by ``_make``, which trusts its input.
     """
 
     __slots__ = ("_terms",)
@@ -160,67 +157,56 @@ class ABElement:
 
     def __str__(self) -> str:
         ordered = sorted(self.terms.items(), key=lambda kc: (-sum(kc[0]), -kc[0][0]))
-        return join_signed(_term_text(c, i, j) for (i, j), c in ordered)
+        parts: list[tuple[bool, str]] = []
+        for (i, j), c in ordered:
+            monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
+            if c.is_const():
+                value = c.const_value()
+                parts.append((value < 0, term_text(abs(value), monomial)))
+            else:
+                # A coefficient involving lam is always parenthesized so the term
+                # boundary stays unambiguous; its sign lives inside the parentheses.
+                parts.append((False, term_text(f"({c})", monomial)))
+        return join_signed(parts)
 
     def __repr__(self) -> str:
         return f"ABElement({self})"
 
     @classmethod
     def parse(cls, text: str) -> "ABElement":
-        """Parse canonical text such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2"."""
-        terms: dict[FlatKey, Rat] = {}
-        for sign, term in split_terms(text, "algebra element"):
-            coeff = LaurentPoly.const(sign)
-            a_pow = b_pow = 0
+        """Parse normal-form text such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2".
+
+        a comes before b; a parenthesized group is a polynomial in lam.
+        """
+        out: dict[FlatKey, Rat] = {}
+        for coeff, powers, groups in read_terms(text, "algebra element"):
+            i = j = e = 0
             seen_b = False
-            for factor in split_factors(term):
-                m = _GEN_RE.match(factor)
-                if m is None:
-                    if factor.startswith("(") and factor.endswith(")"):
-                        factor = factor[1:-1]
-                    coeff = coeff * LaurentPoly.parse(factor)
-                    continue
-                name, exp_s = m.group(1), m.group(2)
-                exp = parse_int(exp_s) if exp_s is not None else 1
-                if name == "a":
-                    if seen_b:
-                        raise InputError(f"a after b in {term!r}: text must be normally ordered")
-                    a_pow += exp
-                else:
+            for name, power in powers:
+                if name == "lam":
+                    e += power
+                elif name not in ("a", "b") or power < 0:
+                    raise InputError(f"bad factor {name}^{power} in algebra element: {text!r}")
+                elif name == "b":
                     seen_b = True
-                    b_pow += exp
-            for e, c in coeff._terms.items():
-                key = (a_pow, b_pow, e)
-                terms[key] = terms[key] + c if key in terms else c
-        return cls._make(terms)
+                    j += power
+                elif seen_b:
+                    raise InputError(f"a after b in {text!r}: text must be normally ordered")
+                else:
+                    i += power
+            by_exp = {e: coeff}
+            if groups:
+                poly = LaurentPoly.lam_power(e, coeff)
+                for group in groups:
+                    poly = poly * LaurentPoly.parse(group)
+                by_exp = poly._terms
+            for e, c in by_exp.items():
+                key = (i, j, e)
+                out[key] = out[key] + c if key in out else c
+        return cls._make(out)
 
     def to_json(self) -> str:
         return str(self)
-
-
-def _term_text(coeff: LaurentPoly, i: int, j: int) -> tuple[bool, str]:
-    """Render one normal term; returns (negative, body text) for join_signed."""
-    monomial = "*".join(
-        part
-        for part in (
-            "a" if i == 1 else f"a^{i}" if i else "",
-            "b" if j == 1 else f"b^{j}" if j else "",
-        )
-        if part
-    )
-    if coeff.is_const():
-        value = coeff.const_value()
-        negative = value < 0
-        mag = abs(value)
-        if not monomial:
-            return negative, str(mag)
-        if mag == 1:
-            return negative, monomial
-        return negative, f"{mag}*{monomial}"
-    # A coefficient involving lam is always parenthesized so the term
-    # boundary stays unambiguous; its sign lives inside the parentheses.
-    body = f"({coeff})"
-    return False, f"{body}*{monomial}" if monomial else body
 
 
 def conj_b(x: ABElement) -> ABElement:
@@ -238,7 +224,7 @@ def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
     """Left-to-right product of factors (a - root*b); the empty product is 1."""
     out = ABElement.one()
     for root in roots:
-        out = out * (ABElement.gen_a() - ABElement.gen_b().scale(Fraction(root)))
+        out = out * ABElement({(1, 0): 1, (0, 1): -Fraction(root)})
     return out
 
 

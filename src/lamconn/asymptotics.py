@@ -37,11 +37,14 @@ from .exact import LaurentPoly, Rat, parse_rat
 
 SeedKey = tuple[int, int, int]
 
-# Largest N and M that ExpansionSpec.from_json accepts, bounding a JSON spec's
-# work up front; they admit N=3, M=720 and N=16, M=400.  At N=16, M=720 one rho
-# propagates in about 12 s (Python 3.11, 2-core VM).
+# Largest N, M and number of rhos that ExpansionSpec.from_json accepts, bounding
+# a JSON spec's work up front; they admit N=3, M=720 and N=16, M=400.  Each rho
+# is its own ladder: at N=16, M=720 one rho propagates in about 12 s, and four
+# seeded at depth 16 take about 76 s in the CLI before printing refuses the
+# table (Python 3.11, 2-core VM).
 MAX_LOG_DEPTH = 16
 MAX_ORDER = 720
+MAX_EXPONENTS = 4
 
 
 class LogPoly(LaurentPoly):
@@ -126,6 +129,8 @@ class ExpansionSpec:
             raise InputError(f"missing keys: {sorted(missing)}")
         if not isinstance(obj["rhos"], list):
             raise InputError("rhos must be a list")
+        if len(obj["rhos"]) > MAX_EXPONENTS:
+            raise InputError(f"the number of rhos must be at most {MAX_EXPONENTS}")
         if not isinstance(obj["N"], int) or not isinstance(obj["M"], int):
             raise InputError("N and M must be integers")
         for key, limit in (("N", MAX_LOG_DEPTH), ("M", MAX_ORDER)):
@@ -217,6 +222,8 @@ def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[
             i, k, m = key
         except (TypeError, ValueError):
             raise InputError(f"seed key must be an (i, k, m) triple, got {key!r}") from None
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (i, k, m)):
+            raise InputError(f"seed key must hold integers, got {key!r}")
         if not (0 <= i < len(spec.rhos)):
             raise InputError(f"seed index i={i} out of range")
         if not (0 <= k <= spec.log_depth):

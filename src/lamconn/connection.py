@@ -69,8 +69,7 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
 
 def nabla_formula(st: SigmaTau) -> ABElement:
     """The operator N with lam * nabla([mu]) = N [mu], i.e. N = -(sigma*a + (tau - k*sigma)*b)."""
-    shift = st.tau - st.mu.k * st.sigma
-    return -(ABElement.gen_a().scale(st.sigma) + ABElement.gen_b().scale(shift))
+    return ABElement({(1, 0): -st.sigma, (0, 1): st.mu.k * st.sigma - st.tau})
 
 
 def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
@@ -91,11 +90,10 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     the closed form -(sigma*a + (tau - (k+g)*sigma)*b) * T, so the two
     implementations must agree term for term.
     """
-    a, b = ABElement.gen_a(), ABElement.gen_b()
-    result = b * q.map_coefficients(lambda c: c.theta())
+    result = ABElement.gen_b() * q.map_coefficients(lambda c: c.theta())
     for part in homogeneous_components(q):
         shift = st.tau - (st.mu.k + part.degree) * st.sigma
-        op = -(a.scale(st.sigma) + b.scale(shift))
+        op = ABElement({(1, 0): -st.sigma, (0, 1): -shift})
         result = result + op * part.element
     return result
 

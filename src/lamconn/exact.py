@@ -5,9 +5,18 @@ introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
 guarantee a positive denominator, full reduction and a unique zero.
 
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
-``asymptotics.LogPoly`` is the same type printed in L instead of lam.  The
-text helpers here (``join_signed``, ``split_terms``, ``split_factors``) are
-shared with the algebra's parser and printer.
+``asymptotics.LogPoly`` is the same type printed in L instead of lam.
+
+Polynomials and algebra elements share one term grammar:
+
+    sum    := signs term (signs term)*
+    term   := factor ("*" signs factor)*
+    factor := p[/q] | name[^int] | "(" sum ")", nested one level at most
+
+where signs is a run of + and - that may be empty only at the start and
+after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
+it, and ``power_text``, ``term_text`` and ``join_signed`` write it; each
+parser checks its own names and groups.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``): rows
@@ -28,6 +37,9 @@ Rat = Fraction
 
 _ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# One token of the term grammar after optional whitespace: an operator, p[/q],
+# name[^int] or a parenthesized group without parentheses inside.
+_TOKEN_RE = re.compile(r"\s*(?:([-+*])|(\d+(?:/\d+)?)|([^\W\d]\w*)(?:\^(-?\d+))?|\(([^()]*)\))")
 
 
 def parse_int(digits: str) -> int:
@@ -48,6 +60,61 @@ def parse_rat(text: str) -> Rat:
     if den == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(num, den)
+
+
+def read_terms(text: str, what: str) -> list[tuple[Rat, list[tuple[str, int]], list[str]]]:
+    """Read a sum in the term grammar into one (coefficient, powers, groups) per term.
+
+    The coefficient is the signed product of the term's rational factors,
+    powers lists its name^int factors as (name, power) in text order, and
+    groups holds the text inside each of its parentheses.  what names the
+    expected value in error messages.
+    """
+    if not text.strip():
+        raise InputError(f"empty {what}")
+    terms: list[tuple[Rat, list[tuple[str, int]], list[str]]] = []
+    coeff, powers, groups = Fraction(1), [], []
+    want_factor = True
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or (m[1] == "*" if want_factor else m[1] is None):
+            raise InputError(f"unexpected {text[pos:end].lstrip()[:20]!r} in {what}: {text!r}")
+        pos = m.end()
+        op, rat, name, power, group = m.groups()
+        if op is None:
+            want_factor = False
+            if rat is not None:
+                coeff *= parse_rat(rat)
+            elif name is not None:
+                powers.append((name, parse_int(power) if power else 1))
+            else:
+                groups.append(group)
+        elif op == "*":
+            want_factor = True
+        elif not want_factor:
+            terms.append((coeff, powers, groups))
+            coeff, powers, groups = Fraction(1 if op == "+" else -1), [], []
+            want_factor = True
+        elif op == "-":
+            coeff = -coeff
+    if want_factor:
+        raise InputError(f"dangling operator in {what}: {text!r}")
+    terms.append((coeff, powers, groups))
+    return terms
+
+
+def power_text(name: str, e: int) -> str:
+    """name^e as text: "" for e = 0 and the bare name for e = 1."""
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
+
+
+def term_text(mag: Rat | str, monomial: str) -> str:
+    """One term: "mag", "monomial" or "mag*monomial"; mag is a positive rational
+    (not printed when it is 1) or the text of a parenthesized coefficient."""
+    if not monomial:
+        return str(mag)
+    return monomial if mag == 1 else f"{mag}*{monomial}"
 
 
 def join_signed(terms: Iterable[tuple[bool, str]]) -> str:
@@ -178,7 +245,7 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return join_signed(
-            (c < 0, _term_text(self.VAR, abs(c), e)) for e, c in sorted(self._terms.items())
+            (c < 0, term_text(abs(c), power_text(self.VAR, e))) for e, c in sorted(self._terms.items())
         )
 
     def __repr__(self) -> str:
@@ -187,96 +254,17 @@ class LaurentPoly:
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
+        what = f"polynomial in {cls.VAR}"
         terms: dict[int, Rat] = {}
-        for sign, term in split_terms(text, f"polynomial in {cls.VAR}"):
-            coeff, e = parse_lam_term(term, cls.VAR)
-            terms[e] = terms.get(e, 0) + sign * coeff
+        for coeff, powers, groups in read_terms(text, what):
+            if groups or any(name != cls.VAR for name, _ in powers):
+                raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
+            e = sum(power for _, power in powers)
+            terms[e] = terms.get(e, 0) + coeff
         return cls(terms)
 
     def to_json(self) -> str:
         return str(self)
-
-
-def _term_text(var: str, c: Rat, e: int) -> str:
-    """One term of magnitude c > 0: "c", "var", "var^e", "c*var" or "c*var^e"."""
-    if e == 0:
-        return str(c)
-    power = var if e == 1 else f"{var}^{e}"
-    return power if c == 1 else f"{c}*{power}"
-
-
-def split_terms(text: str, what: str) -> list[tuple[int, str]]:
-    """Split on top-level + and - into (sign, chunk) pairs."""
-    text = text.strip()
-    if not text:
-        raise InputError(f"empty {what}")
-    if text == "0":
-        return []
-    pieces: list[tuple[int, str]] = []
-    depth = 0
-    sign = 1
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise InputError(f"unbalanced parentheses in {what}: {text!r}")
-        if depth == 0 and ch in "+-" and current and current[-1] not in "*^/+-eE([":
-            pieces.append((sign, "".join(current).strip()))
-            sign = 1 if ch == "+" else -1
-            current = []
-        elif depth == 0 and ch in "+-" and not "".join(current).strip():
-            # leading sign of the chunk
-            sign = sign if ch == "+" else -sign
-        else:
-            current.append(ch)
-        i += 1
-    if depth != 0:
-        raise InputError(f"unbalanced parentheses in {what}: {text!r}")
-    last = "".join(current).strip()
-    if not last:
-        raise InputError(f"dangling operator in {what}: {text!r}")
-    pieces.append((sign, last))
-    return pieces
-
-
-def parse_lam_term(term: str, var: str) -> tuple[Rat, int]:
-    """Parse a product of rational and var-power factors into (coefficient, exponent)."""
-    coeff = Fraction(1)
-    exp = 0
-    for factor in split_factors(term):
-        if factor.startswith("("):
-            raise InputError(f"nested parentheses not allowed here: {term!r}")
-        m = re.match(rf"^{var}(?:\^(-?\d+))?$", factor)
-        if m is not None:
-            exp += parse_int(m.group(1)) if m.group(1) is not None else 1
-        else:
-            coeff *= parse_rat(factor)
-    return coeff, exp
-
-
-def split_factors(term: str) -> list[str]:
-    factors: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in term:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            factors.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    factors.append("".join(current).strip())
-    if any(not f for f in factors):
-        raise InputError(f"empty factor in {term!r}")
-    return factors
 
 
 class RatMatrix:

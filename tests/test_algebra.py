@@ -332,6 +332,8 @@ class TestTextFormat:
             0, 2, LaurentPoly({0: 1, 1: 1})
         )
         assert ABElement.parse("0") == ABElement.zero()
+        assert ABElement.parse("1/2 - -3") == ABElement.monomial(0, 0, F(7, 2))
+        assert ABElement.parse("a + -3") == A - ABElement.monomial(0, 0, 3)
 
     def test_parse_rejects_unordered(self):
         with pytest.raises(InputError):

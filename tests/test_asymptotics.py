@@ -11,6 +11,7 @@ from lamconn.algebra import ABElement
 from lamconn.asymptotics import (
     ExpansionSpec,
     ExpansionTable,
+    MAX_EXPONENTS,
     MAX_LOG_DEPTH,
     MAX_ORDER,
     LogPoly,
@@ -156,7 +157,14 @@ class TestSpecValidation:
         base = {"rhos": ["1/2"], "alpha": "1", "beta": "0"}
         spec = ExpansionSpec.from_json({**base, "N": MAX_LOG_DEPTH, "M": MAX_ORDER})
         assert (spec.log_depth, spec.order) == (MAX_LOG_DEPTH, MAX_ORDER)
-        for over in ({"N": MAX_LOG_DEPTH + 1, "M": 0}, {"N": 0, "M": MAX_ORDER + 1}):
+        rhos = [f"1/{d}" for d in range(2, MAX_EXPONENTS + 3)]
+        spec = ExpansionSpec.from_json({**base, "rhos": rhos[:-1], "N": 0, "M": 0})
+        assert len(spec.rhos) == MAX_EXPONENTS
+        for over in (
+            {"N": MAX_LOG_DEPTH + 1, "M": 0},
+            {"N": 0, "M": MAX_ORDER + 1},
+            {"rhos": rhos, "N": 0, "M": 0},
+        ):
             with pytest.raises(InputError, match="must be at most"):
                 ExpansionSpec.from_json({**base, **over})
 
@@ -204,6 +212,11 @@ class TestPropagate:
                 propagate(GOLDEN, {key: 1})
         with pytest.raises(InputError):
             propagate(GOLDEN, {(0, 0): 1})
+
+    @pytest.mark.parametrize("key", [(0, 0, 1.5), (0, 0.5, 0), ("0", 0, 0), (True, 0, 0)])
+    def test_rejects_non_integer_seed_key(self, key):
+        with pytest.raises(InputError, match="integers"):
+            propagate(GOLDEN, {key: 7})
 
     @given(spec_strategy(), seed_values, seed_values)
     def test_additive_in_seed(self, spec, c1, c2):

@@ -14,7 +14,7 @@ import pytest
 
 import lamconn
 from lamconn import cli
-from lamconn.asymptotics import MAX_LOG_DEPTH, MAX_ORDER
+from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
 from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
 
@@ -274,7 +274,14 @@ class TestInputHandling:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("over", [{"N": MAX_LOG_DEPTH + 1}, {"M": MAX_ORDER + 1}])
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"N": MAX_LOG_DEPTH + 1},
+            {"M": MAX_ORDER + 1},
+            {"rhos": [f"1/{d}" for d in range(2, MAX_EXPONENTS + 3)]},
+        ],
+    )
     def test_spec_just_over_limit(self, tmp_path, capsys, monkeypatch, over):
         def no_propagation(*args):
             raise AssertionError("propagate ran on a spec over the limit")

@@ -125,6 +125,8 @@ class TestLaurentPoly:
         assert LaurentPoly.parse("lam") == LaurentPoly({1: 1})
         assert LaurentPoly.parse("3/2*lam^5 - lam") == LaurentPoly({5: F(3, 2), 1: -1})
         assert LaurentPoly.parse("0") == LaurentPoly.zero()
+        assert LaurentPoly.parse("1/2 - -3") == LaurentPoly.const(F(7, 2))
+        assert LaurentPoly.parse("2*-lam") == LaurentPoly({1: -2})
 
     @pytest.mark.parametrize("bad", ["lam^", "4*", "(1)", "lam**2", "b"])
     def test_parse_rejects(self, bad):

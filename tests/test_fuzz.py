@@ -29,7 +29,7 @@ FACTORS = [
 # comma-separated integers for seed keys.
 sum_text = st.lists(
     st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3).map("*".join), min_size=1, max_size=3
-).flatmap(lambda terms: st.sampled_from([" + ", " - ", "+", "-"]).map(lambda op: op.join(terms)))
+).flatmap(lambda terms: st.sampled_from([" + ", " - ", "+", "-", " - -", " + -"]).map(lambda op: op.join(terms)))
 grammar_text = (
     sum_text
     | st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
