@@ -2,9 +2,15 @@
 
 The two generators satisfy a*b - b*a = b^2 (the Jordan plane).  Every element
 is a sum of terms c * lam^e * a^i * b^j with all a factors on the left and c
-rational, stored flat as one map (i, j, e) -> c; grouped by (i, j), the terms
-give the Laurent polynomial coefficients in lam.  Normal ordering has a
-closed form: from b^j * a = (a - j*b) * b^j, induction on k gives
+rational, stored flat as integer numerators over one shared denominator:
+one map (i, j, e) -> n with n a nonzero int, and one int den >= 1, so the
+coefficient of the term is n/den.  The form is canonical: gcd(den, every n)
+is 1, and the zero element is the empty map over 1.  Equal elements
+therefore have equal maps and denominators.  Grouped by (i, j), the terms
+give the Laurent polynomial coefficients in lam.
+
+Normal ordering has a closed form: from b^j * a = (a - j*b) * b^j,
+induction on k gives
 
     b^j * a^k = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(k-t) * b^(j+t)
 
@@ -13,52 +19,88 @@ for t = 0..k, so the product of two normal monomials is
     (a^i * b^j) * (a^k * b^l) = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(i+k-t) * b^(j+t+l)
 
 and ``ABElement.__mul__`` applies it once per pair of terms, adding their lam
-exponents.  It is the one product: ``scale`` and ``times_a`` multiply by a
-degree-0 element and by a, and conjugation by b is b * x with every b power
-lowered by one.
+exponents.  The rule multiplies only by integers, so the product runs on the
+numerators over the product of the two denominators.  It is the one product:
+``scale`` and ``times_a`` multiply by a degree-0 element and by a, and
+conjugation by b is b * x with every b power lowered by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ContractError, InputError
-from .exact import LaurentPoly, Rat, join_signed, power_text, read_terms, term_text
+from .exact import (
+    LaurentPoly,
+    Rat,
+    check_coefficient,
+    check_exponent,
+    join_signed,
+    power_text,
+    read_terms,
+    term_text,
+)
 
 Key = tuple[int, int]
 FlatKey = tuple[int, int, int]
 
 
-class ABElement:
-    """Finite sum of c * lam^e * a^i * b^j terms; ``_terms`` maps (i, j, e) to nonzero c.
+def _over_one_denominator(flat: Mapping[FlatKey, Rat | int]) -> tuple[dict[FlatKey, int], int]:
+    """Numerators over the lcm of the denominators of reduced rationals.
 
-    ``__init__``, ``monomial`` and ``map_coefficients`` validate LaurentPoly
-    coefficients and flatten them, and ``parse`` reads text straight into the
-    map; ``terms``, ``coefficient`` and ``__str__`` group it by (i, j).  Every
-    arithmetic result is built by ``_make``, which trusts its input.
+    Already canonical: a prime's highest power in the lcm comes from one
+    reduced coefficient, whose numerator it does not divide.
+    """
+    den = math.lcm(*(c.denominator for c in flat.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in flat.items() if c}, den
+
+
+class ABElement:
+    """Finite sum of c * lam^e * a^i * b^j terms, held as ``_terms[(i, j, e)] / _den``.
+
+    Every value of ``_terms`` is a nonzero int, ``_den`` is a positive int
+    and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
+    Fraction or LaurentPoly coefficients, and ``parse`` reads text; those and
+    ``terms``, ``coefficient`` and ``__str__`` are the only places that build
+    Fractions.  Every arithmetic result is built by ``_make``, which trusts
+    its input.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
-        flat: dict[FlatKey, Rat] = {}
+        flat: dict[FlatKey, Rat | int] = {}
         for key, coeff in (terms or {}).items():
             i, j = key
+            check_exponent(i, "generator power")
+            check_exponent(j, "generator power")
             if i < 0 or j < 0:
                 raise InputError(f"negative generator power in key {key!r}")
-            if type(coeff) is not LaurentPoly:
-                coeff = LaurentPoly.const(coeff)
-            for e, c in coeff._terms.items():
-                flat[(i, j, e)] = c
-        self._terms = flat
+            if type(coeff) is LaurentPoly:
+                for e, c in coeff._terms.items():
+                    flat[(i, j, e)] = c
+            else:
+                flat[(i, j, 0)] = check_coefficient(coeff)
+        self._terms, self._den = _over_one_denominator(flat)
 
     @classmethod
-    def _make(cls, terms: dict[FlatKey, Rat]) -> "ABElement":
-        """Trusted constructor: (i, j, e) int keys, i, j >= 0, Fraction values; drops only zeros."""
+    def _make(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
+        """Trusted constructor: (i, j, e) int keys, i, j >= 0, int values over den >= 1.
+
+        Drops zero numerators and divides out their gcd with den.
+        """
         x = object.__new__(cls)
-        x._terms = {k: c for k, c in terms.items() if c}
+        nums = {k: n for k, n in nums.items() if n}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: n // g for k, n in nums.items()}
+                den //= g
+        x._terms = nums
+        x._den = den
         return x
 
     @classmethod
@@ -81,15 +123,22 @@ class ABElement:
     def monomial(cls, i: int, j: int, coeff: LaurentPoly | Rat | int = 1) -> "ABElement":
         return cls({(i, j): coeff})
 
+    def _groups(self) -> dict[Key, dict[int, int]]:
+        """Numerators grouped by (i, j), each as lam exponent -> numerator."""
+        grouped: dict[Key, dict[int, int]] = {}
+        for (i, j, e), n in self._terms.items():
+            grouped.setdefault((i, j), {})[e] = n
+        return grouped
+
+    def _poly(self, group: dict[int, int]) -> LaurentPoly:
+        return LaurentPoly._make({e: Fraction(n, self._den) for e, n in group.items()})
+
     @property
     def terms(self) -> dict[Key, LaurentPoly]:
-        grouped: dict[Key, dict[int, Rat]] = {}
-        for (i, j, e), c in self._terms.items():
-            grouped.setdefault((i, j), {})[e] = c
-        return {k: LaurentPoly._make(v) for k, v in grouped.items()}
+        return {k: self._poly(group) for k, group in self._groups().items()}
 
     def coefficient(self, i: int, j: int) -> LaurentPoly:
-        return self.terms.get((i, j), LaurentPoly.zero())
+        return self._poly({e: n for (a, b, e), n in self._terms.items() if a == i and b == j})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -107,19 +156,27 @@ class ABElement:
     def map_coefficients(self, fn) -> "ABElement":
         return ABElement({k: fn(c) for k, c in self.terms.items()})
 
+    def theta(self) -> "ABElement":
+        """lam * d/dlam on every coefficient: each numerator times its lam exponent."""
+        return ABElement._make({k: k[2] * n for k, n in self._terms.items()}, self._den)
+
     def __add__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out[k] + c if k in out else c
-        return ABElement._make(out)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        out = dict(self._terms) if m1 == 1 else {k: m1 * n for k, n in self._terms.items()}
+        for k, n in other._terms.items():
+            n *= m2
+            out[k] = out[k] + n if k in out else n
+        return ABElement._make(out, den)
 
     def __sub__(self, other: "ABElement") -> "ABElement":
         return self + (-other)
 
     def __neg__(self) -> "ABElement":
-        return ABElement._make({k: -c for k, c in self._terms.items()})
+        return ABElement._make({k: -n for k, n in self._terms.items()}, self._den)
 
     def scale(self, c: LaurentPoly | Rat | int) -> "ABElement":
         return self * ABElement.monomial(0, 0, c)
@@ -130,7 +187,7 @@ class ABElement:
     def __mul__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        out: dict[FlatKey, Rat] = {}
+        out: dict[FlatKey, int] = {}
         for (i, j, e1), c1 in self._terms.items():
             for (k, l, e2), c2 in other._terms.items():
                 c = c1 * c2
@@ -140,33 +197,36 @@ class ABElement:
                 n = 1
                 for t in range(k + 1):
                     key = (i + k - t, j + t + l, e)
-                    v = c if n == 1 else n * c
+                    v = n * c
                     out[key] = out[key] + v if key in out else v
                     n = -n * (k - t) * (j + t) // (t + 1)
                     if not n:
                         break
-        return ABElement._make(out)
+        return ABElement._make(out, self._den * other._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABElement):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        ordered = sorted(self.terms.items(), key=lambda kc: (-sum(kc[0]), -kc[0][0]))
+        den = self._den
+        ordered = sorted(self._groups().items(), key=lambda kg: (-sum(kg[0]), -kg[0][0]))
         parts: list[tuple[bool, str]] = []
-        for (i, j), c in ordered:
+        for (i, j), group in ordered:
             monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
-            if c.is_const():
-                value = c.const_value()
-                parts.append((value < 0, term_text(abs(value), monomial)))
+            n = group.get(0)
+            if n is not None and len(group) == 1:
+                g = math.gcd(n, den)
+                p, q = abs(n) // g, den // g
+                parts.append((n < 0, term_text(p if q == 1 else f"{p}/{q}", monomial)))
             else:
                 # A coefficient involving lam is always parenthesized so the term
                 # boundary stays unambiguous; its sign lives inside the parentheses.
-                parts.append((False, term_text(f"({c})", monomial)))
+                parts.append((False, term_text(f"({self._poly(group)})", monomial)))
         return join_signed(parts)
 
     def __repr__(self) -> str:
@@ -203,7 +263,7 @@ class ABElement:
             for e, c in by_exp.items():
                 key = (i, j, e)
                 out[key] = out[key] + c if key in out else c
-        return cls._make(out)
+        return cls._make(*_over_one_denominator(out))
 
     def to_json(self) -> str:
         return str(self)
@@ -217,14 +277,14 @@ def conj_b(x: ABElement) -> ABElement:
     preserves total degree and is invertible (send a to a + b).
     """
     bx = ABElement.gen_b() * x
-    return ABElement._make({(i, j - 1, e): c for (i, j, e), c in bx._terms.items()})
+    return ABElement._make({(i, j - 1, e): n for (i, j, e), n in bx._terms.items()}, bx._den)
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
     """Left-to-right product of factors (a - root*b); the empty product is 1."""
     out = ABElement.one()
     for root in roots:
-        out = out * ABElement({(1, 0): 1, (0, 1): -Fraction(root)})
+        out = out * ABElement({(1, 0): 1, (0, 1): -check_coefficient(root)})
     return out
 
 
@@ -253,12 +313,12 @@ def as_homogeneous(x: ABElement) -> HomogeneousPart:
 
 def homogeneous_components(x: ABElement) -> list[HomogeneousPart]:
     """Split into homogeneous parts, highest total degree first."""
-    buckets: dict[int, dict[FlatKey, Rat]] = {}
-    for key, c in x._terms.items():
-        buckets.setdefault(key[0] + key[1], {})[key] = c
+    buckets: dict[int, dict[FlatKey, int]] = {}
+    for key, n in x._terms.items():
+        buckets.setdefault(key[0] + key[1], {})[key] = n
     return [
-        HomogeneousPart(degree, ABElement._make(terms))
-        for degree, terms in sorted(buckets.items(), reverse=True)
+        HomogeneousPart(degree, ABElement._make(nums, x._den))
+        for degree, nums in sorted(buckets.items(), reverse=True)
     ]
 
 
@@ -269,7 +329,6 @@ def shift_identity_check(q: HomogeneousPart, mu: Rat | int) -> tuple[ABElement, 
     homogeneous Q, which is what makes the degree-indexed shift of the root
     work.
     """
-    mu = Fraction(mu)
     k = q.degree
     a, b = ABElement.gen_a(), ABElement.gen_b()
     left = conj_b(q.element) * (a - b.scale(mu))

@@ -39,12 +39,14 @@ SeedKey = tuple[int, int, int]
 
 # Largest N, M and number of rhos that ExpansionSpec.from_json accepts, bounding
 # a JSON spec's work up front; they admit N=3, M=720 and N=16, M=400.  Each rho
-# is its own ladder: at N=16, M=720 one rho propagates in about 12 s, and four
-# seeded at depth 16 take about 76 s in the CLI before printing refuses the
-# table (Python 3.11, 2-core VM).
+# is its own ladder of (N + 1) * (M + 1) cells, and all ladders together may
+# hold at most MAX_CELLS, the cells of one rho at the largest N and M.  That
+# one rho, seeded at depth 16, is the slowest accepted spec measured: about
+# 16 s in the CLI before printing refuses the table (Python 3.11, 2-core VM).
 MAX_LOG_DEPTH = 16
 MAX_ORDER = 720
 MAX_EXPONENTS = 4
+MAX_CELLS = (MAX_LOG_DEPTH + 1) * (MAX_ORDER + 1)
 
 
 class LogPoly(LaurentPoly):
@@ -136,6 +138,9 @@ class ExpansionSpec:
         for key, limit in (("N", MAX_LOG_DEPTH), ("M", MAX_ORDER)):
             if obj[key] > limit:
                 raise InputError(f"{key} must be at most {limit}")
+        cells = len(obj["rhos"]) * (obj["N"] + 1) * (obj["M"] + 1)
+        if cells > MAX_CELLS:
+            raise InputError(f"rhos * (N + 1) * (M + 1) = {cells} must be at most {MAX_CELLS}")
         return cls(
             rhos=tuple(_json_rat(x) for x in obj["rhos"]),
             log_depth=obj["N"],

@@ -79,7 +79,7 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
     nabla through the word conjugates every generator by b and lands on
     nabla([mu]) itself.  Both contributions stay polynomial in lam, 1/lam.
     """
-    theta_part = ABElement.gen_b() * q.map_coefficients(lambda c: c.theta())
+    theta_part = ABElement.gen_b() * q.theta()
     return theta_part + conj_b(q) * nabla_formula(st)
 
 
@@ -90,7 +90,7 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     the closed form -(sigma*a + (tau - (k+g)*sigma)*b) * T, so the two
     implementations must agree term for term.
     """
-    result = ABElement.gen_b() * q.map_coefficients(lambda c: c.theta())
+    result = ABElement.gen_b() * q.theta()
     for part in homogeneous_components(q):
         shift = st.tau - (st.mu.k + part.degree) * st.sigma
         op = ABElement({(1, 0): -st.sigma, (0, 1): -shift})

@@ -104,6 +104,19 @@ def read_terms(text: str, what: str) -> list[tuple[Rat, list[tuple[str, int]], l
     return terms
 
 
+def check_coefficient(c: Rat | int) -> Rat | int:
+    """c itself if it is an int (not a bool) or a Fraction; anything else is a TypeError."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
+    return c
+
+
+def check_exponent(e: int, what: str) -> None:
+    """Refuse an exponent that is not an int, or is a bool, as bad input."""
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise InputError(f"{what} must be an integer, got {e!r}")
+
+
 def power_text(name: str, e: int) -> str:
     """name^e as text: "" for e = 0 and the bare name for e = 1."""
     return "" if e == 0 else name if e == 1 else f"{name}^{e}"
@@ -151,11 +164,9 @@ class LaurentPoly:
         clean: dict[int, Rat] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(e, int):
-                    raise InputError(f"exponent must be an integer, got {e!r}")
-                c = Fraction(c)
-                if c != 0:
-                    clean[e] = c
+                check_exponent(e, "exponent")
+                if check_coefficient(c):
+                    clean[e] = Fraction(c)
         self._terms = clean
 
     @classmethod
@@ -167,11 +178,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: Rat | int) -> "LaurentPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def lam_power(cls, e: int, c: Rat | int = 1) -> "LaurentPoly":
-        return cls({e: Fraction(c)})
+        return cls({e: c})
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

@@ -5,6 +5,7 @@ that applies ba -> ab - bb until no reducible pair remains; the class under
 test never sees it.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -111,13 +112,23 @@ class TestNormalForm:
         product = ABElement.monomial(0, j) * ABElement.monomial(k, 0)
         assert element_to_word_map(product) == rewrite_words({"b" * j + "a" * k: F(1)})
 
-    @given(st.lists(st.text(alphabet="ab", max_size=5), min_size=1, max_size=3))
+    # 2/3 * 3/2 cancels both denominators, and 1/2 * 2 one of them.
+    @example([("ab", F(2, 3)), ("ba", F(3, 2))])
+    @example([("b", F(1, 2)), ("a", F(2)), ("ab", F(-5, 6))])
+    @given(
+        st.lists(
+            st.tuples(st.text(alphabet="ab", max_size=5), small_fraction),
+            min_size=1,
+            max_size=3,
+        )
+    )
     def test_products_match_word_oracle(self, words):
-        product_word = "".join(words)
-        oracle = rewrite_words({product_word: F(1)})
+        product_word = "".join(word for word, _ in words)
+        scale = math.prod(c for _, c in words)
+        oracle = rewrite_words({product_word: scale})
         element = ABElement.one()
-        for word in words:
-            element = element * word_to_element(word)
+        for word, c in words:
+            element = element * word_to_element(word).scale(c)
         assert element_to_word_map(element) == oracle
 
     def test_identity_element(self):
@@ -129,6 +140,36 @@ class TestNormalForm:
     def test_negative_powers_rejected(self):
         with pytest.raises(InputError):
             ABElement({(-1, 0): 1})
+
+
+# Coefficients must be ints or Fractions, and key parts and exponents ints;
+# bools, floats and strings are refused rather than converted.
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: ABElement({(1, 0): 0.1}), TypeError, id="ab-float"),
+        pytest.param(lambda: ABElement({(1, 0): "1/3"}), TypeError, id="ab-str"),
+        pytest.param(lambda: ABElement({(1, 0): True}), TypeError, id="ab-bool"),
+        pytest.param(lambda: ABElement.monomial(1, 0, 0.5), TypeError, id="monomial-float"),
+        pytest.param(lambda: ABElement.gen_a().scale(0.25), TypeError, id="scale-float"),
+        pytest.param(lambda: linear_factor_product([0.1]), TypeError, id="roots-float"),
+        pytest.param(lambda: linear_factor_product([True]), TypeError, id="roots-bool"),
+        pytest.param(lambda: LaurentPoly({0: "1/3"}), TypeError, id="lp-str"),
+        pytest.param(lambda: LaurentPoly({0: 0.0}), TypeError, id="lp-float-zero"),
+        pytest.param(lambda: LaurentPoly.const(0.5), TypeError, id="const-float"),
+        pytest.param(lambda: LaurentPoly.lam_power(2, 0.5), TypeError, id="lam-power-float"),
+        pytest.param(lambda: ABElement({(1.0, 0): 1}), InputError, id="ab-float-key"),
+        pytest.param(lambda: ABElement({(True, 0): 1}), InputError, id="ab-bool-key"),
+        pytest.param(lambda: ABElement({(0, False): 1}), InputError, id="ab-bool-key-j"),
+        pytest.param(lambda: ABElement.monomial(1.0, 0), InputError, id="monomial-float-key"),
+        pytest.param(lambda: LaurentPoly({True: 1}), InputError, id="lp-bool-exp"),
+        pytest.param(lambda: LaurentPoly({1.0: 1}), InputError, id="lp-float-exp"),
+        pytest.param(lambda: LaurentPoly.lam_power(True), InputError, id="lam-power-bool-exp"),
+    ],
+)
+def test_constructors_reject_non_exact_input(build, error):
+    with pytest.raises(error):
+        build()
 
 
 abelement = st.dictionaries(
@@ -155,7 +196,9 @@ any_coefficient = small_fraction | st.dictionaries(st.integers(-2, 2), small_fra
 class TestRingAxioms:
     @given(any_abelement, any_abelement, any_abelement)
     def test_associative(self, x, y, z):
-        assert (x * y) * z == x * (y * z)
+        lhs, rhs = (x * y) * z, x * (y * z)
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
 
     @given(any_abelement, any_abelement, any_abelement)
     def test_distributive(self, x, y, z):
@@ -226,6 +269,7 @@ class TestTrustedConstructor:
             x.times_a(),
             conj_b(x),
             x.map_coefficients(LaurentPoly.theta),
+            x.theta(),
         ]
         results += [part.element for part in homogeneous_components(x + y)]
         for r in results:
@@ -233,14 +277,21 @@ class TestTrustedConstructor:
             for key, coeff in r.terms.items():
                 assert all(type(e) is int and e >= 0 for e in key)
                 assert type(coeff) is LaurentPoly and not coeff.is_zero()
+        assert x.theta() == x.map_coefficients(LaurentPoly.theta)
 
     @given(any_abelement, any_abelement, any_coefficient)
     def test_flat_storage(self, x, y, c):
-        for r in (x, x + y, -x, x * y, x.scale(c), x.times_a(), conj_b(x)):
-            for key, coeff in r._terms.items():
+        results = [x, x + y, x - y, -x, x * y, x.scale(c), x.times_a(), conj_b(x), x.theta()]
+        results += [part.element for part in homogeneous_components(x + y)]
+        for r in results:
+            # Canonical form: nonzero int numerators over a positive int
+            # denominator that shares no factor with all of them.
+            for key, n in r._terms.items():
                 assert type(key) is tuple and len(key) == 3
                 assert all(type(e) is int for e in key) and key[0] >= 0 and key[1] >= 0
-                assert type(coeff) is F and coeff != 0
+                assert type(n) is int and n != 0
+            assert type(r._den) is int and r._den >= 1
+            assert math.gcd(r._den, *r._terms.values()) == 1
         assert ABElement(x.terms) == x
         assert all(x.coefficient(i, j) == v for (i, j), v in x.terms.items())
         assert x.scale(c) == x * ABElement.monomial(0, 0, c)

@@ -11,6 +11,7 @@ from lamconn.algebra import ABElement
 from lamconn.asymptotics import (
     ExpansionSpec,
     ExpansionTable,
+    MAX_CELLS,
     MAX_EXPONENTS,
     MAX_LOG_DEPTH,
     MAX_ORDER,
@@ -160,10 +161,14 @@ class TestSpecValidation:
         rhos = [f"1/{d}" for d in range(2, MAX_EXPONENTS + 3)]
         spec = ExpansionSpec.from_json({**base, "rhos": rhos[:-1], "N": 0, "M": 0})
         assert len(spec.rhos) == MAX_EXPONENTS
+        # Work budget: rhos * (N + 1) * (M + 1) <= MAX_CELLS, checked before any work.
+        spec = ExpansionSpec.from_json({**base, "rhos": rhos[:2], "N": 7, "M": MAX_ORDER})
+        assert len(spec.rhos) * (spec.log_depth + 1) * (spec.order + 1) <= MAX_CELLS
         for over in (
             {"N": MAX_LOG_DEPTH + 1, "M": 0},
             {"N": 0, "M": MAX_ORDER + 1},
             {"rhos": rhos, "N": 0, "M": 0},
+            {"rhos": rhos[:2], "N": MAX_LOG_DEPTH, "M": MAX_ORDER},
         ):
             with pytest.raises(InputError, match="must be at most"):
                 ExpansionSpec.from_json({**base, **over})

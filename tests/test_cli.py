@@ -30,11 +30,11 @@ FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 LONG_DIGITS = "1" * 4301
 
 
-def run_cli(*args):
+def run_cli(*args, module="lamconn.cli"):
     src = str(Path(lamconn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lamconn.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -280,6 +280,8 @@ class TestInputHandling:
             {"N": MAX_LOG_DEPTH + 1},
             {"M": MAX_ORDER + 1},
             {"rhos": [f"1/{d}" for d in range(2, MAX_EXPONENTS + 3)]},
+            # Within the N, M and rho caps but twice the cell budget.
+            {"rhos": ["1/3", "1/2"], "N": MAX_LOG_DEPTH, "M": MAX_ORDER},
         ],
     )
     def test_spec_just_over_limit(self, tmp_path, capsys, monkeypatch, over):
@@ -314,3 +316,8 @@ class TestSelftest:
         lines = [line for line in capsys.readouterr().out.splitlines() if line]
         assert len(lines) == 11
         assert all(line.startswith("PASS criterion") for line in lines)
+
+    def test_runs_as_package_module(self):
+        proc = run_cli("selftest", module="lamconn")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 11
