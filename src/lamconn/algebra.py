@@ -37,7 +37,7 @@ from .exact import (
     LaurentPoly,
     Rat,
     check_coefficient,
-    check_exponent,
+    check_int,
     join_signed,
     power_text,
     read_terms,
@@ -74,11 +74,7 @@ class ABElement:
     def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
         flat: dict[FlatKey, Rat | int] = {}
         for key, coeff in (terms or {}).items():
-            i, j = key
-            check_exponent(i, "generator power")
-            check_exponent(j, "generator power")
-            if i < 0 or j < 0:
-                raise InputError(f"negative generator power in key {key!r}")
+            i, j = (check_int(x, "generator power", 0) for x in key)
             if type(coeff) is LaurentPoly:
                 for e, c in coeff._terms.items():
                     flat[(i, j, e)] = c

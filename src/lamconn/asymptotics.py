@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .exact import LaurentPoly, Rat, parse_rat
+from .exact import LaurentPoly, Rat, check_coefficient, check_int, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -62,8 +62,7 @@ class LogPoly(LaurentPoly):
 
     def __init__(self, coeffs: Mapping[int, Rat | int] | None = None):
         for e in coeffs or ():
-            if not isinstance(e, int) or e < 0:
-                raise InputError(f"log degree must be a nonnegative integer, got {e!r}")
+            check_int(e, "log degree", 0)
         super().__init__(coeffs)
 
     @property
@@ -102,15 +101,14 @@ class ExpansionSpec:
     beta: Rat
 
     def __post_init__(self):
-        rhos = tuple(Fraction(x) for x in self.rhos)
+        rhos = tuple(Fraction(check_coefficient(x)) for x in self.rhos)
         object.__setattr__(self, "rhos", rhos)
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", Fraction(check_coefficient(self.alpha)))
+        object.__setattr__(self, "beta", Fraction(check_coefficient(self.beta)))
         if not rhos:
             raise InputError("at least one exponent rho is required")
-        for name, value in (("log depth", self.log_depth), ("order", self.order)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
+        check_int(self.log_depth, "log depth", 0)
+        check_int(self.order, "order", 0)
         for x in rhos:
             if x <= -1:
                 raise InputError(f"every exponent must exceed -1, got {x}")
@@ -133,20 +131,18 @@ class ExpansionSpec:
             raise InputError("rhos must be a list")
         if len(obj["rhos"]) > MAX_EXPONENTS:
             raise InputError(f"the number of rhos must be at most {MAX_EXPONENTS}")
-        if not isinstance(obj["N"], int) or not isinstance(obj["M"], int):
-            raise InputError("N and M must be integers")
         for key, limit in (("N", MAX_LOG_DEPTH), ("M", MAX_ORDER)):
-            if obj[key] > limit:
+            if check_int(obj[key], key, 0) > limit:
                 raise InputError(f"{key} must be at most {limit}")
         cells = len(obj["rhos"]) * (obj["N"] + 1) * (obj["M"] + 1)
         if cells > MAX_CELLS:
             raise InputError(f"rhos * (N + 1) * (M + 1) = {cells} must be at most {MAX_CELLS}")
         return cls(
-            rhos=tuple(_json_rat(x) for x in obj["rhos"]),
+            rhos=tuple(json_rat(x, "rho") for x in obj["rhos"]),
             log_depth=obj["N"],
             order=obj["M"],
-            alpha=_json_rat(obj["alpha"]),
-            beta=_json_rat(obj["beta"]),
+            alpha=json_rat(obj["alpha"], "alpha"),
+            beta=json_rat(obj["beta"], "beta"),
         )
 
     def to_json(self) -> dict:
@@ -159,24 +155,13 @@ class ExpansionSpec:
         }
 
 
-def _json_rat(value) -> Rat:
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rat(value)
-    raise InputError(f"not a rational: {value!r}")
-
-
 def parse_seed_key(text: str) -> SeedKey:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"seed key must be 'i,k,m', got {text!r}")
-    try:
-        i, k, m = (int(x) for x in parts)
-    except ValueError:
-        raise InputError(f"seed key must contain integers, got {text!r}") from None
+    if not all(part.isdecimal() for part in parts):
+        raise InputError(f"seed key must contain integers, got {text!r}")
+    i, k, m = (parse_int(part) for part in parts)
     return i, k, m
 
 
@@ -227,15 +212,18 @@ def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[
             i, k, m = key
         except (TypeError, ValueError):
             raise InputError(f"seed key must be an (i, k, m) triple, got {key!r}") from None
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in (i, k, m)):
-            raise InputError(f"seed key must hold integers, got {key!r}")
+        try:
+            for x in key:
+                check_int(x, "seed key part")
+        except InputError:
+            raise InputError(f"seed key must hold integers, got {key!r}") from None
         if not (0 <= i < len(spec.rhos)):
             raise InputError(f"seed index i={i} out of range")
         if not (0 <= k <= spec.log_depth):
             raise InputError(f"seed log depth k={k} out of range")
         if not (0 <= m <= spec.order):
             raise InputError(f"seed order m={m} out of range")
-        value = Fraction(value)
+        value = Fraction(check_coefficient(value))
         if value != 0:
             clean[key] = value
     return clean

@@ -22,7 +22,7 @@ from .connection import (
     sigma_tau,
 )
 from .errors import HypothesisError, InputError
-from .exact import parse_rat
+from .exact import json_rat
 from .exponents import ExponentData, dependency, validate_hypotheses
 from .families import cross_validate, family_a, family_b, match_family, monodromy_candidates
 
@@ -163,26 +163,18 @@ def _cmd_propagate(args) -> int:
     seed_obj = raw.get("seed", {})
     if not isinstance(seed_obj, dict):
         raise InputError("seed must be an object keyed by 'i,k,m'")
-    seed = {}
-    for key_text, value in seed_obj.items():
-        if not isinstance(value, (str, int)):
-            raise InputError(f"seed value for {key_text!r} must be a rational string or integer")
-        seed[parse_seed_key(key_text)] = parse_rat(str(value))
+    seed = {
+        parse_seed_key(key_text): json_rat(value, f"seed value for {key_text!r}")
+        for key_text, value in seed_obj.items()
+    }
     table = propagate(spec, seed)
-    try:
-        lines = [
-            f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
-            f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
-        ]
-        for (i, k, m), poly in sorted(table.entries.items()):
-            lines.append(f"c[{i},{k},{m}] = {poly}")
-        payload = table.to_json()
-    except ValueError:  # str() of an integer past Python's int/str digit limit
-        raise InputError(
-            f"a coefficient of the table has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's int/str conversion limit; lower M or N"
-        ) from None
-    _emit(payload, args.json, lines)
+    lines = [
+        f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
+        f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
+    ]
+    for (i, k, m), poly in sorted(table.entries.items()):
+        lines.append(f"c[{i},{k},{m}] = {poly}")
+    _emit(table.to_json(), args.json, lines)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -206,6 +198,7 @@ def _cmd_selftest(args) -> int:
                             "description": r.description,
                             "passed": r.passed,
                             "detail": r.detail,
+                            "seconds": r.seconds,
                         }
                         for r in results
                     ],
@@ -281,6 +274,17 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # Every subcommand builds its whole output before printing any of it,
+        # so a number too long to print leaves stdout empty.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"input error: a number in the result has more than {sys.get_int_max_str_digits()} "
+            "digits, Python's int/str conversion limit; use a smaller input",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def entrypoint() -> None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import ABElement, conj_b, homogeneous_components
 from .errors import HypothesisError, InputError
-from .exact import Rat
+from .exact import Rat, check_int
 from .exponents import ExponentData
 
 
@@ -29,8 +29,7 @@ class MonomialMu:
         beta = tuple(self.beta)
         object.__setattr__(self, "beta", beta)
         for entry in beta:
-            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
-                raise InputError(f"beta entries must be nonnegative integers, got {entry!r}")
+            check_int(entry, "beta entry", 0)
 
     @classmethod
     def unit(cls, n: int) -> "MonomialMu":

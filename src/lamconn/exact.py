@@ -4,6 +4,14 @@ Every quantity in this package is an exact rational; floats are never
 introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
 guarantee a positive denominator, full reduction and a unique zero.
 
+Every number from outside passes one gate, kept here and called by every
+other module: ``check_int`` takes an int that is not a bool, at least a
+given minimum, for counts, exponents and keys; ``check_coefficient`` takes
+an int or a Fraction as a coefficient; ``json_rat`` takes a JSON integer or
+a "p/q" string; ``parse_rat`` and ``parse_int`` read text.  A float, string
+or bool given as a coefficient is a TypeError, and any other refusal is an
+InputError.
+
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
 ``asymptotics.LogPoly`` is the same type printed in L instead of lam.
 
@@ -111,10 +119,26 @@ def check_coefficient(c: Rat | int) -> Rat | int:
     return c
 
 
-def check_exponent(e: int, what: str) -> None:
-    """Refuse an exponent that is not an int, or is a bool, as bad input."""
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise InputError(f"{what} must be an integer, got {e!r}")
+_INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_int(value: int, what: str, minimum: int | None = None) -> int:
+    """value itself if it is an int (not a bool) of at least minimum (None, 0 or 1).
+
+    Anything else is bad input; what names the value in the message.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        raise InputError(f"{what} must be {_INT_KINDS[minimum]}, got {value!r}")
+    return value
+
+
+def json_rat(value, what: str) -> Rat:
+    """A rational from JSON: an integer (not a bool) or a "p/q" string; anything else is bad input."""
+    if isinstance(value, str):
+        return parse_rat(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer or a 'p/q' string, got {value!r}")
+    return Fraction(value)
 
 
 def power_text(name: str, e: int) -> str:
@@ -164,7 +188,7 @@ class LaurentPoly:
         clean: dict[int, Rat] = {}
         if terms:
             for e, c in terms.items():
-                check_exponent(e, "exponent")
+                check_int(e, "exponent")
                 if check_coefficient(c):
                     clean[e] = Fraction(c)
         self._terms = clean
@@ -237,7 +261,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c: Rat | int) -> "LaurentPoly":
-        c = Fraction(c)
+        c = Fraction(check_coefficient(c))
         return self._make({e: v * c for e, v in self._terms.items()})
 
     def theta(self) -> "LaurentPoly":
@@ -284,7 +308,7 @@ class RatMatrix:
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable[Rat | int]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(Fraction(check_coefficient(x)) for x in row) for row in rows)
         if not data or not data[0]:
             raise DimensionError("matrix must have at least one row and column")
         width = len(data[0])
@@ -339,7 +363,7 @@ class RatMatrix:
     def apply(self, vec: Sequence[Rat | int]) -> list[Rat]:
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
-        v = [Fraction(x) for x in vec]
+        v = [Fraction(check_coefficient(x)) for x in vec]
         return [sum((row[k] * v[k] for k in range(self.ncols)), Fraction(0)) for row in self._rows]
 
     def __repr__(self) -> str:
@@ -435,7 +459,8 @@ def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
         raise DimensionError("solve needs a square matrix")
     if len(rhs) != m.nrows:
         raise DimensionError("right-hand side length does not match")
-    x = _solve_square([r + (Fraction(v),) for r, v in zip(m.rows(), rhs)], m.nrows)[2]
+    augmented = [r + (Fraction(check_coefficient(v)),) for r, v in zip(m.rows(), rhs)]
+    x = _solve_square(augmented, m.nrows)[2]
     if x is None:
         raise SingularMatrixError()
     return [row[0] for row in x]

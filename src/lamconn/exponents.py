@@ -31,7 +31,17 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, HypothesisError, InputError
-from .exact import Rat, RatMatrix, _solve_square
+from .exact import Rat, RatMatrix, _solve_square, check_int
+
+# Work budget of a JSON layout, checked by ExponentData.from_json before any
+# elimination: (n + 2)^3, the order of the updates in each of the two
+# eliminations, times the bit length of the largest exponent entry, which
+# sets how long the integers in them grow.  It admits n = 156 with entries 0
+# and 1, n = 64 with 13-bit entries and n = 4 with entries at Python's
+# 4300-digit limit.  The slowest accepted corner measured is n = 156 with
+# random 0/1 entries: about 2.5 s for `lamconn analyze` (Python 3.11, 2-core
+# VM); every other corner took under 1.5 s.
+MAX_LAYOUT_WORK = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,7 @@ class ExponentData:
     alphas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InputError(f"n must be an integer >= 1, got {self.n!r}")
+        check_int(self.n, "n", 1)
         alphas = tuple(tuple(a) for a in self.alphas)
         object.__setattr__(self, "alphas", alphas)
         if len(alphas) != self.n + 2:
@@ -69,8 +78,7 @@ class ExponentData:
             if len(a) != self.n + 1:
                 raise InputError(f"exponent vector {a} must have {self.n + 1} entries")
             for entry in a:
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
-                    raise InputError(f"exponent entries must be nonnegative integers, got {entry!r}")
+                check_int(entry, "exponent entry", 0)
         if len(set(alphas)) != len(alphas):
             raise InputError("exponent vectors must be pairwise distinct")
 
@@ -113,7 +121,14 @@ class ExponentData:
         alphas = obj["alphas"]
         if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
             raise InputError("alphas must be a list of lists")
-        return cls(n=n, alphas=tuple(tuple(a) for a in alphas))
+        data = cls(n=n, alphas=tuple(tuple(a) for a in alphas))
+        bits = max(1, *(max(a).bit_length() for a in data.alphas))
+        work = (data.n + 2) ** 3 * bits
+        if work > MAX_LAYOUT_WORK:
+            raise InputError(
+                f"(n + 2)^3 * (bit length of the largest entry) = {work} must be at most {MAX_LAYOUT_WORK}"
+            )
+        return data
 
     def to_json(self) -> dict:
         return {"n": self.n, "alphas": [list(a) for a in self.alphas]}

@@ -19,7 +19,7 @@ from typing import Sequence
 from .algebra import ABElement, linear_factor_product
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import LaurentPoly, Rat
+from .exact import LaurentPoly, Rat, check_int
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check, validate_hypotheses
 
 C_COEFF = Fraction(-4)
@@ -98,8 +98,7 @@ def _build_result(
 def family_a(u: int, v: int, w: int) -> FamilyResult:
     """Operator for x^(2u) + y^(2v) + z^(2w) + lam * x^u y^v z^w."""
     for name, value in (("u", u), ("v", v), ("w", w)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InputError(f"{name} must be a positive integer, got {value!r}")
+        check_int(value, name, 1)
     exponents = ExponentData(
         n=2,
         alphas=((2 * u, 0, 0), (0, 2 * v, 0), (0, 0, 2 * w), (u, v, w)),
@@ -118,12 +117,8 @@ def family_a(u: int, v: int, w: int) -> FamilyResult:
 
 def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
     """Operator for x^(2p) z^u + y^(2q) z^v + z^(u+v) + lam * x^p y^q."""
-    for name, value in (("p", p), ("q", q)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InputError(f"{name} must be a positive integer, got {value!r}")
-    for name, value in (("u", u), ("v", v)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InputError(f"{name} must be a nonnegative integer, got {value!r}")
+    for name, value, minimum in (("p", p, 1), ("q", q, 1), ("u", u, 0), ("v", v, 0)):
+        check_int(value, name, minimum)
     if u + v < 1:
         raise InputError("u + v must be at least 1")
     exponents = ExponentData(

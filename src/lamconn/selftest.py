@@ -13,6 +13,7 @@ import json
 import os
 import random
 import tempfile
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -38,6 +39,7 @@ class CriterionResult:
     description: str
     passed: bool
     detail: str
+    seconds: float
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -322,8 +324,10 @@ CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
 def run_criterion(cid: int) -> CriterionResult:
     for num, description, fn in CRITERIA:
         if num == cid:
+            start = time.perf_counter()
             passed, detail = fn()
-            return CriterionResult(cid=num, description=description, passed=passed, detail=detail)
+            seconds = time.perf_counter() - start
+            return CriterionResult(num, description, passed, detail, seconds)
     raise KeyError(f"no criterion {cid}")
 
 

@@ -21,8 +21,9 @@ from lamconn.algebra import (
     linear_factor_product,
     shift_identity_check,
 )
+from lamconn.asymptotics import ExpansionSpec, propagate
 from lamconn.errors import ContractError, InputError
-from lamconn.exact import LaurentPoly
+from lamconn.exact import LaurentPoly, RatMatrix, solve
 
 A = ABElement.gen_a()
 B = ABElement.gen_b()
@@ -143,7 +144,8 @@ class TestNormalForm:
 
 
 # Coefficients must be ints or Fractions, and key parts and exponents ints;
-# bools, floats and strings are refused rather than converted.
+# bools, floats and strings are refused rather than converted, in every
+# module that takes a number from its caller.
 @pytest.mark.parametrize(
     "build, error",
     [
@@ -165,6 +167,29 @@ class TestNormalForm:
         pytest.param(lambda: LaurentPoly({True: 1}), InputError, id="lp-bool-exp"),
         pytest.param(lambda: LaurentPoly({1.0: 1}), InputError, id="lp-float-exp"),
         pytest.param(lambda: LaurentPoly.lam_power(True), InputError, id="lam-power-bool-exp"),
+        pytest.param(lambda: LaurentPoly.const(1).scale(0.1), TypeError, id="lp-scale-float"),
+        pytest.param(lambda: LaurentPoly.const(1).scale("1/3"), TypeError, id="lp-scale-str"),
+        pytest.param(lambda: ExpansionSpec((0.5,), 0, 1, 1, 0), TypeError, id="spec-rho-float"),
+        pytest.param(lambda: ExpansionSpec((True,), 0, 1, 1, 0), TypeError, id="spec-rho-bool"),
+        pytest.param(lambda: ExpansionSpec((F(1, 2),), 0, 1, 0.1, 0), TypeError, id="spec-alpha-float"),
+        pytest.param(lambda: ExpansionSpec((F(1, 2),), 0, 1, "1/3", 0), TypeError, id="spec-alpha-str"),
+        pytest.param(lambda: ExpansionSpec((F(1, 2),), 0, 1, 1, False), TypeError, id="spec-beta-bool"),
+        pytest.param(lambda: ExpansionSpec((F(1, 2),), 0.0, 1, 1, 0), InputError, id="spec-depth-float"),
+        pytest.param(
+            lambda: propagate(ExpansionSpec((F(1, 2),), 0, 1, 1, 0), {(0, 0, 0): 0.1}),
+            TypeError,
+            id="seed-float",
+        ),
+        pytest.param(
+            lambda: propagate(ExpansionSpec((F(1, 2),), 0, 1, 1, 0), {(0, 0, 0): "1/3"}),
+            TypeError,
+            id="seed-str",
+        ),
+        pytest.param(lambda: RatMatrix([[1, 0.5]]), TypeError, id="matrix-float"),
+        pytest.param(lambda: RatMatrix([[True]]), TypeError, id="matrix-bool"),
+        pytest.param(lambda: RatMatrix([[1]]).apply([0.5]), TypeError, id="apply-float"),
+        pytest.param(lambda: solve(RatMatrix([[2]]), [0.5]), TypeError, id="solve-float"),
+        pytest.param(lambda: solve(RatMatrix([[2]]), ["1"]), TypeError, id="solve-str"),
     ],
 )
 def test_constructors_reject_non_exact_input(build, error):

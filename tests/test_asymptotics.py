@@ -176,7 +176,7 @@ class TestSpecValidation:
     def test_parse_seed_key(self):
         assert parse_seed_key("1,2,3") == (1, 2, 3)
         assert parse_seed_key("0,0,0") == (0, 0, 0)
-        for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", ""):
+        for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", "", "0,0,1_0", "+0,0,1", "0, 0,1", "-1,0,0"):
             with pytest.raises(InputError):
                 parse_seed_key(bad)
 

@@ -6,6 +6,7 @@ uncaught exception would show as a traceback on stderr.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import lamconn
-from lamconn import cli
+from lamconn import cli, exponents
 from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
+from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
 
@@ -28,6 +30,27 @@ FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 
 # One digit past Python's default int/str conversion limit.
 LONG_DIGITS = "1" * 4301
+
+
+def layout_over_budget(side):
+    """A JSON layout just over MAX_LAYOUT_WORK = (n + 2)^3 * (largest entry bit length).
+
+    "n": the unit vectors and the all-ones vector for the smallest n whose
+    entries of bit length 1 pass the budget; "entry": n = 5 with one entry
+    one bit longer than the budget allows.
+    """
+    if side == "n":
+        n = round(MAX_LAYOUT_WORK ** (1 / 3)) - 2
+        while (n + 2) ** 3 <= MAX_LAYOUT_WORK:
+            n += 1
+        alphas = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)] + [[1] * (n + 1)]
+        return {"n": n, "alphas": alphas}
+    bits = MAX_LAYOUT_WORK // 7**3 + 1
+    alphas = [[0] * 6 for _ in range(7)]
+    for i in range(6):
+        alphas[i][i] = 1
+    alphas[6] = [2 ** (bits - 1), 1, 1, 1, 1, 1]
+    return {"n": 5, "alphas": alphas}
 
 
 def run_cli(*args, module="lamconn.cli"):
@@ -295,6 +318,31 @@ class TestInputHandling:
         assert out.err.startswith("input error:") and "must be at most" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("side", ["n", "entry"])
+    def test_layout_just_over_budget(self, tmp_path, capsys, monkeypatch, side):
+        def no_elimination(*args):
+            raise AssertionError("elimination ran on a layout over the budget")
+
+        monkeypatch.setattr(exponents, "_solve_square", no_elimination)
+        path = write_json(tmp_path, layout_over_budget(side))
+        for command in ("check", "analyze"):
+            assert main([command, path]) == 1
+            out = capsys.readouterr()
+            assert out.err.startswith("input error:") and "must be at most" in out.err
+            assert out.out == ""
+
+    def test_layout_output_past_digit_limit(self, tmp_path):
+        # Within the layout budget, but the relation's rationals have about
+        # 8000 digits, so the failure comes while rendering the report.
+        rng = random.Random(0)
+        obj = {"n": 1, "alphas": [[rng.randrange(10**4000) for _ in range(2)] for _ in range(3)]}
+        proc = run_cli("analyze", write_json(tmp_path, obj))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("input error:")
+        assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -316,6 +364,12 @@ class TestSelftest:
         lines = [line for line in capsys.readouterr().out.splitlines() if line]
         assert len(lines) == 11
         assert all(line.startswith("PASS criterion") for line in lines)
+
+    def test_json_carries_seconds(self, capsys):
+        assert main(["selftest", "--json"]) == 0
+        criteria = json.loads(capsys.readouterr().out)["criteria"]
+        assert len(criteria) == 11
+        assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in criteria)
 
     def test_runs_as_package_module(self):
         proc = run_cli("selftest", module="lamconn")

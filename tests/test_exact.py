@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lamconn.asymptotics import LogPoly, integrate_log
 from lamconn.errors import DimensionError, InputError, SingularMatrixError
-from lamconn.exact import LaurentPoly, RatMatrix, det, invert, parse_rat, rank, solve
+from lamconn.exact import LaurentPoly, RatMatrix, check_int, det, invert, parse_rat, rank, solve
 
 # Bordered exponent matrices of the two golden instances; every frozen value
 # below was produced by the oracles in this file before the implementation
@@ -107,6 +107,28 @@ class TestRat:
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rat(str(x)) == x
+
+
+class TestCheckInt:
+    def test_accepts(self):
+        assert check_int(-2, "x") == -2
+        assert check_int(0, "x", 0) == 0
+        assert check_int(10**50, "x", 1) == 10**50
+
+    @pytest.mark.parametrize(
+        "value, minimum, message",
+        [
+            (1.0, None, "x must be an integer, got 1.0"),
+            ("1", None, "x must be an integer, got '1'"),
+            (True, 0, "x must be a nonnegative integer, got True"),
+            (-1, 0, "x must be a nonnegative integer, got -1"),
+            (0, 1, "x must be a positive integer, got 0"),
+        ],
+    )
+    def test_refuses(self, value, minimum, message):
+        with pytest.raises(InputError) as info:
+            check_int(value, "x", minimum)
+        assert str(info.value) == message
 
 
 class TestLaurentPoly:
