@@ -74,6 +74,8 @@ class ABElement:
     def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
         flat: dict[FlatKey, Rat | int] = {}
         for key, coeff in (terms or {}).items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise InputError(f"key must be an (i, j) pair of generator powers, got {key!r}")
             i, j = (check_int(x, "generator power", 0) for x in key)
             if type(coeff) is LaurentPoly:
                 for e, c in coeff._terms.items():
@@ -274,6 +276,16 @@ def conj_b(x: ABElement) -> ABElement:
     """
     bx = ABElement.gen_b() * x
     return ABElement._make({(i, j - 1, e): n for (i, j, e), n in bx._terms.items()}, bx._den)
+
+
+def first_difference(x: ABElement, y: ABElement) -> tuple[FlatKey, Rat, Rat] | None:
+    """The smallest flat key (i, j, e) where x and y differ, with the coefficient
+    of each there; None when they are equal."""
+    for key in sorted(x._terms.keys() | y._terms.keys()):
+        cx, cy = Fraction(x._terms.get(key, 0), x._den), Fraction(y._terms.get(key, 0), y._den)
+        if cx != cy:
+            return key, cx, cy
+    return None
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:

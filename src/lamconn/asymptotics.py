@@ -16,6 +16,14 @@ N+1 is zero), integrates in L, and adds the free integration constant
 supplied by the seed.  Degrees in L grow by at most one per order, hence
 deg c[i,k,m] <= m.
 
+The recurrence also has a closed (Frobenius) form: a seed value s at
+(i, K, m0) adds, for every m >= m0 and j <= K,
+
+    s * L^(m-m0)/(m-m0)! * [x^(K-j)] prod_{t=m0}^{m-1} (alpha + (beta - alpha)/(t + rho_i + 1 + x))
+
+to c[i,j,m], and the table is the sum over the seed.  ``selftest`` computes
+it as an independent route and compares it with ``propagate``.
+
 The coefficients are LogPoly values, LaurentPoly's sparse polynomial printed
 in L instead of lam.
 
@@ -271,14 +279,23 @@ class ResidualReport:
     def passed(self) -> bool:
         return not self.residuals
 
+    @property
+    def first_difference(self) -> tuple[SeedKey, LogPoly] | None:
+        """The smallest (i, k, m) key with its residual; None when the table checks out."""
+        return min(self.residuals.items(), default=None)
+
     def to_json(self) -> dict:
-        return {
+        out = {
             "passed": self.passed,
             "residuals": {
                 f"{i},{k},{m}": poly.to_json()
                 for (i, k, m), poly in sorted(self.residuals.items())
             },
         }
+        if not self.passed:
+            (i, k, m), poly = self.first_difference
+            out["first_difference"] = {"key": f"{i},{k},{m}", "residual": poly.to_json()}
+        return out
 
 
 def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:

@@ -276,6 +276,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant, zero included, equals its value, so it hashes as that value.
+        if self.is_const():
+            return hash(self.coefficient(0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

@@ -5,21 +5,22 @@ Layout B in three variables: x^(2p) z^u + y^(2q) z^v + z^(u+v) + lam * x^p y^q.
 
 Both sit in the case split with d = 2 and h = 1, so the operator is a cubic
 product of monic linear factors plus -4 * lam^(+-2) times a quadratic one.
-The factor roots are explicit rational expressions in the parameters; the
-cross check recomputes every derived quantity from the exponent matrices and
-compares.
+The factor roots are explicit rational expressions in the parameters, and
+every one of them is positive.  Each layout and each root list is written
+once; ``FamilyResult`` derives the three operators from the roots.  The cross
+check recomputes every derived quantity from the exponent matrices and
+compares, keeping the compared values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .algebra import ABElement, linear_factor_product
+from .algebra import ABElement, FlatKey, first_difference, linear_factor_product
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import LaurentPoly, Rat, check_int
+from .exact import LaurentPoly, Rat, check_int, power_text, term_text
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check, validate_hypotheses
 
 C_COEFF = Fraction(-4)
@@ -29,9 +30,11 @@ C_COEFF = Fraction(-4)
 class FamilyResult:
     """Operator data for one family instance.
 
-    full_operator = top_part + c_coeff * lam^lambda_exponent * low_part, with
-    both parts stored as ordered root lists of their monic linear factors.
-    The low part's roots reduced mod 1 are the monodromy candidate exponents.
+    full_operator = top_part + c_coeff * lam^lambda_exponent * low_part, where
+    both parts are the left-to-right products of the monic linear factors
+    (a - r*b) over their ordered roots; the three operators are derived from
+    the roots, never given.  The low part's roots reduced mod 1 are the
+    monodromy candidate exponents.
     """
 
     kind: str
@@ -39,12 +42,20 @@ class FamilyResult:
     exponents: ExponentData
     roots_top: tuple[Rat, ...]
     roots_low: tuple[Rat, ...]
-    c_coeff: Rat
+    c_coeff: Rat = field(init=False, default=C_COEFF)
     lambda_exponent: int
-    top_part: ABElement
-    low_part: ABElement
-    full_operator: ABElement
+    top_part: ABElement = field(init=False)
+    low_part: ABElement = field(init=False)
+    full_operator: ABElement = field(init=False)
     nabla_one: ABElement
+
+    def __post_init__(self):
+        top = linear_factor_product(self.roots_top)
+        low = linear_factor_product(self.roots_low)
+        object.__setattr__(self, "top_part", top)
+        object.__setattr__(self, "low_part", low)
+        full = top + low.scale(LaurentPoly.lam_power(self.lambda_exponent, self.c_coeff))
+        object.__setattr__(self, "full_operator", full)
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"
@@ -68,51 +79,27 @@ class FamilyResult:
         }
 
 
-def _build_result(
-    kind: str,
-    params: Sequence[int],
-    exponents: ExponentData,
-    roots_top: Sequence[Rat],
-    roots_low: Sequence[Rat],
-    lambda_exponent: int,
-    nabla_one: ABElement,
-) -> FamilyResult:
-    top = linear_factor_product(roots_top)
-    low = linear_factor_product(roots_low)
-    full = top + low.scale(LaurentPoly.lam_power(lambda_exponent, C_COEFF))
-    return FamilyResult(
-        kind=kind,
-        params=tuple(params),
-        exponents=exponents,
-        roots_top=tuple(roots_top),
-        roots_low=tuple(roots_low),
-        c_coeff=C_COEFF,
-        lambda_exponent=lambda_exponent,
-        top_part=top,
-        low_part=low,
-        full_operator=full,
-        nabla_one=nabla_one,
-    )
+def _layout_a(u: int, v: int, w: int) -> tuple[tuple[int, int, int], ...]:
+    return ((2 * u, 0, 0), (0, 2 * v, 0), (0, 0, 2 * w), (u, v, w))
+
+
+def _layout_b(p: int, q: int, u: int, v: int) -> tuple[tuple[int, int, int], ...]:
+    return ((2 * p, 0, u), (0, 2 * q, v), (0, 0, u + v), (p, q, 0))
 
 
 def family_a(u: int, v: int, w: int) -> FamilyResult:
     """Operator for x^(2u) + y^(2v) + z^(2w) + lam * x^u y^v z^w."""
     for name, value in (("u", u), ("v", v), ("w", w)):
         check_int(value, name, 1)
-    exponents = ExponentData(
-        n=2,
-        alphas=((2 * u, 0, 0), (0, 2 * v, 0), (0, 0, 2 * w), (u, v, w)),
-    )
     s = Fraction(u * v + v * w + w * u, 2 * u * v * w)
     roots_top = (
         2 + Fraction(u + v, 2 * u * v),
         1 + Fraction(u + w, 2 * u * w),
         Fraction(v + w, 2 * v * w),
     )
-    roots_low = (Fraction(3, 2) + s, s)
-    a, b = ABElement.gen_a(), ABElement.gen_b()
-    nabla_one = (a - b.scale(s)).scale(2)
-    return _build_result("A", (u, v, w), exponents, roots_top, roots_low, -2, nabla_one)
+    nabla_one = ABElement({(1, 0): 2, (0, 1): -2 * s})
+    exponents = ExponentData(n=2, alphas=_layout_a(u, v, w))
+    return FamilyResult("A", (u, v, w), exponents, roots_top, (Fraction(3, 2) + s, s), -2, nabla_one)
 
 
 def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
@@ -121,19 +108,15 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
         check_int(value, name, minimum)
     if u + v < 1:
         raise InputError("u + v must be at least 1")
-    exponents = ExponentData(
-        n=2,
-        alphas=((2 * p, 0, u), (0, 2 * q, v), (0, 0, u + v), (p, q, 0)),
-    )
     t = Fraction(p * u + q * v + 2 * p * q, 2 * p * q * (u + v))
     roots_top = (2 + Fraction(p + q, 2 * p * q), Fraction(1, 2) + t, t)
     roots_low = (
         1 + Fraction(p * u + q * v + 2 * p * q + p * (u + v), 2 * p * q * (u + v)),
         Fraction(p * u + q * v + 2 * p * q + q * (u + v), 2 * p * q * (u + v)),
     )
-    a, b = ABElement.gen_a(), ABElement.gen_b()
-    nabla_one = -((a - b.scale(t)).scale(2))
-    return _build_result("B", (p, q, u, v), exponents, roots_top, roots_low, 2, nabla_one)
+    nabla_one = ABElement({(1, 0): -2, (0, 1): 2 * t})
+    exponents = ExponentData(n=2, alphas=_layout_b(p, q, u, v))
+    return FamilyResult("B", (p, q, u, v), exponents, roots_top, roots_low, 2, nabla_one)
 
 
 def monodromy_candidates(result: FamilyResult) -> list[Rat]:
@@ -142,33 +125,48 @@ def monodromy_candidates(result: FamilyResult) -> list[Rat]:
 
 
 def match_family(data: ExponentData) -> FamilyResult | None:
-    """Recognize an exponent layout as a family instance; None when it is neither."""
+    """Recognize an exponent layout as a family instance; None when it is neither.
+
+    The candidate parameters are read off the layout, and the whole layout
+    they generate must equal it.
+    """
     if data.n != 2:
         return None
-    a1, a2, a3, a4 = data.alphas
-    u, v, w = a4
-    if w >= 1 and u >= 1 and v >= 1:
-        if a1 == (2 * u, 0, 0) and a2 == (0, 2 * v, 0) and a3 == (0, 0, 2 * w):
-            return family_a(u, v, w)
-    p, q, z = a4
-    if z == 0 and p >= 1 and q >= 1:
-        uu, vv = a1[2], a2[2]
-        if (
-            a1 == (2 * p, 0, uu)
-            and a2 == (0, 2 * q, vv)
-            and a3 == (0, 0, uu + vv)
-            and uu + vv >= 1
-        ):
-            return family_b(p, q, uu, vv)
+    alphas = data.alphas
+    u, v, w = alphas[3]
+    if min(u, v, w) >= 1 and alphas == _layout_a(u, v, w):
+        return family_a(u, v, w)
+    p, q, u, v = alphas[3][0], alphas[3][1], alphas[0][2], alphas[1][2]
+    if min(p, q, u + v) >= 1 and alphas == _layout_b(p, q, u, v):
+        return family_b(p, q, u, v)
     return None
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """One compared quantity; expected and got keep the values, printed only in to_json."""
+
     name: str
     passed: bool
-    expected: str
-    got: str
+    expected: object
+    got: object
+
+    @property
+    def first_difference(self) -> tuple[FlatKey, Rat, Rat] | None:
+        """For two ABElements, the smallest flat key (i, j, e) where they differ,
+        with the expected and the got coefficient; None otherwise."""
+        if isinstance(self.expected, ABElement) and isinstance(self.got, ABElement):
+            return first_difference(self.expected, self.got)
+        return None
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "passed": self.passed, "expected": str(self.expected), "got": str(self.got)}
+        if not self.passed:
+            diff = self.first_difference
+            out["first_difference"] = (
+                None if diff is None else {"key": list(diff[0]), "expected": str(diff[1]), "got": str(diff[2])}
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,14 +179,7 @@ class CrossValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "expected": c.expected, "got": c.got}
-                for c in self.checks
-            ],
-        }
+        return {"label": self.label, "passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
 def cross_validate(result: FamilyResult) -> CrossValidationReport:
@@ -201,7 +192,7 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
     checks: list[CheckOutcome] = []
 
     def record(name: str, expected, got) -> None:
-        checks.append(CheckOutcome(name, expected == got, str(expected), str(got)))
+        checks.append(CheckOutcome(name, expected == got, expected, got))
 
     data = result.exponents
     report = validate_hypotheses(data)
@@ -229,30 +220,21 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
 
 
 def _factor_text(root: Rat) -> str:
-    if root == 0:
-        return "(a - 0*b)"
-    sign = " - " if root > 0 else " + "
-    mag = abs(root)
-    body = "b" if mag == 1 else f"{mag}*b"
-    return f"(a{sign}{body})"
+    return f"(a - {term_text(root, 'b')})"
 
 
 def factored_display(result: FamilyResult) -> str:
     """Operator as a product-of-factors string.
 
-    When the top and low parts share their leftmost factor it is pulled out
-    in front of a bracketed mixed block; otherwise the two blocks are shown
-    side by side.
+    Every root of both families is positive, so each factor prints as
+    (a - r*b).  When the top and low parts share their leftmost factor it is
+    pulled out in front of a bracketed mixed block; otherwise the two blocks
+    are shown side by side.
     """
     c = result.c_coeff
-    lam = (
-        "lam"
-        if result.lambda_exponent == 1
-        else f"lam^{result.lambda_exponent}"
-    )
-    c_text = f"{'-' if c < 0 else '+'} {abs(c)}*{lam}"
+    c_text = f"{'-' if c < 0 else '+'} {term_text(abs(c), power_text('lam', result.lambda_exponent))}"
     top, low = result.roots_top, result.roots_low
-    if top and low and top[0] == low[0]:
+    if top[0] == low[0]:
         head = _factor_text(top[0])
         rest_top = "*".join(_factor_text(x) for x in top[1:])
         rest_low = "*".join(_factor_text(x) for x in low[1:])

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable
 
 from .algebra import ABElement, HomogeneousPart, linear_factor_product, shift_identity_check
-from .asymptotics import ExpansionSpec, LogPoly, propagate, verify_table
+from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, verify_table
 from .errors import InputError
 from .connection import MonomialMu, nabla_formula, push_nabla, sigma_tau
 from .exact import LaurentPoly, det
@@ -237,11 +237,41 @@ def _check_family_grids() -> tuple[bool, str]:
     return True, f"closed forms match matrix data on {count} instances"
 
 
+def frobenius_table(spec: ExpansionSpec, seed: dict) -> ExpansionTable:
+    """The log table from the closed (Frobenius) form in the ``asymptotics``
+    docstring, a route independent of propagate's recurrence.
+
+    Per seed, the product over t is kept as a series in x truncated at degree
+    K, on which dividing p by (B + x) is the recurrence q_n = (p_n - q_(n-1))/B.
+    """
+    alpha, beta = spec.alpha, spec.beta
+    sums: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (i, big_k, m0), s in seed.items():
+        series = [Fraction(s)] + [Fraction(0)] * big_k
+        factorial = 1
+        for m in range(m0, spec.order + 1):
+            if m > m0:
+                # the factor for t = m - 1, so B = t + rho_i + 1 = m + rho_i
+                denominator = m + spec.rhos[i]
+                quotient = Fraction(0)
+                for n, p in enumerate(series):
+                    quotient = (p - quotient) / denominator
+                    series[n] = alpha * p + (beta - alpha) * quotient
+                factorial *= m - m0
+            for j in range(big_k + 1):
+                poly = sums.setdefault((i, j, m), {})
+                poly[m - m0] = poly.get(m - m0, 0) + series[big_k - j] / factorial
+    return ExpansionTable(spec, {key: LogPoly(poly) for key, poly in sums.items()})
+
+
 def _check_asymptotics() -> tuple[bool, str]:
     golden_spec = ExpansionSpec(
         rhos=(Fraction(1, 2),), log_depth=0, order=2, alpha=Fraction(1), beta=Fraction(0)
     )
-    table = propagate(golden_spec, {(0, 0, 0): Fraction(1)})
+    golden_seed = {(0, 0, 0): Fraction(1)}
+    table = propagate(golden_spec, golden_seed)
+    if table != frobenius_table(golden_spec, golden_seed):
+        return False, "closed-form route differs from propagate on the golden spec"
     if table.get(0, 0, 1) != LogPoly({1: Fraction(1, 3)}):
         return False, f"c[0,0,1] = {table.get(0, 0, 1)}, expected L/3"
     if table.get(0, 0, 2) != LogPoly({2: Fraction(1, 10)}):
@@ -261,6 +291,8 @@ def _check_asymptotics() -> tuple[bool, str]:
                 return False, f"seed not reproduced at L = 0 for {(i, k, m)}"
         if not verify_table(spec, table).passed:
             return False, f"nonzero residual for spec {spec.to_json()}"
+        if table != frobenius_table(spec, seed):
+            return False, f"closed-form route differs from propagate for spec {spec.to_json()}"
         other = random_seed_map(rng, spec)
         combined = dict(seed)
         for key, value in other.items():
@@ -274,7 +306,10 @@ def _check_asymptotics() -> tuple[bool, str]:
             ) + rhs_b.entries.get(key, LogPoly.zero()):
                 return False, f"propagation is not additive in the seed at {key}"
         checked += 1
-    return True, f"golden values, degree bound, residuals and additivity on {checked} random specs"
+    return True, (
+        f"golden values, degree bound, residuals, additivity and the closed-form "
+        f"(Frobenius) route on {checked} random specs"
+    )
 
 
 def _check_hypothesis_gate() -> tuple[bool, str]:

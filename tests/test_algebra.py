@@ -164,6 +164,9 @@ class TestNormalForm:
         pytest.param(lambda: ABElement({(True, 0): 1}), InputError, id="ab-bool-key"),
         pytest.param(lambda: ABElement({(0, False): 1}), InputError, id="ab-bool-key-j"),
         pytest.param(lambda: ABElement.monomial(1.0, 0), InputError, id="monomial-float-key"),
+        pytest.param(lambda: ABElement({(1, 2, 3): 1}), InputError, id="ab-key-triple"),
+        pytest.param(lambda: ABElement({(1,): 1}), InputError, id="ab-key-single"),
+        pytest.param(lambda: ABElement({5: 1}), InputError, id="ab-key-int"),
         pytest.param(lambda: LaurentPoly({True: 1}), InputError, id="lp-bool-exp"),
         pytest.param(lambda: LaurentPoly({1.0: 1}), InputError, id="lp-float-exp"),
         pytest.param(lambda: LaurentPoly.lam_power(True), InputError, id="lam-power-bool-exp"),

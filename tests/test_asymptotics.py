@@ -23,6 +23,7 @@ from lamconn.asymptotics import (
 )
 from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly
+from lamconn.selftest import frobenius_table
 
 GOLDEN = ExpansionSpec(rhos=(F(1, 2),), log_depth=0, order=2, alpha=1, beta=0)
 GOLDEN_LOG = ExpansionSpec(rhos=(F(0),), log_depth=1, order=1, alpha=0, beta=1)
@@ -241,6 +242,38 @@ class TestPropagate:
             assert poly.degree() <= m
 
 
+def seed_maps(spec):
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=len(spec.rhos) - 1),
+        st.integers(min_value=0, max_value=spec.log_depth),
+        st.integers(min_value=0, max_value=spec.order),
+    )
+    return st.dictionaries(keys, seed_values, max_size=4)
+
+
+class TestFrobeniusRoute:
+    """The closed-form route of the battery against propagate's recurrence."""
+
+    def test_golden(self):
+        seed = {(0, 0, 0): F(1)}
+        assert frobenius_table(GOLDEN, seed) == propagate(GOLDEN, seed)
+
+    @given(spec_strategy().flatmap(lambda spec: st.tuples(st.just(spec), seed_maps(spec))))
+    def test_random_specs(self, spec_seed):
+        spec, seed = spec_seed
+        assert frobenius_table(spec, seed) == propagate(spec, seed)
+
+    def test_one_rho_deep_and_long(self):
+        spec = ExpansionSpec(rhos=(F(1, 3),), log_depth=16, order=200, alpha=F(-3, 2), beta=F(5, 7))
+        seed = {(0, 0, 0): F(1), (0, 16, 0): F(-2, 3)}
+        assert frobenius_table(spec, seed) == propagate(spec, seed)
+
+    def test_two_rhos_long(self):
+        spec = ExpansionSpec(rhos=(F(1, 3), F(-1, 2)), log_depth=3, order=300, alpha=F(2), beta=F(-1, 3))
+        seed = {(0, 3, 0): F(1), (1, 0, 5): F(2, 5), (1, 2, 17): F(-7)}
+        assert frobenius_table(spec, seed) == propagate(spec, seed)
+
+
 class TestVerifyTable:
     def test_propagated_tables_pass(self):
         table = propagate(GOLDEN, {(0, 0, 0): 1})
@@ -283,6 +316,12 @@ class TestVerifyTable:
         report = verify_table(spec, tampered)
         assert set(report.residuals) == {(0, 1, 1), (0, 0, 1)}
         assert report.residuals[(0, 0, 1)] == LogPoly.const(-spec.alpha)
+        # the failure names its smallest key, and only a failing report carries it
+        assert report.first_difference == ((0, 0, 1), LogPoly.const(-spec.alpha))
+        assert report.to_json()["first_difference"] == {"key": "0,0,1", "residual": {"0": "-1"}}
+        passing = verify_table(spec, table)
+        assert passing.first_difference is None
+        assert "first_difference" not in passing.to_json()
 
     def test_top_order_constants_are_free(self):
         # the last-order seed never enters any relation, so shifting it is invisible

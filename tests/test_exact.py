@@ -186,6 +186,14 @@ class TestLaurentPoly:
         assert (p * q).theta() == p.theta() * q + p * q.theta()
 
 
+@given(st.sampled_from([LaurentPoly, LogPoly]), small_fraction)
+def test_constant_hashes_as_its_value(cls, c):
+    # zero included: small_fraction draws 0
+    p = cls.const(c)
+    assert hash(p) == hash(p.coefficient(0))
+    assert len({p, p.coefficient(0)}) == 1
+
+
 same_type_pair = st.tuples(polys(LaurentPoly, -4), polys(LaurentPoly, -4)) | st.tuples(
     polys(LogPoly, 0), polys(LogPoly, 0)
 )

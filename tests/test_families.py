@@ -1,5 +1,6 @@
 """Closed-form operators for the two parametrized layouts, checked against the matrix route."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,9 @@ from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly
 from lamconn.exponents import Case, ExponentData, dependency
 from lamconn.families import (
+    CheckOutcome,
+    CrossValidationReport,
+    FamilyResult,
     cross_validate,
     factored_display,
     family_a,
@@ -229,8 +233,65 @@ class TestDisplayAndJson:
         assert payload["operator_factored"] == factored_display(family_a(2, 2, 1))
         assert payload["operator"] == str(family_a(2, 2, 1).full_operator)
 
+    @given(params_a)
+    def test_every_root_positive_a(self, params):
+        result = family_a(*params)
+        assert all(r > 0 for r in result.roots_top + result.roots_low)
+
+    @given(params_b)
+    def test_every_root_positive_b(self, params):
+        result = family_b(*params)
+        assert all(r > 0 for r in result.roots_top + result.roots_low)
+
     def test_cross_validation_json(self):
         report = cross_validate(family_b(2, 2, 1, 1)).to_json()
         assert report["label"] == "B(2, 2, 1, 1)"
         assert report["passed"] is True
         assert all(set(c) == {"name", "passed", "expected", "got"} for c in report["checks"])
+
+
+class TestDerivedOperators:
+    def test_operators_follow_the_roots(self):
+        result = family_a(2, 2, 1)
+        changed = dataclasses.replace(result, roots_low=(F(1, 2),))
+        assert changed.low_part == linear_factor_product([F(1, 2)])
+        assert changed.top_part == result.top_part
+        assert changed.full_operator == result.top_part + changed.low_part.scale(
+            LaurentPoly.lam_power(-2, -4)
+        )
+        assert changed.c_coeff == F(-4)
+
+    def test_no_operator_arguments(self):
+        r = family_a(1, 1, 1)
+        fields = (r.kind, r.params, r.exponents, r.roots_top, r.roots_low, r.lambda_exponent, r.nabla_one)
+        assert FamilyResult(*fields) == r
+        with pytest.raises(TypeError):
+            FamilyResult(*fields, full_operator=ABElement.one())
+        with pytest.raises(TypeError):
+            FamilyResult(*fields, c_coeff=F(1))
+
+
+class TestCheckOutcome:
+    def test_values_kept_and_printed_in_json(self):
+        check = CheckOutcome("sigma", True, F(-2), F(-2))
+        assert check.expected == F(-2)
+        assert check.first_difference is None
+        assert check.to_json() == {"name": "sigma", "passed": True, "expected": "-2", "got": "-2"}
+
+    def test_failed_elements_name_first_difference(self):
+        expected = ABElement.parse("a^2 - 3*a*b + (lam)*b")
+        got = ABElement.parse("a^2 - 5/2*a*b + (2*lam)*b")
+        check = CheckOutcome("forced", False, expected, got)
+        assert check.first_difference == ((0, 1, 1), F(1), F(2))
+        assert check.to_json()["first_difference"] == {"key": [0, 1, 1], "expected": "1", "got": "2"}
+        report = CrossValidationReport("forced", (check,))
+        assert report.to_json()["checks"][0]["first_difference"]["key"] == [0, 1, 1]
+
+    def test_failed_text_check_has_no_term(self):
+        check = CheckOutcome("forced", False, "1", "0")
+        assert check.first_difference is None
+        assert check.to_json()["first_difference"] is None
+
+    def test_passing_reports_unchanged(self):
+        report = cross_validate(family_b(2, 2, 1, 1)).to_json()
+        assert all("first_difference" not in c for c in report["checks"])
