@@ -25,7 +25,10 @@ to c[i,j,m], and the table is the sum over the seed.  ``selftest`` computes
 it as an independent route and compares it with ``propagate``.
 
 The coefficients are LogPoly values, LaurentPoly's sparse polynomial printed
-in L instead of lam.
+in L instead of lam.  ``propagate`` builds each order in one pass per cell
+over plain {degree: Fraction} term maps and wraps each finished cell once.
+``verify_table`` substitutes the table back into the relation above with
+code of its own, summing each residual straight from the cells' term maps.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InputError
+from .errors import DIGIT_LIMIT_MESSAGE, InputError
 from .exact import LaurentPoly, Rat, check_coefficient, check_int, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
@@ -49,8 +53,10 @@ SeedKey = tuple[int, int, int]
 # a JSON spec's work up front; they admit N=3, M=720 and N=16, M=400.  Each rho
 # is its own ladder of (N + 1) * (M + 1) cells, and all ladders together may
 # hold at most MAX_CELLS, the cells of one rho at the largest N and M.  That
-# one rho, seeded at depth 16, is the slowest accepted spec measured: about
-# 16 s in the CLI before printing refuses the table (Python 3.11, 2-core VM).
+# one rho, seeded at depths 0 and 16 with alpha -7/5 and beta 11/3, is the
+# slowest accepted spec measured: propagate refuses it at order 236, where a
+# coefficient first passes the 4300-digit print limit, about 0.9 s into the
+# CLI (Python 3.11, 2-core VM).
 MAX_LOG_DEPTH = 16
 MAX_ORDER = 720
 MAX_EXPONENTS = 4
@@ -208,7 +214,9 @@ class ExpansionTable:
         writer = csv.writer(buf)
         writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
         for (i, k, m), poly in sorted(self.entries.items()):
-            cells = [str(poly._terms[e]) if e in poly._terms else "0" for e in range(width)]
+            cells = ["0"] * width
+            for e, c in poly._terms.items():
+                cells[e] = str(c)
             writer.writerow([i, k, m] + cells)
         return buf.getvalue()
 
@@ -242,30 +250,54 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> Expansi
 
     Missing seed entries default to zero.  Each order is produced by solving
     the matched-power relation for the Euler derivatives top depth first,
-    integrating in L and adding the seed constant of the next order.
+    integrating in L and adding the seed constant of the next order; each
+    cell is one pass over term maps.  A coefficient with more digits than
+    Python's int/str conversion limit (0: no limit) could not be printed, so
+    it is refused as soon as its cell is finished.
     """
     clean_seed = _check_seed(spec, seed)
+    limit = sys.get_int_max_str_digits()
+    bound = 10**limit if limit else None
+    alpha, beta, top = spec.alpha, spec.beta, spec.log_depth
     entries: dict[SeedKey, LogPoly] = {}
-    n_depth = spec.log_depth
+
+    def finish(key: SeedKey, cell: dict[int, Rat]) -> None:
+        if bound is not None:
+            for c in cell.values():
+                if c.denominator >= bound or abs(c.numerator) >= bound:
+                    raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
+        entries[key] = LogPoly._make(cell)
+
     for i, rho in enumerate(spec.rhos):
-        current: list[LogPoly] = [
-            LogPoly.const(clean_seed.get((i, k, 0), Fraction(0))) for k in range(n_depth + 1)
-        ]
-        for k, poly in enumerate(current):
-            entries[(i, k, 0)] = poly
+        current: list[dict[int, Rat]] = []
+        for k in range(top + 1):
+            constant = clean_seed.get((i, k, 0))
+            current.append({0: constant} if constant is not None else {})
+            finish((i, k, 0), current[k])
         for m in range(spec.order):
-            factor = spec.alpha * (m + rho) + spec.beta
-            nxt: list[LogPoly] = [LogPoly.zero()] * (n_depth + 1)
-            d_above = LogPoly.zero()
-            for k in range(n_depth, -1, -1):
-                above = current[k + 1] if k < n_depth else LogPoly.zero()
-                rhs = current[k].scale(factor) + above.scale(spec.alpha) - d_above
-                d_here = rhs.scale(1 / (m + rho + 1))
-                nxt[k] = LogPoly.const(clean_seed.get((i, k, m + 1), Fraction(0))) + integrate_log(d_here)
-                d_above = d_here
+            # D[k] = f*c[k] + a*c[k+1] + g*D[k+1], with D[N+1] = c[N+1] = 0.
+            q = 1 / (m + rho + 1)
+            f = (alpha * (m + rho) + beta) * q
+            a = alpha * q
+            g = -q
+            nxt: list[dict[int, Rat]] = [{}] * (top + 1)
+            above: dict[int, Rat] = {}
+            d_above: dict[int, Rat] = {}
+            for k in range(top, -1, -1):
+                d = {e: f * c for e, c in current[k].items()}
+                for e, c in above.items():
+                    d[e] = d[e] + a * c if e in d else a * c
+                for e, c in d_above.items():
+                    d[e] = d[e] + g * c if e in d else g * c
+                d = {e: c for e, c in d.items() if c}
+                cell = {e + 1: c / (e + 1) for e, c in d.items()}
+                constant = clean_seed.get((i, k, m + 1))
+                if constant is not None:
+                    cell[0] = constant
+                finish((i, k, m + 1), cell)
+                nxt[k] = cell
+                above, d_above = current[k], d
             current = nxt
-            for k, poly in enumerate(current):
-                entries[(i, k, m + 1)] = poly
     return ExpansionTable(spec=spec, entries=entries)
 
 
@@ -302,23 +334,33 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
     """Substitute the table into the relation linking order m to m+1.
 
     The residual keyed (i, k, m) collects every term of that relation moved
-    to one side; an order cutoff of zero verifies vacuously.
+    to one side; an order cutoff of zero verifies vacuously.  It is summed
+    straight from the term maps of the four cells involved, with code of its
+    own, so that it checks propagate rather than repeating it.
     """
     residuals: dict[SeedKey, LogPoly] = {}
+    no_terms: dict[int, Rat] = {}
+    top, minus_alpha = spec.log_depth, -spec.alpha
+
+    def terms(key: SeedKey) -> dict[int, Rat]:
+        poly = table.entries.get(key)
+        return no_terms if poly is None else poly._terms
+
     for i, rho in enumerate(spec.rhos):
         for m in range(spec.order):
-            factor = spec.alpha * (m + rho) + spec.beta
-            for k in range(spec.log_depth + 1):
-                above_next = (
-                    table.get(i, k + 1, m + 1) if k < spec.log_depth else LogPoly.zero()
-                )
-                above_cur = table.get(i, k + 1, m) if k < spec.log_depth else LogPoly.zero()
-                res = (
-                    table.get(i, k, m + 1).deriv().scale(m + rho + 1)
-                    + above_next.deriv()
-                    - table.get(i, k, m).scale(factor)
-                    - above_cur.scale(spec.alpha)
-                )
-                if not res.is_zero():
-                    residuals[(i, k, m)] = res
+            shift = m + rho + 1
+            minus_factor = -(spec.alpha * (m + rho) + spec.beta)
+            for k in range(top + 1):
+                # (m + rho + 1)*D[k,m+1] + D[k+1,m+1] - factor*c[k,m] - alpha*c[k+1,m]
+                res = {e - 1: shift * e * c for e, c in terms((i, k, m + 1)).items() if e}
+                for e, c in terms((i, k, m)).items():
+                    res[e] = res[e] + minus_factor * c if e in res else minus_factor * c
+                if k < top:
+                    for e, c in terms((i, k + 1, m + 1)).items():
+                        if e:
+                            res[e - 1] = res[e - 1] + e * c if e - 1 in res else e * c
+                    for e, c in terms((i, k + 1, m)).items():
+                        res[e] = res[e] + minus_alpha * c if e in res else minus_alpha * c
+                if any(res.values()):
+                    residuals[(i, k, m)] = LogPoly._make(res)
     return ResidualReport(residuals=residuals)

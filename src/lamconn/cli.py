@@ -21,7 +21,7 @@ from .connection import (
     pde_coefficients,
     sigma_tau,
 )
-from .errors import HypothesisError, InputError
+from .errors import DIGIT_LIMIT_MESSAGE, HypothesisError, InputError
 from .exact import json_rat
 from .exponents import ExponentData, dependency, validate_hypotheses
 from .families import cross_validate, family_a, family_b, match_family, monodromy_candidates
@@ -279,11 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         # so a number too long to print leaves stdout empty.
         if "integer string conversion" not in str(exc):
             raise
-        print(
-            f"input error: a number in the result has more than {sys.get_int_max_str_digits()} "
-            "digits, Python's int/str conversion limit; use a smaller input",
-            file=sys.stderr,
-        )
+        print(f"input error: {DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits())}", file=sys.stderr)
         return 1
 
 

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+# What a result too long to print is refused with, given Python's int/str
+# conversion limit in digits.
+DIGIT_LIMIT_MESSAGE = (
+    "a number in the result has more than {} digits, Python's int/str "
+    "conversion limit; use a smaller input"
+)
+
 
 class InputError(ValueError):
     """Malformed input: bad schema, unparsable text, out-of-domain parameters."""

@@ -173,8 +173,10 @@ class LaurentPoly:
     equality of the term maps is equality of the polynomials.  Instances are
     treated as immutable.  ``VAR`` names the variable for printing and
     parsing: lam here, L in the subclass ``asymptotics.LogPoly``.  Arithmetic
-    and equality take only an operand of exactly the same type (or an int or
-    Fraction), so polynomials in different variables never mix.
+    takes only an operand of exactly the same type (or an int or Fraction),
+    so polynomials in different variables never mix.  Equality follows the
+    same rule except for constants, which compare by value with numbers and
+    with constants of either class.
 
     ``__init__``, ``const`` and ``lam_power`` validate what they are given;
     every arithmetic result is built by ``_make``, which trusts its input.
@@ -271,6 +273,9 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if type(other) is type(self):
             return self._terms == other._terms
+        if isinstance(other, LaurentPoly):
+            # Constants of either class equal their value, so they equal each other.
+            return self.is_const() and other.is_const() and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self.is_const() and self.coefficient(0) == other
         return NotImplemented

@@ -1,6 +1,7 @@
 """Order-by-order propagation in L and the exact residual check."""
 
 import operator
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -104,7 +105,9 @@ class TestLogPoly:
                 op(laurent, log)
         assert log != laurent
         assert laurent != log
-        assert LogPoly.const(1) != LaurentPoly.const(1)
+        # constants of either class compare by value, as each does with the number
+        assert LogPoly.const(1) == LaurentPoly.const(1) == 1
+        assert LogPoly.const(2) != LaurentPoly.const(1)
 
     def test_not_an_algebra_coefficient(self):
         with pytest.raises(TypeError):
@@ -279,9 +282,11 @@ class TestVerifyTable:
         table = propagate(GOLDEN, {(0, 0, 0): 1})
         assert verify_table(GOLDEN, table).passed
 
-    @given(spec_strategy(), seed_values)
-    def test_propagated_tables_pass_random(self, spec, c):
-        table = propagate(spec, {(0, spec.log_depth, 0): c})
+    @given(spec_strategy().flatmap(lambda spec: st.tuples(st.just(spec), seed_maps(spec))), seed_values)
+    def test_propagated_tables_pass_random(self, spec_seed, c):
+        # besides the top-depth constant, seeds at orders m0 > 0 give multi-term cells
+        spec, seed = spec_seed
+        table = propagate(spec, {(0, spec.log_depth, 0): c, **seed})
         report = verify_table(spec, table)
         assert report.passed
         assert report.residuals == {}
@@ -340,6 +345,85 @@ class TestVerifyTable:
             entries={**table.entries, (0, 0, 2): LogPoly({2: F(1, 7)})},
         )
         assert not verify_table(GOLDEN, tampered).passed
+
+
+def residuals_by_polynomial_arithmetic(spec, table):
+    """The relation of verify_table evaluated with LogPoly operations, term map by term map."""
+    residuals = {}
+    zero = LogPoly.zero()
+    for i, rho in enumerate(spec.rhos):
+        for m in range(spec.order):
+            factor = spec.alpha * (m + rho) + spec.beta
+            for k in range(spec.log_depth + 1):
+                above_next = table.get(i, k + 1, m + 1) if k < spec.log_depth else zero
+                above_cur = table.get(i, k + 1, m) if k < spec.log_depth else zero
+                res = (
+                    table.get(i, k, m + 1).deriv().scale(m + rho + 1)
+                    + above_next.deriv()
+                    - table.get(i, k, m).scale(factor)
+                    - above_cur.scale(spec.alpha)
+                )
+                if not res.is_zero():
+                    residuals[(i, k, m)] = res
+    return residuals
+
+
+small_log_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=5), seed_values.filter(bool), min_size=1, max_size=3
+).map(LogPoly)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A propagated table and a copy with one drawn cell, on the grid's edges too, shifted."""
+    spec = draw(spec_strategy())
+    table = propagate(spec, draw(seed_maps(spec)))
+    key = (
+        draw(st.integers(min_value=0, max_value=len(spec.rhos) - 1)),
+        draw(st.one_of(st.just(spec.log_depth), st.integers(min_value=0, max_value=spec.log_depth))),
+        draw(st.one_of(st.sampled_from((0, spec.order)), st.integers(min_value=0, max_value=spec.order))),
+    )
+    entries = {**table.entries, key: table.get(*key) + draw(small_log_polys)}
+    return spec, table, key, ExpansionTable(spec=spec, entries=entries)
+
+
+class TestVerifyTableOracle:
+    @given(corrupted_tables())
+    def test_residuals_match_polynomial_arithmetic(self, drawn):
+        spec, table, (i, k, m), tampered = drawn
+        assert verify_table(spec, table).residuals == residuals_by_polynomial_arithmetic(spec, table) == {}
+        residuals = verify_table(spec, tampered).residuals
+        assert residuals == residuals_by_polynomial_arithmetic(spec, tampered)
+        # c[k,m] enters only the relations at (k, m), (k-1, m), (k, m-1) and (k-1, m-1)
+        assert set(residuals) <= {(i, k - dk, m - dm) for dk in (0, 1) for dm in (0, 1)}
+
+
+class TestDigitLimit:
+    """propagate refuses a table it could not print as soon as a cell passes the limit."""
+
+    SPEC = ExpansionSpec(rhos=(F(1, 3),), log_depth=16, order=200, alpha=F(-3, 2), beta=F(5, 7))
+    SEED = {(0, 0, 0): F(1), (0, 16, 0): F(-2, 3)}
+
+    def test_refused_under_a_lower_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(InputError, match="more than 640 digits"):
+                propagate(self.SPEC, self.SEED)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_full_table_under_the_default_limit(self):
+        table = propagate(self.SPEC, self.SEED)
+        assert len(table.entries) == 17 * 201
+        limit = sys.get_int_max_str_digits()
+        digits = max(
+            len(str(abs(x)))
+            for poly in table.entries.values()
+            for c in poly.coeffs.values()
+            for x in (c.numerator, c.denominator)
+        )
+        assert 640 < digits <= limit
 
 
 class TestSerialization:

@@ -281,7 +281,7 @@ class TestInputHandling:
 
     def test_oversized_table_coefficient(self, tmp_path):
         # Short input whose table holds coefficients past the int/str digit
-        # limit, so the failure comes while rendering, not while parsing.
+        # limit, so the failure comes while propagating, not while parsing.
         obj = {
             "rhos": ["1/3", "1/2"],
             "N": 3,

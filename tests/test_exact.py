@@ -194,6 +194,37 @@ def test_constant_hashes_as_its_value(cls, c):
     assert len({p, p.coefficient(0)}) == 1
 
 
+# Few values, so that equal ones meet often: numbers, constants and
+# non-constant polynomials of both classes.
+tiny_value = st.sampled_from([F(0), F(1), F(-1), F(1, 2)])
+comparable = st.one_of(
+    st.integers(min_value=-1, max_value=1),
+    tiny_value,
+    *(tiny_value.map(cls.const) for cls in (LaurentPoly, LogPoly)),
+    *(
+        st.dictionaries(st.integers(min_value=0, max_value=2), tiny_value, max_size=2).map(cls)
+        for cls in (LaurentPoly, LogPoly)
+    ),
+)
+
+
+class TestEqualityAcrossClasses:
+    @example(LogPoly.const(1), 1, LaurentPoly.const(1))
+    @given(comparable, comparable, comparable)
+    def test_transitive_and_hash_consistent(self, x, y, z):
+        if x == y and y == z:
+            assert x == z
+        for a, b in ((x, y), (y, z), (x, z)):
+            if a == b:
+                assert hash(a) == hash(b)
+
+    @example(([1, LogPoly.const(1), LaurentPoly.const(1)], [LogPoly.const(1), LaurentPoly.const(1), 1]))
+    @given(st.lists(comparable, max_size=6).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+    def test_set_size_ignores_insertion_order(self, pair):
+        xs, shuffled = pair
+        assert len(set(xs)) == len(set(shuffled))
+
+
 same_type_pair = st.tuples(polys(LaurentPoly, -4), polys(LaurentPoly, -4)) | st.tuples(
     polys(LogPoly, 0), polys(LogPoly, 0)
 )
