@@ -23,6 +23,7 @@ exponents.  The rule multiplies only by integers, so the product runs on the
 numerators over the product of the two denominators.  It is the one product:
 ``scale`` and ``times_a`` multiply by a degree-0 element and by a, and
 conjugation by b is b * x with every b power lowered by one.
+``parse`` and ``__str__`` read and print text on the numerators as well.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .exact import (
     check_coefficient,
     check_int,
     join_signed,
+    over_one_denominator,
     power_text,
     read_terms,
     term_text,
@@ -48,41 +50,29 @@ Key = tuple[int, int]
 FlatKey = tuple[int, int, int]
 
 
-def _over_one_denominator(flat: Mapping[FlatKey, Rat | int]) -> tuple[dict[FlatKey, int], int]:
-    """Numerators over the lcm of the denominators of reduced rationals.
-
-    Already canonical: a prime's highest power in the lcm comes from one
-    reduced coefficient, whose numerator it does not divide.
-    """
-    den = math.lcm(*(c.denominator for c in flat.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in flat.items() if c}, den
-
-
 class ABElement:
     """Finite sum of c * lam^e * a^i * b^j terms, held as ``_terms[(i, j, e)] / _den``.
 
     Every value of ``_terms`` is a nonzero int, ``_den`` is a positive int
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
-    Fraction or LaurentPoly coefficients, and ``parse`` reads text; those and
-    ``terms``, ``coefficient`` and ``__str__`` are the only places that build
-    Fractions.  Every arithmetic result is built by ``_make``, which trusts
-    its input.
+    Fraction or LaurentPoly coefficients; only ``terms``, ``coefficient`` and
+    ``first_difference`` build Fractions.  ``_make`` builds every arithmetic
+    result and ``_linear`` every factor ca*a + cb*b from checked coefficients;
+    both trust their input.
     """
 
     __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
-        flat: dict[FlatKey, Rat | int] = {}
+        parts = []
         for key, coeff in (terms or {}).items():
             if not isinstance(key, tuple) or len(key) != 2:
                 raise InputError(f"key must be an (i, j) pair of generator powers, got {key!r}")
             i, j = (check_int(x, "generator power", 0) for x in key)
-            if type(coeff) is LaurentPoly:
-                for e, c in coeff._terms.items():
-                    flat[(i, j, e)] = c
-            else:
-                flat[(i, j, 0)] = check_coefficient(coeff)
-        self._terms, self._den = _over_one_denominator(flat)
+            by_exp = coeff._terms.items() if type(coeff) is LaurentPoly else [(0, check_coefficient(coeff))]
+            parts += [((i, j, e), c.numerator, c.denominator) for e, c in by_exp]
+        made = ABElement._make(*over_one_denominator(parts))
+        self._terms, self._den = made._terms, made._den
 
     @classmethod
     def _make(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
@@ -106,16 +96,22 @@ class ABElement:
         return cls()
 
     @classmethod
+    def _linear(cls, ca: Rat | int, cb: Rat | int) -> "ABElement":
+        """Trusted ca*a + cb*b from int or Fraction coefficients already checked."""
+        nums = {(1, 0, 0): ca.numerator * cb.denominator, (0, 1, 0): cb.numerator * ca.denominator}
+        return cls._make(nums, ca.denominator * cb.denominator)
+
+    @classmethod
     def one(cls) -> "ABElement":
-        return cls({(0, 0): 1})
+        return cls._make({(0, 0, 0): 1}, 1)
 
     @classmethod
     def gen_a(cls) -> "ABElement":
-        return cls({(1, 0): 1})
+        return cls._make({(1, 0, 0): 1}, 1)
 
     @classmethod
     def gen_b(cls) -> "ABElement":
-        return cls({(0, 1): 1})
+        return cls._make({(0, 1, 0): 1}, 1)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff: LaurentPoly | Rat | int = 1) -> "ABElement":
@@ -143,9 +139,6 @@ class ABElement:
 
     def support_degrees(self) -> set[int]:
         return {i + j for i, j, _ in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.support_degrees()) <= 1
 
     def degree(self) -> int:
         """Total degree in a, b; the zero element has degree -1 by convention."""
@@ -210,21 +203,25 @@ class ABElement:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._terms.items())))
 
+    def _signed_term(self, n: int, monomial: str) -> tuple[bool, str]:
+        """(n < 0, the term |n|/_den * monomial) with the ratio in lowest terms."""
+        g = math.gcd(n, self._den)
+        p, q = abs(n) // g, self._den // g
+        return n < 0, term_text(p if q == 1 else f"{p}/{q}", monomial)
+
     def __str__(self) -> str:
-        den = self._den
         ordered = sorted(self._groups().items(), key=lambda kg: (-sum(kg[0]), -kg[0][0]))
         parts: list[tuple[bool, str]] = []
         for (i, j), group in ordered:
             monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
             n = group.get(0)
             if n is not None and len(group) == 1:
-                g = math.gcd(n, den)
-                p, q = abs(n) // g, den // g
-                parts.append((n < 0, term_text(p if q == 1 else f"{p}/{q}", monomial)))
+                parts.append(self._signed_term(n, monomial))
             else:
                 # A coefficient involving lam is always parenthesized so the term
                 # boundary stays unambiguous; its sign lives inside the parentheses.
-                parts.append((False, term_text(f"({self._poly(group)})", monomial)))
+                poly = join_signed(self._signed_term(n, power_text("lam", e)) for e, n in sorted(group.items()))
+                parts.append((False, term_text(f"({poly})", monomial)))
         return join_signed(parts)
 
     def __repr__(self) -> str:
@@ -236,8 +233,8 @@ class ABElement:
 
         a comes before b; a parenthesized group is a polynomial in lam.
         """
-        out: dict[FlatKey, Rat] = {}
-        for coeff, powers, groups in read_terms(text, "algebra element"):
+        parts: list[tuple[FlatKey, int, int]] = []
+        for (num, den), powers, groups in read_terms(text, "algebra element"):
             i = j = e = 0
             seen_b = False
             for name, power in powers:
@@ -252,16 +249,14 @@ class ABElement:
                     raise InputError(f"a after b in {text!r}: text must be normally ordered")
                 else:
                     i += power
-            by_exp = {e: coeff}
-            if groups:
-                poly = LaurentPoly.lam_power(e, coeff)
-                for group in groups:
-                    poly = poly * LaurentPoly.parse(group)
-                by_exp = poly._terms
-            for e, c in by_exp.items():
-                key = (i, j, e)
-                out[key] = out[key] + c if key in out else c
-        return cls._make(*_over_one_denominator(out))
+            poly = {e: num}
+            for group in groups:
+                factor, d = LaurentPoly._read(group)
+                poly, den = over_one_denominator(
+                    [(e1 + e2, n1 * n2, den * d) for e1, n1 in poly.items() for e2, n2 in factor.items()]
+                )
+            parts += [((i, j, e), n, den) for e, n in poly.items()]
+        return cls._make(*over_one_denominator(parts))
 
     def to_json(self) -> str:
         return str(self)
@@ -292,7 +287,7 @@ def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
     """Left-to-right product of factors (a - root*b); the empty product is 1."""
     out = ABElement.one()
     for root in roots:
-        out = out * ABElement({(1, 0): 1, (0, 1): -check_coefficient(root)})
+        out = out * ABElement._linear(1, -check_coefficient(root))
     return out
 
 
@@ -302,6 +297,13 @@ class HomogeneousPart:
 
     degree: int
     element: ABElement
+
+    @classmethod
+    def _make(cls, degree: int, element: ABElement) -> "HomogeneousPart":
+        """Trusted constructor for an element known to have only terms of that degree."""
+        part = object.__new__(cls)
+        part.__dict__.update(degree=degree, element=element)
+        return part
 
     def __post_init__(self):
         if self.degree < 0:
@@ -325,7 +327,7 @@ def homogeneous_components(x: ABElement) -> list[HomogeneousPart]:
     for key, n in x._terms.items():
         buckets.setdefault(key[0] + key[1], {})[key] = n
     return [
-        HomogeneousPart(degree, ABElement._make(nums, x._den))
+        HomogeneousPart._make(degree, ABElement._make(nums, x._den))
         for degree, nums in sorted(buckets.items(), reverse=True)
     ]
 

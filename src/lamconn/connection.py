@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import ABElement, conj_b, homogeneous_components
 from .errors import HypothesisError, InputError
-from .exact import Rat, check_int
+from .exact import Rat, check_coefficient, check_int
 from .exponents import ExponentData
 
 
@@ -50,6 +50,10 @@ class SigmaTau:
     tau: Rat
     mu: MonomialMu
 
+    def __post_init__(self):
+        check_coefficient(self.sigma)
+        check_coefficient(self.tau)
+
     def to_json(self) -> dict:
         return {"sigma": str(self.sigma), "tau": str(self.tau), "mu": self.mu.to_json()}
 
@@ -68,7 +72,7 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
 
 def nabla_formula(st: SigmaTau) -> ABElement:
     """The operator N with lam * nabla([mu]) = N [mu], i.e. N = -(sigma*a + (tau - k*sigma)*b)."""
-    return ABElement({(1, 0): -st.sigma, (0, 1): st.mu.k * st.sigma - st.tau})
+    return ABElement._linear(-st.sigma, st.mu.k * st.sigma - st.tau)
 
 
 def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
@@ -92,7 +96,7 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     result = ABElement.gen_b() * q.theta()
     for part in homogeneous_components(q):
         shift = st.tau - (st.mu.k + part.degree) * st.sigma
-        op = ABElement({(1, 0): -st.sigma, (0, 1): -shift})
+        op = ABElement._linear(-st.sigma, -shift)
         result = result + op * part.element
     return result
 

@@ -23,8 +23,9 @@ Polynomials and algebra elements share one term grammar:
 
 where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
-it, and ``power_text``, ``term_text`` and ``join_signed`` write it; each
-parser checks its own names and groups.
+it on ints, each coefficient a (numerator, denominator) pair, and
+``power_text``, ``term_text`` and ``join_signed`` write it; each parser
+checks its own names and groups.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``): rows
@@ -47,7 +48,7 @@ _ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 # One token of the term grammar after optional whitespace: an operator, p[/q],
 # name[^int] or a parenthesized group without parentheses inside.
-_TOKEN_RE = re.compile(r"\s*(?:([-+*])|(\d+(?:/\d+)?)|([^\W\d]\w*)(?:\^(-?\d+))?|\(([^()]*)\))")
+_TOKEN_RE = re.compile(r"\s*(?:([-+*])|((\d+)(?:/(\d+))?)|([^\W\d]\w*)(?:\^(-?\d+))?|\(([^()]*)\))")
 
 
 def parse_int(digits: str) -> int:
@@ -70,18 +71,18 @@ def parse_rat(text: str) -> Rat:
     return Fraction(num, den)
 
 
-def read_terms(text: str, what: str) -> list[tuple[Rat, list[tuple[str, int]], list[str]]]:
-    """Read a sum in the term grammar into one (coefficient, powers, groups) per term.
+def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[str]]]:
+    """Read a sum in the term grammar into one ((num, den), powers, groups) per term.
 
-    The coefficient is the signed product of the term's rational factors,
-    powers lists its name^int factors as (name, power) in text order, and
-    groups holds the text inside each of its parentheses.  what names the
-    expected value in error messages.
+    num/den is the signed product of the term's rational factors, as two
+    ints with den > 0, not reduced; powers lists its name^int factors as
+    (name, power) in text order, and groups holds the text inside each of
+    its parentheses.  what names the expected value in error messages.
     """
     if not text.strip():
         raise InputError(f"empty {what}")
-    terms: list[tuple[Rat, list[tuple[str, int]], list[str]]] = []
-    coeff, powers, groups = Fraction(1), [], []
+    terms: list[tuple[tuple[int, int], list[tuple[str, int]], list[str]]] = []
+    num, den, powers, groups = 1, 1, [], []
     want_factor = True
     pos, end = 0, len(text.rstrip())
     while pos < end:
@@ -89,11 +90,14 @@ def read_terms(text: str, what: str) -> list[tuple[Rat, list[tuple[str, int]], l
         if m is None or (m[1] == "*" if want_factor else m[1] is None):
             raise InputError(f"unexpected {text[pos:end].lstrip()[:20]!r} in {what}: {text!r}")
         pos = m.end()
-        op, rat, name, power, group = m.groups()
+        op, rat, p, q, name, power, group = m.groups()
         if op is None:
             want_factor = False
             if rat is not None:
-                coeff *= parse_rat(rat)
+                num *= parse_int(p)
+                den *= parse_int(q) if q else 1
+                if den == 0:
+                    raise InputError(f"zero denominator: {rat!r}")
             elif name is not None:
                 powers.append((name, parse_int(power) if power else 1))
             else:
@@ -101,15 +105,24 @@ def read_terms(text: str, what: str) -> list[tuple[Rat, list[tuple[str, int]], l
         elif op == "*":
             want_factor = True
         elif not want_factor:
-            terms.append((coeff, powers, groups))
-            coeff, powers, groups = Fraction(1 if op == "+" else -1), [], []
+            terms.append(((num, den), powers, groups))
+            num, den, powers, groups = 1 if op == "+" else -1, 1, [], []
             want_factor = True
         elif op == "-":
-            coeff = -coeff
+            num = -num
     if want_factor:
         raise InputError(f"dangling operator in {what}: {text!r}")
-    terms.append((coeff, powers, groups))
+    terms.append(((num, den), powers, groups))
     return terms
+
+
+def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:
+    """Numerators by key over the lcm of the parts' denominators; cancelled keys keep a 0."""
+    den = math.lcm(*(d for _, _, d in parts))
+    nums: dict = {}
+    for key, n, d in parts:
+        nums[key] = nums.get(key, 0) + n * (den // d)
+    return nums, den
 
 
 def check_coefficient(c: Rat | int) -> Rat | int:
@@ -147,8 +160,8 @@ def power_text(name: str, e: int) -> str:
 
 
 def term_text(mag: Rat | str, monomial: str) -> str:
-    """One term: "mag", "monomial" or "mag*monomial"; mag is a positive rational
-    (not printed when it is 1) or the text of a parenthesized coefficient."""
+    """One term: "mag", "monomial" or "mag*monomial"; mag is a positive number
+    (not printed when it is 1) or text: "p/q" or a parenthesized coefficient."""
     if not monomial:
         return str(mag)
     return monomial if mag == 1 else f"{mag}*{monomial}"
@@ -295,16 +308,21 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
     @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
+    def _read(cls, text: str) -> tuple[dict[int, int], int]:
+        """Numerators by exponent over one denominator for a text in VAR (see ``over_one_denominator``)."""
         what = f"polynomial in {cls.VAR}"
-        terms: dict[int, Rat] = {}
-        for coeff, powers, groups in read_terms(text, what):
+        terms = []
+        for (n, d), powers, groups in read_terms(text, what):
             if groups or any(name != cls.VAR for name, _ in powers):
                 raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
-            e = sum(power for _, power in powers)
-            terms[e] = terms.get(e, 0) + coeff
-        return cls(terms)
+            terms.append((sum(power for _, power in powers), n, d))
+        return over_one_denominator(terms)
+
+    @classmethod
+    def parse(cls, text: str) -> "LaurentPoly":
+        """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
+        nums, den = cls._read(text)
+        return cls({e: Fraction(n, den) for e, n in nums.items()})
 
     def to_json(self) -> str:
         return str(self)
@@ -334,9 +352,6 @@ class RatMatrix:
     def from_columns(cls, cols: Sequence[Sequence[Rat | int]]) -> "RatMatrix":
         height = len(cols[0])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)])
-
-    def entry(self, i: int, j: int) -> Rat:
-        return self._rows[i][j]
 
     def row(self, i: int) -> tuple[Rat, ...]:
         return self._rows[i]

@@ -97,7 +97,7 @@ def family_a(u: int, v: int, w: int) -> FamilyResult:
         1 + Fraction(u + w, 2 * u * w),
         Fraction(v + w, 2 * v * w),
     )
-    nabla_one = ABElement({(1, 0): 2, (0, 1): -2 * s})
+    nabla_one = ABElement._linear(2, -2 * s)
     exponents = ExponentData(n=2, alphas=_layout_a(u, v, w))
     return FamilyResult("A", (u, v, w), exponents, roots_top, (Fraction(3, 2) + s, s), -2, nabla_one)
 
@@ -114,7 +114,7 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
         1 + Fraction(p * u + q * v + 2 * p * q + p * (u + v), 2 * p * q * (u + v)),
         Fraction(p * u + q * v + 2 * p * q + q * (u + v), 2 * p * q * (u + v)),
     )
-    nabla_one = ABElement({(1, 0): -2, (0, 1): 2 * t})
+    nabla_one = ABElement._linear(-2, 2 * t)
     exponents = ExponentData(n=2, alphas=_layout_b(p, q, u, v))
     return FamilyResult("B", (p, q, u, v), exponents, roots_top, roots_low, 2, nabla_one)
 

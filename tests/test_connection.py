@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lamconn.algebra import ABElement, conj_b
 from lamconn.connection import (
     MonomialMu,
+    SigmaTau,
     nabla_formula,
     pde_coefficients,
     push_nabla,
@@ -96,6 +97,12 @@ class TestNablaFormula:
         # N = -(sigma*a + (tau - k*sigma)*b)
         st_data = sigma_tau(LAYOUT_A, MonomialMu(beta=(1, 0, 0)))
         assert nabla_formula(st_data) == ABElement.parse("2*a - 9/2*b")
+
+    @pytest.mark.parametrize("sigma, tau", [(0.5, 1), (1, "2"), (True, 1)])
+    def test_sigma_tau_take_exact_coefficients_only(self, sigma, tau):
+        # nabla_formula builds its factor without a check, so the record checks.
+        with pytest.raises(TypeError, match="coefficient must be an int or a Fraction"):
+            SigmaTau(sigma=sigma, tau=tau, mu=MonomialMu.unit(2))
 
 
 class TestPde:

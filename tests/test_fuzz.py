@@ -4,18 +4,21 @@ Every input must give a value or raise InputError, and nothing else.  Text
 is drawn mostly from the tokens the grammars use, so that inputs get past
 the first character before they fail.  JSON input is any JSON value, the
 expected keys with any values, or a near-valid object.  Parsed polynomials
-and algebra elements must also print and parse back to themselves.  Example
-counts are kept small so the suite stays fast.
+and algebra elements must also print and parse back to themselves, and
+read and print as a Fraction and LaurentPoly oracle does.  Example counts
+are kept small so the suite stays fast.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ExpansionSpec, LogPoly, parse_seed_key
 from lamconn.errors import InputError
-from lamconn.exact import LaurentPoly, parse_rat
+from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, read_terms, term_text
 from lamconn.exponents import ExponentData
 
 TOKENS = [
@@ -72,6 +75,108 @@ def test_text_parser(parse, text):
     value = value_or_input_error(parse, text)
     if isinstance(value, (LaurentPoly, ABElement)):
         assert type(value).parse(str(value)) == value
+
+
+# Sums whose terms carry denominators and one or two parenthesized lam groups.
+lam_group = st.lists(
+    st.builds("{}/{}*lam^{}".format, st.integers(-9, 9), st.integers(1, 12), st.integers(-3, 3)),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: f"({' + '.join(terms)})")
+grouped_sum = st.lists(
+    st.builds(
+        "{}/{}*{}{}".format,
+        st.integers(-9, 9),
+        st.integers(1, 12),
+        st.lists(lam_group, min_size=1, max_size=2).map("*".join),
+        st.sampled_from(["", "*a", "*b^2", "*a*b", "*a^3*b"]),
+    ),
+    min_size=1,
+    max_size=4,
+).map(" - ".join)
+
+
+def oracle_poly(cls, text):
+    """cls.parse by Fractions: each term's coefficient summed into its exponent."""
+    what = f"polynomial in {cls.VAR}"
+    terms = {}
+    for (num, den), powers, groups in read_terms(text, what):
+        if groups or any(name != cls.VAR for name, _ in powers):
+            raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
+        e = sum(power for _, power in powers)
+        terms[e] = terms.get(e, 0) + Fraction(num, den)
+    return cls(terms)
+
+
+def oracle_element(text):
+    """ABElement.parse by LaurentPoly: groups multiplied as polynomials, sums in Fractions."""
+    out = {}
+    for (num, den), powers, groups in read_terms(text, "algebra element"):
+        i = j = e = 0
+        seen_b = False
+        for name, power in powers:
+            if name == "lam":
+                e += power
+            elif name not in ("a", "b") or power < 0:
+                raise InputError(f"bad factor {name}^{power} in algebra element: {text!r}")
+            elif name == "b":
+                seen_b = True
+                j += power
+            elif seen_b:
+                raise InputError(f"a after b in {text!r}: text must be normally ordered")
+            else:
+                i += power
+        poly = LaurentPoly.lam_power(e, Fraction(num, den))
+        for group in groups:
+            poly = poly * oracle_poly(LaurentPoly, group)
+        out[(i, j)] = out.get((i, j), LaurentPoly.zero()) + poly
+    return ABElement(out)
+
+
+def oracle_text(x):
+    """str(x) with every lam group printed by LaurentPoly."""
+    parts = []
+    for (i, j), poly in sorted(x.terms.items(), key=lambda kv: (-sum(kv[0]), -kv[0][0])):
+        monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
+        if poly.is_const():
+            c = poly.const_value()
+            parts.append((c < 0, term_text(abs(c), monomial)))
+        else:
+            parts.append((False, term_text(f"({poly})", monomial)))
+    return join_signed(parts)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(max_examples=250)
+@given(text=grammar_text | grouped_sum)
+@example(text="0")
+@example(text="2*-a")
+@example(text="1/2 - -3")
+@example(text="(0)*a")
+@example(text="3*(lam - lam)")
+@example(text="(a)")
+@example(text="()")
+@example(text="1/0")
+@example(text="b*a")
+@example(text="a^-1")
+@example(text="7/14*a")
+def test_parsers_match_fraction_oracle(text):
+    for parse, oracle in (
+        (ABElement.parse, oracle_element),
+        (LaurentPoly.parse, lambda t: oracle_poly(LaurentPoly, t)),
+        (LogPoly.parse, lambda t: oracle_poly(LogPoly, t)),
+    ):
+        got, expected = outcome(parse, text), outcome(oracle, text)
+        assert type(got) is type(expected) and got == expected
+    x = outcome(ABElement.parse, text)
+    if isinstance(x, ABElement):
+        assert str(x) == oracle_text(x)
 
 
 # Any JSON, the right keys with any JSON values, or near-valid objects.
