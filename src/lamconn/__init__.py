@@ -11,8 +11,6 @@ order-by-order propagation of log expansion coefficients.
 
 from .algebra import (
     ABElement,
-    HomogeneousPart,
-    as_homogeneous,
     conj_b,
     homogeneous_components,
     linear_factor_product,
@@ -22,7 +20,6 @@ from .asymptotics import (
     ExpansionSpec,
     ExpansionTable,
     LogPoly,
-    integrate_log,
     propagate,
     verify_table,
 )
@@ -59,7 +56,6 @@ from .families import (
     CrossValidationReport,
     FamilyResult,
     cross_validate,
-    factored_display,
     family_a,
     family_b,
     match_family,
@@ -80,7 +76,6 @@ __all__ = [
     "ExpansionTable",
     "ExponentData",
     "FamilyResult",
-    "HomogeneousPart",
     "HypothesisError",
     "HypothesisReport",
     "InputError",
@@ -92,18 +87,15 @@ __all__ = [
     "RatMatrix",
     "SigmaTau",
     "SingularMatrixError",
-    "as_homogeneous",
     "conj_b",
     "cross_validate",
     "dependency",
     "dependency_solution",
     "det",
     "det_identity_check",
-    "factored_display",
     "family_a",
     "family_b",
     "homogeneous_components",
-    "integrate_log",
     "invert",
     "linear_factor_product",
     "match_family",

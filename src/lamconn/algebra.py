@@ -29,7 +29,6 @@ conjugation by b is b * x with every b power lowered by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -291,56 +290,29 @@ def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
     return out
 
 
-@dataclass(frozen=True)
-class HomogeneousPart:
-    """An element all of whose terms share one total degree in a, b."""
-
-    degree: int
-    element: ABElement
-
-    @classmethod
-    def _make(cls, degree: int, element: ABElement) -> "HomogeneousPart":
-        """Trusted constructor for an element known to have only terms of that degree."""
-        part = object.__new__(cls)
-        part.__dict__.update(degree=degree, element=element)
-        return part
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ContractError("degree must be nonnegative")
-        bad = sorted({(i, j) for i, j, _ in self.element._terms if i + j != self.degree})
-        if bad:
-            raise ContractError(f"terms {bad} do not have degree {self.degree}")
-
-
-def as_homogeneous(x: ABElement) -> HomogeneousPart:
-    """Wrap an element after checking it is homogeneous; degree 0 for zero."""
-    degrees = x.support_degrees()
-    if len(degrees) > 1:
-        raise ContractError(f"element mixes degrees {sorted(degrees)}")
-    return HomogeneousPart(degrees.pop() if degrees else 0, x)
-
-
-def homogeneous_components(x: ABElement) -> list[HomogeneousPart]:
-    """Split into homogeneous parts, highest total degree first."""
+def homogeneous_components(x: ABElement) -> list[tuple[int, ABElement]]:
+    """Split into (degree, part) pairs, highest total degree first."""
     buckets: dict[int, dict[FlatKey, int]] = {}
     for key, n in x._terms.items():
         buckets.setdefault(key[0] + key[1], {})[key] = n
     return [
-        HomogeneousPart._make(degree, ABElement._make(nums, x._den))
+        (degree, ABElement._make(nums, x._den))
         for degree, nums in sorted(buckets.items(), reverse=True)
     ]
 
 
-def shift_identity_check(q: HomogeneousPart, mu: Rat | int) -> tuple[ABElement, ABElement]:
+def shift_identity_check(q: ABElement, mu: Rat | int) -> tuple[ABElement, ABElement]:
     """Both sides of conj_b(Q) * (a - mu*b) = (a - (mu+k)*b) * Q for Q of degree k.
 
-    Returns (left, right); the caller compares them.  They agree for every
-    homogeneous Q, which is what makes the degree-indexed shift of the root
-    work.
+    Q must be homogeneous; the zero element has k = 0.  Returns (left, right);
+    the caller compares them.  They agree for every homogeneous Q, which is
+    what makes the degree-indexed shift of the root work.
     """
-    k = q.degree
+    parts = homogeneous_components(q)
+    if len(parts) > 1:
+        raise ContractError(f"element mixes degrees {sorted(k for k, _ in parts)}")
+    k = parts[0][0] if parts else 0
     a, b = ABElement.gen_a(), ABElement.gen_b()
-    left = conj_b(q.element) * (a - b.scale(mu))
-    right = (a - b.scale(mu + k)) * q.element
+    left = conj_b(q) * (a - b.scale(mu))
+    right = (a - b.scale(mu + k)) * q
     return left, right

@@ -99,11 +99,6 @@ class LogPoly(LaurentPoly):
         return {str(e): str(c) for e, c in sorted(self._terms.items())}
 
 
-def integrate_log(d: LogPoly) -> LogPoly:
-    """Antiderivative in L with zero constant term: L^e -> L^(e+1)/(e+1)."""
-    return LogPoly._make({e + 1: c / (e + 1) for e, c in d._terms.items()})
-
-
 @dataclass(frozen=True)
 class ExpansionSpec:
     """Exponents, log depth, order cutoff and normalized PDE coefficients."""

@@ -37,6 +37,8 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer past Python's int/str digit limit
         raise InputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests arrays or objects too deeply") from None
 
 
 def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:

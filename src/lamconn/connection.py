@@ -94,10 +94,10 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     implementations must agree term for term.
     """
     result = ABElement.gen_b() * q.theta()
-    for part in homogeneous_components(q):
-        shift = st.tau - (st.mu.k + part.degree) * st.sigma
+    for degree, part in homogeneous_components(q):
+        shift = st.tau - (st.mu.k + degree) * st.sigma
         op = ABElement._linear(-st.sigma, -shift)
-        result = result + op * part.element
+        result = result + op * part
     return result
 
 

@@ -61,7 +61,25 @@ class FamilyResult:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"
 
     def factored_display(self) -> str:
-        return factored_display(self)
+        """Operator as a product-of-factors string.
+
+        Every root of both families is positive, so each factor prints as
+        (a - r*b).  When the top and low parts share their leftmost factor it
+        is pulled out in front of a bracketed mixed block; otherwise the two
+        blocks are shown side by side.
+        """
+        c = self.c_coeff
+        c_text = f"{'-' if c < 0 else '+'} {term_text(abs(c), power_text('lam', self.lambda_exponent))}"
+        top, low = self.roots_top, self.roots_low
+        if top[0] == low[0]:
+            head = _factor_text(top[0])
+            rest_top = "*".join(_factor_text(x) for x in top[1:])
+            rest_low = "*".join(_factor_text(x) for x in low[1:])
+            tail = f"*{rest_low}" if rest_low else ""
+            return f"{head}*[{rest_top} {c_text}{tail}]"
+        top_text = "*".join(_factor_text(x) for x in top)
+        low_text = "*".join(_factor_text(x) for x in low)
+        return f"{top_text} {c_text}*{low_text}"
 
     def to_json(self) -> dict:
         return {
@@ -221,25 +239,3 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
 
 def _factor_text(root: Rat) -> str:
     return f"(a - {term_text(root, 'b')})"
-
-
-def factored_display(result: FamilyResult) -> str:
-    """Operator as a product-of-factors string.
-
-    Every root of both families is positive, so each factor prints as
-    (a - r*b).  When the top and low parts share their leftmost factor it is
-    pulled out in front of a bracketed mixed block; otherwise the two blocks
-    are shown side by side.
-    """
-    c = result.c_coeff
-    c_text = f"{'-' if c < 0 else '+'} {term_text(abs(c), power_text('lam', result.lambda_exponent))}"
-    top, low = result.roots_top, result.roots_low
-    if top[0] == low[0]:
-        head = _factor_text(top[0])
-        rest_top = "*".join(_factor_text(x) for x in top[1:])
-        rest_low = "*".join(_factor_text(x) for x in low[1:])
-        tail = f"*{rest_low}" if rest_low else ""
-        return f"{head}*[{rest_top} {c_text}{tail}]"
-    top_text = "*".join(_factor_text(x) for x in top)
-    low_text = "*".join(_factor_text(x) for x in low)
-    return f"{top_text} {c_text}*{low_text}"

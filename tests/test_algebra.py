@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from lamconn.algebra import (
     ABElement,
-    HomogeneousPart,
-    as_homogeneous,
     conj_b,
     homogeneous_components,
     linear_factor_product,
@@ -299,7 +297,7 @@ class TestTrustedConstructor:
             x.map_coefficients(LaurentPoly.theta),
             x.theta(),
         ]
-        results += [part.element for part in homogeneous_components(x + y)]
+        results += [part for _, part in homogeneous_components(x + y)]
         for r in results:
             assert type(r) is ABElement
             for key, coeff in r.terms.items():
@@ -310,7 +308,7 @@ class TestTrustedConstructor:
     @given(any_abelement, any_abelement, any_coefficient)
     def test_flat_storage(self, x, y, c):
         results = [x, x + y, x - y, -x, x * y, x.scale(c), x.times_a(), conj_b(x), x.theta()]
-        results += [part.element for part in homogeneous_components(x + y)]
+        results += [part for _, part in homogeneous_components(x + y)]
         for r in results:
             # Canonical form: nonzero int numerators over a positive int
             # denominator that shares no factor with all of them.
@@ -353,29 +351,25 @@ class TestLinearFactors:
 
 class TestHomogeneous:
     def test_components_order(self):
-        x = A * A + B
-        parts = homogeneous_components(x)
-        assert [p.degree for p in parts] == [2, 1]
-        assert parts[0].element == A * A
-        assert parts[1].element == B
+        assert homogeneous_components(A * A + B) == [(2, A * A), (1, B)]
 
     def test_sum_of_components(self):
         x = ABElement({(2, 1): 1, (1, 0): F(1, 2), (0, 0): -3})
         total = ABElement.zero()
-        for part in homogeneous_components(x):
-            total = total + part.element
+        for _, part in homogeneous_components(x):
+            total = total + part
         assert total == x
 
     def test_as_homogeneous_rejects_mixed(self):
-        with pytest.raises(ContractError):
-            as_homogeneous(A + A * A)
-
-    def test_part_validates(self):
-        with pytest.raises(ContractError):
-            HomogeneousPart(2, A)
+        # the shift identity needs one degree k, so a mixed element is refused
+        with pytest.raises(ContractError, match=r"mixes degrees \[1, 2\]"):
+            shift_identity_check(A + A * A, 0)
 
     def test_zero_is_homogeneous(self):
-        assert as_homogeneous(ABElement.zero()).degree == 0
+        # zero has no parts; the identity takes k = 0 and both sides vanish
+        zero = ABElement.zero()
+        assert homogeneous_components(zero) == []
+        assert shift_identity_check(zero, F(3, 2)) == (zero, zero)
 
 
 class TestTextFormat:
@@ -439,9 +433,9 @@ class TestTextFormat:
 
 class TestShiftIdentity:
     def test_frozen_degree_one(self):
-        left, right = shift_identity_check(as_homogeneous(B), 0)
+        left, right = shift_identity_check(B, 0)
         assert left == right == A * B - ABElement.monomial(0, 2)
-        left, right = shift_identity_check(as_homogeneous(A), F(2))
+        left, right = shift_identity_check(A, F(2))
         assert left == right == ABElement({(2, 0): 1, (1, 1): -3, (0, 2): 3})
 
     @given(
@@ -455,6 +449,5 @@ class TestShiftIdentity:
             value = data.draw(small_fraction)
             if value:
                 terms[(i, degree - i)] = value
-        q = HomogeneousPart(degree, ABElement(terms))
-        left, right = shift_identity_check(q, mu)
+        left, right = shift_identity_check(ABElement(terms), mu)
         assert left == right

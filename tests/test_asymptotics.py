@@ -17,7 +17,6 @@ from lamconn.asymptotics import (
     MAX_LOG_DEPTH,
     MAX_ORDER,
     LogPoly,
-    integrate_log,
     parse_seed_key,
     propagate,
     verify_table,
@@ -66,15 +65,6 @@ class TestLogPoly:
     def test_deriv(self):
         assert LogPoly({0: 5, 2: F(1, 2)}).deriv() == LogPoly({1: 1})
         assert LogPoly.const(7).deriv() == LogPoly.zero()
-
-    def test_integrate_round_trip(self):
-        p = LogPoly({0: 2, 1: F(-1, 3), 4: 5})
-        assert integrate_log(p).deriv() == p
-        assert integrate_log(p).constant_term() == 0
-
-    def test_integrate_examples(self):
-        assert integrate_log(LogPoly.const(F(1, 3))) == LogPoly({1: F(1, 3)})
-        assert integrate_log(LogPoly({1: F(1, 5)})) == LogPoly({2: F(1, 10)})
 
     def test_eq_against_numbers(self):
         assert LogPoly.const(3) == 3

@@ -272,6 +272,16 @@ class TestInputHandling:
         assert "input error:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["check", "analyze", "propagate"])
+    def test_deeply_nested_json(self, tmp_path, command):
+        # Deep enough to exhaust the JSON decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("input error:") and "too deeply" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_oversized_seed_literal(self, tmp_path):
         obj = {**GOLDEN_EXPANSION, "seed": {"0,0,0": LONG_DIGITS}}
         proc = run_cli("propagate", write_json(tmp_path, obj))

@@ -16,7 +16,6 @@ from lamconn.families import (
     CrossValidationReport,
     FamilyResult,
     cross_validate,
-    factored_display,
     family_a,
     family_b,
     match_family,
@@ -48,7 +47,7 @@ class TestFamilyA:
         assert result.nabla_one == ABElement.parse("2*a - 2*b")
 
     def test_golden_factored_display(self):
-        text = factored_display(family_a(2, 2, 1))
+        text = family_a(2, 2, 1).factored_display()
         assert text == "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 
     def test_operator_assembly(self):
@@ -61,10 +60,10 @@ class TestFamilyA:
 
     def test_components_split_by_degree(self):
         result = family_a(2, 2, 1)
-        parts = homogeneous_components(result.full_operator)
-        assert [p.degree for p in parts] == [3, 2]
-        assert parts[0].element == result.top_part
-        assert parts[1].element == result.low_part.scale(LaurentPoly.lam_power(-2, -4))
+        assert homogeneous_components(result.full_operator) == [
+            (3, result.top_part),
+            (2, result.low_part.scale(LaurentPoly.lam_power(-2, -4))),
+        ]
 
     def test_dependency_case(self):
         dep = dependency(family_a(2, 2, 1).exponents)
@@ -101,7 +100,7 @@ class TestFamilyB:
         assert result.nabla_one == ABElement.parse("-2*a + 3/2*b")
 
     def test_golden_factored_display(self):
-        text = factored_display(family_b(2, 2, 1, 1))
+        text = family_b(2, 2, 1, 1).factored_display()
         assert text == "(a - 5/2*b)*(a - 5/4*b)*(a - 3/4*b) - 4*lam^2*(a - 2*b)*(a - b)"
 
     def test_dependency_case(self):
@@ -218,8 +217,8 @@ class TestDisplayAndJson:
 
     def test_pulled_out_form_only_when_shared(self):
         # the leftmost top and low roots of layout A agree exactly when w = 1
-        assert "[" in factored_display(family_a(3, 2, 1))
-        assert "[" not in factored_display(family_a(2, 2, 2))
+        assert "[" in family_a(3, 2, 1).factored_display()
+        assert "[" not in family_a(2, 2, 2).factored_display()
 
     def test_json_fields(self):
         payload = family_a(2, 2, 1).to_json()
@@ -230,7 +229,7 @@ class TestDisplayAndJson:
         assert payload["c_coeff"] == "-4"
         assert payload["lambda_exponent"] == -2
         assert payload["monodromy_candidates"] == ["1/2", "0"]
-        assert payload["operator_factored"] == factored_display(family_a(2, 2, 1))
+        assert payload["operator_factored"] == family_a(2, 2, 1).factored_display()
         assert payload["operator"] == str(family_a(2, 2, 1).full_operator)
 
     @given(params_a)

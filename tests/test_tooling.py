@@ -4,7 +4,9 @@ benchmarks/tracing.py wraps the functions and methods in its TARGETS list,
 looking methods up in their class's own __dict__; benchmarks/workloads.py
 runs each workload's op against the public API and checks its output, down
 to the term maps of ABElement and LogPoly.  A refactor that moves or reshapes
-one of these would otherwise only show when a benchmark run fails.
+one of these would otherwise only show when a benchmark run fails.  The
+package's own export list is checked as well, so a deleted name cannot stay
+behind in ``lamconn.__all__``.
 """
 
 import importlib
@@ -57,3 +59,12 @@ def test_workload_checks_accept_runs_and_reject_corruptions(name):
         assert workload.check(lamconn, inp, workload.corrupt(lamconn, out)) is not None
         assert type(workload.fingerprint(out)) is str
         assert type(workload.coeff_bits(out)) is int
+
+
+def test_exports_are_consistent():
+    # A name deleted from a module but left in __all__ fails the star import.
+    assert all(hasattr(lamconn, name) for name in lamconn.__all__)
+    assert len(set(lamconn.__all__)) == len(lamconn.__all__)
+    namespace = {}
+    exec("from lamconn import *", namespace)
+    assert set(lamconn.__all__) <= namespace.keys()
