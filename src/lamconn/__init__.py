@@ -25,7 +25,6 @@ from .asymptotics import (
 )
 from .connection import (
     MonomialMu,
-    PDECoeffs,
     SigmaTau,
     nabla_formula,
     pde_coefficients,
@@ -46,7 +45,7 @@ from .exponents import (
     DependencyData,
     DetIdentityReport,
     ExponentData,
-    HypothesisReport,
+    LayoutAnalysis,
     dependency,
     dependency_solution,
     det_identity_check,
@@ -77,12 +76,11 @@ __all__ = [
     "ExponentData",
     "FamilyResult",
     "HypothesisError",
-    "HypothesisReport",
     "InputError",
     "LaurentPoly",
+    "LayoutAnalysis",
     "LogPoly",
     "MonomialMu",
-    "PDECoeffs",
     "Rat",
     "RatMatrix",
     "SigmaTau",

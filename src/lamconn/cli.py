@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: check, analyze, family-a, family-b, propagate, selftest.
-Exit codes: 0 on success, 1 on unreadable or malformed input, 2 when a
-well-formed input fails validation (rank hypotheses, failed self checks).
+Exit codes: 0 on success; 1 on a usage error (argparse's message is kept)
+and on unreadable or malformed input; 2 when a well-formed input fails
+validation (rank hypotheses, family cross validation, failed self checks).
+main() maps InputError to 1 and HypothesisError to 2.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .connection import (
     PDE_RAW,
     MonomialMu,
     nabla_formula,
-    pde_coefficients,
     sigma_tau,
 )
 from .errors import DIGIT_LIMIT_MESSAGE, HypothesisError, InputError
@@ -60,9 +61,7 @@ def _cmd_check(args) -> int:
         lines.append(f"note: {report.note}")
     _emit(report.to_json(), args.json, lines)
     if not report.passed:
-        for message in report.failure_messages(data.n):
-            print(message, file=sys.stderr)
-        return 2
+        raise HypothesisError("\n".join(report.failure_messages()))
     return 0
 
 
@@ -76,11 +75,9 @@ def _cmd_analyze(args) -> int:
     data = ExponentData.from_json(raw)
     report = validate_hypotheses(data)
     if not report.passed:
-        for message in report.failure_messages(data.n):
-            print(message, file=sys.stderr)
         if args.json:
             print(json.dumps({"hypotheses": report.to_json()}, indent=2))
-        return 2
+        raise HypothesisError("\n".join(report.failure_messages()))
     if "mu" in raw:
         if not isinstance(raw["mu"], list):
             raise InputError("mu must be a list of exponents")
@@ -90,13 +87,12 @@ def _cmd_analyze(args) -> int:
     dep = dependency(data)
     st = sigma_tau(data, mu)
     nabla = nabla_formula(st)
-    pde = pde_coefficients(st)
     family = match_family(data)
 
     payload = {
         "hypotheses": report.to_json(),
         "dependency": dep.to_json(),
-        "connection": {**pde.to_json(), "mu": mu.to_json(), "nabla": str(nabla)},
+        "connection": {**st.to_json(), "nabla": str(nabla)},
     }
     lines = [
         f"hypotheses: pass (bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})",
@@ -108,20 +104,21 @@ def _cmd_analyze(args) -> int:
         f"lam*nabla([mu]) = ({nabla})[mu]",
         f"nabla([mu]) = lam^-1 * ({nabla})[mu]",
         f"pde: {PDE_RAW}",
-        f"normalized: {PDE_NORMALIZED} with alpha = {pde.alpha}, beta = {pde.beta}",
+        f"normalized: {PDE_NORMALIZED} with alpha = {st.alpha}, beta = {st.beta}",
     ]
     if family is None:
         _emit(payload, args.json, lines)
         return 0
     payload["family"] = family.to_json()
     lines.append(f"recognized family {family.label()}")
-    return _emit_family(family, payload, payload["family"], lines, [], args.json)
+    _emit_family(family, payload, payload["family"], lines, [], args.json)
+    return 0
 
 
 def _emit_family(
     result, payload: dict, family_payload: dict, lines: list[str], details: list[str], as_json: bool
-) -> int:
-    """Cross validate, append the family lines around ``details``, emit; 2 if a check fails."""
+) -> None:
+    """Cross validate, append the family lines around ``details``, emit; raise if a check fails."""
     validation = cross_validate(result)
     family_payload["cross_validation"] = validation.to_json()
     candidates = ", ".join(str(x) for x in monodromy_candidates(result))
@@ -134,9 +131,7 @@ def _emit_family(
     ]
     _emit(payload, as_json, lines)
     if not validation.passed:
-        print("family cross validation failed", file=sys.stderr)
-        return 2
-    return 0
+        raise HypothesisError("family cross validation failed")
 
 
 def _family_command(result, as_json: bool) -> int:
@@ -148,7 +143,8 @@ def _family_command(result, as_json: bool) -> int:
         f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
         f"lam*nabla([1]) = ({result.nabla_one})[1]",
     ]
-    return _emit_family(result, payload, payload, lines, details, as_json)
+    _emit_family(result, payload, payload, lines, details, as_json)
+    return 0
 
 
 def _cmd_family_a(args) -> int:
@@ -266,15 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is malformed input here; --help exits 0
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except HypothesisError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         # Every subcommand builds its whole output before printing any of it,

@@ -44,8 +44,17 @@ class MonomialMu:
         return {"beta": list(self.beta), "k": self.k}
 
 
+PDE_RAW = "-lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi"
+PDE_NORMALIZED = "lam*d/dlam d/ds phi = alpha*s*d(phi)/ds + beta*phi"
+
+
 @dataclass(frozen=True)
 class SigmaTau:
+    """Connection data at mu and its period integral PDE: expanding and
+    negating PDE_RAW gives PDE_NORMALIZED with alpha = -sigma and
+    beta = k - sigma - tau, the coefficients the expansion propagator uses.
+    """
+
     sigma: Rat
     tau: Rat
     mu: MonomialMu
@@ -54,8 +63,28 @@ class SigmaTau:
         check_coefficient(self.sigma)
         check_coefficient(self.tau)
 
+    @property
+    def alpha(self) -> Rat:
+        return -self.sigma
+
+    @property
+    def beta(self) -> Rat:
+        return self.mu.k - self.sigma - self.tau
+
     def to_json(self) -> dict:
-        return {"sigma": str(self.sigma), "tau": str(self.tau), "mu": self.mu.to_json()}
+        """The connection block of the analyze report, without nabla."""
+        return {
+            "sigma": str(self.sigma),
+            "tau": str(self.tau),
+            "k": self.mu.k,
+            "pde": {
+                "raw": PDE_RAW,
+                "normalized": PDE_NORMALIZED,
+                "alpha": str(self.alpha),
+                "beta": str(self.beta),
+            },
+            "mu": self.mu.to_json(),
+        }
 
 
 def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
@@ -101,44 +130,6 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     return result
 
 
-PDE_RAW = "-lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi"
-PDE_NORMALIZED = "lam*d/dlam d/ds phi = alpha*s*d(phi)/ds + beta*phi"
-
-
-@dataclass(frozen=True)
-class PDECoeffs:
-    """The period integral PDE in raw and normalized form.
-
-    Raw form: -lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi.
-    Expanding and negating gives the normalized alpha = -sigma and
-    beta = k - sigma - tau used by the expansion propagator.
-    """
-
-    sigma: Rat
-    tau: Rat
-    k: int
-    alpha: Rat
-    beta: Rat
-
-    def to_json(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "tau": str(self.tau),
-            "k": self.k,
-            "pde": {
-                "raw": PDE_RAW,
-                "normalized": PDE_NORMALIZED,
-                "alpha": str(self.alpha),
-                "beta": str(self.beta),
-            },
-        }
-
-
-def pde_coefficients(st: SigmaTau) -> PDECoeffs:
-    return PDECoeffs(
-        sigma=st.sigma,
-        tau=st.tau,
-        k=st.mu.k,
-        alpha=-st.sigma,
-        beta=st.mu.k - st.sigma - st.tau,
-    )
+def pde_coefficients(st: SigmaTau) -> SigmaTau:
+    """The PDE coefficients alpha and beta at mu, which SigmaTau carries."""
+    return st

@@ -46,19 +46,62 @@ MAX_LAYOUT_WORK = 4_000_000
 
 @dataclass(frozen=True)
 class LayoutAnalysis:
-    """Rank, determinant and solution data of one layout's two matrices.
+    """Rank, determinant and solution data of one layout's two matrices, and
+    the verdicts on hypotheses i) and ii) read off the two ranks.
 
     inverse_last_row is the last row of M~^-1 and relation the expansion of
     alpha_(n+2) in the first n+1 exponents; each is None when its matrix is
     singular, and the determinant is then 0.
     """
 
+    n: int
     rank_m_tilde: int
     det_m_tilde: Rat
     inverse_last_row: tuple[Rat, ...] | None
     rank_m_prime: int
     det_m_prime: Rat
     relation: tuple[Rat, ...] | None
+
+    @property
+    def bordered_rank_ok(self) -> bool:
+        return self.rank_m_tilde == self.n + 2
+
+    @property
+    def basis_ok(self) -> bool:
+        return self.rank_m_prime == self.n + 1
+
+    @property
+    def passed(self) -> bool:
+        return self.bordered_rank_ok and self.basis_ok
+
+    @property
+    def note(self) -> str | None:
+        if self.bordered_rank_ok and not self.basis_ok:
+            return (
+                "the first n+1 exponents do not span; a different monomial ordering "
+                "or a reparametrization of lam may repair this, which this tool does not attempt"
+            )
+        return None
+
+    def failure_messages(self) -> list[str]:
+        out = []
+        if not self.bordered_rank_ok:
+            out.append(f"hypothesis i) fails: rank {self.rank_m_tilde} < {self.n + 2}")
+        if not self.basis_ok:
+            out.append(f"hypothesis ii) fails: rank {self.rank_m_prime} < {self.n + 1}")
+        return out
+
+    def to_json(self) -> dict:
+        out = {
+            "rank_m_tilde": self.rank_m_tilde,
+            "rank_m_prime": self.rank_m_prime,
+            "hypothesis_i": self.bordered_rank_ok,
+            "hypothesis_ii": self.basis_ok,
+            "passed": self.passed,
+        }
+        if self.note:
+            out["note"] = self.note
+        return out
 
 
 @dataclass(frozen=True)
@@ -102,6 +145,7 @@ class ExponentData:
         # M' | alpha_(n+2): the rows of the matrix with all n+2 exponents as columns
         rk_prime, det_prime, relation = _solve_square(zip(*self.alphas), last)
         return LayoutAnalysis(
+            n=self.n,
             rank_m_tilde=rk_tilde,
             det_m_tilde=det_tilde,
             inverse_last_row=None if inverse is None else tuple(row[0] for row in inverse),
@@ -134,56 +178,9 @@ class ExponentData:
         return {"n": self.n, "alphas": [list(a) for a in self.alphas]}
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    rank_m_tilde: int
-    rank_m_prime: int
-    bordered_rank_ok: bool
-    basis_ok: bool
-    passed: bool
-    note: str | None = None
-
-    def failure_messages(self, n: int) -> list[str]:
-        out = []
-        if not self.bordered_rank_ok:
-            out.append(f"hypothesis i) fails: rank {self.rank_m_tilde} < {n + 2}")
-        if not self.basis_ok:
-            out.append(f"hypothesis ii) fails: rank {self.rank_m_prime} < {n + 1}")
-        return out
-
-    def to_json(self) -> dict:
-        out = {
-            "rank_m_tilde": self.rank_m_tilde,
-            "rank_m_prime": self.rank_m_prime,
-            "hypothesis_i": self.bordered_rank_ok,
-            "hypothesis_ii": self.basis_ok,
-            "passed": self.passed,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-def validate_hypotheses(data: ExponentData) -> HypothesisReport:
-    """Rank checks for both hypotheses; never raises on a well-formed input."""
-    rk_tilde = data.analysis.rank_m_tilde
-    rk_prime = data.analysis.rank_m_prime
-    ok_i = rk_tilde == data.n + 2
-    ok_ii = rk_prime == data.n + 1
-    note = None
-    if ok_i and not ok_ii:
-        note = (
-            "the first n+1 exponents do not span; a different monomial ordering "
-            "or a reparametrization of lam may repair this, which this tool does not attempt"
-        )
-    return HypothesisReport(
-        rank_m_tilde=rk_tilde,
-        rank_m_prime=rk_prime,
-        bordered_rank_ok=ok_i,
-        basis_ok=ok_ii,
-        passed=ok_i and ok_ii,
-        note=note,
-    )
+def validate_hypotheses(data: ExponentData) -> LayoutAnalysis:
+    """The layout's cached analysis, which answers both rank hypotheses; never raises."""
+    return data.analysis
 
 
 class Case(enum.Enum):
@@ -231,7 +228,7 @@ def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
     """
     report = validate_hypotheses(data)
     if not report.basis_ok:
-        raise HypothesisError("; ".join(report.failure_messages(data.n)))
+        raise HypothesisError("; ".join(report.failure_messages()))
     return _integer_relation(data)
 
 
@@ -246,7 +243,7 @@ def dependency(data: ExponentData) -> DependencyData:
     """Full case analysis; requires both hypotheses."""
     report = validate_hypotheses(data)
     if not report.passed:
-        raise HypothesisError("; ".join(report.failure_messages(data.n)))
+        raise HypothesisError("; ".join(report.failure_messages()))
     r, p = _integer_relation(data)
     if all(x == 0 for x in p):
         raise InputError("the parameter monomial has exponent zero; no usable relation")

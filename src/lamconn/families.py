@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import ABElement, FlatKey, first_difference, linear_factor_product
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import LaurentPoly, Rat, check_int, power_text, term_text
+from .exact import Rat, check_int, power_text, term_text
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check, validate_hypotheses
 
 C_COEFF = Fraction(-4)
@@ -54,7 +54,7 @@ class FamilyResult:
         low = linear_factor_product(self.roots_low)
         object.__setattr__(self, "top_part", top)
         object.__setattr__(self, "low_part", low)
-        full = top + low.scale(LaurentPoly.lam_power(self.lambda_exponent, self.c_coeff))
+        full = top + low * _low_weight(self)
         object.__setattr__(self, "full_operator", full)
 
     def label(self) -> str:
@@ -95,6 +95,12 @@ class FamilyResult:
             "nabla_one": str(self.nabla_one),
             "monodromy_candidates": [str(x) for x in monodromy_candidates(self)],
         }
+
+
+def _low_weight(result: FamilyResult) -> ABElement:
+    """The scalar c_coeff * lam^lambda_exponent that weights the low part."""
+    c = result.c_coeff
+    return ABElement._make({(0, 0, result.lambda_exponent): c.numerator}, c.denominator)
 
 
 def _layout_a(u: int, v: int, w: int) -> tuple[tuple[int, int, int], ...]:
@@ -230,9 +236,7 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
     st = sigma_tau(data, MonomialMu.unit(data.n))
     record("sigma_from_inverse", dep.sigma, st.sigma)
     record("nabla_one", result.nabla_one, nabla_formula(st))
-    reconstructed = result.top_part + result.low_part.scale(
-        LaurentPoly.lam_power(result.lambda_exponent, result.c_coeff)
-    )
+    reconstructed = result.top_part + result.low_part * _low_weight(result)
     record("operator_reconstruction", result.full_operator, reconstructed)
     return CrossValidationReport(label=result.label(), checks=tuple(checks))
 

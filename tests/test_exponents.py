@@ -81,7 +81,7 @@ class TestHypotheses:
         assert not report.bordered_rank_ok
         assert report.basis_ok
         assert report.rank_m_tilde == 3
-        assert report.failure_messages(2) == ["hypothesis i) fails: rank 3 < 4"]
+        assert report.failure_messages() == ["hypothesis i) fails: rank 3 < 4"]
 
     def test_note_when_basis_fails_but_border_holds(self):
         # first two exponents collinear, third completes the bordered rank

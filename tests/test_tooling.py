@@ -6,11 +6,14 @@ runs each workload's op against the public API and checks its output, down
 to the term maps of ABElement and LogPoly.  A refactor that moves or reshapes
 one of these would otherwise only show when a benchmark run fails.  The
 package's own export list is checked as well, so a deleted name cannot stay
-behind in ``lamconn.__all__``.
+behind in ``lamconn.__all__``, and so is the README's library example.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -20,7 +23,8 @@ import pytest
 import lamconn
 from lamconn.asymptotics import LogPoly
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def load_benchmark_module(name):
@@ -68,3 +72,19 @@ def test_exports_are_consistent():
     namespace = {}
     exec("from lamconn import *", namespace)
     assert set(lamconn.__all__) <= namespace.keys()
+
+
+def test_readme_library_example_runs():
+    # The README's one python block uses only public names, so it goes stale
+    # when one of them is deleted or reshaped.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0], {})
+    assert out.getvalue().splitlines()[:2] == [
+        "2*a - 2*b",
+        "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]",
+    ]
