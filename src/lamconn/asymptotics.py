@@ -29,6 +29,9 @@ in L instead of lam.  ``propagate`` builds each order in one pass per cell
 over plain {degree: Fraction} term maps and wraps each finished cell once.
 ``verify_table`` substitutes the table back into the relation above with
 code of its own, summing each residual straight from the cells' term maps.
+It needs only a zero test, so each degree of a residual is summed on
+integer cross products over one unreduced denominator, without a gcd, and a
+Fraction is built only for a residual that is not zero.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -37,8 +40,6 @@ well defined, so such input is rejected outright.
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -203,17 +204,20 @@ class ExpansionTable:
         }
 
     def to_csv(self) -> str:
-        """One row per (i, k, m); columns are the coefficients of L^0, L^1, ..."""
+        """One row per (i, k, m); columns are the coefficients of L^0, L^1, ...
+
+        Lines end in CRLF, as csv's excel dialect writes them.  No field can
+        hold a comma, quote or line break, so none is quoted and the rows
+        are plain joins.
+        """
         width = max((poly.degree() for poly in self.entries.values()), default=-1) + 1
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
+        rows = [",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)])]
         for (i, k, m), poly in sorted(self.entries.items()):
-            cells = ["0"] * width
+            cells = [str(i), str(k), str(m)] + ["0"] * width
             for e, c in poly._terms.items():
-                cells[e] = str(c)
-            writer.writerow([i, k, m] + cells)
-        return buf.getvalue()
+                cells[e + 3] = str(c)
+            rows.append(",".join(cells))
+        return "\r\n".join(rows) + "\r\n"
 
 
 def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[SeedKey, Rat]:
@@ -325,37 +329,60 @@ class ResidualReport:
         return out
 
 
+def _add_ratio(res: dict[int, list[int]], e: int, n: int, d: int) -> None:
+    """Add n/d to the unreduced [numerator, denominator] at degree e."""
+    acc = res.get(e)
+    if acc is None:
+        res[e] = [n, d]
+    elif acc[1] == d:
+        acc[0] += n
+    else:
+        acc[0] = acc[0] * d + n * acc[1]
+        acc[1] *= d
+
+
 def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
     """Substitute the table into the relation linking order m to m+1.
 
     The residual keyed (i, k, m) collects every term of that relation moved
     to one side; an order cutoff of zero verifies vacuously.  It is summed
     straight from the term maps of the four cells involved, with code of its
-    own, so that it checks propagate rather than repeating it.
+    own, so that it checks propagate rather than repeating it.  Each degree
+    in L is summed on integer cross products, n1*d2 + n2*d1 over d1*d2 (or
+    n1 + n2 over a shared denominator), and never reduced: only its zero
+    test is needed.  Fractions are built only for a residual that is not zero.
     """
     residuals: dict[SeedKey, LogPoly] = {}
     no_terms: dict[int, Rat] = {}
-    top, minus_alpha = spec.log_depth, -spec.alpha
+    top = spec.log_depth
+    an, ad = -spec.alpha.numerator, spec.alpha.denominator
 
     def terms(key: SeedKey) -> dict[int, Rat]:
         poly = table.entries.get(key)
         return no_terms if poly is None else poly._terms
 
     for i, rho in enumerate(spec.rhos):
+        rn, rd = rho.numerator, rho.denominator
         for m in range(spec.order):
-            shift = m + rho + 1
+            sn = (m + 1) * rd + rn  # m + rho + 1 = sn/rd
             minus_factor = -(spec.alpha * (m + rho) + spec.beta)
+            fn, fd = minus_factor.numerator, minus_factor.denominator
             for k in range(top + 1):
-                # (m + rho + 1)*D[k,m+1] + D[k+1,m+1] - factor*c[k,m] - alpha*c[k+1,m]
-                res = {e - 1: shift * e * c for e, c in terms((i, k, m + 1)).items() if e}
+                # (m + rho + 1)*D[k,m+1] + D[k+1,m+1] - factor*c[k,m] - alpha*c[k+1,m],
+                # each degree held as [numerator, denominator]
+                res = {
+                    e - 1: [sn * e * c.numerator, rd * c.denominator]
+                    for e, c in terms((i, k, m + 1)).items()
+                    if e
+                }
                 for e, c in terms((i, k, m)).items():
-                    res[e] = res[e] + minus_factor * c if e in res else minus_factor * c
+                    _add_ratio(res, e, fn * c.numerator, fd * c.denominator)
                 if k < top:
                     for e, c in terms((i, k + 1, m + 1)).items():
                         if e:
-                            res[e - 1] = res[e - 1] + e * c if e - 1 in res else e * c
+                            _add_ratio(res, e - 1, e * c.numerator, c.denominator)
                     for e, c in terms((i, k + 1, m)).items():
-                        res[e] = res[e] + minus_alpha * c if e in res else minus_alpha * c
-                if any(res.values()):
-                    residuals[(i, k, m)] = LogPoly._make(res)
+                        _add_ratio(res, e, an * c.numerator, ad * c.denominator)
+                if any(n for n, _ in res.values()):
+                    residuals[(i, k, m)] = LogPoly._make({e: Fraction(n, d) for e, (n, d) in res.items()})
     return ResidualReport(residuals=residuals)

@@ -74,9 +74,13 @@ def _cmd_analyze(args) -> int:
     raw = _load_json(args.file)
     data = ExponentData.from_json(raw)
     report = validate_hypotheses(data)
+    verdict = (
+        f"hypotheses: {'pass' if report.passed else 'fail'} "
+        f"(bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})"
+    )
     if not report.passed:
-        if args.json:
-            print(json.dumps({"hypotheses": report.to_json()}, indent=2))
+        lines = [verdict] + ([f"note: {report.note}"] if report.note else [])
+        _emit({"hypotheses": report.to_json()}, args.json, lines)
         raise HypothesisError("\n".join(report.failure_messages()))
     if "mu" in raw:
         if not isinstance(raw["mu"], list):
@@ -95,7 +99,7 @@ def _cmd_analyze(args) -> int:
         "connection": {**st.to_json(), "nabla": str(nabla)},
     }
     lines = [
-        f"hypotheses: pass (bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})",
+        verdict,
         f"relation: {_relation_text(data, dep)}",
         f"case {dep.case.value}: d = {dep.d}, h = {dep.h}, sigma = {dep.sigma}, "
         f"lam exponent = {dep.lambda_exponent:+d}",

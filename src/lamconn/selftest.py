@@ -302,9 +302,31 @@ def _check_asymptotics() -> tuple[bool, str]:
             ) + rhs_b.entries.get(key, LogPoly.zero()):
                 return False, f"propagation is not additive in the seed at {key}"
         checked += 1
+
+    # A long table like the benchmark's largest: verify_table must pass it, and
+    # must localize one perturbed cell past order 40 to the four relations it enters.
+    long_spec = ExpansionSpec(
+        rhos=(Fraction(1, 3), Fraction(-1, 2)),
+        log_depth=3,
+        order=80,
+        alpha=Fraction(-7, 5),
+        beta=Fraction(11, 3),
+    )
+    long_seed = {(0, 0, 0): 1, (0, 3, 0): Fraction(-2, 3), (1, 0, 0): Fraction(5, 4), (1, 3, 0): 1}
+    table = propagate(long_spec, long_seed)
+    if not verify_table(long_spec, table).passed:
+        return False, f"nonzero residual for the long spec {long_spec.to_json()}"
+    i, k, m = 1, 2, 61
+    tampered = ExpansionTable(
+        long_spec, {**table.entries, (i, k, m): table.get(i, k, m) + LogPoly({1: Fraction(1)})}
+    )
+    caught = set(verify_table(long_spec, tampered).residuals)
+    if caught != {(i, k - dk, m - dm) for dk in (0, 1) for dm in (0, 1)}:
+        return False, f"perturbing c{[i, k, m]} of the long spec gives residuals at {sorted(caught)}"
     return True, (
         f"golden values, degree bound, residuals, additivity and the closed-form "
-        f"(Frobenius) route on {checked} random specs"
+        f"(Frobenius) route on {checked} random specs; residuals on an order-{long_spec.order} "
+        f"table pass clean and catch a perturbed cell at order {m}"
     )
 
 

@@ -1,11 +1,15 @@
 """Order-by-order propagation in L and the exact residual check."""
 
+import csv
+import functools
+import io
+import json
 import operator
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
@@ -27,6 +31,15 @@ from lamconn.selftest import frobenius_table
 
 GOLDEN = ExpansionSpec(rhos=(F(1, 2),), log_depth=0, order=2, alpha=1, beta=0)
 GOLDEN_LOG = ExpansionSpec(rhos=(F(0),), log_depth=1, order=1, alpha=0, beta=1)
+# As long as the benchmark's largest tables: coefficients of both signs with
+# denominators past 600 digits.
+LONG = ExpansionSpec(rhos=(F(1, 3), F(-1, 2), F(2, 5)), log_depth=4, order=80, alpha=F(-3, 2), beta=F(5, 7))
+LONG_SEED = {(i, k, 0): F(1 + i, 1 + k) for i in range(3) for k in (0, 4)}
+
+
+@functools.cache
+def long_table():
+    return propagate(LONG, LONG_SEED)
 
 seed_values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -358,6 +371,18 @@ def residuals_by_polynomial_arithmetic(spec, table):
     return residuals
 
 
+def report_json(residuals):
+    """The JSON of a ResidualReport, spelled out from a residual map."""
+    out = {
+        "passed": not residuals,
+        "residuals": {f"{i},{k},{m}": residuals[(i, k, m)].to_json() for i, k, m in sorted(residuals)},
+    }
+    if residuals:
+        i, k, m = min(residuals)
+        out["first_difference"] = {"key": f"{i},{k},{m}", "residual": residuals[(i, k, m)].to_json()}
+    return out
+
+
 small_log_polys = st.dictionaries(
     st.integers(min_value=0, max_value=5), seed_values.filter(bool), min_size=1, max_size=3
 ).map(LogPoly)
@@ -386,6 +411,30 @@ class TestVerifyTableOracle:
         assert residuals == residuals_by_polynomial_arithmetic(spec, tampered)
         # c[k,m] enters only the relations at (k, m), (k-1, m), (k, m-1) and (k-1, m-1)
         assert set(residuals) <= {(i, k - dk, m - dm) for dk in (0, 1) for dm in (0, 1)}
+
+    def test_long_table_passes(self):
+        table = long_table()
+        assert verify_table(LONG, table).residuals == residuals_by_polynomial_arithmetic(LONG, table) == {}
+
+    @settings(max_examples=12)
+    @given(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(LONG.rhos) - 1),
+            st.integers(min_value=0, max_value=LONG.log_depth),
+            st.integers(min_value=41, max_value=LONG.order),
+        ),
+        small_log_polys,
+    )
+    def test_long_table_perturbed_past_order_40(self, key, delta):
+        table = long_table()
+        tampered = ExpansionTable(spec=LONG, entries={**table.entries, key: table.get(*key) + delta})
+        report = verify_table(LONG, tampered)
+        expected = residuals_by_polynomial_arithmetic(LONG, tampered)
+        assert report.residuals == expected
+        if key[2] < LONG.order:
+            # the relation at (k, m) sees delta times -(alpha*(m + rho) + beta), never zero here
+            assert not report.passed
+        assert json.dumps(report.to_json()) == json.dumps(report_json(expected))
 
 
 class TestDigitLimit:
@@ -431,6 +480,21 @@ class TestSerialization:
         assert lines[1] == "0,0,0,1,0,0"
         assert lines[2] == "0,0,1,0,1/3,0"
         assert lines[3] == "0,0,2,0,0,1/10"
+
+    @pytest.mark.parametrize("name", ["golden", "long"])
+    def test_csv_bytes_match_csv_writer(self, name):
+        table = propagate(GOLDEN, {(0, 0, 0): 1}) if name == "golden" else long_table()
+        if name == "long":
+            coefficients = [c for poly in table.entries.values() for c in poly.coeffs.values()]
+            assert min(coefficients) < 0
+            assert max(len(str(c.denominator)) for c in coefficients) > 600
+        width = max(poly.degree() for poly in table.entries.values()) + 1
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
+        for (i, k, m), poly in sorted(table.entries.items()):
+            writer.writerow([i, k, m] + [poly.coefficient(e) for e in range(width)])
+        assert table.to_csv() == buf.getvalue()
 
     def test_table_equality_ignores_stored_zeros(self):
         spec = GOLDEN

@@ -432,7 +432,25 @@ PINNED_REPORTS = [
         0,
         id="analyze-family-a-mu-json",
     ),
-
+    pytest.param(
+        ["analyze"],
+        CUBE_INPUT,
+        "hypotheses: fail (bordered rank 3, basis rank 3)\n",
+        "hypothesis i) fails: rank 3 < 4\n",
+        2,
+        id="analyze-cube-text",
+    ),
+    pytest.param(
+        ["analyze"],
+        BASIS_FAILS_INPUT,
+        (
+            "hypotheses: fail (bordered rank 3, basis rank 1)\n"
+            "note: the first n+1 exponents do not span; a different monomial ordering or a reparametrization of lam may repair this, which this tool does not attempt\n"
+        ),
+        "hypothesis ii) fails: rank 1 < 2\n",
+        2,
+        id="analyze-basis-fails-text",
+    ),
 ]
 
 
@@ -519,6 +537,39 @@ class TestPropagate:
         assert lines[0] == "i,k,m,L^0,L^1,L^2"
         assert lines[2] == "0,0,1,0,1/3,0"
         assert "wrote" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj, expected",
+        [
+            (
+                GOLDEN_EXPANSION,
+                b"i,k,m,L^0,L^1,L^2\r\n0,0,0,1,0,0\r\n0,0,1,0,1/3,0\r\n0,0,2,0,0,1/10\r\n",
+            ),
+            (
+                {
+                    "rhos": ["1/3", "-1/2"],
+                    "N": 1,
+                    "M": 3,
+                    "alpha": "-7/5",
+                    "beta": "11/3",
+                    "seed": {"0,1,0": "1", "1,0,0": "-2/3", "1,1,2": "5"},
+                },
+                b"i,k,m,L^0,L^1,L^2,L^3\r\n"
+                b"0,0,0,0,0,0,0\r\n0,0,1,0,-57/20,0,0\r\n0,0,2,0,0,-21717/9800,0\r\n"
+                b"0,0,3,0,0,0,-280953/1225000\r\n0,1,0,1,0,0,0\r\n0,1,1,0,12/5,0,0\r\n"
+                b"0,1,2,0,0,162/175,0\r\n0,1,3,0,0,0,162/4375\r\n1,0,0,-2/3,0,0,0\r\n"
+                b"1,0,1,0,-262/45,0,0\r\n1,0,2,0,0,-11659/2025,0\r\n"
+                b"1,0,3,0,-304/75,0,-547973/455625\r\n1,1,0,0,0,0,0\r\n1,1,1,0,0,0,0\r\n"
+                b"1,1,2,5,0,0,0\r\n1,1,3,0,47/15,0,0\r\n",
+            ),
+        ],
+        ids=["golden", "two-rhos"],
+    )
+    def test_csv_file_bytes(self, tmp_path, capsys, obj, expected):
+        csv_path = tmp_path / "table.csv"
+        assert main(["propagate", write_json(tmp_path, obj), "--csv", str(csv_path)]) == 0
+        assert csv_path.read_bytes() == expected
+        assert capsys.readouterr().err == f"wrote {csv_path}\n"
 
     def test_csv_unwritable(self, tmp_path, capsys):
         path = write_json(tmp_path, GOLDEN_EXPANSION)
