@@ -88,15 +88,15 @@ class SigmaTau:
 
 
 def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
-    """Read sigma and tau off the last row of the inverted bordered matrix."""
+    """Read sigma = w_0 / det and tau = sum(w_(i+1) * (beta_i + 1)) / det off the
+    numerators w of the last row of M~^-1 over det = det M~."""
     if len(mu.beta) != data.n + 1:
         raise InputError(f"mu must have {data.n + 1} entries, got {len(mu.beta)}")
-    row = data.analysis.inverse_last_row
-    if row is None:
+    w, det = data.analysis.inverse_numerators, data.analysis.det_m_tilde
+    if w is None:
         raise HypothesisError("bordered exponent matrix is singular; hypothesis i) fails")
-    sigma = row[0]
-    tau = sum((row[i + 1] * (mu.beta[i] + 1) for i in range(data.n + 1)), Fraction(0))
-    return SigmaTau(sigma=sigma, tau=tau, mu=mu)
+    tau = sum(x * (b + 1) for x, b in zip(w[1:], mu.beta))
+    return SigmaTau(sigma=Fraction(w[0], det), tau=Fraction(tau, det), mu=mu)
 
 
 def nabla_formula(st: SigmaTau) -> ABElement:

@@ -28,9 +28,11 @@ it on ints, each coefficient a (numerator, denominator) pair, and
 checks its own names and groups.
 
 Matrix determinant, rank, inverse and solution all come from one
-fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``): rows
-are scaled to integers, every division is exact, and the result is turned
-back into Fractions only once at the end.
+fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``) with
+exact divisions.  The RatMatrix functions scale the rows to integers once,
+and ``det``, ``invert`` and ``solve`` build their Fractions once at the end;
+an exponent layout is integral, so its eliminations in ``exponents`` build
+no Fraction at all.
 """
 
 from __future__ import annotations
@@ -394,26 +396,30 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def _eliminate(rows: Iterable[Sequence[Rat | int]], width: int) -> tuple[int, int, int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination on the first width columns.
-
-    Each row is first scaled to integers by the lcm of its denominators;
-    scale is the product of those multipliers.  Columns without a pivot are
-    skipped.  Every update (p * x - f * y) // prev divides by the previous
-    pivot, which is exact because every entry stays a minor of the scaled
-    matrix (Bareiss, Math. Comp. 22, 1968).  A row swap negates the row moved
-    down, so the last pivot carries the sign: for a square matrix of full
-    rank it is the determinant of the scaled matrix.  Returns the rank, the
-    last pivot (1 when the rank is 0), scale and the reduced rows; every pivot
-    row holds the last pivot in its pivot column and zero in the others, so
-    an augmented column holds pivot * solution.
-    """
-    work: list[list[int]] = []
+def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[int, list[list[int]]]:
+    """Each row times the lcm of its denominators, and the product of those multipliers."""
     scale = 1
+    out = []
     for row in rows:
         s = math.lcm(*(x.denominator for x in row))
         scale *= s
-        work.append([x.numerator * (s // x.denominator) for x in row])
+        out.append([x.numerator * (s // x.denominator) for x in row])
+    return scale, out
+
+
+def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[int, int, list[Sequence[int]]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows on the first width columns.
+
+    Columns without a pivot are skipped.  Every update (p * x - f * y) // prev
+    divides by the previous pivot, which is exact because every entry stays a
+    minor of the input matrix (Bareiss, Math. Comp. 22, 1968).  A row swap
+    negates the row moved down, so the last pivot carries the sign: for a
+    square matrix of full rank it is the determinant.  Returns the rank, the
+    last pivot (1 when the rank is 0) and the reduced rows; every pivot row
+    holds the last pivot in its pivot column and zero in the others, so an
+    augmented column holds pivot * solution.
+    """
+    work = list(rows)
     nrows = len(work)
     rk = 0
     prev = 1
@@ -438,30 +444,31 @@ def _eliminate(rows: Iterable[Sequence[Rat | int]], width: int) -> tuple[int, in
         rk += 1
         if rk == nrows:
             break
-    return rk, prev, scale, work
+    return rk, prev, work
 
 
-def _solve_square(rows: Iterable[Sequence[Rat | int]], n: int) -> tuple[int, Rat, list[list[Rat]] | None]:
-    """One elimination of [A | B] for square A of size n, given row by row.
+def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list[Sequence[int]] | None]:
+    """One elimination of the integer rows [A | B] for square A of size n.
 
-    Returns rank A, det A and the rows of A^-1 B, which are None when A is
-    singular.
+    Returns rank A, det A and the rows of det A * A^-1 B, all integers; the
+    rows are None and the determinant 0 when A is singular.
     """
-    rk, pivot, scale, reduced = _eliminate(rows, n)
+    rk, pivot, reduced = _eliminate(rows, n)
     if rk < n:
-        return rk, Fraction(0), None
-    return rk, Fraction(pivot, scale), [[Fraction(x, pivot) for x in row[n:]] for row in reduced]
+        return rk, 0, None
+    return rk, pivot, [row[n:] for row in reduced]
 
 
 def det(m: RatMatrix) -> Rat:
     """Determinant: the signed last pivot of the elimination over the row scales."""
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
-    return _solve_square(m.rows(), m.nrows)[1]
+    scale, rows = _integer_rows(m.rows())
+    return Fraction(_solve_square(rows, m.nrows)[1], scale)
 
 
 def rank(m: RatMatrix) -> int:
-    return _eliminate(m.rows(), m.ncols)[0]
+    return _eliminate(_integer_rows(m.rows())[1], m.ncols)[0]
 
 
 def invert(m: RatMatrix) -> RatMatrix:
@@ -470,10 +477,10 @@ def invert(m: RatMatrix) -> RatMatrix:
         raise DimensionError("inverse needs a square matrix")
     n = m.nrows
     augmented = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(m.rows())]
-    inverse = _solve_square(augmented, n)[2]
+    _, pivot, inverse = _solve_square(_integer_rows(augmented)[1], n)
     if inverse is None:
         raise SingularMatrixError()
-    return RatMatrix(inverse)
+    return RatMatrix([[Fraction(x, pivot) for x in row] for row in inverse])
 
 
 def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
@@ -483,7 +490,7 @@ def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
     if len(rhs) != m.nrows:
         raise DimensionError("right-hand side length does not match")
     augmented = [r + (Fraction(check_coefficient(v)),) for r, v in zip(m.rows(), rhs)]
-    x = _solve_square(augmented, m.nrows)[2]
+    _, pivot, x = _solve_square(_integer_rows(augmented)[1], m.nrows)
     if x is None:
         raise SingularMatrixError()
-    return [row[0] for row in x]
+    return [Fraction(row[0], pivot) for row in x]

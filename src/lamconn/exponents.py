@@ -20,6 +20,11 @@ and the last row of M~^-1; M' | alpha_(n+2) gives the basis rank, det M' and
 the rational basis expansion of the last exponent.  validate_hypotheses,
 dependency, dependency_solution, det_identity_check and
 connection.sigma_tau all read it.
+
+The eliminations run on the integer exponents and build no Fraction: each
+solution is kept as the integer numerators det * solution over its signed
+integer determinant (det M~ for the inverse row, det M' for the relation),
+so Fraction(numerator, det) is the solution's entry, sign included.
 """
 
 from __future__ import annotations
@@ -49,18 +54,31 @@ class LayoutAnalysis:
     """Rank, determinant and solution data of one layout's two matrices, and
     the verdicts on hypotheses i) and ii) read off the two ranks.
 
-    inverse_last_row is the last row of M~^-1 and relation the expansion of
-    alpha_(n+2) in the first n+1 exponents; each is None when its matrix is
-    singular, and the determinant is then 0.
+    inverse_numerators is det M~ times the last row of M~^-1, and
+    relation_numerators is det M' times the expansion of alpha_(n+2) in the
+    first n+1 exponents; both are integers over the signed determinant (never
+    its absolute value), and each is None when its matrix is singular, the
+    determinant then being 0.  inverse_last_row and relation give the same
+    solutions as Fractions.
     """
 
     n: int
     rank_m_tilde: int
-    det_m_tilde: Rat
-    inverse_last_row: tuple[Rat, ...] | None
+    det_m_tilde: int
+    inverse_numerators: tuple[int, ...] | None
     rank_m_prime: int
-    det_m_prime: Rat
-    relation: tuple[Rat, ...] | None
+    det_m_prime: int
+    relation_numerators: tuple[int, ...] | None
+
+    @property
+    def inverse_last_row(self) -> tuple[Rat, ...] | None:
+        nums = self.inverse_numerators
+        return None if nums is None else tuple(Fraction(w, self.det_m_tilde) for w in nums)
+
+    @property
+    def relation(self) -> tuple[Rat, ...] | None:
+        nums = self.relation_numerators
+        return None if nums is None else tuple(Fraction(q, self.det_m_prime) for q in nums)
 
     @property
     def bordered_rank_ok(self) -> bool:
@@ -148,10 +166,10 @@ class ExponentData:
             n=self.n,
             rank_m_tilde=rk_tilde,
             det_m_tilde=det_tilde,
-            inverse_last_row=None if inverse is None else tuple(row[0] for row in inverse),
+            inverse_numerators=None if inverse is None else tuple(row[0] for row in inverse),
             rank_m_prime=rk_prime,
             det_m_prime=det_prime,
-            relation=None if relation is None else tuple(row[0] for row in relation),
+            relation_numerators=None if relation is None else tuple(row[0] for row in relation),
         )
 
     @classmethod
@@ -233,10 +251,16 @@ def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
 
 
 def _integer_relation(data: ExponentData) -> tuple[int, tuple[int, ...]]:
-    q = data.analysis.relation
-    r = math.lcm(*(x.denominator for x in q))
-    p = tuple(int(x * r) for x in q)
-    return r, p
+    """r and p from the relation numerators q_j over det = det M'.
+
+    Every denominator of x_j = q_j / det divides det, and the lcm of the
+    reduced ones, |det| / gcd(det, q_j), is |det| / gcd(det, *q) prime by
+    prime.  So r = det / g and p_j = r * x_j = q_j / g, with g = gcd(det, *q)
+    carrying the sign of det.
+    """
+    d, q = data.analysis.det_m_prime, data.analysis.relation_numerators
+    g = math.gcd(d, *q) if d > 0 else -math.gcd(d, *q)
+    return d // g, tuple(x // g for x in q)
 
 
 def dependency(data: ExponentData) -> DependencyData:
@@ -275,8 +299,8 @@ class DetIdentityReport:
     """Both sides of det(M~) = (-1)^(n+1) * (1 - sum_p/r) * det(M') plus the
     determinant route to sigma."""
 
-    det_m_prime: Rat
-    det_m_tilde: Rat
+    det_m_prime: int
+    det_m_tilde: int
     predicted_det_m_tilde: Rat
     identity_holds: bool
     sigma_from_determinants: Rat | None

@@ -75,6 +75,15 @@ class TestSigmaTau:
                 beta = tuple(rng.randint(0, 5) for _ in range(data.n + 1))
                 assert sigma_tau(data, MonomialMu(beta=beta)).sigma == base
 
+    @given(st.integers(min_value=0, max_value=2**32), st.lists(st.integers(0, 9), min_size=6, max_size=6))
+    def test_tau_is_inverse_row_pairing(self, seed, beta):
+        data = random_exponent_data(random.Random(seed), max_n=5, bound=30)
+        row = data.analysis.inverse_last_row
+        mu = MonomialMu(beta=tuple(beta[: data.n + 1]))
+        st_data = sigma_tau(data, mu)
+        assert st_data.sigma == row[0]
+        assert st_data.tau == sum((row[i + 1] * (b + 1) for i, b in enumerate(mu.beta)), F(0))
+
     def test_tau_affine_in_beta(self):
         # tau is the inverse-row pairing with beta + 1, so it is affine linear
         inv_row = (F(1, 2), F(1, 2), F(1))

@@ -128,7 +128,7 @@ class TestDependency:
     def test_zero_last_exponent_rejected(self):
         data = ExponentData(n=1, alphas=((1, 0), (0, 1), (0, 0)))
         assert validate_hypotheses(data).passed
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the parameter monomial has exponent zero"):
             dependency(data)
 
     def test_degenerate_case_split_raises(self):
@@ -253,6 +253,10 @@ class TestCachedAnalysis:
     @given(layouts_with_failures())
     @example((2, CUBE.alphas))
     @example((1, ((1, 0), (2, 0), (0, 1))))
+    @example((2, LAYOUT_B.alphas))  # det M~ = -16
+    @example((2, ((0, 4, 1), (4, 0, 1), (0, 0, 2), (2, 2, 0))))  # det M' = -32, det M~ = 16
+    @example((1, ((1, 0), (0, 1), (2, 0))))  # relation 1 * alpha_3 = 2 * alpha_1 + 0 * alpha_2
+    @example((1, ((1, 0), (0, 1), (0, 0))))  # zero last exponent
     def test_analysis_matches_fresh_elimination(self, layout):
         n, alphas = layout
         if len(set(alphas)) != n + 2:
@@ -265,15 +269,27 @@ class TestCachedAnalysis:
         assert analysis.det_m_tilde == det(m_tilde)
         assert analysis.det_m_prime == det(m_prime)
         if analysis.det_m_tilde == 0:
+            assert analysis.inverse_numerators is None
             assert analysis.inverse_last_row is None
             with pytest.raises(SingularMatrixError):
                 invert(m_tilde)
         else:
-            assert analysis.inverse_last_row == invert(m_tilde).row(n + 1)
+            inverse_row = invert(m_tilde).row(n + 1)
+            assert tuple(F(w, analysis.det_m_tilde) for w in analysis.inverse_numerators) == inverse_row
+            assert analysis.inverse_last_row == inverse_row
         if analysis.det_m_prime == 0:
+            assert analysis.relation_numerators is None
             assert analysis.relation is None
             with pytest.raises(SingularMatrixError):
                 solve(m_prime, alphas[-1])
         else:
-            assert list(analysis.relation) == solve(m_prime, alphas[-1])
+            x = solve(m_prime, alphas[-1])
+            assert [F(q, analysis.det_m_prime) for q in analysis.relation_numerators] == x
+            assert list(analysis.relation) == x
+            # the minimal relation by its definition: r clears every denominator of x
+            r = math.lcm(*(v.denominator for v in x))
+            assert dependency_solution(data) == (r, tuple(int(r * v) for v in x))
+            if analysis.passed and not any(alphas[-1]):
+                with pytest.raises(InputError, match="the parameter monomial has exponent zero"):
+                    dependency(data)
         assert data.analysis is analysis
