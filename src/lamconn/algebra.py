@@ -20,10 +20,19 @@ for t = 0..k, so the product of two normal monomials is
 
 and ``ABElement.__mul__`` applies it once per pair of terms, adding their lam
 exponents.  The rule multiplies only by integers, so the product runs on the
-numerators over the product of the two denominators.  It is the one product:
-``scale`` and ``times_a`` multiply by a degree-0 element and by a, and
-conjugation by b is b * x with every b power lowered by one.
-``parse`` and ``__str__`` read and print text on the numerators as well.
+numerators over the product of the two denominators.  It is the general
+product: ``scale`` and ``times_a`` multiply by a degree-0 element and by a,
+and conjugation by b is b * x with every b power lowered by one.
+
+Two one-pass kernels use two-term cases of the rule instead, and each is
+tested against the general product:
+
+    a^i*b^j * a = a^(i+1)*b^j - j*a^i*b^(j+1)            (linear_factor_product)
+    b * a^i*b^j = sum_t w_t a^(i-t)*b^(j+1+t),
+        w_0 = 1, w_(t+1) = -w_t*(i - t)                  (push_linear)
+
+``parse`` and ``__str__`` read and print text on the numerators as well;
+``parse`` takes each lam group as ``read_terms`` read it, in the same pass.
 """
 
 from __future__ import annotations
@@ -248,13 +257,16 @@ class ABElement:
                     raise InputError(f"a after b in {text!r}: text must be normally ordered")
                 else:
                     i += power
-            poly = {e: num}
+            poly = [(e, num, den)]
             for group in groups:
-                factor, d = LaurentPoly._read(group)
-                poly, den = over_one_denominator(
-                    [(e1 + e2, n1 * n2, den * d) for e1, n1 in poly.items() for e2, n2 in factor.items()]
-                )
-            parts += [((i, j, e), n, den) for e, n in poly.items()]
+                if isinstance(group, InputError):
+                    raise group
+                if len(poly) > 1:
+                    # Merge like exponents, so that k groups cost polynomial, not exponential, time.
+                    nums, d = over_one_denominator(poly)
+                    poly = [(e1, n1, d) for e1, n1 in nums.items()]
+                poly = [(e1 + e2, n1 * n2, d1 * d2) for e1, n1, d1 in poly for e2, n2, d2 in group]
+            parts += [((i, j, e1), n1, d1) for e1, n1, d1 in poly]
         return cls._make(*over_one_denominator(parts))
 
     def to_json(self) -> str:
@@ -283,11 +295,58 @@ def first_difference(x: ABElement, y: ABElement) -> tuple[FlatKey, Rat, Rat] | N
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
-    """Left-to-right product of factors (a - root*b); the empty product is 1."""
-    out = ABElement.one()
+    """Left-to-right product of factors (a - root*b); the empty product is 1.
+
+    From a^i*b^j*a = a^(i+1)*b^j - j*a^i*b^(j+1), each factor with root
+    rn/rd right-multiplies the numerators in one pass: a term n*lam^e*a^i*b^j
+    adds n*rd at (i+1, j, e) and -n*(j*rd + rn) at (i, j+1, e), and the
+    denominator is multiplied by rd.  The result is reduced once, at the end.
+    """
+    nums: dict[FlatKey, int] = {(0, 0, 0): 1}
+    den = 1
     for root in roots:
-        out = out * ABElement._linear(1, -check_coefficient(root))
-    return out
+        check_coefficient(root)
+        rn, rd = root.numerator, root.denominator
+        out: dict[FlatKey, int] = {}
+        for (i, j, e), n in nums.items():
+            key = (i + 1, j, e)
+            v = n * rd
+            out[key] = out[key] + v if key in out else v
+            key = (i, j + 1, e)
+            v = -n * (j * rd + rn)
+            out[key] = out[key] + v if key in out else v
+        nums, den = out, den * rd
+    return ABElement._make(nums, den)
+
+
+def push_linear(q: ABElement, n: ABElement) -> ABElement:
+    """b * theta(Q) + conj_b(Q) * N for a linear N = (na*a + nb*b)/nd, in one pass.
+
+    With w_0 = 1 and w_(t+1) = -w_t*(i - t), conj_b(a^i*b^j) = (a - b)^i*b^j
+    = sum_t w_t a^(i-t)*b^(j+t), and b*a^i*b^j has the same w_t with one more
+    b; a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1).  So a term c*lam^e*a^i*b^j
+    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at (p+1, s, e)
+    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), all over den*nd.  This is
+    the kernel of ``connection.push_nabla``; ``conj_b`` and the product stay
+    as the independent route.
+    """
+    if not n._terms.keys() <= {(1, 0, 0), (0, 1, 0)}:
+        raise ContractError(f"push_linear needs a linear N without lam, got {n}")
+    na, nb, nd = n._terms.get((1, 0, 0), 0), n._terms.get((0, 1, 0), 0), n._den
+    out: dict[FlatKey, int] = {}
+    for (i, j, e), c in q._terms.items():
+        lam_b = e * nd + nb
+        w = c
+        for t in range(i + 1):
+            p, s = i - t, j + t
+            key = (p + 1, s, e)
+            v = w * na
+            out[key] = out[key] + v if key in out else v
+            key = (p, s + 1, e)
+            v = w * (lam_b - s * na)
+            out[key] = out[key] + v if key in out else v
+            w = -w * (i - t)
+    return ABElement._make(out, q._den * nd)
 
 
 def homogeneous_components(x: ABElement) -> list[tuple[int, ABElement]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ABElement, conj_b, homogeneous_components
+from .algebra import ABElement, homogeneous_components, push_linear
 from .errors import HypothesisError, InputError
 from .exact import Rat, check_coefficient, check_int
 from .exponents import ExponentData
@@ -110,9 +110,13 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
     Differentiating the coefficient contributes lam * c'(lam) * b * Q; moving
     nabla through the word conjugates every generator by b and lands on
     nabla([mu]) itself.  Both contributions stay polynomial in lam, 1/lam.
+    So the result is b * theta(Q) + conj_b(Q) * N with N from ``nabla_formula``,
+    which ``algebra.push_linear`` sums in one pass over Q's numerators: a term
+    c*lam^e*a^i*b^j with N = (na*a + nb*b)/nd adds, for t = 0..i, p = i - t,
+    s = j + t and w_0 = 1, w_(t+1) = -w_t*(i - t), c*w_t*na at (p+1, s, e)
+    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), over den*nd.
     """
-    theta_part = ABElement.gen_b() * q.theta()
-    return theta_part + conj_b(q) * nabla_formula(st)
+    return push_linear(q, nabla_formula(st))
 
 
 def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:

@@ -23,9 +23,10 @@ Polynomials and algebra elements share one term grammar:
 
 where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
-it on ints, each coefficient a (numerator, denominator) pair, and
-``power_text``, ``term_text`` and ``join_signed`` write it; each parser
-checks its own names and groups.
+it on ints, each coefficient a (numerator, denominator) pair, and reads
+each group in the same pass as a polynomial in lam; ``power_text``,
+``term_text`` and ``join_signed`` write it.  Each parser checks its own
+names and whether it takes groups.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``) with
@@ -73,17 +74,27 @@ def parse_rat(text: str) -> Rat:
     return Fraction(num, den)
 
 
-def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[str]]]:
+# A parenthesized group as read by read_terms: its (lam exponent, num, den)
+# terms, or the InputError reading it raised.
+Group = list[tuple[int, int, int]] | InputError
+
+
+def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[Group]]]:
     """Read a sum in the term grammar into one ((num, den), powers, groups) per term.
 
     num/den is the signed product of the term's rational factors, as two
     ints with den > 0, not reduced; powers lists its name^int factors as
-    (name, power) in text order, and groups holds the text inside each of
-    its parentheses.  what names the expected value in error messages.
+    (name, power) in text order.  groups holds each of its parentheses, read
+    in the same pass as a polynomial in lam (``LaurentPoly._read``):
+    either its (exponent, num, den) terms or, when the group does not read,
+    the InputError it raised, for the caller to raise on reaching the group.
+    So the first error reported for a text is the same as if each group were
+    read only when its term is.  what names the expected value in error
+    messages.
     """
     if not text.strip():
         raise InputError(f"empty {what}")
-    terms: list[tuple[tuple[int, int], list[tuple[str, int]], list[str]]] = []
+    terms: list[tuple[tuple[int, int], list[tuple[str, int]], list[Group]]] = []
     num, den, powers, groups = 1, 1, [], []
     want_factor = True
     pos, end = 0, len(text.rstrip())
@@ -103,7 +114,10 @@ def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[s
             elif name is not None:
                 powers.append((name, parse_int(power) if power else 1))
             else:
-                groups.append(group)
+                try:
+                    groups.append(LaurentPoly._read(group))
+                except InputError as exc:
+                    groups.append(exc)
         elif op == "*":
             want_factor = True
         elif not want_factor:
@@ -310,20 +324,20 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
     @classmethod
-    def _read(cls, text: str) -> tuple[dict[int, int], int]:
-        """Numerators by exponent over one denominator for a text in VAR (see ``over_one_denominator``)."""
+    def _read(cls, text: str) -> list[tuple[int, int, int]]:
+        """(exponent, num, den) per term of a text in VAR, like-exponent terms not merged."""
         what = f"polynomial in {cls.VAR}"
         terms = []
         for (n, d), powers, groups in read_terms(text, what):
             if groups or any(name != cls.VAR for name, _ in powers):
                 raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
             terms.append((sum(power for _, power in powers), n, d))
-        return over_one_denominator(terms)
+        return terms
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
-        nums, den = cls._read(text)
+        nums, den = over_one_denominator(cls._read(text))
         return cls({e: Fraction(n, den) for e, n in nums.items()})
 
     def to_json(self) -> str:

@@ -335,19 +335,21 @@ def det_identity_check(data: ExponentData, dep: DependencyData | None = None) ->
     sum_p = sum(p)
     d_prime = data.analysis.det_m_prime
     d_tilde = data.analysis.det_m_tilde
-    sign = Fraction(-1) ** (data.n + 1)
-    predicted = sign * (1 - Fraction(sum_p, r)) * d_prime
-    identity_holds = d_tilde == predicted
+    # On ints: the identity times r, whose right side over r is the prediction.
+    signed_prime = -d_prime if data.n % 2 == 0 else d_prime
+    predicted_times_r = signed_prime * (r - sum_p)
+    identity_holds = d_tilde * r == predicted_times_r
     if d_tilde == 0:
         sigma_det: Rat | None = None
         sigma_matches: bool | None = None
     else:
-        sigma_det = sign * d_prime / d_tilde
-        sigma_matches = dep.sigma == sigma_det if dep is not None else Fraction(r, r - sum_p) == sigma_det
+        sigma_det = Fraction(signed_prime, d_tilde)
+        # Without dep, sigma = r / (r - sum_p) matches sigma_det exactly when the identity holds.
+        sigma_matches = dep.sigma == sigma_det if dep is not None else identity_holds
     return DetIdentityReport(
         det_m_prime=d_prime,
         det_m_tilde=d_tilde,
-        predicted_det_m_tilde=predicted,
+        predicted_det_m_tilde=Fraction(predicted_times_r, r),
         identity_holds=identity_holds,
         sigma_from_determinants=sigma_det,
         sigma_matches=sigma_matches,

@@ -128,10 +128,12 @@ def _check_golden_a() -> tuple[bool, str]:
 
 
 def _check_golden_b() -> tuple[bool, str]:
+    # Each part split into factor products joined by the general product, as
+    # in _check_golden_a, so the one-pass factor product is checked against it.
     lam_p2 = LaurentPoly.lam_power(2, Fraction(-4))
-    expected = linear_factor_product(
-        [Fraction(5, 2), Fraction(5, 4), Fraction(3, 4)]
-    ) + linear_factor_product([Fraction(2), Fraction(1)]).scale(lam_p2)
+    top = linear_factor_product([Fraction(5, 2)]) * linear_factor_product([Fraction(5, 4), Fraction(3, 4)])
+    low = linear_factor_product([Fraction(2)]) * linear_factor_product([Fraction(1)])
+    expected = top + low.scale(lam_p2)
     return _check_golden(family_b(2, 2, 1, 1), expected, "-2*a + 3/2*b")
 
 

@@ -327,6 +327,12 @@ class TestTrustedConstructor:
         assert x.scale(c).terms == expected
 
 
+# Int, zero and Fraction roots, as drawn or with the first one repeated or every sign flipped.
+root_lists = st.lists(st.integers(-4, 4) | small_fraction, max_size=5).flatmap(
+    lambda roots: st.sampled_from([roots, roots + roots[:1], [-r for r in roots]])
+)
+
+
 class TestLinearFactors:
     def test_frozen_product(self):
         assert linear_factor_product([F(5, 2), F(1)]) == ABElement(
@@ -339,6 +345,18 @@ class TestLinearFactors:
     def test_order_matters(self):
         r1, r2 = F(1), F(3)
         assert linear_factor_product([r1, r2]) != linear_factor_product([r2, r1])
+
+    @given(root_lists)
+    @example([])
+    @example([0, 0])
+    @example([F(-3, 4), F(-3, 4), F(-3, 4)])
+    @example([2, F(1, 3), -1])
+    def test_one_pass_matches_product_fold(self, roots):
+        """The one-pass kernel equals the general product of the factors, left to right."""
+        fold = ABElement.one()
+        for root in roots:
+            fold = fold * ABElement._linear(1, -root)
+        assert linear_factor_product(roots) == fold
 
     @given(st.lists(small_fraction, max_size=4))
     def test_monic_of_right_degree(self, roots):

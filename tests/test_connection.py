@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement, conj_b
@@ -161,6 +161,20 @@ class TestPushNabla:
         st_data = sigma_tau(result.exponents, MonomialMu.unit(2))
         expected = ABElement.parse("2*a - 8*b") * result.full_operator
         assert push_nabla(result.full_operator, st_data) == expected
+
+    @given(
+        abelement_lam | st.just(ABElement.zero()),
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    )
+    @example(ABElement.zero(), 0, [0, 0, 0, 0])
+    @example(ABElement.monomial(2, 1, LaurentPoly({-2: F(-3, 4), 1: 2})), 7, [1, 0, 2, 3])
+    def test_kernel_matches_conjugation_and_product(self, q, seed, beta):
+        """push_nabla's one-pass kernel equals b*theta(Q) + conj_b(Q)*N by the general product."""
+        data = random_exponent_data(random.Random(seed))
+        st_data = sigma_tau(data, MonomialMu(beta=tuple(beta[: data.n + 1])))
+        expected = B * q.theta() + conj_b(q) * nabla_formula(st_data)
+        assert push_nabla(q, st_data) == expected
 
     @given(abelement_lam)
     def test_two_routes_agree(self, q):

@@ -108,6 +108,16 @@ def oracle_poly(cls, text):
     return cls(terms)
 
 
+def oracle_group(group):
+    """A group from read_terms as a LaurentPoly summed in Fractions; a group that did not read raises."""
+    if isinstance(group, InputError):
+        raise group
+    poly = LaurentPoly.zero()
+    for e, num, den in group:
+        poly = poly + LaurentPoly.lam_power(e, Fraction(num, den))
+    return poly
+
+
 def oracle_element(text):
     """ABElement.parse by LaurentPoly: groups multiplied as polynomials, sums in Fractions."""
     out = {}
@@ -128,7 +138,7 @@ def oracle_element(text):
                 i += power
         poly = LaurentPoly.lam_power(e, Fraction(num, den))
         for group in groups:
-            poly = poly * oracle_poly(LaurentPoly, group)
+            poly = poly * oracle_group(group)
         out[(i, j)] = out.get((i, j), LaurentPoly.zero()) + poly
     return ABElement(out)
 
@@ -166,6 +176,12 @@ def outcome(parse, text):
 @example(text="b*a")
 @example(text="a^-1")
 @example(text="7/14*a")
+@example(text="(1 + lam)*(2 - lam^-1)*a")
+@example(text="(-lam)*b")
+@example(text="( 1/2*lam )*a")
+@example(text="(lam*a")
+@example(text="((lam))")
+@example(text="2*(lam)*b*(3)")
 def test_parsers_match_fraction_oracle(text):
     for parse, oracle in (
         (ABElement.parse, oracle_element),
