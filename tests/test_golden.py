@@ -20,5 +20,6 @@ def test_corpus_replays_to_recorded_digests():
     recorded = json.loads(corpus.DIGESTS.read_text(encoding="utf-8"))
     commands = corpus.commands()
     assert sorted(recorded) == sorted(" ".join(argv) for argv in commands)
-    changed = [" ".join(argv) for argv in commands if corpus.digest(argv) != recorded[" ".join(argv)]]
+    with corpus.workspace():
+        changed = [" ".join(argv) for argv in commands if corpus.digest(argv) != recorded[" ".join(argv)]]
     assert not changed, f"{len(changed)} commands changed output, first: {changed[0]}"
