@@ -18,8 +18,8 @@ eliminations per layout, done once and cached on the ExponentData instance
 (``ExponentData.analysis``): M~^T | e_(n+2) gives the bordered rank, det M~
 and the last row of M~^-1; M' | alpha_(n+2) gives the basis rank, det M' and
 the rational basis expansion of the last exponent.  validate_hypotheses,
-dependency, dependency_solution, det_identity_check and
-connection.sigma_tau all read it.
+dependency_solution, det_identity_check and connection.sigma_tau read it,
+and dependency reads the relation through dependency_solution.
 
 The eliminations run on the integer exponents and build no Fraction: each
 solution is kept as the integer numerators det * solution over its signed
@@ -58,8 +58,7 @@ class LayoutAnalysis:
     relation_numerators is det M' times the expansion of alpha_(n+2) in the
     first n+1 exponents; both are integers over the signed determinant (never
     its absolute value), and each is None when its matrix is singular, the
-    determinant then being 0.  inverse_last_row and relation give the same
-    solutions as Fractions.
+    determinant then being 0.
     """
 
     n: int
@@ -69,16 +68,6 @@ class LayoutAnalysis:
     rank_m_prime: int
     det_m_prime: int
     relation_numerators: tuple[int, ...] | None
-
-    @property
-    def inverse_last_row(self) -> tuple[Rat, ...] | None:
-        nums = self.inverse_numerators
-        return None if nums is None else tuple(Fraction(w, self.det_m_tilde) for w in nums)
-
-    @property
-    def relation(self) -> tuple[Rat, ...] | None:
-        nums = self.relation_numerators
-        return None if nums is None else tuple(Fraction(q, self.det_m_prime) for q in nums)
 
     @property
     def bordered_rank_ok(self) -> bool:
@@ -238,27 +227,19 @@ class DependencyData:
 
 
 def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
-    """Clear denominators of the basis expansion of the last exponent.
-
-    Needs only hypothesis ii).  r is the lcm of the denominators of the
-    rational solution, so no smaller positive multiplier yields an integer
-    relation.
-    """
-    report = validate_hypotheses(data)
-    if not report.basis_ok:
-        raise HypothesisError("; ".join(report.failure_messages()))
-    return _integer_relation(data)
-
-
-def _integer_relation(data: ExponentData) -> tuple[int, tuple[int, ...]]:
-    """r and p from the relation numerators q_j over det = det M'.
+    """The minimal integer relation r and p, from the numerators q_j of the
+    basis expansion over det = det M'; needs only hypothesis ii).
 
     Every denominator of x_j = q_j / det divides det, and the lcm of the
     reduced ones, |det| / gcd(det, q_j), is |det| / gcd(det, *q) prime by
     prime.  So r = det / g and p_j = r * x_j = q_j / g, with g = gcd(det, *q)
-    carrying the sign of det.
+    carrying the sign of det, and no smaller positive r gives an integer
+    relation.
     """
-    d, q = data.analysis.det_m_prime, data.analysis.relation_numerators
+    analysis = data.analysis
+    if not analysis.basis_ok:
+        raise HypothesisError("; ".join(analysis.failure_messages()))
+    d, q = analysis.det_m_prime, analysis.relation_numerators
     g = math.gcd(d, *q) if d > 0 else -math.gcd(d, *q)
     return d // g, tuple(x // g for x in q)
 
@@ -268,7 +249,7 @@ def dependency(data: ExponentData) -> DependencyData:
     report = validate_hypotheses(data)
     if not report.passed:
         raise HypothesisError("; ".join(report.failure_messages()))
-    r, p = _integer_relation(data)
+    r, p = dependency_solution(data)
     if all(x == 0 for x in p):
         raise InputError("the parameter monomial has exponent zero; no usable relation")
     sum_p = sum(p)
@@ -303,8 +284,8 @@ class DetIdentityReport:
     det_m_tilde: int
     predicted_det_m_tilde: Rat
     identity_holds: bool
-    sigma_from_determinants: Rat | None
-    sigma_matches: bool | None
+    sigma_from_determinants: Rat
+    sigma_matches: bool
     passed: bool
 
     def to_json(self) -> dict:
@@ -313,45 +294,33 @@ class DetIdentityReport:
             "det_m_tilde": str(self.det_m_tilde),
             "predicted_det_m_tilde": str(self.predicted_det_m_tilde),
             "identity_holds": self.identity_holds,
-            "sigma_from_determinants": None
-            if self.sigma_from_determinants is None
-            else str(self.sigma_from_determinants),
+            "sigma_from_determinants": str(self.sigma_from_determinants),
             "sigma_matches": self.sigma_matches,
             "passed": self.passed,
         }
 
 
-def det_identity_check(data: ExponentData, dep: DependencyData | None = None) -> DetIdentityReport:
-    """Check the determinant identity exactly.
+def det_identity_check(data: ExponentData, dep: DependencyData) -> DetIdentityReport:
+    """Check the determinant identity exactly, with the relation r, p from
+    dep, and compare dep.sigma with sigma = (-1)^(n+1) * det M' / det M~.
 
-    When dep is omitted the relation is solved from scratch, which only needs
-    hypothesis ii); a quasi-homogeneous input then degenerates to 0 = 0 and
-    the sigma comparison is skipped.
+    dep comes from dependency(data), which needs hypothesis i), so det M~ is
+    not 0.
     """
-    if dep is not None:
-        r, p = dep.r, dep.p
-    else:
-        r, p = dependency_solution(data)
-    sum_p = sum(p)
     d_prime = data.analysis.det_m_prime
     d_tilde = data.analysis.det_m_tilde
     # On ints: the identity times r, whose right side over r is the prediction.
     signed_prime = -d_prime if data.n % 2 == 0 else d_prime
-    predicted_times_r = signed_prime * (r - sum_p)
-    identity_holds = d_tilde * r == predicted_times_r
-    if d_tilde == 0:
-        sigma_det: Rat | None = None
-        sigma_matches: bool | None = None
-    else:
-        sigma_det = Fraction(signed_prime, d_tilde)
-        # Without dep, sigma = r / (r - sum_p) matches sigma_det exactly when the identity holds.
-        sigma_matches = dep.sigma == sigma_det if dep is not None else identity_holds
+    predicted_times_r = signed_prime * (dep.r - dep.sum_p)
+    identity_holds = d_tilde * dep.r == predicted_times_r
+    sigma_det = Fraction(signed_prime, d_tilde)
+    sigma_matches = dep.sigma == sigma_det
     return DetIdentityReport(
         det_m_prime=d_prime,
         det_m_tilde=d_tilde,
-        predicted_det_m_tilde=Fraction(predicted_times_r, r),
+        predicted_det_m_tilde=Fraction(predicted_times_r, dep.r),
         identity_holds=identity_holds,
         sigma_from_determinants=sigma_det,
         sigma_matches=sigma_matches,
-        passed=identity_holds and sigma_matches is not False,
+        passed=identity_holds and sigma_matches,
     )

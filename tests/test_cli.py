@@ -352,12 +352,6 @@ PINNED_REPORTS = [
             '      "passed": true,\n'
             '      "checks": [\n'
             "        {\n"
-            '          "name": "hypotheses",\n'
-            '          "passed": true,\n'
-            '          "expected": "True",\n'
-            '          "got": "True"\n'
-            "        },\n"
-            "        {\n"
             '          "name": "r",\n'
             '          "passed": true,\n'
             '          "expected": "2",\n'
@@ -416,12 +410,6 @@ PINNED_REPORTS = [
             '          "passed": true,\n'
             '          "expected": "2*a - 2*b",\n'
             '          "got": "2*a - 2*b"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "operator_reconstruction",\n'
-            '          "passed": true,\n'
-            '          "expected": "a^3 - 5*a^2*b + 229/16*a*b^2 - 605/32*b^3 + (-4*lam^-2)*a^2 + (14*lam^-2)*a*b + (-20*lam^-2)*b^2",\n'
-            '          "got": "a^3 - 5*a^2*b + 229/16*a*b^2 - 605/32*b^3 + (-4*lam^-2)*a^2 + (14*lam^-2)*a*b + (-20*lam^-2)*b^2"\n'
             "        }\n"
             "      ]\n"
             "    }\n"

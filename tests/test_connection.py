@@ -18,7 +18,7 @@ from lamconn.connection import (
     sigma_tau,
 )
 from lamconn.errors import HypothesisError, InputError
-from lamconn.exact import LaurentPoly
+from lamconn.exact import LaurentPoly, invert
 from lamconn.exponents import ExponentData, dependency
 from lamconn.families import family_a, family_b
 from lamconn.selftest import random_exponent_data
@@ -78,7 +78,7 @@ class TestSigmaTau:
     @given(st.integers(min_value=0, max_value=2**32), st.lists(st.integers(0, 9), min_size=6, max_size=6))
     def test_tau_is_inverse_row_pairing(self, seed, beta):
         data = random_exponent_data(random.Random(seed), max_n=5, bound=30)
-        row = data.analysis.inverse_last_row
+        row = invert(data.matrix_m_tilde()).row(data.n + 1)
         mu = MonomialMu(beta=tuple(beta[: data.n + 1]))
         st_data = sigma_tau(data, mu)
         assert st_data.sigma == row[0]

@@ -12,6 +12,10 @@ The one-pass algebra kernels each get the slip their rule invites: a
 ``push_linear`` without its e*nd (lam-derivative) term fails criterion 7, and
 a ``linear_factor_product`` without its j*rd term, which treats a and b as
 commuting, fails criteria 1 and 2.
+
+Every check that ``cross_validate`` records has a mutant that fails it and
+criterion 8, and criteria 3, 5, 6, 9, 10 and 11 each have one that fails
+them.  Each of these tests runs only the criterion it names.
 """
 
 import dataclasses
@@ -20,9 +24,10 @@ from fractions import Fraction
 import pytest
 
 import lamconn
-from lamconn import algebra, connection, exact, families, selftest
+from lamconn import algebra, cli, connection, exact, families, selftest
 from lamconn.algebra import ABElement
-from lamconn.exponents import ExponentData
+from lamconn.asymptotics import ResidualReport
+from lamconn.exponents import Case, ExponentData
 
 CACHED_ANALYSIS = ExponentData.analysis.func
 
@@ -104,3 +109,113 @@ def test_commuting_factor_product_fails_criteria_1_and_2(monkeypatch):
         result = selftest.run_criterion(cid)
         assert not result.passed
         assert result.detail.startswith("operator match False")
+
+
+def wrap(name, change, modules=(families, selftest)):
+    """A mutant installer: the real function of that name with its result
+    passed through change, installed in each of modules that imported it."""
+    real = getattr(families, name)
+
+    def install(monkeypatch):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+
+    return install
+
+
+def other_case(case):
+    return Case.CASE_I if case is Case.CASE_II else Case.CASE_II
+
+
+REAL_DET_IDENTITY_CHECK = families.det_identity_check
+
+
+def det_identity_with_sign_slip(data, dep):
+    """det_identity_check with (-1)^n for (-1)^(n+1): the real check run on det M' negated."""
+    slipped = ExponentData(n=data.n, alphas=data.alphas)
+    analysis = data.analysis
+    vars(slipped)["analysis"] = dataclasses.replace(analysis, det_m_prime=-analysis.det_m_prime)
+    return REAL_DET_IDENTITY_CHECK(slipped, dep)
+
+
+CROSS_CHECK_MUTANTS = {
+    "r": wrap("dependency", lambda dep: dataclasses.replace(dep, r=dep.r + 1)),
+    "p": wrap("dependency", lambda dep: dataclasses.replace(dep, p=(dep.p[0] + 1,) + dep.p[1:])),
+    "d": wrap("dependency", lambda dep: dataclasses.replace(dep, d=dep.d + 1)),
+    "h": wrap("dependency", lambda dep: dataclasses.replace(dep, h=dep.h + 1)),
+    "case": wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case))),
+    "sigma": wrap("dependency", lambda dep: dataclasses.replace(dep, sigma=dep.sigma + 1)),
+    "lambda_exponent": wrap(
+        "family_a", lambda result: dataclasses.replace(result, lambda_exponent=-result.lambda_exponent)
+    ),
+    "determinant_identity": lambda monkeypatch: monkeypatch.setattr(
+        families, "det_identity_check", det_identity_with_sign_slip
+    ),
+    "sigma_from_inverse": wrap("sigma_tau", lambda st: dataclasses.replace(st, sigma=st.sigma + 1)),
+    "nabla_one": wrap(
+        "family_a", lambda result: dataclasses.replace(result, nabla_one=result.nabla_one + ABElement.gen_b())
+    ),
+}
+
+
+def test_cross_validation_passes_unpatched():
+    names = [c.name for c in families.cross_validate(families.family_a(2, 2, 1)).checks]
+    assert names == list(CROSS_CHECK_MUTANTS)
+    result = selftest.run_criterion(8)
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("check", list(CROSS_CHECK_MUTANTS))
+def test_cross_check_mutant_fails_its_check_and_criterion_8(monkeypatch, check):
+    CROSS_CHECK_MUTANTS[check](monkeypatch)
+    report = families.cross_validate(families.family_a(2, 2, 1))
+    assert check in [c.name for c in report.checks if not c.passed]
+    result = selftest.run_criterion(8)
+    assert not result.passed
+    assert result.detail.startswith("cross validation fails for")
+
+
+REAL_VERIFY_TABLE = selftest.verify_table
+REAL_MAIN = cli.main
+
+
+def shift_identity_with_k_slip(q, mu):
+    """shift_identity_check with mu + k + 1 on the right at degree 2 or more."""
+    left, right = algebra.shift_identity_check(q, mu)
+    if q.degree() >= 2:
+        # (a - (mu + k + 1)*b) * Q = (a - (mu + k)*b) * Q - b * Q
+        right = right - ABElement.gen_b() * q
+    return left, right
+
+
+def verify_table_blind_past_order_40(spec, table):
+    report = REAL_VERIFY_TABLE(spec, table)
+    return ResidualReport({key: poly for key, poly in report.residuals.items() if key[2] <= 40})
+
+
+def main_hypothesis_exit_1(argv=None):
+    code = REAL_MAIN(argv)
+    return 1 if code == 2 else code
+
+
+def candidates_not_reduced(result):
+    return list(result.roots_low)
+
+
+CRITERION_MUTANTS = [
+    (3, wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,))),
+    (5, det_returns_abs),
+    (6, lambda monkeypatch: monkeypatch.setattr(selftest, "shift_identity_check", shift_identity_with_k_slip)),
+    (9, lambda monkeypatch: monkeypatch.setattr(selftest, "verify_table", verify_table_blind_past_order_40)),
+    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1)),
+    (11, lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced)),
+]
+
+
+@pytest.mark.parametrize("cid, mutant", CRITERION_MUTANTS, ids=[f"criterion-{c}" for c, _ in CRITERION_MUTANTS])
+def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant):
+    assert selftest.run_criterion(cid).passed
+    mutant(monkeypatch)
+    result = selftest.run_criterion(cid)
+    assert not result.passed, result.detail

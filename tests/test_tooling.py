@@ -6,13 +6,16 @@ runs each workload's op against the public API and checks its output, down
 to the term maps of ABElement and LogPoly.  A refactor that moves or reshapes
 one of these would otherwise only show when a benchmark run fails.  The
 package's own export list is checked as well, so a deleted name cannot stay
-behind in ``lamconn.__all__``, and so is the README's library example.
+behind in ``lamconn.__all__``, and so is the README's library example.  Each
+committed BENCH_*.json record of benchmark runs may name only the workloads
+and metrics that BENCHMARK.json declares.
 """
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import re
 import sys
 from itertools import islice
@@ -88,3 +91,16 @@ def test_readme_library_example_runs():
         "2*a - 2*b",
         "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]",
     ]
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_file_names_declared_workloads_and_metrics(path):
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]}
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    for run in bench["runs"] + bench.get("traced", []):
+        assert run["workload"] in workloads
+        assert set(run["metrics"]) <= metrics, sorted(set(run["metrics"]) - metrics)
