@@ -25,8 +25,33 @@ to c[i,j,m], and the table is the sum over the seed.  ``selftest`` computes
 it as an independent route and compares it with ``propagate``.
 
 The coefficients are LogPoly values, LaurentPoly's sparse polynomial printed
-in L instead of lam.  ``propagate`` builds each order in one pass per cell
-over plain {degree: Fraction} term maps and wraps each finished cell once.
+in L instead of lam.  ``propagate`` runs the recurrence once per seed chain:
+ladder i together with one seeded order m0.  The L^e coefficient of
+c[i,k,m] comes only from the chain with m0 = m - e, so chains never add to
+each other, and a chain carries one number per depth k <= K, its top seeded
+depth.  With rho = rn/rd, z = lcm(den alpha, den beta) and
+s = (m + 1)*rd + rn, so that m + rho + 1 = s/rd, the step from order m holds
+
+    f = Fn/(z*s),  a = An/(z*s),  g = -rd/s,
+    Fn = alpha*z*(m*rd + rn) + beta*z*rd,  An = alpha*z*rd
+
+(alpha*z and beta*z are integers).  The chain keeps integer numerators V[k]
+over E*P*L^(K-k), starting from E = the lcm of the seed denominators and
+P = L = 1.  A step takes gamma = gcd(L, s), lam = s/gamma, back = L/gamma and,
+for k = K..0 with j = K - k and W[K+1] = V[K+1] = 0,
+
+    W[k] = lam^j * (Fn*V[k] + An*L*V[k+1]) - rd*back*W[k+1],
+
+which is D[k] over z*E*P*s*(L*lam)^j; dividing by e + 1 integrates.  Then
+E <- E*z*(e+1), divided together with the W by the small
+gcd(z*(e+1), W[0], ..., W[K]), P <- P*s, L <- L*lam (the lcm of the s so
+far) and V <- W, and each emitted coefficient is one reduced
+Fraction(V[k], E*P*L^(K-k)).  The inner loop needs no big gcd.  When the
+bit length of E*P*L^K passes twice that of the widest reduced denominator
+plus 256, as telescoping chains (beta a multiple of alpha) make it, the
+chain renormalizes: E becomes the lcm of the reduced denominators, P = L = 1,
+and each V[k] is rescaled to the new E.
+
 ``verify_table`` substitutes the table back into the relation above with
 code of its own, summing each residual straight from the cells' term maps.
 It needs only a zero test, so each degree of a residual is summed on
@@ -40,6 +65,7 @@ well defined, so such input is rejected outright.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,11 +79,13 @@ SeedKey = tuple[int, int, int]
 # Largest N, M and number of rhos that ExpansionSpec.from_json accepts, bounding
 # a JSON spec's work up front; they admit N=3, M=720 and N=16, M=400.  Each rho
 # is its own ladder of (N + 1) * (M + 1) cells, and all ladders together may
-# hold at most MAX_CELLS, the cells of one rho at the largest N and M.  That
-# one rho, seeded at depths 0 and 16 with alpha -7/5 and beta 11/3, is the
-# slowest accepted spec measured: propagate refuses it at order 236, where a
-# coefficient first passes the 4300-digit print limit, about 0.9 s into the
-# CLI (Python 3.11, 2-core VM).
+# hold at most MAX_CELLS, the cells of one rho at the largest N and M.  The
+# slowest accepted spec measured is that one rho, 1/(10^100 + 1), seeded at
+# depths 0 and 16 with alpha 1 and beta 2: its coefficients telescope and stay
+# printable, and the CLI prints the whole 31.7 MB table in 7.4 to 8.6 s.
+# Seeded the same way with rho 1/3, alpha -7/5 and beta 11/3, propagate
+# refuses it at order 236, where a coefficient first passes the 4300-digit
+# print limit, 0.5 to 0.6 s into the CLI (Python 3.11, 2-core VM).
 MAX_LOG_DEPTH = 16
 MAX_ORDER = 720
 MAX_EXPONENTS = 4
@@ -244,59 +272,90 @@ def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[
     return clean
 
 
+def _chain(spec: ExpansionSpec, rho: Rat, m0: int, values: dict[int, Rat]):
+    """Yield (k, e, c) for every nonzero L^e coefficient c of c[i,k,m0+e] that
+    the seeds of one ladder at order m0, given as {depth: value}, produce.
+
+    The values of depth k are integer numerators V[k] over E*P*L^(K-k), where
+    K is the top seeded depth; see the module docstring for the step.
+    """
+    top = max(values)
+    rn, rd = rho.numerator, rho.denominator
+    an, ad = spec.alpha.numerator, spec.alpha.denominator
+    bn, bd = spec.beta.numerator, spec.beta.denominator
+    z = math.lcm(ad, bd)
+    fa, fb = an * (z // ad), bn * (z // bd) * rd  # alpha*z and beta*z*rd
+    big_e = math.lcm(*(c.denominator for c in values.values()))
+    v = [0] * (top + 2)
+    for k, c in values.items():
+        v[k] = c.numerator * (big_e // c.denominator)
+        yield k, 0, c
+    big_p = big_l = 1
+    for e in range(spec.order - m0):
+        m = m0 + e
+        s = (m + 1) * rd + rn
+        fn = fa * (m * rd + rn) + fb
+        gamma = math.gcd(big_l, s)
+        lam = s // gamma
+        an_l, rd_back = fa * rd * big_l, rd * (big_l // gamma)  # An*L and rd*back
+        w = [0] * (top + 2)
+        lam_j = 1
+        for k in range(top, -1, -1):
+            w[k] = lam_j * (fn * v[k] + an_l * v[k + 1]) - rd_back * w[k + 1]
+            lam_j *= lam
+        if not any(w):
+            return  # so is every later order
+        step = z * (e + 1)
+        g = math.gcd(step, *w)
+        if g > 1:
+            w = [x // g for x in w]
+        big_e *= step // g
+        big_p *= s
+        big_l *= lam
+        v = w
+        den = big_e * big_p
+        emitted = [Fraction(0)] * (top + 1)
+        for k in range(top, -1, -1):
+            if k < top:
+                den *= big_l
+            c = emitted[k] = Fraction(v[k], den)
+            if c:
+                yield k, e + 1, c
+        if den.bit_length() > 2 * max(c.denominator.bit_length() for c in emitted) + 256:
+            big_e = math.lcm(*(c.denominator for c in emitted))
+            v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]
+            big_p = big_l = 1
+
+
 def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> ExpansionTable:
     """Fill the whole table from the seed constants.
 
-    Missing seed entries default to zero.  Each order is produced by solving
-    the matched-power relation for the Euler derivatives top depth first,
-    integrating in L and adding the seed constant of the next order; each
-    cell is one pass over term maps.  A coefficient with more digits than
-    Python's int/str conversion limit (0: no limit) could not be printed, so
-    it is refused as soon as its cell is finished.
+    Missing seed entries default to zero.  The table is the sum of one chain
+    per ladder and seeded order, run on integers (see the module docstring);
+    the chains fill disjoint degrees of the cells, so each emitted value is a
+    finished coefficient.  A coefficient with more digits than Python's
+    int/str conversion limit (0: no limit) could not be printed, so it is
+    refused as soon as it is emitted.
     """
     clean_seed = _check_seed(spec, seed)
     limit = sys.get_int_max_str_digits()
     bound = 10**limit if limit else None
-    alpha, beta, top = spec.alpha, spec.beta, spec.log_depth
-    entries: dict[SeedKey, LogPoly] = {}
-
-    def finish(key: SeedKey, cell: dict[int, Rat]) -> None:
-        if bound is not None:
-            for c in cell.values():
-                if c.denominator >= bound or abs(c.numerator) >= bound:
-                    raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
-        entries[key] = LogPoly._make(cell)
-
-    for i, rho in enumerate(spec.rhos):
-        current: list[dict[int, Rat]] = []
-        for k in range(top + 1):
-            constant = clean_seed.get((i, k, 0))
-            current.append({0: constant} if constant is not None else {})
-            finish((i, k, 0), current[k])
-        for m in range(spec.order):
-            # D[k] = f*c[k] + a*c[k+1] + g*D[k+1], with D[N+1] = c[N+1] = 0.
-            q = 1 / (m + rho + 1)
-            f = (alpha * (m + rho) + beta) * q
-            a = alpha * q
-            g = -q
-            nxt: list[dict[int, Rat]] = [{}] * (top + 1)
-            above: dict[int, Rat] = {}
-            d_above: dict[int, Rat] = {}
-            for k in range(top, -1, -1):
-                d = {e: f * c for e, c in current[k].items()}
-                for e, c in above.items():
-                    d[e] = d[e] + a * c if e in d else a * c
-                for e, c in d_above.items():
-                    d[e] = d[e] + g * c if e in d else g * c
-                d = {e: c for e, c in d.items() if c}
-                cell = {e + 1: c / (e + 1) for e, c in d.items()}
-                constant = clean_seed.get((i, k, m + 1))
-                if constant is not None:
-                    cell[0] = constant
-                finish((i, k, m + 1), cell)
-                nxt[k] = cell
-                above, d_above = current[k], d
-            current = nxt
+    chains: dict[tuple[int, int], dict[int, Rat]] = {}
+    for (i, k, m), value in clean_seed.items():
+        chains.setdefault((i, m), {})[k] = value
+    ladders = [[[{} for _ in range(spec.order + 1)] for _ in range(spec.log_depth + 1)] for _ in spec.rhos]
+    for (i, m0), values in sorted(chains.items()):
+        cells = ladders[i]
+        for k, e, c in _chain(spec, spec.rhos[i], m0, values):
+            if bound is not None and (c.denominator >= bound or abs(c.numerator) >= bound):
+                raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
+            cells[k][m0 + e][e] = c
+    entries = {
+        (i, k, m): LogPoly._make(cell)
+        for i, cells in enumerate(ladders)
+        for k, row in enumerate(cells)
+        for m, cell in enumerate(row)
+    }
     return ExpansionTable(spec=spec, entries=entries)
 
 

@@ -113,7 +113,8 @@ class LayoutAnalysis:
 
 @dataclass(frozen=True)
 class ExponentData:
-    """Validated exponent columns: n+2 vectors with n+1 nonnegative entries each."""
+    """Validated exponent columns: n+2 distinct vectors with n+1 nonnegative
+    entries each, the last of them (the parameter monomial's) not zero."""
 
     n: int
     alphas: tuple[tuple[int, ...], ...]
@@ -131,6 +132,9 @@ class ExponentData:
                 check_int(entry, "exponent entry", 0)
         if len(set(alphas)) != len(alphas):
             raise InputError("exponent vectors must be pairwise distinct")
+        if not any(alphas[-1]):
+            # lam would multiply the constant monomial: the relation is r * 0 = 0.
+            raise InputError("the parameter monomial has exponent zero; no usable relation")
 
     def matrix_m_prime(self) -> RatMatrix:
         """The (n+1) x (n+1) matrix whose columns are the first n+1 exponents."""
@@ -250,8 +254,6 @@ def dependency(data: ExponentData) -> DependencyData:
     if not report.passed:
         raise HypothesisError("; ".join(report.failure_messages()))
     r, p = dependency_solution(data)
-    if all(x == 0 for x in p):
-        raise InputError("the parameter monomial has exponent zero; no usable relation")
     sum_p = sum(p)
     side_nonpos = r - sum(x for x in p if x <= 0)
     side_pos = sum(x for x in p if x > 0)

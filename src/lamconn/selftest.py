@@ -325,6 +325,17 @@ def _check_asymptotics() -> tuple[bool, str]:
     caught = set(verify_table(long_spec, tampered).residuals)
     if caught != {(i, k - dk, m - dm) for dk in (0, 1) for dm in (0, 1)}:
         return False, f"perturbing c{[i, k, m]} of the long spec gives residuals at {sorted(caught)}"
+
+    # beta = 2*alpha telescopes: the coefficients stay short while the shared
+    # denominator of propagate's chains grows by the 31-digit rho denominator
+    # at every order, so the chains renormalize.
+    short_spec = ExpansionSpec(
+        rhos=(Fraction(1, 10**30 + 1),), log_depth=2, order=12, alpha=Fraction(3, 2), beta=Fraction(3)
+    )
+    short_seed = {(0, 0, 0): 1, (0, 2, 0): Fraction(-2, 3), (0, 1, 4): 5}
+    table = propagate(short_spec, short_seed)
+    if not verify_table(short_spec, table).passed or table != frobenius_table(short_spec, short_seed):
+        return False, f"propagate fails on the telescoping spec {short_spec.to_json()}"
     return True, (
         f"golden values, degree bound, residuals, additivity and the closed-form "
         f"(Frobenius) route on {checked} random specs; residuals on an order-{long_spec.order} "

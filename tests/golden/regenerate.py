@@ -16,7 +16,8 @@ their messages are the same on every machine.  The corpus:
 - ``propagate``, text, ``--json`` and ``--csv``, on the README spec, on
   ``SPEC_COUNT`` specs drawn by ``random_specs`` and on one over the log
   depth limit (N = 17);
-- ``selftest --json`` with every ``seconds`` value set to 0;
+- ``selftest`` text, which carries no seconds, and ``selftest --json`` with
+  every ``seconds`` value set to 0;
 - usage errors, recorded as their exit code only, because argparse words its
   messages differently across Python versions.
 
@@ -146,7 +147,7 @@ def commands() -> list[list[str]]:
     runs += [["propagate", path] for path in specs]
     out = [argv + extra for argv in runs for extra in ([], ["--json"])]
     out += [["propagate", path, "--csv", "out.csv"] for path in specs]
-    return out + [["selftest", "--json"]] + [list(argv) for argv in USAGE_ERRORS]
+    return out + [["selftest"], ["selftest", "--json"]] + [list(argv) for argv in USAGE_ERRORS]
 
 
 def digest(argv: list[str]) -> str:

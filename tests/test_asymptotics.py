@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
@@ -278,6 +278,51 @@ class TestFrobeniusRoute:
         spec = ExpansionSpec(rhos=(F(1, 3), F(-1, 2)), log_depth=3, order=300, alpha=F(2), beta=F(-1, 3))
         seed = {(0, 3, 0): F(1), (1, 0, 5): F(2, 5), (1, 2, 17): F(-7)}
         assert frobenius_table(spec, seed) == propagate(spec, seed)
+
+
+@st.composite
+def chain_specs(draw):
+    """A spec and a seed with several orders and depths per ladder.  The rho
+    denominators go up to 10^30 and a third of the draws telescope (beta a
+    multiple of alpha), so the chains' shared denominators outgrow the reduced
+    ones and renormalize."""
+    dens = st.sampled_from([1, 2, 3, 7, 10**6 + 3]) | st.integers(min_value=1, max_value=10**30)
+    rhos = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        den = draw(dens)
+        rhos.append(F(draw(st.integers(min_value=1 - den, max_value=3 * den)), den))
+    alpha = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        beta = alpha * draw(st.integers(min_value=-3, max_value=3))
+    else:
+        beta = draw(seed_values)
+    try:
+        spec = ExpansionSpec(
+            rhos=tuple(rhos),
+            log_depth=draw(st.integers(min_value=0, max_value=3)),
+            order=draw(st.integers(min_value=0, max_value=12)),
+            alpha=alpha,
+            beta=beta,
+        )
+    except InputError:  # congruent rhos
+        assume(False)
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=len(rhos) - 1),
+        st.integers(min_value=0, max_value=spec.log_depth),
+        st.integers(min_value=0, max_value=spec.order),
+    )
+    return spec, draw(st.dictionaries(keys, seed_values.filter(bool), min_size=1, max_size=6))
+
+
+class TestChainKernel:
+    """propagate's integer seed chains against the closed-form route and the relation."""
+
+    @given(chain_specs())
+    def test_matches_frobenius_and_verifies(self, spec_seed):
+        spec, seed = spec_seed
+        table = propagate(spec, seed)
+        assert table == frobenius_table(spec, seed)
+        assert verify_table(spec, table).passed
 
 
 class TestVerifyTable:

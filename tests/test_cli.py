@@ -671,6 +671,14 @@ class TestInputHandling:
             assert out.err.startswith("input error:") and "must be at most" in out.err
             assert out.out == ""
 
+    def test_zero_last_exponent_refused_by_check_and_analyze(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"n": 1, "alphas": [[1, 0], [0, 1], [0, 0]]})
+        for command in ("check", "analyze"):
+            assert main([command, path]) == 1
+            out = capsys.readouterr()
+            assert out.err == "input error: the parameter monomial has exponent zero; no usable relation\n"
+            assert out.out == ""
+
     def test_layout_output_past_digit_limit(self, tmp_path):
         # Within the layout budget, but the relation's rationals have about
         # 8000 digits, so the failure comes while rendering the report.

@@ -126,10 +126,11 @@ class TestDependency:
         assert dep.sigma == F(1, 1 - 2)
 
     def test_zero_last_exponent_rejected(self):
-        data = ExponentData(n=1, alphas=((1, 0), (0, 1), (0, 0)))
-        assert validate_hypotheses(data).passed
+        # Both hypotheses would hold, but no relation exists: refused on construction.
         with pytest.raises(InputError, match="the parameter monomial has exponent zero"):
-            dependency(data)
+            ExponentData(n=1, alphas=((1, 0), (0, 1), (0, 0)))
+        with pytest.raises(InputError, match="the parameter monomial has exponent zero"):
+            ExponentData.from_json({"n": 1, "alphas": [[1, 0], [0, 1], [0, 0]]})
 
     def test_degenerate_case_split_raises(self):
         # Only reachable when the analysis claims full bordered rank for a
@@ -248,10 +249,9 @@ class TestCachedAnalysis:
     @example((2, LAYOUT_B.alphas))  # det M~ = -16
     @example((2, ((0, 4, 1), (4, 0, 1), (0, 0, 2), (2, 2, 0))))  # det M' = -32, det M~ = 16
     @example((1, ((1, 0), (0, 1), (2, 0))))  # relation 1 * alpha_3 = 2 * alpha_1 + 0 * alpha_2
-    @example((1, ((1, 0), (0, 1), (0, 0))))  # zero last exponent
     def test_analysis_matches_fresh_elimination(self, layout):
         n, alphas = layout
-        if len(set(alphas)) != n + 2:
+        if len(set(alphas)) != n + 2 or not any(alphas[-1]):
             return
         data = ExponentData(n=n, alphas=alphas)
         analysis = data.analysis
@@ -277,7 +277,4 @@ class TestCachedAnalysis:
             # the minimal relation by its definition: r clears every denominator of x
             r = math.lcm(*(v.denominator for v in x))
             assert dependency_solution(data) == (r, tuple(int(r * v) for v in x))
-            if analysis.passed and not any(alphas[-1]):
-                with pytest.raises(InputError, match="the parameter monomial has exponent zero"):
-                    dependency(data)
         assert data.analysis is analysis

@@ -16,15 +16,22 @@ commuting, fails criteria 1 and 2.
 Every check that ``cross_validate`` records has a mutant that fails it and
 criterion 8, and criteria 3, 5, 6, 9, 10 and 11 each have one that fails
 them.  Each of these tests runs only the criterion it names.
+
+``propagate``'s seed chains get the two slips their bookkeeping invites, each
+made in a recompiled copy of ``asymptotics._chain``: the depth coupling
+scaled by L instead of L/gcd(L, s), and a renormalization that resets the
+shared denominator without rescaling the numerators.  Both fail criterion 9.
 """
 
 import dataclasses
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 import lamconn
-from lamconn import algebra, cli, connection, exact, families, selftest
+from lamconn import algebra, asymptotics, cli, connection, exact, families, selftest
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ResidualReport
 from lamconn.exponents import Case, ExponentData
@@ -218,4 +225,30 @@ def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant):
     assert selftest.run_criterion(cid).passed
     mutant(monkeypatch)
     result = selftest.run_criterion(cid)
+    assert not result.passed, result.detail
+
+
+def chain_with(old: str, new: str):
+    """asymptotics._chain recompiled with the one occurrence of old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(asymptotics._chain))
+    assert source.count(old) == 1
+    namespace = dict(vars(asymptotics))
+    exec(compile(source.replace(old, new), asymptotics.__file__, "exec"), namespace)
+    return namespace["_chain"]
+
+
+CHAIN_MUTANTS = {
+    "back_is_l": ("rd * (big_l // gamma)", "rd * big_l"),
+    "renormalize_without_rescaling": (
+        "v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]",
+        "pass",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(CHAIN_MUTANTS))
+def test_chain_mutant_fails_criterion_9(monkeypatch, mutant):
+    assert selftest.run_criterion(9).passed
+    monkeypatch.setattr(asymptotics, "_chain", chain_with(*CHAIN_MUTANTS[mutant]))
+    result = selftest.run_criterion(9)
     assert not result.passed, result.detail
