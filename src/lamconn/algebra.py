@@ -24,12 +24,14 @@ numerators over the product of the two denominators.  It is the general
 product: ``scale`` and ``times_a`` multiply by a degree-0 element and by a,
 and conjugation by b is b * x with every b power lowered by one.
 
-Two one-pass kernels use two-term cases of the rule instead, and each is
-tested against the general product:
+``linear_factor_product`` uses a two-term case of the rule instead, in one
+pass, and is tested against the general product:
 
-    a^i*b^j * a = a^(i+1)*b^j - j*a^i*b^(j+1)            (linear_factor_product)
-    b * a^i*b^j = sum_t w_t a^(i-t)*b^(j+1+t),
-        w_0 = 1, w_(t+1) = -w_t*(i - t)                  (push_linear)
+    a^i*b^j * a = a^(i+1)*b^j - j*a^i*b^(j+1)
+
+``connection.push_nabla`` sums b*theta(Q) + conj_b(Q)*N the same way, in one
+pass over Q's numerators; ``conj_b`` and the product are its independent
+route.
 
 ``parse`` and ``__str__`` read and print text on the numerators as well;
 ``parse`` takes each lam group as ``read_terms`` read it, in the same pass.
@@ -259,8 +261,6 @@ class ABElement:
                     i += power
             poly = [(e, num, den)]
             for group in groups:
-                if isinstance(group, InputError):
-                    raise group
                 if len(poly) > 1:
                     # Merge like exponents, so that k groups cost polynomial, not exponential, time.
                     nums, d = over_one_denominator(poly)
@@ -317,36 +317,6 @@ def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
             out[key] = out[key] + v if key in out else v
         nums, den = out, den * rd
     return ABElement._make(nums, den)
-
-
-def push_linear(q: ABElement, n: ABElement) -> ABElement:
-    """b * theta(Q) + conj_b(Q) * N for a linear N = (na*a + nb*b)/nd, in one pass.
-
-    With w_0 = 1 and w_(t+1) = -w_t*(i - t), conj_b(a^i*b^j) = (a - b)^i*b^j
-    = sum_t w_t a^(i-t)*b^(j+t), and b*a^i*b^j has the same w_t with one more
-    b; a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1).  So a term c*lam^e*a^i*b^j
-    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at (p+1, s, e)
-    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), all over den*nd.  This is
-    the kernel of ``connection.push_nabla``; ``conj_b`` and the product stay
-    as the independent route.
-    """
-    if not n._terms.keys() <= {(1, 0, 0), (0, 1, 0)}:
-        raise ContractError(f"push_linear needs a linear N without lam, got {n}")
-    na, nb, nd = n._terms.get((1, 0, 0), 0), n._terms.get((0, 1, 0), 0), n._den
-    out: dict[FlatKey, int] = {}
-    for (i, j, e), c in q._terms.items():
-        lam_b = e * nd + nb
-        w = c
-        for t in range(i + 1):
-            p, s = i - t, j + t
-            key = (p + 1, s, e)
-            v = w * na
-            out[key] = out[key] + v if key in out else v
-            key = (p, s + 1, e)
-            v = w * (lam_b - s * na)
-            out[key] = out[key] + v if key in out else v
-            w = -w * (i - t)
-    return ABElement._make(out, q._den * nd)
 
 
 def homogeneous_components(x: ABElement) -> list[tuple[int, ABElement]]:

@@ -10,6 +10,7 @@ main() maps InputError to 1 and HypothesisError to 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -138,7 +139,8 @@ def _emit_family(
         raise HypothesisError("family cross validation failed")
 
 
-def _family_command(result, as_json: bool) -> int:
+def _cmd_family(args) -> int:
+    result = args.build(*(getattr(args, letter) for letter in args.letters))
     payload = result.to_json()
     lines = [f"family {result.label()}", f"exponents: {result.exponents.to_json()['alphas']}"]
     details = [
@@ -147,16 +149,8 @@ def _family_command(result, as_json: bool) -> int:
         f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
         f"lam*nabla([1]) = ({result.nabla_one})[1]",
     ]
-    _emit_family(result, payload, payload, lines, details, as_json)
+    _emit_family(result, payload, payload, lines, details, args.json)
     return 0
-
-
-def _cmd_family_a(args) -> int:
-    return _family_command(family_a(args.u, args.v, args.w), args.json)
-
-
-def _cmd_family_b(args) -> int:
-    return _family_command(family_b(args.p, args.q, args.u, args.v), args.json)
 
 
 def _cmd_propagate(args) -> int:
@@ -170,13 +164,16 @@ def _cmd_propagate(args) -> int:
         for key_text, value in seed_obj.items()
     }
     table = propagate(spec, seed)
-    lines = [
-        f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
-        f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
-    ]
-    for (i, k, m), poly in sorted(table.entries.items()):
-        lines.append(f"c[{i},{k},{m}] = {poly}")
-    _emit(table.to_json(), args.json, lines)
+    if args.json:
+        _emit(table.to_json(), True, [])
+    else:
+        lines = [
+            f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
+            f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
+        ]
+        for (i, k, m), poly in sorted(table.entries.items()):
+            lines.append(f"c[{i},{k},{m}] = {poly}")
+        _emit({}, False, lines)
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -189,29 +186,10 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = selftest_mod.run_all()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "passed": all(r.passed for r in results),
-                    "criteria": [
-                        {
-                            "id": r.cid,
-                            "description": r.description,
-                            "passed": r.passed,
-                            "detail": r.detail,
-                            "seconds": r.seconds,
-                        }
-                        for r in results
-                    ],
-                },
-                indent=2,
-            )
-        )
-    else:
-        for result in results:
-            print(result.line())
-    return 0 if all(r.passed for r in results) else 2
+    passed = all(r.passed for r in results)
+    payload = {"passed": passed, "criteria": [dataclasses.asdict(r) for r in results]}
+    _emit(payload, args.json, [r.line() for r in results])
+    return 0 if passed else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,22 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--json", action="store_true", help="machine readable output")
     p_analyze.set_defaults(fn=_cmd_analyze)
 
-    p_fa = sub.add_parser("family-a", help="closed form for x^2u + y^2v + z^2w + lam*x^u*y^v*z^w")
-    p_fa.add_argument("--u", type=int, required=True)
-    p_fa.add_argument("--v", type=int, required=True)
-    p_fa.add_argument("--w", type=int, required=True)
-    p_fa.add_argument("--json", action="store_true", help="machine readable output")
-    p_fa.set_defaults(fn=_cmd_family_a)
-
-    p_fb = sub.add_parser(
-        "family-b", help="closed form for x^2p*z^u + y^2q*z^v + z^(u+v) + lam*x^p*y^q"
-    )
-    p_fb.add_argument("--p", type=int, required=True)
-    p_fb.add_argument("--q", type=int, required=True)
-    p_fb.add_argument("--u", type=int, required=True)
-    p_fb.add_argument("--v", type=int, required=True)
-    p_fb.add_argument("--json", action="store_true", help="machine readable output")
-    p_fb.set_defaults(fn=_cmd_family_b)
+    for name, build, letters, help_text in (
+        ("family-a", family_a, "uvw", "closed form for x^2u + y^2v + z^2w + lam*x^u*y^v*z^w"),
+        ("family-b", family_b, "pquv", "closed form for x^2p*z^u + y^2q*z^v + z^(u+v) + lam*x^p*y^q"),
+    ):
+        p_family = sub.add_parser(name, help=help_text)
+        for letter in letters:
+            p_family.add_argument(f"--{letter}", type=int, required=True)
+        p_family.add_argument("--json", action="store_true", help="machine readable output")
+        p_family.set_defaults(fn=_cmd_family, build=build, letters=letters)
 
     p_prop = sub.add_parser("propagate", help="propagate log expansion coefficients")
     p_prop.add_argument("file", help="JSON file with rhos, N, M, alpha, beta, seed")

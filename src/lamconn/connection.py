@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ABElement, homogeneous_components, push_linear
+from .algebra import ABElement, FlatKey, homogeneous_components
 from .errors import HypothesisError, InputError
 from .exact import Rat, check_coefficient, check_int
 from .exponents import ExponentData
@@ -110,13 +110,30 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
     Differentiating the coefficient contributes lam * c'(lam) * b * Q; moving
     nabla through the word conjugates every generator by b and lands on
     nabla([mu]) itself.  Both contributions stay polynomial in lam, 1/lam.
-    So the result is b * theta(Q) + conj_b(Q) * N with N from ``nabla_formula``,
-    which ``algebra.push_linear`` sums in one pass over Q's numerators: a term
-    c*lam^e*a^i*b^j with N = (na*a + nb*b)/nd adds, for t = 0..i, p = i - t,
-    s = j + t and w_0 = 1, w_(t+1) = -w_t*(i - t), c*w_t*na at (p+1, s, e)
-    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), over den*nd.
+    So the result is b * theta(Q) + conj_b(Q) * N with N = (na*a + nb*b)/nd
+    from ``nabla_formula``, summed in one pass over Q's numerators.  With
+    w_0 = 1 and w_(t+1) = -w_t*(i - t), conj_b(a^i*b^j) = (a - b)^i*b^j
+    = sum_t w_t a^(i-t)*b^(j+t), and b*a^i*b^j has the same w_t with one more
+    b; a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1).  So a term c*lam^e*a^i*b^j
+    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at (p+1, s, e)
+    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), all over den*nd.
+    ``push_nabla_via_shift`` is the independent route through the product.
     """
-    return push_linear(q, nabla_formula(st))
+    n = nabla_formula(st)
+    na, nb, nd = n._terms.get((1, 0, 0), 0), n._terms.get((0, 1, 0), 0), n._den
+    out: dict[FlatKey, int] = {}
+    for (i, j, e), w in q._terms.items():
+        lam_b = e * nd + nb
+        for t in range(i + 1):
+            p, s = i - t, j + t
+            key = (p + 1, s, e)
+            v = w * na
+            out[key] = out[key] + v if key in out else v
+            key = (p, s + 1, e)
+            v = w * (lam_b - s * na)
+            out[key] = out[key] + v if key in out else v
+            w = -w * (i - t)
+    return ABElement._make(out, q._den * nd)
 
 
 def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:

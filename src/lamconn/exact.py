@@ -24,9 +24,10 @@ Polynomials and algebra elements share one term grammar:
 where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
 it on ints, each coefficient a (numerator, denominator) pair, and reads
-each group in the same pass as a polynomial in lam; ``power_text``,
-``term_text`` and ``join_signed`` write it.  Each parser checks its own
-names and whether it takes groups.
+each group in the same pass as a polynomial in lam, so a malformed group
+is reported where it stands in the text; ``power_text``, ``term_text`` and
+``join_signed`` write it.  Each parser checks its own names and whether it
+takes groups.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``) with
@@ -74,27 +75,19 @@ def parse_rat(text: str) -> Rat:
     return Fraction(num, den)
 
 
-# A parenthesized group as read by read_terms: its (lam exponent, num, den)
-# terms, or the InputError reading it raised.
-Group = list[tuple[int, int, int]] | InputError
-
-
-def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[Group]]]:
+def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[list[tuple[int, int, int]]]]]:
     """Read a sum in the term grammar into one ((num, den), powers, groups) per term.
 
     num/den is the signed product of the term's rational factors, as two
     ints with den > 0, not reduced; powers lists its name^int factors as
     (name, power) in text order.  groups holds each of its parentheses, read
-    in the same pass as a polynomial in lam (``LaurentPoly._read``):
-    either its (exponent, num, den) terms or, when the group does not read,
-    the InputError it raised, for the caller to raise on reaching the group.
-    So the first error reported for a text is the same as if each group were
-    read only when its term is.  what names the expected value in error
-    messages.
+    in the same pass as a polynomial in lam (``LaurentPoly._read``) into its
+    (exponent, num, den) terms; a group that does not read raises its
+    InputError there.  what names the expected value in error messages.
     """
     if not text.strip():
         raise InputError(f"empty {what}")
-    terms: list[tuple[tuple[int, int], list[tuple[str, int]], list[Group]]] = []
+    terms = []
     num, den, powers, groups = 1, 1, [], []
     want_factor = True
     pos, end = 0, len(text.rstrip())
@@ -114,10 +107,7 @@ def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[s
             elif name is not None:
                 powers.append((name, parse_int(power) if power else 1))
             else:
-                try:
-                    groups.append(LaurentPoly._read(group))
-                except InputError as exc:
-                    groups.append(exc)
+                groups.append(LaurentPoly._read(group))
         elif op == "*":
             want_factor = True
         elif not want_factor:

@@ -25,9 +25,6 @@ from .errors import InputError
 from .exact import Rat, check_int, power_text, term_text
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check
 
-C_COEFF = Fraction(-4)
-
-
 @dataclass(frozen=True)
 class FamilyResult:
     """Operator data for one family instance.
@@ -47,10 +44,10 @@ class FamilyResult:
     lambda_exponent: int
     full_operator: ABElement = field(init=False)
     nabla_one: ABElement
-    c_coeff: ClassVar[Rat] = C_COEFF
+    c_coeff: ClassVar[Rat] = Fraction(-4)
 
     def __post_init__(self):
-        weight = ABElement._make({(0, 0, self.lambda_exponent): C_COEFF.numerator}, C_COEFF.denominator)
+        weight = ABElement._make({(0, 0, self.lambda_exponent): self.c_coeff.numerator}, self.c_coeff.denominator)
         full = linear_factor_product(self.roots_top) + linear_factor_product(self.roots_low) * weight
         object.__setattr__(self, "full_operator", full)
 

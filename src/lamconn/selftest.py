@@ -22,7 +22,7 @@ from typing import Callable
 from .algebra import ABElement, linear_factor_product, shift_identity_check
 from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, verify_table
 from .errors import InputError
-from .connection import MonomialMu, nabla_formula, push_nabla, sigma_tau
+from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
 from .exact import LaurentPoly, det
 from .exponents import Case, ExponentData, dependency, validate_hypotheses
 from .families import family_a, family_b, cross_validate, monodromy_candidates
@@ -35,7 +35,7 @@ QUASI_HOMOGENEOUS_CUBE = {
 
 @dataclass(frozen=True)
 class CriterionResult:
-    cid: int
+    id: int
     description: str
     passed: bool
     detail: str
@@ -43,7 +43,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} criterion {self.cid:2d} ({self.description}): {self.detail}"
+        return f"{status} criterion {self.id:2d} ({self.description}): {self.detail}"
 
 
 def random_exponent_data(rng: random.Random, max_n: int = 3, bound: int = 9) -> ExponentData:
@@ -210,6 +210,9 @@ def _family_instances(limit_a: int, limit_b: int):
 
 
 def _check_uniform_shift() -> tuple[bool, str]:
+    # The operator times (a - b) has a part of degree 4, past the family
+    # operators' degree 3, on which the two lam*nabla routes must agree too.
+    a_minus_b = ABElement.gen_a() - ABElement.gen_b()
     count = 0
     for result in _family_instances(4, 4):
         data = result.exponents
@@ -221,6 +224,9 @@ def _check_uniform_shift() -> tuple[bool, str]:
         )
         if push_nabla(result.full_operator, st) != op * result.full_operator:
             return False, f"uniform shift fails for {result.label()}"
+        quartic = result.full_operator * a_minus_b
+        if push_nabla_via_shift(quartic, st) != push_nabla(quartic, st):
+            return False, f"lam*nabla routes differ on the degree-4 multiple for {result.label()}"
         count += 1
     return True, f"lam*nabla maps the operator to a single left factor on {count} instances"
 

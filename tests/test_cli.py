@@ -7,6 +7,8 @@ uncaught exception would show as a traceback on stderr.
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -743,3 +745,43 @@ class TestSelftest:
         proc = run_cli("selftest", module="lamconn")
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 11
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_transcripts():
+    """(argv, stdout) for each README command shown with its output.
+
+    A block of commands alone is followed by the output of its last command;
+    the other commands in such a block have no output shown.
+    """
+    blocks = re.findall(r"```\w*\n(.*?)```", README, re.S)
+    transcripts = []
+    for n, block in enumerate(blocks):
+        lines = block.splitlines()
+        commands = [line[2:] for line in lines if line.startswith("$ ")]
+        if not commands:
+            continue
+        output = [line for line in lines if not line.startswith("$ ")] or blocks[n + 1].splitlines()
+        transcripts.append((shlex.split(commands[-1])[1:], "\n".join(output) + "\n"))
+    return transcripts
+
+
+README_TRANSCRIPTS = readme_transcripts()
+
+
+@pytest.mark.parametrize("argv, stdout", README_TRANSCRIPTS, ids=[" ".join(argv) for argv, _ in README_TRANSCRIPTS])
+def test_readme_transcript(tmp_path, capsys, monkeypatch, argv, stdout):
+    # The input files are the ones the README states: the inline layout after
+    # "Input file, JSON:" and the one json block.
+    layout = re.search(r"Input file, JSON: `(\{.*?\})`", README)[1]
+    (tmp_path / "exponents.json").write_text(layout, encoding="utf-8")
+    (tmp_path / "expansion.json").write_text(re.search(r"```json\n(.*?)```", README, re.S)[1], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_readme_transcripts_cover_each_output_block():
+    assert [argv[0] for argv, _ in README_TRANSCRIPTS] == ["check", "analyze", "family-b", "propagate"]

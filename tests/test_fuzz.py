@@ -109,9 +109,7 @@ def oracle_poly(cls, text):
 
 
 def oracle_group(group):
-    """A group from read_terms as a LaurentPoly summed in Fractions; a group that did not read raises."""
-    if isinstance(group, InputError):
-        raise group
+    """A group from read_terms as a LaurentPoly summed in Fractions."""
     poly = LaurentPoly.zero()
     for e, num, den in group:
         poly = poly + LaurentPoly.lam_power(e, Fraction(num, den))

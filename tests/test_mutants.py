@@ -9,9 +9,12 @@ invite, a quantity taken over |det| instead of the signed determinant, in
 one route only.
 
 The one-pass algebra kernels each get the slip their rule invites: a
-``push_linear`` without its e*nd (lam-derivative) term fails criterion 7, and
+``push_nabla`` without its e*nd (lam-derivative) term fails criterion 7, and
 a ``linear_factor_product`` without its j*rd term, which treats a and b as
-commuting, fails criteria 1 and 2.
+commuting, fails criteria 1 and 2.  The other lam*nabla route gets its slip
+too: a ``push_nabla_via_shift`` that shifts parts of degree above 3 by
+degree + 1 fails criterion 7, which compares the two routes on the operator
+times (a - b).
 
 Every check that ``cross_validate`` records has a mutant that fails it and
 criterion 8, and criteria 3, 5, 6, 9, 10 and 11 each have one that fails
@@ -79,12 +82,31 @@ def test_sigma_route_mutant_fails_criterion_4(monkeypatch, mutant):
     assert detail.startswith("disagreement on")
 
 
-REAL_PUSH_LINEAR = algebra.push_linear
+def recompiled(function, old: str, new: str):
+    """function recompiled from its source with the one occurrence of old replaced by new."""
+    module = inspect.getmodule(function)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
 
 
-def push_linear_without_lam_derivative(q, n):
+REAL_PUSH_NABLA = connection.push_nabla
+
+
+def push_nabla_without_lam_derivative(q, st):
     """The kernel with e*nd dropped: the term it contributes is exactly b * theta(Q)."""
-    return REAL_PUSH_LINEAR(q, n) - ABElement.gen_b() * q.theta()
+    return REAL_PUSH_NABLA(q, st) - ABElement.gen_b() * q.theta()
+
+
+LAM_NABLA_MUTANTS = {
+    "push_nabla_without_lam_derivative": ("push_nabla", push_nabla_without_lam_derivative),
+    "via_shift_one_degree_too_far": (
+        "push_nabla_via_shift",
+        recompiled(connection.push_nabla_via_shift, "(st.mu.k + degree)", "(st.mu.k + degree + (degree > 3))"),
+    ),
+}
 
 
 def commuting_factor_product(roots):
@@ -101,12 +123,13 @@ def test_kernel_criteria_pass_unpatched():
         assert result.passed, result.detail
 
 
-def test_push_linear_mutant_fails_criterion_7(monkeypatch):
-    for module in (algebra, connection):
-        monkeypatch.setattr(module, "push_linear", push_linear_without_lam_derivative)
+@pytest.mark.parametrize("mutant", list(LAM_NABLA_MUTANTS))
+def test_lam_nabla_mutant_fails_criterion_7(monkeypatch, mutant):
+    name, replacement = LAM_NABLA_MUTANTS[mutant]
+    for module in (connection, selftest):
+        monkeypatch.setattr(module, name, replacement)
     result = selftest.run_criterion(7)
-    assert not result.passed
-    assert result.detail.startswith("uniform shift fails for")
+    assert not result.passed, result.detail
 
 
 def test_commuting_factor_product_fails_criteria_1_and_2(monkeypatch):
@@ -228,15 +251,6 @@ def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant):
     assert not result.passed, result.detail
 
 
-def chain_with(old: str, new: str):
-    """asymptotics._chain recompiled with the one occurrence of old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(asymptotics._chain))
-    assert source.count(old) == 1
-    namespace = dict(vars(asymptotics))
-    exec(compile(source.replace(old, new), asymptotics.__file__, "exec"), namespace)
-    return namespace["_chain"]
-
-
 CHAIN_MUTANTS = {
     "back_is_l": ("rd * (big_l // gamma)", "rd * big_l"),
     "renormalize_without_rescaling": (
@@ -249,6 +263,6 @@ CHAIN_MUTANTS = {
 @pytest.mark.parametrize("mutant", list(CHAIN_MUTANTS))
 def test_chain_mutant_fails_criterion_9(monkeypatch, mutant):
     assert selftest.run_criterion(9).passed
-    monkeypatch.setattr(asymptotics, "_chain", chain_with(*CHAIN_MUTANTS[mutant]))
+    monkeypatch.setattr(asymptotics, "_chain", recompiled(asymptotics._chain, *CHAIN_MUTANTS[mutant]))
     result = selftest.run_criterion(9)
     assert not result.passed, result.detail
