@@ -165,7 +165,7 @@ def _cmd_propagate(args) -> int:
     }
     table = propagate(spec, seed)
     if args.json:
-        _emit(table.to_json(), True, [])
+        print(json.dumps(table.to_json(), indent=2))
     else:
         lines = [
             f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
@@ -173,7 +173,7 @@ def _cmd_propagate(args) -> int:
         ]
         for (i, k, m), poly in sorted(table.entries.items()):
             lines.append(f"c[{i},{k},{m}] = {poly}")
-        _emit({}, False, lines)
+        print("\n".join(lines))
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:

@@ -100,11 +100,16 @@ def push_nabla_without_lam_derivative(q, st):
     return REAL_PUSH_NABLA(q, st) - ABElement.gen_b() * q.theta()
 
 
-LAM_NABLA_MUTANTS = {
-    "push_nabla_without_lam_derivative": ("push_nabla", push_nabla_without_lam_derivative),
+LAM_NABLA_MUTANTS = {  # name: (patched function, replacement, detail prefix of criterion 7)
+    "push_nabla_without_lam_derivative": (
+        "push_nabla",
+        push_nabla_without_lam_derivative,
+        "uniform shift fails for",
+    ),
     "via_shift_one_degree_too_far": (
         "push_nabla_via_shift",
         recompiled(connection.push_nabla_via_shift, "(st.mu.k + degree)", "(st.mu.k + degree + (degree > 3))"),
+        "lam*nabla routes differ on the degree-4 multiple",
     ),
 }
 
@@ -125,11 +130,12 @@ def test_kernel_criteria_pass_unpatched():
 
 @pytest.mark.parametrize("mutant", list(LAM_NABLA_MUTANTS))
 def test_lam_nabla_mutant_fails_criterion_7(monkeypatch, mutant):
-    name, replacement = LAM_NABLA_MUTANTS[mutant]
+    name, replacement, prefix = LAM_NABLA_MUTANTS[mutant]
     for module in (connection, selftest):
         monkeypatch.setattr(module, name, replacement)
     result = selftest.run_criterion(7)
-    assert not result.passed, result.detail
+    assert not result.passed
+    assert result.detail.startswith(prefix), result.detail
 
 
 def test_commuting_factor_product_fails_criteria_1_and_2(monkeypatch):
