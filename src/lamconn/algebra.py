@@ -141,18 +141,12 @@ class ABElement:
     def terms(self) -> dict[Key, LaurentPoly]:
         return {k: self._poly(group) for k, group in self._groups().items()}
 
-    def coefficient(self, i: int, j: int) -> LaurentPoly:
-        return self._poly({e: n for (a, b, e), n in self._terms.items() if a == i and b == j})
-
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support_degrees(self) -> set[int]:
-        return {i + j for i, j, _ in self._terms}
-
     def degree(self) -> int:
         """Total degree in a, b; the zero element has degree -1 by convention."""
-        return max(self.support_degrees(), default=-1)
+        return max((i + j for i, j, _ in self._terms), default=-1)
 
     def map_coefficients(self, fn) -> "ABElement":
         return ABElement({k: fn(c) for k, c in self.terms.items()})
@@ -268,9 +262,6 @@ class ABElement:
                 poly = [(e1 + e2, n1 * n2, d1 * d2) for e1, n1, d1 in poly for e2, n2, d2 in group]
             parts += [((i, j, e1), n1, d1) for e1, n1, d1 in poly]
         return cls._make(*over_one_denominator(parts))
-
-    def to_json(self) -> str:
-        return str(self)
 
 
 def conj_b(x: ABElement) -> ABElement:

@@ -43,11 +43,18 @@ def _load_json(path: str):
         raise InputError(f"{path} nests arrays or objects too deeply") from None
 
 
-def _emit(obj: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=2))
-    else:
-        print("\n".join(lines))
+def _finish(payload: dict, as_json: bool, lines: list[str], failure: str | None) -> int:
+    """Print payload as JSON or lines as text; then raise failure, when there is one."""
+    print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
+    if failure:
+        raise HypothesisError(failure)
+    return 0
+
+
+def _verdict(report, ranks: str) -> list[str]:
+    """The hypotheses line, ending in ranks, and the report's note line when it has one."""
+    line = f"hypotheses: {'pass' if report.passed else 'fail'}{ranks}"
+    return [line, f"note: {report.note}"] if report.note else [line]
 
 
 def _cmd_check(args) -> int:
@@ -56,33 +63,18 @@ def _cmd_check(args) -> int:
     lines = [
         f"rank of bordered matrix: {report.rank_m_tilde} (need {data.n + 2})",
         f"rank of basis matrix:    {report.rank_m_prime} (need {data.n + 1})",
-        f"hypotheses: {'pass' if report.passed else 'fail'}",
+        *_verdict(report, ""),
     ]
-    if report.note:
-        lines.append(f"note: {report.note}")
-    _emit(report.to_json(), args.json, lines)
-    if not report.passed:
-        raise HypothesisError("\n".join(report.failure_messages()))
-    return 0
-
-
-def _relation_text(data: ExponentData, dep) -> str:
-    terms = " + ".join(f"{p}*alpha_{j + 1}" for j, p in enumerate(dep.p))
-    return f"{dep.r}*alpha_{data.n + 2} = {terms}"
+    return _finish(report.to_json(), args.json, lines, "\n".join(report.failure_messages()))
 
 
 def _cmd_analyze(args) -> int:
     raw = _load_json(args.file)
     data = ExponentData.from_json(raw)
     report = validate_hypotheses(data)
-    verdict = (
-        f"hypotheses: {'pass' if report.passed else 'fail'} "
-        f"(bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})"
-    )
+    verdict = _verdict(report, f" (bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})")
     if not report.passed:
-        lines = [verdict] + ([f"note: {report.note}"] if report.note else [])
-        _emit({"hypotheses": report.to_json()}, args.json, lines)
-        raise HypothesisError("\n".join(report.failure_messages()))
+        return _finish({"hypotheses": report.to_json()}, args.json, verdict, "\n".join(report.failure_messages()))
     if "mu" in raw:
         if not isinstance(raw["mu"], list):
             raise InputError("mu must be a list of exponents")
@@ -99,9 +91,10 @@ def _cmd_analyze(args) -> int:
         "dependency": dep.to_json(),
         "connection": {**st.to_json(), "nabla": str(nabla)},
     }
+    terms = " + ".join(f"{p}*alpha_{j + 1}" for j, p in enumerate(dep.p))
     lines = [
-        verdict,
-        f"relation: {_relation_text(data, dep)}",
+        *verdict,
+        f"relation: {dep.r}*alpha_{data.n + 2} = {terms}",
         f"case {dep.case.value}: d = {dep.d}, h = {dep.h}, sigma = {dep.sigma}, "
         f"lam exponent = {dep.lambda_exponent:+d}",
         f"mu exponents {list(mu.beta)}, degree k = {mu.k}",
@@ -112,18 +105,16 @@ def _cmd_analyze(args) -> int:
         f"normalized: {PDE_NORMALIZED} with alpha = {st.alpha}, beta = {st.beta}",
     ]
     if family is None:
-        _emit(payload, args.json, lines)
-        return 0
+        return _finish(payload, args.json, lines, None)
     payload["family"] = family.to_json()
     lines.append(f"recognized family {family.label()}")
-    _emit_family(family, payload, payload["family"], lines, [], args.json)
-    return 0
+    return _finish_family(family, payload, payload["family"], lines, [], args.json)
 
 
-def _emit_family(
+def _finish_family(
     result, payload: dict, family_payload: dict, lines: list[str], details: list[str], as_json: bool
-) -> None:
-    """Cross validate, append the family lines around ``details``, emit; raise if a check fails."""
+) -> int:
+    """Cross validate, append the family lines around ``details`` and finish, failing when a check fails."""
     validation = cross_validate(result)
     family_payload["cross_validation"] = validation.to_json()
     candidates = ", ".join(str(x) for x in monodromy_candidates(result))
@@ -134,9 +125,7 @@ def _emit_family(
         f"monodromy candidates: {candidates}",
         f"cross validation: {'pass' if validation.passed else 'FAIL'}",
     ]
-    _emit(payload, as_json, lines)
-    if not validation.passed:
-        raise HypothesisError("family cross validation failed")
+    return _finish(payload, as_json, lines, None if validation.passed else "family cross validation failed")
 
 
 def _cmd_family(args) -> int:
@@ -149,8 +138,7 @@ def _cmd_family(args) -> int:
         f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
         f"lam*nabla([1]) = ({result.nabla_one})[1]",
     ]
-    _emit_family(result, payload, payload, lines, details, args.json)
-    return 0
+    return _finish_family(result, payload, payload, lines, details, args.json)
 
 
 def _cmd_propagate(args) -> int:
@@ -188,7 +176,7 @@ def _cmd_selftest(args) -> int:
     results = selftest_mod.run_all()
     passed = all(r.passed for r in results)
     payload = {"passed": passed, "criteria": [dataclasses.asdict(r) for r in results]}
-    _emit(payload, args.json, [r.line() for r in results])
+    _finish(payload, args.json, [r.line() for r in results], None)
     return 0 if passed else 2
 
 

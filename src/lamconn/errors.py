@@ -21,10 +21,6 @@ class DimensionError(InputError):
 class SingularMatrixError(ValueError):
     """A square matrix required to be invertible has determinant zero."""
 
-    def __init__(self, message: str = "matrix is singular"):
-        super().__init__(message)
-        self.det = 0
-
 
 class HypothesisError(ValueError):
     """Input is well formed but fails a rank hypothesis required downstream."""

@@ -243,11 +243,6 @@ class LaurentPoly:
     def is_const(self) -> bool:
         return set(self._terms) <= {0}
 
-    def const_value(self) -> Rat:
-        if not self.is_const():
-            raise InputError(f"not a constant: {self}")
-        return self._terms.get(0, _ZERO)
-
     def coefficient(self, e: int) -> Rat:
         return self._terms.get(e, _ZERO)
 
@@ -329,9 +324,6 @@ class LaurentPoly:
         """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
         nums, den = over_one_denominator(cls._read(text))
         return cls({e: Fraction(n, den) for e, n in nums.items()})
-
-    def to_json(self) -> str:
-        return str(self)
 
 
 class RatMatrix:
@@ -483,7 +475,7 @@ def invert(m: RatMatrix) -> RatMatrix:
     augmented = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(m.rows())]
     _, pivot, inverse = _solve_square(_integer_rows(augmented)[1], n)
     if inverse is None:
-        raise SingularMatrixError()
+        raise SingularMatrixError("matrix is singular")
     return RatMatrix([[Fraction(x, pivot) for x in row] for row in inverse])
 
 
@@ -496,5 +488,5 @@ def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
     augmented = [r + (Fraction(check_coefficient(v)),) for r, v in zip(m.rows(), rhs)]
     _, pivot, x = _solve_square(_integer_rows(augmented)[1], m.nrows)
     if x is None:
-        raise SingularMatrixError()
+        raise SingularMatrixError("matrix is singular")
     return [Fraction(row[0], pivot) for row in x]

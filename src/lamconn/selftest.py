@@ -24,7 +24,7 @@ from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, veri
 from .errors import InputError
 from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
 from .exact import LaurentPoly, det
-from .exponents import Case, ExponentData, dependency, validate_hypotheses
+from .exponents import Case, ExponentData, dependency, det_identity_check, validate_hypotheses
 from .families import family_a, family_b, cross_validate, monodromy_candidates
 
 QUASI_HOMOGENEOUS_CUBE = {
@@ -180,11 +180,12 @@ def _check_det_identity() -> tuple[bool, str]:
     for data in corpus:
         dep = dependency(data)
         # fresh determinants, independent of the relation read off the cached M' | alpha elimination
-        lhs = det(data.matrix_m_tilde())
-        rhs = Fraction(-1) ** (data.n + 1) * (1 - Fraction(dep.sum_p, dep.r)) * det(
-            data.matrix_m_prime()
-        )
-        if lhs != rhs:
+        d_tilde, d_prime = det(data.matrix_m_tilde()), det(data.matrix_m_prime())
+        rhs = Fraction(-1) ** (data.n + 1) * (1 - Fraction(dep.sum_p, dep.r)) * d_prime
+        # the package's own check, on the cached determinants, must agree with them
+        report = det_identity_check(data, dep)
+        same_dets = (report.det_m_tilde, report.det_m_prime) == (d_tilde, d_prime)
+        if not (d_tilde == rhs and report.passed and same_dets):
             return False, f"identity fails on {data.to_json()}"
     return True, f"determinant identity exact on {len(corpus)} random layouts"
 
@@ -231,12 +232,24 @@ def _check_uniform_shift() -> tuple[bool, str]:
     return True, f"lam*nabla maps the operator to a single left factor on {count} instances"
 
 
+def _general_product(roots) -> ABElement:
+    """Left-to-right product of the factors (a - r*b) through the general product."""
+    out = ABElement.one()
+    for root in roots:
+        out = out * ABElement._linear(1, -root)
+    return out
+
+
 def _check_family_grids() -> tuple[bool, str]:
     count = 0
     for result in _family_instances(4, 3):
         report = cross_validate(result)
         if not report.passed:
             return False, f"cross validation fails for {report.label}: {report.to_json()}"
+        # the operator from its factors through the general product, never through linear_factor_product
+        low = _general_product(result.roots_low).scale(LaurentPoly.lam_power(result.lambda_exponent, -4))
+        if result.full_operator != _general_product(result.roots_top) + low:
+            return False, f"operator is not the product of its factors for {result.label()}"
         count += 1
     return True, f"closed forms match matrix data on {count} instances"
 

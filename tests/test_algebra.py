@@ -83,7 +83,7 @@ def element_to_word_map(x):
     out = {}
     for (i, j), coeff in x.terms.items():
         assert coeff.is_const()
-        out["a" * i + "b" * j] = coeff.const_value()
+        out["a" * i + "b" * j] = coeff.coefficient(0)
     return out
 
 
@@ -255,7 +255,7 @@ class TestConjugation:
 
     @given(abelement)
     def test_degree_preserved(self, x):
-        assert conj_b(x).support_degrees() == x.support_degrees()
+        assert [d for d, _ in homogeneous_components(conj_b(x))] == [d for d, _ in homogeneous_components(x)]
 
     @given(abelement)
     def test_bijective(self, x):
@@ -319,7 +319,6 @@ class TestTrustedConstructor:
             assert type(r._den) is int and r._den >= 1
             assert math.gcd(r._den, *r._terms.values()) == 1
         assert ABElement(x.terms) == x
-        assert all(x.coefficient(i, j) == v for (i, j), v in x.terms.items())
         assert x.scale(c) == x * ABElement.monomial(0, 0, c)
         # Scaling checked against LaurentPoly's own product, coefficient by coefficient.
         poly = c if type(c) is LaurentPoly else LaurentPoly.const(c)
@@ -362,9 +361,9 @@ class TestLinearFactors:
     def test_monic_of_right_degree(self, roots):
         p = linear_factor_product(roots)
         d = len(roots)
-        assert len(p.support_degrees()) == 1
+        assert len(homogeneous_components(p)) == 1
         assert p.degree() == d
-        assert p.coefficient(d, 0) == LaurentPoly.const(1)
+        assert p.terms[(d, 0)] == LaurentPoly.const(1)
 
 
 class TestHomogeneous:

@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import lamconn
-from lamconn import cli, exponents
+from lamconn import cli, exponents, selftest
 from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
 from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
+
+from test_mutants import candidates_not_reduced
 
 FAMILY_A_INPUT = {"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}
 FAMILY_B_INPUT = {"n": 2, "alphas": [[4, 0, 1], [0, 4, 1], [0, 0, 2], [2, 2, 0]]}
@@ -745,6 +747,20 @@ class TestSelftest:
         proc = run_cli("selftest", module="lamconn")
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 11
+
+    def test_failing_criterion_exits_2_with_stderr_empty(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced)
+        assert main(["selftest"]) == 2
+        out, err = capsys.readouterr()
+        failed = [line for line in out.splitlines() if not line.startswith("PASS criterion")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL criterion 11 (monodromy candidate exponents")
+        assert err == ""
+        assert main(["selftest", "--json"]) == 2
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert [c["id"] for c in payload["criteria"] if not c["passed"]] == [11]
+        assert err == ""
 
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

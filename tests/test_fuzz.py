@@ -147,7 +147,7 @@ def oracle_text(x):
     for (i, j), poly in sorted(x.terms.items(), key=lambda kv: (-sum(kv[0]), -kv[0][0])):
         monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
         if poly.is_const():
-            c = poly.const_value()
+            c = poly.coefficient(0)
             parts.append((c < 0, term_text(abs(c), monomial)))
         else:
             parts.append((False, term_text(f"({poly})", monomial)))

@@ -11,14 +11,16 @@ one route only.
 The one-pass algebra kernels each get the slip their rule invites: a
 ``push_nabla`` without its e*nd (lam-derivative) term fails criterion 7, and
 a ``linear_factor_product`` without its j*rd term, which treats a and b as
-commuting, fails criteria 1 and 2.  The other lam*nabla route gets its slip
+commuting, fails criteria 1, 2 and 8.  The other lam*nabla route gets its slip
 too: a ``push_nabla_via_shift`` that shifts parts of degree above 3 by
 degree + 1 fails criterion 7, which compares the two routes on the operator
 times (a - b).
 
 Every check that ``cross_validate`` records has a mutant that fails it and
 criterion 8, and criteria 3, 5, 6, 9, 10 and 11 each have one that fails
-them.  Each of these tests runs only the criterion it names.
+them.  The determinant identity's sign slip, installed where the battery
+calls the check too, also fails criterion 5.  Each of these tests runs only
+the criteria it names.
 
 ``propagate``'s seed chains get the two slips their bookkeeping invites, each
 made in a recompiled copy of ``asymptotics._chain``: the depth coupling
@@ -138,13 +140,16 @@ def test_lam_nabla_mutant_fails_criterion_7(monkeypatch, mutant):
     assert result.detail.startswith(prefix), result.detail
 
 
-def test_commuting_factor_product_fails_criteria_1_and_2(monkeypatch):
+def test_commuting_factor_product_fails_criteria_1_2_and_8(monkeypatch):
     for module in (algebra, families, selftest, lamconn):
         monkeypatch.setattr(module, "linear_factor_product", commuting_factor_product)
     for cid in (1, 2):
         result = selftest.run_criterion(cid)
         assert not result.passed
         assert result.detail.startswith("operator match False")
+    result = selftest.run_criterion(8)
+    assert not result.passed
+    assert result.detail.startswith("operator is not the product of its factors"), result.detail
 
 
 def wrap(name, change, modules=(families, selftest)):
@@ -210,6 +215,15 @@ def test_cross_check_mutant_fails_its_check_and_criterion_8(monkeypatch, check):
     result = selftest.run_criterion(8)
     assert not result.passed
     assert result.detail.startswith("cross validation fails for")
+
+
+def test_det_identity_sign_slip_fails_criterion_5(monkeypatch):
+    assert selftest.run_criterion(5).passed
+    for module in (families, selftest):
+        monkeypatch.setattr(module, "det_identity_check", det_identity_with_sign_slip)
+    result = selftest.run_criterion(5)
+    assert not result.passed
+    assert result.detail.startswith("identity fails on"), result.detail
 
 
 REAL_VERIFY_TABLE = selftest.verify_table
