@@ -54,9 +54,21 @@ and each V[k] is rescaled to the new E.
 
 ``verify_table`` substitutes the table back into the relation above with
 code of its own, summing each residual straight from the cells' term maps.
-It needs only a zero test, so each degree of a residual is summed on
-integer cross products over one unreduced denominator, without a gcd, and a
-Fraction is built only for a residual that is not zero.
+The residual at (i, k, m) is X[k] + Y[k+1], where
+
+    X[k] = (m + rho + 1)*D[k,m+1] - (alpha*(m + rho) + beta)*c[k,m],
+    Y[k] = D[k,m+1] - alpha*c[k,m]
+
+read the same two cells.  With S = rd*ad*bd, one small denominator per
+ladder, the factors m + rho + 1, alpha*(m + rho) + beta and alpha are
+integer numerators over S.  For each depth k and degree e, with
+c[k,m+1] = n1/d1 at L^(e+1) and c[k,m] = n2/d2 at L^e, the products
+A = (e+1)*n1*d2, B = n2*d1 and P = d1*d2 are formed once, and X[k] and Y[k]
+at L^e are small-integer combinations of A and B over S*P, the depth's
+shared denominator.  Depths k and k+1 share these, so each degree of a
+residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
+It needs only a zero test, so the sum is never reduced, and a Fraction is
+built only for a residual that is not zero.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -388,33 +400,24 @@ class ResidualReport:
         return out
 
 
-def _add_ratio(res: dict[int, list[int]], e: int, n: int, d: int) -> None:
-    """Add n/d to the unreduced [numerator, denominator] at degree e."""
-    acc = res.get(e)
-    if acc is None:
-        res[e] = [n, d]
-    elif acc[1] == d:
-        acc[0] += n
-    else:
-        acc[0] = acc[0] * d + n * acc[1]
-        acc[1] *= d
-
-
 def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
     """Substitute the table into the relation linking order m to m+1.
 
     The residual keyed (i, k, m) collects every term of that relation moved
     to one side; an order cutoff of zero verifies vacuously.  It is summed
-    straight from the term maps of the four cells involved, with code of its
-    own, so that it checks propagate rather than repeating it.  Each degree
-    in L is summed on integer cross products, n1*d2 + n2*d1 over d1*d2 (or
-    n1 + n2 over a shared denominator), and never reduced: only its zero
-    test is needed.  Fractions are built only for a residual that is not zero.
+    straight from the term maps of the cells involved, with code of its own,
+    so that it checks propagate rather than repeating it.  Each depth keeps
+    X[k] and Y[k] of the module docstring over one shared denominator S*P
+    per degree, and each degree of the residual X[k] + Y[k+1] is one
+    integer cross product over the two depths' denominators, never reduced:
+    only its zero test is needed.  Fractions are built only for a residual
+    that is not zero.
     """
     residuals: dict[SeedKey, LogPoly] = {}
     no_terms: dict[int, Rat] = {}
-    top = spec.log_depth
-    an, ad = -spec.alpha.numerator, spec.alpha.denominator
+    absent = (0, 0, 1)  # X, Y and P of a degree that a depth does not reach
+    an, ad = spec.alpha.numerator, spec.alpha.denominator
+    bn, bd = spec.beta.numerator, spec.beta.denominator
 
     def terms(key: SeedKey) -> dict[int, Rat]:
         poly = table.entries.get(key)
@@ -422,26 +425,39 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
 
     for i, rho in enumerate(spec.rhos):
         rn, rd = rho.numerator, rho.denominator
+        big_s = rd * ad * bd
+        ya = an * rd * bd  # alpha = ya/S
         for m in range(spec.order):
-            sn = (m + 1) * rd + rn  # m + rho + 1 = sn/rd
-            minus_factor = -(spec.alpha * (m + rho) + spec.beta)
-            fn, fd = minus_factor.numerator, minus_factor.denominator
-            for k in range(top + 1):
-                # (m + rho + 1)*D[k,m+1] + D[k+1,m+1] - factor*c[k,m] - alpha*c[k+1,m],
-                # each degree held as [numerator, denominator]
-                res = {
-                    e - 1: [sn * e * c.numerator, rd * c.denominator]
-                    for e, c in terms((i, k, m + 1)).items()
-                    if e
-                }
-                for e, c in terms((i, k, m)).items():
-                    _add_ratio(res, e, fn * c.numerator, fd * c.denominator)
-                if k < top:
-                    for e, c in terms((i, k + 1, m + 1)).items():
-                        if e:
-                            _add_ratio(res, e - 1, e * c.numerator, c.denominator)
-                    for e, c in terms((i, k + 1, m)).items():
-                        _add_ratio(res, e, an * c.numerator, ad * c.denominator)
-                if any(n for n, _ in res.values()):
-                    residuals[(i, k, m)] = LogPoly._make({e: Fraction(n, d) for e, (n, d) in res.items()})
+            xa = ((m + 1) * rd + rn) * ad * bd  # m + rho + 1 = xa/S
+            xb = an * bd * (m * rd + rn) + bn * ad * rd  # alpha*(m + rho) + beta = xb/S
+            above: dict[int, tuple[int, int, int]] = {}  # the level of depth k + 1
+            for k in range(spec.log_depth, -1, -1):
+                nxt, cur = terms((i, k, m + 1)), terms((i, k, m))
+                # degree e -> (X[k], Y[k], P) at L^e, X and Y over S*P; a cell
+                # without a term at its degree counts as 0/1
+                level: dict[int, tuple[int, int, int]] = {}
+                for e, c in cur.items():
+                    c1 = nxt.get(e + 1)
+                    if c1 is None:
+                        b = c.numerator
+                        level[e] = (-xb * b, -ya * b, c.denominator)
+                    else:
+                        d1, d2 = c1.denominator, c.denominator
+                        a = (e + 1) * c1.numerator * d2
+                        b = c.numerator * d1
+                        level[e] = (xa * a - xb * b, big_s * a - ya * b, d1 * d2)
+                for e, c1 in nxt.items():
+                    if e and e - 1 not in cur:
+                        a = e * c1.numerator
+                        level[e - 1] = (xa * a, big_s * a, c1.denominator)
+                res: dict[int, tuple[int, int]] = {}  # degree -> (numerator, denominator / S)
+                for e in level.keys() | above.keys():
+                    x, _, p = level.get(e, absent)
+                    _, y, q = above.get(e, absent)
+                    n = x * q + y * p
+                    if n:
+                        res[e] = (n, p * q)
+                if res:
+                    residuals[(i, k, m)] = LogPoly._make({e: Fraction(n, big_s * d) for e, (n, d) in res.items()})
+                above = level
     return ResidualReport(residuals=residuals)

@@ -314,13 +314,9 @@ def _check_asymptotics() -> tuple[bool, str]:
         combined = dict(seed)
         for key, value in other.items():
             combined[key] = combined.get(key, Fraction(0)) + value
-        lhs = propagate(spec, combined)
-        rhs_a, rhs_b = propagate(spec, seed), propagate(spec, other)
-        keys = set(lhs.entries) | set(rhs_a.entries) | set(rhs_b.entries)
-        for key in keys:
-            if lhs.entries.get(key, LogPoly.zero()) != rhs_a.entries.get(
-                key, LogPoly.zero()
-            ) + rhs_b.entries.get(key, LogPoly.zero()):
+        lhs, rhs = propagate(spec, combined), propagate(spec, other)
+        for key in set(lhs.entries) | set(table.entries) | set(rhs.entries):
+            if lhs.get(*key) != table.get(*key) + rhs.get(*key):
                 return False, f"propagation is not additive in the seed at {key}"
         checked += 1
 

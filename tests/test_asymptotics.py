@@ -447,6 +447,29 @@ def corrupted_tables(draw):
     return spec, table, key, ExpansionTable(spec=spec, entries=entries)
 
 
+@st.composite
+def damaged_tables(draw):
+    """A propagated table that lost some cells, got up to three cells shifted
+    (two depths at one order when there are two) and carries a term of degree
+    above m: the cells on one side of a relation go missing."""
+    spec = draw(spec_strategy())
+    entries = dict(propagate(spec, draw(seed_maps(spec))).entries)
+    for key in draw(st.lists(st.sampled_from(sorted(entries)), min_size=1, max_size=3, unique=True)):
+        del entries[key]
+    i = draw(st.integers(min_value=0, max_value=len(spec.rhos) - 1))
+    k = draw(st.integers(min_value=0, max_value=max(spec.log_depth - 1, 0)))
+    m = draw(st.integers(min_value=0, max_value=spec.order))
+    shifted = {(i, k, m), (i, min(k + 1, spec.log_depth), m)}
+    if draw(st.booleans()):
+        shifted.add((i, spec.log_depth, draw(st.integers(min_value=0, max_value=spec.order))))
+    for key in sorted(shifted):
+        entries[key] = entries.get(key, LogPoly.zero()) + draw(small_log_polys)
+    key = draw(st.sampled_from(sorted(shifted)))
+    high = LogPoly({key[2] + draw(st.integers(min_value=1, max_value=3)): draw(seed_values.filter(bool))})
+    entries[key] += high
+    return spec, ExpansionTable(spec=spec, entries=entries)
+
+
 class TestVerifyTableOracle:
     @given(corrupted_tables())
     def test_residuals_match_polynomial_arithmetic(self, drawn):
@@ -456,6 +479,14 @@ class TestVerifyTableOracle:
         assert residuals == residuals_by_polynomial_arithmetic(spec, tampered)
         # c[k,m] enters only the relations at (k, m), (k-1, m), (k, m-1) and (k-1, m-1)
         assert set(residuals) <= {(i, k - dk, m - dm) for dk in (0, 1) for dm in (0, 1)}
+
+    @given(damaged_tables())
+    def test_damaged_tables_match_polynomial_arithmetic(self, drawn):
+        spec, damaged = drawn
+        report = verify_table(spec, damaged)
+        expected = residuals_by_polynomial_arithmetic(spec, damaged)
+        assert report.residuals == expected
+        assert json.dumps(report.to_json()) == json.dumps(report_json(expected))
 
     def test_long_table_passes(self):
         table = long_table()

@@ -26,6 +26,10 @@ the criteria it names.
 made in a recompiled copy of ``asymptotics._chain``: the depth coupling
 scaled by L instead of L/gcd(L, s), and a renormalization that resets the
 shared denominator without rescaling the numerators.  Both fail criterion 9.
+So do ``verify_table``'s two slips, made in a recompiled copy: a residual
+that drops the depth-(k+1) share Y[k+1], and the factor m + rho + 1 read as
+m + rho.  Each also fails the polynomial-arithmetic oracle of
+``test_asymptotics`` on its long table.
 """
 
 import dataclasses
@@ -40,6 +44,8 @@ from lamconn import algebra, asymptotics, cli, connection, exact, families, self
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ResidualReport
 from lamconn.exponents import Case, ExponentData
+
+import test_asymptotics
 
 CACHED_ANALYSIS = ExponentData.analysis.func
 
@@ -286,3 +292,21 @@ def test_chain_mutant_fails_criterion_9(monkeypatch, mutant):
     monkeypatch.setattr(asymptotics, "_chain", recompiled(asymptotics._chain, *CHAIN_MUTANTS[mutant]))
     result = selftest.run_criterion(9)
     assert not result.passed, result.detail
+
+
+VERIFY_MUTANTS = {
+    "no_depth_share": ("above = level", "above = {}"),
+    "factor_m_plus_rho": ("((m + 1) * rd + rn)", "(m * rd + rn)"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(VERIFY_MUTANTS))
+def test_verify_mutant_fails_criterion_9_and_the_oracle(monkeypatch, mutant):
+    assert selftest.run_criterion(9).passed
+    mutated = recompiled(asymptotics.verify_table, *VERIFY_MUTANTS[mutant])
+    for module in (asymptotics, selftest, lamconn, test_asymptotics):
+        monkeypatch.setattr(module, "verify_table", mutated)
+    result = selftest.run_criterion(9)
+    assert not result.passed, result.detail
+    with pytest.raises(AssertionError):
+        test_asymptotics.TestVerifyTableOracle().test_long_table_passes()
