@@ -65,10 +65,9 @@ class ABElement:
 
     Every value of ``_terms`` is a nonzero int, ``_den`` is a positive int
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
-    Fraction or LaurentPoly coefficients; only ``terms``, ``coefficient`` and
-    ``first_difference`` build Fractions.  ``_make`` builds every arithmetic
-    result and ``_linear`` every factor ca*a + cb*b from checked coefficients;
-    both trust their input.
+    Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
+    ``_make`` builds every arithmetic result and ``_linear`` every factor
+    ca*a + cb*b from checked coefficients; both trust their input.
     """
 
     __slots__ = ("_terms", "_den")
@@ -273,16 +272,6 @@ def conj_b(x: ABElement) -> ABElement:
     """
     bx = ABElement.gen_b() * x
     return ABElement._make({(i, j - 1, e): n for (i, j, e), n in bx._terms.items()}, bx._den)
-
-
-def first_difference(x: ABElement, y: ABElement) -> tuple[FlatKey, Rat, Rat] | None:
-    """The smallest flat key (i, j, e) where x and y differ, with the coefficient
-    of each there; None when they are equal."""
-    for key in sorted(x._terms.keys() | y._terms.keys()):
-        cx, cy = Fraction(x._terms.get(key, 0), x._den), Fraction(y._terms.get(key, 0), y._den)
-        if cx != cy:
-            return key, cx, cy
-    return None
 
 
 def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:

@@ -68,7 +68,9 @@ at L^e are small-integer combinations of A and B over S*P, the depth's
 shared denominator.  Depths k and k+1 share these, so each degree of a
 residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
 It needs only a zero test, so the sum is never reduced, and a Fraction is
-built only for a residual that is not zero.
+built only for a residual that is not zero.  A failed report names its
+smallest key, where ``exact.first_difference`` walks an empty map
+against the residual map.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -84,7 +86,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import LaurentPoly, Rat, check_coefficient, check_int, json_rat, parse_int
+from .exact import LaurentPoly, Rat, check_coefficient, check_int, first_difference, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -381,12 +383,8 @@ class ResidualReport:
     def passed(self) -> bool:
         return not self.residuals
 
-    @property
-    def first_difference(self) -> tuple[SeedKey, LogPoly] | None:
-        """The smallest (i, k, m) key with its residual; None when the table checks out."""
-        return min(self.residuals.items(), default=None)
-
     def to_json(self) -> dict:
+        """All residuals by key; a failed report also names its smallest key."""
         out = {
             "passed": self.passed,
             "residuals": {
@@ -395,7 +393,7 @@ class ResidualReport:
             },
         }
         if not self.passed:
-            (i, k, m), poly = self.first_difference
+            (i, k, m), _, poly = first_difference({}, self.residuals)
             out["first_difference"] = {"key": f"{i},{k},{m}", "residual": poly.to_json()}
         return out
 

@@ -12,6 +12,12 @@ a "p/q" string; ``parse_rat`` and ``parse_int`` read text.  A float, string
 or bool given as a coefficient is a TypeError, and any other refusal is an
 InputError.
 
+Every failure report finds where two values differ with one walk,
+``first_difference``, over two mappings: each caller flattens its own
+values into key -> number maps (an algebra element by (i, j, e), a log
+table by (i, k, m, e), a tuple of rationals by name), and the walk returns
+the smallest differing key with both values there.
+
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
 ``asymptotics.LogPoly`` is the same type printed in L instead of lam.
 
@@ -129,6 +135,16 @@ def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, in
     for key, n, d in parts:
         nums[key] = nums.get(key, 0) + n * (den // d)
     return nums, den
+
+
+def first_difference(x: Mapping, y: Mapping) -> tuple | None:
+    """The smallest key at which x and y differ, with the value of each there
+    (a missing key counts as 0); None when they agree."""
+    for key in sorted(x.keys() | y.keys()):
+        vx, vy = x.get(key, 0), y.get(key, 0)
+        if vx != vy:
+            return key, vx, vy
+    return None
 
 
 def check_coefficient(c: Rat | int) -> Rat | int:

@@ -10,7 +10,8 @@ every one of them is positive.  Each layout and each root list is written
 once; ``FamilyResult`` derives its operator from its roots.  The cross check
 recomputes the relation, case data, sigma and lam*nabla([1]) from the
 exponent matrices and compares them with the closed forms, keeping the
-compared values.
+compared values; in JSON a failed check of two algebra elements names the
+first term where they differ, found by ``exact.first_difference``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-from .algebra import ABElement, FlatKey, first_difference, linear_factor_product
+from .algebra import ABElement, linear_factor_product
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import Rat, check_int, power_text, term_text
+from .exact import Rat, check_int, first_difference, power_text, term_text
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check
 
 @dataclass(frozen=True)
@@ -163,18 +164,16 @@ class CheckOutcome:
     expected: object
     got: object
 
-    @property
-    def first_difference(self) -> tuple[FlatKey, Rat, Rat] | None:
-        """For two ABElements, the smallest flat key (i, j, e) where they differ,
-        with the expected and the got coefficient; None otherwise."""
-        if isinstance(self.expected, ABElement) and isinstance(self.got, ABElement):
-            return first_difference(self.expected, self.got)
-        return None
-
     def to_json(self) -> dict:
+        """The check printed; a failed one also names where two ABElements first
+        differ, as flat (i, j, e) -> coefficient maps, and null for other values."""
         out = {"name": self.name, "passed": self.passed, "expected": str(self.expected), "got": str(self.got)}
         if not self.passed:
-            diff = self.first_difference
+            diff = None
+            if isinstance(self.expected, ABElement) and isinstance(self.got, ABElement):
+                diff = first_difference(
+                    *({k: Fraction(n, x._den) for k, n in x._terms.items()} for x in (self.expected, self.got))
+                )
             out["first_difference"] = (
                 None if diff is None else {"key": list(diff[0]), "expected": str(diff[1]), "got": str(diff[2])}
             )

@@ -3,6 +3,9 @@
 Each criterion is a self-contained check with its own frozen expectations or
 seeded random corpus.  The CLI selftest command runs them all and the test
 suite asserts them one by one; every comparison here is exact, no tolerances.
+Only after a comparison has failed are both sides flattened into key ->
+value maps, and the FAIL detail ends with the first key where they differ
+(``exact.first_difference``) and both values there.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, Mapping
 
 from .algebra import ABElement, linear_factor_product, shift_identity_check
 from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, verify_table
 from .errors import InputError
 from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
-from .exact import LaurentPoly, det
+from .exact import LaurentPoly, det, first_difference
 from .exponents import Case, ExponentData, dependency, det_identity_check, validate_hypotheses
 from .families import family_a, family_b, cross_validate, monodromy_candidates
 
@@ -64,8 +67,8 @@ def random_rat(rng: random.Random, num_bound: int = 9, den_bound: int = 9) -> Fr
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
-def random_homogeneous(rng: random.Random, max_degree: int = 4) -> ABElement:
-    degree = rng.randint(0, max_degree)
+def random_homogeneous(rng: random.Random) -> ABElement:
+    degree = rng.randint(0, 4)
     terms = {}
     for i in range(degree + 1):
         if rng.random() < 0.75:
@@ -108,14 +111,36 @@ def random_seed_map(rng: random.Random, spec: ExpansionSpec) -> dict:
     return seed
 
 
+def _flat(x: ABElement) -> dict:
+    """x as its map (i, j, e) -> coefficient of lam^e*a^i*b^j."""
+    return {key: Fraction(n, x._den) for key, n in x._terms.items()}
+
+
+def _cells(table: ExpansionTable) -> dict:
+    """A log table as its map (i, k, m, e) -> coefficient of L^e in c[i,k,m]."""
+    return {(*key, e): c for key, poly in table.entries.items() for e, c in poly.coeffs.items()}
+
+
+def _failed(detail: str, expected: Mapping, got: Mapping) -> tuple[bool, str]:
+    """A failed check whose detail ends with the first key where two flat maps differ."""
+    key, x, y = first_difference(expected, got)
+    return False, f"{detail}; first difference at {key}: {x} vs {y}"
+
+
 def _check_golden(result, expected_operator: ABElement, nabla_text: str) -> tuple[bool, str]:
     expected_nabla = ABElement.parse(nabla_text)
     ok_op = result.full_operator == expected_operator
     ok_nabla = result.nabla_one == expected_nabla
     st = sigma_tau(result.exponents, MonomialMu.unit(2))
-    ok_route = nabla_formula(st) == expected_nabla
+    route = nabla_formula(st)
+    ok_route = route == expected_nabla
     detail = f"operator match {ok_op}, nabla match {ok_nabla}, matrix route {ok_route}"
-    return ok_op and ok_nabla and ok_route, detail
+    compared = ((ok_op, expected_operator, result.full_operator), (ok_nabla, expected_nabla, result.nabla_one),
+                (ok_route, expected_nabla, route))
+    for ok, expected, got in compared:
+        if not ok:
+            return _failed(detail, _flat(expected), _flat(got))
+    return True, detail
 
 
 def _check_golden_a() -> tuple[bool, str]:
@@ -155,9 +180,9 @@ def _check_case_data() -> tuple[bool, str]:
     return ok_a and ok_b, f"first layout {dep_a.to_json()}, second layout {dep_b.to_json()}"
 
 
-def _sigma_corpus(count: int = 200, seed: int = 20260822):
-    rng = random.Random(seed)
-    return [random_exponent_data(rng) for _ in range(count)]
+def _sigma_corpus():
+    rng = random.Random(20260822)
+    return [random_exponent_data(rng) for _ in range(200)]
 
 
 def _check_sigma_routes() -> tuple[bool, str]:
@@ -171,7 +196,11 @@ def _check_sigma_routes() -> tuple[bool, str]:
         relation_route = Fraction(dep.r, dep.r - dep.sum_p)
         # three distinct eliminations: inverse row of M~^T, relation from M' | alpha, fresh dets
         if not (st.sigma == det_route == relation_route == dep.sigma):
-            return False, f"disagreement on {data.to_json()}"
+            # each value against the median of the three routes, the value two of them agree on
+            values = {"inverse row": st.sigma, "determinants": det_route, "relation": relation_route,
+                      "reported sigma": dep.sigma}
+            median = sorted((st.sigma, det_route, relation_route))[1]
+            return _failed(f"disagreement on {data.to_json()}", dict.fromkeys(values, median), values)
     return True, f"three sigma routes agree on {len(corpus)} random layouts"
 
 
@@ -186,7 +215,10 @@ def _check_det_identity() -> tuple[bool, str]:
         report = det_identity_check(data, dep)
         same_dets = (report.det_m_tilde, report.det_m_prime) == (d_tilde, d_prime)
         if not (d_tilde == rhs and report.passed and same_dets):
-            return False, f"identity fails on {data.to_json()}"
+            expected = {"identity": rhs, "det M~": d_tilde, "det M'": d_prime, "passed": True}
+            got = {"identity": d_tilde, "det M~": report.det_m_tilde, "det M'": report.det_m_prime,
+                   "passed": report.passed}
+            return _failed(f"identity fails on {data.to_json()}", expected, got)
     return True, f"determinant identity exact on {len(corpus)} random layouts"
 
 
@@ -198,7 +230,7 @@ def _check_shift_identity() -> tuple[bool, str]:
         mu = random_rat(rng)
         left, right = shift_identity_check(q, mu)
         if left != right:
-            return False, f"shift identity fails for degree {q.degree()}, mu = {mu}"
+            return _failed(f"shift identity fails for degree {q.degree()}, mu = {mu}", _flat(left), _flat(right))
     return True, f"shift identity exact on {count} random homogeneous elements"
 
 
@@ -223,11 +255,14 @@ def _check_uniform_shift() -> tuple[bool, str]:
         op = -(
             ABElement.gen_a().scale(st.sigma) + ABElement.gen_b().scale(shift)
         )
-        if push_nabla(result.full_operator, st) != op * result.full_operator:
-            return False, f"uniform shift fails for {result.label()}"
+        pushed, expected = push_nabla(result.full_operator, st), op * result.full_operator
+        if pushed != expected:
+            return _failed(f"uniform shift fails for {result.label()}", _flat(expected), _flat(pushed))
         quartic = result.full_operator * a_minus_b
-        if push_nabla_via_shift(quartic, st) != push_nabla(quartic, st):
-            return False, f"lam*nabla routes differ on the degree-4 multiple for {result.label()}"
+        shifted, pushed = push_nabla_via_shift(quartic, st), push_nabla(quartic, st)
+        if shifted != pushed:
+            detail = f"lam*nabla routes differ on the degree-4 multiple for {result.label()}"
+            return _failed(detail, _flat(pushed), _flat(shifted))
         count += 1
     return True, f"lam*nabla maps the operator to a single left factor on {count} instances"
 
@@ -248,8 +283,10 @@ def _check_family_grids() -> tuple[bool, str]:
             return False, f"cross validation fails for {report.label}: {report.to_json()}"
         # the operator from its factors through the general product, never through linear_factor_product
         low = _general_product(result.roots_low).scale(LaurentPoly.lam_power(result.lambda_exponent, -4))
-        if result.full_operator != _general_product(result.roots_top) + low:
-            return False, f"operator is not the product of its factors for {result.label()}"
+        expected = _general_product(result.roots_top) + low
+        if result.full_operator != expected:
+            detail = f"operator is not the product of its factors for {result.label()}"
+            return _failed(detail, _flat(expected), _flat(result.full_operator))
         count += 1
     return True, f"closed forms match matrix data on {count} instances"
 
@@ -287,8 +324,9 @@ def _check_asymptotics() -> tuple[bool, str]:
     )
     golden_seed = {(0, 0, 0): Fraction(1)}
     table = propagate(golden_spec, golden_seed)
-    if table != frobenius_table(golden_spec, golden_seed):
-        return False, "closed-form route differs from propagate on the golden spec"
+    closed = frobenius_table(golden_spec, golden_seed)
+    if table != closed:
+        return _failed("closed-form route differs from propagate on the golden spec", _cells(closed), _cells(table))
     if table.get(0, 0, 1) != LogPoly({1: Fraction(1, 3)}):
         return False, f"c[0,0,1] = {table.get(0, 0, 1)}, expected L/3"
     if table.get(0, 0, 2) != LogPoly({2: Fraction(1, 10)}):
@@ -306,10 +344,13 @@ def _check_asymptotics() -> tuple[bool, str]:
             expected_at_zero = Fraction(seed.get((i, k, m), 0))
             if poly.constant_term() != expected_at_zero:
                 return False, f"seed not reproduced at L = 0 for {(i, k, m)}"
-        if not verify_table(spec, table).passed:
-            return False, f"nonzero residual for spec {spec.to_json()}"
-        if table != frobenius_table(spec, seed):
-            return False, f"closed-form route differs from propagate for spec {spec.to_json()}"
+        report = verify_table(spec, table)
+        if not report.passed:
+            return _failed(f"nonzero residual for spec {spec.to_json()}", {}, report.residuals)
+        closed = frobenius_table(spec, seed)
+        if table != closed:
+            detail = f"closed-form route differs from propagate for spec {spec.to_json()}"
+            return _failed(detail, _cells(closed), _cells(table))
         other = random_seed_map(rng, spec)
         combined = dict(seed)
         for key, value in other.items():
@@ -331,8 +372,9 @@ def _check_asymptotics() -> tuple[bool, str]:
     )
     long_seed = {(0, 0, 0): 1, (0, 3, 0): Fraction(-2, 3), (1, 0, 0): Fraction(5, 4), (1, 3, 0): 1}
     table = propagate(long_spec, long_seed)
-    if not verify_table(long_spec, table).passed:
-        return False, f"nonzero residual for the long spec {long_spec.to_json()}"
+    report = verify_table(long_spec, table)
+    if not report.passed:
+        return _failed(f"nonzero residual for the long spec {long_spec.to_json()}", {}, report.residuals)
     i, k, m = 1, 2, 61
     tampered = ExpansionTable(
         long_spec, {**table.entries, (i, k, m): table.get(i, k, m) + LogPoly({1: Fraction(1)})}
@@ -349,8 +391,12 @@ def _check_asymptotics() -> tuple[bool, str]:
     )
     short_seed = {(0, 0, 0): 1, (0, 2, 0): Fraction(-2, 3), (0, 1, 4): 5}
     table = propagate(short_spec, short_seed)
-    if not verify_table(short_spec, table).passed or table != frobenius_table(short_spec, short_seed):
-        return False, f"propagate fails on the telescoping spec {short_spec.to_json()}"
+    report, closed = verify_table(short_spec, table), frobenius_table(short_spec, short_seed)
+    if not report.passed or table != closed:
+        detail = f"propagate fails on the telescoping spec {short_spec.to_json()}"
+        if not report.passed:
+            return _failed(detail, {}, report.residuals)
+        return _failed(detail, _cells(closed), _cells(table))
     return True, (
         f"golden values, degree bound, residuals, additivity and the closed-form "
         f"(Frobenius) route on {checked} random specs; residuals on an order-{long_spec.order} "

@@ -26,7 +26,7 @@ from lamconn.asymptotics import (
     verify_table,
 )
 from lamconn.errors import InputError
-from lamconn.exact import LaurentPoly
+from lamconn.exact import LaurentPoly, first_difference
 from lamconn.selftest import frobenius_table
 
 GOLDEN = ExpansionSpec(rhos=(F(1, 2),), log_depth=0, order=2, alpha=1, beta=0)
@@ -370,10 +370,10 @@ class TestVerifyTable:
         assert set(report.residuals) == {(0, 1, 1), (0, 0, 1)}
         assert report.residuals[(0, 0, 1)] == LogPoly.const(-spec.alpha)
         # the failure names its smallest key, and only a failing report carries it
-        assert report.first_difference == ((0, 0, 1), LogPoly.const(-spec.alpha))
+        assert first_difference({}, report.residuals) == ((0, 0, 1), 0, LogPoly.const(-spec.alpha))
         assert report.to_json()["first_difference"] == {"key": "0,0,1", "residual": {"0": "-1"}}
         passing = verify_table(spec, table)
-        assert passing.first_difference is None
+        assert first_difference({}, passing.residuals) is None
         assert "first_difference" not in passing.to_json()
 
     def test_top_order_constants_are_free(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lamconn.asymptotics import LogPoly
 from lamconn.errors import DimensionError, InputError, SingularMatrixError
-from lamconn.exact import LaurentPoly, RatMatrix, check_int, det, invert, parse_rat, rank, solve
+from lamconn.exact import LaurentPoly, RatMatrix, check_int, det, first_difference, invert, parse_rat, rank, solve
 
 # Bordered exponent matrices of the two golden instances; every frozen value
 # below was produced by the oracles in this file before the implementation
@@ -107,6 +107,32 @@ class TestRat:
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rat(str(x)) == x
+
+
+flat_maps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=6)
+
+
+class TestFirstDifference:
+    """The one walk behind every failure report; a missing key counts as 0."""
+
+    @given(flat_maps, flat_maps)
+    @example({}, {})
+    @example({(0, 1): 0}, {})
+    @example({(0, 1): 1, (1, 0): 2}, {(1, 0): 3})
+    def test_none_exactly_when_equal_else_smallest_differing_key(self, x, changes):
+        y = {**x, **changes}
+        diff = first_difference(x, y)
+        if {k: v for k, v in x.items() if v} == {k: v for k, v in y.items() if v}:
+            assert diff is None
+        else:
+            key, vx, vy = diff
+            assert (vx, vy) == (x.get(key, 0), y.get(key, 0)) and vx != vy
+            assert all(x.get(k, 0) == y.get(k, 0) for k in x.keys() | y.keys() if k < key)
+
+    def test_any_value_type(self):
+        routes = {"determinants": F(1, 2), "inverse row": F(1, 2)}
+        assert first_difference(routes, {**routes, "inverse row": F(-1, 2)}) == ("inverse row", F(1, 2), F(-1, 2))
+        assert first_difference({}, {(0, 2, 1): LogPoly.const(3)}) == ((0, 2, 1), 0, LogPoly.const(3))
 
 
 class TestCheckInt:

@@ -30,6 +30,10 @@ So do ``verify_table``'s two slips, made in a recompiled copy: a residual
 that drops the depth-(k+1) share Y[k+1], and the factor m + rho + 1 read as
 m + rho.  Each also fails the polynomial-arithmetic oracle of
 ``test_asymptotics`` on its long table.
+
+A failing comparison of criteria 1, 2, 4, 5, 6, 7, 8 (the product of the
+factors) and 9 ends its detail with "first difference at KEY: EXPECTED vs
+GOT", and each test asserts the KEY that its mutant makes the battery name.
 """
 
 import dataclasses
@@ -77,17 +81,34 @@ def det_returns_abs(monkeypatch):
         monkeypatch.setattr(module, "det", lambda m: abs(real_det(m)))
 
 
+def first_difference_key(detail):
+    """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
+    _, found, tail = detail.rpartition("; first difference at ")
+    key, _, values = tail.partition(": ")
+    assert found and " vs " in values, detail
+    return key
+
+
 def test_sigma_routes_agree_unpatched():
     passed, detail = selftest._check_sigma_routes()
     assert passed, detail
 
 
-@pytest.mark.parametrize("mutant", [inverse_row_over_abs_det, relation_over_abs_det, det_returns_abs])
-def test_sigma_route_mutant_fails_criterion_4(monkeypatch, mutant):
+SIGMA_ROUTE_MUTANTS = [  # (mutant, the route it breaks)
+    (inverse_row_over_abs_det, "inverse row"),
+    (relation_over_abs_det, "relation"),
+    (det_returns_abs, "determinants"),
+]
+
+
+@pytest.mark.parametrize("mutant, route", SIGMA_ROUTE_MUTANTS, ids=[m.__name__ for m, _ in SIGMA_ROUTE_MUTANTS])
+def test_sigma_route_mutant_fails_criterion_4(monkeypatch, mutant, route):
     mutant(monkeypatch)
     passed, detail = selftest._check_sigma_routes()
     assert not passed
     assert detail.startswith("disagreement on")
+    # the broken route is the one that differs from the median of the three
+    assert first_difference_key(detail) == route
 
 
 def recompiled(function, old: str, new: str):
@@ -108,16 +129,20 @@ def push_nabla_without_lam_derivative(q, st):
     return REAL_PUSH_NABLA(q, st) - ABElement.gen_b() * q.theta()
 
 
-LAM_NABLA_MUTANTS = {  # name: (patched function, replacement, detail prefix of criterion 7)
+LAM_NABLA_MUTANTS = {  # name: (patched function, replacement, detail prefix of criterion 7, first difference)
+    # b * theta(Q) vanishes at lam^0, so the first difference has a lam power
     "push_nabla_without_lam_derivative": (
         "push_nabla",
         push_nabla_without_lam_derivative,
         "uniform shift fails for",
+        "(0, 3, -2)",
     ),
+    # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
     "via_shift_one_degree_too_far": (
         "push_nabla_via_shift",
         recompiled(connection.push_nabla_via_shift, "(st.mu.k + degree)", "(st.mu.k + degree + (degree > 3))"),
         "lam*nabla routes differ on the degree-4 multiple",
+        "(0, 5, 0)",
     ),
 }
 
@@ -138,24 +163,28 @@ def test_kernel_criteria_pass_unpatched():
 
 @pytest.mark.parametrize("mutant", list(LAM_NABLA_MUTANTS))
 def test_lam_nabla_mutant_fails_criterion_7(monkeypatch, mutant):
-    name, replacement, prefix = LAM_NABLA_MUTANTS[mutant]
+    name, replacement, prefix, key = LAM_NABLA_MUTANTS[mutant]
     for module in (connection, selftest):
         monkeypatch.setattr(module, name, replacement)
     result = selftest.run_criterion(7)
     assert not result.passed
     assert result.detail.startswith(prefix), result.detail
+    assert first_difference_key(result.detail) == key
 
 
 def test_commuting_factor_product_fails_criteria_1_2_and_8(monkeypatch):
     for module in (algebra, families, selftest, lamconn):
         monkeypatch.setattr(module, "linear_factor_product", commuting_factor_product)
-    for cid in (1, 2):
+    # commuting a and b first shows at b^2 of the low part, where b*a = a*b - b^2 enters
+    for cid, key in ((1, "(0, 2, -2)"), (2, "(0, 2, 2)")):
         result = selftest.run_criterion(cid)
         assert not result.passed
         assert result.detail.startswith("operator match False")
+        assert first_difference_key(result.detail) == key
     result = selftest.run_criterion(8)
     assert not result.passed
     assert result.detail.startswith("operator is not the product of its factors"), result.detail
+    assert first_difference_key(result.detail) == "(0, 2, -2)"
 
 
 def wrap(name, change, modules=(families, selftest)):
@@ -230,6 +259,7 @@ def test_det_identity_sign_slip_fails_criterion_5(monkeypatch):
     result = selftest.run_criterion(5)
     assert not result.passed
     assert result.detail.startswith("identity fails on"), result.detail
+    assert first_difference_key(result.detail) == "det M'"
 
 
 REAL_VERIFY_TABLE = selftest.verify_table
@@ -259,29 +289,40 @@ def candidates_not_reduced(result):
     return list(result.roots_low)
 
 
-CRITERION_MUTANTS = [
-    (3, wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,))),
-    (5, det_returns_abs),
-    (6, lambda monkeypatch: monkeypatch.setattr(selftest, "shift_identity_check", shift_identity_with_k_slip)),
-    (9, lambda monkeypatch: monkeypatch.setattr(selftest, "verify_table", verify_table_blind_past_order_40)),
-    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1)),
-    (11, lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced)),
+CRITERION_MUTANTS = [  # (criterion, mutant, the first difference its FAIL detail names, or None)
+    (3, wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,)), None),
+    # the fresh det M' taken as |det M'| disagrees with the cached signed one
+    (5, det_returns_abs, "det M'"),
+    # the slip subtracts b*Q, one degree above Q, which has degree 3 here
+    (
+        6,
+        lambda monkeypatch: monkeypatch.setattr(selftest, "shift_identity_check", shift_identity_with_k_slip),
+        "(0, 4, 0)",
+    ),
+    # compares sets of residual keys; "perturbing c[1, 2, 61] ... gives residuals at []" names the cell
+    (9, lambda monkeypatch: monkeypatch.setattr(selftest, "verify_table", verify_table_blind_past_order_40), None),
+    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1), None),
+    (11, lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced), None),
 ]
 
 
-@pytest.mark.parametrize("cid, mutant", CRITERION_MUTANTS, ids=[f"criterion-{c}" for c, _ in CRITERION_MUTANTS])
-def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant):
+@pytest.mark.parametrize("cid, mutant, key", CRITERION_MUTANTS, ids=[f"criterion-{c}" for c, _, _ in CRITERION_MUTANTS])
+def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant, key):
     assert selftest.run_criterion(cid).passed
     mutant(monkeypatch)
     result = selftest.run_criterion(cid)
     assert not result.passed, result.detail
+    if key is not None:
+        assert first_difference_key(result.detail) == key
 
 
-CHAIN_MUTANTS = {
-    "back_is_l": ("rd * (big_l // gamma)", "rd * big_l"),
+CHAIN_MUTANTS = {  # name: (old, new, the start of criterion 9's FAIL detail, the residual cell it names)
+    "back_is_l": ("rd * (big_l // gamma)", "rd * big_l", "nonzero residual for spec", "(1, 0, 5)"),
     "renormalize_without_rescaling": (
         "v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]",
         "pass",
+        "propagate fails on the telescoping spec",
+        "(0, 0, 3)",
     ),
 }
 
@@ -289,9 +330,12 @@ CHAIN_MUTANTS = {
 @pytest.mark.parametrize("mutant", list(CHAIN_MUTANTS))
 def test_chain_mutant_fails_criterion_9(monkeypatch, mutant):
     assert selftest.run_criterion(9).passed
-    monkeypatch.setattr(asymptotics, "_chain", recompiled(asymptotics._chain, *CHAIN_MUTANTS[mutant]))
+    old, new, prefix, key = CHAIN_MUTANTS[mutant]
+    monkeypatch.setattr(asymptotics, "_chain", recompiled(asymptotics._chain, old, new))
     result = selftest.run_criterion(9)
     assert not result.passed, result.detail
+    assert result.detail.startswith(prefix), result.detail
+    assert first_difference_key(result.detail) == key
 
 
 VERIFY_MUTANTS = {
@@ -308,5 +352,8 @@ def test_verify_mutant_fails_criterion_9_and_the_oracle(monkeypatch, mutant):
         monkeypatch.setattr(module, "verify_table", mutated)
     result = selftest.run_criterion(9)
     assert not result.passed, result.detail
+    # the first random spec already has a residual at its first relation
+    assert result.detail.startswith("nonzero residual for spec"), result.detail
+    assert first_difference_key(result.detail) == "(0, 0, 0)"
     with pytest.raises(AssertionError):
         test_asymptotics.TestVerifyTableOracle().test_long_table_passes()

@@ -8,7 +8,8 @@ one of these would otherwise only show when a benchmark run fails.  The
 package's own export list is checked as well, so a deleted name cannot stay
 behind in ``lamconn.__all__``, and so is the README's library example.  Each
 committed BENCH_*.json record of benchmark runs may name only the workloads
-and metrics that BENCHMARK.json declares.
+and metrics that BENCHMARK.json declares.  The code-line counter in tools/
+leaves docstrings, comments and blank lines out.
 """
 
 import contextlib
@@ -30,9 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = ROOT / "benchmarks"
 
 
-def load_benchmark_module(name):
-    path = BENCHMARKS / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"lamconn_bench_{name}", path)
+def load_module(directory, name):
+    path = directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"lamconn_{directory.name}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while it executes
     spec.loader.exec_module(module)
@@ -40,7 +41,7 @@ def load_benchmark_module(name):
 
 
 @pytest.mark.parametrize(
-    "target", load_benchmark_module("tracing").TARGETS, ids=lambda t: f"{t[1]}.{t[2]}"
+    "target", load_module(BENCHMARKS, "tracing").TARGETS, ids=lambda t: f"{t[1]}.{t[2]}"
 )
 def test_trace_target_resolves(target):
     _, module_name, attr = target
@@ -59,7 +60,7 @@ def test_logpoly_keeps_what_the_expansion_check_calls(name):
 
 @pytest.mark.parametrize("name", ["layouts", "operators", "expansions"])
 def test_workload_checks_accept_runs_and_reject_corruptions(name):
-    workload = load_benchmark_module("workloads").WORKLOADS[name]
+    workload = load_module(BENCHMARKS, "workloads").WORKLOADS[name]
     for inp in islice(workload.inputs(0), 3):
         out = workload.run(lamconn, inp)
         assert workload.check(lamconn, inp, out) is None
@@ -104,3 +105,34 @@ def test_bench_file_names_declared_workloads_and_metrics(path):
     for run in bench["runs"] + bench.get("traced", []):
         assert run["workload"] in workloads
         assert set(run["metrics"]) <= metrics, sorted(set(run["metrics"]) - metrics)
+
+
+COUNTED_SOURCE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+
+def f(x):
+    """One line."""
+    # only a comment
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    text = """a string that is not a docstring
+    spans two lines"""
+'''
+
+
+def test_code_line_counter(tmp_path, capsys):
+    counter = load_module(ROOT / "tools", "code_lines")
+    # import, def, the two lines of return, class, the two lines of the string
+    assert counter.code_lines(COUNTED_SOURCE) == 7
+    (tmp_path / "a.py").write_text(COUNTED_SOURCE, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    assert counter.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split("\n") == ["     7 a.py", "     1 b.py", "     8 total", ""]
