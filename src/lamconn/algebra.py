@@ -67,7 +67,7 @@ class ABElement:
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
     Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
     ``_make`` builds every arithmetic result and ``_linear`` every factor
-    ca*a + cb*b from checked coefficients; both trust their input.
+    (na*a + nb*b)/den from int numerators; both trust their input.
     """
 
     __slots__ = ("_terms", "_den")
@@ -105,10 +105,9 @@ class ABElement:
         return cls()
 
     @classmethod
-    def _linear(cls, ca: Rat | int, cb: Rat | int) -> "ABElement":
-        """Trusted ca*a + cb*b from int or Fraction coefficients already checked."""
-        nums = {(1, 0, 0): ca.numerator * cb.denominator, (0, 1, 0): cb.numerator * ca.denominator}
-        return cls._make(nums, ca.denominator * cb.denominator)
+    def _linear(cls, na: int, nb: int, den: int) -> "ABElement":
+        """Trusted (na*a + nb*b) / den from int numerators over an int den >= 1."""
+        return cls._make({(1, 0, 0): na, (0, 1, 0): nb}, den)
 
     @classmethod
     def one(cls) -> "ABElement":

@@ -6,6 +6,11 @@ bordered exponent matrix: inverting it, the last product reads off as
 sigma * a[mu] + tau * b[mu].  Everything exported here multiplies the
 connection by lam once, so each formula is polynomial in lam and 1/lam and
 the 1/lam in nabla itself is stated explicitly in rendered reports.
+
+Every value here is formed from integer numerators with one reduction each:
+sigma and tau from the numerators of the inverse row over det M~, beta and
+each linear operator (na*a + nb*b)/den from sigma = sn/sd and tau = tn/td
+over sd*td, and alpha is -sigma.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ class SigmaTau:
 
     @property
     def beta(self) -> Rat:
-        return self.mu.k - self.sigma - self.tau
+        sn, sd, tn, td = self.sigma.numerator, self.sigma.denominator, self.tau.numerator, self.tau.denominator
+        return Fraction((self.mu.k * sd - sn) * td - tn * sd, sd * td)
 
     def to_json(self) -> dict:
         """The connection block of the analyze report, without nabla."""
@@ -100,8 +106,12 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
 
 
 def nabla_formula(st: SigmaTau) -> ABElement:
-    """The operator N with lam * nabla([mu]) = N [mu], i.e. N = -(sigma*a + (tau - k*sigma)*b)."""
-    return ABElement._linear(-st.sigma, st.mu.k * st.sigma - st.tau)
+    """The operator N with lam * nabla([mu]) = N [mu], i.e. N = -(sigma*a + (tau - k*sigma)*b).
+
+    With sigma = sn/sd and tau = tn/td, N = (-sn*td*a + (k*sn*td - tn*sd)*b) / (sd*td).
+    """
+    sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
+    return ABElement._linear(-sn * td, st.mu.k * sn * td - tn * sd, sd * td)
 
 
 def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
@@ -143,10 +153,10 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     the closed form -(sigma*a + (tau - (k+g)*sigma)*b) * T, so the two
     implementations must agree term for term.
     """
+    sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
     result = ABElement.gen_b() * q.theta()
     for degree, part in homogeneous_components(q):
-        shift = st.tau - (st.mu.k + degree) * st.sigma
-        op = ABElement._linear(-st.sigma, -shift)
+        op = ABElement._linear(-sn * td, (st.mu.k + degree) * sn * td - tn * sd, sd * td)
         result = result + op * part
     return result
 

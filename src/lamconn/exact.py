@@ -36,11 +36,12 @@ is reported where it stands in the text; ``power_text``, ``term_text`` and
 takes groups.
 
 Matrix determinant, rank, inverse and solution all come from one
-fraction-free Gauss-Jordan elimination on Python ints (``_eliminate``) with
-exact divisions.  The RatMatrix functions scale the rows to integers once,
-and ``det``, ``invert`` and ``solve`` build their Fractions once at the end;
-an exponent layout is integral, so its eliminations in ``exponents`` build
-no Fraction at all.
+fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
+with exact divisions; ``_solve_square`` follows it with an exact integer
+back substitution for det * A^-1 * B.  The RatMatrix functions scale the
+rows to integers once, and ``det``, ``invert`` and ``solve`` build their
+Fractions once at the end; an exponent layout is integral, so its
+eliminations in ``exponents`` build no Fraction at all.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError, SingularMatrixError
@@ -420,32 +422,31 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[int, list[list[i
 
 
 def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[int, int, list[Sequence[int]]]:
-    """Fraction-free Gauss-Jordan elimination of integer rows on the first width columns.
+    """Fraction-free forward elimination of integer rows on the first width columns.
 
-    Columns without a pivot are skipped.  Every update (p * x - f * y) // prev
-    divides by the previous pivot, which is exact because every entry stays a
-    minor of the input matrix (Bareiss, Math. Comp. 22, 1968).  A row swap
-    negates the row moved down, so the last pivot carries the sign: for a
-    square matrix of full rank it is the determinant.  Returns the rank, the
-    last pivot (1 when the rank is 0) and the reduced rows; every pivot row
-    holds the last pivot in its pivot column and zero in the others, so an
-    augmented column holds pivot * solution.
+    Columns without a pivot are skipped.  Each pivot updates only the rows
+    below it, each by (p * x - f * y) // prev, which divides by the previous
+    pivot exactly because every entry stays a minor of the input matrix
+    (Bareiss, Math. Comp. 22, 1968).  A row swap negates the row moved down,
+    so the last pivot carries the sign: for a square matrix of full rank it
+    is the determinant.  Returns the rank, the last pivot (1 when the rank is
+    0) and the rows in echelon form: zero below each pivot.
     """
     work = list(rows)
     nrows = len(work)
     rk = 0
     prev = 1
     for col in range(width):
-        pivot = next((r for r in range(rk, nrows) if work[r][col]), None)
-        if pivot is None:
+        for pivot in range(rk, nrows):
+            if work[pivot][col]:
+                break
+        else:
             continue
         if pivot != rk:
             work[rk], work[pivot] = work[pivot], [-x for x in work[rk]]
         top = work[rk]
         p = top[col]
-        for r in range(nrows):
-            if r == rk:
-                continue
+        for r in range(rk + 1, nrows):
             row = work[r]
             f = row[col]
             if f:
@@ -459,16 +460,28 @@ def _eliminate(rows: Iterable[Sequence[int]], width: int) -> tuple[int, int, lis
     return rk, prev, work
 
 
-def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list[Sequence[int]] | None]:
-    """One elimination of the integer rows [A | B] for square A of size n.
+def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list[list[int]] | None]:
+    """One elimination of the integer rows [A | B] for square A of size n,
+    then exact back substitution.
 
-    Returns rank A, det A and the rows of det A * A^-1 B, all integers; the
-    rows are None and the determinant 0 when A is singular.
+    Returns rank A, det A and the columns of X = det A * A^-1 B, all
+    integers; the columns are None and the determinant 0 when A is singular.
+    The elimination leaves [U | B'] with U upper triangular, U = L A and
+    B' = L B for one invertible L, so U X = det A * B'.  Each entry of X is
+    an integer by Cramer's rule, so U_ii * X_i = det A * B'_i - sum over
+    j > i of U_ij * X_j holds on integers and the division by U_ii is exact.
     """
-    rk, pivot, reduced = _eliminate(rows, n)
+    rk, d, upper = _eliminate(rows, n)
     if rk < n:
         return rk, 0, None
-    return rk, pivot, [row[n:] for row in reduced]
+    columns = [[] for _ in upper[0][n:]]
+    for i in range(n - 1, -1, -1):
+        row = upper[i]
+        u, right = row[i], row[i + 1 : n]
+        for b, x in zip(row[n:], columns):
+            # x holds X_(i+1), ..., X_(n-1) of this column
+            x.insert(0, (d * b - sum(map(mul, right, x))) // u)
+    return rk, d, columns
 
 
 def det(m: RatMatrix) -> Rat:
@@ -484,15 +497,16 @@ def rank(m: RatMatrix) -> int:
 
 
 def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse by Gauss-Jordan elimination; raises SingularMatrixError when det = 0."""
+    """Inverse by forward elimination and back substitution on [m | I]; raises
+    SingularMatrixError when det = 0."""
     if not m.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = m.nrows
     augmented = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(m.rows())]
-    _, pivot, inverse = _solve_square(_integer_rows(augmented)[1], n)
-    if inverse is None:
+    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], n)
+    if columns is None:
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix([[Fraction(x, pivot) for x in row] for row in inverse])
+    return RatMatrix.from_columns([[Fraction(x, pivot) for x in column] for column in columns])
 
 
 def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
@@ -502,7 +516,7 @@ def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
     if len(rhs) != m.nrows:
         raise DimensionError("right-hand side length does not match")
     augmented = [r + (Fraction(check_coefficient(v)),) for r, v in zip(m.rows(), rhs)]
-    _, pivot, x = _solve_square(_integer_rows(augmented)[1], m.nrows)
-    if x is None:
+    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], m.nrows)
+    if columns is None:
         raise SingularMatrixError("matrix is singular")
-    return [Fraction(row[0], pivot) for row in x]
+    return [Fraction(x, pivot) for x in columns[0]]

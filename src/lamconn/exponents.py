@@ -14,12 +14,14 @@ rational sigma together with the lam power carried by the lower operator
 block downstream.
 
 All of the rank, determinant and solution data comes from two fraction-free
-eliminations per layout, done once and cached on the ExponentData instance
-(``ExponentData.analysis``): M~^T | e_(n+2) gives the bordered rank, det M~
-and the last row of M~^-1; M' | alpha_(n+2) gives the basis rank, det M' and
-the rational basis expansion of the last exponent.  validate_hypotheses,
-dependency_solution, det_identity_check and connection.sigma_tau read it,
-and dependency reads the relation through dependency_solution.
+forward eliminations per layout, each followed by an exact integer back
+substitution (``exact._solve_square``), done once and cached on the
+ExponentData instance (``ExponentData.analysis``): M~^T | e_(n+2) gives the
+bordered rank, det M~ and the last row of M~^-1; M' | alpha_(n+2) gives the
+basis rank, det M' and the rational basis expansion of the last exponent.
+validate_hypotheses, dependency_solution, det_identity_check and
+connection.sigma_tau read it, and dependency reads the relation through
+dependency_solution.
 
 The eliminations run on the integer exponents and build no Fraction: each
 solution is kept as the integer numerators det * solution over its signed
@@ -44,8 +46,9 @@ from .exact import Rat, RatMatrix, _solve_square, check_int
 # sets how long the integers in them grow.  It admits n = 156 with entries 0
 # and 1, n = 64 with 13-bit entries and n = 4 with entries at Python's
 # 4300-digit limit.  The slowest accepted corner measured is n = 156 with
-# random 0/1 entries: about 2.5 s for `lamconn analyze` (Python 3.11, 2-core
-# VM); every other corner took under 1.5 s.
+# random 0/1 entries: about 1 s (0.85-1.3 s) for `lamconn analyze` (Python
+# 3.11, 2-core VM); n = 64 with random 13-bit entries took under 0.3 s, and
+# n = 4 and n = 10 with entries on the budget curve under 0.5 s each.
 MAX_LAYOUT_WORK = 4_000_000
 
 
@@ -159,10 +162,10 @@ class ExponentData:
             n=self.n,
             rank_m_tilde=rk_tilde,
             det_m_tilde=det_tilde,
-            inverse_numerators=None if inverse is None else tuple(row[0] for row in inverse),
+            inverse_numerators=None if inverse is None else tuple(inverse[0]),
             rank_m_prime=rk_prime,
             det_m_prime=det_prime,
-            relation_numerators=None if relation is None else tuple(row[0] for row in relation),
+            relation_numerators=None if relation is None else tuple(relation[0]),
         )
 
     @classmethod

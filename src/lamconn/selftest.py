@@ -271,7 +271,7 @@ def _general_product(roots) -> ABElement:
     """Left-to-right product of the factors (a - r*b) through the general product."""
     out = ABElement.one()
     for root in roots:
-        out = out * ABElement._linear(1, -root)
+        out = out * ABElement._linear(root.denominator, -root.numerator, root.denominator)
     return out
 
 

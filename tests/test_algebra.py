@@ -354,7 +354,7 @@ class TestLinearFactors:
         """The one-pass kernel equals the general product of the factors, left to right."""
         fold = ABElement.one()
         for root in roots:
-            fold = fold * ABElement._linear(1, -root)
+            fold = fold * ABElement._linear(root.denominator, -root.numerator, root.denominator)
         assert linear_factor_product(roots) == fold
 
     @given(st.lists(small_fraction, max_size=4))

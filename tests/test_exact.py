@@ -1,4 +1,5 @@
-"""Exact scalars and matrices, checked against cofactor and adjugate oracles."""
+"""Exact scalars and matrices, checked against cofactor and adjugate oracles,
+and the elimination kernel against a plain Fraction Gauss-Jordan and sympy."""
 
 from fractions import Fraction as F
 
@@ -8,7 +9,19 @@ from hypothesis import strategies as st
 
 from lamconn.asymptotics import LogPoly
 from lamconn.errors import DimensionError, InputError, SingularMatrixError
-from lamconn.exact import LaurentPoly, RatMatrix, check_int, det, first_difference, invert, parse_rat, rank, solve
+from lamconn.exact import (
+    LaurentPoly,
+    RatMatrix,
+    _integer_rows,
+    _solve_square,
+    check_int,
+    det,
+    first_difference,
+    invert,
+    parse_rat,
+    rank,
+    solve,
+)
 
 # Bordered exponent matrices of the two golden instances; every frozen value
 # below was produced by the oracles in this file before the implementation
@@ -287,6 +300,11 @@ class TestMatrixFrozen:
         assert inv_b.row(3) == (F(2), F(-1, 4), F(-1, 4), F(-1))
         assert tuple(inverse_adjugate(TILDE_B)[3]) == inv_b.row(3)
 
+    def test_inverse_golden(self):
+        # every row, so every term of the back substitution counts
+        for rows in (TILDE_A, TILDE_B):
+            assert invert(RatMatrix(rows)) == RatMatrix(inverse_adjugate(rows))
+
     def test_solve_basis_expansions(self):
         m_prime_a = RatMatrix([[4, 0, 0], [0, 4, 0], [0, 0, 2]])
         assert solve(m_prime_a, [2, 2, 1]) == [F(1, 2), F(1, 2), F(1, 2)]
@@ -380,3 +398,120 @@ class TestMatrixProperties:
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows()]
         )
         assert rank(m) == oracle.rank()
+
+
+def gauss_jordan(rows, width):
+    """Oracle: plain Fraction Gauss-Jordan on the first width columns.
+
+    Returns the rank, the determinant of those columns when there are as
+    many rows (0 when they are singular) and the reduced rows, each pivot
+    scaled to 1 and cleared above and below.
+    """
+    work = [[F(x) for x in row] for row in rows]
+    rk, det_value = 0, F(1)
+    for col in range(width):
+        pivot = next((r for r in range(rk, len(work)) if work[r][col]), None)
+        if pivot is None:
+            det_value = F(0)
+            continue
+        if pivot != rk:
+            work[rk], work[pivot] = work[pivot], work[rk]
+            det_value = -det_value
+        p = work[rk][col]
+        det_value *= p
+        work[rk] = [x / p for x in work[rk]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if r != rk and f:
+                work[r] = [x - f * y for x, y in zip(work[r], work[rk])]
+        rk += 1
+    return rk, det_value, work
+
+
+def oracle_solve_square(rows, n):
+    """(rank A, det A, columns of det A * A^-1 B) of [A | B] by the oracle; (rank, 0, None) when singular."""
+    rk, det_value, work = gauss_jordan(rows, n)
+    if rk < n:
+        return rk, 0, None
+    return rk, det_value, [[det_value * work[i][c] for i in range(n)] for c in range(n, len(rows[0]))]
+
+
+# Integer and rational entries, the rationals built from drawn integers.
+system_entry = st.integers(min_value=-9, max_value=9) | st.builds(
+    F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
+)
+
+
+def entry_rows(nrows, ncols):
+    return st.lists(st.lists(system_entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def augmented_systems(draw):
+    """Rows of [A | B] and n, for square A of size 1..7 and 0..4 columns of B.
+
+    A is drawn directly or, for a cap k < n, as an (n x k) @ (k x n)
+    product, so that singular and rank-deficient A come often.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=n))
+    if k == n:
+        a = draw(entry_rows(n, n))
+    else:
+        left, right = draw(entry_rows(n, k)), draw(entry_rows(k, n))
+        a = [[sum((F(x) * y for x, y in zip(row, col)), F(0)) for col in zip(*right)] for row in left]
+    b = draw(entry_rows(n, draw(st.integers(min_value=0, max_value=4))))
+    return [list(ra) + rb for ra, rb in zip(a, b)], n
+
+
+class TestEliminationOracle:
+    """The one kernel: forward elimination and exact back substitution."""
+
+    @given(augmented_systems())
+    @example(([[0, 1, 5], [1, 0, 6]], 2))  # a row swap at the first pivot
+    @example(([[1, 2], [2, 4]], 2))  # singular, no B
+    @example(([[2, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]], 3))  # a zero row of A
+    def test_solve_square_matches_fraction_gauss_jordan(self, system):
+        rows, n = system
+        int_rows = _integer_rows(rows)[1]
+        assert _solve_square(int_rows, n) == oracle_solve_square(int_rows, n)
+
+    @given(augmented_systems())
+    def test_solve_square_matches_sympy(self, system):
+        sympy = pytest.importorskip("sympy")
+        rows, n = system
+        int_rows = _integer_rows(rows)[1]
+        a = sympy.Matrix([row[:n] for row in int_rows])
+        b = sympy.Matrix(n, len(int_rows[0]) - n, lambda i, j: int_rows[i][n + j])
+        rk, d, columns = _solve_square(int_rows, n)
+        assert (rk, d) == (a.rank(), a.det())
+        if d == 0:
+            assert columns is None
+        else:
+            x = a.inv() * b * d
+            assert columns == [list(x[:, c]) for c in range(x.cols)]
+
+    @given(augmented_systems())
+    def test_public_functions_match_oracle(self, system):
+        rows, n = system
+        m = RatMatrix([row[:n] for row in rows])
+        rk, det_value, _ = gauss_jordan(m.rows(), n)
+        assert (rank(m), det(m)) == (rk, det_value)
+        if rk == n:
+            assert invert(m) @ m == RatMatrix.identity(n)
+            rhs = [row[-1] for row in rows]
+            reduced = gauss_jordan([row[:n] + [v] for row, v in zip(rows, rhs)], n)[2]
+            assert solve(m, rhs) == [row[n] for row in reduced]
+
+    @given(
+        st.tuples(*[st.integers(min_value=1, max_value=7)] * 3).flatmap(
+            lambda shape: st.tuples(
+                entry_rows(shape[0], shape[1]), entry_rows(shape[0], shape[2]), entry_rows(shape[2], shape[1])
+            )
+        )
+    )
+    def test_rank_rectangular_matches_oracle(self, triple):
+        # a drawn matrix, and a product through k columns, of rank at most k
+        rows, left, right = triple
+        for m in (RatMatrix(rows), RatMatrix(left) @ RatMatrix(right)):
+            assert rank(m) == gauss_jordan(m.rows(), m.ncols)[0]

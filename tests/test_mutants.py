@@ -31,6 +31,13 @@ that drops the depth-(k+1) share Y[k+1], and the factor m + rho + 1 read as
 m + rho.  Each also fails the polynomial-arithmetic oracle of
 ``test_asymptotics`` on its long table.
 
+The elimination kernel's back substitution gets its two slips, each in a
+recompiled copy of ``exact._solve_square``: a sum that skips its last term
+and a right-hand side without its det factor.  Each fails criterion 4 and
+the golden full inverse of ``test_exact``.  ``nabla_formula`` built with
+k*sigma + tau on b fails criterion 7 and the frozen operator of
+``test_connection``.
+
 A failing comparison of criteria 1, 2, 4, 5, 6, 7, 8 (the product of the
 factors) and 9 ends its detail with "first difference at KEY: EXPECTED vs
 GOT", and each test asserts the KEY that its mutant makes the battery name.
@@ -44,12 +51,14 @@ from fractions import Fraction
 import pytest
 
 import lamconn
-from lamconn import algebra, asymptotics, cli, connection, exact, families, selftest
+from lamconn import algebra, asymptotics, cli, connection, exact, exponents, families, selftest
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ResidualReport
 from lamconn.exponents import Case, ExponentData
 
 import test_asymptotics
+import test_connection
+import test_exact
 
 CACHED_ANALYSIS = ExponentData.analysis.func
 
@@ -357,3 +366,43 @@ def test_verify_mutant_fails_criterion_9_and_the_oracle(monkeypatch, mutant):
     assert first_difference_key(result.detail) == "(0, 0, 0)"
     with pytest.raises(AssertionError):
         test_asymptotics.TestVerifyTableOracle().test_long_table_passes()
+
+
+# Both slips break the inverse row and the relation, the two routes solved
+# through the kernel; the walk names the first of them in key order.
+KERNEL_MUTANTS = {  # name: (old, new) in exact._solve_square, and the first difference of criterion 4
+    # the sum over j > i stops before its last term, U[i][n-1] * X[n-1]
+    "back_substitution_without_last_term": ("row[i + 1 : n]", "row[i + 1 : n - 1]", "inverse row"),
+    # U X = B' in place of U X = det * B'
+    "back_substitution_without_det": ("d * b", "b", "inverse row"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
+def test_kernel_mutant_fails_criterion_4_and_the_golden_inverse(monkeypatch, mutant):
+    assert selftest.run_criterion(4).passed
+    old, new, key = KERNEL_MUTANTS[mutant]
+    mutated = recompiled(exact._solve_square, old, new)
+    for module in (exact, exponents):
+        monkeypatch.setattr(module, "_solve_square", mutated)
+    result = selftest.run_criterion(4)
+    assert not result.passed, result.detail
+    assert result.detail.startswith("disagreement on"), result.detail
+    assert first_difference_key(result.detail) == key
+    with pytest.raises(AssertionError):
+        test_exact.TestMatrixFrozen().test_inverse_golden()
+
+
+def test_nabla_formula_sign_slip_fails_criterion_7_and_the_frozen_operator(monkeypatch):
+    assert selftest.run_criterion(7).passed
+    # k*sigma + tau in place of k*sigma - tau on b
+    mutated = recompiled(connection.nabla_formula, "- tn * sd", "+ tn * sd")
+    for module in (connection, families, selftest, lamconn, test_connection):
+        monkeypatch.setattr(module, "nabla_formula", mutated)
+    result = selftest.run_criterion(7)
+    assert not result.passed, result.detail
+    # push_nabla reads its N off nabla_formula; the expected left factor is built from sigma and tau
+    assert result.detail.startswith("uniform shift fails for"), result.detail
+    assert first_difference_key(result.detail) == "(0, 3, -2)"
+    with pytest.raises(AssertionError):
+        test_connection.TestNablaFormula().test_layout_a()
