@@ -39,7 +39,7 @@ from .errors import (
     InputError,
     SingularMatrixError,
 )
-from .exact import LaurentPoly, Rat, RatMatrix, det, invert, parse_rat, rank, solve
+from .exact import LaurentPoly, RatMatrix, det, invert, parse_rat, rank, solve
 from .exponents import (
     Case,
     DependencyData,
@@ -81,7 +81,6 @@ __all__ = [
     "LayoutAnalysis",
     "LogPoly",
     "MonomialMu",
-    "Rat",
     "RatMatrix",
     "SigmaTau",
     "SingularMatrixError",

@@ -46,7 +46,6 @@ from typing import Mapping, Sequence
 from .errors import ContractError, InputError
 from .exact import (
     LaurentPoly,
-    Rat,
     check_coefficient,
     check_int,
     join_signed,
@@ -72,7 +71,7 @@ class ABElement:
 
     __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[Key, LaurentPoly | Rat | int] | None = None):
+    def __init__(self, terms: Mapping[Key, LaurentPoly | Fraction | int] | None = None):
         parts = []
         for key, coeff in (terms or {}).items():
             if not isinstance(key, tuple) or len(key) != 2:
@@ -122,7 +121,7 @@ class ABElement:
         return cls._make({(0, 1, 0): 1}, 1)
 
     @classmethod
-    def monomial(cls, i: int, j: int, coeff: LaurentPoly | Rat | int = 1) -> "ABElement":
+    def monomial(cls, i: int, j: int, coeff: LaurentPoly | Fraction | int = 1) -> "ABElement":
         return cls({(i, j): coeff})
 
     def _groups(self) -> dict[Key, dict[int, int]]:
@@ -171,7 +170,7 @@ class ABElement:
     def __neg__(self) -> "ABElement":
         return ABElement._make({k: -n for k, n in self._terms.items()}, self._den)
 
-    def scale(self, c: LaurentPoly | Rat | int) -> "ABElement":
+    def scale(self, c: LaurentPoly | Fraction | int) -> "ABElement":
         return self * ABElement.monomial(0, 0, c)
 
     def times_a(self) -> "ABElement":
@@ -262,6 +261,11 @@ class ABElement:
         return cls._make(*over_one_denominator(parts))
 
 
+def _flat(x: ABElement) -> dict[FlatKey, Fraction]:
+    """x as its map (i, j, e) -> coefficient of lam^e*a^i*b^j, the form failure reports compare."""
+    return {key: Fraction(n, x._den) for key, n in x._terms.items()}
+
+
 def conj_b(x: ABElement) -> ABElement:
     """Conjugation by b: x -> b * x * b^(-1), the algebra map a -> a - b, b -> b.
 
@@ -273,7 +277,7 @@ def conj_b(x: ABElement) -> ABElement:
     return ABElement._make({(i, j - 1, e): n for (i, j, e), n in bx._terms.items()}, bx._den)
 
 
-def linear_factor_product(roots: Sequence[Rat | int]) -> ABElement:
+def linear_factor_product(roots: Sequence[Fraction | int]) -> ABElement:
     """Left-to-right product of factors (a - root*b); the empty product is 1.
 
     From a^i*b^j*a = a^(i+1)*b^j - j*a^i*b^(j+1), each factor with root
@@ -309,7 +313,7 @@ def homogeneous_components(x: ABElement) -> list[tuple[int, ABElement]]:
     ]
 
 
-def shift_identity_check(q: ABElement, mu: Rat | int) -> tuple[ABElement, ABElement]:
+def shift_identity_check(q: ABElement, mu: Fraction | int) -> tuple[ABElement, ABElement]:
     """Both sides of conj_b(Q) * (a - mu*b) = (a - (mu+k)*b) * Q for Q of degree k.
 
     Q must be homogeneous; the zero element has k = 0.  Returns (left, right);

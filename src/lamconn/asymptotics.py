@@ -86,7 +86,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import LaurentPoly, Rat, check_coefficient, check_int, first_difference, json_rat, parse_int
+from .exact import LaurentPoly, check_coefficient, check_int, first_difference, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -117,20 +117,20 @@ class LogPoly(LaurentPoly):
 
     VAR = "L"
 
-    def __init__(self, coeffs: Mapping[int, Rat | int] | None = None):
+    def __init__(self, coeffs: Mapping[int, Fraction | int] | None = None):
         for e in coeffs or ():
             check_int(e, "log degree", 0)
         super().__init__(coeffs)
 
     @property
-    def coeffs(self) -> dict[int, Rat]:
+    def coeffs(self) -> dict[int, Fraction]:
         return self.terms
 
     def degree(self) -> int:
         """Degree in L; the zero polynomial has degree -1 by convention."""
         return max(self._terms, default=-1)
 
-    def constant_term(self) -> Rat:
+    def constant_term(self) -> Fraction:
         """The value at L = 0."""
         return self.coefficient(0)
 
@@ -146,11 +146,11 @@ class LogPoly(LaurentPoly):
 class ExpansionSpec:
     """Exponents, log depth, order cutoff and normalized PDE coefficients."""
 
-    rhos: tuple[Rat, ...]
+    rhos: tuple[Fraction, ...]
     log_depth: int
     order: int
-    alpha: Rat
-    beta: Rat
+    alpha: Fraction
+    beta: Fraction
 
     def __post_init__(self):
         rhos = tuple(Fraction(check_coefficient(x)) for x in self.rhos)
@@ -262,8 +262,8 @@ class ExpansionTable:
         return "\r\n".join(rows) + "\r\n"
 
 
-def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[SeedKey, Rat]:
-    clean: dict[SeedKey, Rat] = {}
+def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> dict[SeedKey, Fraction]:
+    clean: dict[SeedKey, Fraction] = {}
     for key, value in seed.items():
         try:
             i, k, m = key
@@ -286,7 +286,7 @@ def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> dict[
     return clean
 
 
-def _chain(spec: ExpansionSpec, rho: Rat, m0: int, values: dict[int, Rat]):
+def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fraction]):
     """Yield (k, e, c) for every nonzero L^e coefficient c of c[i,k,m0+e] that
     the seeds of one ladder at order m0, given as {depth: value}, produce.
 
@@ -341,7 +341,7 @@ def _chain(spec: ExpansionSpec, rho: Rat, m0: int, values: dict[int, Rat]):
             big_p = big_l = 1
 
 
-def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> ExpansionTable:
+def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> ExpansionTable:
     """Fill the whole table from the seed constants.
 
     Missing seed entries default to zero.  The table is the sum of one chain
@@ -354,7 +354,7 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Rat | int]) -> Expansi
     clean_seed = _check_seed(spec, seed)
     limit = sys.get_int_max_str_digits()
     bound = 10**limit if limit else None
-    chains: dict[tuple[int, int], dict[int, Rat]] = {}
+    chains: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, k, m), value in clean_seed.items():
         chains.setdefault((i, m), {})[k] = value
     ladders = [[[{} for _ in range(spec.order + 1)] for _ in range(spec.log_depth + 1)] for _ in spec.rhos]
@@ -412,12 +412,12 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
     that is not zero.
     """
     residuals: dict[SeedKey, LogPoly] = {}
-    no_terms: dict[int, Rat] = {}
+    no_terms: dict[int, Fraction] = {}
     absent = (0, 0, 1)  # X, Y and P of a degree that a depth does not reach
     an, ad = spec.alpha.numerator, spec.alpha.denominator
     bn, bd = spec.beta.numerator, spec.beta.denominator
 
-    def terms(key: SeedKey) -> dict[int, Rat]:
+    def terms(key: SeedKey) -> dict[int, Fraction]:
         poly = table.entries.get(key)
         return no_terms if poly is None else poly._terms
 

@@ -5,6 +5,10 @@ Exit codes: 0 on success; 1 on a usage error (argparse's message is kept)
 and on unreadable or malformed input; 2 when a well-formed input fails
 validation (rank hypotheses, family cross validation, failed self checks).
 main() maps InputError to 1 and HypothesisError to 2.
+
+check, analyze, family-a and family-b each build one report, the ``--json``
+payload of the library's ``to_json`` blocks, and lay the text form out from
+the strings in it, so both forms carry the same values.
 """
 
 from __future__ import annotations
@@ -16,17 +20,11 @@ import sys
 
 from . import selftest as selftest_mod
 from .asymptotics import ExpansionSpec, parse_seed_key, propagate
-from .connection import (
-    PDE_NORMALIZED,
-    PDE_RAW,
-    MonomialMu,
-    nabla_formula,
-    sigma_tau,
-)
+from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import DIGIT_LIMIT_MESSAGE, HypothesisError, InputError
 from .exact import json_rat
 from .exponents import ExponentData, dependency, validate_hypotheses
-from .families import cross_validate, family_a, family_b, match_family, monodromy_candidates
+from .families import cross_validate, family_a, family_b, match_family
 
 
 def _load_json(path: str):
@@ -51,94 +49,91 @@ def _finish(payload: dict, as_json: bool, lines: list[str], failure: str | None)
     return 0
 
 
-def _verdict(report, ranks: str) -> list[str]:
-    """The hypotheses line, ending in ranks, and the report's note line when it has one."""
-    line = f"hypotheses: {'pass' if report.passed else 'fail'}{ranks}"
-    return [line, f"note: {report.note}"] if report.note else [line]
+def _verdict(hypotheses: dict, ranks: str) -> list[str]:
+    """The hypotheses line, ending in ranks, and the note line when the hypotheses block has one."""
+    line = f"hypotheses: {'pass' if hypotheses['passed'] else 'fail'}{ranks}"
+    return [line, f"note: {hypotheses['note']}"] if "note" in hypotheses else [line]
 
 
 def _cmd_check(args) -> int:
     data = ExponentData.from_json(_load_json(args.file))
     report = validate_hypotheses(data)
+    payload = report.to_json()
     lines = [
-        f"rank of bordered matrix: {report.rank_m_tilde} (need {data.n + 2})",
-        f"rank of basis matrix:    {report.rank_m_prime} (need {data.n + 1})",
-        *_verdict(report, ""),
+        f"rank of bordered matrix: {payload['rank_m_tilde']} (need {data.n + 2})",
+        f"rank of basis matrix:    {payload['rank_m_prime']} (need {data.n + 1})",
+        *_verdict(payload, ""),
     ]
-    return _finish(report.to_json(), args.json, lines, "\n".join(report.failure_messages()))
+    return _finish(payload, args.json, lines, "\n".join(report.failure_messages()))
 
 
 def _cmd_analyze(args) -> int:
     raw = _load_json(args.file)
     data = ExponentData.from_json(raw)
     report = validate_hypotheses(data)
-    verdict = _verdict(report, f" (bordered rank {report.rank_m_tilde}, basis rank {report.rank_m_prime})")
+    hyp = report.to_json()
+    payload = {"hypotheses": hyp}
+    verdict = _verdict(hyp, f" (bordered rank {hyp['rank_m_tilde']}, basis rank {hyp['rank_m_prime']})")
     if not report.passed:
-        return _finish({"hypotheses": report.to_json()}, args.json, verdict, "\n".join(report.failure_messages()))
+        return _finish(payload, args.json, verdict, "\n".join(report.failure_messages()))
     if "mu" in raw:
         if not isinstance(raw["mu"], list):
             raise InputError("mu must be a list of exponents")
         mu = MonomialMu(beta=tuple(raw["mu"]))
     else:
         mu = MonomialMu.unit(data.n)
-    dep = dependency(data)
+    # Both run before anything is rendered, so a wrong mu length is reported
+    # before a number too long to print.
+    relation = dependency(data)
     st = sigma_tau(data, mu)
-    nabla = nabla_formula(st)
-    family = match_family(data)
-
-    payload = {
-        "hypotheses": report.to_json(),
-        "dependency": dep.to_json(),
-        "connection": {**st.to_json(), "nabla": str(nabla)},
-    }
-    terms = " + ".join(f"{p}*alpha_{j + 1}" for j, p in enumerate(dep.p))
+    dep = payload["dependency"] = relation.to_json()
+    conn = payload["connection"] = {**st.to_json(), "nabla": str(nabla_formula(st))}
+    pde = conn["pde"]
+    terms = " + ".join(f"{p}*alpha_{j + 1}" for j, p in enumerate(dep["p"]))
     lines = [
         *verdict,
-        f"relation: {dep.r}*alpha_{data.n + 2} = {terms}",
-        f"case {dep.case.value}: d = {dep.d}, h = {dep.h}, sigma = {dep.sigma}, "
-        f"lam exponent = {dep.lambda_exponent:+d}",
-        f"mu exponents {list(mu.beta)}, degree k = {mu.k}",
-        f"sigma = {st.sigma}, tau = {st.tau}",
-        f"lam*nabla([mu]) = ({nabla})[mu]",
-        f"nabla([mu]) = lam^-1 * ({nabla})[mu]",
-        f"pde: {PDE_RAW}",
-        f"normalized: {PDE_NORMALIZED} with alpha = {st.alpha}, beta = {st.beta}",
+        f"relation: {dep['r']}*alpha_{data.n + 2} = {terms}",
+        f"case {dep['case']}: d = {dep['d']}, h = {dep['h']}, sigma = {dep['sigma']}, "
+        f"lam exponent = {dep['lambda_exponent']:+d}",
+        f"mu exponents {conn['mu']['beta']}, degree k = {conn['k']}",
+        f"sigma = {conn['sigma']}, tau = {conn['tau']}",
+        f"lam*nabla([mu]) = ({conn['nabla']})[mu]",
+        f"nabla([mu]) = lam^-1 * ({conn['nabla']})[mu]",
+        f"pde: {pde['raw']}",
+        f"normalized: {pde['normalized']} with alpha = {pde['alpha']}, beta = {pde['beta']}",
     ]
+    family = match_family(data)
     if family is None:
         return _finish(payload, args.json, lines, None)
-    payload["family"] = family.to_json()
+    payload["family"] = block = {**family.to_json(), "cross_validation": cross_validate(family).to_json()}
     lines.append(f"recognized family {family.label()}")
-    return _finish_family(family, payload, payload["family"], lines, [], args.json)
+    return _finish_family(payload, block, lines, [], args.json)
 
 
-def _finish_family(
-    result, payload: dict, family_payload: dict, lines: list[str], details: list[str], as_json: bool
-) -> int:
-    """Cross validate, append the family lines around ``details`` and finish, failing when a check fails."""
-    validation = cross_validate(result)
-    family_payload["cross_validation"] = validation.to_json()
-    candidates = ", ".join(str(x) for x in monodromy_candidates(result))
+def _finish_family(payload: dict, block: dict, lines: list[str], details: list[str], as_json: bool) -> int:
+    """Append the lines of the family block around ``details`` and finish, failing when its cross validation failed."""
+    passed = block["cross_validation"]["passed"]
     lines += [
-        f"operator = {result.full_operator}",
-        f"factored: {result.factored_display()}",
+        f"operator = {block['operator']}",
+        f"factored: {block['operator_factored']}",
         *details,
-        f"monodromy candidates: {candidates}",
-        f"cross validation: {'pass' if validation.passed else 'FAIL'}",
+        f"monodromy candidates: {', '.join(block['monodromy_candidates'])}",
+        f"cross validation: {'pass' if passed else 'FAIL'}",
     ]
-    return _finish(payload, as_json, lines, None if validation.passed else "family cross validation failed")
+    return _finish(payload, as_json, lines, None if passed else "family cross validation failed")
 
 
 def _cmd_family(args) -> int:
     result = args.build(*(getattr(args, letter) for letter in args.letters))
-    payload = result.to_json()
-    lines = [f"family {result.label()}", f"exponents: {result.exponents.to_json()['alphas']}"]
+    payload = {**result.to_json(), "cross_validation": cross_validate(result).to_json()}
+    lines = [f"family {result.label()}", f"exponents: {payload['exponents']['alphas']}"]
     details = [
-        f"top roots: {[str(x) for x in result.roots_top]}",
-        f"low roots: {[str(x) for x in result.roots_low]}",
-        f"c = {result.c_coeff}, lam exponent = {result.lambda_exponent:+d}",
-        f"lam*nabla([1]) = ({result.nabla_one})[1]",
+        f"top roots: {payload['roots_top']}",
+        f"low roots: {payload['roots_low']}",
+        f"c = {payload['c_coeff']}, lam exponent = {payload['lambda_exponent']:+d}",
+        f"lam*nabla([1]) = ({payload['nabla_one']})[1]",
     ]
-    return _finish_family(result, payload, payload, lines, details, args.json)
+    return _finish_family(payload, payload, lines, details, args.json)
 
 
 def _cmd_propagate(args) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import ABElement, FlatKey, homogeneous_components
 from .errors import HypothesisError, InputError
-from .exact import Rat, check_coefficient, check_int
+from .exact import check_coefficient, check_int
 from .exponents import ExponentData
 
 
@@ -60,8 +60,8 @@ class SigmaTau:
     beta = k - sigma - tau, the coefficients the expansion propagator uses.
     """
 
-    sigma: Rat
-    tau: Rat
+    sigma: Fraction
+    tau: Fraction
     mu: MonomialMu
 
     def __post_init__(self):
@@ -69,11 +69,11 @@ class SigmaTau:
         check_coefficient(self.tau)
 
     @property
-    def alpha(self) -> Rat:
+    def alpha(self) -> Fraction:
         return -self.sigma
 
     @property
-    def beta(self) -> Rat:
+    def beta(self) -> Fraction:
         sn, sd, tn, td = self.sigma.numerator, self.sigma.denominator, self.tau.numerator, self.tau.denominator
         return Fraction((self.mu.k * sd - sn) * td - tn * sd, sd * td)
 
@@ -100,7 +100,7 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
         raise InputError(f"mu must have {data.n + 1} entries, got {len(mu.beta)}")
     w, det = data.analysis.inverse_numerators, data.analysis.det_m_tilde
     if w is None:
-        raise HypothesisError("bordered exponent matrix is singular; hypothesis i) fails")
+        raise HypothesisError("; ".join(data.analysis.failure_messages()))
     tau = sum(x * (b + 1) for x, b in zip(w[1:], mu.beta))
     return SigmaTau(sigma=Fraction(w[0], det), tau=Fraction(tau, det), mu=mu)
 

@@ -14,8 +14,9 @@ InputError.
 
 Every failure report finds where two values differ with one walk,
 ``first_difference``, over two mappings: each caller flattens its own
-values into key -> number maps (an algebra element by (i, j, e), a log
-table by (i, k, m, e), a tuple of rationals by name), and the walk returns
+values into key -> number maps (an algebra element by (i, j, e) through
+``algebra._flat``, a log table by (i, k, m, e), a tuple of rationals by
+name), and the walk returns
 the smallest differing key with both values there.
 
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
@@ -54,8 +55,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError, SingularMatrixError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 # One token of the term grammar after optional whitespace: an operator, p[/q],
@@ -71,7 +70,7 @@ def parse_int(digits: str) -> int:
         raise InputError(f"integer literal of {len(digits)} digits is too long") from None
 
 
-def parse_rat(text: str) -> Rat:
+def parse_rat(text: str) -> Fraction:
     """Parse "p" or "p/q" with q > 0.  Anything else (floats included) is rejected."""
     m = _RAT_RE.match(text.strip())
     if m is None:
@@ -149,7 +148,7 @@ def first_difference(x: Mapping, y: Mapping) -> tuple | None:
     return None
 
 
-def check_coefficient(c: Rat | int) -> Rat | int:
+def check_coefficient(c: Fraction | int) -> Fraction | int:
     """c itself if it is an int (not a bool) or a Fraction; anything else is a TypeError."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
@@ -169,7 +168,7 @@ def check_int(value: int, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def json_rat(value, what: str) -> Rat:
+def json_rat(value, what: str) -> Fraction:
     """A rational from JSON: an integer (not a bool) or a "p/q" string; anything else is bad input."""
     if isinstance(value, str):
         return parse_rat(value)
@@ -183,7 +182,7 @@ def power_text(name: str, e: int) -> str:
     return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
-def term_text(mag: Rat | str, monomial: str) -> str:
+def term_text(mag: Fraction | str, monomial: str) -> str:
     """One term: "mag", "monomial" or "mag*monomial"; mag is a positive number
     (not printed when it is 1) or text: "p/q" or a parenthesized coefficient."""
     if not monomial:
@@ -223,8 +222,8 @@ class LaurentPoly:
 
     VAR = "lam"
 
-    def __init__(self, terms: Mapping[int, Rat | int] | None = None):
-        clean: dict[int, Rat] = {}
+    def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
+        clean: dict[int, Fraction] = {}
         if terms:
             for e, c in terms.items():
                 check_int(e, "exponent")
@@ -233,18 +232,18 @@ class LaurentPoly:
         self._terms = clean
 
     @classmethod
-    def _make(cls, terms: dict[int, Rat]) -> "LaurentPoly":
+    def _make(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
         """Trusted constructor: int exponents and Fraction values; only zeros are dropped."""
         poly = object.__new__(cls)
         poly._terms = {e: c for e, c in terms.items() if c}
         return poly
 
     @classmethod
-    def const(cls, c: Rat | int) -> "LaurentPoly":
+    def const(cls, c: Fraction | int) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def lam_power(cls, e: int, c: Rat | int = 1) -> "LaurentPoly":
+    def lam_power(cls, e: int, c: Fraction | int = 1) -> "LaurentPoly":
         return cls({e: c})
 
     @classmethod
@@ -252,7 +251,7 @@ class LaurentPoly:
         return cls()
 
     @property
-    def terms(self) -> dict[int, Rat]:
+    def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -261,7 +260,7 @@ class LaurentPoly:
     def is_const(self) -> bool:
         return set(self._terms) <= {0}
 
-    def coefficient(self, e: int) -> Rat:
+    def coefficient(self, e: int) -> Fraction:
         return self._terms.get(e, _ZERO)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -280,9 +279,9 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return self._make({e: -c for e, c in self._terms.items()})
 
-    def __mul__(self, other: "LaurentPoly | Rat | int") -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly | Fraction | int") -> "LaurentPoly":
         if type(other) is type(self):
-            out: dict[int, Rat] = {}
+            out: dict[int, Fraction] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
                     e = e1 + e2
@@ -294,7 +293,7 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Rat | int) -> "LaurentPoly":
+    def scale(self, c: Fraction | int) -> "LaurentPoly":
         c = Fraction(check_coefficient(c))
         return self._make({e: v * c for e, v in self._terms.items()})
 
@@ -349,7 +348,7 @@ class RatMatrix:
 
     __slots__ = ("_rows", "nrows", "ncols")
 
-    def __init__(self, rows: Iterable[Iterable[Rat | int]]):
+    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
         data = tuple(tuple(Fraction(check_coefficient(x)) for x in row) for row in rows)
         if not data or not data[0]:
             raise DimensionError("matrix must have at least one row and column")
@@ -365,14 +364,14 @@ class RatMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Rat | int]]) -> "RatMatrix":
+    def from_columns(cls, cols: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
         height = len(cols[0])
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)])
 
-    def row(self, i: int) -> tuple[Rat, ...]:
+    def row(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
 
-    def rows(self) -> tuple[tuple[Rat, ...], ...]:
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
     def is_square(self) -> bool:
@@ -399,7 +398,7 @@ class RatMatrix:
             ]
         )
 
-    def apply(self, vec: Sequence[Rat | int]) -> list[Rat]:
+    def apply(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
         if len(vec) != self.ncols:
             raise DimensionError("vector length does not match column count")
         v = [Fraction(check_coefficient(x)) for x in vec]
@@ -410,7 +409,7 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[int, list[list[int]]]:
+def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> tuple[int, list[list[int]]]:
     """Each row times the lcm of its denominators, and the product of those multipliers."""
     scale = 1
     out = []
@@ -484,7 +483,7 @@ def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list
     return rk, d, columns
 
 
-def det(m: RatMatrix) -> Rat:
+def det(m: RatMatrix) -> Fraction:
     """Determinant: the signed last pivot of the elimination over the row scales."""
     if not m.is_square():
         raise DimensionError("determinant needs a square matrix")
@@ -509,7 +508,7 @@ def invert(m: RatMatrix) -> RatMatrix:
     return RatMatrix.from_columns([[Fraction(x, pivot) for x in column] for column in columns])
 
 
-def solve(m: RatMatrix, rhs: Sequence[Rat | int]) -> list[Rat]:
+def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve m * x = rhs for square invertible m."""
     if not m.is_square():
         raise DimensionError("solve needs a square matrix")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, HypothesisError, InputError
-from .exact import Rat, RatMatrix, _solve_square, check_int
+from .exact import RatMatrix, _solve_square, check_int
 
 # Work budget of a JSON layout, checked by ExponentData.from_json before any
 # elimination: (n + 2)^3, the order of the updates in each of the two
@@ -217,7 +217,7 @@ class DependencyData:
     d: int
     h: int
     case: Case
-    sigma: Rat
+    sigma: Fraction
     lambda_exponent: int
 
     def to_json(self) -> dict:
@@ -287,9 +287,9 @@ class DetIdentityReport:
 
     det_m_prime: int
     det_m_tilde: int
-    predicted_det_m_tilde: Rat
+    predicted_det_m_tilde: Fraction
     identity_holds: bool
-    sigma_from_determinants: Rat
+    sigma_from_determinants: Fraction
     sigma_matches: bool
     passed: bool
 

@@ -16,14 +16,14 @@ first term where they differ, found by ``exact.first_difference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar
 
-from .algebra import ABElement, linear_factor_product
+from .algebra import ABElement, _flat, linear_factor_product
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import Rat, check_int, first_difference, power_text, term_text
+from .exact import check_int, first_difference, power_text, term_text
 from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ class FamilyResult:
     kind: str
     params: tuple[int, ...]
     exponents: ExponentData
-    roots_top: tuple[Rat, ...]
-    roots_low: tuple[Rat, ...]
+    roots_top: tuple[Fraction, ...]
+    roots_low: tuple[Fraction, ...]
     lambda_exponent: int
     full_operator: ABElement = field(init=False)
     nabla_one: ABElement
-    c_coeff: ClassVar[Rat] = Fraction(-4)
+    c_coeff: ClassVar[Fraction] = Fraction(-4)
 
     def __post_init__(self):
         weight = ABElement._make({(0, 0, self.lambda_exponent): self.c_coeff.numerator}, self.c_coeff.denominator)
@@ -132,7 +132,7 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
     return FamilyResult("B", (p, q, u, v), exponents, roots_top, roots_low, 2, nabla_one)
 
 
-def monodromy_candidates(result: FamilyResult) -> list[Rat]:
+def monodromy_candidates(result: FamilyResult) -> list[Fraction]:
     """Low-part roots reduced mod 1 into [0, 1), multiplicities kept, in root order."""
     return [x - (x.numerator // x.denominator) for x in result.roots_low]
 
@@ -141,17 +141,18 @@ def match_family(data: ExponentData) -> FamilyResult | None:
     """Recognize an exponent layout as a family instance; None when it is neither.
 
     The candidate parameters are read off the layout, and the whole layout
-    they generate must equal it.
+    they generate must equal it.  The result carries data itself as its
+    exponents, so cross_validate reads data's cached analysis.
     """
     if data.n != 2:
         return None
     alphas = data.alphas
     u, v, w = alphas[3]
     if min(u, v, w) >= 1 and alphas == _layout_a(u, v, w):
-        return family_a(u, v, w)
+        return replace(family_a(u, v, w), exponents=data)
     p, q, u, v = alphas[3][0], alphas[3][1], alphas[0][2], alphas[1][2]
     if min(p, q, u + v) >= 1 and alphas == _layout_b(p, q, u, v):
-        return family_b(p, q, u, v)
+        return replace(family_b(p, q, u, v), exponents=data)
     return None
 
 
@@ -171,9 +172,7 @@ class CheckOutcome:
         if not self.passed:
             diff = None
             if isinstance(self.expected, ABElement) and isinstance(self.got, ABElement):
-                diff = first_difference(
-                    *({k: Fraction(n, x._den) for k, n in x._terms.items()} for x in (self.expected, self.got))
-                )
+                diff = first_difference(_flat(self.expected), _flat(self.got))
             out["first_difference"] = (
                 None if diff is None else {"key": list(diff[0]), "expected": str(diff[1]), "got": str(diff[2])}
             )
@@ -226,5 +225,5 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
     return CrossValidationReport(label=result.label(), checks=tuple(checks))
 
 
-def _factor_text(root: Rat) -> str:
+def _factor_text(root: Fraction) -> str:
     return f"(a - {term_text(root, 'b')})"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping
 
-from .algebra import ABElement, linear_factor_product, shift_identity_check
+from .algebra import ABElement, _flat, linear_factor_product, shift_identity_check
 from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, verify_table
 from .errors import InputError
 from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
@@ -109,11 +109,6 @@ def random_seed_map(rng: random.Random, spec: ExpansionSpec) -> dict:
         )
         seed[key] = random_rat(rng, 6, 6)
     return seed
-
-
-def _flat(x: ABElement) -> dict:
-    """x as its map (i, j, e) -> coefficient of lam^e*a^i*b^j."""
-    return {key: Fraction(n, x._den) for key, n in x._terms.items()}
 
 
 def _cells(table: ExpansionTable) -> dict:

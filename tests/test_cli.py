@@ -33,6 +33,8 @@ BOTH_FAIL_INPUT = {"n": 2, "alphas": [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 0]
 FAMILY_A_MU_INPUT = {**FAMILY_A_INPUT, "mu": [1, 0, 2]}
 GOLDEN_EXPANSION = {"rhos": ["1/2"], "N": 0, "M": 2, "alpha": "1", "beta": "0", "seed": {"0,0,0": "1"}}
 
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
 FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 
 
@@ -158,6 +160,20 @@ class TestAnalyze:
         obj = {**FAMILY_A_INPUT, "mu": [1, 0]}
         assert main(["analyze", write_json(tmp_path, obj)]) == 1
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["family-a.json", "family-b.json", "no-family.json"])
+    def test_one_analysis_per_layout(self, capsys, monkeypatch, name):
+        # two eliminations, M~ and M', however many stages read the layout
+        real = exponents._solve_square
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(exponents, "_solve_square", counted)
+        assert main(["analyze", str(GOLDEN_INPUTS / name)]) == 0
+        assert len(calls) == 2
 
 
 # Whole outputs (stdout, stderr, exit code) of the reports that the layout

@@ -66,6 +66,14 @@ class TestSigmaTau:
         with pytest.raises(HypothesisError):
             sigma_tau(cube, MonomialMu.unit(2))
 
+    def test_singular_matrix_worded_as_dependency_words_it(self):
+        cube = ExponentData(n=2, alphas=((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
+        with pytest.raises(HypothesisError) as from_sigma_tau:
+            sigma_tau(cube, MonomialMu.unit(2))
+        with pytest.raises(HypothesisError) as from_dependency:
+            dependency(cube)
+        assert str(from_sigma_tau.value) == str(from_dependency.value) == "hypothesis i) fails: rank 3 < 4"
+
     def test_sigma_independent_of_mu(self):
         rng = random.Random(1009)
         for _ in range(100):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -175,6 +176,15 @@ class TestMatchFamily:
         matched = match_family(result.exponents)
         assert matched is not None
         assert (matched.kind, matched.params) == ("B", params)
+
+    def test_match_carries_the_layout_itself(self):
+        # cross_validate then reads the analysis already cached on the layout
+        grid = [family_a(*params) for params in product(range(1, 4), repeat=3)] + [
+            family_b(p, q, u, v) for p, q, u, v in product(range(1, 3), range(1, 3), range(3), range(3)) if u + v
+        ]
+        for result in grid:
+            data = ExponentData(n=2, alphas=result.exponents.alphas)
+            assert match_family(data).exponents is data, result.label()
 
 
 class TestCrossValidation:
