@@ -81,8 +81,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
@@ -222,7 +223,7 @@ class ExpansionTable:
     """Coefficients c[i,k,m] as polynomials in L, keyed by (i, k, m)."""
 
     spec: ExpansionSpec
-    entries: dict[SeedKey, LogPoly] = field(default_factory=dict)
+    entries: dict[SeedKey, LogPoly]
 
     def get(self, i: int, k: int, m: int) -> LogPoly:
         return self.entries.get((i, k, m), LogPoly.zero())
@@ -347,9 +348,10 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
     Missing seed entries default to zero.  The table is the sum of one chain
     per ladder and seeded order, run on integers (see the module docstring);
     the chains fill disjoint degrees of the cells, so each emitted value is a
-    finished coefficient.  A coefficient with more digits than Python's
-    int/str conversion limit (0: no limit) could not be printed, so it is
-    refused as soon as it is emitted.
+    finished coefficient, written straight into its cell of the table's
+    (i, k, m) map.  A coefficient with more digits than Python's int/str
+    conversion limit (0: no limit) could not be printed, so it is refused as
+    soon as it is emitted.
     """
     clean_seed = _check_seed(spec, seed)
     limit = sys.get_int_max_str_digits()
@@ -357,20 +359,15 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
     chains: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, k, m), value in clean_seed.items():
         chains.setdefault((i, m), {})[k] = value
-    ladders = [[[{} for _ in range(spec.order + 1)] for _ in range(spec.log_depth + 1)] for _ in spec.rhos]
+    # every cell, empty ones too, in (i, k, m) order
+    keys = product(range(len(spec.rhos)), range(spec.log_depth + 1), range(spec.order + 1))
+    cells: dict[SeedKey, dict[int, Fraction]] = {key: {} for key in keys}
     for (i, m0), values in sorted(chains.items()):
-        cells = ladders[i]
         for k, e, c in _chain(spec, spec.rhos[i], m0, values):
             if bound is not None and (c.denominator >= bound or abs(c.numerator) >= bound):
                 raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
-            cells[k][m0 + e][e] = c
-    entries = {
-        (i, k, m): LogPoly._make(cell)
-        for i, cells in enumerate(ladders)
-        for k, row in enumerate(cells)
-        for m, cell in enumerate(row)
-    }
-    return ExpansionTable(spec=spec, entries=entries)
+            cells[i, k, m0 + e][e] = c
+    return ExpansionTable(spec=spec, entries={key: LogPoly._make(cell) for key, cell in cells.items()})
 
 
 @dataclass(frozen=True)

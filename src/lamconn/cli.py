@@ -79,7 +79,7 @@ def _cmd_analyze(args) -> int:
     if "mu" in raw:
         if not isinstance(raw["mu"], list):
             raise InputError("mu must be a list of exponents")
-        mu = MonomialMu(beta=tuple(raw["mu"]))
+        mu = MonomialMu(beta=raw["mu"])
     else:
         mu = MonomialMu.unit(data.n)
     # Both run before anything is rendered, so a wrong mu length is reported

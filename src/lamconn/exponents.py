@@ -179,7 +179,7 @@ class ExponentData:
         alphas = obj["alphas"]
         if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
             raise InputError("alphas must be a list of lists")
-        data = cls(n=n, alphas=tuple(tuple(a) for a in alphas))
+        data = cls(n=n, alphas=alphas)
         bits = max(1, *(max(a).bit_length() for a in data.alphas))
         work = (data.n + 2) ** 3 * bits
         if work > MAX_LAYOUT_WORK:

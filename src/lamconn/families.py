@@ -7,7 +7,8 @@ Both sit in the case split with d = 2 and h = 1, so the operator is a cubic
 product of monic linear factors plus -4 * lam^(+-2) times a quadratic one.
 The factor roots are explicit rational expressions in the parameters, and
 every one of them is positive.  Each layout and each root list is written
-once; ``FamilyResult`` derives its operator from its roots.  The cross check
+once; ``FamilyResult`` derives its operator from its roots once, on first
+read, so building or copying a record builds no operator.  The cross check
 recomputes the relation, case data, sigma and lam*nabla([1]) from the
 exponent matrices and compares them with the closed forms, keeping the
 compared values; in JSON a failed check of two algebra elements names the
@@ -16,8 +17,9 @@ first term where they differ, found by ``exact.first_difference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 from .algebra import ABElement, _flat, linear_factor_product
@@ -32,9 +34,10 @@ class FamilyResult:
 
     full_operator = top + c_coeff * lam^lambda_exponent * low, where top and
     low are the left-to-right products of the monic linear factors (a - r*b)
-    over roots_top and roots_low; the operator is derived from the roots,
-    never given.  The low roots reduced mod 1 are the monodromy candidate
-    exponents.
+    over roots_top and roots_low; the operator is derived from the record's
+    roots and lambda exponent once, on first read, never given, so a
+    ``dataclasses.replace`` copy derives its own.  The low roots reduced mod 1
+    are the monodromy candidate exponents.
     """
 
     kind: str
@@ -43,14 +46,13 @@ class FamilyResult:
     roots_top: tuple[Fraction, ...]
     roots_low: tuple[Fraction, ...]
     lambda_exponent: int
-    full_operator: ABElement = field(init=False)
     nabla_one: ABElement
     c_coeff: ClassVar[Fraction] = Fraction(-4)
 
-    def __post_init__(self):
+    @cached_property
+    def full_operator(self) -> ABElement:
         weight = ABElement._make({(0, 0, self.lambda_exponent): self.c_coeff.numerator}, self.c_coeff.denominator)
-        full = linear_factor_product(self.roots_top) + linear_factor_product(self.roots_low) * weight
-        object.__setattr__(self, "full_operator", full)
+        return linear_factor_product(self.roots_top) + linear_factor_product(self.roots_low) * weight
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"

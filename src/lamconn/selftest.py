@@ -27,7 +27,7 @@ from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, veri
 from .errors import InputError
 from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
 from .exact import LaurentPoly, det, first_difference
-from .exponents import Case, ExponentData, dependency, det_identity_check, validate_hypotheses
+from .exponents import ExponentData, dependency, det_identity_check, validate_hypotheses
 from .families import family_a, family_b, cross_validate, monodromy_candidates
 
 QUASI_HOMOGENEOUS_CUBE = {
@@ -157,22 +157,30 @@ def _check_golden_b() -> tuple[bool, str]:
     return _check_golden(family_b(2, 2, 1, 1), expected, "-2*a + 3/2*b")
 
 
+def _by_layout(blocks: Mapping[str, Mapping]) -> dict:
+    """Blocks keyed by layout as one flat map (layout, field) -> value."""
+    return {(layout, name): value for layout, block in blocks.items() for name, value in block.items()}
+
+
+def _by_position(lists: Mapping[str, list]) -> dict:
+    """Lists keyed by layout as one flat map: (layout, "length") -> the list's
+    length and (layout, "position j") -> its entry j.  With the length, a list
+    that only grows by a 0 still names a key."""
+    return _by_layout({layout: {"length": len(values), **{f"position {j}": x for j, x in enumerate(values)}}
+                       for layout, values in lists.items()})
+
+
 def _check_case_data() -> tuple[bool, str]:
-    dep_a = dependency(family_a(2, 2, 1).exponents)
-    dep_b = dependency(family_b(2, 2, 1, 1).exponents)
-    ok_a = (
-        dep_a.case is Case.CASE_II
-        and dep_a.sigma == -2
-        and (dep_a.r, dep_a.p, dep_a.d, dep_a.h) == (2, (1, 1, 1), 2, 1)
-        and dep_a.lambda_exponent == -2
-    )
-    ok_b = (
-        dep_b.case is Case.CASE_I
-        and dep_b.sigma == 2
-        and (dep_b.r, dep_b.p, dep_b.d, dep_b.h) == (2, (1, 1, -1), 2, 1)
-        and dep_b.lambda_exponent == 2
-    )
-    return ok_a and ok_b, f"first layout {dep_a.to_json()}, second layout {dep_b.to_json()}"
+    got = {"first layout": dependency(family_a(2, 2, 1).exponents).to_json(),
+           "second layout": dependency(family_b(2, 2, 1, 1).exponents).to_json()}
+    detail = ", ".join(f"{layout} {block}" for layout, block in got.items())
+    expected = {
+        "first layout": {"r": 2, "p": [1, 1, 1], "sum_p": 3, "d": 2, "h": 1, "case": "II", "sigma": "-2",
+                         "lambda_exponent": -2},
+        "second layout": {"r": 2, "p": [1, 1, -1], "sum_p": 1, "d": 2, "h": 1, "case": "I", "sigma": "2",
+                          "lambda_exponent": 2},
+    }
+    return (True, detail) if got == expected else _failed(detail, _by_layout(expected), _by_layout(got))
 
 
 def _sigma_corpus():
@@ -404,7 +412,6 @@ def _check_hypothesis_gate() -> tuple[bool, str]:
 
     data = ExponentData.from_json(QUASI_HOMOGENEOUS_CUBE)
     report = validate_hypotheses(data)
-    ok_report = report.rank_m_tilde == 3 and not report.passed and report.basis_ok
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -412,20 +419,22 @@ def _check_hypothesis_gate() -> tuple[bool, str]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["check", path])
-        message_ok = "hypothesis i) fails: rank 3 < 4" in (out.getvalue() + err.getvalue())
-        return (
-            ok_report and code == 2 and message_ok,
-            f"rank {report.rank_m_tilde}, exit code {code}, message shown {message_ok}",
-        )
     finally:
         os.unlink(path)
+    message_ok = "hypothesis i) fails: rank 3 < 4" in (out.getvalue() + err.getvalue())
+    detail = f"rank {report.rank_m_tilde}, exit code {code}, message shown {message_ok}"
+    expected = {"rank": 3, "passed": False, "basis": True, "exit code": 2, "message shown": True}
+    got = {"rank": report.rank_m_tilde, "passed": report.passed, "basis": report.basis_ok,
+           "exit code": code, "message shown": message_ok}
+    return (True, detail) if got == expected else _failed(detail, expected, got)
 
 
 def _check_monodromy_candidates() -> tuple[bool, str]:
-    cand_a = monodromy_candidates(family_a(2, 2, 1))
-    cand_b = monodromy_candidates(family_b(2, 2, 1, 1))
-    ok = cand_a == [Fraction(1, 2), Fraction(0)] and cand_b == [Fraction(0), Fraction(0)]
-    return ok, f"first layout {[str(x) for x in cand_a]}, second layout {[str(x) for x in cand_b]}"
+    got = {"first layout": monodromy_candidates(family_a(2, 2, 1)),
+           "second layout": monodromy_candidates(family_b(2, 2, 1, 1))}
+    detail = ", ".join(f"{layout} {[str(x) for x in values]}" for layout, values in got.items())
+    expected = {"first layout": [Fraction(1, 2), Fraction(0)], "second layout": [Fraction(0), Fraction(0)]}
+    return (True, detail) if got == expected else _failed(detail, _by_position(expected), _by_position(got))
 
 
 CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lamconn
-from lamconn import cli, exponents, selftest
+from lamconn import cli, exponents, families, selftest
 from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
 from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
@@ -174,6 +174,20 @@ class TestAnalyze:
         monkeypatch.setattr(exponents, "_solve_square", counted)
         assert main(["analyze", str(GOLDEN_INPUTS / name)]) == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name, expected", [("family-a.json", 2), ("family-b.json", 2), ("no-family.json", 0)])
+    def test_one_operator_per_family(self, capsys, monkeypatch, name, expected):
+        # one product for the top roots and one for the low roots of the matched family
+        real = families.linear_factor_product
+        calls = []
+
+        def counted(roots):
+            calls.append(roots)
+            return real(roots)
+
+        monkeypatch.setattr(families, "linear_factor_product", counted)
+        assert main(["analyze", str(GOLDEN_INPUTS / name)]) == 0
+        assert len(calls) == expected
 
 
 # Whole outputs (stdout, stderr, exit code) of the reports that the layout

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lamconn import families
 from lamconn.algebra import ABElement, homogeneous_components, linear_factor_product
 from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly
@@ -264,6 +265,31 @@ class TestDerivedOperators:
         low = linear_factor_product([F(1, 2)]).scale(LaurentPoly.lam_power(-2, -4))
         assert changed.full_operator == linear_factor_product(result.roots_top) + low
         assert changed.c_coeff == F(-4)
+
+    @pytest.mark.parametrize("build, params", [(family_a, (2, 2, 1)), (family_b, (2, 2, 1, 1))])
+    def test_operator_built_once_on_first_read(self, monkeypatch, build, params):
+        real = families.linear_factor_product
+        calls = []
+
+        def counted(roots):
+            calls.append(roots)
+            return real(roots)
+
+        monkeypatch.setattr(families, "linear_factor_product", counted)
+        result = build(*params)
+        assert calls == []
+        first = result.full_operator
+        assert calls == [result.roots_top, result.roots_low]
+        assert result.full_operator is first
+        assert len(calls) == 2
+
+    def test_copy_derives_its_own_operator(self):
+        # the seam the lambda_exponent and nabla_one mutants use
+        result = family_a(2, 2, 1)
+        changed = dataclasses.replace(result, lambda_exponent=2)
+        low = linear_factor_product(result.roots_low).scale(LaurentPoly.lam_power(2, -4))
+        assert changed.full_operator == linear_factor_product(result.roots_top) + low
+        assert changed.full_operator != result.full_operator
 
     def test_no_operator_arguments(self):
         r = family_a(1, 1, 1)

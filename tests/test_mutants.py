@@ -38,9 +38,10 @@ the golden full inverse of ``test_exact``.  ``nabla_formula`` built with
 k*sigma + tau on b fails criterion 7 and the frozen operator of
 ``test_connection``.
 
-A failing comparison of criteria 1, 2, 4, 5, 6, 7, 8 (the product of the
-factors) and 9 ends its detail with "first difference at KEY: EXPECTED vs
-GOT", and each test asserts the KEY that its mutant makes the battery name.
+A failing comparison of criteria 1 to 7 and 9 to 11, and criterion 8's
+product of the factors, ends its detail with "first difference at KEY:
+EXPECTED vs GOT", and each test asserts the KEY that its mutant makes the
+battery name.
 """
 
 import dataclasses
@@ -299,7 +300,12 @@ def candidates_not_reduced(result):
 
 
 CRITERION_MUTANTS = [  # (criterion, mutant, the first difference its FAIL detail names, or None)
-    (3, wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,)), None),
+    # the fields of both layouts sort by name, and "case" comes first
+    (
+        3,
+        wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,)),
+        "('first layout', 'case')",
+    ),
     # the fresh det M' taken as |det M'| disagrees with the cached signed one
     (5, det_returns_abs, "det M'"),
     # the slip subtracts b*Q, one degree above Q, which has degree 3 here
@@ -310,8 +316,13 @@ CRITERION_MUTANTS = [  # (criterion, mutant, the first difference its FAIL detai
     ),
     # compares sets of residual keys; "perturbing c[1, 2, 61] ... gives residuals at []" names the cell
     (9, lambda monkeypatch: monkeypatch.setattr(selftest, "verify_table", verify_table_blind_past_order_40), None),
-    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1), None),
-    (11, lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced), None),
+    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1), "exit code"),
+    # the unreduced roots 5/2 and 1 keep the length; 5/2 is the first entry that differs
+    (
+        11,
+        lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced),
+        "('first layout', 'position 0')",
+    ),
 ]
 
 
@@ -323,6 +334,31 @@ def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant, key):
     assert not result.passed, result.detail
     if key is not None:
         assert first_difference_key(result.detail) == key
+
+
+def candidates_with_a_zero(result):
+    return families.monodromy_candidates(result) + [Fraction(0)]
+
+
+FIELD_MUTANTS = [  # (criterion, mutant, first difference): slips that only the keyed comparison names
+    # sum_p is compared with the rest of the dependency block
+    (
+        3,
+        wrap("dependency", lambda dep: dataclasses.replace(dep, sum_p=dep.sum_p + 1), (selftest,)),
+        "('first layout', 'sum_p')",
+    ),
+    # a missing key counts as 0, so only the length names a list that grows by a 0
+    (
+        11,
+        lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_with_a_zero),
+        "('first layout', 'length')",
+    ),
+]
+
+
+@pytest.mark.parametrize("cid, mutant, key", FIELD_MUTANTS, ids=["criterion-3-sum_p", "criterion-11-length"])
+def test_field_mutant_names_its_field(monkeypatch, cid, mutant, key):
+    test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant, key)
 
 
 CHAIN_MUTANTS = {  # name: (old, new, the start of criterion 9's FAIL detail, the residual cell it names)
