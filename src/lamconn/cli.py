@@ -27,10 +27,20 @@ from .exponents import ExponentData, dependency, validate_hypotheses
 from .families import cross_validate, family_a, family_b, match_family
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it holds twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -142,10 +152,12 @@ def _cmd_propagate(args) -> int:
     seed_obj = raw.get("seed", {})
     if not isinstance(seed_obj, dict):
         raise InputError("seed must be an object keyed by 'i,k,m'")
-    seed = {
-        parse_seed_key(key_text): json_rat(value, f"seed value for {key_text!r}")
-        for key_text, value in seed_obj.items()
-    }
+    seed = {}
+    for key_text, value in seed_obj.items():
+        key = parse_seed_key(key_text)
+        if key in seed:
+            raise InputError(f"seed key {key_text!r} names the same cell {key} as an earlier key")
+        seed[key] = json_rat(value, f"seed value for {key_text!r}")
     table = propagate(spec, seed)
     if args.json:
         print(json.dumps(table.to_json(), indent=2))

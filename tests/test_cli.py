@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 
 import lamconn
-from lamconn import cli, exponents, families, selftest
+from lamconn import cli, exponents, families
 from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
 from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
 
-from test_mutants import candidates_not_reduced
+from test_mutants import MUTANTS
 
 FAMILY_A_INPUT = {"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}
 FAMILY_B_INPUT = {"n": 2, "alphas": [[4, 0, 1], [0, 4, 1], [0, 0, 2], [2, 2, 0]]}
@@ -613,6 +613,13 @@ class TestPropagate:
         assert main(["propagate", write_json(tmp_path, obj)]) == 1
         assert "input error" in capsys.readouterr().err
 
+    def test_two_seed_keys_for_one_cell(self, tmp_path, capsys):
+        obj = {**GOLDEN_EXPANSION, "seed": {"0,0,0": "1", "0,0,00": "2"}}
+        assert main(["propagate", write_json(tmp_path, obj)]) == 1
+        out = capsys.readouterr()
+        assert out.err == "input error: seed key '0,0,00' names the same cell (0, 0, 0) as an earlier key\n"
+        assert out.out == ""
+
 
 class TestInputHandling:
     def test_missing_file(self, capsys):
@@ -624,6 +631,18 @@ class TestInputHandling:
         path.write_text("{not json", encoding="utf-8")
         assert main(["check", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, repeated, text", [
+        ("propagate", "0,0,0", '{"rhos": ["1/2"], "N": 0, "M": 2, "alpha": 1, "beta": 0, "seed": {"0,0,0": 1, "0,0,0": 2}}'),
+        ("check", "n", '{"n": 2, "n": 3, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}'),
+    ], ids=["seed", "n"])
+    def test_repeated_key_refused(self, tmp_path, capsys, command, repeated, text):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.err == f"input error: {path}: repeated key {repeated!r} in a JSON object\n"
+        assert out.out == ""
 
     def test_oversized_json_integer(self, tmp_path):
         path = tmp_path / "big.json"
@@ -779,7 +798,7 @@ class TestSelftest:
         assert len(proc.stdout.splitlines()) == 11
 
     def test_failing_criterion_exits_2_with_stderr_empty(self, capsys, monkeypatch):
-        monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced)
+        next(m for m in MUTANTS if m.name == "candidates_not_reduced").install(monkeypatch)
         assert main(["selftest"]) == 2
         out, err = capsys.readouterr()
         failed = [line for line in out.splitlines() if not line.startswith("PASS criterion")]

@@ -1,57 +1,25 @@
-"""Mutants that the battery must kill, each installed with monkeypatch in
-every module that imported the patched name.
+"""The battery's mutants: each entry of MUTANTS is one slip and what kills it.
 
-Criterion 4 keeps three independent sigma routes: a slip in any one of them
-fails it.  The routes are sigma read off the inverse row of M~^T, sigma from
-the relation solved from M' | alpha_(n+2), and sigma from fresh determinants
-of both matrices.  Each sigma mutant is the sign slip that integer numerators
-invite, a quantity taken over |det| instead of the signed determinant, in
-one route only.
-
-The one-pass algebra kernels each get the slip their rule invites: a
-``push_nabla`` without its e*nd (lam-derivative) term fails criterion 7, and
-a ``linear_factor_product`` without its j*rd term, which treats a and b as
-commuting, fails criteria 1, 2 and 8.  The other lam*nabla route gets its slip
-too: a ``push_nabla_via_shift`` that shifts parts of degree above 3 by
-degree + 1 fails criterion 7, which compares the two routes on the operator
-times (a - b).
-
-Every check that ``cross_validate`` records has a mutant that fails it and
-criterion 8, and criteria 3, 5, 6, 9, 10 and 11 each have one that fails
-them.  The determinant identity's sign slip, installed where the battery
-calls the check too, also fails criterion 5.  Each of these tests runs only
-the criteria it names.
-
-``propagate``'s seed chains get the two slips their bookkeeping invites, each
-made in a recompiled copy of ``asymptotics._chain``: the depth coupling
-scaled by L instead of L/gcd(L, s), and a renormalization that resets the
-shared denominator without rescaling the numerators.  Both fail criterion 9.
-So do ``verify_table``'s two slips, made in a recompiled copy: a residual
-that drops the depth-(k+1) share Y[k+1], and the factor m + rho + 1 read as
-m + rho.  Each also fails the polynomial-arithmetic oracle of
-``test_asymptotics`` on its long table.
-
-The elimination kernel's back substitution gets its two slips, each in a
-recompiled copy of ``exact._solve_square``: a sum that skips its last term
-and a right-hand side without its det factor.  Each fails criterion 4 and
-the golden full inverse of ``test_exact``.  ``nabla_formula`` built with
-k*sigma + tau on b fails criterion 7 and the frozen operator of
-``test_connection``.
-
-A failing comparison of criteria 1 to 7 and 9 to 11, and criterion 8's
-product of the factors, ends its detail with "first difference at KEY:
-EXPECTED vs GOT", and each test asserts the KEY that its mutant makes the
-battery name.
+An entry holds a name, an install, the criteria the slip fails, each with the
+start of its FAIL detail and the first-difference KEY that detail names (None
+when it names none), and Tier-1 oracles that pass unpatched and raise
+AssertionError under the slip.  Every install follows one rule: the slipped
+object replaces the real one wherever a loaded module other than this one
+binds it.  A slip that wraps the real function captures it here, at import,
+so that the install cannot make it call itself.
 """
 
 import dataclasses
 import inspect
+import sys
 import textwrap
+import types
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 import pytest
 
-import lamconn
 from lamconn import algebra, asymptotics, cli, connection, exact, exponents, families, selftest
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ResidualReport
@@ -61,100 +29,66 @@ import test_asymptotics
 import test_connection
 import test_exact
 
-CACHED_ANALYSIS = ExponentData.analysis.func
+
+class Mutant(NamedTuple):
+    name: str
+    install: Callable[[pytest.MonkeyPatch], None]
+    kills: dict  # criterion: (start of its FAIL detail, first-difference KEY or None)
+    oracles: tuple = ()
 
 
-def numerators_over_abs_det(numerators: str, determinant: str):
-    """ExponentData.analysis with the named numerators negated when their determinant is negative."""
+def rebind(original, replacement):
+    """The install of replacement wherever a loaded module other than this one binds original."""
 
-    def analysis(self):
-        result = CACHED_ANALYSIS(self)
-        nums = getattr(result, numerators)
-        if getattr(result, determinant) < 0:
-            result = dataclasses.replace(result, **{numerators: tuple(-x for x in nums)})
-        return result
+    def install(monkeypatch):
+        for name, module in list(sys.modules.items()):
+            if isinstance(module, types.ModuleType) and name != __name__:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, replacement)
 
-    return property(analysis)
-
-
-def inverse_row_over_abs_det(monkeypatch):
-    monkeypatch.setattr(ExponentData, "analysis", numerators_over_abs_det("inverse_numerators", "det_m_tilde"))
+    return install
 
 
-def relation_over_abs_det(monkeypatch):
-    monkeypatch.setattr(ExponentData, "analysis", numerators_over_abs_det("relation_numerators", "det_m_prime"))
+def wrapped(original, change):
+    """The install of original with its result passed through change."""
+    return rebind(original, lambda *args, **kwargs: change(original(*args, **kwargs)))
 
 
-def det_returns_abs(monkeypatch):
-    real_det = exact.det
-    for module in (exact, selftest, lamconn):
-        monkeypatch.setattr(module, "det", lambda m: abs(real_det(m)))
-
-
-def first_difference_key(detail):
-    """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
-    _, found, tail = detail.rpartition("; first difference at ")
-    key, _, values = tail.partition(": ")
-    assert found and " vs " in values, detail
-    return key
-
-
-def test_sigma_routes_agree_unpatched():
-    passed, detail = selftest._check_sigma_routes()
-    assert passed, detail
-
-
-SIGMA_ROUTE_MUTANTS = [  # (mutant, the route it breaks)
-    (inverse_row_over_abs_det, "inverse row"),
-    (relation_over_abs_det, "relation"),
-    (det_returns_abs, "determinants"),
-]
-
-
-@pytest.mark.parametrize("mutant, route", SIGMA_ROUTE_MUTANTS, ids=[m.__name__ for m, _ in SIGMA_ROUTE_MUTANTS])
-def test_sigma_route_mutant_fails_criterion_4(monkeypatch, mutant, route):
-    mutant(monkeypatch)
-    passed, detail = selftest._check_sigma_routes()
-    assert not passed
-    assert detail.startswith("disagreement on")
-    # the broken route is the one that differs from the median of the three
-    assert first_difference_key(detail) == route
-
-
-def recompiled(function, old: str, new: str):
-    """function recompiled from its source with the one occurrence of old replaced by new."""
+def slipped(function, old: str, new: str):
+    """The install of function recompiled from its source with the one occurrence of old replaced by new."""
     module = inspect.getmodule(function)
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[function.__name__]
+    return rebind(function, namespace[function.__name__])
+
+
+CACHED_ANALYSIS = ExponentData.analysis.func
+
+
+def numerators_over_abs_det(numerators: str, determinant: str):
+    """The install of ExponentData.analysis with the named numerators negated when their determinant is negative."""
+
+    def analysis(self):
+        result = CACHED_ANALYSIS(self)
+        if getattr(result, determinant) < 0:
+            result = dataclasses.replace(result, **{numerators: tuple(-x for x in getattr(result, numerators))})
+        return result
+
+    return lambda monkeypatch: monkeypatch.setattr(ExponentData, "analysis", property(analysis))
 
 
 REAL_PUSH_NABLA = connection.push_nabla
+REAL_DET_IDENTITY_CHECK = exponents.det_identity_check
+REAL_SHIFT_IDENTITY_CHECK = algebra.shift_identity_check
+REAL_PROPAGATE = asymptotics.propagate
 
 
 def push_nabla_without_lam_derivative(q, st):
     """The kernel with e*nd dropped: the term it contributes is exactly b * theta(Q)."""
     return REAL_PUSH_NABLA(q, st) - ABElement.gen_b() * q.theta()
-
-
-LAM_NABLA_MUTANTS = {  # name: (patched function, replacement, detail prefix of criterion 7, first difference)
-    # b * theta(Q) vanishes at lam^0, so the first difference has a lam power
-    "push_nabla_without_lam_derivative": (
-        "push_nabla",
-        push_nabla_without_lam_derivative,
-        "uniform shift fails for",
-        "(0, 3, -2)",
-    ),
-    # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
-    "via_shift_one_degree_too_far": (
-        "push_nabla_via_shift",
-        recompiled(connection.push_nabla_via_shift, "(st.mu.k + degree)", "(st.mu.k + degree + (degree > 3))"),
-        "lam*nabla routes differ on the degree-4 multiple",
-        "(0, 5, 0)",
-    ),
-}
 
 
 def commuting_factor_product(roots):
@@ -165,280 +99,184 @@ def commuting_factor_product(roots):
     return ABElement({(len(roots) - m, m): c for m, c in enumerate(coeffs)})
 
 
-def test_kernel_criteria_pass_unpatched():
-    for cid in (1, 2, 7):
-        result = selftest.run_criterion(cid)
-        assert result.passed, result.detail
-
-
-@pytest.mark.parametrize("mutant", list(LAM_NABLA_MUTANTS))
-def test_lam_nabla_mutant_fails_criterion_7(monkeypatch, mutant):
-    name, replacement, prefix, key = LAM_NABLA_MUTANTS[mutant]
-    for module in (connection, selftest):
-        monkeypatch.setattr(module, name, replacement)
-    result = selftest.run_criterion(7)
-    assert not result.passed
-    assert result.detail.startswith(prefix), result.detail
-    assert first_difference_key(result.detail) == key
-
-
-def test_commuting_factor_product_fails_criteria_1_2_and_8(monkeypatch):
-    for module in (algebra, families, selftest, lamconn):
-        monkeypatch.setattr(module, "linear_factor_product", commuting_factor_product)
-    # commuting a and b first shows at b^2 of the low part, where b*a = a*b - b^2 enters
-    for cid, key in ((1, "(0, 2, -2)"), (2, "(0, 2, 2)")):
-        result = selftest.run_criterion(cid)
-        assert not result.passed
-        assert result.detail.startswith("operator match False")
-        assert first_difference_key(result.detail) == key
-    result = selftest.run_criterion(8)
-    assert not result.passed
-    assert result.detail.startswith("operator is not the product of its factors"), result.detail
-    assert first_difference_key(result.detail) == "(0, 2, -2)"
-
-
-def wrap(name, change, modules=(families, selftest)):
-    """A mutant installer: the real function of that name with its result
-    passed through change, installed in each of modules that imported it."""
-    real = getattr(families, name)
-
-    def install(monkeypatch):
-        for module in modules:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
-
-    return install
-
-
-def other_case(case):
-    return Case.CASE_I if case is Case.CASE_II else Case.CASE_II
-
-
-REAL_DET_IDENTITY_CHECK = families.det_identity_check
-
-
 def det_identity_with_sign_slip(data, dep):
     """det_identity_check with (-1)^n for (-1)^(n+1): the real check run on det M' negated."""
-    slipped = ExponentData(n=data.n, alphas=data.alphas)
-    analysis = data.analysis
-    vars(slipped)["analysis"] = dataclasses.replace(analysis, det_m_prime=-analysis.det_m_prime)
-    return REAL_DET_IDENTITY_CHECK(slipped, dep)
-
-
-CROSS_CHECK_MUTANTS = {
-    "r": wrap("dependency", lambda dep: dataclasses.replace(dep, r=dep.r + 1)),
-    "p": wrap("dependency", lambda dep: dataclasses.replace(dep, p=(dep.p[0] + 1,) + dep.p[1:])),
-    "d": wrap("dependency", lambda dep: dataclasses.replace(dep, d=dep.d + 1)),
-    "h": wrap("dependency", lambda dep: dataclasses.replace(dep, h=dep.h + 1)),
-    "case": wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case))),
-    "sigma": wrap("dependency", lambda dep: dataclasses.replace(dep, sigma=dep.sigma + 1)),
-    "lambda_exponent": wrap(
-        "family_a", lambda result: dataclasses.replace(result, lambda_exponent=-result.lambda_exponent)
-    ),
-    "determinant_identity": lambda monkeypatch: monkeypatch.setattr(
-        families, "det_identity_check", det_identity_with_sign_slip
-    ),
-    "sigma_from_inverse": wrap("sigma_tau", lambda st: dataclasses.replace(st, sigma=st.sigma + 1)),
-    "nabla_one": wrap(
-        "family_a", lambda result: dataclasses.replace(result, nabla_one=result.nabla_one + ABElement.gen_b())
-    ),
-}
-
-
-def test_cross_validation_passes_unpatched():
-    names = [c.name for c in families.cross_validate(families.family_a(2, 2, 1)).checks]
-    assert names == list(CROSS_CHECK_MUTANTS)
-    result = selftest.run_criterion(8)
-    assert result.passed, result.detail
-
-
-@pytest.mark.parametrize("check", list(CROSS_CHECK_MUTANTS))
-def test_cross_check_mutant_fails_its_check_and_criterion_8(monkeypatch, check):
-    CROSS_CHECK_MUTANTS[check](monkeypatch)
-    report = families.cross_validate(families.family_a(2, 2, 1))
-    assert check in [c.name for c in report.checks if not c.passed]
-    result = selftest.run_criterion(8)
-    assert not result.passed
-    assert result.detail.startswith("cross validation fails for")
-
-
-def test_det_identity_sign_slip_fails_criterion_5(monkeypatch):
-    assert selftest.run_criterion(5).passed
-    for module in (families, selftest):
-        monkeypatch.setattr(module, "det_identity_check", det_identity_with_sign_slip)
-    result = selftest.run_criterion(5)
-    assert not result.passed
-    assert result.detail.startswith("identity fails on"), result.detail
-    assert first_difference_key(result.detail) == "det M'"
-
-
-REAL_VERIFY_TABLE = selftest.verify_table
-REAL_MAIN = cli.main
+    slip = ExponentData(n=data.n, alphas=data.alphas)
+    vars(slip)["analysis"] = dataclasses.replace(data.analysis, det_m_prime=-data.analysis.det_m_prime)
+    return REAL_DET_IDENTITY_CHECK(slip, dep)
 
 
 def shift_identity_with_k_slip(q, mu):
     """shift_identity_check with mu + k + 1 on the right at degree 2 or more."""
-    left, right = algebra.shift_identity_check(q, mu)
+    left, right = REAL_SHIFT_IDENTITY_CHECK(q, mu)
     if q.degree() >= 2:
         # (a - (mu + k + 1)*b) * Q = (a - (mu + k)*b) * Q - b * Q
         right = right - ABElement.gen_b() * q
     return left, right
 
 
-def verify_table_blind_past_order_40(spec, table):
-    report = REAL_VERIFY_TABLE(spec, table)
-    return ResidualReport({key: poly for key, poly in report.residuals.items() if key[2] <= 40})
+def propagate_cached_by_spec(monkeypatch):
+    """The install of propagate behind a fresh cache keyed by the spec alone."""
+    cache = {}
+    rebind(REAL_PROPAGATE, lambda spec, seed: cache.setdefault(spec, REAL_PROPAGATE(spec, seed)))(monkeypatch)
 
 
-def main_hypothesis_exit_1(argv=None):
-    code = REAL_MAIN(argv)
-    return 1 if code == 2 else code
+def dependency_with(**change):
+    """The install of dependency with each named field passed through its function."""
+    return wrapped(exponents.dependency, lambda dep: dataclasses.replace(
+        dep, **{name: f(getattr(dep, name)) for name, f in change.items()}))
 
 
-def candidates_not_reduced(result):
-    return list(result.roots_low)
+def check_passes(name):
+    """Oracle: the named check of cross_validate passes on the first golden layout."""
+    report = families.cross_validate(families.family_a(2, 2, 1))
+    assert name not in [c.name for c in report.checks if not c.passed]
 
 
-CRITERION_MUTANTS = [  # (criterion, mutant, the first difference its FAIL detail names, or None)
-    # the fields of both layouts sort by name, and "case" comes first
-    (
-        3,
-        wrap("dependency", lambda dep: dataclasses.replace(dep, case=other_case(dep.case)), (selftest,)),
-        "('first layout', 'case')",
-    ),
-    # the fresh det M' taken as |det M'| disagrees with the cached signed one
-    (5, det_returns_abs, "det M'"),
-    # the slip subtracts b*Q, one degree above Q, which has degree 3 here
-    (
-        6,
-        lambda monkeypatch: monkeypatch.setattr(selftest, "shift_identity_check", shift_identity_with_k_slip),
-        "(0, 4, 0)",
-    ),
-    # compares sets of residual keys; "perturbing c[1, 2, 61] ... gives residuals at []" names the cell
-    (9, lambda monkeypatch: monkeypatch.setattr(selftest, "verify_table", verify_table_blind_past_order_40), None),
-    (10, lambda monkeypatch: monkeypatch.setattr(cli, "main", main_hypothesis_exit_1), "exit code"),
-    # the unreduced roots 5/2 and 1 keep the length; 5/2 is the first entry that differs
-    (
-        11,
-        lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_not_reduced),
-        "('first layout', 'position 0')",
-    ),
-]
+def first_difference_key(detail):
+    """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
+    _, found, tail = detail.rpartition("; first difference at ")
+    key, _, values = tail.partition(": ")
+    assert found and " vs " in values, detail
+    return key
 
 
-@pytest.mark.parametrize("cid, mutant, key", CRITERION_MUTANTS, ids=[f"criterion-{c}" for c, _, _ in CRITERION_MUTANTS])
-def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant, key):
-    assert selftest.run_criterion(cid).passed
-    mutant(monkeypatch)
-    result = selftest.run_criterion(cid)
-    assert not result.passed, result.detail
-    if key is not None:
-        assert first_difference_key(result.detail) == key
-
-
-def candidates_with_a_zero(result):
-    return families.monodromy_candidates(result) + [Fraction(0)]
-
-
-FIELD_MUTANTS = [  # (criterion, mutant, first difference): slips that only the keyed comparison names
-    # sum_p is compared with the rest of the dependency block
-    (
-        3,
-        wrap("dependency", lambda dep: dataclasses.replace(dep, sum_p=dep.sum_p + 1), (selftest,)),
-        "('first layout', 'sum_p')",
-    ),
-    # a missing key counts as 0, so only the length names a list that grows by a 0
-    (
-        11,
-        lambda monkeypatch: monkeypatch.setattr(selftest, "monodromy_candidates", candidates_with_a_zero),
-        "('first layout', 'length')",
-    ),
-]
-
-
-@pytest.mark.parametrize("cid, mutant, key", FIELD_MUTANTS, ids=["criterion-3-sum_p", "criterion-11-length"])
-def test_field_mutant_names_its_field(monkeypatch, cid, mutant, key):
-    test_criterion_mutant_fails_its_criterion(monkeypatch, cid, mutant, key)
-
-
-CHAIN_MUTANTS = {  # name: (old, new, the start of criterion 9's FAIL detail, the residual cell it names)
-    "back_is_l": ("rd * (big_l // gamma)", "rd * big_l", "nonzero residual for spec", "(1, 0, 5)"),
-    "renormalize_without_rescaling": (
-        "v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]",
-        "pass",
-        "propagate fails on the telescoping spec",
-        "(0, 0, 3)",
-    ),
-}
-
-
-@pytest.mark.parametrize("mutant", list(CHAIN_MUTANTS))
-def test_chain_mutant_fails_criterion_9(monkeypatch, mutant):
-    assert selftest.run_criterion(9).passed
-    old, new, prefix, key = CHAIN_MUTANTS[mutant]
-    monkeypatch.setattr(asymptotics, "_chain", recompiled(asymptotics._chain, old, new))
-    result = selftest.run_criterion(9)
-    assert not result.passed, result.detail
-    assert result.detail.startswith(prefix), result.detail
-    assert first_difference_key(result.detail) == key
-
-
-VERIFY_MUTANTS = {
-    "no_depth_share": ("above = level", "above = {}"),
-    "factor_m_plus_rho": ("((m + 1) * rd + rn)", "(m * rd + rn)"),
-}
-
-
-@pytest.mark.parametrize("mutant", list(VERIFY_MUTANTS))
-def test_verify_mutant_fails_criterion_9_and_the_oracle(monkeypatch, mutant):
-    assert selftest.run_criterion(9).passed
-    mutated = recompiled(asymptotics.verify_table, *VERIFY_MUTANTS[mutant])
-    for module in (asymptotics, selftest, lamconn, test_asymptotics):
-        monkeypatch.setattr(module, "verify_table", mutated)
-    result = selftest.run_criterion(9)
-    assert not result.passed, result.detail
-    # the first random spec already has a residual at its first relation
-    assert result.detail.startswith("nonzero residual for spec"), result.detail
-    assert first_difference_key(result.detail) == "(0, 0, 0)"
-    with pytest.raises(AssertionError):
-        test_asymptotics.TestVerifyTableOracle().test_long_table_passes()
-
-
-# Both slips break the inverse row and the relation, the two routes solved
-# through the kernel; the walk names the first of them in key order.
-KERNEL_MUTANTS = {  # name: (old, new) in exact._solve_square, and the first difference of criterion 4
-    # the sum over j > i stops before its last term, U[i][n-1] * X[n-1]
-    "back_substitution_without_last_term": ("row[i + 1 : n]", "row[i + 1 : n - 1]", "inverse row"),
+CROSS_VALIDATION = ("cross validation fails for", None)
+SIGMA_ROUTES = "disagreement on"
+# oracles that two entries share
+INVERSE_GOLDEN = (test_exact.TestMatrixFrozen().test_inverse_golden,)
+FROBENIUS_GOLDEN = (test_asymptotics.TestFrobeniusRoute().test_golden,)
+LONG_TABLE = (test_asymptotics.TestVerifyTableOracle().test_long_table_passes,)
+MUTANTS = [
+    # commuting a and b first shows at b^2 of the low part, where b*a = a*b - b^2 enters
+    Mutant("commuting_factor_product", rebind(algebra.linear_factor_product, commuting_factor_product),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")}),
+    # the fields of both layouts sort by name: sum_p is compared with the rest of the dependency block
+    Mutant("sum_p", dependency_with(sum_p=lambda x: x + 1), {3: ("first layout", "('first layout', 'sum_p')")}),
+    # each sigma route over |det|: the broken route is the one that differs from the median of the three
+    Mutant("inverse_row_over_abs_det", numerators_over_abs_det("inverse_numerators", "det_m_tilde"),
+           {4: (SIGMA_ROUTES, "inverse row")}),
+    Mutant("relation_over_abs_det", numerators_over_abs_det("relation_numerators", "det_m_prime"),
+           {4: (SIGMA_ROUTES, "relation")}),
+    # the fresh det M' taken as |det M'| also disagrees with the cached signed one
+    Mutant("det_returns_abs", wrapped(exact.det, abs),
+           {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "det M'")}),
+    # back substitution's sum over j > i stops before its last term, U[i][n-1] * X[n-1]; both
+    # slips break the inverse row and the relation, and the walk names the first in key order
+    Mutant("back_substitution_without_last_term", slipped(exact._solve_square, "row[i + 1 : n]", "row[i + 1 : n - 1]"),
+           {4: (SIGMA_ROUTES, "inverse row")}, INVERSE_GOLDEN),
     # U X = B' in place of U X = det * B'
-    "back_substitution_without_det": ("d * b", "b", "inverse row"),
-}
+    Mutant("back_substitution_without_det", slipped(exact._solve_square, "d * b", "b"),
+           {4: (SIGMA_ROUTES, "inverse row")}, INVERSE_GOLDEN),
+    # the slip subtracts b*Q, one degree above Q, which has degree 3 here
+    Mutant("shift_identity_with_k_slip", rebind(algebra.shift_identity_check, shift_identity_with_k_slip),
+           {6: ("shift identity fails for", "(0, 4, 0)")}),
+    # b * theta(Q) vanishes at lam^0, so the first difference has a lam power
+    Mutant("push_nabla_without_lam_derivative", rebind(connection.push_nabla, push_nabla_without_lam_derivative),
+           {7: ("uniform shift fails for", "(0, 3, -2)")}),
+    # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
+    Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(st.mu.k + degree)",
+                                                   "(st.mu.k + degree + (degree > 3))"),
+           {7: ("lam*nabla routes differ on the degree-4 multiple", "(0, 5, 0)")}),
+    # k*sigma + tau in place of k*sigma - tau on b; push_nabla reads its N off nabla_formula,
+    # while the expected left factor is built from sigma and tau
+    Mutant("nabla_formula_sign_slip", slipped(connection.nabla_formula, "- tn * sd", "+ tn * sd"),
+           {7: ("uniform shift fails for", "(0, 3, -2)")}, (test_connection.TestNablaFormula().test_layout_a,)),
+    # one entry per check of cross_validate, in its order, each failing that check
+    Mutant("r", dependency_with(r=lambda x: x + 1), {8: CROSS_VALIDATION}, (partial(check_passes, "r"),)),
+    Mutant("p", dependency_with(p=lambda p: (p[0] + 1,) + p[1:]), {8: CROSS_VALIDATION}, (partial(check_passes, "p"),)),
+    Mutant("d", dependency_with(d=lambda x: x + 1), {8: CROSS_VALIDATION}, (partial(check_passes, "d"),)),
+    Mutant("h", dependency_with(h=lambda x: x + 1), {8: CROSS_VALIDATION}, (partial(check_passes, "h"),)),
+    # "case" is the first field of both layouts in name order
+    Mutant("case", dependency_with(case=lambda c: Case.CASE_I if c is Case.CASE_II else Case.CASE_II),
+           {3: ("first layout", "('first layout', 'case')"), 8: CROSS_VALIDATION}, (partial(check_passes, "case"),)),
+    Mutant("sigma", dependency_with(sigma=lambda x: x + 1), {8: CROSS_VALIDATION}, (partial(check_passes, "sigma"),)),
+    Mutant("lambda_exponent", wrapped(families.family_a, lambda result: dataclasses.replace(
+        result, lambda_exponent=-result.lambda_exponent)), {8: CROSS_VALIDATION},
+           (partial(check_passes, "lambda_exponent"),)),
+    # the package's own check on det M' negated also fails criterion 5's comparison of determinants
+    Mutant("determinant_identity", rebind(exponents.det_identity_check, det_identity_with_sign_slip),
+           {5: ("identity fails on", "det M'"), 8: CROSS_VALIDATION}, (partial(check_passes, "determinant_identity"),)),
+    Mutant("sigma_from_inverse", wrapped(connection.sigma_tau, lambda st: dataclasses.replace(st, sigma=st.sigma + 1)),
+           {8: CROSS_VALIDATION}, (partial(check_passes, "sigma_from_inverse"),)),
+    Mutant("nabla_one", wrapped(families.family_a, lambda result: dataclasses.replace(
+        result, nabla_one=result.nabla_one + ABElement.gen_b())), {8: CROSS_VALIDATION},
+           (partial(check_passes, "nabla_one"),)),
+    # criterion 9 in the order of its FAIL branches.  propagate's step factor m + rho + 1 read
+    # as m + rho: the golden values name the first wrong cell (i, k, m, L power)
+    Mutant("chain_step_at_m_plus_rho", slipped(asymptotics._chain, "s = (m + 1) * rd + rn", "s = m * rd + rn"),
+           {9: ("golden values differ on the golden spec", "(0, 0, 1, 1)")},
+           FROBENIUS_GOLDEN),
+    # the closed form's factor for t = m - 1 read at t = m
+    Mutant("frobenius_one_order_late", slipped(selftest.frobenius_table, "m + spec.rhos[i]", "m + spec.rhos[i] + 1"),
+           {9: ("closed-form route differs from propagate on the golden spec", "(0, 0, 1, 1)")},
+           FROBENIUS_GOLDEN),
+    # the depth coupling scaled by L instead of L/gcd(L, s)
+    Mutant("back_is_l", slipped(asymptotics._chain, "rd * (big_l // gamma)", "rd * big_l"),
+           {9: ("nonzero residual for spec", "(1, 0, 5)")}),
+    # verify_table's residual without the depth-(k+1) share Y[k+1]; this slip and the next
+    # already show at the first relation of the first random spec
+    Mutant("no_depth_share", slipped(asymptotics.verify_table, "above = level", "above = {}"),
+           {9: ("nonzero residual for spec", "(0, 0, 0)")}, LONG_TABLE),
+    # verify_table's factor m + rho + 1 read as m + rho
+    Mutant("factor_m_plus_rho", slipped(asymptotics.verify_table, "((m + 1) * rd + rn)", "(m * rd + rn)"),
+           {9: ("nonzero residual for spec", "(0, 0, 0)")}, LONG_TABLE),
+    # the closed form's division by B + x with the sign of the running quotient flipped;
+    # it vanishes at log depth 0, so the golden spec passes
+    Mutant("frobenius_sign_slip", slipped(selftest.frobenius_table, "(p - quotient)", "(p + quotient)"),
+           {9: ("closed-form route differs from propagate for spec", "(0, 1, 1, 1)")}),
+    # a cache keyed by the spec alone hands a second seed the first seed's table
+    Mutant("propagate_cached_by_spec", propagate_cached_by_spec,
+           {9: ("propagate is not additive in the seed for spec", "(0, 0, 0, 0)")}),
+    # every chain stops after 40 orders, which only the order-80 long spec reaches
+    Mutant("chain_stops_at_order_40", slipped(asymptotics._chain, "range(spec.order - m0)",
+                                              "range(min(spec.order - m0, 40))"),
+           {9: ("nonzero residual for the long spec", "(0, 0, 40)")}),
+    # names the perturbed cell, "perturbing c[1, 2, 61] ... gives residuals at []", and no KEY
+    Mutant("verify_table_blind_past_order_40", wrapped(asymptotics.verify_table, lambda report: ResidualReport(
+        {key: poly for key, poly in report.residuals.items() if key[2] <= 40})),
+           {9: ("perturbing c[1, 2, 61] of the long spec gives residuals at", None)}),
+    # a renormalization that resets the shared denominator without rescaling the numerators
+    Mutant("renormalize_without_rescaling", slipped(
+        asymptotics._chain, "v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]", "pass"),
+           {9: ("propagate fails on the telescoping spec", "(0, 0, 3)")}),
+    # gated on the spec: the random specs stop at order 8, so only the order-12 telescoping
+    # spec meets a closed form cut at order 10
+    Mutant("frobenius_cut_at_order_10", slipped(selftest.frobenius_table, "range(m0, spec.order + 1)",
+                                                "range(m0, min(spec.order, 10) + 1)"),
+           {9: ("propagate fails on the telescoping spec", "(0, 0, 11, 7)")}),
+    # the hypothesis gate's exit code 2 reported as 1, the code of malformed input
+    Mutant("main_hypothesis_exit_1", wrapped(cli.main, lambda code: 1 if code == 2 else code),
+           {10: ("rank 3, exit code 1", "exit code")}),
+    # the unreduced roots 5/2 and 1 keep the length; 5/2 is the first entry that differs
+    Mutant("candidates_not_reduced", rebind(families.monodromy_candidates, lambda result: list(result.roots_low)),
+           {11: ("first layout", "('first layout', 'position 0')")}),
+    # a missing key counts as 0, so only the length names a list that grows by a 0
+    Mutant("candidates_with_a_zero", wrapped(families.monodromy_candidates, lambda c: c + [Fraction(0)]),
+           {11: ("first layout", "('first layout', 'length')")}),
+]
 
 
-@pytest.mark.parametrize("mutant", list(KERNEL_MUTANTS))
-def test_kernel_mutant_fails_criterion_4_and_the_golden_inverse(monkeypatch, mutant):
-    assert selftest.run_criterion(4).passed
-    old, new, key = KERNEL_MUTANTS[mutant]
-    mutated = recompiled(exact._solve_square, old, new)
-    for module in (exact, exponents):
-        monkeypatch.setattr(module, "_solve_square", mutated)
-    result = selftest.run_criterion(4)
-    assert not result.passed, result.detail
-    assert result.detail.startswith("disagreement on"), result.detail
-    assert first_difference_key(result.detail) == key
-    with pytest.raises(AssertionError):
-        test_exact.TestMatrixFrozen().test_inverse_golden()
+def test_unpatched_battery_and_oracles_pass():
+    names = [c.name for c in families.cross_validate(families.family_a(2, 2, 1)).checks]
+    assert names == [o.args[0] for m in MUTANTS for o in m.oracles if getattr(o, "func", None) is check_passes]
+    for cid in sorted({cid for m in MUTANTS for cid in m.kills}):
+        result = selftest.run_criterion(cid)
+        assert result.passed, result.detail
+    for oracle in {o for m in MUTANTS for o in m.oracles}:
+        oracle()
 
 
-def test_nabla_formula_sign_slip_fails_criterion_7_and_the_frozen_operator(monkeypatch):
-    assert selftest.run_criterion(7).passed
-    # k*sigma + tau in place of k*sigma - tau on b
-    mutated = recompiled(connection.nabla_formula, "- tn * sd", "+ tn * sd")
-    for module in (connection, families, selftest, lamconn, test_connection):
-        monkeypatch.setattr(module, "nabla_formula", mutated)
-    result = selftest.run_criterion(7)
-    assert not result.passed, result.detail
-    # push_nabla reads its N off nabla_formula; the expected left factor is built from sigma and tau
-    assert result.detail.startswith("uniform shift fails for"), result.detail
-    assert first_difference_key(result.detail) == "(0, 3, -2)"
-    with pytest.raises(AssertionError):
-        test_connection.TestNablaFormula().test_layout_a()
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_mutant_is_killed(monkeypatch, mutant):
+    mutant.install(monkeypatch)
+    for cid, (prefix, key) in mutant.kills.items():
+        result = selftest.run_criterion(cid)
+        assert not result.passed, result.detail
+        assert result.detail.startswith(prefix), result.detail
+        if key is not None:
+            assert first_difference_key(result.detail) == key
+    for oracle in mutant.oracles:
+        with pytest.raises(AssertionError):
+            oracle()
