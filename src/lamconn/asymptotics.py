@@ -349,7 +349,8 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
     per ladder and seeded order, run on integers (see the module docstring);
     the chains fill disjoint degrees of the cells, so each emitted value is a
     finished coefficient, written straight into its cell of the table's
-    (i, k, m) map.  A coefficient with more digits than Python's int/str
+    (i, k, m) map.  Every value is nonzero, so each cell's dict becomes its
+    LogPoly uncopied.  A coefficient with more digits than Python's int/str
     conversion limit (0: no limit) could not be printed, so it is refused as
     soon as it is emitted.
     """
@@ -367,7 +368,7 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
             if bound is not None and (c.denominator >= bound or abs(c.numerator) >= bound):
                 raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
             cells[i, k, m0 + e][e] = c
-    return ExpansionTable(spec=spec, entries={key: LogPoly._make(cell) for key, cell in cells.items()})
+    return ExpansionTable(spec=spec, entries={key: LogPoly._adopt(cell) for key, cell in cells.items()})
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ABElement, FlatKey, homogeneous_components
+from .algebra import ABElement, Rows
 from .errors import HypothesisError, InputError
 from .exact import check_coefficient, check_int
 from .exponents import ExponentData
@@ -125,40 +125,55 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
     w_0 = 1 and w_(t+1) = -w_t*(i - t), conj_b(a^i*b^j) = (a - b)^i*b^j
     = sum_t w_t a^(i-t)*b^(j+t), and b*a^i*b^j has the same w_t with one more
     b; a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1).  So a term c*lam^e*a^i*b^j
-    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at (p+1, s, e)
-    and c*w_t*(e*nd + nb - s*na) at (p, s+1, e), all over den*nd.
+    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at a^(p+1)*b^s
+    and c*w_t*(e*nd + nb - s*na) at a^p*b^(s+1), all over den*nd.  Every one
+    of these has degree i+j+1, so they are summed in the accumulator row
+    (i+j+1, e) of ``algebra``, keyed by the a power alone; the a^p parts of
+    steps t and t+1 are added before they enter the row.
     ``push_nabla_via_shift`` is the independent route through the product.
     """
     n = nabla_formula(st)
     na, nb, nd = n._terms.get((1, 0, 0), 0), n._terms.get((0, 1, 0), 0), n._den
-    out: dict[FlatKey, int] = {}
+    rows: Rows = {}
     for (i, j, e), w in q._terms.items():
+        key = (i + j + 1, e)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = {}
         lam_b = e * nd + nb
+        top = i + 1
+        v = w * na
+        row[top] = row[top] + v if top in row else v
         for t in range(i + 1):
-            p, s = i - t, j + t
-            key = (p + 1, s, e)
-            v = w * na
-            out[key] = out[key] + v if key in out else v
-            key = (p, s + 1, e)
-            v = w * (lam_b - s * na)
-            out[key] = out[key] + v if key in out else v
-            w = -w * (i - t)
-    return ABElement._make(out, q._den * nd)
+            p = i - t
+            v = w * (lam_b - (j + t) * na)
+            w = -w * p
+            v += w * na
+            row[p] = row[p] + v if p in row else v
+    return ABElement._from_rows(rows, q._den * nd)
 
 
 def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     """Same operator, computed through the degree shift instead of conjugation.
 
-    For a homogeneous piece T of degree g the conjugation route collapses to
-    the closed form -(sigma*a + (tau - (k+g)*sigma)*b) * T, so the two
-    implementations must agree term for term.
+    For the degree-g part Q_g of Q the conjugation route collapses to
+    L_g * Q_g with L_g = -(sigma*a + (tau - (k+g)*sigma)*b), so lam*nabla(Q)
+    = b*theta(Q) + sum_g L_g*Q_g.  Gathering every b part into one element R,
+
+        push_nabla_via_shift(Q) = (-sigma*a)*Q + b*R,
+
+    where a term c*lam^e*a^i*b^j of Q contributes (e - tau + (k+i+j)*sigma)*c
+    to R: e*c from b*theta(Q) and -(tau - (k+i+j)*sigma)*c from L_(i+j).
+    Both products go through the general ``ABElement.__mul__``, and only b*R
+    has b on the left.  It never calls ``push_nabla`` or ``conj_b``: the
+    product's own normal-ordering rule stands against push_nabla's w_t
+    recurrence, so the two implementations must agree term for term.
     """
     sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
-    result = ABElement.gen_b() * q.theta()
-    for degree, part in homogeneous_components(q):
-        op = ABElement._linear(-sn * td, (st.mu.k + degree) * sn * td - tn * sd, sd * td)
-        result = result + op * part
-    return result
+    # over sd*td, (e - tau + (k+g)*sigma) is e*sd*td + g*sn*td + (k*sn*td - tn*sd) at degree g
+    den, per_degree, at_zero = sd * td, sn * td, st.mu.k * sn * td - tn * sd
+    r = {(i, j, e): (e * den + (i + j) * per_degree + at_zero) * n for (i, j, e), n in q._terms.items()}
+    return ABElement._linear(-sn, 0, sd) * q + ABElement.gen_b() * ABElement._make(r, q._den * den)
 
 
 def pde_coefficients(st: SigmaTau) -> SigmaTau:

@@ -239,6 +239,14 @@ class LaurentPoly:
         return poly
 
     @classmethod
+    def _adopt(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
+        """Trusted constructor that keeps terms itself, uncopied: int exponents and nonzero
+        Fraction values, in a dict that its caller hands over and never touches again."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def const(cls, c: Fraction | int) -> "LaurentPoly":
         return cls({0: c})
 

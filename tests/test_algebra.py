@@ -136,6 +136,13 @@ class TestNormalForm:
         assert ABElement.one() * x == x
         assert x * ABElement.zero() == ABElement.zero()
 
+    def test_sparse_rows_at_huge_degree(self):
+        # a left factor without b emits only t = 0: one entry in a row of degree 2*10^9 + 2,
+        # which a row sized by its degree could not hold
+        coeff = LaurentPoly.lam_power(-5, 3)
+        product = ABElement.monomial(10**9, 0) * ABElement.monomial(10**9, 2, coeff)
+        assert product == ABElement.monomial(2 * 10**9, 2, coeff)
+
     def test_negative_powers_rejected(self):
         with pytest.raises(InputError):
             ABElement({(-1, 0): 1})

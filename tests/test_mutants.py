@@ -5,8 +5,8 @@ start of its FAIL detail and the first-difference KEY that detail names (None
 when it names none), and Tier-1 oracles that pass unpatched and raise
 AssertionError under the slip.  Every install follows one rule: the slipped
 object replaces the real one wherever a loaded module other than this one
-binds it.  A slip that wraps the real function captures it here, at import,
-so that the install cannot make it call itself.
+binds it, or on its class for a method.  A slip that wraps the real function
+captures it here, at import, so that the install cannot make it call itself.
 """
 
 import dataclasses
@@ -25,6 +25,7 @@ from lamconn.algebra import ABElement
 from lamconn.asymptotics import ResidualReport
 from lamconn.exponents import Case, ExponentData
 
+import test_algebra
 import test_asymptotics
 import test_connection
 import test_exact
@@ -56,13 +57,20 @@ def wrapped(original, change):
 
 
 def slipped(function, old: str, new: str):
-    """The install of function recompiled from its source with the one occurrence of old replaced by new."""
+    """The install of function recompiled from its source with the one occurrence of old replaced by new.
+
+    A method is replaced on its class, which binds it.
+    """
     module = inspect.getmodule(function)
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    return rebind(function, namespace[function.__name__])
+    replacement = namespace[function.__name__]
+    owner, _, attr = function.__qualname__.rpartition(".")
+    if owner:
+        return lambda monkeypatch: monkeypatch.setattr(getattr(module, owner), attr, replacement)
+    return rebind(function, replacement)
 
 
 CACHED_ANALYSIS = ExponentData.analysis.func
@@ -152,6 +160,15 @@ MUTANTS = [
     Mutant("commuting_factor_product", rebind(algebra.linear_factor_product, commuting_factor_product),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")}),
+    # the product's t-step with j + t - 1 for j + t: b*a loses its -b^2, which first shows where
+    # the commuting slip does, and in every criterion that multiplies; the first oracle
+    # compares b*a with the word-rewriting oracle
+    Mutant("product_t_step_one_low", slipped(ABElement.__mul__, "(j + t)", "(j + t - 1)"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(0, 3, -2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")},
+           (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 1, 1),
+            test_algebra.TestNormalForm().test_b2_times_a_frozen)),
     # the fields of both layouts sort by name: sum_p is compared with the rest of the dependency block
     Mutant("sum_p", dependency_with(sum_p=lambda x: x + 1), {3: ("first layout", "('first layout', 'sum_p')")}),
     # each sigma route over |det|: the broken route is the one that differs from the median of the three
@@ -175,9 +192,12 @@ MUTANTS = [
     # b * theta(Q) vanishes at lam^0, so the first difference has a lam power
     Mutant("push_nabla_without_lam_derivative", rebind(connection.push_nabla, push_nabla_without_lam_derivative),
            {7: ("uniform shift fails for", "(0, 3, -2)")}),
+    # push_nabla's w_t*na part of a term put at a^i in place of a^(i+1), one b power higher
+    Mutant("push_nabla_top_a_power_one_low", slipped(connection.push_nabla, "top = i + 1", "top = i"),
+           {7: ("uniform shift fails for", "(0, 3, -2)")}, (test_connection.TestPushNabla().test_on_b_frozen,)),
     # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
-    Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(st.mu.k + degree)",
-                                                   "(st.mu.k + degree + (degree > 3))"),
+    Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(i + j) * per_degree",
+                                                   "(i + j + (i + j > 3)) * per_degree"),
            {7: ("lam*nabla routes differ on the degree-4 multiple", "(0, 5, 0)")}),
     # k*sigma + tau in place of k*sigma - tau on b; push_nabla reads its N off nabla_formula,
     # while the expected left factor is built from sigma and tau
