@@ -33,7 +33,8 @@ instead of an (i, j, e) tuple.  The right operand's terms are grouped by
 group, not per pair.  A row is a dict, not a list sized by its degree,
 because it is sparse: a^(10^9) times a^(10^9)*b^2 fills one entry of a row
 of degree 2*10^9 + 2.  ``_from_rows`` turns the rows back into the flat map
-once per result.
+once per result, dropping zero numerators in the same pass, and divides out
+the gcd with the denominator only when it is not 1.
 
 ``linear_factor_product`` uses a two-term case of the rule instead, in one
 pass on the flat map (rows measured no faster there), and is tested against the
@@ -47,6 +48,11 @@ independent route.
 
 ``parse`` and ``__str__`` read and print text on the numerators as well;
 ``parse`` takes each lam group as ``read_terms`` read it, in the same pass.
+``__str__`` sorts the flat keys once by (-(i+j), -i, e), so each (i, j) is
+one run of ascending lam exponents, reduces each term's n/den with one gcd
+and writes every piece into one list that it joins once; it writes the
+grammar of ``exact`` itself rather than through ``term_text`` and
+``join_signed``, and the fuzz tests hold it to those writers.
 """
 
 from __future__ import annotations
@@ -56,16 +62,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ContractError, InputError
-from .exact import (
-    LaurentPoly,
-    check_coefficient,
-    check_int,
-    join_signed,
-    over_one_denominator,
-    power_text,
-    read_terms,
-    term_text,
-)
+from .exact import LaurentPoly, check_coefficient, check_int, over_one_denominator, read_terms
 
 Key = tuple[int, int]
 FlatKey = tuple[int, int, int]
@@ -81,7 +78,7 @@ class ABElement:
     Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
     ``_make`` builds every arithmetic result, products through
     ``_from_rows``, and ``_linear`` every factor (na*a + nb*b)/den from int
-    numerators; all three trust their input.
+    numerators; all three trust their input and end in ``_reduced``.
     """
 
     __slots__ = ("_terms", "_den")
@@ -103,8 +100,20 @@ class ABElement:
 
         Drops zero numerators and divides out their gcd with den.
         """
+        return cls._reduced({k: n for k, n in nums.items() if n}, den)
+
+    @classmethod
+    def _from_rows(cls, rows: Rows, den: int) -> "ABElement":
+        """Trusted constructor from accumulator rows: rows[(d, e)][i] is the numerator of lam^e*a^i*b^(d-i).
+
+        Flattens the rows and drops their zero numerators in one pass.
+        """
+        return cls._reduced({(i, d - i, e): n for (d, e), row in rows.items() for i, n in row.items() if n}, den)
+
+    @classmethod
+    def _reduced(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
+        """Trusted constructor on nonzero numerators: divides out their gcd with den; keeps nums when it is 1."""
         x = object.__new__(cls)
-        nums = {k: n for k, n in nums.items() if n}
         if den != 1:
             g = math.gcd(den, *nums.values())
             if g != 1:
@@ -113,11 +122,6 @@ class ABElement:
         x._terms = nums
         x._den = den
         return x
-
-    @classmethod
-    def _from_rows(cls, rows: Rows, den: int) -> "ABElement":
-        """Trusted constructor from accumulator rows: rows[(d, e)][i] is the numerator of lam^e*a^i*b^(d-i)."""
-        return cls._make({(i, d - i, e): n for (d, e), row in rows.items() for i, n in row.items()}, den)
 
     @classmethod
     def zero(cls) -> "ABElement":
@@ -231,26 +235,40 @@ class ABElement:
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._terms.items())))
 
-    def _signed_term(self, n: int, monomial: str) -> tuple[bool, str]:
-        """(n < 0, the term |n|/_den * monomial) with the ratio in lowest terms."""
-        g = math.gcd(n, self._den)
-        p, q = abs(n) // g, self._den // g
-        return n < 0, term_text(p if q == 1 else f"{p}/{q}", monomial)
-
     def __str__(self) -> str:
-        ordered = sorted(self._groups().items(), key=lambda kg: (-sum(kg[0]), -kg[0][0]))
-        parts: list[tuple[bool, str]] = []
-        for (i, j), group in ordered:
-            monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
-            n = group.get(0)
-            if n is not None and len(group) == 1:
-                parts.append(self._signed_term(n, monomial))
-            else:
-                # A coefficient involving lam is always parenthesized so the term
-                # boundary stays unambiguous; its sign lives inside the parentheses.
-                poly = join_signed(self._signed_term(n, power_text("lam", e)) for e, n in sorted(group.items()))
-                parts.append((False, term_text(f"({poly})", monomial)))
-        return join_signed(parts)
+        # One pass over the keys in print order: descending total degree, then
+        # descending a power, then ascending lam exponent, so each (i, j) is one run.
+        nums, den = self._terms, self._den
+        keys = sorted(nums, key=lambda k: (-k[0] - k[1], -k[0], k[2]))
+        out: list[str] = []
+        count, start = len(keys), 0
+        while start < count:
+            i, j, e = keys[start]
+            stop = start + 1
+            while stop < count and keys[stop][0] == i and keys[stop][1] == j:
+                stop += 1
+            a_text = "" if i == 0 else "a" if i == 1 else f"a^{i}"
+            b_text = "" if j == 0 else "b" if j == 1 else f"b^{j}"
+            monomial = f"{a_text}*{b_text}" if a_text and b_text else a_text or b_text
+            # A coefficient involving lam is always parenthesized so the term
+            # boundary stays unambiguous; its sign lives inside the parentheses.
+            grouped = e != 0 or stop > start + 1
+            if grouped:
+                out.append(" + (" if out else "(")
+            for pos in range(start, stop):
+                key = keys[pos]
+                n = nums[key]
+                g = math.gcd(n, den)
+                mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+                lead = pos == start if grouped else not out
+                out.append(("-" if lead else " - ") if n < 0 else "" if lead else " + ")
+                e = key[2]
+                var = ("" if e == 0 else "lam" if e == 1 else f"lam^{e}") if grouped else monomial
+                out.append(f"{mag}*{var}" if var and mag != "1" else var or mag)
+            if grouped:
+                out.append(f")*{monomial}" if monomial else ")")
+            start = stop
+        return "".join(out) or "0"
 
     def __repr__(self) -> str:
         return f"ABElement({self})"

@@ -32,9 +32,13 @@ where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
 it on ints, each coefficient a (numerator, denominator) pair, and reads
 each group in the same pass as a polynomial in lam, so a malformed group
-is reported where it stands in the text; ``power_text``, ``term_text`` and
-``join_signed`` write it.  Each parser checks its own names and whether it
-takes groups.
+is reported where it stands in the text.  It reads every literal with a
+plain ``int()`` inside one ``try`` around its token loop; a literal past
+Python's int/str conversion limit raises ``ValueError`` there, and the
+handler names that literal through ``parse_int``.  ``power_text``,
+``term_text`` and ``join_signed`` write the grammar (``ABElement.__str__``
+writes the same text in one pass of its own).  Each parser checks its own
+names and whether it takes groups.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
@@ -91,38 +95,51 @@ def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[s
     in the same pass as a polynomial in lam (``LaurentPoly._read``) into its
     (exponent, num, den) terms; a group that does not read raises its
     InputError there.  what names the expected value in error messages.
+    Literals go through plain int(); a ValueError from one past the
+    conversion limit becomes parse_int's InputError for that literal.
     """
     if not text.strip():
         raise InputError(f"empty {what}")
     terms = []
     num, den, powers, groups = 1, 1, [], []
     want_factor = True
+    match = _TOKEN_RE.match
     pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or (m[1] == "*" if want_factor else m[1] is None):
-            raise InputError(f"unexpected {text[pos:end].lstrip()[:20]!r} in {what}: {text!r}")
-        pos = m.end()
-        op, rat, p, q, name, power, group = m.groups()
-        if op is None:
-            want_factor = False
-            if rat is not None:
-                num *= parse_int(p)
-                den *= parse_int(q) if q else 1
-                if den == 0:
-                    raise InputError(f"zero denominator: {rat!r}")
-            elif name is not None:
-                powers.append((name, parse_int(power) if power else 1))
-            else:
-                groups.append(LaurentPoly._read(group))
-        elif op == "*":
-            want_factor = True
-        elif not want_factor:
-            terms.append(((num, den), powers, groups))
-            num, den, powers, groups = 1 if op == "+" else -1, 1, [], []
-            want_factor = True
-        elif op == "-":
-            num = -num
+    try:
+        while pos < end:
+            m = match(text, pos)
+            if m is None or (m[1] == "*" if want_factor else m[1] is None):
+                raise InputError(f"unexpected {text[pos:end].lstrip()[:20]!r} in {what}: {text!r}")
+            pos = m.end()
+            op, rat, p, q, name, power, group = m.groups()
+            if op is None:
+                want_factor = False
+                if rat is not None:
+                    num *= int(p)
+                    if q:
+                        den *= int(q)
+                        if den == 0:
+                            raise InputError(f"zero denominator: {rat!r}")
+                elif name is not None:
+                    powers.append((name, int(power) if power else 1))
+                else:
+                    groups.append(LaurentPoly._read(group))
+            elif op == "*":
+                want_factor = True
+            elif not want_factor:
+                terms.append(((num, den), powers, groups))
+                num, den, powers, groups = 1 if op == "+" else -1, 1, [], []
+                want_factor = True
+            elif op == "-":
+                num = -num
+    except InputError:
+        raise
+    except ValueError:
+        # int() refused a literal past the conversion limit: parse_int names the first one
+        for literal in (p, q, power):
+            if literal:
+                parse_int(literal)
+        raise
     if want_factor:
         raise InputError(f"dangling operator in {what}: {text!r}")
     terms.append(((num, den), powers, groups))
@@ -339,9 +356,16 @@ class LaurentPoly:
         what = f"polynomial in {cls.VAR}"
         terms = []
         for (n, d), powers, groups in read_terms(text, what):
-            if groups or any(name != cls.VAR for name, _ in powers):
-                raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
-            terms.append((sum(power for _, power in powers), n, d))
+            e = 0
+            for name, power in powers:
+                if name != cls.VAR:
+                    break
+                e += power
+            else:
+                if not groups:
+                    terms.append((e, n, d))
+                    continue
+            raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
         return terms
 
     @classmethod

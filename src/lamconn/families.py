@@ -7,8 +7,9 @@ Both sit in the case split with d = 2 and h = 1, so the operator is a cubic
 product of monic linear factors plus -4 * lam^(+-2) times a quadratic one.
 The factor roots are explicit rational expressions in the parameters, and
 every one of them is positive.  Each layout and each root list is written
-once; ``FamilyResult`` derives its operator from its roots once, on first
-read, so building or copying a record builds no operator.  The cross check
+once, every root as one Fraction of two integer expressions in the
+parameters; ``FamilyResult`` derives its operator from its roots once, on
+first read, so building or copying a record builds no operator.  The cross check
 recomputes the relation, case data, sigma and lam*nabla([1]) from the
 exponent matrices and compares them with the closed forms, keeping the
 compared values; in JSON a failed check of two algebra elements names the
@@ -36,8 +37,10 @@ class FamilyResult:
     low are the left-to-right products of the monic linear factors (a - r*b)
     over roots_top and roots_low; the operator is derived from the record's
     roots and lambda exponent once, on first read, never given, so a
-    ``dataclasses.replace`` copy derives its own.  The low roots reduced mod 1
-    are the monodromy candidate exponents.
+    ``dataclasses.replace`` copy derives its own.  The low product is weighted
+    by mapping its numerators, (i, j, e) -> (i, j, e + lambda_exponent) times
+    c_coeff, not by a general product.  The low roots reduced mod 1 are the
+    monodromy candidate exponents.
     """
 
     kind: str
@@ -51,8 +54,12 @@ class FamilyResult:
 
     @cached_property
     def full_operator(self) -> ABElement:
-        weight = ABElement._make({(0, 0, self.lambda_exponent): self.c_coeff.numerator}, self.c_coeff.denominator)
-        return linear_factor_product(self.roots_top) + linear_factor_product(self.roots_low) * weight
+        top = linear_factor_product(self.roots_top)
+        low = linear_factor_product(self.roots_low)
+        # c * lam^shift * low: each term moves up by the lam exponent and its numerator takes c's
+        c, shift = self.c_coeff, self.lambda_exponent
+        weighted = {(i, j, e + shift): n * c.numerator for (i, j, e), n in low._terms.items()}
+        return top + ABElement._make(weighted, low._den * c.denominator)
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"
@@ -106,15 +113,19 @@ def family_a(u: int, v: int, w: int) -> FamilyResult:
     """Operator for x^(2u) + y^(2v) + z^(2w) + lam * x^u y^v z^w."""
     for name, value in (("u", u), ("v", v), ("w", w)):
         check_int(value, name, 1)
-    s = Fraction(u * v + v * w + w * u, 2 * u * v * w)
+    # s = 1/(2u) + 1/(2v) + 1/(2w); the roots are 2 + (u+v)/(2uv), 1 + (u+w)/(2uw) and
+    # (v+w)/(2vw) on top, 3/2 + s and s below
+    s_num, s_den = u * v + v * w + w * u, 2 * u * v * w
+    s = Fraction(s_num, s_den)
     roots_top = (
-        2 + Fraction(u + v, 2 * u * v),
-        1 + Fraction(u + w, 2 * u * w),
+        Fraction(4 * u * v + u + v, 2 * u * v),
+        Fraction(2 * u * w + u + w, 2 * u * w),
         Fraction(v + w, 2 * v * w),
     )
+    roots_low = (Fraction(3 * u * v * w + s_num, s_den), s)
     nabla_one = ABElement._linear(2 * s.denominator, -2 * s.numerator, s.denominator)
     exponents = ExponentData(n=2, alphas=_layout_a(u, v, w))
-    return FamilyResult("A", (u, v, w), exponents, roots_top, (Fraction(3, 2) + s, s), -2, nabla_one)
+    return FamilyResult("A", (u, v, w), exponents, roots_top, roots_low, -2, nabla_one)
 
 
 def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
@@ -123,11 +134,14 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
         check_int(value, name, minimum)
     if u + v < 1:
         raise InputError("u + v must be at least 1")
-    t = Fraction(p * u + q * v + 2 * p * q, 2 * p * q * (u + v))
-    roots_top = (2 + Fraction(p + q, 2 * p * q), Fraction(1, 2) + t, t)
+    # t = (pu + qv + 2pq) / (2pq(u+v)); the roots are 2 + (p+q)/(2pq), 1/2 + t and t on top,
+    # 1 + t + 1/(2q) and t + 1/(2p) below
+    t_num, t_den = p * u + q * v + 2 * p * q, 2 * p * q * (u + v)
+    t = Fraction(t_num, t_den)
+    roots_top = (Fraction(4 * p * q + p + q, 2 * p * q), Fraction(p * q * (u + v) + t_num, t_den), t)
     roots_low = (
-        1 + Fraction(p * u + q * v + 2 * p * q + p * (u + v), 2 * p * q * (u + v)),
-        Fraction(p * u + q * v + 2 * p * q + q * (u + v), 2 * p * q * (u + v)),
+        Fraction(t_den + t_num + p * (u + v), t_den),
+        Fraction(t_num + q * (u + v), t_den),
     )
     nabla_one = ABElement._linear(-2 * t.denominator, 2 * t.numerator, t.denominator)
     exponents = ExponentData(n=2, alphas=_layout_b(p, q, u, v))

@@ -446,6 +446,16 @@ class TestTextFormat:
         with pytest.raises(InputError, match="too long"):
             ABElement.parse("a^" + "1" * 4301)
 
+    @pytest.mark.parametrize(
+        "template",
+        ["{}*a - b", "a + 1/{}*b", "a^{}*b", "a*b^{}", "3*lam^{}*a", "(1 - 2*lam^{})*b^2", "(1/{} + lam)*a"],
+        ids=["numerator", "denominator", "a_power", "b_power", "lam_power", "lam_power_in_group", "denominator_in_group"],
+    )
+    def test_parse_names_the_oversized_literal(self, template):
+        with pytest.raises(InputError) as caught:
+            ABElement.parse(template.format("1" * 4301))
+        assert str(caught.value) == "integer literal of 4301 digits is too long"
+
     @given(abelement)
     def test_round_trip(self, x):
         assert ABElement.parse(str(x)) == x
@@ -454,6 +464,39 @@ class TestTextFormat:
     def test_round_trip_with_lam(self, x):
         assert ABElement.parse(str(x)) == x
 
+
+
+class TestPrinting:
+    """Frozen strings, one for each branch of the printer."""
+
+    def test_lone_lam_zero_coefficient_prints_bare(self):
+        assert str(ABElement.monomial(1, 1, LaurentPoly({0: F(-3, 2)}))) == "-3/2*a*b"
+        assert str(ABElement.monomial(0, 0, F(5, 3))) == "5/3"
+        assert str(ABElement.monomial(2, 0) + ABElement.one()) == "a^2 + 1"
+
+    def test_group_with_lam_zero_in_ascending_power(self):
+        x = ABElement.monomial(0, 2, LaurentPoly({2: 1, 0: 3, -1: F(1, 2)}))
+        assert str(x) == "(1/2*lam^-1 + 3 + lam^2)*b^2"
+        assert str(ABElement.monomial(0, 0, LaurentPoly({1: 2, 0: -1}))) == "(-1 + 2*lam)"
+
+    def test_unit_coefficients_in_a_group(self):
+        assert str(ABElement.monomial(1, 0, LaurentPoly({-2: 1}))) == "(lam^-2)*a"
+        assert str(ABElement.monomial(1, 0, LaurentPoly({1: -1, 3: 1}))) == "(-lam + lam^3)*a"
+        assert str(ABElement.monomial(0, 1, LaurentPoly({0: 1, 1: -1}))) == "(1 - lam)*b"
+
+    def test_shared_denominator_terms_print_reduced(self):
+        assert str(A.scale(F(1, 2)) + B.scale(F(1, 3))) == "1/2*a + 1/3*b"
+        assert str(ABElement.monomial(0, 1, LaurentPoly({0: F(1, 2), 1: F(1, 3), 2: F(5, 6)}))) == (
+            "(1/2 + 1/3*lam + 5/6*lam^2)*b"
+        )
+        assert str(A.scale(F(3, 4)) - B.scale(F(1, 4)) + ABElement.monomial(0, 0, F(1, 2))) == "3/4*a - 1/4*b + 1/2"
+
+    def test_negative_leading_terms(self):
+        assert str(B - ABElement.monomial(2, 0)) == "-a^2 + b"
+        x = ABElement.monomial(1, 0, LaurentPoly({-1: -2, 1: 1})) - B.scale(3)
+        assert str(x) == "(-2*lam^-1 + lam)*a - 3*b"
+        y = B.scale(-1) + ABElement.monomial(0, 0, LaurentPoly({2: F(-1, 2)}))
+        assert str(y) == "-b + (-1/2*lam^2)"
 
 class TestShiftIdentity:
     def test_frozen_degree_one(self):

@@ -198,6 +198,14 @@ class TestLaurentPoly:
         with pytest.raises(InputError, match="too long"):
             LaurentPoly.parse("lam^" + LONG_DIGITS)
 
+    @pytest.mark.parametrize(
+        "template", ["{}*lam + 1", "lam - 1/{}", "2*lam^{}"], ids=["numerator", "denominator", "lam_power"]
+    )
+    def test_parse_names_the_oversized_literal(self, template):
+        with pytest.raises(InputError) as caught:
+            LaurentPoly.parse(template.format(LONG_DIGITS))
+        assert str(caught.value) == "integer literal of 4301 digits is too long"
+
     def test_theta(self):
         p = LaurentPoly({3: 5, 0: 7, -2: 1})
         assert p.theta() == LaurentPoly({3: 15, -2: -2})

@@ -301,6 +301,49 @@ class TestDerivedOperators:
             FamilyResult(*fields, c_coeff=F(1))
 
 
+
+def sum_form_a(u, v, w):
+    """Family A's roots and lam*nabla([1]) as sums of Fractions, the way they were first written."""
+    s = F(u * v + v * w + w * u, 2 * u * v * w)
+    top = (2 + F(u + v, 2 * u * v), 1 + F(u + w, 2 * u * w), F(v + w, 2 * v * w))
+    return top, (F(3, 2) + s, s), ABElement({(1, 0): 2, (0, 1): -2 * s})
+
+
+def sum_form_b(p, q, u, v):
+    """Family B's roots and lam*nabla([1]) as sums of Fractions, the way they were first written."""
+    t = F(p * u + q * v + 2 * p * q, 2 * p * q * (u + v))
+    top = (2 + F(p + q, 2 * p * q), F(1, 2) + t, t)
+    low = (
+        1 + F(p * u + q * v + 2 * p * q + p * (u + v), 2 * p * q * (u + v)),
+        F(p * u + q * v + 2 * p * q + q * (u + v), 2 * p * q * (u + v)),
+    )
+    return top, low, ABElement({(1, 0): -2, (0, 1): 2 * t})
+
+
+GRID_A = list(product(range(1, 9), repeat=3))
+GRID_B = [(p, q, u, v) for p, q, u, v in product(range(1, 7), range(1, 7), range(7), range(7)) if u + v >= 1]
+
+
+class TestClosedFormOracle:
+    """The records built on integers equal the Fraction sums, and the operator
+    equals top + c * lam^lambda_exponent * low through the general product."""
+
+    @staticmethod
+    def check(result, top, low, nabla_one):
+        assert result.roots_top == top
+        assert result.roots_low == low
+        assert result.nabla_one == nabla_one
+        weight = ABElement.monomial(0, 0, LaurentPoly.lam_power(result.lambda_exponent, FamilyResult.c_coeff))
+        assert result.full_operator == linear_factor_product(top) + linear_factor_product(low) * weight
+
+    def test_family_a_grid(self):
+        for params in GRID_A:
+            self.check(family_a(*params), *sum_form_a(*params))
+
+    def test_family_b_grid(self):
+        for params in GRID_B:
+            self.check(family_b(*params), *sum_form_b(*params))
+
 class TestCheckOutcome:
     def test_values_kept_and_printed_in_json(self):
         check = CheckOutcome("sigma", True, F(-2), F(-2))

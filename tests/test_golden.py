@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lamconn import algebra, cli, exact, families
+from lamconn import cli, exact, families
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,7 +64,7 @@ def main_input_error_exit_2(argv=None):
 
 
 def install_term_text_with_x(monkeypatch):
-    for module in (exact, algebra, families):
+    for module in (exact, families):
         monkeypatch.setattr(module, "term_text", term_text_with_x)
 
 
