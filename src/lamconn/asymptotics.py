@@ -72,6 +72,15 @@ built only for a residual that is not zero.  A failed report names its
 smallest key, where ``exact.first_difference`` walks an empty map
 against the residual map.
 
+A table is rendered once.  The first ``to_json`` or ``to_csv`` call builds
+its cell text, a cached property kept for as long as the table lives: for
+each cell in (i, k, m) order, the "i,k,m" text and the degree ->
+coefficient text, so each coefficient is converted to decimal once however
+many formats are written.  ``to_json`` returns those cell dicts themselves,
+read-only, in a new "table" dict; ``to_csv`` writes each row from them, each
+run of absent degrees as one ",0" * gap.  Entries are never changed once
+the table exists.
+
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
 well defined, so such input is rejected outright.
@@ -83,6 +92,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Mapping
 
@@ -220,7 +230,13 @@ def parse_seed_key(text: str) -> SeedKey:
 
 @dataclass(frozen=True)
 class ExpansionTable:
-    """Coefficients c[i,k,m] as polynomials in L, keyed by (i, k, m)."""
+    """Coefficients c[i,k,m] as polynomials in L, keyed by (i, k, m).
+
+    The entries are not changed once the table exists.  The first to_json
+    or to_csv call renders every cell's key and coefficients to text, and
+    both formats read that rendering for the rest of the table's life; a
+    copy made with dataclasses.replace renders its own entries.
+    """
 
     spec: ExpansionSpec
     entries: dict[SeedKey, LogPoly]
@@ -237,30 +253,39 @@ class ExpansionTable:
             for key in keys
         )
 
+    @cached_property
+    def _cell_text(self) -> dict[str, dict[str, str]]:
+        """Each cell's "i,k,m" text and its degree -> coefficient text, both in
+        ascending order: the JSON table block, built on the first render."""
+        return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(self.entries.items())}
+
     def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "table": {
-                f"{i},{k},{m}": poly.to_json()
-                for (i, k, m), poly in sorted(self.entries.items())
-            },
-        }
+        """The spec and every cell.  The "table" dict is new on each call, but
+        its cell dicts are the table's rendering itself, shared by every call:
+        read them, never change them."""
+        return {"spec": self.spec.to_json(), "table": dict(self._cell_text)}
 
     def to_csv(self) -> str:
         """One row per (i, k, m); columns are the coefficients of L^0, L^1, ...
 
         Lines end in CRLF, as csv's excel dialect writes them.  No field can
         hold a comma, quote or line break, so none is quoted and the rows
-        are plain joins.
+        are plain joins; each run of absent degrees is written as one
+        ",0" * gap.
         """
-        width = max((poly.degree() for poly in self.entries.values()), default=-1) + 1
-        rows = [",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)])]
-        for (i, k, m), poly in sorted(self.entries.items()):
-            cells = [str(i), str(k), str(m)] + ["0"] * width
-            for e, c in poly._terms.items():
-                cells[e + 3] = str(c)
-            rows.append(",".join(cells))
-        return "\r\n".join(rows) + "\r\n"
+        cells = self._cell_text
+        width = max((int(next(reversed(cell))) for cell in cells.values() if cell), default=-1) + 1
+        out = [",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)])]
+        for key, cell in cells.items():
+            out += "\r\n", key
+            top = -1
+            for e, c in cell.items():
+                e = int(e)
+                out += ",0" * (e - top - 1), ",", c
+                top = e
+            out.append(",0" * (width - 1 - top))
+        out.append("\r\n")
+        return "".join(out)
 
 
 def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> dict[SeedKey, Fraction]:

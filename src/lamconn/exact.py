@@ -67,11 +67,12 @@ _TOKEN_RE = re.compile(r"\s*(?:([-+*])|((\d+)(?:/(\d+))?)|([^\W\d]\w*)(?:\^(-?\d
 
 
 def parse_int(digits: str) -> int:
-    """int() of a digit string; one longer than Python's conversion limit is bad input."""
+    """int() of a digit string with an optional sign; one longer than Python's
+    conversion limit is bad input, and its message counts the digits alone."""
     try:
         return int(digits)
     except ValueError:
-        raise InputError(f"integer literal of {len(digits)} digits is too long") from None
+        raise InputError(f"integer literal of {len(digits.lstrip('+-'))} digits is too long") from None
 
 
 def parse_rat(text: str) -> Fraction:

@@ -448,8 +448,14 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "template",
-        ["{}*a - b", "a + 1/{}*b", "a^{}*b", "a*b^{}", "3*lam^{}*a", "(1 - 2*lam^{})*b^2", "(1/{} + lam)*a"],
-        ids=["numerator", "denominator", "a_power", "b_power", "lam_power", "lam_power_in_group", "denominator_in_group"],
+        [
+            "{}*a - b", "a + 1/{}*b", "a^{}*b", "a*b^{}", "3*lam^{}*a", "(1 - 2*lam^{})*b^2", "(1/{} + lam)*a",
+            "3*lam^-{}*a", "(1 + lam^-{})*a",
+        ],
+        ids=[
+            "numerator", "denominator", "a_power", "b_power", "lam_power", "lam_power_in_group", "denominator_in_group",
+            "negative_lam_power", "negative_lam_power_in_group",
+        ],
     )
     def test_parse_names_the_oversized_literal(self, template):
         with pytest.raises(InputError) as caught:

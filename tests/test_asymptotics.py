@@ -1,6 +1,7 @@
 """Order-by-order propagation in L and the exact residual check."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
@@ -541,6 +542,45 @@ class TestDigitLimit:
         assert 640 < digits <= limit
 
 
+def json_table_by_cell(entries):
+    """The "table" block of to_json, written cell by cell from LogPoly.to_json."""
+    return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(entries.items())}
+
+
+def csv_by_csv_writer(table):
+    """The table's CSV as csv.writer writes it, one column per degree up to the top one."""
+    width = max((poly.degree() for poly in table.entries.values()), default=-1) + 1
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
+    for (i, k, m), poly in sorted(table.entries.items()):
+        writer.writerow([i, k, m] + [poly.coefficient(e) for e in range(width)])
+    return buf.getvalue()
+
+
+@st.composite
+def sparse_tables(draw):
+    """Hand-built cells at drawn keys: degrees with gaps, and empty cells."""
+    spec = draw(spec_strategy())
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=len(spec.rhos) - 1),
+        st.integers(min_value=0, max_value=spec.log_depth),
+        st.integers(min_value=0, max_value=spec.order),
+    )
+    cells = st.dictionaries(st.integers(min_value=0, max_value=9), seed_values.filter(bool), max_size=3).map(LogPoly)
+    return ExpansionTable(spec=spec, entries=draw(st.dictionaries(keys, cells, max_size=6)))
+
+
+def rendered_tables():
+    """Propagated, damaged, corrupted and hand-built sparse tables."""
+    return st.one_of(
+        spec_strategy().flatmap(lambda spec: seed_maps(spec).map(lambda seed: propagate(spec, seed))),
+        damaged_tables().map(operator.itemgetter(1)),
+        corrupted_tables().map(operator.itemgetter(3)),
+        sparse_tables(),
+    )
+
+
 class TestSerialization:
     def test_table_json(self):
         payload = propagate(GOLDEN, {(0, 0, 0): 1}).to_json()
@@ -564,13 +604,41 @@ class TestSerialization:
             coefficients = [c for poly in table.entries.values() for c in poly.coeffs.values()]
             assert min(coefficients) < 0
             assert max(len(str(c.denominator)) for c in coefficients) > 600
-        width = max(poly.degree() for poly in table.entries.values()) + 1
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["i", "k", "m"] + [f"L^{e}" for e in range(width)])
-        for (i, k, m), poly in sorted(table.entries.items()):
-            writer.writerow([i, k, m] + [poly.coefficient(e) for e in range(width)])
-        assert table.to_csv() == buf.getvalue()
+        assert table.to_csv() == csv_by_csv_writer(table)
+
+    @given(rendered_tables())
+    @example(ExpansionTable(spec=GOLDEN, entries={}))
+    @example(ExpansionTable(spec=GOLDEN, entries={(0, 0, 1): LogPoly.zero(), (0, 0, 0): LogPoly.zero()}))
+    def test_one_rendering_serves_both_formats(self, table):
+        table_json = json_table_by_cell(table.entries)
+        expected = (json.dumps({"spec": table.spec.to_json(), "table": table_json}), csv_by_csv_writer(table))
+        # json first, csv first, and each twice, on tables that share the entries
+        json_first = ExpansionTable(spec=table.spec, entries=table.entries)
+        csv_first = ExpansionTable(spec=table.spec, entries=table.entries)
+        assert (json.dumps(json_first.to_json()), json_first.to_csv()) == expected
+        assert csv_first.to_csv() == expected[1]
+        assert json.dumps(csv_first.to_json()) == expected[0]
+        for rendered in (json_first, csv_first):
+            assert (json.dumps(rendered.to_json()), rendered.to_csv()) == expected
+            assert rendered.to_json()["table"] == table_json
+        # a copy with other entries renders those, not the rendering it was copied from
+        key = max(table.entries, default=(0, 0, 0))
+        entries = {**table.entries, key: table.get(*key) + LogPoly({4: F(-2, 7)})}
+        changed = dataclasses.replace(json_first, entries=entries)
+        assert changed.to_csv() == csv_by_csv_writer(changed)
+        assert changed.to_json()["table"] == json_table_by_cell(entries)
+        assert (json.dumps(json_first.to_json()), json_first.to_csv()) == expected
+
+    def test_json_table_is_new_and_its_cells_are_the_shared_rendering(self):
+        table = propagate(GOLDEN, {(0, 0, 0): 1})
+        expected = (json.dumps(table.to_json()), table.to_csv())
+        first, second = table.to_json(), table.to_json()
+        assert first["table"] is not second["table"]
+        # the cell dicts are read-only: every call hands out the same ones
+        assert all(first["table"][key] is second["table"][key] for key in first["table"])
+        del first["table"]["0,0,0"]
+        first["table"]["0,0,3"] = {"0": "7"}
+        assert (json.dumps(table.to_json()), table.to_csv()) == expected
 
     def test_table_equality_ignores_stored_zeros(self):
         spec = GOLDEN
