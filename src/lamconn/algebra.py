@@ -148,19 +148,17 @@ class ABElement:
     def monomial(cls, i: int, j: int, coeff: LaurentPoly | Fraction | int = 1) -> "ABElement":
         return cls({(i, j): coeff})
 
-    def _groups(self) -> dict[Key, dict[int, int]]:
-        """Numerators grouped by (i, j), each as lam exponent -> numerator."""
-        grouped: dict[Key, dict[int, int]] = {}
-        for (i, j, e), n in self._terms.items():
-            grouped.setdefault((i, j), {})[e] = n
-        return grouped
-
-    def _poly(self, group: dict[int, int]) -> LaurentPoly:
-        return LaurentPoly._make({e: Fraction(n, self._den) for e, n in group.items()})
-
     @property
     def terms(self) -> dict[Key, LaurentPoly]:
-        return {k: self._poly(group) for k, group in self._groups().items()}
+        """The coefficient of each a^i*b^j as a polynomial in lam, keyed by (i, j).
+
+        Each numerator becomes its nonzero Fraction over ``_den`` in one pass,
+        grouped by (i, j), and each group is adopted uncopied.
+        """
+        grouped: dict[Key, dict[int, Fraction]] = {}
+        for (i, j, e), n in self._terms.items():
+            grouped.setdefault((i, j), {})[e] = Fraction(n, self._den)
+        return {k: LaurentPoly._adopt(group) for k, group in grouped.items()}
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -68,18 +68,19 @@ at L^e are small-integer combinations of A and B over S*P, the depth's
 shared denominator.  Depths k and k+1 share these, so each degree of a
 residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
 It needs only a zero test, so the sum is never reduced, and a Fraction is
-built only for a residual that is not zero.  A failed report names its
-smallest key, where ``exact.first_difference`` walks an empty map
-against the residual map.
+built only for a residual that is not zero.  The report's JSON is
+rendered by ``_cells_json``, as the table's cells are; a failed report
+names its smallest key, the first one rendered, with a copy of that
+residual's text.
 
 A table is rendered once.  The first ``to_json`` or ``to_csv`` call builds
-its cell text, a cached property kept for as long as the table lives: for
-each cell in (i, k, m) order, the "i,k,m" text and the degree ->
-coefficient text, so each coefficient is converted to decimal once however
-many formats are written.  ``to_json`` returns those cell dicts themselves,
-read-only, in a new "table" dict; ``to_csv`` writes each row from them, each
-run of absent degrees as one ",0" * gap.  Entries are never changed once
-the table exists.
+its cell text with ``_cells_json``, a cached property kept for as long as
+the table lives: for each cell in (i, k, m) order, the "i,k,m" text and
+the degree -> coefficient text, so each coefficient is converted to
+decimal once however many formats are written.  ``to_json`` returns those
+cell dicts themselves, read-only, in a new "table" dict; ``to_csv`` writes
+each row from them, each run of absent degrees as one ",0" * gap.  Entries
+are never changed once the table exists.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -97,7 +98,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import LaurentPoly, check_coefficient, check_int, first_difference, json_rat, parse_int
+from .exact import LaurentPoly, check_coefficient, check_int, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -255,9 +256,8 @@ class ExpansionTable:
 
     @cached_property
     def _cell_text(self) -> dict[str, dict[str, str]]:
-        """Each cell's "i,k,m" text and its degree -> coefficient text, both in
-        ascending order: the JSON table block, built on the first render."""
-        return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(self.entries.items())}
+        """The JSON table block of the entries, built on the first render."""
+        return _cells_json(self.entries)
 
     def to_json(self) -> dict:
         """The spec and every cell.  The "table" dict is new on each call, but
@@ -286,6 +286,12 @@ class ExpansionTable:
             out.append(",0" * (width - 1 - top))
         out.append("\r\n")
         return "".join(out)
+
+
+def _cells_json(cells: Mapping[SeedKey, LogPoly]) -> dict[str, dict[str, str]]:
+    """Table-shaped JSON: each cell's "i,k,m" text mapped to its degree ->
+    coefficient text, both in ascending order."""
+    return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(cells.items())}
 
 
 def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> dict[SeedKey, Fraction]:
@@ -407,17 +413,14 @@ class ResidualReport:
         return not self.residuals
 
     def to_json(self) -> dict:
-        """All residuals by key; a failed report also names its smallest key."""
-        out = {
-            "passed": self.passed,
-            "residuals": {
-                f"{i},{k},{m}": poly.to_json()
-                for (i, k, m), poly in sorted(self.residuals.items())
-            },
-        }
-        if not self.passed:
-            (i, k, m), _, poly = first_difference({}, self.residuals)
-            out["first_difference"] = {"key": f"{i},{k},{m}", "residual": poly.to_json()}
+        """All residuals in the table's JSON shape.  A failed report also names
+        its smallest key, the first one rendered, with a copy of that
+        residual's rendering, so the two blocks share no dict."""
+        residuals = _cells_json(self.residuals)
+        out = {"passed": self.passed, "residuals": residuals}
+        if residuals:
+            key = next(iter(residuals))
+            out["first_difference"] = {"key": key, "residual": dict(residuals[key])}
         return out
 
 

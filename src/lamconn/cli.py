@@ -8,7 +8,10 @@ main() maps InputError to 1 and HypothesisError to 2.
 
 check, analyze, family-a and family-b each build one report, the ``--json``
 payload of the library's ``to_json`` blocks, and lay the text form out from
-the strings in it, so both forms carry the same values.
+the strings in it, so both forms carry the same values.  They and selftest
+build their whole output before printing any of it.  propagate prints as it
+goes, straight from the table: the text form one line per cell, the JSON
+form through ``json.dump``, so no copy of the whole output is ever held.
 """
 
 from __future__ import annotations
@@ -52,8 +55,13 @@ def _load_json(path: str):
 
 
 def _finish(payload: dict, as_json: bool, lines: list[str], failure: str | None) -> int:
-    """Print payload as JSON or lines as text; then raise failure, when there is one."""
-    print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
+    """Print payload as JSON or lines as text; then raise failure, when there is one.
+
+    The JSON text is built whole before any of it is printed: see ``main``.
+    """
+    if as_json:
+        lines = [json.dumps(payload, indent=2)]
+    print(*lines, sep="\n")
     if failure:
         raise HypothesisError(failure)
     return 0
@@ -160,15 +168,13 @@ def _cmd_propagate(args) -> int:
         seed[key] = json_rat(value, f"seed value for {key_text!r}")
     table = propagate(spec, seed)
     if args.json:
-        print(json.dumps(table.to_json(), indent=2))
+        json.dump(table.to_json(), sys.stdout, indent=2)
+        print()
     else:
-        lines = [
-            f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
-            f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}"
-        ]
+        print(f"exponents: {[str(x) for x in spec.rhos]}, log depth {spec.log_depth}, "
+              f"order {spec.order}, alpha = {spec.alpha}, beta = {spec.beta}")
         for (i, k, m), poly in sorted(table.entries.items()):
-            lines.append(f"c[{i},{k},{m}] = {poly}")
-        print("\n".join(lines))
+            print(f"c[{i},{k},{m}] = {poly}")
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
@@ -246,8 +252,12 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     except ValueError as exc:
-        # Every subcommand builds its whole output before printing any of it,
-        # so a number too long to print leaves stdout empty.
+        # Every subcommand but propagate builds its whole output before
+        # printing any of it, so a number too long to print leaves stdout
+        # empty; analyze's JSON needs this, as its ints r, p, sum_p and k
+        # can pass the limit.  propagate prints as it goes: it refuses every
+        # coefficient past the limit before it returns, and the rest of its
+        # output holds only text and the small ints N and M.
         if "integer string conversion" not in str(exc):
             raise
         print(f"input error: {DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits())}", file=sys.stderr)

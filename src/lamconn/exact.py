@@ -12,12 +12,12 @@ a "p/q" string; ``parse_rat`` and ``parse_int`` read text.  A float, string
 or bool given as a coefficient is a TypeError, and any other refusal is an
 InputError.
 
-Every failure report finds where two values differ with one walk,
-``first_difference``, over two mappings: each caller flattens its own
-values into key -> number maps (an algebra element by (i, j, e) through
-``algebra._flat``, a log table by (i, k, m, e), a tuple of rationals by
-name), and the walk returns
-the smallest differing key with both values there.
+Every failure report that compares two values finds where they differ
+with one walk, ``first_difference``, over two mappings: each caller
+flattens its own values into key -> number maps (an algebra element by
+(i, j, e) through ``algebra._flat``, a log table by (i, k, m, e), a tuple
+of rationals by name), and the walk returns the smallest differing key
+with both values there.
 
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
 ``asymptotics.LogPoly`` is the same type printed in L instead of lam.

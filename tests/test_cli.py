@@ -17,7 +17,7 @@ import pytest
 
 import lamconn
 from lamconn import cli, exponents, families
-from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER
+from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER, ExpansionSpec, propagate
 from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
@@ -620,6 +620,36 @@ class TestPropagate:
         assert out.err == "input error: seed key '0,0,00' names the same cell (0, 0, 0) as an earlier key\n"
         assert out.out == ""
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_streams_unchanged(self, tmp_path, monkeypatch, as_json):
+        # Over 100 KB of output in either form: the text and the JSON must be
+        # the whole-output renderings, written in pieces of at most 1/20 of it.
+        obj = {"rhos": ["1/3"], "N": 8, "M": 200, "alpha": "1", "beta": "2", "seed": {"0,0,0": "1", "0,8,0": "1"}}
+        table = propagate(ExpansionSpec.from_json(obj), {(0, 0, 0): 1, (0, 8, 0): 1})
+        if as_json:
+            expected = json.dumps(table.to_json(), indent=2) + "\n"
+        else:
+            lines = ["exponents: ['1/3'], log depth 8, order 200, alpha = 1, beta = 2"]
+            lines += [f"c[{i},{k},{m}] = {poly}" for (i, k, m), poly in sorted(table.entries.items())]
+            expected = "\n".join(lines) + "\n"
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["propagate", *(["--json"] if as_json else []), write_json(tmp_path, obj)]) == 0
+        monkeypatch.undo()
+        out = "".join(writes)
+        assert len(out) > 100_000
+        assert out == expected
+        assert max(map(len, writes)) * 20 <= len(out)
+
 
 class TestInputHandling:
     def test_missing_file(self, capsys):
@@ -732,12 +762,14 @@ class TestInputHandling:
             assert out.err == "input error: the parameter monomial has exponent zero; no usable relation\n"
             assert out.out == ""
 
-    def test_layout_output_past_digit_limit(self, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_layout_output_past_digit_limit(self, tmp_path, flags):
         # Within the layout budget, but the relation's rationals have about
-        # 8000 digits, so the failure comes while rendering the report.
+        # 8000 digits, so the failure comes while rendering the report; the
+        # JSON is built whole, so nothing reaches stdout in either form.
         rng = random.Random(0)
         obj = {"n": 1, "alphas": [[rng.randrange(10**4000) for _ in range(2)] for _ in range(3)]}
-        proc = run_cli("analyze", write_json(tmp_path, obj))
+        proc = run_cli("analyze", *flags, write_json(tmp_path, obj))
         assert proc.returncode == 1
         assert proc.stderr.startswith("input error:")
         assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
