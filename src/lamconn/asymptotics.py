@@ -46,11 +46,20 @@ which is D[k] over z*E*P*s*(L*lam)^j; dividing by e + 1 integrates.  Then
 E <- E*z*(e+1), divided together with the W by the small
 gcd(z*(e+1), W[0], ..., W[K]), P <- P*s, L <- L*lam (the lcm of the s so
 far) and V <- W, and each emitted coefficient is one reduced
-Fraction(V[k], E*P*L^(K-k)).  The inner loop needs no big gcd.  When the
-bit length of E*P*L^K passes twice that of the widest reduced denominator
-plus 256, as telescoping chains (beta a multiple of alpha) make it, the
-chain renormalizes: E becomes the lcm of the reduced denominators, P = L = 1,
-and each V[k] is rescaled to the new E.
+Fraction(V[k], E*P*L^(K-k)), built only for a nonzero V[k].  The inner
+loop needs no big gcd.  When the bit length of E*P*L^K passes twice that of
+the widest reduced denominator plus 256, as telescoping chains (beta a
+multiple of alpha) make it, the chain renormalizes: E becomes the lcm of the
+reduced denominators, P = L = 1, and each V[k] is rescaled to the new E.
+
+A chain writes each coefficient straight into its ladder's rows, one term
+dict per depth and order, and ``propagate`` makes the table's cells of those
+dicts once every chain has run.  A coefficient past Python's int/str digit
+limit is refused in the step that makes it, by one test per step after the
+seeds: a reduced coefficient's numerator is at most |V[k]| and its
+denominator at most E*P*L^K, so when none of these has as many bits as
+10**limit, no coefficient of the step can reach it, and only otherwise is
+each coefficient compared with it.
 
 ``verify_table`` substitutes the table back into the relation above with
 code of its own, summing each residual straight from the cells' term maps.
@@ -68,19 +77,22 @@ at L^e are small-integer combinations of A and B over S*P, the depth's
 shared denominator.  Depths k and k+1 share these, so each degree of a
 residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
 It needs only a zero test, so the sum is never reduced, and a Fraction is
-built only for a residual that is not zero.  The report's JSON is
-rendered by ``_cells_json``, as the table's cells are; a failed report
-names its smallest key, the first one rendered, with a copy of that
-residual's text.
+built only for a residual that is not zero.  Each order's term maps are
+read once per ladder, as a list by depth, which is the next order's current
+row.  The report's JSON is rendered by ``_cells_json``, as the table's cells
+are; a failed report names its smallest key, the first one rendered, with a
+copy of that residual's text.
 
-A table is rendered once.  The first ``to_json`` or ``to_csv`` call builds
-its cell text with ``_cells_json``, a cached property kept for as long as
+A table is rendered once.  The first ``to_json`` or CSV call builds its
+cell text with ``_cells_json``, a cached property kept for as long as
 the table lives: for each cell in (i, k, m) order, the "i,k,m" text and
 the degree -> coefficient text, so each coefficient is converted to
 decimal once however many formats are written.  ``to_json`` returns those
-cell dicts themselves, read-only, in a new "table" dict; ``to_csv`` writes
-each row from them, each run of absent degrees as one ",0" * gap.  Entries
-are never changed once the table exists.
+cell dicts themselves, read-only, in a new "table" dict; ``csv_chunks``
+writes each row from them, each run of absent degrees as one ",0" * gap, and
+yields the rows of one (i, k) ladder at a time, which ``to_csv`` joins and
+the CLI writes to its file as they come.  Entries are never changed once the
+table exists.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -94,11 +106,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Mapping
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import LaurentPoly, check_coefficient, check_int, json_rat, parse_int
+from .exact import _ZERO, LaurentPoly, check_coefficient, check_int, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -233,10 +245,10 @@ def parse_seed_key(text: str) -> SeedKey:
 class ExpansionTable:
     """Coefficients c[i,k,m] as polynomials in L, keyed by (i, k, m).
 
-    The entries are not changed once the table exists.  The first to_json
-    or to_csv call renders every cell's key and coefficients to text, and
-    both formats read that rendering for the rest of the table's life; a
-    copy made with dataclasses.replace renders its own entries.
+    The entries are not changed once the table exists.  The first to_json,
+    to_csv or csv_chunks call renders every cell's key and coefficients to
+    text, and both formats read that rendering for the rest of the table's
+    life; a copy made with dataclasses.replace renders its own entries.
     """
 
     spec: ExpansionSpec
@@ -268,24 +280,41 @@ class ExpansionTable:
     def to_csv(self) -> str:
         """One row per (i, k, m); columns are the coefficients of L^0, L^1, ...
 
-        Lines end in CRLF, as csv's excel dialect writes them.  No field can
-        hold a comma, quote or line break, so none is quoted and the rows
-        are plain joins; each run of absent degrees is written as one
-        ",0" * gap.
+        Lines end in CRLF, as csv's excel dialect writes them.  The text is
+        the join of csv_chunks.
+        """
+        return "".join(self.csv_chunks())
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text of to_csv in pieces: the header line, then the rows of
+        each (i, k) ladder together, so that the text can be written as it is
+        made.
+
+        No field can hold a comma, quote or line break, so none is quoted and
+        the rows are plain joins; each run of absent degrees is written as one
+        ",0" * gap, made once per table for each gap.
         """
         cells = self._cell_text
         width = max((int(next(reversed(cell))) for cell in cells.values() if cell), default=-1) + 1
-        out = [",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)])]
+        yield ",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)]) + "\r\n"
+        zeros = [",0" * gap for gap in range(width + 1)]
+        out: list[str] = []
+        ladder = "-"  # the "i,k," that the keys of the rows in out start with
         for key, cell in cells.items():
-            out += "\r\n", key
+            if not key.startswith(ladder):
+                if out:
+                    yield "".join(out)
+                    out = []
+                ladder = key[: key.rindex(",") + 1]
+            out.append(key)
             top = -1
             for e, c in cell.items():
                 e = int(e)
-                out += ",0" * (e - top - 1), ",", c
+                out += zeros[e - top - 1], ",", c
                 top = e
-            out.append(",0" * (width - 1 - top))
-        out.append("\r\n")
-        return "".join(out)
+            out += zeros[width - 1 - top], "\r\n"
+        if out:
+            yield "".join(out)
 
 
 def _cells_json(cells: Mapping[SeedKey, LogPoly]) -> dict[str, dict[str, str]]:
@@ -318,12 +347,18 @@ def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> 
     return clean
 
 
-def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fraction]):
-    """Yield (k, e, c) for every nonzero L^e coefficient c of c[i,k,m0+e] that
-    the seeds of one ladder at order m0, given as {depth: value}, produce.
+def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fraction], rows: list, bound: int | None):
+    """Write every nonzero L^e coefficient c of c[i,k,m0+e] that the seeds of one
+    ladder at order m0, given as {depth: value}, produce into rows[k][m0 + e][e].
 
-    The values of depth k are integer numerators V[k] over E*P*L^(K-k), where
-    K is the top seeded depth; see the module docstring for the step.
+    rows holds the ladder's term dicts by depth, then by order.  The values of
+    depth k are integer numerators V[k] over E*P*L^(K-k), where K is the top
+    seeded depth; see the module docstring for the step.  bound is 10**limit
+    for Python's int/str conversion limit, or None for no limit, and a
+    coefficient with a numerator or denominator of at least bound is refused.
+    Each step after the seeds is tested once: when its depth-0 denominator
+    E*P*L^K and every V[k] have fewer bits than bound, none of its
+    coefficients can reach it, and only otherwise is each one tested.
     """
     top = max(values)
     rn, rd = rho.numerator, rho.denominator
@@ -331,11 +366,14 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
     bn, bd = spec.beta.numerator, spec.beta.denominator
     z = math.lcm(ad, bd)
     fa, fb = an * (z // ad), bn * (z // bd) * rd  # alpha*z and beta*z*rd
+    room = bound.bit_length() - 1 if bound else math.inf  # an int of at most room bits is below bound
     big_e = math.lcm(*(c.denominator for c in values.values()))
     v = [0] * (top + 2)
     for k, c in values.items():
         v[k] = c.numerator * (big_e // c.denominator)
-        yield k, 0, c
+        rows[k][m0][0] = c
+    if bound:
+        _check_digits(values.values(), bound)
     big_p = big_l = 1
     for e in range(spec.order - m0):
         m = m0 + e
@@ -360,17 +398,28 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
         big_l *= lam
         v = w
         den = big_e * big_p
-        emitted = [Fraction(0)] * (top + 1)
+        emitted = [_ZERO] * (top + 1)
+        widest = 1  # the largest reduced denominator
         for k in range(top, -1, -1):
             if k < top:
                 den *= big_l
-            c = emitted[k] = Fraction(v[k], den)
-            if c:
-                yield k, e + 1, c
-        if den.bit_length() > 2 * max(c.denominator.bit_length() for c in emitted) + 256:
+            if v[k]:
+                c = emitted[k] = rows[k][m + 1][e + 1] = Fraction(v[k], den)
+                if c.denominator > widest:
+                    widest = c.denominator
+        if den.bit_length() > room or max(map(int.bit_length, v)) > room:
+            _check_digits(emitted, bound)
+        if den.bit_length() > 2 * widest.bit_length() + 256:
             big_e = math.lcm(*(c.denominator for c in emitted))
             v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]
             big_p = big_l = 1
+
+
+def _check_digits(coefficients: Iterable[Fraction], bound: int) -> None:
+    """Refuse the first coefficient whose numerator or denominator reaches bound."""
+    for c in coefficients:
+        if c.denominator >= bound or abs(c.numerator) >= bound:
+            raise InputError(DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits()))
 
 
 def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> ExpansionTable:
@@ -378,12 +427,13 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
 
     Missing seed entries default to zero.  The table is the sum of one chain
     per ladder and seeded order, run on integers (see the module docstring);
-    the chains fill disjoint degrees of the cells, so each emitted value is a
-    finished coefficient, written straight into its cell of the table's
-    (i, k, m) map.  Every value is nonzero, so each cell's dict becomes its
-    LogPoly uncopied.  A coefficient with more digits than Python's int/str
-    conversion limit (0: no limit) could not be printed, so it is refused as
-    soon as it is emitted.
+    the chains fill disjoint degrees of the cells, so each value a chain
+    writes is a finished coefficient, put straight into its cell's term dict
+    in its ladder's rows.  Every value is nonzero, so once all chains have
+    run, each cell's dict becomes its LogPoly uncopied, in (i, k, m) order.
+    A coefficient with more digits than Python's int/str conversion limit
+    (0: no limit) could not be printed, so it is refused in the step that
+    makes it.
     """
     clean_seed = _check_seed(spec, seed)
     limit = sys.get_int_max_str_digits()
@@ -391,15 +441,14 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
     chains: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, k, m), value in clean_seed.items():
         chains.setdefault((i, m), {})[k] = value
-    # every cell, empty ones too, in (i, k, m) order
-    keys = product(range(len(spec.rhos)), range(spec.log_depth + 1), range(spec.order + 1))
-    cells: dict[SeedKey, dict[int, Fraction]] = {key: {} for key in keys}
+    # every cell, empty ones too, as ladders[i][k][m]
+    depths, orders = range(spec.log_depth + 1), range(spec.order + 1)
+    ladders = [[[{} for _ in orders] for _ in depths] for _ in spec.rhos]
     for (i, m0), values in sorted(chains.items()):
-        for k, e, c in _chain(spec, spec.rhos[i], m0, values):
-            if bound is not None and (c.denominator >= bound or abs(c.numerator) >= bound):
-                raise InputError(DIGIT_LIMIT_MESSAGE.format(limit))
-            cells[i, k, m0 + e][e] = c
-    return ExpansionTable(spec=spec, entries={key: LogPoly._adopt(cell) for key, cell in cells.items()})
+        _chain(spec, spec.rhos[i], m0, values, ladders[i], bound)
+    keys = product(range(len(spec.rhos)), depths, orders)
+    cells = chain.from_iterable(chain.from_iterable(ladders))
+    return ExpansionTable(spec=spec, entries=dict(zip(keys, map(LogPoly._adopt, cells))))
 
 
 @dataclass(frozen=True)
@@ -430,58 +479,68 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
     The residual keyed (i, k, m) collects every term of that relation moved
     to one side; an order cutoff of zero verifies vacuously.  It is summed
     straight from the term maps of the cells involved, with code of its own,
-    so that it checks propagate rather than repeating it.  Each depth keeps
-    X[k] and Y[k] of the module docstring over one shared denominator S*P
-    per degree, and each degree of the residual X[k] + Y[k+1] is one
+    so that it checks propagate rather than repeating it.  The term maps of
+    each order are read once per ladder, as a list by depth that serves as
+    the order m + 1 of one relation and the order m of the next.  Each depth
+    keeps X[k] and Y[k] of the module docstring over one shared denominator
+    S*P per degree, and each degree of the residual X[k] + Y[k+1] is one
     integer cross product over the two depths' denominators, never reduced:
-    only its zero test is needed.  Fractions are built only for a residual
-    that is not zero.
+    only its zero test is needed.  Fractions are built only for a degree of
+    a residual that is not zero.
     """
-    residuals: dict[SeedKey, LogPoly] = {}
-    no_terms: dict[int, Fraction] = {}
-    absent = (0, 0, 1)  # X, Y and P of a degree that a depth does not reach
+    residuals: dict[SeedKey, dict[int, Fraction]] = {}
+    empty = LogPoly.zero()
     an, ad = spec.alpha.numerator, spec.alpha.denominator
     bn, bd = spec.beta.numerator, spec.beta.denominator
-
-    def terms(key: SeedKey) -> dict[int, Fraction]:
-        poly = table.entries.get(key)
-        return no_terms if poly is None else poly._terms
-
+    get = table.entries.get
+    depths = range(spec.log_depth, -1, -1)
     for i, rho in enumerate(spec.rhos):
         rn, rd = rho.numerator, rho.denominator
         big_s = rd * ad * bd
         ya = an * rd * bd  # alpha = ya/S
+        current = [get((i, k, 0), empty)._terms for k in depths]  # order m's term maps, top depth first
         for m in range(spec.order):
+            following = [get((i, k, m + 1), empty)._terms for k in depths]
             xa = ((m + 1) * rd + rn) * ad * bd  # m + rho + 1 = xa/S
             xb = an * bd * (m * rd + rn) + bn * ad * rd  # alpha*(m + rho) + beta = xb/S
             above: dict[int, tuple[int, int, int]] = {}  # the level of depth k + 1
-            for k in range(spec.log_depth, -1, -1):
-                nxt, cur = terms((i, k, m + 1)), terms((i, k, m))
+            for k, cur, nxt in zip(depths, current, following):
                 # degree e -> (X[k], Y[k], P) at L^e, X and Y over S*P; a cell
                 # without a term at its degree counts as 0/1
                 level: dict[int, tuple[int, int, int]] = {}
+                paired = 0  # the terms of nxt that a term of cur reads
                 for e, c in cur.items():
                     c1 = nxt.get(e + 1)
                     if c1 is None:
                         b = c.numerator
                         level[e] = (-xb * b, -ya * b, c.denominator)
                     else:
+                        paired += 1
                         d1, d2 = c1.denominator, c.denominator
                         a = (e + 1) * c1.numerator * d2
                         b = c.numerator * d1
                         level[e] = (xa * a - xb * b, big_s * a - ya * b, d1 * d2)
-                for e, c1 in nxt.items():
-                    if e and e - 1 not in cur:
-                        a = e * c1.numerator
-                        level[e - 1] = (xa * a, big_s * a, c1.denominator)
-                res: dict[int, tuple[int, int]] = {}  # degree -> (numerator, denominator / S)
-                for e in level.keys() | above.keys():
-                    x, _, p = level.get(e, absent)
-                    _, y, q = above.get(e, absent)
-                    n = x * q + y * p
+                if len(nxt) > paired:
+                    for e, c1 in nxt.items():
+                        if e and e - 1 not in cur:
+                            a = e * c1.numerator
+                            level[e - 1] = (xa * a, big_s * a, c1.denominator)
+                # the residual at L^e is X[k]*Q + Y[k+1]*P over S*P*Q, Q the P of depth k + 1
+                shared = 0  # the degrees of above that level has too
+                for e, (x, _, p) in level.items():
+                    t = above.get(e)
+                    if t is None:
+                        n, q = x, 1
+                    else:
+                        shared += 1
+                        _, y, q = t
+                        n = x * q + y * p
                     if n:
-                        res[e] = (n, p * q)
-                if res:
-                    residuals[(i, k, m)] = LogPoly._make({e: Fraction(n, big_s * d) for e, (n, d) in res.items()})
+                        residuals.setdefault((i, k, m), {})[e] = Fraction(n, big_s * p * q)
+                if len(above) > shared:
+                    for e, (_, y, q) in above.items():
+                        if y and e not in level:
+                            residuals.setdefault((i, k, m), {})[e] = Fraction(y, big_s * q)
                 above = level
-    return ResidualReport(residuals=residuals)
+            current = following
+    return ResidualReport(residuals={key: LogPoly._adopt(terms) for key, terms in residuals.items()})

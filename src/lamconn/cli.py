@@ -11,7 +11,8 @@ payload of the library's ``to_json`` blocks, and lay the text form out from
 the strings in it, so both forms carry the same values.  They and selftest
 build their whole output before printing any of it.  propagate prints as it
 goes, straight from the table: the text form one line per cell, the JSON
-form through ``json.dump``, so no copy of the whole output is ever held.
+form through ``json.dump`` and the CSV file one (i, k) ladder at a time, so
+no copy of the whole output is ever held.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _cmd_propagate(args) -> int:
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-                handle.write(table.to_csv())
+                handle.writelines(table.csv_chunks())
         except OSError as exc:
             raise InputError(f"cannot write {args.csv}: {exc.strerror or exc}") from None
         print(f"wrote {args.csv}", file=sys.stderr)

@@ -34,7 +34,8 @@ class MonomialMu:
         beta = tuple(self.beta)
         object.__setattr__(self, "beta", beta)
         for entry in beta:
-            check_int(entry, "beta entry", 0)
+            if type(entry) is not int or entry < 0:  # check_int names what is wrong
+                check_int(entry, "beta entry", 0)
 
     @classmethod
     def unit(cls, n: int) -> "MonomialMu":

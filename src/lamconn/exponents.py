@@ -132,7 +132,8 @@ class ExponentData:
             if len(a) != self.n + 1:
                 raise InputError(f"exponent vector {a} must have {self.n + 1} entries")
             for entry in a:
-                check_int(entry, "exponent entry", 0)
+                if type(entry) is not int or entry < 0:  # check_int names what is wrong
+                    check_int(entry, "exponent entry", 0)
         if len(set(alphas)) != len(alphas):
             raise InputError("exponent vectors must be pairwise distinct")
         if not any(alphas[-1]):

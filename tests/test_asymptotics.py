@@ -514,11 +514,33 @@ class TestVerifyTableOracle:
         assert json.dumps(report.to_json()) == json.dumps(report_json(expected))
 
 
+def refused_at(limit, spec, seed):
+    """Whether propagate refuses spec and seed under an int/str conversion limit of limit digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        propagate(spec, seed)
+    except InputError as exc:
+        assert str(exc).startswith(f"a number in the result has more than {limit} digits")
+        return True
+    finally:
+        sys.set_int_max_str_digits(old)
+    return False
+
+
+def widest_digits(table, part):
+    return max(len(str(abs(part(c)))) for poly in table.entries.values() for c in poly.coeffs.values())
+
+
 class TestDigitLimit:
     """propagate refuses a table it could not print as soon as a cell passes the limit."""
 
+    # its widest integer is a denominator, of 3,695 digits against 3,351 for numerators
     SPEC = ExpansionSpec(rhos=(F(1, 3),), log_depth=16, order=200, alpha=F(-3, 2), beta=F(5, 7))
     SEED = {(0, 0, 0): F(1), (0, 16, 0): F(-2, 3)}
+    # a long seed numerator makes the widest integer a numerator, of 713 digits against 36
+    NUMERATOR_SPEC = ExpansionSpec(rhos=(F(-1, 2),), log_depth=3, order=30, alpha=F(2), beta=F(3))
+    NUMERATOR_SEED = {(0, 0, 0): F(10**700 - 1)}
 
     def test_refused_under_a_lower_limit(self):
         old = sys.get_int_max_str_digits()
@@ -528,6 +550,23 @@ class TestDigitLimit:
                 propagate(self.SPEC, self.SEED)
         finally:
             sys.set_int_max_str_digits(old)
+
+    def assert_boundary_at_widest(self, spec, seed, widest, narrower):
+        """Under a limit of D digits, D those of the table's widest integer, the
+        table is made; one digit less refuses it."""
+        table = propagate(spec, seed)
+        digits = widest_digits(table, widest)
+        assert digits > widest_digits(table, narrower)
+        assert not refused_at(digits, spec, seed)
+        assert refused_at(digits - 1, spec, seed)
+
+    def test_exact_boundary_at_a_denominator(self):
+        self.assert_boundary_at_widest(self.SPEC, self.SEED, operator.attrgetter("denominator"),
+                                       operator.attrgetter("numerator"))
+
+    def test_exact_boundary_at_a_numerator(self):
+        self.assert_boundary_at_widest(self.NUMERATOR_SPEC, self.NUMERATOR_SEED, operator.attrgetter("numerator"),
+                                       operator.attrgetter("denominator"))
 
     def test_full_table_under_the_default_limit(self):
         table = propagate(self.SPEC, self.SEED)

@@ -623,7 +623,9 @@ class TestPropagate:
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_output_streams_unchanged(self, tmp_path, monkeypatch, as_json):
         # Over 100 KB of output in either form: the text and the JSON must be
-        # the whole-output renderings, written in pieces of at most 1/20 of it.
+        # the whole-output renderings, written in pieces of at most 1/20 of it,
+        # and the CSV file must hold the bytes of to_csv, written a ladder at a
+        # time: in pieces of at most 1/5 of it, as the table has 9 ladders.
         obj = {"rhos": ["1/3"], "N": 8, "M": 200, "alpha": "1", "beta": "2", "seed": {"0,0,0": "1", "0,8,0": "1"}}
         table = propagate(ExpansionSpec.from_json(obj), {(0, 0, 0): 1, (0, 8, 0): 1})
         if as_json:
@@ -642,13 +644,44 @@ class TestPropagate:
             def flush(self):
                 pass
 
+        csv_writes = []
+
+        class RecordingFile:
+            """A file that the CLI opens, with its writes recorded."""
+
+            def __init__(self, *args, **kwargs):
+                self.handle = open(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                csv_writes.append(text)
+                return self.handle.write(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
         monkeypatch.setattr(sys, "stdout", Recorder())
-        assert main(["propagate", *(["--json"] if as_json else []), write_json(tmp_path, obj)]) == 0
+        monkeypatch.setattr(cli, "open", RecordingFile, raising=False)
+        csv_path = tmp_path / "table.csv"
+        args = ["propagate", *(["--json"] if as_json else []), write_json(tmp_path, obj), "--csv", str(csv_path)]
+        assert main(args) == 0
         monkeypatch.undo()
         out = "".join(writes)
         assert len(out) > 100_000
         assert out == expected
         assert max(map(len, writes)) * 20 <= len(out)
+        text = table.to_csv()
+        assert csv_path.read_bytes() == text.encode()
+        assert max(map(len, csv_writes)) * 5 <= len(text)
 
 
 class TestInputHandling:

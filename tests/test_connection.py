@@ -61,6 +61,15 @@ class TestSigmaTau:
         with pytest.raises(InputError):
             sigma_tau(LAYOUT_A, MonomialMu(beta=(1, 0)))
 
+    @pytest.mark.parametrize(
+        "beta, message",
+        [((1, True, -1), "True"), ((1, -1, True), "-1"), ((1, 0.5, -1), "0.5")],
+        ids=["bool", "negative", "float"],
+    )
+    def test_first_bad_beta_entry_named(self, beta, message):
+        with pytest.raises(InputError, match=f"^beta entry must be a nonnegative integer, got {message}$"):
+            MonomialMu(beta=beta)
+
     def test_singular_matrix_raises_hypothesis_error(self):
         cube = ExponentData(n=2, alphas=((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
         with pytest.raises(HypothesisError):

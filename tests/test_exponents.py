@@ -55,6 +55,28 @@ class TestValidation:
         with pytest.raises(InputError):
             ExponentData(n=1, alphas=((1, 0), (0, -1), (1, 1)))
 
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [
+            (((1, 0), (0, True), (1, 1)), "exponent entry must be a nonnegative integer, got True"),
+            (((1, 0), (0, -1), (1, 1)), "exponent entry must be a nonnegative integer, got -1"),
+            (((1, 0), (0, 1.0), (1, 1)), "exponent entry must be a nonnegative integer, got 1.0"),
+            (((1, 0), (0,), (-1, 1)), r"exponent vector \(0,\) must have 2 entries"),
+            (((1, 0), (0, 1), (1, 1), (2,)), "expected 3 exponent vectors, got 4"),
+        ],
+        ids=["bool", "negative", "float", "short-vector-first", "count-first"],
+    )
+    def test_first_bad_entry_named(self, alphas, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ExponentData(n=1, alphas=alphas)
+
+    def test_int_subclass_entries_accepted(self):
+        class Exponent(int):
+            pass
+
+        data = ExponentData(n=1, alphas=((Exponent(1), 0), (0, 1), (1, 1)))
+        assert data.alphas == ((1, 0), (0, 1), (1, 1))
+
     def test_from_json_schema(self):
         data = ExponentData.from_json({"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]})
         assert data == LAYOUT_A

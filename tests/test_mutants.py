@@ -266,6 +266,19 @@ MUTANTS = [
     Mutant("frobenius_cut_at_order_10", slipped(selftest.frobenius_table, "range(m0, spec.order + 1)",
                                                 "range(m0, min(spec.order, 10) + 1)"),
            {9: ("propagate fails on the telescoping spec", "(0, 0, 11, 7)")}),
+    # propagate's one digit-limit test per step without its numerator half: a step whose
+    # denominators fit under the limit is let through however long its numerators grow
+    Mutant("step_digit_test_without_numerators", slipped(
+        asymptotics._chain, "den.bit_length() > room or max(map(int.bit_length, v)) > room", "den.bit_length() > room"),
+           {}, (test_asymptotics.TestDigitLimit().test_exact_boundary_at_a_numerator,)),
+    # ... and without its denominator half
+    Mutant("step_digit_test_without_denominators", slipped(
+        asymptotics._chain, "den.bit_length() > room or max(map(int.bit_length, v)) > room",
+        "max(map(int.bit_length, v)) > room"),
+           {}, (test_asymptotics.TestDigitLimit().test_exact_boundary_at_a_denominator,)),
+    # verify_table keeps reading order 0's term maps as the current order
+    Mutant("verify_rows_not_advanced", slipped(asymptotics.verify_table, "current = following", "pass"),
+           {9: ("nonzero residual for spec", "(0, 0, 1)")}, LONG_TABLE),
     # the hypothesis gate's exit code 2 reported as 1, the code of malformed input
     Mutant("main_hypothesis_exit_1", wrapped(cli.main, lambda code: 1 if code == 2 else code),
            {10: ("rank 3, exit code 1", "exit code")}),
