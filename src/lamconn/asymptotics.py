@@ -97,6 +97,12 @@ table exists.
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
 well defined, so such input is rejected outright.
+
+An expansion input is one JSON object, read by two functions:
+``ExpansionSpec.from_json`` reads the spec and bounds its work, and
+``seed_from_json`` reads the whole optional "seed" object, its "i,k,m" keys,
+the rule that no two keys name one cell, and its rational values.  The CLI
+calls them in that order, so a bad spec is reported before a bad seed.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ from itertools import chain, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import _ZERO, LaurentPoly, check_coefficient, check_int, json_rat, parse_int
+from .exact import _ZERO, LaurentPoly, check_coefficient, check_int, json_object, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -198,11 +204,7 @@ class ExpansionSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ExpansionSpec":
-        if not isinstance(obj, dict):
-            raise InputError("expansion input must be a JSON object")
-        missing = {"rhos", "N", "M", "alpha", "beta"} - set(obj)
-        if missing:
-            raise InputError(f"missing keys: {sorted(missing)}")
+        json_object(obj, "expansion", ("rhos", "N", "M", "alpha", "beta"))
         if not isinstance(obj["rhos"], list):
             raise InputError("rhos must be a list")
         if len(obj["rhos"]) > MAX_EXPONENTS:
@@ -231,14 +233,29 @@ class ExpansionSpec:
         }
 
 
-def parse_seed_key(text: str) -> SeedKey:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"seed key must be 'i,k,m', got {text!r}")
-    if not all(part.isdecimal() for part in parts):
-        raise InputError(f"seed key must contain integers, got {text!r}")
-    i, k, m = (parse_int(part) for part in parts)
-    return i, k, m
+def seed_from_json(obj) -> dict[SeedKey, Fraction]:
+    """The seed of an expansion input: its optional "seed" object, keyed by
+    "i,k,m" with three nonnegative decimal integers, each key naming a cell
+    that no earlier key names, and each value a rational (``json_rat``).
+
+    Without a "seed" the seed is empty.  ``propagate`` checks the cells
+    against the spec.
+    """
+    seed_obj = json_object(obj, "expansion", ()).get("seed", {})
+    if not isinstance(seed_obj, dict):
+        raise InputError("seed must be an object keyed by 'i,k,m'")
+    seed: dict[SeedKey, Fraction] = {}
+    for text, value in seed_obj.items():
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise InputError(f"seed key must be 'i,k,m', got {text!r}")
+        if not all(part.isdecimal() for part in parts):
+            raise InputError(f"seed key must contain integers, got {text!r}")
+        key = tuple(map(parse_int, parts))
+        if key in seed:
+            raise InputError(f"seed key {text!r} names the same cell {key} as an earlier key")
+        seed[key] = json_rat(value, f"seed value for {text!r}")
+    return seed
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Command line front end.
+"""Command line front end: it reads files and lays out output.
+
+Every rule of what an input file may hold is the library's, kept in the type
+that owns it: ``ExponentData.from_json`` and ``MonomialMu.from_json`` read a
+layout, ``ExpansionSpec.from_json`` and ``seed_from_json`` an expansion, and
+``exact.parse_int`` every JSON number as it is loaded.
 
 Subcommands: check, analyze, family-a, family-b, propagate, selftest.
 Exit codes: 0 on success; 1 on a usage error (argparse's message is kept)
@@ -23,10 +28,10 @@ import json
 import sys
 
 from . import selftest as selftest_mod
-from .asymptotics import ExpansionSpec, parse_seed_key, propagate
+from .asymptotics import ExpansionSpec, propagate, seed_from_json
 from .connection import MonomialMu, nabla_formula, sigma_tau
 from .errors import DIGIT_LIMIT_MESSAGE, HypothesisError, InputError
-from .exact import json_rat
+from .exact import parse_int
 from .exponents import ExponentData, dependency, validate_hypotheses
 from .families import cross_validate, family_a, family_b, match_family
 
@@ -44,12 +49,12 @@ def _unique_keys(pairs: list) -> dict:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=_unique_keys)
+            return json.load(handle, object_pairs_hook=_unique_keys, parse_int=parse_int)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past Python's int/str digit limit
+    except ValueError as exc:  # a repeated key or an integer literal too long for parse_int
         raise InputError(f"{path}: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests arrays or objects too deeply") from None
@@ -87,20 +92,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    raw = _load_json(args.file)
-    data = ExponentData.from_json(raw)
+    obj = _load_json(args.file)
+    data = ExponentData.from_json(obj)
     report = validate_hypotheses(data)
     hyp = report.to_json()
     payload = {"hypotheses": hyp}
     verdict = _verdict(hyp, f" (bordered rank {hyp['rank_m_tilde']}, basis rank {hyp['rank_m_prime']})")
     if not report.passed:
         return _finish(payload, args.json, verdict, "\n".join(report.failure_messages()))
-    if "mu" in raw:
-        if not isinstance(raw["mu"], list):
-            raise InputError("mu must be a list of exponents")
-        mu = MonomialMu(beta=raw["mu"])
-    else:
-        mu = MonomialMu.unit(data.n)
+    mu = MonomialMu.from_json(obj, data.n)
     # Both run before anything is rendered, so a wrong mu length is reported
     # before a number too long to print.
     relation = dependency(data)
@@ -156,18 +156,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    raw = _load_json(args.file)
-    spec = ExpansionSpec.from_json(raw)
-    seed_obj = raw.get("seed", {})
-    if not isinstance(seed_obj, dict):
-        raise InputError("seed must be an object keyed by 'i,k,m'")
-    seed = {}
-    for key_text, value in seed_obj.items():
-        key = parse_seed_key(key_text)
-        if key in seed:
-            raise InputError(f"seed key {key_text!r} names the same cell {key} as an earlier key")
-        seed[key] = json_rat(value, f"seed value for {key_text!r}")
-    table = propagate(spec, seed)
+    obj = _load_json(args.file)
+    spec = ExpansionSpec.from_json(obj)
+    table = propagate(spec, seed_from_json(obj))
     if args.json:
         json.dump(table.to_json(), sys.stdout, indent=2)
         print()

@@ -7,6 +7,9 @@ sigma * a[mu] + tau * b[mu].  Everything exported here multiplies the
 connection by lam once, so each formula is polynomial in lam and 1/lam and
 the 1/lam in nabla itself is stated explicitly in rendered reports.
 
+``MonomialMu.from_json`` reads mu from the optional "mu" list of a layout's
+JSON object, after ``exponents.ExponentData.from_json`` has read the layout.
+
 Every value here is formed from integer numerators with one reduction each:
 sigma and tau from the numerators of the inverse row over det M~, beta and
 each linear operator (na*a + nb*b)/den from sigma = sn/sd and tau = tn/td
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import ABElement, Rows
 from .errors import HypothesisError, InputError
-from .exact import check_coefficient, check_int
+from .exact import check_coefficient, check_int, json_object
 from .exponents import ExponentData
 
 
@@ -41,6 +44,16 @@ class MonomialMu:
     def unit(cls, n: int) -> "MonomialMu":
         """The constant monomial 1 in n+1 variables."""
         return cls(beta=(0,) * (n + 1))
+
+    @classmethod
+    def from_json(cls, obj, n: int) -> "MonomialMu":
+        """The optional "mu" list of a layout's JSON object, whose layout has
+        n+1 variables; the constant monomial when it has none.  ``sigma_tau``
+        checks the length against the layout."""
+        beta = json_object(obj, "exponent", ()).get("mu", [0] * (n + 1))
+        if not isinstance(beta, list):
+            raise InputError("mu must be a list of exponents")
+        return cls(beta=beta)
 
     @property
     def k(self) -> int:

@@ -10,7 +10,11 @@ given minimum, for counts, exponents and keys; ``check_coefficient`` takes
 an int or a Fraction as a coefficient; ``json_rat`` takes a JSON integer or
 a "p/q" string; ``parse_rat`` and ``parse_int`` read text.  A float, string
 or bool given as a coefficient is a TypeError, and any other refusal is an
-InputError.
+InputError.  ``parse_int`` is also the ``parse_int`` hook of the CLI's JSON
+loader, so an integer literal too long for Python's int/str conversion is
+refused in the same words whether it stands in a JSON number, a JSON string
+or text.  ``json_object`` holds the one check of a JSON input's shape: an
+object that has every required key.
 
 Every failure report that compares two values finds where they differ
 with one walk, ``first_difference``, over two mappings: each caller
@@ -44,9 +48,10 @@ Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
 with exact divisions; ``_solve_square`` follows it with an exact integer
 back substitution for det * A^-1 * B.  The RatMatrix functions scale the
-rows to integers once, and ``det``, ``invert`` and ``solve`` build their
-Fractions once at the end; an exponent layout is integral, so its
-eliminations in ``exponents`` build no Fraction at all.
+rows to integers once, and ``det`` and ``_solve_augmented``, the one solve
+of [m | B] behind ``invert`` and ``solve``, build their Fractions once at the
+end; an exponent layout is integral, so its eliminations in ``exponents``
+build no Fraction at all.
 """
 
 from __future__ import annotations
@@ -184,6 +189,17 @@ def check_int(value: int, what: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
         raise InputError(f"{what} must be {_INT_KINDS[minimum]}, got {value!r}")
     return value
+
+
+def json_object(obj, what: str, keys: Iterable[str]) -> dict:
+    """obj itself if it is a JSON object that holds every one of keys; what
+    names the input in the message when it is not an object."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} input must be a JSON object")
+    missing = set(keys) - set(obj)
+    if missing:
+        raise InputError(f"missing keys: {sorted(missing)}")
+    return obj
 
 
 def json_rat(value, what: str) -> Fraction:
@@ -528,17 +544,23 @@ def rank(m: RatMatrix) -> int:
     return _eliminate(_integer_rows(m.rows())[1], m.ncols)[0]
 
 
+def _solve_augmented(m: RatMatrix, right: list[tuple]) -> list[list[Fraction]]:
+    """The columns of m^-1 B, where right holds the rows of B, from one
+    elimination of [m | B]; raises SingularMatrixError when det m = 0."""
+    augmented = [r + b for r, b in zip(m.rows(), right)]
+    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], m.nrows)
+    if columns is None:
+        raise SingularMatrixError("matrix is singular")
+    return [[Fraction(x, pivot) for x in column] for column in columns]
+
+
 def invert(m: RatMatrix) -> RatMatrix:
     """Inverse by forward elimination and back substitution on [m | I]; raises
     SingularMatrixError when det = 0."""
     if not m.is_square():
         raise DimensionError("inverse needs a square matrix")
     n = m.nrows
-    augmented = [r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(m.rows())]
-    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], n)
-    if columns is None:
-        raise SingularMatrixError("matrix is singular")
-    return RatMatrix.from_columns([[Fraction(x, pivot) for x in column] for column in columns])
+    return RatMatrix.from_columns(_solve_augmented(m, [tuple(int(i == j) for j in range(n)) for i in range(n)]))
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
@@ -547,8 +569,4 @@ def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
         raise DimensionError("solve needs a square matrix")
     if len(rhs) != m.nrows:
         raise DimensionError("right-hand side length does not match")
-    augmented = [r + (Fraction(check_coefficient(v)),) for r, v in zip(m.rows(), rhs)]
-    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], m.nrows)
-    if columns is None:
-        raise SingularMatrixError("matrix is singular")
-    return [Fraction(x, pivot) for x in columns[0]]
+    return _solve_augmented(m, [(Fraction(check_coefficient(v)),) for v in rhs])[0]

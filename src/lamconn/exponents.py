@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, HypothesisError, InputError
-from .exact import RatMatrix, _solve_square, check_int
+from .exact import RatMatrix, _solve_square, check_int, json_object
 
 # Work budget of a JSON layout, checked by ExponentData.from_json before any
 # elimination: (n + 2)^3, the order of the updates in each of the two
@@ -171,12 +171,7 @@ class ExponentData:
 
     @classmethod
     def from_json(cls, obj) -> "ExponentData":
-        if not isinstance(obj, dict):
-            raise InputError("exponent input must be a JSON object")
-        missing = {"n", "alphas"} - set(obj)
-        if missing:
-            raise InputError(f"missing keys: {sorted(missing)}")
-        n = obj["n"]
+        n = json_object(obj, "exponent", ("n", "alphas"))["n"]
         alphas = obj["alphas"]
         if not isinstance(alphas, list) or not all(isinstance(a, list) for a in alphas):
             raise InputError("alphas must be a list of lists")

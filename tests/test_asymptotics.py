@@ -22,8 +22,8 @@ from lamconn.asymptotics import (
     MAX_LOG_DEPTH,
     MAX_ORDER,
     LogPoly,
-    parse_seed_key,
     propagate,
+    seed_from_json,
     verify_table,
 )
 from lamconn.errors import InputError
@@ -182,11 +182,11 @@ class TestSpecValidation:
                 ExpansionSpec.from_json({**base, **over})
 
     def test_parse_seed_key(self):
-        assert parse_seed_key("1,2,3") == (1, 2, 3)
-        assert parse_seed_key("0,0,0") == (0, 0, 0)
+        assert seed_from_json({"seed": {"1,2,3": 1}}) == {(1, 2, 3): 1}
+        assert seed_from_json({"seed": {"0,0,0": 1}}) == {(0, 0, 0): 1}
         for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", "", "0,0,1_0", "+0,0,1", "0, 0,1", "-1,0,0"):
             with pytest.raises(InputError):
-                parse_seed_key(bad)
+                seed_from_json({"seed": {bad: 1}})
 
 
 class TestPropagate:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
-from lamconn.asymptotics import ExpansionSpec, LogPoly, parse_seed_key
+from lamconn.asymptotics import ExpansionSpec, LogPoly, seed_from_json
 from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, read_terms, term_text
 from lamconn.exponents import ExponentData
@@ -55,6 +55,11 @@ json_value = st.recursive(
     | st.dictionaries(st.text(max_size=3), kids, max_size=3),
     max_leaves=10,
 )
+
+
+def parse_seed_key(text):
+    """The seed reader on a seed whose one key is text."""
+    return seed_from_json({"seed": {text: 1}})
 
 
 def value_or_input_error(load, arg):
@@ -180,6 +185,7 @@ def outcome(parse, text):
 @example(text="(lam*a")
 @example(text="((lam))")
 @example(text="2*(lam)*b*(3)")
+@example(text="1/2*a - 1/3*b")
 def test_parsers_match_fraction_oracle(text):
     for parse, oracle in (
         (ABElement.parse, oracle_element),

@@ -7,28 +7,39 @@ AssertionError under the slip.  Every install follows one rule: the slipped
 object replaces the real one wherever a loaded module other than this one
 binds it, or on its class for a method.  A slip that wraps the real function
 captures it here, at import, so that the install cannot make it call itself.
+An entry that no criterion kills has no kills, and its oracles alone kill it.
+
+``pytest --mutant NAME`` (tests/conftest.py) installs the entry NAME by its
+own install for the whole session.
 """
 
 import dataclasses
 import inspect
+import json
 import sys
+import tempfile
 import textwrap
 import types
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
 
 from lamconn import algebra, asymptotics, cli, connection, exact, exponents, families, selftest
 from lamconn.algebra import ABElement
-from lamconn.asymptotics import ResidualReport
+from lamconn.asymptotics import ExpansionTable, LogPoly, ResidualReport
 from lamconn.exponents import Case, ExponentData
 
 import test_algebra
 import test_asymptotics
+import test_cli
 import test_connection
 import test_exact
+import test_families
+import test_fuzz
+import test_golden
 
 
 class Mutant(NamedTuple):
@@ -92,6 +103,8 @@ REAL_PUSH_NABLA = connection.push_nabla
 REAL_DET_IDENTITY_CHECK = exponents.det_identity_check
 REAL_SHIFT_IDENTITY_CHECK = algebra.shift_identity_check
 REAL_PROPAGATE = asymptotics.propagate
+REAL_TERM_TEXT = exact.term_text
+REAL_DUMPS = json.dumps
 
 
 def push_nabla_without_lam_derivative(q, st):
@@ -123,6 +136,16 @@ def shift_identity_with_k_slip(q, mu):
     return left, right
 
 
+def term_text_with_x(mag, monomial):
+    """term_text with the "*" between coefficient and monomial written as "x"."""
+    return REAL_TERM_TEXT(mag, monomial).replace("*", "x", 1)
+
+
+def dumps_indent_3(obj, *, indent=None, **kwargs):
+    """json.dumps with indent=3 where the CLI asks for 2."""
+    return REAL_DUMPS(obj, indent=3 if indent == 2 else indent, **kwargs)
+
+
 def propagate_cached_by_spec(monkeypatch):
     """The install of propagate behind a fresh cache keyed by the spec alone."""
     cache = {}
@@ -141,6 +164,26 @@ def check_passes(name):
     assert name not in [c.name for c in report.checks if not c.passed]
 
 
+def replay_to_first_change():
+    """Oracle: the golden corpus replays to its recorded digests, stopping at the first command that differs."""
+    changed = test_golden.changed_commands(first_only=True)
+    assert not changed, f"{changed[0]} changed output"
+
+
+def output_streams_unchanged(as_json):
+    """Oracle: test_output_streams_unchanged in a temporary directory with a monkeypatch of its own."""
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as monkeypatch:
+        test_cli.TestPropagate().test_output_streams_unchanged(Path(directory), monkeypatch, as_json)
+
+
+def one_rendering_of_unsorted_entries():
+    """Oracle: test_one_rendering_serves_both_formats on a table whose entries are out of key
+    order, run without hypothesis, which refuses a test method called on a second instance."""
+    test = test_asymptotics.TestSerialization.test_one_rendering_serves_both_formats.hypothesis.inner_test
+    entries = {(0, 0, 1): LogPoly.zero(), (0, 0, 0): LogPoly.zero()}
+    test(test_asymptotics.TestSerialization(), ExpansionTable(spec=test_asymptotics.GOLDEN, entries=entries))
+
+
 def first_difference_key(detail):
     """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
     _, found, tail = detail.rpartition("; first difference at ")
@@ -155,6 +198,7 @@ SIGMA_ROUTES = "disagreement on"
 INVERSE_GOLDEN = (test_exact.TestMatrixFrozen().test_inverse_golden,)
 FROBENIUS_GOLDEN = (test_asymptotics.TestFrobeniusRoute().test_golden,)
 LONG_TABLE = (test_asymptotics.TestVerifyTableOracle().test_long_table_passes,)
+REPLAY = (replay_to_first_change,)
 MUTANTS = [
     # commuting a and b first shows at b^2 of the low part, where b*a = a*b - b^2 enters
     Mutant("commuting_factor_product", rebind(algebra.linear_factor_product, commuting_factor_product),
@@ -288,7 +332,45 @@ MUTANTS = [
     # a missing key counts as 0, so only the length names a list that grows by a 0
     Mutant("candidates_with_a_zero", wrapped(families.monodromy_candidates, lambda c: c + [Fraction(0)]),
            {11: ("first layout", "('first layout', 'length')")}),
+    # the one-pass printer's magnitudes left unreduced: 1/2*a + 1/3*b prints as 3/6*a + 2/6*b,
+    # which reads back to the same element, so no criterion fails
+    Mutant("printer_magnitude_unreduced", slipped(ABElement.__str__, "g = math.gcd(n, den)", "g = 1"),
+           {}, (test_algebra.TestPrinting().test_shared_denominator_terms_print_reduced,
+                test_fuzz.test_parsers_match_fraction_oracle)),
+    # read_terms' literal read sets the numerator in place of multiplying the sign into it:
+    # "a - 2*b" reads as a + 2*b, so the golden nabla texts read back wrong
+    Mutant("literal_read_drops_sign", slipped(exact.read_terms, "num *= int(p)", "num = int(p)"),
+           {1: ("operator match True, nabla match False", "(0, 1, 0)"),
+            2: ("operator match True, nabla match False", "(1, 0, 0)")},
+           (test_algebra.TestTextFormat().test_parse_variants, test_exact.TestLaurentPoly().test_parse_examples)),
+    # _from_rows' one-pass flattening keeps only the positive numerators of a product
+    Mutant("from_rows_drops_negative_terms", slipped(ABElement._from_rows, "row.items() if n}", "row.items() if n > 0}"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(2, 1, -2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")},
+           (test_families.TestClosedFormOracle().test_family_a_grid,)),
+    # the rendered cells in entry order: propagate makes its entries in key order, so only a
+    # hand-built table shows the slip and no criterion fails
+    Mutant("cells_json_unsorted", slipped(asymptotics._cells_json, "sorted(cells.items())", "cells.items()"),
+           {}, (one_rendering_of_unsorted_entries,)),
+    # each run of absent degrees in a CSV row written as one 0; the battery writes no CSV
+    Mutant("csv_zero_run_written_once", slipped(ExpansionTable.csv_chunks, '",0" * gap for', '",0" * min(gap, 1) for'),
+           {}, (partial(test_asymptotics.TestSerialization().test_csv_bytes_match_csv_writer, "golden"),)),
+    # propagate --json prints its whole JSON text in one write: the bytes are the same, and
+    # the streaming oracle's JSON form fails
+    Mutant("propagate_json_printed_whole", slipped(cli._cmd_propagate, "json.dump(table.to_json(), sys.stdout, indent=2)",
+                                                   'print(json.dumps(table.to_json(), indent=2), end="")'),
+           {}, (partial(output_streams_unchanged, True),)),
+    # three one-character changes in what the CLI writes, which only the golden replay sees
+    Mutant("term_text_with_x", rebind(REAL_TERM_TEXT, term_text_with_x), {}, REPLAY),
+    Mutant("json_indent_3", rebind(REAL_DUMPS, dumps_indent_3), {}, REPLAY),
+    Mutant("main_input_error_exit_2", wrapped(cli.main, lambda code: 2 if code == 1 else code), {}, REPLAY),
 ]
+
+
+def test_every_entry_is_killed_by_something():
+    assert [m.name for m in MUTANTS if not (m.kills or m.oracles)] == []
+    assert len(ENTRY) == len(MUTANTS)
 
 
 def criteria_pass(*cids):
