@@ -117,8 +117,12 @@ def _cells(table: ExpansionTable) -> dict:
 
 
 def _failed(detail: str, expected: Mapping, got: Mapping) -> tuple[bool, str]:
-    """A failed check whose detail ends with the first key where two flat maps differ."""
-    key, x, y = first_difference(expected, got)
+    """A failed check whose detail ends with the first key where two flat maps
+    differ, or, when the maps agree, with the note that the sides differ only in form."""
+    difference = first_difference(expected, got)
+    if difference is None:
+        return False, f"{detail}; no key differs, so the two sides differ only in form"
+    key, x, y = difference
     return False, f"{detail}; first difference at {key}: {x} vs {y}"
 
 

@@ -22,12 +22,10 @@ from lamconn.algebra import (
 from lamconn.asymptotics import ExpansionSpec, propagate
 from lamconn.errors import ContractError, InputError
 from lamconn.exact import LaurentPoly, RatMatrix, solve
+from strategies import abelements, polys, small_fraction
 
 A = ABElement.gen_a()
 B = ABElement.gen_b()
-
-small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-
 
 _WORD_MEMO = {}
 
@@ -205,25 +203,12 @@ def test_constructors_reject_non_exact_input(build, error):
         build()
 
 
-abelement = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
-    small_fraction,
-    max_size=4,
-).map(ABElement)
-
-lam_abelement = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
-    st.dictionaries(st.integers(min_value=-3, max_value=3), small_fraction, max_size=3).map(
-        LaurentPoly
-    ),
-    max_size=3,
-).map(ABElement)
+abelement = abelements(3, small_fraction, 4)
+lam_abelement = abelements(2, polys(LaurentPoly, -3, 3, max_size=3), 3)
 
 # Either kind of coefficient, for the properties that must hold over Q[lam, 1/lam].
 any_abelement = abelement | lam_abelement
-any_coefficient = small_fraction | st.dictionaries(st.integers(-2, 2), small_fraction).map(
-    LaurentPoly
-)
+any_coefficient = small_fraction | polys(LaurentPoly, -2, 2)
 
 
 class TestRingAxioms:

@@ -22,6 +22,7 @@ from lamconn.exact import LaurentPoly, invert
 from lamconn.exponents import ExponentData, dependency
 from lamconn.families import family_a, family_b
 from lamconn.selftest import random_exponent_data
+from strategies import abelements, polys, rationals
 
 A = ABElement.gen_a()
 B = ABElement.gen_b()
@@ -29,17 +30,7 @@ B = ABElement.gen_b()
 LAYOUT_A = ExponentData(n=2, alphas=((4, 0, 0), (0, 4, 0), (0, 0, 2), (2, 2, 1)))
 LAYOUT_B = ExponentData(n=2, alphas=((4, 0, 1), (0, 4, 1), (0, 0, 2), (2, 2, 0)))
 
-small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=5)
-
-lam_poly = st.dictionaries(
-    st.integers(min_value=-2, max_value=2), small_fraction, max_size=3
-).map(LaurentPoly)
-
-abelement_lam = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
-    lam_poly,
-    max_size=4,
-).map(ABElement)
+abelement_lam = abelements(3, polys(LaurentPoly, -2, 2, rationals(-4, 4, 5), max_size=3), 4)
 
 
 class TestSigmaTau:

@@ -22,6 +22,7 @@ from lamconn.exact import (
     rank,
     solve,
 )
+from strategies import entry_rows, matrix, matrix_entry, polys, small_fraction
 
 # Bordered exponent matrices of the two golden instances; every frozen value
 # below was produced by the oracles in this file before the implementation
@@ -54,33 +55,15 @@ def inverse_adjugate(rows):
     return out
 
 
-small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-
 # One digit past Python's default int/str conversion limit.
 LONG_DIGITS = "1" * 4301
 
-
-def polys(cls, min_exponent):
-    return st.dictionaries(
-        st.integers(min_value=min_exponent, max_value=4), small_fraction, max_size=5
-    ).map(cls)
+laurent_polys = polys(LaurentPoly, -4, 4, max_size=5)
+log_polys = polys(LogPoly, 0, 4, max_size=5)
 
 
-# Integer and rational entries mixed, so rows take both the integer path and
-# the path that first scales a row by the lcm of its denominators.
-matrix_entry = st.integers(min_value=-9, max_value=9) | st.fractions(
-    min_value=-9, max_value=9, max_denominator=6
-)
-
-
-def matrix(nrows, ncols, entries=matrix_entry):
-    return st.lists(
-        st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
-    ).map(RatMatrix)
-
-
-def square_matrix(n, entries=matrix_entry):
-    return matrix(n, n, entries)
+def square_matrix(n):
+    return matrix(n, n)
 
 
 def rank_deficient_matrix(nrows, ncols):
@@ -224,16 +207,12 @@ class TestLaurentPoly:
         assert LaurentPoly({5: 0}).is_zero()
         assert (LaurentPoly({1: 1}) - LaurentPoly({1: 1})).is_zero()
 
-    @given(polys(LaurentPoly, -4) | polys(LogPoly, 0))
+    @given(laurent_polys | log_polys)
     def test_str_parse_round_trip(self, p):
         assert type(p).parse(str(p)) == p
 
-    @given(
-        st.dictionaries(st.integers(min_value=-3, max_value=3), small_fraction, max_size=4),
-        st.dictionaries(st.integers(min_value=-3, max_value=3), small_fraction, max_size=4),
-    )
-    def test_theta_is_a_derivation(self, t1, t2):
-        p, q = LaurentPoly(t1), LaurentPoly(t2)
+    @given(polys(LaurentPoly, -3, 3, max_size=4), polys(LaurentPoly, -3, 3, max_size=4))
+    def test_theta_is_a_derivation(self, p, q):
         assert (p * q).theta() == p.theta() * q + p * q.theta()
 
 
@@ -276,9 +255,7 @@ class TestEqualityAcrossClasses:
         assert len(set(xs)) == len(set(shuffled))
 
 
-same_type_pair = st.tuples(polys(LaurentPoly, -4), polys(LaurentPoly, -4)) | st.tuples(
-    polys(LogPoly, 0), polys(LogPoly, 0)
-)
+same_type_pair = st.tuples(laurent_polys, laurent_polys) | st.tuples(log_polys, log_polys)
 
 
 class TestTrustedConstructor:
@@ -446,16 +423,6 @@ def oracle_solve_square(rows, n):
     if rk < n:
         return rk, 0, None
     return rk, det_value, [[det_value * work[i][c] for i in range(n)] for c in range(n, len(rows[0]))]
-
-
-# Integer and rational entries, the rationals built from drawn integers.
-system_entry = st.integers(min_value=-9, max_value=9) | st.builds(
-    F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
-)
-
-
-def entry_rows(nrows, ncols):
-    return st.lists(st.lists(system_entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
 
 
 @st.composite
