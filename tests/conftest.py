@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "exact",
@@ -8,6 +8,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")
+# Under --mutant many property tests fail, and shrinking each failure can take
+# minutes; the kill shows as well without it.
+settings.register_profile(
+    "exact-no-shrink",
+    settings.get_profile("exact"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 
 
 def pytest_addoption(parser):
@@ -21,6 +28,8 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     name = config.getoption("mutant")
     if name is not None:
+        # before test_mutants imports the test modules, so that every @settings sees it
+        settings.load_profile("exact-no-shrink")
         import test_mutants
 
         if name not in test_mutants.ENTRY:

@@ -1,10 +1,13 @@
-"""Byte-identity corpus of CLI runs: one SHA-256 digest per command.
+"""Byte-identity corpus of CLI runs: one record of what each command printed.
 
 Each command runs in process through ``lamconn.cli.main`` with stdout and
-stderr captured; its digest covers stdout, stderr and the exit code, and for
-``propagate --csv`` also the bytes of the CSV file.  The commands run in a
-temporary working directory that holds every input file, so the paths in
-their messages are the same on every machine.  The corpus:
+stderr captured.  Its record in ``outputs.json`` holds the exit code and the
+text of stdout, of stderr and, for ``propagate --csv``, of the CSV file, each
+as a list of lines: the text split at every "\n", so that joining the list
+with "\n" gives back its exact bytes (the CSV's "\r" stays at the end of
+each line).  The commands run in a temporary working directory that holds
+every input file, so the paths in their messages are the same on every
+machine.  The corpus:
 
 - ``check`` and ``analyze``, text and ``--json``, on the committed layouts in
   ``inputs/`` (both family goldens with and without ``mu``, the cube, a
@@ -21,18 +24,20 @@ their messages are the same on every machine.  The corpus:
 - usage errors, recorded as their exit code only, because argparse words its
   messages differently across Python versions.
 
-Regenerate ``digests.json`` from the repository root with
+Regenerate ``outputs.json`` from the repository root with
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-A change that regenerates it says in CHANGES.md which digests changed and
-why: that is a change to test data.
+and read what changed with ``git diff tests/golden/outputs.json``: each
+changed line of output shows as a changed line of its record.  To compare two
+revisions, regenerate on one, then on the other, and diff the two files.  A
+change that regenerates the records says in CHANGES.md which commands changed
+and why: that is a change to test data.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -46,7 +51,7 @@ from pathlib import Path
 from lamconn import cli
 
 GOLDEN = Path(__file__).resolve().parent
-DIGESTS = GOLDEN / "digests.json"
+OUTPUTS = GOLDEN / "outputs.json"
 INPUTS = GOLDEN / "inputs"
 LAYOUT_COUNT = 100
 SPEC_COUNT = 10
@@ -150,30 +155,30 @@ def commands() -> list[list[str]]:
     return out + [["selftest"], ["selftest", "--json"]] + [list(argv) for argv in USAGE_ERRORS]
 
 
-def digest(argv: list[str]) -> str:
+def record(argv: list[str]) -> dict:
     """The record of one command; run it inside ``workspace()``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if argv in USAGE_ERRORS:
-        return f"exit {code}"
+        return {"exit": code}
     stdout = out.getvalue()
     if argv[0] == "selftest":
         stdout = _SECONDS.sub('"seconds": 0', stdout)
-    payload = f"{stdout}\0{err.getvalue()}\0{code}".encode()
+    result = {"exit": code, "stdout": stdout.split("\n"), "stderr": err.getvalue().split("\n")}
     if "--csv" in argv:
         csv = Path(argv[argv.index("--csv") + 1])
         if csv.exists():
-            payload += b"\0" + csv.read_bytes()
+            result["csv"] = csv.read_bytes().decode().split("\n")
             csv.unlink()
-    return hashlib.sha256(payload).hexdigest()
+    return result
 
 
 def main() -> None:
     with workspace():
-        digests = {" ".join(argv): digest(argv) for argv in commands()}
-    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {DIGESTS}")
+        records = {" ".join(argv): record(argv) for argv in commands()}
+    OUTPUTS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} records to {OUTPUTS}")
 
 
 if __name__ == "__main__":

@@ -276,8 +276,9 @@ class TestFrobeniusRoute:
 def chain_specs(draw):
     """A spec and a seed with several orders and depths per ladder.  The rho
     denominators go up to 10^30 and a third of the draws telescope (beta a
-    multiple of alpha), so the chains' shared denominators outgrow the reduced
-    ones and renormalize."""
+    multiple of alpha), but almost no draw makes a chain renormalize: counted
+    with an instrumented _chain, none of the 100 derandomized draws did.  The
+    @example on test_matches_frobenius_and_verifies is what pins that branch."""
     dens = st.sampled_from([1, 2, 3, 7, 10**6 + 3]) | st.integers(min_value=1, max_value=10**30)
     rhos = []
     for _ in range(draw(st.integers(min_value=1, max_value=2))):

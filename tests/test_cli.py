@@ -24,16 +24,17 @@ from lamconn.families import CheckOutcome, CrossValidationReport
 
 import test_mutants
 
-FAMILY_A_INPUT = {"n": 2, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}
-FAMILY_B_INPUT = {"n": 2, "alphas": [[4, 0, 1], [0, 4, 1], [0, 0, 2], [2, 2, 0]]}
-CUBE_INPUT = {"n": 2, "alphas": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [1, 1, 1]]}
-# Fails hypothesis ii) only, so the report carries its note.
-BASIS_FAILS_INPUT = {"n": 1, "alphas": [[1, 0], [2, 0], [0, 1]]}
-BOTH_FAIL_INPUT = {"n": 2, "alphas": [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 0]]}
-FAMILY_A_MU_INPUT = {**FAMILY_A_INPUT, "mu": [1, 0, 2]}
-GOLDEN_EXPANSION = {"rhos": ["1/2"], "N": 0, "M": 2, "alpha": "1", "beta": "0", "seed": {"0,0,0": "1"}}
-
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def golden_input(name):
+    return json.loads((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+
+
+FAMILY_A_INPUT = golden_input("family-a.json")
+FAMILY_B_INPUT = golden_input("family-b.json")
+CUBE_INPUT = golden_input("cube.json")
+GOLDEN_EXPANSION = golden_input("spec-readme.json")
 
 FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 
@@ -188,299 +189,6 @@ class TestAnalyze:
         monkeypatch.setattr(families, "linear_factor_product", counted)
         assert main(["analyze", str(GOLDEN_INPUTS / name)]) == 0
         assert len(calls) == expected
-
-
-# Whole outputs (stdout, stderr, exit code) of the reports that the layout
-# analysis and SigmaTau render, compared as literal text.
-PINNED_REPORTS = [
-    pytest.param(
-        ["check"],
-        CUBE_INPUT,
-        (
-            "rank of bordered matrix: 3 (need 4)\n"
-            "rank of basis matrix:    3 (need 3)\n"
-            "hypotheses: fail\n"
-        ),
-        "hypothesis i) fails: rank 3 < 4\n",
-        2,
-        id="check-cube-text",
-    ),
-    pytest.param(
-        ["check", "--json"],
-        CUBE_INPUT,
-        (
-            "{\n"
-            '  "rank_m_tilde": 3,\n'
-            '  "rank_m_prime": 3,\n'
-            '  "hypothesis_i": false,\n'
-            '  "hypothesis_ii": true,\n'
-            '  "passed": false\n'
-            "}\n"
-        ),
-        "hypothesis i) fails: rank 3 < 4\n",
-        2,
-        id="check-cube-json",
-    ),
-    pytest.param(
-        ["check"],
-        BASIS_FAILS_INPUT,
-        (
-            "rank of bordered matrix: 3 (need 3)\n"
-            "rank of basis matrix:    1 (need 2)\n"
-            "hypotheses: fail\n"
-            "note: the first n+1 exponents do not span; a different monomial ordering or a reparametrization of lam may repair this, which this tool does not attempt\n"
-        ),
-        "hypothesis ii) fails: rank 1 < 2\n",
-        2,
-        id="check-basis-fails-text",
-    ),
-    pytest.param(
-        ["check", "--json"],
-        BASIS_FAILS_INPUT,
-        (
-            "{\n"
-            '  "rank_m_tilde": 3,\n'
-            '  "rank_m_prime": 1,\n'
-            '  "hypothesis_i": true,\n'
-            '  "hypothesis_ii": false,\n'
-            '  "passed": false,\n'
-            '  "note": "the first n+1 exponents do not span; a different monomial ordering or a reparametrization of lam may repair this, which this tool does not attempt"\n'
-            "}\n"
-        ),
-        "hypothesis ii) fails: rank 1 < 2\n",
-        2,
-        id="check-basis-fails-json",
-    ),
-    pytest.param(
-        ["check"],
-        BOTH_FAIL_INPUT,
-        (
-            "rank of bordered matrix: 3 (need 4)\n"
-            "rank of basis matrix:    1 (need 3)\n"
-            "hypotheses: fail\n"
-        ),
-        (
-            "hypothesis i) fails: rank 3 < 4\n"
-            "hypothesis ii) fails: rank 1 < 3\n"
-        ),
-        2,
-        id="check-both-fail-text",
-    ),
-    pytest.param(
-        ["check", "--json"],
-        BOTH_FAIL_INPUT,
-        (
-            "{\n"
-            '  "rank_m_tilde": 3,\n'
-            '  "rank_m_prime": 1,\n'
-            '  "hypothesis_i": false,\n'
-            '  "hypothesis_ii": false,\n'
-            '  "passed": false\n'
-            "}\n"
-        ),
-        (
-            "hypothesis i) fails: rank 3 < 4\n"
-            "hypothesis ii) fails: rank 1 < 3\n"
-        ),
-        2,
-        id="check-both-fail-json",
-    ),
-    pytest.param(
-        ["analyze", "--json"],
-        FAMILY_A_MU_INPUT,
-        (
-            "{\n"
-            '  "hypotheses": {\n'
-            '    "rank_m_tilde": 4,\n'
-            '    "rank_m_prime": 3,\n'
-            '    "hypothesis_i": true,\n'
-            '    "hypothesis_ii": true,\n'
-            '    "passed": true\n'
-            "  },\n"
-            '  "dependency": {\n'
-            '    "r": 2,\n'
-            '    "p": [\n'
-            "      1,\n"
-            "      1,\n"
-            "      1\n"
-            "    ],\n"
-            '    "sum_p": 3,\n'
-            '    "d": 2,\n'
-            '    "h": 1,\n'
-            '    "case": "II",\n'
-            '    "sigma": "-2",\n'
-            '    "lambda_exponent": -2\n'
-            "  },\n"
-            '  "connection": {\n'
-            '    "sigma": "-2",\n'
-            '    "tau": "9/2",\n'
-            '    "k": 3,\n'
-            '    "pde": {\n'
-            '      "raw": "-lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi",\n'
-            '      "normalized": "lam*d/dlam d/ds phi = alpha*s*d(phi)/ds + beta*phi",\n'
-            '      "alpha": "2",\n'
-            '      "beta": "1/2"\n'
-            "    },\n"
-            '    "mu": {\n'
-            '      "beta": [\n'
-            "        1,\n"
-            "        0,\n"
-            "        2\n"
-            "      ],\n"
-            '      "k": 3\n'
-            "    },\n"
-            '    "nabla": "2*a - 21/2*b"\n'
-            "  },\n"
-            '  "family": {\n'
-            '    "kind": "A",\n'
-            '    "params": [\n'
-            "      2,\n"
-            "      2,\n"
-            "      1\n"
-            "    ],\n"
-            '    "exponents": {\n'
-            '      "n": 2,\n'
-            '      "alphas": [\n'
-            "        [\n"
-            "          4,\n"
-            "          0,\n"
-            "          0\n"
-            "        ],\n"
-            "        [\n"
-            "          0,\n"
-            "          4,\n"
-            "          0\n"
-            "        ],\n"
-            "        [\n"
-            "          0,\n"
-            "          0,\n"
-            "          2\n"
-            "        ],\n"
-            "        [\n"
-            "          2,\n"
-            "          2,\n"
-            "          1\n"
-            "        ]\n"
-            "      ]\n"
-            "    },\n"
-            '    "roots_top": [\n'
-            '      "5/2",\n'
-            '      "7/4",\n'
-            '      "3/4"\n'
-            "    ],\n"
-            '    "roots_low": [\n'
-            '      "5/2",\n'
-            '      "1"\n'
-            "    ],\n"
-            '    "c_coeff": "-4",\n'
-            '    "lambda_exponent": -2,\n'
-            '    "operator": "a^3 - 5*a^2*b + 229/16*a*b^2 - 605/32*b^3 + (-4*lam^-2)*a^2 + (14*lam^-2)*a*b + (-20*lam^-2)*b^2",\n'
-            '    "operator_factored": "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]",\n'
-            '    "nabla_one": "2*a - 2*b",\n'
-            '    "monodromy_candidates": [\n'
-            '      "1/2",\n'
-            '      "0"\n'
-            "    ],\n"
-            '    "cross_validation": {\n'
-            '      "label": "A(2, 2, 1)",\n'
-            '      "passed": true,\n'
-            '      "checks": [\n'
-            "        {\n"
-            '          "name": "r",\n'
-            '          "passed": true,\n'
-            '          "expected": "2",\n'
-            '          "got": "2"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "p",\n'
-            '          "passed": true,\n'
-            '          "expected": "(1, 1, 1)",\n'
-            '          "got": "(1, 1, 1)"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "d",\n'
-            '          "passed": true,\n'
-            '          "expected": "2",\n'
-            '          "got": "2"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "h",\n'
-            '          "passed": true,\n'
-            '          "expected": "1",\n'
-            '          "got": "1"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "case",\n'
-            '          "passed": true,\n'
-            '          "expected": "II",\n'
-            '          "got": "II"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "sigma",\n'
-            '          "passed": true,\n'
-            '          "expected": "-2",\n'
-            '          "got": "-2"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "lambda_exponent",\n'
-            '          "passed": true,\n'
-            '          "expected": "-2",\n'
-            '          "got": "-2"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "determinant_identity",\n'
-            '          "passed": true,\n'
-            '          "expected": "True",\n'
-            '          "got": "True"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "sigma_from_inverse",\n'
-            '          "passed": true,\n'
-            '          "expected": "-2",\n'
-            '          "got": "-2"\n'
-            "        },\n"
-            "        {\n"
-            '          "name": "nabla_one",\n'
-            '          "passed": true,\n'
-            '          "expected": "2*a - 2*b",\n'
-            '          "got": "2*a - 2*b"\n'
-            "        }\n"
-            "      ]\n"
-            "    }\n"
-            "  }\n"
-            "}\n"
-        ),
-        "",
-        0,
-        id="analyze-family-a-mu-json",
-    ),
-    pytest.param(
-        ["analyze"],
-        CUBE_INPUT,
-        "hypotheses: fail (bordered rank 3, basis rank 3)\n",
-        "hypothesis i) fails: rank 3 < 4\n",
-        2,
-        id="analyze-cube-text",
-    ),
-    pytest.param(
-        ["analyze"],
-        BASIS_FAILS_INPUT,
-        (
-            "hypotheses: fail (bordered rank 3, basis rank 1)\n"
-            "note: the first n+1 exponents do not span; a different monomial ordering or a reparametrization of lam may repair this, which this tool does not attempt\n"
-        ),
-        "hypothesis ii) fails: rank 1 < 2\n",
-        2,
-        id="analyze-basis-fails-text",
-    ),
-]
-
-
-@pytest.mark.parametrize("argv, obj, stdout, stderr, code", PINNED_REPORTS)
-def test_pinned_report(tmp_path, capsys, argv, obj, stdout, stderr, code):
-    assert main([*argv, write_json(tmp_path, obj)]) == code
-    out = capsys.readouterr()
-    assert (out.out, out.err) == (stdout, stderr)
 
 
 class TestFamilyCommands:

@@ -166,9 +166,9 @@ def check_passes(name):
 
 
 def replay_to_first_change():
-    """Oracle: the golden corpus replays to its recorded digests, stopping at the first command that differs."""
+    """Oracle: the golden corpus replays to its records, stopping at the first command that differs."""
     changed = test_golden.changed_commands(first_only=True)
-    assert not changed, f"{changed[0]} changed output"
+    assert not changed, test_golden.describe(changed)
 
 
 def output_streams_unchanged(as_json):
@@ -401,10 +401,10 @@ def test_cross_validation_passes_unpatched():
 
 
 # The oracles that are no collected test, each run unpatched elsewhere: check_passes by
-# test_families' test_golden_instances_pass, replay_to_first_change by test_golden's
-# test_corpus_replays_to_recorded_digests, output_streams_unchanged as test_cli's
-# test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries as an
-# @example of test_one_rendering_serves_both_formats.
+# test_families' test_golden_instances_pass, replay_to_first_change, against the same
+# records, by test_golden's test_corpus_replays_to_recorded_digests, output_streams_unchanged
+# as test_cli's test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries as
+# an @example of test_one_rendering_serves_both_formats.
 RUN_ELSEWHERE = {check_passes, replay_to_first_change, output_streams_unchanged, one_rendering_of_unsorted_entries}
 
 
