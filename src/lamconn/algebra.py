@@ -46,8 +46,11 @@ general product:
 in one pass over Q's numerators; ``conj_b`` and the product are its
 independent route.
 
-``parse`` and ``__str__`` read and print text on the numerators as well;
-``parse`` takes each lam group as ``read_terms`` read it, in the same pass.
+``parse`` and ``__str__`` read and print text on the numerators as well.
+``parse`` is ``exact.read_terms`` on the names a, b and lam: its one pass
+assembles every term, lam groups included, into (i, j, e) keys with
+numerator and denominator parts, which go over one denominator into
+``_make``.
 ``__str__`` sorts the flat keys once by (-(i+j), -i, e), so each (i, j) is
 one run of ascending lam exponents, reduces each term's n/den with one gcd
 and writes every piece into one list that it joins once; it writes the
@@ -277,31 +280,7 @@ class ABElement:
 
         a comes before b; a parenthesized group is a polynomial in lam.
         """
-        parts: list[tuple[FlatKey, int, int]] = []
-        for (num, den), powers, groups in read_terms(text, "algebra element"):
-            i = j = e = 0
-            seen_b = False
-            for name, power in powers:
-                if name == "lam":
-                    e += power
-                elif name not in ("a", "b") or power < 0:
-                    raise InputError(f"bad factor {name}^{power} in algebra element: {text!r}")
-                elif name == "b":
-                    seen_b = True
-                    j += power
-                elif seen_b:
-                    raise InputError(f"a after b in {text!r}: text must be normally ordered")
-                else:
-                    i += power
-            poly = [(e, num, den)]
-            for group in groups:
-                if len(poly) > 1:
-                    # Merge like exponents, so that k groups cost polynomial, not exponential, time.
-                    nums, d = over_one_denominator(poly)
-                    poly = [(e1, n1, d) for e1, n1 in nums.items()]
-                poly = [(e1 + e2, n1 * n2, d1 * d2) for e1, n1, d1 in poly for e2, n2, d2 in group]
-            parts += [((i, j, e1), n1, d1) for e1, n1, d1 in poly]
-        return cls._make(*over_one_denominator(parts))
+        return cls._make(*over_one_denominator(read_terms(text, "algebra element", "lam", "a", "b")))
 
 
 def _flat(x: ABElement) -> dict[FlatKey, Fraction]:

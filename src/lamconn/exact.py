@@ -34,15 +34,31 @@ Polynomials and algebra elements share one term grammar:
 
 where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
-it on ints, each coefficient a (numerator, denominator) pair, and reads
-each group in the same pass as a polynomial in lam, so a malformed group
-is reported where it stands in the text.  It reads every literal with a
-plain ``int()`` inside one ``try`` around its token loop; a literal past
-Python's int/str conversion limit raises ``ValueError`` there, and the
-handler names that literal through ``parse_int``.  ``power_text``,
+it in one pass: one ``findall`` of ``_TOKEN_RE`` splits the text into
+tokens, each name or number with the "*" before it, and one loop over them
+reads each group inline, one level deep, as a polynomial in lam, and
+assembles each term straight into (i, j, e) keys with (numerator,
+denominator) parts on ints.  A group of one term multiplies the term's
+scalar; a longer one is multiplied in as a list of terms, with like
+exponents merged before each further group.  The caller names what may
+stand in a term: ``ABElement.parse`` the generators a and b and the
+variable lam, ``LaurentPoly.parse`` its ``VAR`` alone and no group.  Every
+literal is read with a plain ``int()`` inside one ``try`` around the loop;
+a literal past Python's int/str conversion limit raises ``ValueError``
+there, and the handler names that literal through ``parse_int``.
+
+Which fault is reported is fixed, and the reference reader in the tests
+holds the reader to it.  A syntax fault (an unexpected token, a zero
+denominator, a literal too long) is raised where it stands; a dangling
+operator at the end comes after every syntax fault, and a bad name comes
+last, whichever term holds it.  A group's faults are its own, in the same
+order, and worded on the group's text: they are raised at its ")", so a
+bad name inside a group beats a later syntax fault outside it, and a group
+that does not close before the next "(" fails at its own "(" whatever it
+holds.  Only a fault looks for where its tokens stand (``_fault``, which
+runs the token pattern again with positions).  ``power_text``,
 ``term_text`` and ``join_signed`` write the grammar (``ABElement.__str__``
-writes the same text in one pass of its own).  Each parser checks its own
-names and whether it takes groups.
+writes the same text in one pass of its own).
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
@@ -66,9 +82,6 @@ from .errors import DimensionError, InputError, SingularMatrixError
 
 _ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-# One token of the term grammar after optional whitespace: an operator, p[/q],
-# name[^int] or a parenthesized group without parentheses inside.
-_TOKEN_RE = re.compile(r"\s*(?:([-+*])|((\d+)(?:/(\d+))?)|([^\W\d]\w*)(?:\^(-?\d+))?|\(([^()]*)\))")
 
 
 def parse_int(digits: str) -> int:
@@ -92,64 +105,144 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def read_terms(text: str, what: str) -> list[tuple[tuple[int, int], list[tuple[str, int]], list[list[tuple[int, int, int]]]]]:
-    """Read a sum in the term grammar into one ((num, den), powers, groups) per term.
+# One token of the term grammar after optional whitespace: name[^int] or p[/q],
+# with the "*" before it if there is one, or one other character: an operator,
+# a parenthesis or an unexpected character.
+_TOKEN_RE = re.compile(r"\s*(?:(\*?)\s*(?:([^\W\d]\w*)(?:\^(-?\d+))?|(\d+)(?:/(\d+))?)|(.))", re.S)
+# Fault messages; a fault that read_terms' loop finds is raised as an InputError of
+# its template, which _fault words with the what and text of the sum it stands in
+_UNEXPECTED = "unexpected {rest!r} in {what}: {text!r}"
+_DANGLING = "dangling operator in {what}: {text!r}"
+_NOT_POLY = "only rationals and powers of {var} may form a {what}: {text!r}"
 
-    num/den is the signed product of the term's rational factors, as two
-    ints with den > 0, not reduced; powers lists its name^int factors as
-    (name, power) in text order.  groups holds each of its parentheses, read
-    in the same pass as a polynomial in lam (``LaurentPoly._read``) into its
-    (exponent, num, den) terms; a group that does not read raises its
-    InputError there.  what names the expected value in error messages.
-    Literals go through plain int(); a ValueError from one past the
-    conversion limit becomes parse_int's InputError for that literal.
+
+def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: str | None = None) -> list[tuple[tuple[int, int, int], int, int]]:
+    """Read a sum in the term grammar into ((i, j, e), num, den) parts, in one pass.
+
+    A term is num/den * gen_a^i * gen_b^j * var^e times its groups, each a
+    polynomial in lam, and gives one part per term of that product, with
+    num/den unreduced, den > 0 and like keys not merged.  Only var may be
+    named, and gen_a and gen_b when given, to nonnegative powers and gen_a
+    before gen_b; a group may stand as a factor only when they are given.
+    what names the expected value in messages.
     """
-    if not text.strip():
-        raise InputError(f"empty {what}")
-    terms = []
-    num, den, powers, groups = 1, 1, [], []
-    want_factor = True
-    match = _TOKEN_RE.match
-    pos, end = 0, len(text.rstrip())
+    tokens = _TOKEN_RE.findall(text.rstrip())
+    parts: list[tuple[tuple[int, int, int], int, int]] = []
+    num, den, i, j, e, seen_b, want_factor = 1, 1, 0, 0, 0, False, True
+    # poly: the product of the term's groups of more than one term, as (e, num, den);
+    # group: the finished terms of the open group, opened at token opener
+    poly = group = opener = name_error = None
     try:
-        while pos < end:
-            m = match(text, pos)
-            if m is None or (m[1] == "*" if want_factor else m[1] is None):
-                raise InputError(f"unexpected {text[pos:end].lstrip()[:20]!r} in {what}: {text!r}")
-            pos = m.end()
-            op, rat, p, q, name, power, group = m.groups()
-            if op is None:
-                want_factor = False
-                if rat is not None:
-                    num *= int(p)
-                    if q:
-                        den *= int(q)
-                        if den == 0:
-                            raise InputError(f"zero denominator: {rat!r}")
-                elif name is not None:
-                    powers.append((name, int(power) if power else 1))
+        for tok in tokens:
+            star, name, power, p, q, char = tok
+            if char:
+                if char == "*":
+                    if want_factor:
+                        raise InputError(_UNEXPECTED)
+                    want_factor = True
+                elif char == "-" or char == "+":
+                    if want_factor:
+                        if char == "-":
+                            num = -num
+                    elif group is not None:
+                        group.append((e, num, den))
+                        num, den, e, want_factor = 1 if char == "+" else -1, 1, 0, True
+                    else:
+                        if poly is None:
+                            parts.append(((i, j, e), num, den))
+                        else:
+                            parts += [((i, j, e + pe), num * pn, den * pd) for pe, pn, pd in poly]
+                            poly = None
+                        num, den, i, j, e, seen_b, want_factor = 1 if char == "+" else -1, 1, 0, 0, 0, False, True
+                elif char == ")":
+                    if group is None or want_factor or group_bad:
+                        raise InputError(_UNEXPECTED if group is None else _DANGLING if want_factor else _NOT_POLY)
+                    outer_num, outer_den, outer_e, var = outer
+                    if not group:
+                        # one term c*lam^k multiplies the scalar part
+                        num, den, e = outer_num * num, outer_den * den, outer_e + e
+                    else:
+                        group.append((e, num, den))
+                        if poly is not None:
+                            # like exponents merged first, so k groups cost polynomial, not exponential, time
+                            merged, d = over_one_denominator(poly)
+                            group = [(e1 + e2, n1 * n2, d * d2) for e1, n1 in merged.items() for e2, n2, d2 in group]
+                        poly, num, den, e = group, outer_num, outer_den, outer_e
+                    group = opener = None
+                elif char != "(" or not want_factor or group is not None:
+                    raise InputError(_UNEXPECTED)
                 else:
-                    groups.append(LaurentPoly._read(group))
-            elif op == "*":
-                want_factor = True
-            elif not want_factor:
-                terms.append(((num, den), powers, groups))
-                num, den, powers, groups = 1 if op == "+" else -1, 1, [], []
-                want_factor = True
-            elif op == "-":
-                num = -num
-    except InputError:
-        raise
-    except ValueError:
-        # int() refused a literal past the conversion limit: parse_int names the first one
-        for literal in (p, q, power):
-            if literal:
-                parse_int(literal)
-        raise
+                    # "(" opens a group, read here as a polynomial in lam
+                    if gen_a is None and name_error is None:
+                        name_error = _NOT_POLY.format(var=var, what=what, text=text)
+                    outer, num, den, e, var = (num, den, e, var), 1, 1, 0, "lam"
+                    group, opener, group_bad = [], tok, False
+            elif want_factor != (not star):
+                # a factor follows a "*" exactly when it follows another factor
+                raise InputError(_UNEXPECTED)
+            elif name:
+                want_factor = False
+                power = int(power) if power else 1
+                if name == var:
+                    e += power
+                elif group is not None:
+                    group_bad = True
+                elif name == gen_a and power >= 0 and not seen_b:
+                    i += power
+                elif name == gen_b and power >= 0:
+                    j += power
+                    seen_b = True
+                elif name_error is None:
+                    name_error = _NOT_POLY.format(var=var, what=what, text=text) if gen_a is None else (
+                        f"{gen_a} after {gen_b} in {text!r}: text must be normally ordered" if name == gen_a and power >= 0
+                        else f"bad factor {name}^{power} in {what}: {text!r}")
+            else:
+                want_factor = False
+                num *= int(p)
+                if q:
+                    den *= int(q)
+                    if not den:
+                        raise InputError(f"zero denominator: {p + '/' + q!r}")
+        if group is not None:
+            raise InputError(_UNEXPECTED)  # at the "(" of the group that never closes
+    except ValueError as fault:
+        if not isinstance(fault, InputError):
+            # int() refused a literal of tok past the conversion limit: parse_int words the first one
+            try:
+                for literal in filter(None, (p, q, power)):
+                    parse_int(literal)
+            except InputError as refusal:
+                fault = refusal
+        raise _fault(text, tokens, tok, opener, what, str(fault)) from None
     if want_factor:
-        raise InputError(f"dangling operator in {what}: {text!r}")
-    terms.append(((num, den), powers, groups))
-    return terms
+        raise InputError((_DANGLING if tokens else "empty {what}").format(what=what, text=text))
+    if poly is None:
+        parts.append(((i, j, e), num, den))
+    else:
+        parts += [((i, j, e + pe), num * pn, den * pd) for pe, pn, pd in poly]
+    if name_error:
+        raise InputError(name_error)
+    return parts
+
+
+def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, what: str, template: str) -> InputError:
+    """The InputError for a fault that read_terms found at token tok of text.
+
+    Inside a group, opened at token opener, the fault is the group's, worded
+    on the group's text, when a ")" closes the group before any "(";
+    otherwise that "(" is unexpected.  template words the fault with the
+    what and text of the sum it stands in and rest, the text from tok on.
+    """
+    spans = {id(t): m.span() for t, m in zip(tokens, _TOKEN_RE.finditer(text))}
+    start, where = spans[id(tok)][0], text
+    if opener is not None:
+        close = re.compile("[()]").search(text, start)
+        if close is None or close[0] == "(":
+            start, template = spans[id(opener)][0], _UNEXPECTED
+        else:
+            where, what, text = text[spans[id(opener)][1] : close.start()], "polynomial in lam", text[: close.start()]
+            template = template if where.strip() else "empty {what}"
+    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20], var="lam"))
 
 
 def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:
@@ -368,28 +461,10 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
     @classmethod
-    def _read(cls, text: str) -> list[tuple[int, int, int]]:
-        """(exponent, num, den) per term of a text in VAR, like-exponent terms not merged."""
-        what = f"polynomial in {cls.VAR}"
-        terms = []
-        for (n, d), powers, groups in read_terms(text, what):
-            e = 0
-            for name, power in powers:
-                if name != cls.VAR:
-                    break
-                e += power
-            else:
-                if not groups:
-                    terms.append((e, n, d))
-                    continue
-            raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
-        return terms
-
-    @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
-        nums, den = over_one_denominator(cls._read(text))
-        return cls({e: Fraction(n, den) for e, n in nums.items()})
+        nums, den = over_one_denominator(read_terms(text, f"polynomial in {cls.VAR}", cls.VAR))
+        return cls({e: Fraction(n, den) for (_, _, e), n in nums.items()})
 
 
 class RatMatrix:

@@ -5,8 +5,10 @@ is drawn mostly from the tokens the grammars use, so that inputs get past
 the first character before they fail.  JSON input is any JSON value, the
 expected keys with any values, or a near-valid object.  Parsed polynomials
 and algebra elements must also print and parse back to themselves, and
-read and print as a Fraction and LaurentPoly oracle does.  Example counts
-are kept small so the suite stays fast.
+read and print as a Fraction and LaurentPoly oracle does; the oracle reads
+text with the recursive reference reader in tests/reference_reader.py, not
+with the package's one-pass reader, and both must raise the same InputError
+text.  Example counts are kept small so the suite stays fast.
 """
 
 from fractions import Fraction
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import ExpansionSpec, LogPoly, seed_from_json
 from lamconn.errors import InputError
-from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, read_terms, term_text
+from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, term_text
 from lamconn.exponents import ExponentData
+from reference_reader import read_poly, read_terms
 
 TOKENS = [
     "0", "1", "7", "12", "1/2", "-3/4", "+", "-", "*", "/", "^", "^-", "(", ")", "[", "]",
@@ -102,19 +105,15 @@ grouped_sum = st.lists(
 
 
 def oracle_poly(cls, text):
-    """cls.parse by Fractions: each term's coefficient summed into its exponent."""
-    what = f"polynomial in {cls.VAR}"
+    """cls.parse by Fractions: each term of the reference reader summed into its exponent."""
     terms = {}
-    for (num, den), powers, groups in read_terms(text, what):
-        if groups or any(name != cls.VAR for name, _ in powers):
-            raise InputError(f"only rationals and powers of {cls.VAR} may form a {what}: {text!r}")
-        e = sum(power for _, power in powers)
+    for e, num, den in read_poly(text, cls.VAR):
         terms[e] = terms.get(e, 0) + Fraction(num, den)
     return cls(terms)
 
 
 def oracle_group(group):
-    """A group from read_terms as a LaurentPoly summed in Fractions."""
+    """A group from the reference reader as a LaurentPoly summed in Fractions."""
     poly = LaurentPoly.zero()
     for e, num, den in group:
         poly = poly + LaurentPoly.lam_power(e, Fraction(num, den))
@@ -186,6 +185,17 @@ def outcome(parse, text):
 @example(text="((lam))")
 @example(text="2*(lam)*b*(3)")
 @example(text="1/2*a - 1/3*b")
+# which fault wins; see test_fault_precedence
+@example(text="c + 2**a")
+@example(text="(a + )*b")
+@example(text="(a)*b + 2**a")
+@example(text="b*a + 1/0")
+@example(text="(lam")
+@example(text="((lam))*a")
+@example(text="()*a")
+@example(text="lam + (1)")
+# a literal past the conversion limit in a group that never closes: the "(" fails first
+@example(text="(1 + lam^" + "1" * 4301)
 def test_parsers_match_fraction_oracle(text):
     for parse, oracle in (
         (ABElement.parse, oracle_element),
@@ -197,6 +207,31 @@ def test_parsers_match_fraction_oracle(text):
     x = outcome(ABElement.parse, text)
     if isinstance(x, ABElement):
         assert str(x) == oracle_text(x)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # a syntax fault anywhere beats an earlier bad name
+        (ABElement.parse, "c + 2**a", "unexpected '*a' in algebra element: 'c + 2**a'"),
+        # a group's faults are worded on the group's text
+        (ABElement.parse, "(a + )*b", "dangling operator in polynomial in lam: 'a + '"),
+        # a group's bad name fails at its ")", before later syntax faults
+        (ABElement.parse, "(a)*b + 2**a", "only rationals and powers of lam may form a polynomial in lam: 'a'"),
+        (ABElement.parse, "b*a + 1/0", "zero denominator: '1/0'"),
+        # a group that does not close before the next "(" fails at its own "("
+        (ABElement.parse, "(lam", "unexpected '(lam' in algebra element: '(lam'"),
+        (ABElement.parse, "((lam))*a", "unexpected '((lam))*a' in algebra element: '((lam))*a'"),
+        (ABElement.parse, "()*a", "empty polynomial in lam"),
+        (LaurentPoly.parse, "lam + (1)", "only rationals and powers of lam may form a polynomial in lam: 'lam + (1)'"),
+    ],
+    ids=["syntax-beats-name", "group-dangling", "group-name", "zero-denominator", "unclosed-group", "nested-group",
+         "empty-group", "group-in-polynomial"],
+)
+def test_fault_precedence(parse, text, message):
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    assert str(caught.value) == message
 
 
 # Any JSON, the right keys with any JSON values, or near-valid objects.

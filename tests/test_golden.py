@@ -1,7 +1,8 @@
 """CLI output stays byte-identical: every command of the committed corpus
 replays in process to its record (see tests/golden/regenerate.py).
 The entries of test_mutants.MUTANTS that change one character of what the
-CLI writes show that the replay fails on such a change."""
+CLI writes show that the replay fails on such a change.  Every algebra
+text that the records hold reads back to an element that prints it again."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from lamconn import cli
+from lamconn.algebra import ABElement
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -80,3 +82,31 @@ def test_records_are_lossless(tmp_path, capsys):
     assert cli.main(["propagate", str(corpus.INPUTS / "spec-readme.json"), "--csv", str(csv)]) == 0
     assert b"\r\n" in csv.read_bytes()
     assert "\n".join(lines).encode() == csv.read_bytes()
+
+
+def algebra_texts(value):
+    """The operator, nabla_one and nabla texts of a JSON value, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key in ("operator", "nabla_one", "nabla"):
+                yield item
+            else:
+                yield from algebra_texts(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from algebra_texts(item)
+
+
+def test_algebra_texts_read_back_byte_identically():
+    # The reader meets every text the printer wrote for the corpus: family a and b
+    # operators and nabla(1), and analyze's connection nabla.
+    records = load_records(load_corpus())
+    texts = [
+        text
+        for argv, record in records.items()
+        if "--json" in argv.split() and record["exit"] == 0
+        for text in algebra_texts(json.loads("\n".join(record["stdout"])))
+    ]
+    assert len(texts) == 188
+    for text in texts:
+        assert str(ABElement.parse(text)) == text

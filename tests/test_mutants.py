@@ -350,6 +350,10 @@ MUTANTS = [
            {1: ("operator match True, nabla match False", "(0, 1, 0)"),
             2: ("operator match True, nabla match False", "(1, 0, 0)")},
            (test_algebra.TestTextFormat().test_parse_variants, test_exact.TestLaurentPoly().test_parse_examples)),
+    # a one-term group folded into its term without its sign: "(-4*lam^-2)*a^2" reads as
+    # (4*lam^-2)*a^2; the battery reads no group, so no criterion fails
+    Mutant("group_term_drops_sign", slipped(exact.read_terms, "outer_num * num,", "outer_num * abs(num),"),
+           {}, (test_fuzz.test_parsers_match_fraction_oracle, test_golden.test_algebra_texts_read_back_byte_identically)),
     # _from_rows' one-pass flattening keeps only the positive numerators of a product
     Mutant("from_rows_drops_negative_terms", slipped(ABElement._from_rows, "row.items() if n}", "row.items() if n > 0}"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),

@@ -9,7 +9,8 @@ package's own export list is checked as well, so a deleted name cannot stay
 behind in ``lamconn.__all__``, and so is the README's library example.  Each
 committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
-leaves docstrings, comments and blank lines out.
+leaves docstrings, comments and blank lines out, and the A/B timer in tools/
+runs two revisions side by side.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import importlib.util
 import io
 import json
 import re
+import subprocess
 import sys
 from itertools import islice
 from pathlib import Path
@@ -136,3 +138,20 @@ def test_code_line_counter(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
     assert counter.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == ["     7 a.py", "     1 b.py", "     8 total", ""]
+
+
+def test_ab_times_a_revision_against_the_working_tree():
+    # A smoke run: HEAD unpacked by git archive against the working tree, both
+    # imported in one process, three parses a round; it takes about a second.
+    if not (ROOT / ".git").exists():
+        pytest.skip("tools/ab.py unpacks revisions from a git checkout")
+    argv = ["--base", "HEAD", "--workload", "operators", "--seed", "1", "--ops", "3", "--rounds", "2", "--stage", "parse"]
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *argv], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "operators seed 1, parse: 3 ops x 2 rounds, python " + sys.version.split()[0]
+    record = json.loads(lines[-1])
+    assert record["fingerprints_equal"] == 3
+    low, high = record["ratio_quartiles"]
+    assert 0 < low <= record["ratio_median"] <= high
