@@ -10,10 +10,11 @@ every input file, so the paths in their messages are the same on every
 machine.  The corpus:
 
 - ``check`` and ``analyze``, text and ``--json``, on the committed layouts in
-  ``inputs/`` (both family goldens with and without ``mu``, the cube, a
-  layout failing only ii), one failing both, an n = 3 layout of no family, a
-  zero last exponent, an over-budget layout, malformed JSON and a missing
-  file) and on ``LAYOUT_COUNT`` layouts drawn by ``random_layouts``;
+  ``inputs/`` (both family goldens with and without ``mu``, the family-A
+  layout with a ``mu`` that is not a list and with one of the wrong length,
+  the cube, a layout failing only ii), one failing both, an n = 3 layout of
+  no family, a zero last exponent, an over-budget layout, malformed JSON and
+  a missing file) and on ``LAYOUT_COUNT`` layouts drawn by ``random_layouts``;
 - ``family-a`` with u, v, w in 1..3 and ``family-b`` with p, q in 1..2 and
   u, v in 0..2 (u = v = 0 is the input-error path), text and ``--json``;
 - ``propagate``, text, ``--json`` and ``--csv``, on the README spec, on

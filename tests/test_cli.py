@@ -1,7 +1,11 @@
 """End-to-end runs of the command line front end, in process through main().
 
-The oversized-input runs start a fresh interpreter instead, so that an
-uncaught exception would show as a traceback on stderr.
+What a command prints is pinned once, byte for byte, by the golden corpus
+(tests/golden/regenerate.py).  The runs here check what a record cannot:
+how many times a stage runs, how output is written, that a refusal comes
+before any work, and argparse's own messages.  The oversized-input runs
+start a fresh interpreter instead, so that an uncaught exception would show
+as a traceback on stderr.
 """
 
 import json
@@ -32,11 +36,7 @@ def golden_input(name):
 
 
 FAMILY_A_INPUT = golden_input("family-a.json")
-FAMILY_B_INPUT = golden_input("family-b.json")
-CUBE_INPUT = golden_input("cube.json")
 GOLDEN_EXPANSION = golden_input("spec-readme.json")
-
-FACTORED_A = "(a - 5/2*b)*[(a - 7/4*b)*(a - 3/4*b) - 4*lam^-2*(a - b)]"
 
 
 # One digit past Python's default int/str conversion limit.
@@ -82,86 +82,7 @@ def write_json(tmp_path, obj, name="input.json"):
     return str(path)
 
 
-class TestCheck:
-    def test_passing_input(self, tmp_path, capsys):
-        assert main(["check", write_json(tmp_path, FAMILY_A_INPUT)]) == 0
-        out = capsys.readouterr()
-        assert "hypotheses: pass" in out.out
-        assert out.err == ""
-
-    def test_failing_input_exit_and_message(self, tmp_path, capsys):
-        assert main(["check", write_json(tmp_path, CUBE_INPUT)]) == 2
-        out = capsys.readouterr()
-        assert "hypothesis i) fails: rank 3 < 4" in out.err
-        assert "hypotheses: fail" in out.out
-
-    def test_json_output(self, tmp_path, capsys):
-        assert main(["check", "--json", write_json(tmp_path, FAMILY_A_INPUT)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rank_m_tilde"] == 4
-        assert payload["rank_m_prime"] == 3
-        assert payload["passed"] is True
-
-
 class TestAnalyze:
-    def test_family_a_report(self, tmp_path, capsys):
-        assert main(["analyze", write_json(tmp_path, FAMILY_A_INPUT)]) == 0
-        out = capsys.readouterr().out
-        assert "case II: d = 2, h = 1, sigma = -2, lam exponent = -2" in out
-        assert "sigma = -2, tau = 2" in out
-        assert "lam*nabla([mu]) = (2*a - 2*b)[mu]" in out
-        assert "recognized family A(2, 2, 1)" in out
-        assert f"factored: {FACTORED_A}" in out
-        assert "monodromy candidates: 1/2, 0" in out
-        assert "cross validation: pass" in out
-
-    def test_family_b_case_line(self, tmp_path, capsys):
-        assert main(["analyze", write_json(tmp_path, FAMILY_B_INPUT)]) == 0
-        out = capsys.readouterr().out
-        assert "case I: d = 2, h = 1, sigma = 2, lam exponent = +2" in out
-        assert "recognized family B(2, 2, 1, 1)" in out
-
-    def test_json_payload(self, tmp_path, capsys):
-        assert main(["analyze", "--json", write_json(tmp_path, FAMILY_A_INPUT)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["dependency"]["r"] == 2
-        assert payload["dependency"]["p"] == [1, 1, 1]
-        assert payload["dependency"]["case"] == "II"
-        assert payload["connection"]["sigma"] == "-2"
-        assert payload["connection"]["tau"] == "2"
-        assert payload["connection"]["pde"]["alpha"] == "2"
-        assert payload["connection"]["nabla"] == "2*a - 2*b"
-        assert payload["family"]["operator_factored"] == FACTORED_A
-        assert payload["family"]["monodromy_candidates"] == ["1/2", "0"]
-        assert payload["family"]["cross_validation"]["passed"] is True
-
-    def test_explicit_mu(self, tmp_path, capsys):
-        obj = {**FAMILY_A_INPUT, "mu": [1, 0, 0]}
-        assert main(["analyze", write_json(tmp_path, obj)]) == 0
-        out = capsys.readouterr().out
-        assert "mu exponents [1, 0, 0], degree k = 1" in out
-        assert "sigma = -2, tau = 5/2" in out
-
-    def test_unrecognized_layout_has_no_family(self, tmp_path, capsys):
-        obj = {"n": 1, "alphas": [[1, 0], [0, 1], [1, 1]]}
-        assert main(["analyze", "--json", write_json(tmp_path, obj)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "family" not in payload
-
-    def test_failing_hypotheses(self, tmp_path, capsys):
-        assert main(["analyze", write_json(tmp_path, CUBE_INPUT)]) == 2
-        assert "hypothesis i) fails: rank 3 < 4" in capsys.readouterr().err
-
-    def test_bad_mu_type(self, tmp_path, capsys):
-        obj = {**FAMILY_A_INPUT, "mu": "x"}
-        assert main(["analyze", write_json(tmp_path, obj)]) == 1
-        assert "input error" in capsys.readouterr().err
-
-    def test_wrong_mu_length(self, tmp_path, capsys):
-        obj = {**FAMILY_A_INPUT, "mu": [1, 0]}
-        assert main(["analyze", write_json(tmp_path, obj)]) == 1
-        assert "input error" in capsys.readouterr().err
-
     @pytest.mark.parametrize("name", ["family-a.json", "family-b.json", "no-family.json"])
     def test_one_analysis_per_layout(self, capsys, monkeypatch, name):
         # two eliminations, M~ and M', however many stages read the layout
@@ -209,72 +130,15 @@ class TestFamilyCommands:
         family = payload if argv[0] == "family-a" else payload["family"]
         assert family["cross_validation"]["passed"] is False
 
-    def test_family_a_golden_json(self, tmp_path, capsys):
-        assert main(["family-a", "--u", "2", "--v", "2", "--w", "1", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["operator_factored"] == FACTORED_A
-        assert payload["roots_top"] == ["5/2", "7/4", "3/4"]
-        assert payload["roots_low"] == ["5/2", "1"]
-        assert payload["monodromy_candidates"] == ["1/2", "0"]
-        assert payload["cross_validation"]["passed"] is True
-
-    def test_family_b_golden_json(self, tmp_path, capsys):
-        assert main(["family-b", "--p", "2", "--q", "2", "--u", "1", "--v", "1", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["roots_top"] == ["5/2", "5/4", "3/4"]
-        assert payload["roots_low"] == ["2", "1"]
-        assert payload["lambda_exponent"] == 2
-        assert payload["monodromy_candidates"] == ["0", "0"]
-        assert payload["cross_validation"]["passed"] is True
-
-    def test_family_a_text_output(self, capsys):
-        assert main(["family-a", "--u", "1", "--v", "1", "--w", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "family A(1, 1, 1)" in out
-        assert "lam*nabla([1]) = (2*a - 3*b)[1]" in out
-        assert "cross validation: pass" in out
-
     def test_family_a_bad_parameters(self, capsys):
         assert main(["family-a", "--u", "0", "--v", "1", "--w", "1"]) == 1
         assert "input error" in capsys.readouterr().err
 
-    def test_family_b_bad_parameters(self, capsys):
-        assert main(["family-b", "--p", "1", "--q", "1", "--u", "0", "--v", "0"]) == 1
-        assert "input error" in capsys.readouterr().err
-
 
 class TestPropagate:
-    def test_golden_text(self, tmp_path, capsys):
-        assert main(["propagate", write_json(tmp_path, GOLDEN_EXPANSION)]) == 0
-        out = capsys.readouterr().out
-        assert "c[0,0,0] = 1" in out
-        assert "c[0,0,1] = 1/3*L" in out
-        assert "c[0,0,2] = 1/10*L^2" in out
-
-    def test_golden_json(self, tmp_path, capsys):
-        assert main(["propagate", "--json", write_json(tmp_path, GOLDEN_EXPANSION)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["table"]["0,0,1"] == {"1": "1/3"}
-        assert payload["table"]["0,0,2"] == {"2": "1/10"}
-
-    def test_csv_file(self, tmp_path, capsys):
-        csv_path = tmp_path / "table.csv"
-        code = main(
-            ["propagate", write_json(tmp_path, GOLDEN_EXPANSION), "--csv", str(csv_path)]
-        )
-        assert code == 0
-        lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "i,k,m,L^0,L^1,L^2"
-        assert lines[2] == "0,0,1,0,1/3,0"
-        assert "wrote" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "obj, expected",
         [
-            (
-                GOLDEN_EXPANSION,
-                b"i,k,m,L^0,L^1,L^2\r\n0,0,0,1,0,0\r\n0,0,1,0,1/3,0\r\n0,0,2,0,0,1/10\r\n",
-            ),
             (
                 {
                     "rhos": ["1/3", "-1/2"],
@@ -293,7 +157,7 @@ class TestPropagate:
                 b"1,1,2,5,0,0,0\r\n1,1,3,0,47/15,0,0\r\n",
             ),
         ],
-        ids=["golden", "two-rhos"],
+        ids=["two-rhos"],
     )
     def test_csv_file_bytes(self, tmp_path, capsys, obj, expected):
         csv_path = tmp_path / "table.csv"
@@ -393,16 +257,6 @@ class TestPropagate:
 
 
 class TestInputHandling:
-    def test_missing_file(self, capsys):
-        assert main(["check", "/nonexistent/path.json"]) == 1
-        assert "input error: cannot read" in capsys.readouterr().err
-
-    def test_invalid_json(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["check", str(path)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, repeated, text", [
         ("propagate", "0,0,0", '{"rhos": ["1/2"], "N": 0, "M": 2, "alpha": 1, "beta": 0, "seed": {"0,0,0": 1, "0,0,0": 2}}'),
         ("check", "n", '{"n": 2, "n": 3, "alphas": [[4, 0, 0], [0, 4, 0], [0, 0, 2], [2, 2, 1]]}'),
@@ -498,14 +352,6 @@ class TestInputHandling:
             assert out.err.startswith("input error:") and "must be at most" in out.err
             assert out.out == ""
 
-    def test_zero_last_exponent_refused_by_check_and_analyze(self, tmp_path, capsys):
-        path = write_json(tmp_path, {"n": 1, "alphas": [[1, 0], [0, 1], [0, 0]]})
-        for command in ("check", "analyze"):
-            assert main([command, path]) == 1
-            out = capsys.readouterr()
-            assert out.err == "input error: the parameter monomial has exponent zero; no usable relation\n"
-            assert out.out == ""
-
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_layout_output_past_digit_limit(self, tmp_path, flags):
         # Within the layout budget, but the relation's rationals have about
@@ -556,22 +402,11 @@ class TestUsageErrors:
 
 
 class TestSelftest:
-    def test_battery_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if line]
-        assert len(lines) == 11
-        assert all(line.startswith("PASS criterion") for line in lines)
-
     def test_json_carries_seconds(self, capsys):
         assert main(["selftest", "--json"]) == 0
         criteria = json.loads(capsys.readouterr().out)["criteria"]
         assert len(criteria) == 11
         assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in criteria)
-
-    def test_runs_as_package_module(self):
-        proc = run_cli("selftest", module="lamconn")
-        assert proc.returncode == 0, proc.stderr
-        assert len(proc.stdout.splitlines()) == 11
 
     def test_failing_criterion_exits_2_with_stderr_empty(self, capsys, monkeypatch):
         test_mutants.ENTRY["candidates_not_reduced"].install(monkeypatch)

@@ -1,5 +1,5 @@
 """Exact scalars and matrices, checked against cofactor and adjugate oracles,
-and the elimination kernel against a plain Fraction Gauss-Jordan and sympy."""
+and the elimination kernel against a plain Fraction Gauss-Jordan."""
 
 from fractions import Fraction as F
 
@@ -64,19 +64,6 @@ log_polys = polys(LogPoly, 0, 4, max_size=5)
 
 def square_matrix(n):
     return matrix(n, n)
-
-
-def rank_deficient_matrix(nrows, ncols):
-    """A product (nrows x k) @ (k x ncols) with k < min(nrows, ncols), so rank <= k."""
-    return st.integers(min_value=1, max_value=max(1, min(nrows, ncols) - 1)).flatmap(
-        lambda k: st.tuples(matrix(nrows, k), matrix(k, ncols)).map(lambda pair: pair[0] @ pair[1])
-    )
-
-
-def rectangular_matrix():
-    return st.tuples(
-        st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)
-    ).flatmap(lambda shape: matrix(*shape) | rank_deficient_matrix(*shape))
 
 
 class TestRat:
@@ -380,14 +367,6 @@ class TestMatrixProperties:
     def test_rank_full_iff_nonsingular(self, m):
         assert (rank(m) == m.nrows) == (det(m) != 0)
 
-    @given(rectangular_matrix())
-    def test_rank_matches_sympy(self, m):
-        sympy = pytest.importorskip("sympy")
-        oracle = sympy.Matrix(
-            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.rows()]
-        )
-        assert rank(m) == oracle.rank()
-
 
 def gauss_jordan(rows, width):
     """Oracle: plain Fraction Gauss-Jordan on the first width columns.
@@ -443,11 +422,15 @@ def augmented_systems(draw):
     return [list(ra) + rb for ra, rb in zip(a, b)], n
 
 
+# [A | b] whose first pivot needs a row swap, so det A = -1 carries the swap's sign
+ROW_SWAP = ([[0, 1, 5], [1, 0, 6]], 2)
+
+
 class TestEliminationOracle:
     """The one kernel: forward elimination and exact back substitution."""
 
     @given(augmented_systems())
-    @example(([[0, 1, 5], [1, 0, 6]], 2))  # a row swap at the first pivot
+    @example(ROW_SWAP)
     @example(([[1, 2], [2, 4]], 2))  # singular, no B
     @example(([[2, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0]], 3))  # a zero row of A
     def test_solve_square_matches_fraction_gauss_jordan(self, system):
@@ -456,21 +439,7 @@ class TestEliminationOracle:
         assert _solve_square(int_rows, n) == oracle_solve_square(int_rows, n)
 
     @given(augmented_systems())
-    def test_solve_square_matches_sympy(self, system):
-        sympy = pytest.importorskip("sympy")
-        rows, n = system
-        int_rows = _integer_rows(rows)[1]
-        a = sympy.Matrix([row[:n] for row in int_rows])
-        b = sympy.Matrix(n, len(int_rows[0]) - n, lambda i, j: int_rows[i][n + j])
-        rk, d, columns = _solve_square(int_rows, n)
-        assert (rk, d) == (a.rank(), a.det())
-        if d == 0:
-            assert columns is None
-        else:
-            x = a.inv() * b * d
-            assert columns == [list(x[:, c]) for c in range(x.cols)]
-
-    @given(augmented_systems())
+    @example(ROW_SWAP)
     def test_public_functions_match_oracle(self, system):
         rows, n = system
         m = RatMatrix([row[:n] for row in rows])

@@ -185,6 +185,12 @@ def one_rendering_of_unsorted_entries():
     test(test_asymptotics.TestSerialization(), ExpansionTable(spec=test_asymptotics.GOLDEN, entries=entries))
 
 
+def public_functions_on_a_row_swap():
+    """Oracle: test_public_functions_match_oracle on its row-swap @example, run without hypothesis."""
+    test = test_exact.TestEliminationOracle.test_public_functions_match_oracle.hypothesis.inner_test
+    test(test_exact.TestEliminationOracle(), test_exact.ROW_SWAP)
+
+
 def first_difference_key(detail):
     """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
     _, found, tail = detail.rpartition("; first difference at ")
@@ -237,6 +243,17 @@ MUTANTS = [
     # U X = B' in place of U X = det * B'
     Mutant("back_substitution_without_det", slipped(exact._solve_square, "d * b", "b"),
            {4: (SIGMA_ROUTES, "inverse row")}, INVERSE_GOLDEN),
+    # forward elimination's row swap without negating the row moved down: every determinant
+    # taken through a swap loses its sign, and criterion 5 compares the identity's two sides
+    Mutant("eliminate_swap_not_negated", slipped(exact._eliminate, "[-x for x in work[rk]]", "work[rk]"),
+           {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "identity")},
+           (public_functions_on_a_row_swap,)),
+    # a pivot step that leaves the rows with a zero in its column unscaled: their later
+    # Bareiss divisions are no longer exact
+    Mutant("eliminate_skips_rescale", slipped(exact._eliminate, "elif p != prev:", "elif False:"),
+           {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "det M~"),
+            7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION},
+           (test_exact.TestMatrixFrozen().test_det_golden,)),
     # the slip subtracts b*Q, one degree above Q, which has degree 3 here
     Mutant("shift_identity_with_k_slip", rebind(algebra.shift_identity_check, shift_identity_with_k_slip),
            {6: ("shift identity fails for", "(0, 4, 0)")}),
@@ -384,37 +401,24 @@ def test_every_entry_is_killed_by_something():
     assert len(ENTRY) == len(MUTANTS)
 
 
-def criteria_pass(*cids):
-    for cid in cids:
-        result = selftest.run_criterion(cid)
-        assert result.passed, result.detail
-
-
-def test_kernel_criteria_pass_unpatched():
-    criteria_pass(1, 2, 7)
-
-
-def test_sigma_routes_agree_unpatched():
-    criteria_pass(4)
-
-
 def test_cross_validation_passes_unpatched():
     names = [c.name for c in families.cross_validate(families.family_a(2, 2, 1)).checks]
     assert names == [o.args[0] for m in MUTANTS for o in m.oracles if getattr(o, "func", None) is check_passes]
-    criteria_pass(8)
 
 
 # The oracles that are no collected test, each run unpatched elsewhere: check_passes by
 # test_families' test_golden_instances_pass, replay_to_first_change, against the same
 # records, by test_golden's test_corpus_replays_to_recorded_digests, output_streams_unchanged
-# as test_cli's test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries as
-# an @example of test_one_rendering_serves_both_formats.
-RUN_ELSEWHERE = {check_passes, replay_to_first_change, output_streams_unchanged, one_rendering_of_unsorted_entries}
+# as test_cli's test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries and
+# public_functions_on_a_row_swap as @examples of test_one_rendering_serves_both_formats and
+# test_public_functions_match_oracle.
+RUN_ELSEWHERE = {check_passes, replay_to_first_change, output_streams_unchanged, one_rendering_of_unsorted_entries,
+                 public_functions_on_a_row_swap}
 
 
 def test_other_criteria_and_oracles_pass_unpatched():
-    # Criteria 3, 5, 6, 9, 10 and 11 run unpatched in test_acceptance's test_criterion, and an
-    # oracle that is a collected test, or a parametrization of one, runs unpatched as itself.
+    # Every criterion runs unpatched in test_acceptance's test_criterion, and an oracle
+    # that is a collected test, or a parametrization of one, runs unpatched as itself.
     for oracle in {o for m in MUTANTS for o in m.oracles}:
         function = getattr(oracle, "func", oracle)
         if function not in RUN_ELSEWHERE and not function.__name__.startswith("test_"):
@@ -428,11 +432,14 @@ def test_slip_runs_in_its_module_globals(monkeypatch):
     output_streams_unchanged(False)
 
 
-def assert_kills(monkeypatch, mutant, cids, oracles=()):
-    """Install mutant; each criterion of cids fails as its entry says, and each of oracles raises."""
+ENTRY = {m.name: m for m in MUTANTS}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=list(ENTRY))
+def test_mutant_is_killed(monkeypatch, mutant):
+    # each criterion of the entry fails as the entry says, and each of its oracles raises
     mutant.install(monkeypatch)
-    for cid in cids:
-        prefix, key = mutant.kills[cid]
+    for cid, (prefix, key) in mutant.kills.items():
         result = selftest.run_criterion(cid)
         assert not result.passed, result.detail
         assert result.detail.startswith(prefix), result.detail
@@ -440,37 +447,7 @@ def assert_kills(monkeypatch, mutant, cids, oracles=()):
             assert "; first difference at " not in result.detail, result.detail
         else:
             assert first_difference_key(result.detail) == key
-    for oracle in oracles:
+    for oracle in mutant.oracles:
         with pytest.raises(AssertionError):
             oracle()
 
-
-ENTRY = {m.name: m for m in MUTANTS}
-# The three slips that two criteria kill keep one test per kill, under the names the
-# kills had when each slip was registered twice; test_mutant_is_killed runs the rest.
-TWO_KILLS = ("case", "det_returns_abs", "determinant_identity")
-ONE_TEST = [m for m in MUTANTS if m.name not in TWO_KILLS]
-
-
-@pytest.mark.parametrize("mutant", ONE_TEST, ids=[m.name for m in ONE_TEST])
-def test_mutant_is_killed(monkeypatch, mutant):
-    assert_kills(monkeypatch, mutant, mutant.kills, mutant.oracles)
-
-
-@pytest.mark.parametrize("cid, name", [(3, "case"), (5, "det_returns_abs")], ids=["criterion-3", "criterion-5"])
-def test_criterion_mutant_fails_its_criterion(monkeypatch, cid, name):
-    assert_kills(monkeypatch, ENTRY[name], [cid])
-
-
-@pytest.mark.parametrize("name", ["case", "determinant_identity"])
-def test_cross_check_mutant_fails_its_check_and_criterion_8(monkeypatch, name):
-    assert_kills(monkeypatch, ENTRY[name], [8], ENTRY[name].oracles)
-
-
-def test_det_identity_sign_slip_fails_criterion_5(monkeypatch):
-    assert_kills(monkeypatch, ENTRY["determinant_identity"], [5])
-
-
-@pytest.mark.parametrize("name", ["det_returns_abs"])
-def test_sigma_route_mutant_fails_criterion_4(monkeypatch, name):
-    assert_kills(monkeypatch, ENTRY[name], [4])
