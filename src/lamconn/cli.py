@@ -80,7 +80,9 @@ def _verdict(hypotheses: dict, ranks: str) -> list[str]:
 
 
 def _cmd_check(args) -> int:
-    data = ExponentData.from_json(_load_json(args.file))
+    obj = _load_json(args.file)
+    data = ExponentData.from_json(obj)
+    MonomialMu.from_json(obj, data.n)  # read as analyze reads it, so that check passes no file analyze refuses
     report = validate_hypotheses(data)
     payload = report.to_json()
     lines = [
@@ -94,15 +96,13 @@ def _cmd_check(args) -> int:
 def _cmd_analyze(args) -> int:
     obj = _load_json(args.file)
     data = ExponentData.from_json(obj)
+    mu = MonomialMu.from_json(obj, data.n)
     report = validate_hypotheses(data)
     hyp = report.to_json()
     payload = {"hypotheses": hyp}
     verdict = _verdict(hyp, f" (bordered rank {hyp['rank_m_tilde']}, basis rank {hyp['rank_m_prime']})")
     if not report.passed:
         return _finish(payload, args.json, verdict, "\n".join(report.failure_messages()))
-    mu = MonomialMu.from_json(obj, data.n)
-    # Both run before anything is rendered, so a wrong mu length is reported
-    # before a number too long to print.
     relation = dependency(data)
     st = sigma_tau(data, mu)
     dep = payload["dependency"] = relation.to_json()
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="validate the rank hypotheses of an exponent file")
-    p_check.add_argument("file", help="JSON file with n and alphas")
+    p_check = sub.add_parser("check", help="read an exponent file and validate its rank hypotheses")
+    p_check.add_argument("file", help="JSON file with n, alphas and optional mu")
     p_check.add_argument("--json", action="store_true", help="machine readable output")
     p_check.set_defaults(fn=_cmd_check)
 

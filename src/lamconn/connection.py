@@ -48,12 +48,15 @@ class MonomialMu:
     @classmethod
     def from_json(cls, obj, n: int) -> "MonomialMu":
         """The optional "mu" list of a layout's JSON object, whose layout has
-        n+1 variables; the constant monomial when it has none.  ``sigma_tau``
-        checks the length against the layout."""
+        n+1 variables; the constant monomial when it has none.  A list of
+        another length is refused as ``sigma_tau`` refuses it."""
         beta = json_object(obj, "exponent", ()).get("mu", [0] * (n + 1))
         if not isinstance(beta, list):
             raise InputError("mu must be a list of exponents")
-        return cls(beta=beta)
+        mu = cls(beta=beta)
+        if len(beta) != n + 1:
+            raise InputError(f"mu must have {n + 1} entries, got {len(beta)}")
+        return mu
 
     @property
     def k(self) -> int:

@@ -12,7 +12,7 @@ machine.  The corpus:
 - ``check`` and ``analyze``, text and ``--json``, on the committed layouts in
   ``inputs/`` (both family goldens with and without ``mu``, the family-A
   layout with a ``mu`` that is not a list and with one of the wrong length,
-  the cube, a layout failing only ii), one failing both, an n = 3 layout of
+  which ``check`` refuses as ``analyze`` does, the cube, a layout failing only ii), one failing both, an n = 3 layout of
   no family, a zero last exponent, an over-budget layout, malformed JSON and
   a missing file) and on ``LAYOUT_COUNT`` layouts drawn by ``random_layouts``;
 - ``family-a`` with u, v, w in 1..3 and ``family-b`` with p, q in 1..2 and

@@ -183,15 +183,13 @@ class TestSpecValidation:
         for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", "", "0,0,1_0", "+0,0,1", "0, 0,1", "-1,0,0"):
             with pytest.raises(InputError):
                 seed_from_json({"seed": {bad: 1}})
+        with pytest.raises(InputError) as refused:
+            seed_from_json({"seed": ["0,0,0"]})
+        assert str(refused.value) == "seed must be an object keyed by 'i,k,m'"
 
 
 class TestPropagate:
-    def test_golden_ladder(self):
-        table = propagate(GOLDEN, {(0, 0, 0): 1})
-        assert table.get(0, 0, 0) == LogPoly.const(1)
-        assert table.get(0, 0, 1) == LogPoly({1: F(1, 3)})
-        assert table.get(0, 0, 2) == LogPoly({2: F(1, 10)})
-
+    # the golden ladder of GOLDEN is pinned, cell by cell, by criterion 9
     def test_golden_log_ladder(self):
         table = propagate(GOLDEN_LOG, {(0, 0, 0): 1, (0, 1, 0): 1})
         assert table.get(0, 1, 1) == LogPoly({1: 1})
@@ -256,11 +254,6 @@ class TestFrobeniusRoute:
         seed = {(0, 0, 0): F(1)}
         assert frobenius_table(GOLDEN, seed) == propagate(GOLDEN, seed)
 
-    @given(spec_strategy().flatmap(lambda spec: st.tuples(st.just(spec), seed_maps(spec))))
-    def test_random_specs(self, spec_seed):
-        spec, seed = spec_seed
-        assert frobenius_table(spec, seed) == propagate(spec, seed)
-
     def test_one_rho_deep_and_long(self):
         spec = ExpansionSpec(rhos=(F(1, 3),), log_depth=16, order=200, alpha=F(-3, 2), beta=F(5, 7))
         seed = {(0, 0, 0): F(1), (0, 16, 0): F(-2, 3)}
@@ -274,17 +267,20 @@ class TestFrobeniusRoute:
 
 @st.composite
 def chain_specs(draw):
-    """A spec and a seed with several orders and depths per ladder.  The rho
-    denominators go up to 10^30 and a third of the draws telescope (beta a
-    multiple of alpha), but almost no draw makes a chain renormalize: counted
-    with an instrumented _chain, none of the 100 derandomized draws did.  The
-    @example on test_matches_frobenius_and_verifies is what pins that branch."""
+    """A spec and a seed, drawing every pair that spec_strategy and seed_maps draw:
+    one to three rhos with denominators up to 10^30, alpha possibly 0, log depth
+    up to 3 and order up to 12, and a seed of up to six values, possibly empty
+    and possibly 0, to which half the draws add a constant at the top depth of
+    the first ladder.  A third of the draws telescope (beta a multiple of
+    alpha), but almost no draw makes a chain renormalize: counted with an
+    instrumented _chain, two of the 100 derandomized draws did.  The @example
+    on test_matches_frobenius_and_verifies is what pins that branch."""
     dens = st.sampled_from([1, 2, 3, 7, 10**6 + 3]) | st.integers(min_value=1, max_value=10**30)
     rhos = []
-    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
         den = draw(dens)
         rhos.append(F(draw(st.integers(min_value=1 - den, max_value=3 * den)), den))
-    alpha = draw(rationals(-3, 3, 5).filter(bool))
+    alpha = draw(rationals(-3, 3, 5))
     if draw(st.integers(min_value=0, max_value=2)) == 0:
         beta = alpha * draw(st.integers(min_value=-3, max_value=3))
     else:
@@ -299,7 +295,10 @@ def chain_specs(draw):
         )
     except InputError:  # congruent rhos
         assume(False)
-    return spec, draw(st.dictionaries(cell_keys(spec), seed_values.filter(bool), min_size=1, max_size=6))
+    seed = draw(st.dictionaries(cell_keys(spec), seed_values, max_size=6))
+    if draw(st.booleans()):
+        seed = {(0, spec.log_depth, 0): draw(seed_values), **seed}
+    return spec, seed
 
 
 class TestChainKernel:
@@ -312,22 +311,15 @@ class TestChainKernel:
         spec, seed = spec_seed
         table = propagate(spec, seed)
         assert table == frobenius_table(spec, seed)
-        assert verify_table(spec, table).passed
+        report = verify_table(spec, table)
+        assert report.passed
+        assert report.residuals == {}
 
 
 class TestVerifyTable:
     def test_propagated_tables_pass(self):
         table = propagate(GOLDEN, {(0, 0, 0): 1})
         assert verify_table(GOLDEN, table).passed
-
-    @given(spec_strategy().flatmap(lambda spec: st.tuples(st.just(spec), seed_maps(spec))), seed_values)
-    def test_propagated_tables_pass_random(self, spec_seed, c):
-        # besides the top-depth constant, seeds at orders m0 > 0 give multi-term cells
-        spec, seed = spec_seed
-        table = propagate(spec, {(0, spec.log_depth, 0): c, **seed})
-        report = verify_table(spec, table)
-        assert report.passed
-        assert report.residuals == {}
 
     def test_order_zero_is_vacuous(self):
         spec = ExpansionSpec(rhos=(F(1, 2),), log_depth=2, order=0, alpha=1, beta=1)

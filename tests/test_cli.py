@@ -27,12 +27,21 @@ from lamconn.cli import main
 from lamconn.families import CheckOutcome, CrossValidationReport
 
 import test_mutants
+from test_golden import first_differences
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def golden_input(name):
     return json.loads((GOLDEN_INPUTS / name).read_text(encoding="utf-8"))
+
+
+def assert_same_text(stream, expected, got):
+    """Fail naming the first line where got differs from expected, as test_golden
+    names a replay that differs from its record: pytest's own diff of two texts
+    of 100 KB takes minutes."""
+    if got != expected:
+        pytest.fail("\n".join(first_differences({stream: expected.split("\n")}, {stream: got.split("\n")})))
 
 
 FAMILY_A_INPUT = golden_input("family-a.json")
@@ -249,10 +258,10 @@ class TestPropagate:
         monkeypatch.undo()
         out = "".join(writes)
         assert len(out) > 100_000
-        assert out == expected
+        assert_same_text("stdout", expected, out)
         assert max(map(len, writes)) * 20 <= len(out)
         text = table.to_csv()
-        assert csv_path.read_bytes() == text.encode()
+        assert_same_text("csv", text, csv_path.read_bytes().decode())
         assert max(map(len, csv_writes)) * 5 <= len(text)
 
 

@@ -407,9 +407,10 @@ def test_cross_validation_passes_unpatched():
 
 
 # The oracles that are no collected test, each run unpatched elsewhere: check_passes by
-# test_families' test_golden_instances_pass, replay_to_first_change, against the same
-# records, by test_golden's test_corpus_replays_to_recorded_digests, output_streams_unchanged
-# as test_cli's test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries and
+# test_acceptance's criterion_08, which cross-validates the first golden layout,
+# replay_to_first_change, against the same records, by test_golden's
+# test_corpus_replays_to_recorded_digests, output_streams_unchanged as test_cli's
+# test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries and
 # public_functions_on_a_row_swap as @examples of test_one_rendering_serves_both_formats and
 # test_public_functions_match_oracle.
 RUN_ELSEWHERE = {check_passes, replay_to_first_change, output_streams_unchanged, one_rendering_of_unsorted_entries,
