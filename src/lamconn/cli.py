@@ -18,6 +18,12 @@ build their whole output before printing any of it.  propagate prints as it
 goes, straight from the table: the text form one line per cell, the JSON
 form through ``json.dump`` and the CSV file one (i, k) ladder at a time, so
 no copy of the whole output is ever held.
+
+The CLI binds lamconn's modules, not their names, and calls through them
+(``asymptotics.propagate``), so a subcommand runs only the modules it reads
+(see the package docstring): propagate runs asymptotics, exact and errors;
+check runs exponents, connection, algebra, exact and errors; analyze,
+family-a and family-b run those and families; selftest runs every module.
 """
 
 from __future__ import annotations
@@ -27,13 +33,7 @@ import dataclasses
 import json
 import sys
 
-from . import selftest as selftest_mod
-from .asymptotics import ExpansionSpec, propagate, seed_from_json
-from .connection import MonomialMu, nabla_formula, sigma_tau
-from .errors import DIGIT_LIMIT_MESSAGE, HypothesisError, InputError
-from .exact import parse_int
-from .exponents import ExponentData, dependency, validate_hypotheses
-from .families import cross_validate, family_a, family_b, match_family
+from . import asymptotics, connection, errors, exact, exponents, families, selftest
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -41,7 +41,7 @@ def _unique_keys(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise InputError(f"repeated key {key!r} in a JSON object")
+            raise errors.InputError(f"repeated key {key!r} in a JSON object")
         obj[key] = value
     return obj
 
@@ -49,15 +49,15 @@ def _unique_keys(pairs: list) -> dict:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=_unique_keys, parse_int=parse_int)
+            return json.load(handle, object_pairs_hook=_unique_keys, parse_int=exact.parse_int)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise errors.InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        raise errors.InputError(f"{path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # a repeated key or an integer literal too long for parse_int
-        raise InputError(f"{path}: {exc}") from None
+        raise errors.InputError(f"{path}: {exc}") from None
     except RecursionError:
-        raise InputError(f"{path} nests arrays or objects too deeply") from None
+        raise errors.InputError(f"{path} nests arrays or objects too deeply") from None
 
 
 def _finish(payload: dict, as_json: bool, lines: list[str], failure: str | None) -> int:
@@ -69,7 +69,7 @@ def _finish(payload: dict, as_json: bool, lines: list[str], failure: str | None)
         lines = [json.dumps(payload, indent=2)]
     print(*lines, sep="\n")
     if failure:
-        raise HypothesisError(failure)
+        raise errors.HypothesisError(failure)
     return 0
 
 
@@ -81,9 +81,9 @@ def _verdict(hypotheses: dict, ranks: str) -> list[str]:
 
 def _cmd_check(args) -> int:
     obj = _load_json(args.file)
-    data = ExponentData.from_json(obj)
-    MonomialMu.from_json(obj, data.n)  # read as analyze reads it, so that check passes no file analyze refuses
-    report = validate_hypotheses(data)
+    data = exponents.ExponentData.from_json(obj)
+    connection.MonomialMu.from_json(obj, data.n)  # read as analyze reads it, so that check passes no file analyze refuses
+    report = exponents.validate_hypotheses(data)
     payload = report.to_json()
     lines = [
         f"rank of bordered matrix: {payload['rank_m_tilde']} (need {data.n + 2})",
@@ -95,18 +95,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     obj = _load_json(args.file)
-    data = ExponentData.from_json(obj)
-    mu = MonomialMu.from_json(obj, data.n)
-    report = validate_hypotheses(data)
+    data = exponents.ExponentData.from_json(obj)
+    mu = connection.MonomialMu.from_json(obj, data.n)
+    report = exponents.validate_hypotheses(data)
     hyp = report.to_json()
     payload = {"hypotheses": hyp}
     verdict = _verdict(hyp, f" (bordered rank {hyp['rank_m_tilde']}, basis rank {hyp['rank_m_prime']})")
     if not report.passed:
         return _finish(payload, args.json, verdict, "\n".join(report.failure_messages()))
-    relation = dependency(data)
-    st = sigma_tau(data, mu)
+    relation = exponents.dependency(data)
+    st = connection.sigma_tau(data, mu)
     dep = payload["dependency"] = relation.to_json()
-    conn = payload["connection"] = {**st.to_json(), "nabla": str(nabla_formula(st))}
+    conn = payload["connection"] = {**st.to_json(), "nabla": str(connection.nabla_formula(st))}
     pde = conn["pde"]
     terms = " + ".join(f"{p}*alpha_{j + 1}" for j, p in enumerate(dep["p"]))
     lines = [
@@ -121,10 +121,10 @@ def _cmd_analyze(args) -> int:
         f"pde: {pde['raw']}",
         f"normalized: {pde['normalized']} with alpha = {pde['alpha']}, beta = {pde['beta']}",
     ]
-    family = match_family(data)
+    family = families.match_family(data)
     if family is None:
         return _finish(payload, args.json, lines, None)
-    payload["family"] = block = {**family.to_json(), "cross_validation": cross_validate(family).to_json()}
+    payload["family"] = block = {**family.to_json(), "cross_validation": families.cross_validate(family).to_json()}
     lines.append(f"recognized family {family.label()}")
     return _finish_family(payload, block, lines, [], args.json)
 
@@ -143,8 +143,8 @@ def _finish_family(payload: dict, block: dict, lines: list[str], details: list[s
 
 
 def _cmd_family(args) -> int:
-    result = args.build(*(getattr(args, letter) for letter in args.letters))
-    payload = {**result.to_json(), "cross_validation": cross_validate(result).to_json()}
+    result = getattr(families, args.build)(*(getattr(args, letter) for letter in args.letters))
+    payload = {**result.to_json(), "cross_validation": families.cross_validate(result).to_json()}
     lines = [f"family {result.label()}", f"exponents: {payload['exponents']['alphas']}"]
     details = [
         f"top roots: {payload['roots_top']}",
@@ -157,8 +157,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_propagate(args) -> int:
     obj = _load_json(args.file)
-    spec = ExpansionSpec.from_json(obj)
-    table = propagate(spec, seed_from_json(obj))
+    spec = asymptotics.ExpansionSpec.from_json(obj)
+    table = asymptotics.propagate(spec, asymptotics.seed_from_json(obj))
     if args.json:
         json.dump(table.to_json(), sys.stdout, indent=2)
         print()
@@ -172,13 +172,13 @@ def _cmd_propagate(args) -> int:
             with open(args.csv, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(table.csv_chunks())
         except OSError as exc:
-            raise InputError(f"cannot write {args.csv}: {exc.strerror or exc}") from None
+            raise errors.InputError(f"cannot write {args.csv}: {exc.strerror or exc}") from None
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    results = selftest_mod.run_all()
+    results = selftest.run_all()
     passed = all(r.passed for r in results)
     payload = {"passed": passed, "criteria": [dataclasses.asdict(r) for r in results]}
     _finish(payload, args.json, [r.line() for r in results], None)
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     for name, build, letters, help_text in (
-        ("family-a", family_a, "uvw", "closed form for x^2u + y^2v + z^2w + lam*x^u*y^v*z^w"),
-        ("family-b", family_b, "pquv", "closed form for x^2p*z^u + y^2q*z^v + z^(u+v) + lam*x^p*y^q"),
+        ("family-a", "family_a", "uvw", "closed form for x^2u + y^2v + z^2w + lam*x^u*y^v*z^w"),
+        ("family-b", "family_b", "pquv", "closed form for x^2p*z^u + y^2q*z^v + z^(u+v) + lam*x^p*y^q"),
     ):
         p_family = sub.add_parser(name, help=help_text)
         for letter in letters:
@@ -237,10 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except InputError as exc:
+    except errors.InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except HypothesisError as exc:
+    except errors.HypothesisError as exc:
         print(exc, file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         # output holds only text and the small ints N and M.
         if "integer string conversion" not in str(exc):
             raise
-        print(f"input error: {DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits())}", file=sys.stderr)
+        print(f"input error: {errors.DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits())}", file=sys.stderr)
         return 1
 
 

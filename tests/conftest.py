@@ -1,6 +1,14 @@
 import pytest
 from hypothesis import HealthCheck, Phase, settings
 
+import lamconn
+
+# lamconn binds a public name in the package on its first read.  Read each one
+# now, before a test or a --mutant install patches its module, so that a patch
+# in place at a first read is not left bound in the package after its undo.
+for _name in lamconn.__all__:
+    getattr(lamconn, _name)
+
 settings.register_profile(
     "exact",
     deadline=None,

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import lamconn
-from lamconn import cli, exponents, families
+from lamconn import asymptotics, cli, exponents, families
 from lamconn.asymptotics import MAX_EXPONENTS, MAX_LOG_DEPTH, MAX_ORDER, ExpansionSpec, propagate
 from lamconn.exponents import MAX_LAYOUT_WORK
 from lamconn.cli import main
@@ -128,7 +128,7 @@ class TestFamilyCommands:
     )
     def test_failed_cross_validation_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         failing = CrossValidationReport("forced", (CheckOutcome("forced", False, "1", "0"),))
-        monkeypatch.setattr(cli, "cross_validate", lambda result: failing)
+        monkeypatch.setattr(families, "cross_validate", lambda result: failing)
         argv = [write_json(tmp_path, FAMILY_A_INPUT) if a == "FAMILY_A_FILE" else a for a in argv]
         assert main(argv) == 2
         out = capsys.readouterr()
@@ -341,7 +341,7 @@ class TestInputHandling:
         def no_propagation(*args):
             raise AssertionError("propagate ran on a spec over the limit")
 
-        monkeypatch.setattr(cli, "propagate", no_propagation)
+        monkeypatch.setattr(asymptotics, "propagate", no_propagation)
         obj = {**GOLDEN_EXPANSION, **over}
         assert main(["propagate", write_json(tmp_path, obj)]) == 1
         out = capsys.readouterr()
