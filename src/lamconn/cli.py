@@ -1,9 +1,10 @@
 """Command line front end: it reads files and lays out output.
 
 Every rule of what an input file may hold is the library's, kept in the type
-that owns it: ``ExponentData.from_json`` and ``MonomialMu.from_json`` read a
-layout, ``ExpansionSpec.from_json`` and ``seed_from_json`` an expansion, and
-``exact.parse_int`` every JSON number as it is loaded.
+that owns it: ``ExponentData.from_json`` and ``MonomialMu.from_json`` in
+``exponents`` read a layout, ``ExpansionSpec.from_json`` and
+``seed_from_json`` an expansion, and ``exact.parse_int`` every JSON number
+as it is loaded.
 
 Subcommands: check, analyze, family-a, family-b, propagate, selftest.
 Exit codes: 0 on success; 1 on a usage error (argparse's message is kept)
@@ -22,8 +23,10 @@ no copy of the whole output is ever held.
 The CLI binds lamconn's modules, not their names, and calls through them
 (``asymptotics.propagate``), so a subcommand runs only the modules it reads
 (see the package docstring): propagate runs asymptotics, exact and errors;
-check runs exponents, connection, algebra, exact and errors; analyze,
-family-a and family-b run those and families; selftest runs every module.
+check runs exponents, exact and errors; analyze, family-a and family-b run
+those and connection, algebra and families; selftest runs every module.
+``python -m lamconn`` and the ``lamconn`` console script both call
+``entrypoint``.
 """
 
 from __future__ import annotations
@@ -79,11 +82,20 @@ def _verdict(hypotheses: dict, ranks: str) -> list[str]:
     return [line, f"note: {hypotheses['note']}"] if "note" in hypotheses else [line]
 
 
-def _cmd_check(args) -> int:
-    obj = _load_json(args.file)
+def _read_layout(path: str):
+    """The layout of the JSON file at path, its mu and its hypotheses report.
+
+    check reads mu as analyze does, though it prints none of it, so that
+    check passes no file that analyze refuses.
+    """
+    obj = _load_json(path)
     data = exponents.ExponentData.from_json(obj)
-    connection.MonomialMu.from_json(obj, data.n)  # read as analyze reads it, so that check passes no file analyze refuses
-    report = exponents.validate_hypotheses(data)
+    mu = exponents.MonomialMu.from_json(obj, data.n)
+    return data, mu, exponents.validate_hypotheses(data)
+
+
+def _cmd_check(args) -> int:
+    data, _, report = _read_layout(args.file)
     payload = report.to_json()
     lines = [
         f"rank of bordered matrix: {payload['rank_m_tilde']} (need {data.n + 2})",
@@ -94,10 +106,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    obj = _load_json(args.file)
-    data = exponents.ExponentData.from_json(obj)
-    mu = connection.MonomialMu.from_json(obj, data.n)
-    report = exponents.validate_hypotheses(data)
+    data, mu, report = _read_layout(args.file)
     hyp = report.to_json()
     payload = {"hypotheses": hyp}
     verdict = _verdict(hyp, f" (bordered rank {hyp['rank_m_tilde']}, basis rank {hyp['rank_m_prime']})")
@@ -258,7 +267,3 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -7,9 +7,6 @@ sigma * a[mu] + tau * b[mu].  Everything exported here multiplies the
 connection by lam once, so each formula is polynomial in lam and 1/lam and
 the 1/lam in nabla itself is stated explicitly in rendered reports.
 
-``MonomialMu.from_json`` reads mu from the optional "mu" list of a layout's
-JSON object, after ``exponents.ExponentData.from_json`` has read the layout.
-
 Every value here is formed from integer numerators with one reduction each:
 sigma and tau from the numerators of the inverse row over det M~, beta and
 each linear operator (na*a + nb*b)/den from sigma = sn/sd and tau = tn/td
@@ -23,47 +20,8 @@ from fractions import Fraction
 
 from .algebra import ABElement, Rows
 from .errors import HypothesisError, InputError
-from .exact import check_coefficient, check_int, json_object
-from .exponents import ExponentData
-
-
-@dataclass(frozen=True)
-class MonomialMu:
-    """Exponent vector of the reference monomial mu = x^beta."""
-
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        beta = tuple(self.beta)
-        object.__setattr__(self, "beta", beta)
-        for entry in beta:
-            if type(entry) is not int or entry < 0:  # check_int names what is wrong
-                check_int(entry, "beta entry", 0)
-
-    @classmethod
-    def unit(cls, n: int) -> "MonomialMu":
-        """The constant monomial 1 in n+1 variables."""
-        return cls(beta=(0,) * (n + 1))
-
-    @classmethod
-    def from_json(cls, obj, n: int) -> "MonomialMu":
-        """The optional "mu" list of a layout's JSON object, whose layout has
-        n+1 variables; the constant monomial when it has none.  A list of
-        another length is refused as ``sigma_tau`` refuses it."""
-        beta = json_object(obj, "exponent", ()).get("mu", [0] * (n + 1))
-        if not isinstance(beta, list):
-            raise InputError("mu must be a list of exponents")
-        mu = cls(beta=beta)
-        if len(beta) != n + 1:
-            raise InputError(f"mu must have {n + 1} entries, got {len(beta)}")
-        return mu
-
-    @property
-    def k(self) -> int:
-        return sum(self.beta)
-
-    def to_json(self) -> dict:
-        return {"beta": list(self.beta), "k": self.k}
+from .exact import check_coefficient
+from .exponents import ExponentData, MonomialMu
 
 
 PDE_RAW = "-lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi"

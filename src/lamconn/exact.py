@@ -36,11 +36,11 @@ where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
 it in one pass: one ``findall`` of ``_TOKEN_RE`` splits the text into
 tokens, each name or number with the "*" before it, and one loop over them
-reads each group inline, one level deep, as a polynomial in lam, and
-assembles each term straight into (i, j, e) keys with (numerator,
-denominator) parts on ints.  A group of one term multiplies the term's
-scalar; a longer one is multiplied in as a list of terms, with like
-exponents merged before each further group.  The caller names what may
+reads each group inline, one level deep, as a polynomial in the variable
+of its sum, and assembles each term straight into (i, j, e) keys with
+(numerator, denominator) parts on ints.  A group of one term multiplies
+the term's scalar; a longer one is multiplied in as a list of terms, with
+like exponents merged before each further group.  The caller names what may
 stand in a term: ``ABElement.parse`` the generators a and b and the
 variable lam, ``LaurentPoly.parse`` its ``VAR`` alone and no group.  Every
 literal is read with a plain ``int()`` inside one ``try`` around the loop;
@@ -52,13 +52,14 @@ holds the reader to it.  A syntax fault (an unexpected token, a zero
 denominator, a literal too long) is raised where it stands; a dangling
 operator at the end comes after every syntax fault, and a bad name comes
 last, whichever term holds it.  A group's faults are its own, in the same
-order, and worded on the group's text: they are raised at its ")", so a
-bad name inside a group beats a later syntax fault outside it, and a group
-that does not close before the next "(" fails at its own "(" whatever it
-holds.  Only a fault looks for where its tokens stand (``_fault``, which
-runs the token pattern again with positions).  ``power_text``,
-``term_text`` and ``join_signed`` write the grammar (``ABElement.__str__``
-writes the same text in one pass of its own).
+order, and worded on the group's text as a polynomial in that variable:
+they are raised at its ")", so a bad name inside a group beats a later
+syntax fault outside it, and a group that does not close before the next
+"(" fails at its own "(" whatever it holds.  Only a fault looks for where
+its tokens stand (``_fault``, which runs the token pattern again with
+positions).  ``power_text``, ``term_text`` and ``join_signed`` write the
+grammar (``ABElement.__str__`` writes the same text in one pass of its
+own).
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
@@ -120,7 +121,7 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
     """Read a sum in the term grammar into ((i, j, e), num, den) parts, in one pass.
 
     A term is num/den * gen_a^i * gen_b^j * var^e times its groups, each a
-    polynomial in lam, and gives one part per term of that product, with
+    polynomial in var, and gives one part per term of that product, with
     num/den unreduced, den > 0 and like keys not merged.  Only var may be
     named, and gen_a and gen_b when given, to nonnegative powers and gen_a
     before gen_b; a group may stand as a factor only when they are given.
@@ -157,9 +158,9 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                 elif char == ")":
                     if group is None or want_factor or group_bad:
                         raise InputError(_UNEXPECTED if group is None else _DANGLING if want_factor else _NOT_POLY)
-                    outer_num, outer_den, outer_e, var = outer
+                    outer_num, outer_den, outer_e = outer
                     if not group:
-                        # one term c*lam^k multiplies the scalar part
+                        # one term c*var^k multiplies the scalar part
                         num, den, e = outer_num * num, outer_den * den, outer_e + e
                     else:
                         group.append((e, num, den))
@@ -172,10 +173,10 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                 elif char != "(" or not want_factor or group is not None:
                     raise InputError(_UNEXPECTED)
                 else:
-                    # "(" opens a group, read here as a polynomial in lam
+                    # "(" opens a group, read here as a polynomial in var
                     if gen_a is None and name_error is None:
                         name_error = _NOT_POLY.format(var=var, what=what, text=text)
-                    outer, num, den, e, var = (num, den, e, var), 1, 1, 0, "lam"
+                    outer, num, den, e = (num, den, e), 1, 1, 0
                     group, opener, group_bad = [], tok, False
             elif want_factor != (not star):
                 # a factor follows a "*" exactly when it follows another factor
@@ -213,7 +214,7 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                     parse_int(literal)
             except InputError as refusal:
                 fault = refusal
-        raise _fault(text, tokens, tok, opener, what, str(fault)) from None
+        raise _fault(text, tokens, tok, opener, what, var, str(fault)) from None
     if want_factor:
         raise InputError((_DANGLING if tokens else "empty {what}").format(what=what, text=text))
     if poly is None:
@@ -225,13 +226,14 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
     return parts
 
 
-def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, what: str, template: str) -> InputError:
+def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, what: str, var: str, template: str) -> InputError:
     """The InputError for a fault that read_terms found at token tok of text.
 
     Inside a group, opened at token opener, the fault is the group's, worded
-    on the group's text, when a ")" closes the group before any "(";
-    otherwise that "(" is unexpected.  template words the fault with the
-    what and text of the sum it stands in and rest, the text from tok on.
+    on the group's text as a polynomial in var, when a ")" closes the group
+    before any "("; otherwise that "(" is unexpected.  template words the
+    fault with the what and text of the sum it stands in, var and rest, the
+    text from tok on.
     """
     spans = {id(t): m.span() for t, m in zip(tokens, _TOKEN_RE.finditer(text))}
     start, where = spans[id(tok)][0], text
@@ -240,9 +242,9 @@ def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, what: str,
         if close is None or close[0] == "(":
             start, template = spans[id(opener)][0], _UNEXPECTED
         else:
-            where, what, text = text[spans[id(opener)][1] : close.start()], "polynomial in lam", text[: close.start()]
+            where, what, text = text[spans[id(opener)][1] : close.start()], f"polynomial in {var}", text[: close.start()]
             template = template if where.strip() else "empty {what}"
-    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20], var="lam"))
+    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20], var=var))
 
 
 def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:

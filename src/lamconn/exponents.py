@@ -27,6 +27,10 @@ The eliminations run on the integer exponents and build no Fraction: each
 solution is kept as the integer numerators det * solution over its signed
 integer determinant (det M~ for the inverse row, det M' for the relation),
 so Fraction(numerator, det) is the solution's entry, sign included.
+
+A layout's JSON object is read here whole: ``ExponentData.from_json`` reads
+n and alphas, and ``MonomialMu.from_json`` the optional "mu" list, the
+exponents of the reference monomial that ``connection.sigma_tau`` takes.
 """
 
 from __future__ import annotations
@@ -186,6 +190,45 @@ class ExponentData:
 
     def to_json(self) -> dict:
         return {"n": self.n, "alphas": [list(a) for a in self.alphas]}
+
+
+@dataclass(frozen=True)
+class MonomialMu:
+    """Exponent vector of the reference monomial mu = x^beta."""
+
+    beta: tuple[int, ...]
+
+    def __post_init__(self):
+        beta = tuple(self.beta)
+        object.__setattr__(self, "beta", beta)
+        for entry in beta:
+            if type(entry) is not int or entry < 0:  # check_int names what is wrong
+                check_int(entry, "beta entry", 0)
+
+    @classmethod
+    def unit(cls, n: int) -> "MonomialMu":
+        """The constant monomial 1 in n+1 variables."""
+        return cls(beta=(0,) * (n + 1))
+
+    @classmethod
+    def from_json(cls, obj, n: int) -> "MonomialMu":
+        """The optional "mu" list of a layout's JSON object, whose layout has
+        n+1 variables; the constant monomial when it has none.  A list of
+        another length is refused as ``connection.sigma_tau`` refuses it."""
+        beta = json_object(obj, "exponent", ()).get("mu", [0] * (n + 1))
+        if not isinstance(beta, list):
+            raise InputError("mu must be a list of exponents")
+        mu = cls(beta=beta)
+        if len(beta) != n + 1:
+            raise InputError(f"mu must have {n + 1} entries, got {len(beta)}")
+        return mu
+
+    @property
+    def k(self) -> int:
+        return sum(self.beta)
+
+    def to_json(self) -> dict:
+        return {"beta": list(self.beta), "k": self.k}
 
 
 def validate_hypotheses(data: ExponentData) -> LayoutAnalysis:

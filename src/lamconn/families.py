@@ -24,10 +24,10 @@ from functools import cached_property
 from typing import ClassVar
 
 from .algebra import ABElement, _flat, linear_factor_product
-from .connection import MonomialMu, nabla_formula, sigma_tau
+from .connection import nabla_formula, sigma_tau
 from .errors import InputError
 from .exact import check_int, first_difference, power_text, term_text
-from .exponents import Case, DependencyData, ExponentData, dependency, det_identity_check
+from .exponents import Case, DependencyData, ExponentData, MonomialMu, dependency, det_identity_check
 
 @dataclass(frozen=True)
 class FamilyResult:

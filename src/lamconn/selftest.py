@@ -25,9 +25,9 @@ from typing import Callable, Mapping
 from .algebra import ABElement, _flat, linear_factor_product, shift_identity_check
 from .asymptotics import ExpansionSpec, ExpansionTable, LogPoly, propagate, verify_table
 from .errors import InputError
-from .connection import MonomialMu, nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
+from .connection import nabla_formula, push_nabla, push_nabla_via_shift, sigma_tau
 from .exact import LaurentPoly, det, first_difference
-from .exponents import ExponentData, dependency, det_identity_check, validate_hypotheses
+from .exponents import ExponentData, MonomialMu, dependency, det_identity_check, validate_hypotheses
 from .families import family_a, family_b, cross_validate, monodromy_candidates
 
 QUASI_HOMOGENEOUS_CUBE = {

@@ -55,7 +55,9 @@ GOLDEN = Path(__file__).resolve().parent
 OUTPUTS = GOLDEN / "outputs.json"
 INPUTS = GOLDEN / "inputs"
 LAYOUT_COUNT = 100
+LAYOUT_SEED = 20261018
 SPEC_COUNT = 10
+SPEC_SEED = 20261019
 USAGE_ERRORS = (
     ["family-a", "--u", "x", "--v", "1", "--w", "1"],
     ["family-b", "--p", "1", "--q", "1", "--u", "1"],
@@ -67,12 +69,12 @@ USAGE_ERRORS = (
 _SECONDS = re.compile(r'"seconds": [^,\n]+')
 
 
-def random_layouts(count: int = LAYOUT_COUNT, seed: int = 20261018) -> list[dict]:
-    """Layouts with n = 1..4 and entries 0..6; every fifth is built to fail
-    hypothesis i), every fifth to fail ii), and about half carry a mu."""
-    rng = random.Random(seed)
+def random_layouts() -> list[dict]:
+    """LAYOUT_COUNT layouts with n = 1..4 and entries 0..6; every fifth is built
+    to fail hypothesis i), every fifth to fail ii), and about half carry a mu."""
+    rng = random.Random(LAYOUT_SEED)
     layouts: list[dict] = []
-    while len(layouts) < count:
+    while len(layouts) < LAYOUT_COUNT:
         n = rng.randint(1, 4)
         alphas = [[rng.randint(0, 6) for _ in range(n + 1)] for _ in range(n + 2)]
         if len(layouts) % 5 == 3:
@@ -92,16 +94,16 @@ def random_layouts(count: int = LAYOUT_COUNT, seed: int = 20261018) -> list[dict
     return layouts
 
 
-def random_specs(count: int = SPEC_COUNT, seed: int = 20261019) -> list[dict]:
-    """Small propagate specs: one or two rhos (a pair may be congruent mod 1,
-    which is the input-error path), N = 0..3, M = 0..10 and up to four seeds."""
-    rng = random.Random(seed)
+def random_specs() -> list[dict]:
+    """SPEC_COUNT small propagate specs: one or two rhos (a pair may be congruent
+    mod 1, which is the input-error path), N = 0..3, M = 0..10 and up to four seeds."""
+    rng = random.Random(SPEC_SEED)
 
     def rat(bound: int) -> str:
         return f"{rng.randint(-bound, bound)}/{rng.randint(1, bound)}"
 
     specs = []
-    for _ in range(count):
+    for _ in range(SPEC_COUNT):
         rhos = [f"{rng.randint(-2, 9)}/{rng.randint(3, 6)}" for _ in range(rng.randint(1, 2))]
         depth, order = rng.randint(0, 3), rng.randint(0, 10)
         seed_map = {

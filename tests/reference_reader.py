@@ -3,8 +3,8 @@ the package's one-pass reader, so the fuzz tests can hold the two to the
 same values and the same InputError text.
 
 ``read_terms`` matches one token at a time, and a parenthesized group is one
-token whose inside it reads again with itself, as a polynomial in lam
-(``read_poly``).  A group's faults are therefore reported when its token is
+token whose inside it reads again with itself, as a polynomial in the
+variable of the sum it stands in (``read_poly``).  A group's faults are therefore reported when its token is
 read; a syntax fault anywhere beats a name fault, and a text whose group
 does not close before the next "(" fails at that group's "(".
 """
@@ -19,13 +19,13 @@ from lamconn.exact import parse_int
 TOKEN_RE = re.compile(r"\s*(?:([-+*])|((\d+)(?:/(\d+))?)|([^\W\d]\w*)(?:\^(-?\d+))?|\(([^()]*)\))")
 
 
-def read_terms(text, what):
+def read_terms(text, what, var):
     """Read a sum in the term grammar into one ((num, den), powers, groups) per term.
 
     num/den is the signed product of the term's rational factors, not
     reduced; powers lists its name^int factors as (name, power) in text
     order; groups holds each of its parentheses, read as a polynomial in
-    lam into its (exponent, num, den) terms.  what names the expected value
+    var into its (exponent, num, den) terms.  what names the expected value
     in error messages.
     """
     if not text.strip():
@@ -53,7 +53,7 @@ def read_terms(text, what):
                 elif name is not None:
                     powers.append((name, int(power) if power else 1))
                 else:
-                    groups.append(read_poly(group, "lam"))
+                    groups.append(read_poly(group, var))
             elif op == "*":
                 want_factor = True
             elif not want_factor:
@@ -80,7 +80,7 @@ def read_poly(text, var):
     """(exponent, num, den) per term of a polynomial in var, like-exponent terms not merged."""
     what = f"polynomial in {var}"
     terms = []
-    for (n, d), powers, groups in read_terms(text, what):
+    for (n, d), powers, groups in read_terms(text, what, var):
         e = 0
         for name, power in powers:
             if name != var:

@@ -36,7 +36,7 @@ def test_battery_passes_with_asserts_stripped():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "lamconn.cli", "selftest"],
+        [sys.executable, "-O", "-m", "lamconn", "selftest"],
         capture_output=True,
         text=True,
         env=env,

@@ -547,6 +547,11 @@ class TestDigitLimit:
         self.assert_boundary_at_widest(self.NUMERATOR_SPEC, self.NUMERATOR_SEED, operator.attrgetter("numerator"),
                                        operator.attrgetter("denominator"))
 
+    def test_no_limit_refuses_nothing(self):
+        # a limit of 0 is no limit: the 713-digit numerator that a limit of 640 refuses is made
+        assert refused_at(640, self.NUMERATOR_SPEC, self.NUMERATOR_SEED)
+        assert not refused_at(0, self.NUMERATOR_SPEC, self.NUMERATOR_SEED)
+
     def test_full_table_under_the_default_limit(self):
         table = propagate(self.SPEC, self.SEED)
         assert len(table.entries) == 17 * 201

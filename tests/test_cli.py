@@ -73,11 +73,11 @@ def layout_over_budget(side):
     return {"n": 5, "alphas": alphas}
 
 
-def run_cli(*args, module="lamconn.cli"):
+def run_cli(*args):
     src = str(Path(lamconn.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", module, *args],
+        [sys.executable, "-m", "lamconn", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -85,8 +85,8 @@ def run_cli(*args, module="lamconn.cli"):
     )
 
 
-def write_json(tmp_path, obj, name="input.json"):
-    path = tmp_path / name
+def write_json(tmp_path, obj):
+    path = tmp_path / "input.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
@@ -399,13 +399,13 @@ class TestUsageErrors:
         ids=["bad-int", "missing-file", "unknown-command", "no-command"],
     )
     def test_usage_error_exits_1(self, argv):
-        proc = run_cli(*argv, module="lamconn")
+        proc = run_cli(*argv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage: lamconn")
         assert "Traceback" not in proc.stderr
 
     def test_help_exits_0(self):
-        proc = run_cli("--help", module="lamconn")
+        proc = run_cli("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: lamconn")
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement, conj_b
 from lamconn.connection import (
-    MonomialMu,
     SigmaTau,
     nabla_formula,
     pde_coefficients,
@@ -19,7 +18,7 @@ from lamconn.connection import (
 )
 from lamconn.errors import HypothesisError, InputError
 from lamconn.exact import LaurentPoly, invert
-from lamconn.exponents import ExponentData, dependency
+from lamconn.exponents import ExponentData, MonomialMu, dependency
 from lamconn.families import family_a
 from lamconn.selftest import random_exponent_data
 from strategies import abelements, polys, rationals

@@ -123,7 +123,7 @@ def oracle_group(group):
 def oracle_element(text):
     """ABElement.parse by LaurentPoly: groups multiplied as polynomials, sums in Fractions."""
     out = {}
-    for (num, den), powers, groups in read_terms(text, "algebra element"):
+    for (num, den), powers, groups in read_terms(text, "algebra element", "lam"):
         i = j = e = 0
         seen_b = False
         for name, power in powers:
@@ -194,6 +194,8 @@ def outcome(parse, text):
 @example(text="((lam))*a")
 @example(text="()*a")
 @example(text="lam + (1)")
+@example(text="L + (L^2)")
+@example(text="(lam)*L")
 # a literal past the conversion limit in a group that never closes: the "(" fails first
 @example(text="(1 + lam^" + "1" * 4301)
 def test_parsers_match_fraction_oracle(text):
@@ -224,9 +226,11 @@ def test_parsers_match_fraction_oracle(text):
         (ABElement.parse, "((lam))*a", "unexpected '((lam))*a' in algebra element: '((lam))*a'"),
         (ABElement.parse, "()*a", "empty polynomial in lam"),
         (LaurentPoly.parse, "lam + (1)", "only rationals and powers of lam may form a polynomial in lam: 'lam + (1)'"),
+        # a group is read in the variable of its own sum, L for a log polynomial
+        (LogPoly.parse, "L + (L^2)", "only rationals and powers of L may form a polynomial in L: 'L + (L^2)'"),
     ],
     ids=["syntax-beats-name", "group-dangling", "group-name", "zero-denominator", "unclosed-group", "nested-group",
-         "empty-group", "group-in-polynomial"],
+         "empty-group", "group-in-polynomial", "group-in-log-polynomial"],
 )
 def test_fault_precedence(parse, text, message):
     with pytest.raises(InputError) as caught:

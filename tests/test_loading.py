@@ -103,7 +103,7 @@ def test_check_command_runs_its_modules_only():
         print(json.dumps([code, ran()]))
     """)
     assert code == 2
-    assert modules == ["algebra", "cli", "connection", "errors", "exact", "exponents"]
+    assert modules == ["cli", "errors", "exact", "exponents"]
 
 
 def test_tracer_wraps_every_target_after_a_fresh_import():

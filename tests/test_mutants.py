@@ -344,6 +344,10 @@ MUTANTS = [
         asymptotics._chain, "den.bit_length() > room or max(map(int.bit_length, v)) > room",
         "max(map(int.bit_length, v)) > room"),
            {}, (test_asymptotics.TestDigitLimit().test_exact_boundary_at_a_denominator,)),
+    # no limit (0) read as a bound of 1, which every seed reaches; the battery runs under
+    # Python's default limit, so no criterion fails
+    Mutant("no_limit_refuses_everything", slipped(asymptotics.propagate, "if limit else None", "if limit else 1"),
+           {}, (test_asymptotics.TestDigitLimit().test_no_limit_refuses_nothing,)),
     # verify_table keeps reading order 0's term maps as the current order
     Mutant("verify_rows_not_advanced", slipped(asymptotics.verify_table, "current = following", "pass"),
            {9: ("nonzero residual for spec", "(0, 0, 1)")}, LONG_TABLE),
