@@ -47,7 +47,7 @@ in one pass over Q's numerators; ``conj_b`` and the product are its
 independent route.
 
 ``parse`` and ``__str__`` read and print text on the numerators as well.
-``parse`` is ``exact.read_terms`` on the names a, b and lam: its one pass
+``parse`` is ``exact.read_terms``, the reader of a, b and lam: its one pass
 assembles every term, lam groups included, into (i, j, e) keys with
 numerator and denominator parts, which go over one denominator into
 ``_make``.
@@ -280,7 +280,7 @@ class ABElement:
 
         a comes before b; a parenthesized group is a polynomial in lam.
         """
-        return cls._make(*over_one_denominator(read_terms(text, "algebra element", "lam", "a", "b")))
+        return cls._make(*over_one_denominator(read_terms(text)))
 
 
 def _flat(x: ABElement) -> dict[FlatKey, Fraction]:

@@ -140,7 +140,7 @@ class LogPoly(LaurentPoly):
     """Polynomial in L = Log(lam/lam0) with Fraction coefficients.
 
     The sparse storage, arithmetic, equality and text form are LaurentPoly's,
-    printed and parsed in L; degrees in L are never negative.
+    printed in L; degrees in L are never negative.
     """
 
     __slots__ = ()

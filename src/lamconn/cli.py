@@ -10,7 +10,8 @@ Subcommands: check, analyze, family-a, family-b, propagate, selftest.
 Exit codes: 0 on success; 1 on a usage error (argparse's message is kept)
 and on unreadable or malformed input; 2 when a well-formed input fails
 validation (rank hypotheses, family cross validation, failed self checks).
-main() maps InputError to 1 and HypothesisError to 2.
+main() maps InputError to 1 and HypothesisError to 2; entrypoint() exits
+with 1 when the reader of stdout closes it before everything is written.
 
 check, analyze, family-a and family-b each build one report, the ``--json``
 payload of the library's ``to_json`` blocks, and lay the text form out from
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import asymptotics, connection, errors, exact, exponents, families, selftest
@@ -266,4 +268,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main() and exit with its code, or with 1 when the reader of stdout closed it.
+
+    stdout is flushed inside the ``try``, so a closed pipe raises here and
+    not at interpreter exit; stdout then points at os.devnull, so the flush
+    at exit has nowhere to fail (the "Note on SIGPIPE" of the signal docs).
+    When fd 1 was closed before the start, sys.stdout is None, print()
+    writes nothing and main()'s code stands.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -24,9 +24,10 @@ of rationals by name), and the walk returns the smallest differing key
 with both values there.
 
 ``LaurentPoly`` is the package's one sparse polynomial in a single variable;
-``asymptotics.LogPoly`` is the same type printed in L instead of lam.
+``asymptotics.LogPoly`` is the same type printed in L instead of lam.  Both
+are printed, never read: no input the package takes holds one.
 
-Polynomials and algebra elements share one term grammar:
+Algebra elements are read and written in one term grammar:
 
     sum    := signs term (signs term)*
     term   := factor ("*" signs factor)*
@@ -36,13 +37,13 @@ where signs is a run of + and - that may be empty only at the start and
 after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
 it in one pass: one ``findall`` of ``_TOKEN_RE`` splits the text into
 tokens, each name or number with the "*" before it, and one loop over them
-reads each group inline, one level deep, as a polynomial in the variable
-of its sum, and assembles each term straight into (i, j, e) keys with
-(numerator, denominator) parts on ints.  A group of one term multiplies
-the term's scalar; a longer one is multiplied in as a list of terms, with
-like exponents merged before each further group.  The caller names what may
-stand in a term: ``ABElement.parse`` the generators a and b and the
-variable lam, ``LaurentPoly.parse`` its ``VAR`` alone and no group.  Every
+reads each group inline, one level deep, as a polynomial in lam, and
+assembles each term straight into (i, j, e) keys with (numerator,
+denominator) parts on ints.  A group of one term multiplies the term's
+scalar; a longer one is multiplied in as a list of terms, with like
+exponents merged before each further group.  A name in a term is a, b or
+lam, each to a nonnegative power but lam, and a before b; a group holds
+powers of lam alone.  ``ABElement.parse`` is its one caller.  Every
 literal is read with a plain ``int()`` inside one ``try`` around the loop;
 a literal past Python's int/str conversion limit raises ``ValueError``
 there, and the handler names that literal through ``parse_int``.
@@ -52,14 +53,14 @@ holds the reader to it.  A syntax fault (an unexpected token, a zero
 denominator, a literal too long) is raised where it stands; a dangling
 operator at the end comes after every syntax fault, and a bad name comes
 last, whichever term holds it.  A group's faults are its own, in the same
-order, and worded on the group's text as a polynomial in that variable:
+order, and worded on the group's text as a polynomial in lam:
 they are raised at its ")", so a bad name inside a group beats a later
 syntax fault outside it, and a group that does not close before the next
 "(" fails at its own "(" whatever it holds.  Only a fault looks for where
 its tokens stand (``_fault``, which runs the token pattern again with
 positions).  ``power_text``, ``term_text`` and ``join_signed`` write the
-grammar (``ABElement.__str__`` writes the same text in one pass of its
-own).
+grammar, and the polynomials' text (``ABElement.__str__`` writes the same
+text in one pass of its own).
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
@@ -114,18 +115,15 @@ _TOKEN_RE = re.compile(r"\s*(?:(\*?)\s*(?:([^\W\d]\w*)(?:\^(-?\d+))?|(\d+)(?:/(\
 # its template, which _fault words with the what and text of the sum it stands in
 _UNEXPECTED = "unexpected {rest!r} in {what}: {text!r}"
 _DANGLING = "dangling operator in {what}: {text!r}"
-_NOT_POLY = "only rationals and powers of {var} may form a {what}: {text!r}"
+_NOT_POLY = "only rationals and powers of lam may form a polynomial in lam: {text!r}"
 
 
-def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: str | None = None) -> list[tuple[tuple[int, int, int], int, int]]:
-    """Read a sum in the term grammar into ((i, j, e), num, den) parts, in one pass.
+def read_terms(text: str) -> list[tuple[tuple[int, int, int], int, int]]:
+    """Read an algebra element in the term grammar into ((i, j, e), num, den) parts, in one pass.
 
-    A term is num/den * gen_a^i * gen_b^j * var^e times its groups, each a
-    polynomial in var, and gives one part per term of that product, with
-    num/den unreduced, den > 0 and like keys not merged.  Only var may be
-    named, and gen_a and gen_b when given, to nonnegative powers and gen_a
-    before gen_b; a group may stand as a factor only when they are given.
-    what names the expected value in messages.
+    A term is num/den * a^i * b^j * lam^e times its groups, each a
+    polynomial in lam, and gives one part per term of that product, with
+    num/den unreduced, den > 0 and like keys not merged.
     """
     tokens = _TOKEN_RE.findall(text.rstrip())
     parts: list[tuple[tuple[int, int, int], int, int]] = []
@@ -160,7 +158,7 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                         raise InputError(_UNEXPECTED if group is None else _DANGLING if want_factor else _NOT_POLY)
                     outer_num, outer_den, outer_e = outer
                     if not group:
-                        # one term c*var^k multiplies the scalar part
+                        # one term c*lam^k multiplies the scalar part
                         num, den, e = outer_num * num, outer_den * den, outer_e + e
                     else:
                         group.append((e, num, den))
@@ -173,9 +171,7 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                 elif char != "(" or not want_factor or group is not None:
                     raise InputError(_UNEXPECTED)
                 else:
-                    # "(" opens a group, read here as a polynomial in var
-                    if gen_a is None and name_error is None:
-                        name_error = _NOT_POLY.format(var=var, what=what, text=text)
+                    # "(" opens a group, read here as a polynomial in lam
                     outer, num, den, e = (num, den, e), 1, 1, 0
                     group, opener, group_bad = [], tok, False
             elif want_factor != (not star):
@@ -184,19 +180,18 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
             elif name:
                 want_factor = False
                 power = int(power) if power else 1
-                if name == var:
+                if name == "lam":
                     e += power
                 elif group is not None:
                     group_bad = True
-                elif name == gen_a and power >= 0 and not seen_b:
+                elif name == "a" and power >= 0 and not seen_b:
                     i += power
-                elif name == gen_b and power >= 0:
+                elif name == "b" and power >= 0:
                     j += power
                     seen_b = True
                 elif name_error is None:
-                    name_error = _NOT_POLY.format(var=var, what=what, text=text) if gen_a is None else (
-                        f"{gen_a} after {gen_b} in {text!r}: text must be normally ordered" if name == gen_a and power >= 0
-                        else f"bad factor {name}^{power} in {what}: {text!r}")
+                    name_error = (f"a after b in {text!r}: text must be normally ordered" if name == "a" and power >= 0
+                                  else f"bad factor {name}^{power} in algebra element: {text!r}")
             else:
                 want_factor = False
                 num *= int(p)
@@ -214,9 +209,9 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
                     parse_int(literal)
             except InputError as refusal:
                 fault = refusal
-        raise _fault(text, tokens, tok, opener, what, var, str(fault)) from None
+        raise _fault(text, tokens, tok, opener, str(fault)) from None
     if want_factor:
-        raise InputError((_DANGLING if tokens else "empty {what}").format(what=what, text=text))
+        raise InputError(_DANGLING.format(what="algebra element", text=text) if tokens else "empty algebra element")
     if poly is None:
         parts.append(((i, j, e), num, den))
     else:
@@ -226,25 +221,25 @@ def read_terms(text: str, what: str, var: str, gen_a: str | None = None, gen_b: 
     return parts
 
 
-def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, what: str, var: str, template: str) -> InputError:
+def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, template: str) -> InputError:
     """The InputError for a fault that read_terms found at token tok of text.
 
     Inside a group, opened at token opener, the fault is the group's, worded
-    on the group's text as a polynomial in var, when a ")" closes the group
+    on the group's text as a polynomial in lam, when a ")" closes the group
     before any "("; otherwise that "(" is unexpected.  template words the
-    fault with the what and text of the sum it stands in, var and rest, the
+    fault with the what and text of the sum it stands in and rest, the
     text from tok on.
     """
     spans = {id(t): m.span() for t, m in zip(tokens, _TOKEN_RE.finditer(text))}
-    start, where = spans[id(tok)][0], text
+    start, where, what = spans[id(tok)][0], text, "algebra element"
     if opener is not None:
         close = re.compile("[()]").search(text, start)
         if close is None or close[0] == "(":
             start, template = spans[id(opener)][0], _UNEXPECTED
         else:
-            where, what, text = text[spans[id(opener)][1] : close.start()], f"polynomial in {var}", text[: close.start()]
+            where, what, text = text[spans[id(opener)][1] : close.start()], "polynomial in lam", text[: close.start()]
             template = template if where.strip() else "empty {what}"
-    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20], var=var))
+    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20]))
 
 
 def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:
@@ -336,12 +331,12 @@ class LaurentPoly:
 
     Stored as exponent -> coefficient with zero coefficients pruned, so
     equality of the term maps is equality of the polynomials.  Instances are
-    treated as immutable.  ``VAR`` names the variable for printing and
-    parsing: lam here, L in the subclass ``asymptotics.LogPoly``.  Arithmetic
-    takes only an operand of exactly the same type (or an int or Fraction),
-    so polynomials in different variables never mix.  Equality follows the
-    same rule except for constants, which compare by value with numbers and
-    with constants of either class.
+    treated as immutable.  ``VAR`` names the variable for printing: lam
+    here, L in the subclass ``asymptotics.LogPoly``.  Arithmetic takes only
+    an operand of exactly the same type (or an int or Fraction), so
+    polynomials in different variables never mix; equality and hashing
+    compare the term maps of two polynomials of the same type alone, so a
+    polynomial equals no number and no polynomial of the other type.
 
     ``__init__``, ``const`` and ``lam_power`` validate what they are given;
     every arithmetic result is built by ``_make``, which trusts its input.
@@ -394,9 +389,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_const(self) -> bool:
-        return set(self._terms) <= {0}
-
     def coefficient(self, e: int) -> Fraction:
         return self._terms.get(e, _ZERO)
 
@@ -439,19 +431,11 @@ class LaurentPoly:
         return self._make({e: e * c for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is type(self):
-            return self._terms == other._terms
-        if isinstance(other, LaurentPoly):
-            # Constants of either class equal their value, so they equal each other.
-            return self.is_const() and other.is_const() and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_const() and self.coefficient(0) == other
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # A constant, zero included, equals its value, so it hashes as that value.
-        if self.is_const():
-            return hash(self.coefficient(0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
@@ -461,12 +445,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the serialized form, e.g. "-4*lam^-2 + 1" or "lam" (in L for LogPoly)."""
-        nums, den = over_one_denominator(read_terms(text, f"polynomial in {cls.VAR}", cls.VAR))
-        return cls({e: Fraction(n, den) for (_, _, e), n in nums.items()})
 
 
 class RatMatrix:

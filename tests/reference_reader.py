@@ -1,6 +1,8 @@
 """The reference reader of the term grammar: a recursive reader kept apart from
 the package's one-pass reader, so the fuzz tests can hold the two to the
-same values and the same InputError text.
+same values and the same InputError text.  The package prints polynomials
+but reads none, so the polynomial tests read the printed text back with
+``read_poly``.
 
 ``read_terms`` matches one token at a time, and a parenthesized group is one
 token whose inside it reads again with itself, as a polynomial in the

@@ -80,7 +80,7 @@ def word_to_element(word):
 def element_to_word_map(x):
     out = {}
     for (i, j), coeff in x.terms.items():
-        assert coeff.is_const()
+        assert coeff.terms.keys() <= {0}
         out["a" * i + "b" * j] = coeff.coefficient(0)
     return out
 

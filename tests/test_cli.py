@@ -73,16 +73,28 @@ def layout_over_budget(side):
     return {"n": 5, "alphas": alphas}
 
 
-def run_cli(*args):
+def cli_env():
+    """The environment of a fresh interpreter that imports this lamconn first."""
     src = str(Path(lamconn.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "lamconn", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        [sys.executable, "-m", "lamconn", *args], capture_output=True, text=True, env=cli_env(), timeout=120
     )
+
+
+def run_cli_into_closed_pipe(*args, lines_read=0):
+    """Exit code and stderr of the CLI in a fresh interpreter whose stdout is a pipe
+    that its reader closes after reading lines_read lines."""
+    proc = subprocess.Popen([sys.executable, "-m", "lamconn", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=cli_env())
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    return proc.returncode, stderr
 
 
 def write_json(tmp_path, obj):
@@ -408,6 +420,36 @@ class TestUsageErrors:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: lamconn")
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command with exit 1 and no traceback."""
+
+    def test_propagate_reader_takes_one_line(self, tmp_path):
+        # 536,606 bytes of text, far past what a pipe holds, so the command is still writing
+        spec = {"rhos": ["1/3"], "N": 3, "M": 200, "alpha": "1", "beta": "1/2", "seed": {"0,0,0": "1", "0,3,0": "1"}}
+        code, stderr = run_cli_into_closed_pipe("propagate", write_json(tmp_path, spec), lines_read=1)
+        assert code == 1
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+
+    def test_reader_closed_before_any_read(self):
+        commands = [
+            ["check", str(GOLDEN_INPUTS / "cube.json"), "--json"],
+            ["family-a", "--u", "2", "--v", "2", "--w", "1"],
+            ["selftest"],
+        ]
+        for argv in commands:
+            code, stderr = run_cli_into_closed_pipe(*argv)
+            assert code == 1, argv
+            assert "Traceback" not in stderr and "Exception ignored" not in stderr, (argv, stderr)
+
+    @pytest.mark.parametrize("name, code", [("family-a.json", 0), ("cube.json", 2)])
+    def test_stdout_closed_at_start_keeps_the_exit_code(self, name, code):
+        # with fd 1 closed, sys.stdout is None and print() writes nothing
+        argv = ["sh", "-c", 'exec "$0" -m lamconn check "$1" >&-', sys.executable, str(GOLDEN_INPUTS / name)]
+        done = subprocess.run(argv, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr, done.stderr
 
 
 class TestSelftest:

@@ -22,6 +22,7 @@ from lamconn.exact import (
     rank,
     solve,
 )
+from reference_reader import read_poly
 from strategies import entry_rows, matrix, polys, small_fraction
 
 # Bordered exponent matrices of the two golden instances; every frozen value
@@ -153,33 +154,6 @@ class TestLaurentPoly:
         assert str(LaurentPoly.zero()) == "0"
         assert str(LaurentPoly.const(F(7, 2))) == "7/2"
 
-    def test_parse_examples(self):
-        assert LaurentPoly.parse("-4*lam^-2 + 1") == LaurentPoly({-2: -4, 0: 1})
-        assert LaurentPoly.parse("lam") == LaurentPoly({1: 1})
-        assert LaurentPoly.parse("3/2*lam^5 - lam") == LaurentPoly({5: F(3, 2), 1: -1})
-        assert LaurentPoly.parse("0") == LaurentPoly.zero()
-        assert LaurentPoly.parse("1/2 - -3") == LaurentPoly.const(F(7, 2))
-        assert LaurentPoly.parse("2*-lam") == LaurentPoly({1: -2})
-
-    @pytest.mark.parametrize("bad", ["lam^", "4*", "(1)", "lam**2", "b"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(InputError):
-            LaurentPoly.parse(bad)
-
-    def test_parse_rejects_oversized_exponent(self):
-        with pytest.raises(InputError, match="too long"):
-            LaurentPoly.parse("lam^" + LONG_DIGITS)
-
-    @pytest.mark.parametrize(
-        "template",
-        ["{}*lam + 1", "lam - 1/{}", "2*lam^{}", "2*lam^-{}"],
-        ids=["numerator", "denominator", "lam_power", "negative_lam_power"],
-    )
-    def test_parse_names_the_oversized_literal(self, template):
-        with pytest.raises(InputError) as caught:
-            LaurentPoly.parse(template.format(LONG_DIGITS))
-        assert str(caught.value) == "integer literal of 4301 digits is too long"
-
     def test_theta(self):
         p = LaurentPoly({3: 5, 0: 7, -2: 1})
         assert p.theta() == LaurentPoly({3: 15, -2: -2})
@@ -196,19 +170,15 @@ class TestLaurentPoly:
 
     @given(laurent_polys | log_polys)
     def test_str_parse_round_trip(self, p):
-        assert type(p).parse(str(p)) == p
+        # the printed text read back by the reference reader, each term summed into its exponent
+        terms = {}
+        for e, num, den in read_poly(str(p), p.VAR):
+            terms[e] = terms.get(e, 0) + F(num, den)
+        assert type(p)(terms) == p
 
     @given(polys(LaurentPoly, -3, 3, max_size=4), polys(LaurentPoly, -3, 3, max_size=4))
     def test_theta_is_a_derivation(self, p, q):
         assert (p * q).theta() == p.theta() * q + p * q.theta()
-
-
-@given(st.sampled_from([LaurentPoly, LogPoly]), small_fraction)
-def test_constant_hashes_as_its_value(cls, c):
-    # zero included: small_fraction draws 0
-    p = cls.const(c)
-    assert hash(p) == hash(p.coefficient(0))
-    assert len({p, p.coefficient(0)}) == 1
 
 
 # Few values, so that equal ones meet often: numbers, constants and

@@ -3,12 +3,12 @@
 Every input must give a value or raise InputError, and nothing else.  Text
 is drawn mostly from the tokens the grammars use, so that inputs get past
 the first character before they fail.  JSON input is any JSON value, the
-expected keys with any values, or a near-valid object.  Parsed polynomials
-and algebra elements must also print and parse back to themselves, and
-read and print as a Fraction and LaurentPoly oracle does; the oracle reads
-text with the recursive reference reader in tests/reference_reader.py, not
-with the package's one-pass reader, and both must raise the same InputError
-text.  Example counts are kept small so the suite stays fast.
+expected keys with any values, or a near-valid object.  Parsed algebra
+elements must also print and parse back to themselves, and read and print
+as a Fraction and LaurentPoly oracle does; the oracle reads text with the
+recursive reference reader in tests/reference_reader.py, not with the
+package's one-pass reader, and both must raise the same InputError text.
+Example counts are kept small so the suite stays fast.
 """
 
 from fractions import Fraction
@@ -18,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
-from lamconn.asymptotics import ExpansionSpec, LogPoly, seed_from_json
+from lamconn.asymptotics import ExpansionSpec, seed_from_json
 from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, term_text
 from lamconn.exponents import ExponentData
-from reference_reader import read_poly, read_terms
+from reference_reader import read_terms
 
 TOKENS = [
     "0", "1", "7", "12", "1/2", "-3/4", "+", "-", "*", "/", "^", "^-", "(", ")", "[", "]",
@@ -74,15 +74,15 @@ def value_or_input_error(load, arg):
 
 @pytest.mark.parametrize(
     "parse",
-    [parse_rat, LaurentPoly.parse, LogPoly.parse, ABElement.parse, parse_seed_key],
+    [parse_rat, ABElement.parse, parse_seed_key],
     ids=lambda parse: parse.__qualname__,
 )
 @settings(max_examples=250)
 @given(text=grammar_text)
 def test_text_parser(parse, text):
     value = value_or_input_error(parse, text)
-    if isinstance(value, (LaurentPoly, ABElement)):
-        assert type(value).parse(str(value)) == value
+    if isinstance(value, ABElement):
+        assert ABElement.parse(str(value)) == value
 
 
 # Sums whose terms carry denominators and one or two parenthesized lam groups.
@@ -102,14 +102,6 @@ grouped_sum = st.lists(
     min_size=1,
     max_size=4,
 ).map(" - ".join)
-
-
-def oracle_poly(cls, text):
-    """cls.parse by Fractions: each term of the reference reader summed into its exponent."""
-    terms = {}
-    for e, num, den in read_poly(text, cls.VAR):
-        terms[e] = terms.get(e, 0) + Fraction(num, den)
-    return cls(terms)
 
 
 def oracle_group(group):
@@ -150,7 +142,7 @@ def oracle_text(x):
     parts = []
     for (i, j), poly in sorted(x.terms.items(), key=lambda kv: (-sum(kv[0]), -kv[0][0])):
         monomial = "*".join(filter(None, (power_text("a", i), power_text("b", j))))
-        if poly.is_const():
+        if poly.terms.keys() <= {0}:
             c = poly.coefficient(0)
             parts.append((c < 0, term_text(abs(c), monomial)))
         else:
@@ -199,42 +191,33 @@ def outcome(parse, text):
 # a literal past the conversion limit in a group that never closes: the "(" fails first
 @example(text="(1 + lam^" + "1" * 4301)
 def test_parsers_match_fraction_oracle(text):
-    for parse, oracle in (
-        (ABElement.parse, oracle_element),
-        (LaurentPoly.parse, lambda t: oracle_poly(LaurentPoly, t)),
-        (LogPoly.parse, lambda t: oracle_poly(LogPoly, t)),
-    ):
-        got, expected = outcome(parse, text), outcome(oracle, text)
-        assert type(got) is type(expected) and got == expected
-    x = outcome(ABElement.parse, text)
+    x, expected = outcome(ABElement.parse, text), outcome(oracle_element, text)
+    assert type(x) is type(expected) and x == expected
     if isinstance(x, ABElement):
         assert str(x) == oracle_text(x)
 
 
 @pytest.mark.parametrize(
-    "parse, text, message",
+    "text, message",
     [
         # a syntax fault anywhere beats an earlier bad name
-        (ABElement.parse, "c + 2**a", "unexpected '*a' in algebra element: 'c + 2**a'"),
+        ("c + 2**a", "unexpected '*a' in algebra element: 'c + 2**a'"),
         # a group's faults are worded on the group's text
-        (ABElement.parse, "(a + )*b", "dangling operator in polynomial in lam: 'a + '"),
+        ("(a + )*b", "dangling operator in polynomial in lam: 'a + '"),
         # a group's bad name fails at its ")", before later syntax faults
-        (ABElement.parse, "(a)*b + 2**a", "only rationals and powers of lam may form a polynomial in lam: 'a'"),
-        (ABElement.parse, "b*a + 1/0", "zero denominator: '1/0'"),
+        ("(a)*b + 2**a", "only rationals and powers of lam may form a polynomial in lam: 'a'"),
+        ("b*a + 1/0", "zero denominator: '1/0'"),
         # a group that does not close before the next "(" fails at its own "("
-        (ABElement.parse, "(lam", "unexpected '(lam' in algebra element: '(lam'"),
-        (ABElement.parse, "((lam))*a", "unexpected '((lam))*a' in algebra element: '((lam))*a'"),
-        (ABElement.parse, "()*a", "empty polynomial in lam"),
-        (LaurentPoly.parse, "lam + (1)", "only rationals and powers of lam may form a polynomial in lam: 'lam + (1)'"),
-        # a group is read in the variable of its own sum, L for a log polynomial
-        (LogPoly.parse, "L + (L^2)", "only rationals and powers of L may form a polynomial in L: 'L + (L^2)'"),
+        ("(lam", "unexpected '(lam' in algebra element: '(lam'"),
+        ("((lam))*a", "unexpected '((lam))*a' in algebra element: '((lam))*a'"),
+        ("()*a", "empty polynomial in lam"),
     ],
     ids=["syntax-beats-name", "group-dangling", "group-name", "zero-denominator", "unclosed-group", "nested-group",
-         "empty-group", "group-in-polynomial", "group-in-log-polynomial"],
+         "empty-group"],
 )
-def test_fault_precedence(parse, text, message):
+def test_fault_precedence(text, message):
     with pytest.raises(InputError) as caught:
-        parse(text)
+        ABElement.parse(text)
     assert str(caught.value) == message
 
 

@@ -9,8 +9,9 @@ package's own export list is checked as well, so a deleted name cannot stay
 behind in ``lamconn.__all__``, and so is the README's library example.  Each
 committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
-leaves docstrings, comments and blank lines out, and the A/B timer in tools/
-runs two revisions side by side.
+leaves docstrings, comments and blank lines out, the A/B timer in tools/
+runs two revisions side by side, and the line tracer in tools/ reports the
+statement lines that a job never ran.
 """
 
 import contextlib
@@ -138,6 +139,16 @@ def test_code_line_counter(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
     assert counter.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == ["     7 a.py", "     1 b.py", "     8 total", ""]
+
+
+def test_traffic_lines_reports_what_a_job_never_ran():
+    tool = load_module(ROOT / "tools", "traffic_lines")
+    unrun, statements = tool.unrun_lines(tool.trace_lines(lambda: lamconn.parse_rat("1/2")))["exact.py"]
+    texts = [text for _, text in unrun]
+    # a good rational: the refusal never runs, and the read does
+    assert 'raise InputError(f"not a rational literal: {text!r}")' in texts
+    assert "m = _RAT_RE.match(text.strip())" not in texts
+    assert len(texts) < statements
 
 
 def test_ab_times_a_revision_against_the_working_tree():

@@ -41,15 +41,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_package(src: Path, name: str):
-    """The lamconn package under src, imported as the top-level package name."""
-    spec = importlib.util.spec_from_file_location(
-        name, src / "lamconn" / "__init__.py", submodule_search_locations=[str(src / "lamconn")]
-    )
+def load_module(path: Path, name: str, **spec_options):
+    """The module at path, imported under name."""
+    spec = importlib.util.spec_from_file_location(name, path, **spec_options)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules[name] = module  # dataclasses look their module up while it executes
     spec.loader.exec_module(module)
     return module
+
+
+def load_package(src: Path, name: str):
+    """The lamconn package under src, imported as the top-level package name."""
+    return load_module(src / "lamconn" / "__init__.py", name, submodule_search_locations=[str(src / "lamconn")])
 
 
 def unpack_src(rev: str, into: Path) -> Path:
@@ -63,12 +66,7 @@ def unpack_src(rev: str, into: Path) -> Path:
 
 
 def load_workload(name: str):
-    path = ROOT / "benchmarks" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("lamconn_ab_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while it executes
-    spec.loader.exec_module(module)
-    return module.WORKLOADS[name]
+    return load_module(ROOT / "benchmarks" / "workloads.py", "lamconn_ab_workloads").WORKLOADS[name]
 
 
 def timed(job) -> float:

@@ -1,0 +1,128 @@
+"""List the statement lines of lamconn that no traffic runs.
+
+    python3 tools/traffic_lines.py
+
+Runs the package's traffic under a ``sys.settrace`` line tracer (stdlib
+only) and prints, per module of ``src/lamconn``, each statement line that
+never ran, then one JSON line of counts per module.  The traffic is:
+
+- every command of ``tests/golden/outputs.json`` through ``cli.main``, in
+  the temporary working directory that ``tests/golden/regenerate.py``
+  builds, so the CSV files go there;
+- the battery, ``selftest.run_all()``;
+- the first 300 seed-101 inputs of ``layouts``, 150 of ``operators`` and
+  30 of ``expansions`` (``benchmarks/workloads.py``, loaded as
+  ``tools/ab.py`` loads it), each run and checked as the benchmark does.
+
+These files are only read.  lamconn is imported under the tracer, so the
+lines that run when a module loads count as run.  A statement line is the
+first line of a statement that is not a docstring and that the compiler
+gives code of its own; an ``else:`` or a decorator is not one.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import json
+import os
+import sys
+from collections import defaultdict
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lamconn"
+SEED = 101
+OPS = {"layouts": 300, "operators": 150, "expansions": 30}
+
+
+def statement_lines(source: str) -> set[int]:
+    """The first line of every statement of source that is not a docstring
+    and at which the compiled code has an instruction."""
+    tree = ast.parse(source)
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.add(node.body[0].lineno)
+    statements = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)} - docstrings
+    coded, codes = set(), [compile(tree, "<source>", "exec")]
+    while codes:
+        code = codes.pop()
+        coded.update(line for _, _, line in code.co_lines() if line is not None)
+        codes.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return statements & coded
+
+
+def trace_lines(job) -> dict[str, set[int]]:
+    """Run job() under a line tracer; the lines that ran, by the path of each file of lamconn."""
+    prefix = str(PACKAGE.resolve())
+    hits: dict[str, set[int]] = defaultdict(set)
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename.startswith(prefix) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        job()
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
+def unrun_lines(hits: dict[str, set[int]]) -> dict[str, tuple[list[tuple[int, str]], int]]:
+    """Per module of lamconn, by its file name: the statement lines that hits
+    does not hold, each with its text, and the count of statement lines."""
+    report = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        statements = statement_lines(source)
+        ran = hits.get(str(path.resolve()), set())
+        text = source.splitlines()
+        report[str(path.relative_to(PACKAGE))] = ([(n, text[n - 1].strip()) for n in sorted(statements - ran)],
+                                                  len(statements))
+    return report
+
+
+def traffic() -> None:
+    """The golden corpus, the battery and the workloads' first inputs, run in that order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+    from ab import load_module, load_workload
+
+    regenerate = load_module(ROOT / "tests" / "golden" / "regenerate.py", "lamconn_traffic_regenerate")
+    import lamconn
+    from lamconn import cli, selftest
+
+    corpus = json.loads((ROOT / "tests" / "golden" / "outputs.json").read_text(encoding="utf-8"))
+    with regenerate.workspace(), open(os.devnull, "w") as sink:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for command in corpus:
+                cli.main(command.split())
+    selftest.run_all()
+    for name, count in OPS.items():
+        workload = load_workload(name)
+        for inp in islice(workload.inputs(SEED), count):
+            workload.check(lamconn, inp, workload.run(lamconn, inp))
+
+
+def main() -> int:
+    report = unrun_lines(trace_lines(traffic))
+    counts = {}
+    for module, (lines, statements) in report.items():
+        counts[module] = {"statements": statements, "unrun": len(lines)}
+        print(f"{module}: {len(lines)} of {statements} statement lines never ran")
+        for number, text in lines:
+            print(f"  {number:4d}  {text}")
+    print(json.dumps(counts))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
