@@ -46,31 +46,69 @@ general product:
 in one pass over Q's numerators; ``conj_b`` and the product are its
 independent route.
 
-``parse`` and ``__str__`` read and print text on the numerators as well.
-``parse`` is ``exact.read_terms``, the reader of a, b and lam: its one pass
-assembles every term, lam groups included, into (i, j, e) keys with
-numerator and denominator parts, which go over one denominator into
-``_make``.
+The module owns the text format of elements: ``__str__`` writes it and
+``parse`` reads exactly the text ``__str__`` writes, in this grammar:
+
+    element := ["-"] term (sep term)*             sep  := " + " | " - "
+    term    := coeff ["*" mono] | mono | "(" lamsum ")" ["*" mono]
+    mono    := "a" [pow] ["*b" [pow]] | "b" [pow]
+    lamsum  := ["-"] lamterm (sep lamterm)*
+    lamterm := coeff ["*lam" [zpow]] | "lam" [zpow]
+    coeff   := nat ["/" nat]    pow := "^" nat    zpow := "^" ["-"] nat    nat := [0-9]+
+
+The grammar does not ask for canonical text: fractions need not be reduced,
+a monomial may repeat and terms may come in any order; like terms are
+summed.  ``parse`` reads one term per match of ``_TERM_RE``, the coefficient
+of a term being a rational or the text of its lam sum, whose terms
+``_LAM_TERM_RE`` finds, and sends every (i, j, e) key with its numerator and
+denominator over one denominator into ``_make``.
+
+A fault is reported by one rule, the leftmost fault wins: terms are read from
+the left, and the first term that fails decides.  A term outside the grammar
+raises ``unexpected {rest!r} in algebra element: {text!r}``, where rest is
+the text from its separator on, cut at 20 characters (``empty algebra
+element`` for the empty text); a term in the grammar fails at its leftmost
+literal that is a zero denominator (``zero denominator: 'p/q'``) or longer
+than Python's int/str conversion limit (``integer literal of N digits is too
+long``).  The reference reader in the tests holds ``parse`` to the grammar
+and the rule.
+
 ``__str__`` sorts the flat keys once by (-(i+j), -i, e), so each (i, j) is
 one run of ascending lam exponents, reduces each term's n/den with one gcd
 and writes every piece into one list that it joins once; it writes the
-grammar of ``exact`` itself rather than through ``term_text`` and
-``join_signed``, and the fuzz tests hold it to those writers.
+grammar itself rather than through ``exact.term_text`` and
+``exact.join_signed``, and the fuzz tests hold it to those writers.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ContractError, InputError
-from .exact import LaurentPoly, check_coefficient, check_int, over_one_denominator, read_terms
+from .exact import LaurentPoly, check_coefficient, check_int, parse_rat
 
 Key = tuple[int, int]
 FlatKey = tuple[int, int, int]
 RowKey = tuple[int, int]  # (total degree, lam exponent)
 Rows = dict[RowKey, dict[int, int]]  # row -> a power -> numerator
+
+_RAT = "[0-9]+(?:/[0-9]+)?"
+_LAM_TERM = rf"(?:{_RAT}(?:\*lam(?:\^-?[0-9]+)?)?|lam(?:\^-?[0-9]+)?)"
+# One term of the grammar at pos, with its separator: 1 the separator, 2 the
+# coefficient, a rational or a parenthesized lam sum, 3 and 4 a and its power,
+# 5 and 6 b and its power.  A "*" stands between two parts, and the match is
+# the separator alone when no term follows it.
+_TERM_RE = re.compile(
+    rf"(^-?| [-+] )({_RAT}|\(-?{_LAM_TERM}(?: [-+] {_LAM_TERM})*\))?"
+    r"(?:(?(2)\*)(?=[ab])(?:(a)(?:\^([0-9]+))?)?(?:(?(3)\*)(b)(?:\^([0-9]+))?)?)?"
+)
+# One lam term of a coefficient that _TERM_RE matched: its separator, with the
+# "(" of a lam sum, the numerator and denominator, lam and its exponent.
+_LAM_TERM_RE = re.compile(r"(^\(?-?| [-+] )(?:([0-9]+)(?:/([0-9]+))?)?\*?(lam)?(?:\^(-?[0-9]+))?")
+_LITERAL_RE = re.compile(_RAT)
 
 
 class ABElement:
@@ -276,11 +314,43 @@ class ABElement:
 
     @classmethod
     def parse(cls, text: str) -> "ABElement":
-        """Parse normal-form text such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2".
+        """Read text in the grammar of the module docstring, such as "a^2 - 7/2*a*b + (-4*lam^-2)*b^2"."""
+        parts = []
+        pos, end = 0, len(text)
+        while True:
+            m = _TERM_RE.match(text, pos)
+            if m is None or m.end() == m.end(1):
+                raise InputError(f"unexpected {text[pos:pos + 20]!r} in algebra element: {text!r}"
+                                 if text else "empty algebra element")
+            sep, coeff, a, i, b, j = m.groups()
+            minus = "-" in sep
+            try:
+                i = (int(i) if i else 1) if a else 0
+                j = (int(j) if j else 1) if b else 0
+                for lam_sep, p, q, lam, e in _LAM_TERM_RE.findall(coeff or "1"):
+                    num = int(p) if p else 1
+                    den = int(q) if q else 1
+                    if not den:
+                        raise InputError(f"zero denominator: {p + '/' + q!r}")
+                    e = int(e) if e else 1 if lam else 0
+                    parts.append(((i, j, e), -num if minus != ("-" in lam_sep) else num, den))
+            except ValueError:
+                # int() refused a literal past the conversion limit, or a denominator is 0:
+                # parse_rat raises on the leftmost of the term's literals that holds a fault
+                for literal in _LITERAL_RE.findall(m[0]):
+                    parse_rat(literal)
+            pos = m.end()
+            if pos == end:
+                return cls._make(*over_one_denominator(parts))
 
-        a comes before b; a parenthesized group is a polynomial in lam.
-        """
-        return cls._make(*over_one_denominator(read_terms(text)))
+
+def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:
+    """Numerators by key over the lcm of the parts' denominators; cancelled keys keep a 0."""
+    den = math.lcm(*(d for _, _, d in parts))
+    nums: dict = {}
+    for key, n, d in parts:
+        nums[key] = nums.get(key, 0) + n * (den // d)
+    return nums, den
 
 
 def _flat(x: ABElement) -> dict[FlatKey, Fraction]:

@@ -235,7 +235,7 @@ class ExpansionSpec:
 
 def seed_from_json(obj) -> dict[SeedKey, Fraction]:
     """The seed of an expansion input: its optional "seed" object, keyed by
-    "i,k,m" with three nonnegative decimal integers, each key naming a cell
+    "i,k,m" with three runs of ASCII digits, each key naming a cell
     that no earlier key names, and each value a rational (``json_rat``).
 
     Without a "seed" the seed is empty.  ``propagate`` checks the cells
@@ -249,7 +249,7 @@ def seed_from_json(obj) -> dict[SeedKey, Fraction]:
         parts = text.split(",")
         if len(parts) != 3:
             raise InputError(f"seed key must be 'i,k,m', got {text!r}")
-        if not all(part.isdecimal() for part in parts):
+        if not (text.isascii() and all(part.isdecimal() for part in parts)):
             raise InputError(f"seed key must contain integers, got {text!r}")
         key = tuple(map(parse_int, parts))
         if key in seed:

@@ -27,40 +27,9 @@ with both values there.
 ``asymptotics.LogPoly`` is the same type printed in L instead of lam.  Both
 are printed, never read: no input the package takes holds one.
 
-Algebra elements are read and written in one term grammar:
-
-    sum    := signs term (signs term)*
-    term   := factor ("*" signs factor)*
-    factor := p[/q] | name[^int] | "(" sum ")", nested one level at most
-
-where signs is a run of + and - that may be empty only at the start and
-after "*", and whitespace is allowed between tokens.  ``read_terms`` reads
-it in one pass: one ``findall`` of ``_TOKEN_RE`` splits the text into
-tokens, each name or number with the "*" before it, and one loop over them
-reads each group inline, one level deep, as a polynomial in lam, and
-assembles each term straight into (i, j, e) keys with (numerator,
-denominator) parts on ints.  A group of one term multiplies the term's
-scalar; a longer one is multiplied in as a list of terms, with like
-exponents merged before each further group.  A name in a term is a, b or
-lam, each to a nonnegative power but lam, and a before b; a group holds
-powers of lam alone.  ``ABElement.parse`` is its one caller.  Every
-literal is read with a plain ``int()`` inside one ``try`` around the loop;
-a literal past Python's int/str conversion limit raises ``ValueError``
-there, and the handler names that literal through ``parse_int``.
-
-Which fault is reported is fixed, and the reference reader in the tests
-holds the reader to it.  A syntax fault (an unexpected token, a zero
-denominator, a literal too long) is raised where it stands; a dangling
-operator at the end comes after every syntax fault, and a bad name comes
-last, whichever term holds it.  A group's faults are its own, in the same
-order, and worded on the group's text as a polynomial in lam:
-they are raised at its ")", so a bad name inside a group beats a later
-syntax fault outside it, and a group that does not close before the next
-"(" fails at its own "(" whatever it holds.  Only a fault looks for where
-its tokens stand (``_fault``, which runs the token pattern again with
-positions).  ``power_text``, ``term_text`` and ``join_signed`` write the
-grammar, and the polynomials' text (``ABElement.__str__`` writes the same
-text in one pass of its own).
+``power_text``, ``term_text`` and ``join_signed`` write the polynomials'
+text; ``algebra`` owns the text format of algebra elements, which it reads
+and writes itself.
 
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
@@ -83,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DimensionError, InputError, SingularMatrixError
 
 _ZERO = Fraction(0)
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_int(digits: str) -> int:
@@ -96,7 +65,7 @@ def parse_int(digits: str) -> int:
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "p" or "p/q" with q > 0.  Anything else (floats included) is rejected."""
+    """Parse "p" or "p/q" in ASCII digits with q > 0.  Anything else (floats included) is rejected."""
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise InputError(f"not a rational literal: {text!r}")
@@ -105,150 +74,6 @@ def parse_rat(text: str) -> Fraction:
     if den == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(num, den)
-
-
-# One token of the term grammar after optional whitespace: name[^int] or p[/q],
-# with the "*" before it if there is one, or one other character: an operator,
-# a parenthesis or an unexpected character.
-_TOKEN_RE = re.compile(r"\s*(?:(\*?)\s*(?:([^\W\d]\w*)(?:\^(-?\d+))?|(\d+)(?:/(\d+))?)|(.))", re.S)
-# Fault messages; a fault that read_terms' loop finds is raised as an InputError of
-# its template, which _fault words with the what and text of the sum it stands in
-_UNEXPECTED = "unexpected {rest!r} in {what}: {text!r}"
-_DANGLING = "dangling operator in {what}: {text!r}"
-_NOT_POLY = "only rationals and powers of lam may form a polynomial in lam: {text!r}"
-
-
-def read_terms(text: str) -> list[tuple[tuple[int, int, int], int, int]]:
-    """Read an algebra element in the term grammar into ((i, j, e), num, den) parts, in one pass.
-
-    A term is num/den * a^i * b^j * lam^e times its groups, each a
-    polynomial in lam, and gives one part per term of that product, with
-    num/den unreduced, den > 0 and like keys not merged.
-    """
-    tokens = _TOKEN_RE.findall(text.rstrip())
-    parts: list[tuple[tuple[int, int, int], int, int]] = []
-    num, den, i, j, e, seen_b, want_factor = 1, 1, 0, 0, 0, False, True
-    # poly: the product of the term's groups of more than one term, as (e, num, den);
-    # group: the finished terms of the open group, opened at token opener
-    poly = group = opener = name_error = None
-    try:
-        for tok in tokens:
-            star, name, power, p, q, char = tok
-            if char:
-                if char == "*":
-                    if want_factor:
-                        raise InputError(_UNEXPECTED)
-                    want_factor = True
-                elif char == "-" or char == "+":
-                    if want_factor:
-                        if char == "-":
-                            num = -num
-                    elif group is not None:
-                        group.append((e, num, den))
-                        num, den, e, want_factor = 1 if char == "+" else -1, 1, 0, True
-                    else:
-                        if poly is None:
-                            parts.append(((i, j, e), num, den))
-                        else:
-                            parts += [((i, j, e + pe), num * pn, den * pd) for pe, pn, pd in poly]
-                            poly = None
-                        num, den, i, j, e, seen_b, want_factor = 1 if char == "+" else -1, 1, 0, 0, 0, False, True
-                elif char == ")":
-                    if group is None or want_factor or group_bad:
-                        raise InputError(_UNEXPECTED if group is None else _DANGLING if want_factor else _NOT_POLY)
-                    outer_num, outer_den, outer_e = outer
-                    if not group:
-                        # one term c*lam^k multiplies the scalar part
-                        num, den, e = outer_num * num, outer_den * den, outer_e + e
-                    else:
-                        group.append((e, num, den))
-                        if poly is not None:
-                            # like exponents merged first, so k groups cost polynomial, not exponential, time
-                            merged, d = over_one_denominator(poly)
-                            group = [(e1 + e2, n1 * n2, d * d2) for e1, n1 in merged.items() for e2, n2, d2 in group]
-                        poly, num, den, e = group, outer_num, outer_den, outer_e
-                    group = opener = None
-                elif char != "(" or not want_factor or group is not None:
-                    raise InputError(_UNEXPECTED)
-                else:
-                    # "(" opens a group, read here as a polynomial in lam
-                    outer, num, den, e = (num, den, e), 1, 1, 0
-                    group, opener, group_bad = [], tok, False
-            elif want_factor != (not star):
-                # a factor follows a "*" exactly when it follows another factor
-                raise InputError(_UNEXPECTED)
-            elif name:
-                want_factor = False
-                power = int(power) if power else 1
-                if name == "lam":
-                    e += power
-                elif group is not None:
-                    group_bad = True
-                elif name == "a" and power >= 0 and not seen_b:
-                    i += power
-                elif name == "b" and power >= 0:
-                    j += power
-                    seen_b = True
-                elif name_error is None:
-                    name_error = (f"a after b in {text!r}: text must be normally ordered" if name == "a" and power >= 0
-                                  else f"bad factor {name}^{power} in algebra element: {text!r}")
-            else:
-                want_factor = False
-                num *= int(p)
-                if q:
-                    den *= int(q)
-                    if not den:
-                        raise InputError(f"zero denominator: {p + '/' + q!r}")
-        if group is not None:
-            raise InputError(_UNEXPECTED)  # at the "(" of the group that never closes
-    except ValueError as fault:
-        if not isinstance(fault, InputError):
-            # int() refused a literal of tok past the conversion limit: parse_int words the first one
-            try:
-                for literal in filter(None, (p, q, power)):
-                    parse_int(literal)
-            except InputError as refusal:
-                fault = refusal
-        raise _fault(text, tokens, tok, opener, str(fault)) from None
-    if want_factor:
-        raise InputError(_DANGLING.format(what="algebra element", text=text) if tokens else "empty algebra element")
-    if poly is None:
-        parts.append(((i, j, e), num, den))
-    else:
-        parts += [((i, j, e + pe), num * pn, den * pd) for pe, pn, pd in poly]
-    if name_error:
-        raise InputError(name_error)
-    return parts
-
-
-def _fault(text: str, tokens: list, tok: tuple, opener: tuple | None, template: str) -> InputError:
-    """The InputError for a fault that read_terms found at token tok of text.
-
-    Inside a group, opened at token opener, the fault is the group's, worded
-    on the group's text as a polynomial in lam, when a ")" closes the group
-    before any "("; otherwise that "(" is unexpected.  template words the
-    fault with the what and text of the sum it stands in and rest, the
-    text from tok on.
-    """
-    spans = {id(t): m.span() for t, m in zip(tokens, _TOKEN_RE.finditer(text))}
-    start, where, what = spans[id(tok)][0], text, "algebra element"
-    if opener is not None:
-        close = re.compile("[()]").search(text, start)
-        if close is None or close[0] == "(":
-            start, template = spans[id(opener)][0], _UNEXPECTED
-        else:
-            where, what, text = text[spans[id(opener)][1] : close.start()], "polynomial in lam", text[: close.start()]
-            template = template if where.strip() else "empty {what}"
-    return InputError(template.format(what=what, text=where, rest=text[start:].strip()[:20]))
-
-
-def over_one_denominator(parts: list[tuple[object, int, int]]) -> tuple[dict, int]:
-    """Numerators by key over the lcm of the parts' denominators; cancelled keys keep a 0."""
-    den = math.lcm(*(d for _, _, d in parts))
-    nums: dict = {}
-    for key, n, d in parts:
-        nums[key] = nums.get(key, 0) + n * (den // d)
-    return nums, den
 
 
 def first_difference(x: Mapping, y: Mapping) -> tuple | None:

@@ -181,7 +181,7 @@ class TestSpecValidation:
     def test_parse_seed_key(self):
         assert seed_from_json({"seed": {"1,2,3": 1}}) == {(1, 2, 3): 1}
         assert seed_from_json({"seed": {"0,0,0": 1}}) == {(0, 0, 0): 1}
-        for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", "", "0,0,1_0", "+0,0,1", "0, 0,1", "-1,0,0"):
+        for bad in ("1,2", "1,2,3,4", "a,b,c", "1;2;3", "", "0,0,1_0", "+0,0,1", "0, 0,1", "-1,0,0", "\u0660,0,0"):
             with pytest.raises(InputError):
                 seed_from_json({"seed": {bad: 1}})
         with pytest.raises(InputError) as refused:

@@ -78,7 +78,7 @@ class TestRat:
         assert str(F(10, 2)) == "5"
         assert str(F(0)) == "0"
 
-    @pytest.mark.parametrize("bad", ["1.5", "", "a", "1/0", "1e3", "+-3", "1/ 2"])
+    @pytest.mark.parametrize("bad", ["1.5", "", "a", "1/0", "1e3", "+-3", "1/ 2", "\u0661/\u0663"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
             parse_rat(bad)

@@ -2,15 +2,19 @@
 
 Every input must give a value or raise InputError, and nothing else.  Text
 is drawn mostly from the tokens the grammars use, so that inputs get past
-the first character before they fail.  JSON input is any JSON value, the
-expected keys with any values, or a near-valid object.  Parsed algebra
+the first character before they fail, and, for the algebra reader, from
+printed elements with one token dropped, duplicated or swapped, so that
+inputs fail one edit away from printed text.  JSON input is any JSON value,
+the expected keys with any values, or a near-valid object.  Parsed algebra
 elements must also print and parse back to themselves, and read and print
 as a Fraction and LaurentPoly oracle does; the oracle reads text with the
-recursive reference reader in tests/reference_reader.py, not with the
-package's one-pass reader, and both must raise the same InputError text.
-Example counts are kept small so the suite stays fast.
+character-level reference reader in tests/reference_reader.py, not with the
+package's regular-expression reader, and both must raise the same
+InputError text on text outside the grammar.  Example counts are kept
+small so the suite stays fast.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +26,8 @@ from lamconn.asymptotics import ExpansionSpec, seed_from_json
 from lamconn.errors import InputError
 from lamconn.exact import LaurentPoly, join_signed, parse_rat, power_text, term_text
 from lamconn.exponents import ExponentData
-from reference_reader import read_terms
+from reference_reader import read_element
+from strategies import abelements, polys
 
 TOKENS = [
     "0", "1", "7", "12", "1/2", "-3/4", "+", "-", "*", "/", "^", "^-", "(", ")", "[", "]",
@@ -31,8 +36,33 @@ TOKENS = [
 FACTORS = [
     "2", "1/2", "-3", "a", "b", "a^2", "b^0", "L", "L^3", "lam", "lam^-2", "(1 + lam)", "(L - 2)",
 ]
+# One token of printed text: a number, a name, a separator or one other character.
+PRINTED_TOKEN = re.compile(r"[0-9]+|lam|[ab]| [-+] |.")
+
+
+def edited(text, edit, index):
+    """text with its token at index (modulo their count) dropped, duplicated or swapped with the next."""
+    tokens = PRINTED_TOKEN.findall(text)
+    k = index % len(tokens)
+    if edit == "drop":
+        del tokens[k]
+    elif edit == "duplicate":
+        tokens.insert(k, tokens[k])
+    else:
+        tokens[k : k + 2] = tokens[k : k + 2][::-1]
+    return "".join(tokens)
+
+
+printed_edit = st.builds(
+    edited,
+    abelements(2, polys(LaurentPoly, -3, 3, max_size=3), 3).map(str),
+    st.sampled_from(["drop", "duplicate", "swap"]),
+    st.integers(0, 63),
+)
+
+
 # Sums of products of factors, mostly well formed; token soup; any short text;
-# comma-separated integers for seed keys.
+# comma-separated integers for seed keys; printed elements one edit away.
 sum_text = st.lists(
     st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3).map("*".join), min_size=1, max_size=3
 ).flatmap(lambda terms: st.sampled_from([" + ", " - ", "+", "-", " - -", " + -"]).map(lambda op: op.join(terms)))
@@ -43,6 +73,7 @@ grammar_text = (
     | st.lists(st.sampled_from(["0", "1", "12", "-1", " 2", "x", ""]), min_size=3, max_size=3).map(
         ",".join
     )
+    | printed_edit
 )
 
 json_scalar = (
@@ -85,54 +116,29 @@ def test_text_parser(parse, text):
         assert ABElement.parse(str(value)) == value
 
 
-# Sums whose terms carry denominators and one or two parenthesized lam groups.
+# Sums of terms with unreduced denominators, lam sums and repeated monomials,
+# all in the grammar.
 lam_group = st.lists(
-    st.builds("{}/{}*lam^{}".format, st.integers(-9, 9), st.integers(1, 12), st.integers(-3, 3)),
+    st.builds("{}/{}*lam^{}".format, st.integers(0, 9), st.integers(1, 12), st.integers(-3, 3)),
     min_size=1,
     max_size=3,
-).map(lambda terms: f"({' + '.join(terms)})")
+).flatmap(lambda terms: st.sampled_from([" + ", " - "]).map(lambda sep: f"({sep.join(terms)})"))
 grouped_sum = st.lists(
     st.builds(
-        "{}/{}*{}{}".format,
-        st.integers(-9, 9),
-        st.integers(1, 12),
-        st.lists(lam_group, min_size=1, max_size=2).map("*".join),
+        "{}{}".format,
+        st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 12)) | lam_group,
         st.sampled_from(["", "*a", "*b^2", "*a*b", "*a^3*b"]),
     ),
     min_size=1,
     max_size=4,
 ).map(" - ".join)
-
-
-def oracle_group(group):
-    """A group from the reference reader as a LaurentPoly summed in Fractions."""
-    poly = LaurentPoly.zero()
-    for e, num, den in group:
-        poly = poly + LaurentPoly.lam_power(e, Fraction(num, den))
-    return poly
-
-
 def oracle_element(text):
-    """ABElement.parse by LaurentPoly: groups multiplied as polynomials, sums in Fractions."""
+    """ABElement.parse by LaurentPoly: each term's lam terms summed in Fractions."""
     out = {}
-    for (num, den), powers, groups in read_terms(text, "algebra element", "lam"):
-        i = j = e = 0
-        seen_b = False
-        for name, power in powers:
-            if name == "lam":
-                e += power
-            elif name not in ("a", "b") or power < 0:
-                raise InputError(f"bad factor {name}^{power} in algebra element: {text!r}")
-            elif name == "b":
-                seen_b = True
-                j += power
-            elif seen_b:
-                raise InputError(f"a after b in {text!r}: text must be normally ordered")
-            else:
-                i += power
-        poly = LaurentPoly.lam_power(e, Fraction(num, den))
-        for group in groups:
-            poly = poly * oracle_group(group)
+    for lam_terms, i, j in read_element(text):
+        poly = LaurentPoly.zero()
+        for e, num, den in lam_terms:
+            poly = poly + LaurentPoly.lam_power(e, Fraction(num, den))
         out[(i, j)] = out.get((i, j), LaurentPoly.zero()) + poly
     return ABElement(out)
 
@@ -177,6 +183,8 @@ def outcome(parse, text):
 @example(text="((lam))")
 @example(text="2*(lam)*b*(3)")
 @example(text="1/2*a - 1/3*b")
+# parts without their "*"
+@example(text="2a + ab")
 # which fault wins; see test_fault_precedence
 @example(text="c + 2**a")
 @example(text="(a + )*b")
@@ -191,6 +199,7 @@ def outcome(parse, text):
 # a literal past the conversion limit in a group that never closes: the "(" fails first
 @example(text="(1 + lam^" + "1" * 4301)
 def test_parsers_match_fraction_oracle(text):
+    # text outside the grammar, the examples above among it, is refused by both readers in the same words
     x, expected = outcome(ABElement.parse, text), outcome(oracle_element, text)
     assert type(x) is type(expected) and x == expected
     if isinstance(x, ABElement):
@@ -200,17 +209,17 @@ def test_parsers_match_fraction_oracle(text):
 @pytest.mark.parametrize(
     "text, message",
     [
-        # a syntax fault anywhere beats an earlier bad name
-        ("c + 2**a", "unexpected '*a' in algebra element: 'c + 2**a'"),
-        # a group's faults are worded on the group's text
-        ("(a + )*b", "dangling operator in polynomial in lam: 'a + '"),
-        # a group's bad name fails at its ")", before later syntax faults
-        ("(a)*b + 2**a", "only rationals and powers of lam may form a polynomial in lam: 'a'"),
-        ("b*a + 1/0", "zero denominator: '1/0'"),
-        # a group that does not close before the next "(" fails at its own "("
+        # the leftmost fault wins: a syntax fault beats a later bad name
+        ("2**a + c", "unexpected '**a + c' in algebra element: '2**a + c'"),
+        # a term outside the grammar fails from its start, whatever comes after it
+        ("(lam + )*b + 1/0", "unexpected '(lam + )*b + 1/0' in algebra element: '(lam + )*b + 1/0'"),
+        ("(a)*b + 2**a", "unexpected '(a)*b + 2**a' in algebra element: '(a)*b + 2**a'"),
+        # a term in the grammar fails at its literal, before a later syntax fault
+        ("1/0*b*a", "zero denominator: '1/0'"),
+        # a group is a lam sum in one pair of parentheses
         ("(lam", "unexpected '(lam' in algebra element: '(lam'"),
         ("((lam))*a", "unexpected '((lam))*a' in algebra element: '((lam))*a'"),
-        ("()*a", "empty polynomial in lam"),
+        ("a - ()*a", "unexpected ' - ()*a' in algebra element: 'a - ()*a'"),
     ],
     ids=["syntax-beats-name", "group-dangling", "group-name", "zero-denominator", "unclosed-group", "nested-group",
          "empty-group"],

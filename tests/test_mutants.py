@@ -16,6 +16,7 @@ own install for the whole session.
 import dataclasses
 import inspect
 import json
+import re
 import sys
 import tempfile
 import textwrap
@@ -365,16 +366,21 @@ MUTANTS = [
     Mutant("printer_magnitude_unreduced", slipped(ABElement.__str__, "g = math.gcd(n, den)", "g = 1"),
            {}, (test_algebra.TestPrinting().test_shared_denominator_terms_print_reduced,
                 test_fuzz.test_parsers_match_fraction_oracle)),
-    # read_terms' literal read sets the numerator in place of multiplying the sign into it:
-    # "a - 2*b" reads as a + 2*b, so the golden nabla texts read back wrong
-    Mutant("literal_read_drops_sign", slipped(exact.read_terms, "num *= int(p)", "num = int(p)"),
+    # parse drops a term's own sign where it signs the term's literals: "a - 2*b" reads as
+    # a + 2*b, so the golden nabla texts read back wrong
+    Mutant("literal_read_drops_sign", slipped(ABElement.parse, "minus != (", "False != ("),
            {1: ("operator match True, nabla match False", "(0, 1, 0)"),
             2: ("operator match True, nabla match False", "(1, 0, 0)")},
            (test_algebra.TestTextFormat().test_parse_variants,)),
-    # a one-term group folded into its term without its sign: "(-4*lam^-2)*a^2" reads as
-    # (4*lam^-2)*a^2; the battery reads no group, so no criterion fails
-    Mutant("group_term_drops_sign", slipped(exact.read_terms, "outer_num * num,", "outer_num * abs(num),"),
+    # every term of a lam sum read without its sign: "(-4*lam^-2)*a^2" reads as
+    # (4*lam^-2)*a^2; the battery reads no lam sum, so no criterion fails
+    Mutant("group_term_drops_sign", slipped(ABElement.parse, '"-" in lam_sep', '"-" == lam_sep'),
            {}, (test_fuzz.test_parsers_match_fraction_oracle, test_golden.test_algebra_texts_read_back_byte_identically)),
+    # a term's parts read without the "*" between them: "2a + ab" reads as 2*a + a*b; no
+    # text the package prints lacks one, so only the fuzz oracle's example sees the slip
+    Mutant("term_parts_without_star", rebind(algebra._TERM_RE, re.compile(
+        algebra._TERM_RE.pattern.replace(r"(?(2)\*)", r"\*?").replace(r"(?(3)\*)", r"\*?"))),
+           {}, (test_fuzz.test_parsers_match_fraction_oracle,)),
     # _from_rows' one-pass flattening keeps only the positive numerators of a product
     Mutant("from_rows_drops_negative_terms", slipped(ABElement._from_rows, "row.items() if n}", "row.items() if n > 0}"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),

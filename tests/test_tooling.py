@@ -10,8 +10,9 @@ behind in ``lamconn.__all__``, and so is the README's library example.  Each
 committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
 leaves docstrings, comments and blank lines out, the A/B timer in tools/
-runs two revisions side by side, and the line tracer in tools/ reports the
-statement lines that a job never ran.
+runs two revisions side by side and, in its parse stage, refuses a side
+that does not read the printed texts back, and the line tracer in tools/
+reports the statement lines that a job never ran.
 """
 
 import contextlib
@@ -164,5 +165,28 @@ def test_ab_times_a_revision_against_the_working_tree():
     assert lines[0] == "operators seed 1, parse: 3 ops x 2 rounds, python " + sys.version.split()[0]
     record = json.loads(lines[-1])
     assert record["fingerprints_equal"] == 3
+    assert record["texts_read_back"] == 3
     low, high = record["ratio_quartiles"]
     assert 0 < low <= record["ratio_median"] <= high
+
+
+class NegatingSide:
+    """lamconn with an ABElement whose parse reads every text as its negative."""
+
+    class ABElement(lamconn.ABElement):
+        @classmethod
+        def parse(cls, text):
+            return -lamconn.ABElement.parse(text)
+
+    def __getattr__(self, name):
+        return getattr(lamconn, name)
+
+
+def test_ab_parse_stage_refuses_a_side_that_reads_wrong():
+    # the first text of the run is the first that the negating side reads wrong
+    ab = load_module(ROOT / "tools", "ab")
+    workload = ab.load_workload("operators")
+    text = workload.run(lamconn, next(workload.inputs(1)))["text"]
+    with pytest.raises(SystemExit) as refused:
+        ab.compare({"base": lamconn, "head": NegatingSide()}, workload, 1, 2, 1, "parse")
+    assert str(refused.value).startswith(f"head reads {text!r} back as ")

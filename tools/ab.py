@@ -77,12 +77,22 @@ def timed(job) -> float:
 
 
 def compare(sides: dict, workload, seed: int, ops: int, rounds: int, stage: str) -> dict:
-    """Seconds per round of each side, base and head, in alternating rounds, with the pair ratios."""
+    """Seconds per round of each side, base and head, in alternating rounds, with the pair ratios.
+
+    For the parse stage, a text that some side does not read back as itself is a SystemExit that names it.
+    """
     inputs = list(islice(workload.inputs(seed), ops))
     outputs = {side: [workload.run(lc, inp) for inp in inputs] for side, lc in sides.items()}
     equal = sum(workload.fingerprint(b) == workload.fingerprint(h) for b, h in zip(outputs["base"], outputs["head"]))
+    counts = {"fingerprints_equal": equal}
     if stage == "parse":
         texts = [out["text"] for out in outputs["head"]]
+        for text in texts:
+            for side, lc in sides.items():
+                back = str(lc.ABElement.parse(text))
+                if back != text:
+                    raise SystemExit(f"{side} reads {text!r} back as {back!r}")
+        counts["texts_read_back"] = len(texts)
         jobs = {side: (lambda lc=lc: [lc.ABElement.parse(text) for text in texts]) for side, lc in sides.items()}
     else:
         jobs = {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}
@@ -97,7 +107,7 @@ def compare(sides: dict, workload, seed: int, ops: int, rounds: int, stage: str)
         "head_s_median": statistics.median(seconds["head"]),
         "ratio_median": statistics.median(ratios),
         "ratio_quartiles": [quartiles[0], quartiles[2]],
-        "fingerprints_equal": equal,
+        **counts,
     }
 
 
@@ -134,6 +144,8 @@ def main(argv=None) -> int:
     print(f"  head {head}: median {result['head_s_median'] * 1e3:.3f} ms per round")
     print(f"  head / base: median {result['ratio_median']:.3f}, quartiles {low:.3f} to {high:.3f}")
     print(f"  output fingerprints equal on {result['fingerprints_equal']} of {args.ops} ops")
+    if "texts_read_back" in result:
+        print(f"  texts read back as themselves on both sides: {result['texts_read_back']} of {args.ops}")
     record = {"workload": args.workload, "seed": args.seed, "stage": args.stage, "ops": args.ops,
               "rounds": args.rounds, "base": args.base, "head": args.head, "python": platform.python_version(),
               **result}
