@@ -79,9 +79,7 @@ residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
 It needs only a zero test, so the sum is never reduced, and a Fraction is
 built only for a residual that is not zero.  Each order's term maps are
 read once per ladder, as a list by depth, which is the next order's current
-row.  The report's JSON is rendered by ``_cells_json``, as the table's cells
-are; a failed report names its smallest key, the first one rendered, with a
-copy of that residual's text.
+row.
 
 A table is rendered once.  The first ``to_json`` or CSV call builds its
 cell text with ``_cells_json``, a cached property kept for as long as
@@ -335,8 +333,9 @@ class ExpansionTable:
 
 
 def _cells_json(cells: Mapping[SeedKey, LogPoly]) -> dict[str, dict[str, str]]:
-    """Table-shaped JSON: each cell's "i,k,m" text mapped to its degree ->
-    coefficient text, both in ascending order."""
+    """The cell text of a table's entries, which ``ExpansionTable._cell_text``
+    keeps: each cell's "i,k,m" text mapped to its degree -> coefficient text,
+    both in ascending order."""
     return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(cells.items())}
 
 
@@ -477,17 +476,6 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return not self.residuals
-
-    def to_json(self) -> dict:
-        """All residuals in the table's JSON shape.  A failed report also names
-        its smallest key, the first one rendered, with a copy of that
-        residual's rendering, so the two blocks share no dict."""
-        residuals = _cells_json(self.residuals)
-        out = {"passed": self.passed, "residuals": residuals}
-        if residuals:
-            key = next(iter(residuals))
-            out["first_difference"] = {"key": key, "residual": dict(residuals[key])}
-        return out
 
 
 def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:

@@ -6,15 +6,14 @@ outcome, so `pytest -v` shows one line per criterion and a failure carries
 the criterion's own detail text.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lamconn
 from lamconn.selftest import CRITERIA, run_criterion
+
+import test_cli
 
 IDS = [f"criterion_{cid:02d}" for cid, _, _ in CRITERIA]
 
@@ -32,14 +31,11 @@ def test_battery_is_complete():
 
 def test_battery_passes_with_asserts_stripped():
     """Under python -O every assert is gone, so no invariant may live only in one."""
-    src = str(Path(lamconn.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "lamconn", "selftest"],
         capture_output=True,
         text=True,
-        env=env,
+        env=test_cli.cli_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

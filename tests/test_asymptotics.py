@@ -364,12 +364,10 @@ class TestVerifyTable:
         report = verify_table(spec, tampered)
         assert set(report.residuals) == {(0, 1, 1), (0, 0, 1)}
         assert report.residuals[(0, 0, 1)] == LogPoly.const(-spec.alpha)
-        # the failure names its smallest key, and only a failing report carries it
+        # first_difference names the smallest residual key, and none of a passing report
         assert first_difference({}, report.residuals) == ((0, 0, 1), 0, LogPoly.const(-spec.alpha))
-        assert report.to_json()["first_difference"] == {"key": "0,0,1", "residual": {"0": "-1"}}
         passing = verify_table(spec, table)
         assert first_difference({}, passing.residuals) is None
-        assert "first_difference" not in passing.to_json()
 
     def test_top_order_constants_are_free(self):
         # the last-order seed never enters any relation, so shifting it is invisible
@@ -409,18 +407,6 @@ def residuals_by_polynomial_arithmetic(spec, table):
                 if not res.is_zero():
                     residuals[(i, k, m)] = res
     return residuals
-
-
-def report_json(residuals):
-    """The JSON of a ResidualReport, spelled out from a residual map."""
-    out = {
-        "passed": not residuals,
-        "residuals": {f"{i},{k},{m}": residuals[(i, k, m)].to_json() for i, k, m in sorted(residuals)},
-    }
-    if residuals:
-        i, k, m = min(residuals)
-        out["first_difference"] = {"key": f"{i},{k},{m}", "residual": residuals[(i, k, m)].to_json()}
-    return out
 
 
 small_log_polys = polys(LogPoly, 0, 5, seed_values.filter(bool), min_size=1, max_size=3)
@@ -476,10 +462,7 @@ class TestVerifyTableOracle:
     @given(damaged_tables())
     def test_damaged_tables_match_polynomial_arithmetic(self, drawn):
         spec, damaged = drawn
-        report = verify_table(spec, damaged)
-        expected = residuals_by_polynomial_arithmetic(spec, damaged)
-        assert report.residuals == expected
-        assert json.dumps(report.to_json()) == json.dumps(report_json(expected))
+        assert verify_table(spec, damaged).residuals == residuals_by_polynomial_arithmetic(spec, damaged)
 
     def test_long_table_passes(self):
         table = long_table()
@@ -503,7 +486,6 @@ class TestVerifyTableOracle:
         if key[2] < LONG.order:
             # the relation at (k, m) sees delta times -(alpha*(m + rho) + beta), never zero here
             assert not report.passed
-        assert json.dumps(report.to_json()) == json.dumps(report_json(expected))
 
 
 def refused_at(limit, spec, seed):

@@ -9,13 +9,12 @@ before that it is a lazy module, and any attribute read on it would run it.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-import lamconn
+import test_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "tests" / "golden" / "inputs"
@@ -35,13 +34,11 @@ def ran():
 
 def run_fresh(script: str):
     """The JSON value on the last line that script printed, run in a fresh interpreter."""
-    src = str(Path(lamconn.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-c", PRELUDE + textwrap.dedent(script)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=test_cli.cli_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

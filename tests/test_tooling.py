@@ -10,9 +10,9 @@ behind in ``lamconn.__all__``, and so is the README's library example.  Each
 committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
 leaves docstrings, comments and blank lines out, the A/B timer in tools/
-runs two revisions side by side and, in its parse stage, refuses a side
-that does not read the printed texts back, and the line tracer in tools/
-reports the statement lines that a job never ran.
+runs two revisions side by side and counts the ops whose outputs differ,
+and the line tracer in tools/ reports the statement lines that a job never
+ran.
 """
 
 import contextlib
@@ -154,39 +154,38 @@ def test_traffic_lines_reports_what_a_job_never_ran():
 
 def test_ab_times_a_revision_against_the_working_tree():
     # A smoke run: HEAD unpacked by git archive against the working tree, both
-    # imported in one process, three parses a round; it takes about a second.
+    # imported in one process, three ops a round; it takes about a second.
     if not (ROOT / ".git").exists():
         pytest.skip("tools/ab.py unpacks revisions from a git checkout")
-    argv = ["--base", "HEAD", "--workload", "operators", "--seed", "1", "--ops", "3", "--rounds", "2", "--stage", "parse"]
+    argv = ["--base", "HEAD", "--workload", "operators", "--seed", "1", "--ops", "3", "--rounds", "2"]
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *argv], capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "operators seed 1, parse: 3 ops x 2 rounds, python " + sys.version.split()[0]
+    assert lines[0] == "operators seed 1: 3 ops x 2 rounds, python " + sys.version.split()[0]
     record = json.loads(lines[-1])
     assert record["fingerprints_equal"] == 3
-    assert record["texts_read_back"] == 3
     low, high = record["ratio_quartiles"]
     assert 0 < low <= record["ratio_median"] <= high
 
 
-class NegatingSide:
-    """lamconn with an ABElement whose parse reads every text as its negative."""
+def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():
+    class NegatingSide:
+        """lamconn with a push_nabla that negates its result, so each operators op prints other text."""
 
-    class ABElement(lamconn.ABElement):
-        @classmethod
-        def parse(cls, text):
-            return -lamconn.ABElement.parse(text)
+        calls = 0
 
-    def __getattr__(self, name):
-        return getattr(lamconn, name)
+        def push_nabla(self, x, st):
+            self.calls += 1
+            return -lamconn.push_nabla(x, st)
 
+        def __getattr__(self, name):
+            return getattr(lamconn, name)
 
-def test_ab_parse_stage_refuses_a_side_that_reads_wrong():
-    # the first text of the run is the first that the negating side reads wrong
     ab = load_module(ROOT / "tools", "ab")
-    workload = ab.load_workload("operators")
-    text = workload.run(lamconn, next(workload.inputs(1)))["text"]
-    with pytest.raises(SystemExit) as refused:
-        ab.compare({"base": lamconn, "head": NegatingSide()}, workload, 1, 2, 1, "parse")
-    assert str(refused.value).startswith(f"head reads {text!r} back as ")
+    head = NegatingSide()
+    result = ab.compare({"base": lamconn, "head": head}, ab.load_workload("operators"), 1, 2, 3)
+    assert result["fingerprints_equal"] == 0
+    # the untimed pass and each of the three timed rounds run both ops
+    assert head.calls == 2 * 4
+    assert result["head_s_median"] > 0

@@ -1,15 +1,13 @@
 """Time two revisions of lamconn against each other in one process.
 
-    python3 tools/ab.py --base REV [--head REV] --workload W --seed S --ops N --rounds R [--stage op|parse]
+    python3 tools/ab.py --base REV [--head REV] --workload W --seed S --ops N --rounds R
 
 Each revision's ``src/`` is unpacked with ``git archive`` into a temporary
 directory outside the checkout; without --head, the head side is the
 working tree's ``src/``.  Both packages are imported side by side, as
 ``lamconn_base`` and ``lamconn_head``, and both run the first N inputs of
 the workload W for seed S, taken with the op itself from the working
-tree's ``benchmarks/workloads.py``, which is only read.  --stage parse
-times ``ABElement.parse`` alone on the text that each ``operators`` op
-printed instead of the whole op.
+tree's ``benchmarks/workloads.py``, which is only read.
 
 After one untimed pass per side, which also compares the two sides'
 output fingerprints, R rounds each time both sides over all N inputs,
@@ -76,26 +74,13 @@ def timed(job) -> float:
     return time.perf_counter() - start
 
 
-def compare(sides: dict, workload, seed: int, ops: int, rounds: int, stage: str) -> dict:
-    """Seconds per round of each side, base and head, in alternating rounds, with the pair ratios.
-
-    For the parse stage, a text that some side does not read back as itself is a SystemExit that names it.
-    """
+def compare(sides: dict, workload, seed: int, ops: int, rounds: int) -> dict:
+    """Seconds per round of each side, base and head, in alternating rounds, with the pair ratios,
+    and the number of ops whose output fingerprints the two sides share."""
     inputs = list(islice(workload.inputs(seed), ops))
     outputs = {side: [workload.run(lc, inp) for inp in inputs] for side, lc in sides.items()}
     equal = sum(workload.fingerprint(b) == workload.fingerprint(h) for b, h in zip(outputs["base"], outputs["head"]))
-    counts = {"fingerprints_equal": equal}
-    if stage == "parse":
-        texts = [out["text"] for out in outputs["head"]]
-        for text in texts:
-            for side, lc in sides.items():
-                back = str(lc.ABElement.parse(text))
-                if back != text:
-                    raise SystemExit(f"{side} reads {text!r} back as {back!r}")
-        counts["texts_read_back"] = len(texts)
-        jobs = {side: (lambda lc=lc: [lc.ABElement.parse(text) for text in texts]) for side, lc in sides.items()}
-    else:
-        jobs = {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}
+    jobs = {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}
     seconds = {"base": [], "head": []}
     for round_index in range(rounds):
         for side in ("base", "head") if round_index % 2 == 0 else ("head", "base"):
@@ -107,7 +92,7 @@ def compare(sides: dict, workload, seed: int, ops: int, rounds: int, stage: str)
         "head_s_median": statistics.median(seconds["head"]),
         "ratio_median": statistics.median(ratios),
         "ratio_quartiles": [quartiles[0], quartiles[2]],
-        **counts,
+        "fingerprints_equal": equal,
     }
 
 
@@ -119,12 +104,9 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True, help="inputs per round")
     parser.add_argument("--rounds", type=int, required=True)
-    parser.add_argument("--stage", choices=("op", "parse"), default="op")
     args = parser.parse_args(argv)
     if args.ops < 1 or args.rounds < 1:
         parser.error("--ops and --rounds must be at least 1")
-    if args.stage == "parse" and args.workload != "operators":
-        parser.error("--stage parse reads the text of the operators op")
     return args
 
 
@@ -135,18 +117,16 @@ def main(argv=None) -> int:
         base_src = unpack_src(args.base, Path(tmp) / "base")
         head_src = unpack_src(args.head, Path(tmp) / "head") if args.head else ROOT / "src"
         sides = {"base": load_package(base_src, "lamconn_base"), "head": load_package(head_src, "lamconn_head")}
-        result = compare(sides, workload, args.seed, args.ops, args.rounds, args.stage)
+        result = compare(sides, workload, args.seed, args.ops, args.rounds)
     head = args.head or "working tree"
     low, high = result["ratio_quartiles"]
-    print(f"{args.workload} seed {args.seed}, {args.stage}: {args.ops} ops x {args.rounds} rounds, "
+    print(f"{args.workload} seed {args.seed}: {args.ops} ops x {args.rounds} rounds, "
           f"python {platform.python_version()}")
     print(f"  base {args.base}: median {result['base_s_median'] * 1e3:.3f} ms per round")
     print(f"  head {head}: median {result['head_s_median'] * 1e3:.3f} ms per round")
     print(f"  head / base: median {result['ratio_median']:.3f}, quartiles {low:.3f} to {high:.3f}")
     print(f"  output fingerprints equal on {result['fingerprints_equal']} of {args.ops} ops")
-    if "texts_read_back" in result:
-        print(f"  texts read back as themselves on both sides: {result['texts_read_back']} of {args.ops}")
-    record = {"workload": args.workload, "seed": args.seed, "stage": args.stage, "ops": args.ops,
+    record = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
               "rounds": args.rounds, "base": args.base, "head": args.head, "python": platform.python_version(),
               **result}
     print(json.dumps(record))
