@@ -46,11 +46,14 @@ which is D[k] over z*E*P*s*(L*lam)^j; dividing by e + 1 integrates.  Then
 E <- E*z*(e+1), divided together with the W by the small
 gcd(z*(e+1), W[0], ..., W[K]), P <- P*s, L <- L*lam (the lcm of the s so
 far) and V <- W, and each emitted coefficient is one reduced
-Fraction(V[k], E*P*L^(K-k)), built only for a nonzero V[k].  The inner
-loop needs no big gcd.  When the bit length of E*P*L^K passes twice that of
-the widest reduced denominator plus 256, as telescoping chains (beta a
-multiple of alpha) make it, the chain renormalizes: E becomes the lcm of the
-reduced denominators, P = L = 1, and each V[k] is rescaled to the new E.
+Fraction(V[k], E*P*L^(K-k)), built only for a nonzero V[k] by ``_fraction``:
+one gcd, and the reduced parts set straight into the two slots that Fraction
+keeps, without Fraction's own constructor.  This module alone reads those
+slots.  The inner loop needs no big gcd.  When the bit length of E*P*L^K
+passes twice that of the widest reduced denominator plus 256, as
+telescoping chains (beta a multiple of alpha) make it, the chain
+renormalizes: E becomes the lcm of the reduced denominators, P = L = 1, and
+each V[k] is rescaled to the new E.
 
 A chain writes each coefficient straight into its ladder's rows, one term
 dict per depth and order, and ``propagate`` makes the table's cells of those
@@ -62,35 +65,40 @@ denominator at most E*P*L^K, so when none of these has as many bits as
 each coefficient compared with it.
 
 ``verify_table`` substitutes the table back into the relation above with
-code of its own, summing each residual straight from the cells' term maps.
+code of its own, summing each residual straight from the cells' terms.
 The residual at (i, k, m) is X[k] + Y[k+1], where
 
     X[k] = (m + rho + 1)*D[k,m+1] - (alpha*(m + rho) + beta)*c[k,m],
     Y[k] = D[k,m+1] - alpha*c[k,m]
 
-read the same two cells.  With S = rd*ad*bd, one small denominator per
-ladder, the factors m + rho + 1, alpha*(m + rho) + beta and alpha are
-integer numerators over S.  For each depth k and degree e, with
-c[k,m+1] = n1/d1 at L^(e+1) and c[k,m] = n2/d2 at L^e, the products
-A = (e+1)*n1*d2, B = n2*d1 and P = d1*d2 are formed once, and X[k] and Y[k]
-at L^e are small-integer combinations of A and B over S*P, the depth's
-shared denominator.  Depths k and k+1 share these, so each degree of a
-residual is one cross product X[k]*P[k+1] + Y[k+1]*P[k] over S*P[k]*P[k+1].
+read the same two cells.  At L^e the relation ties c[k,m] at L^e only to
+c[k,m+1] at L^(e+1) and to depth k+1 at the same m and e, so every
+coefficient that a residual reads lies on one diagonal d = m - e; this is
+a property of the relation, not of ``propagate``.  One pass over a
+ladder's cells puts each term in a degree -> coefficient map by diagonal
+and depth.  Each diagonal is then walked at every degree e with
+0 <= d + e < M at which some depth has a term at e or e + 1, from the top
+depth down.  With S = rd*ad*bd, one small denominator per ladder, the
+factors m + rho + 1, alpha*(m + rho) + beta and alpha are integer
+numerators over S.  With c[k,m+1] = n1/d1 at L^(e+1) and c[k,m] = n2/d2 at
+L^e (an absent term is 0/1), read from their two parts, A = (e+1)*n1*d2,
+B = n2*d1 and P = d1*d2, and X[k] and Y[k] are small-integer combinations
+of A and B over S*P.  The walk carries Y and P of the depth above, Q, so
+the residual at L^e is one cross product X[k]*Q + Y[k+1]*P over S*P*Q.
 It needs only a zero test, so the sum is never reduced, and a Fraction is
-built only for a residual that is not zero.  Each order's term maps are
-read once per ladder, as a list by depth, which is the next order's current
-row.
+built only for a residual that is not zero.
 
 A table is rendered once.  The first ``to_json`` or CSV call builds its
 cell text with ``_cells_json``, a cached property kept for as long as
 the table lives: for each cell in (i, k, m) order, the "i,k,m" text and
-the degree -> coefficient text, so each coefficient is converted to
-decimal once however many formats are written.  ``to_json`` returns those
-cell dicts themselves, read-only, in a new "table" dict; ``csv_chunks``
-writes each row from them, each run of absent degrees as one ",0" * gap, and
-yields the rows of one (i, k) ladder at a time, which ``to_csv`` joins and
-the CLI writes to its file as they come.  Entries are never changed once the
-table exists.
+the degree -> coefficient text, which ``LogPoly.to_json`` writes as "n/d",
+or "n" when d is 1, from each coefficient's two parts.  So each coefficient
+is converted to decimal once however many formats are written.  ``to_json``
+returns those cell dicts themselves, read-only, in a new "table" dict;
+``csv_chunks`` writes each row from them, each run of absent degrees as one
+",0" * gap, and yields the rows of one (i, k) ladder at a time, which
+``to_csv`` joins and the CLI writes to its file as they come.  Entries are
+never changed once the table exists.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -167,7 +175,13 @@ class LogPoly(LaurentPoly):
         return self._make({e - 1: e * c for e, c in self._terms.items() if e > 0})
 
     def to_json(self) -> dict[str, str]:
-        return {str(e): str(c) for e, c in sorted(self._terms.items())}
+        """Degree -> coefficient text, in ascending degree: each coefficient
+        written as str writes a Fraction, "n/d" or "n" when d is 1, straight
+        from its two parts."""
+        return {
+            str(e): f"{c._numerator}/{c._denominator}" if c._denominator != 1 else str(c._numerator)
+            for e, c in sorted(self._terms.items())
+        }
 
 
 @dataclass(frozen=True)
@@ -369,7 +383,10 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
 
     rows holds the ladder's term dicts by depth, then by order.  The values of
     depth k are integer numerators V[k] over E*P*L^(K-k), where K is the top
-    seeded depth; see the module docstring for the step.  bound is 10**limit
+    seeded depth; see the module docstring for the step.  Each coefficient
+    is built from V[k] and that denominator by ``_fraction``, and the widest
+    reduced denominator, which sets when the chain renormalizes, is read
+    from the part it holds.  bound is 10**limit
     for Python's int/str conversion limit, or None for no limit, and a
     coefficient with a numerator or denominator of at least bound is refused.
     Each step after the seeds is tested once: when its depth-0 denominator
@@ -420,15 +437,28 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
             if k < top:
                 den *= big_l
             if v[k]:
-                c = emitted[k] = rows[k][m + 1][e + 1] = Fraction(v[k], den)
-                if c.denominator > widest:
-                    widest = c.denominator
+                c = emitted[k] = rows[k][m + 1][e + 1] = _fraction(v[k], den)
+                if c._denominator > widest:
+                    widest = c._denominator
         if den.bit_length() > room or max(map(int.bit_length, v)) > room:
             _check_digits(emitted, bound)
         if den.bit_length() > 2 * widest.bit_length() + 256:
             big_e = math.lcm(*(c.denominator for c in emitted))
             v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]
             big_p = big_l = 1
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d >= 1, reduced with one gcd and built
+    without Fraction.__new__, which would test the types and the signs again.
+
+    The result is the object Fraction(n, d) makes: the reduced parts in the
+    two slots that fractions.Fraction keeps, _numerator and _denominator."""
+    g = math.gcd(n, d)
+    c = object.__new__(Fraction)
+    c._numerator = n // g
+    c._denominator = d // g
+    return c
 
 
 def _check_digits(coefficients: Iterable[Fraction], bound: int) -> None:
@@ -483,15 +513,16 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
 
     The residual keyed (i, k, m) collects every term of that relation moved
     to one side; an order cutoff of zero verifies vacuously.  It is summed
-    straight from the term maps of the cells involved, with code of its own,
-    so that it checks propagate rather than repeating it.  The term maps of
-    each order are read once per ladder, as a list by depth that serves as
-    the order m + 1 of one relation and the order m of the next.  Each depth
-    keeps X[k] and Y[k] of the module docstring over one shared denominator
-    S*P per degree, and each degree of the residual X[k] + Y[k+1] is one
-    integer cross product over the two depths' denominators, never reduced:
-    only its zero test is needed.  Fractions are built only for a degree of
-    a residual that is not zero.
+    straight from the coefficients of the cells involved, with code of its
+    own, so that it checks propagate rather than repeating it.  Its L^e
+    coefficient reads only the coefficients at diagonal d = m - e: each
+    ladder's cells are read once, into one degree -> coefficient map per
+    diagonal and depth, and each diagonal is walked degree by degree, each
+    degree from the top depth down.  A depth forms X[k] and Y[k] of the
+    module docstring over S*P, P its two coefficients' denominators, and the
+    residual X[k] + Y[k+1] is one integer cross product over the two depths'
+    denominators, never reduced: only its zero test is needed.  A Fraction
+    is built only for a degree of a residual that is not zero.
     """
     residuals: dict[SeedKey, dict[int, Fraction]] = {}
     empty = LogPoly.zero()
@@ -503,49 +534,36 @@ def verify_table(spec: ExpansionSpec, table: ExpansionTable) -> ResidualReport:
         rn, rd = rho.numerator, rho.denominator
         big_s = rd * ad * bd
         ya = an * rd * bd  # alpha = ya/S
-        current = [get((i, k, 0), empty)._terms for k in depths]  # order m's term maps, top depth first
-        for m in range(spec.order):
-            following = [get((i, k, m + 1), empty)._terms for k in depths]
-            xa = ((m + 1) * rd + rn) * ad * bd  # m + rho + 1 = xa/S
-            xb = an * bd * (m * rd + rn) + bn * ad * rd  # alpha*(m + rho) + beta = xb/S
-            above: dict[int, tuple[int, int, int]] = {}  # the level of depth k + 1
-            for k, cur, nxt in zip(depths, current, following):
-                # degree e -> (X[k], Y[k], P) at L^e, X and Y over S*P; a cell
-                # without a term at its degree counts as 0/1
-                level: dict[int, tuple[int, int, int]] = {}
-                paired = 0  # the terms of nxt that a term of cur reads
-                for e, c in cur.items():
-                    c1 = nxt.get(e + 1)
-                    if c1 is None:
-                        b = c.numerator
-                        level[e] = (-xb * b, -ya * b, c.denominator)
-                    else:
-                        paired += 1
-                        d1, d2 = c1.denominator, c.denominator
-                        a = (e + 1) * c1.numerator * d2
-                        b = c.numerator * d1
-                        level[e] = (xa * a - xb * b, big_s * a - ya * b, d1 * d2)
-                if len(nxt) > paired:
-                    for e, c1 in nxt.items():
-                        if e and e - 1 not in cur:
-                            a = e * c1.numerator
-                            level[e - 1] = (xa * a, big_s * a, c1.denominator)
-                # the residual at L^e is X[k]*Q + Y[k+1]*P over S*P*Q, Q the P of depth k + 1
-                shared = 0  # the degrees of above that level has too
-                for e, (x, _, p) in level.items():
-                    t = above.get(e)
-                    if t is None:
-                        n, q = x, 1
-                    else:
-                        shared += 1
-                        _, y, q = t
-                        n = x * q + y * p
+        # diagonal d -> its degree -> coefficient maps by depth, top depth first;
+        # the coefficient of L^e in c[k,m] is at e in the map of depth k on diagonal m - e
+        diagonals: dict[int, list[dict[int, Fraction]]] = {}
+        for row, k in enumerate(depths):
+            for m in range(spec.order + 1):
+                for e, c in get((i, k, m), empty)._terms.items():
+                    diagonal = diagonals.get(m - e)
+                    if diagonal is None:
+                        diagonal = diagonals[m - e] = [{} for _ in depths]
+                    diagonal[row][e] = c
+        for d, diagonal in diagonals.items():
+            degrees = set().union(*diagonal)
+            for e in sorted(degrees | {e - 1 for e in degrees}):
+                m = d + e
+                if e < 0 or not 0 <= m < spec.order:
+                    continue
+                xa = ((m + 1) * rd + rn) * ad * bd  # m + rho + 1 = xa/S
+                xb = an * bd * (m * rd + rn) + bn * ad * rd  # alpha*(m + rho) + beta = xb/S
+                y_up, q = 0, 1  # Y and P of the depth above
+                for k, terms in zip(depths, diagonal):
+                    # c[k,m+1] = n1/d1 at L^(e+1) and c[k,m] = n2/d2 at L^e, absent as 0/1
+                    c1, c2 = terms.get(e + 1, _ZERO), terms.get(e, _ZERO)
+                    d1, d2 = c1._denominator, c2._denominator
+                    a = (e + 1) * c1._numerator * d2
+                    b = c2._numerator * d1
+                    p = d1 * d2
+                    y = big_s * a - ya * b
+                    # the residual at L^e is X[k]*Q + Y[k+1]*P over S*P*Q, Q the P of depth k + 1
+                    n = (xa * a - xb * b) * q + y_up * p
                     if n:
                         residuals.setdefault((i, k, m), {})[e] = Fraction(n, big_s * p * q)
-                if len(above) > shared:
-                    for e, (_, y, q) in above.items():
-                        if y and e not in level:
-                            residuals.setdefault((i, k, m), {})[e] = Fraction(y, big_s * q)
-                above = level
-            current = following
+                    y_up, q = y, p
     return ResidualReport(residuals={key: LogPoly._adopt(terms) for key, terms in residuals.items()})

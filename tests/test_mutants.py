@@ -306,7 +306,7 @@ MUTANTS = [
            {9: ("nonzero residual for spec", "(1, 0, 5)")}),
     # verify_table's residual without the depth-(k+1) share Y[k+1]; this slip and the next
     # already show at the first relation of the first random spec
-    Mutant("no_depth_share", slipped(asymptotics.verify_table, "above = level", "above = {}"),
+    Mutant("no_depth_share", slipped(asymptotics.verify_table, "y_up, q = y, p", "y_up, q = 0, p"),
            {9: ("nonzero residual for spec", "(0, 0, 0)")}, LONG_TABLE),
     # verify_table's factor m + rho + 1 read as m + rho
     Mutant("factor_m_plus_rho", slipped(asymptotics.verify_table, "((m + 1) * rd + rn)", "(m * rd + rn)"),
@@ -315,6 +315,11 @@ MUTANTS = [
     # it vanishes at log depth 0, so the golden spec passes
     Mutant("frobenius_sign_slip", slipped(selftest.frobenius_table, "(p - quotient)", "(p + quotient)"),
            {9: ("closed-form route differs from propagate for spec", "(0, 1, 1, 1)")}),
+    # each emitted coefficient left unreduced when its parts share a factor: it equals no
+    # reduced Fraction of its value, and the first golden value emitted so is 1/10 at L^2
+    Mutant("fraction_unreduced", slipped(asymptotics._fraction, "g = math.gcd(n, d)", "g = 1"),
+           {9: ("golden values differ on the golden spec", "(0, 0, 2, 2)")},
+           FROBENIUS_GOLDEN + (test_asymptotics.test_fraction_from_parts_is_what_the_constructor_makes,)),
     # a cache keyed by the spec alone hands a second seed the first seed's table
     Mutant("propagate_cached_by_spec", propagate_cached_by_spec,
            {9: ("propagate is not additive in the seed for spec", "(0, 0, 0, 0)")}),
@@ -349,8 +354,8 @@ MUTANTS = [
     # Python's default limit, so no criterion fails
     Mutant("no_limit_refuses_everything", slipped(asymptotics.propagate, "if limit else None", "if limit else 1"),
            {}, (test_asymptotics.TestDigitLimit().test_no_limit_refuses_nothing,)),
-    # verify_table keeps reading order 0's term maps as the current order
-    Mutant("verify_rows_not_advanced", slipped(asymptotics.verify_table, "current = following", "pass"),
+    # verify_table's walk down a diagonal keeps reading the order m coefficient at its first degree
+    Mutant("verify_rows_not_advanced", slipped(asymptotics.verify_table, "terms.get(e, _ZERO)", "terms.get(0, _ZERO)"),
            {9: ("nonzero residual for spec", "(0, 0, 1)")}, LONG_TABLE),
     # the hypothesis gate's exit code 2 reported as 1, the code of malformed input
     Mutant("main_hypothesis_exit_1", wrapped(cli.main, lambda code: 1 if code == 2 else code),

@@ -16,6 +16,7 @@ ran.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -152,9 +153,30 @@ def test_traffic_lines_reports_what_a_job_never_ran():
     assert len(texts) < statements
 
 
+def test_traffic_ops_are_run_checked_fingerprinted_and_measured():
+    # benchmarks/run.py fingerprints every op and measures its coefficient bits, and the
+    # operators measure reads ABElement.terms, so the traffic runs that property too
+    tool = load_module(ROOT / "tools", "traffic_lines")
+    workload = load_module(BENCHMARKS, "workloads").WORKLOADS["operators"]
+    calls = dict.fromkeys(("run", "check", "fingerprint", "coeff_bits"), 0)
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            return getattr(workload, name)(*args)
+        return call
+
+    counting = dataclasses.replace(workload, **{name: counted(name) for name in calls})
+    hits = tool.trace_lines(lambda: tool.run_ops(lamconn, counting, 2))
+    assert calls == dict.fromkeys(calls, 2)
+    unrun, _ = tool.unrun_lines(hits)["algebra.py"]
+    assert "grouped.setdefault((i, j), {})[e] = Fraction(n, self._den)" not in [text for _, text in unrun]
+
+
 def test_ab_times_a_revision_against_the_working_tree():
     # A smoke run: HEAD unpacked by git archive against the working tree, both
-    # imported in one process, three ops a round; it takes about a second.
+    # imported in one process with a second copy of HEAD as the A/A control,
+    # three ops a round; it takes about a second.
     if not (ROOT / ".git").exists():
         pytest.skip("tools/ab.py unpacks revisions from a git checkout")
     argv = ["--base", "HEAD", "--workload", "operators", "--seed", "1", "--ops", "3", "--rounds", "2"]
@@ -163,10 +185,12 @@ def test_ab_times_a_revision_against_the_working_tree():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "operators seed 1: 3 ops x 2 rounds, python " + sys.version.split()[0]
+    assert lines[4].startswith("  base / base (A/A control): median ")
     record = json.loads(lines[-1])
     assert record["fingerprints_equal"] == 3
-    low, high = record["ratio_quartiles"]
-    assert 0 < low <= record["ratio_median"] <= high
+    for name in ("ratio", "aa_ratio"):
+        low, high = record[f"{name}_quartiles"]
+        assert 0 < low <= record[f"{name}_median"] <= high
 
 
 def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():
@@ -184,8 +208,11 @@ def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():
 
     ab = load_module(ROOT / "tools", "ab")
     head = NegatingSide()
-    result = ab.compare({"base": lamconn, "head": head}, ab.load_workload("operators"), 1, 2, 3)
+    result = ab.compare({"base": lamconn, "head": head, "control": lamconn}, ab.load_workload("operators"), 1, 2, 3)
     assert result["fingerprints_equal"] == 0
     # the untimed pass and each of the three timed rounds run both ops
     assert head.calls == 2 * 4
     assert result["head_s_median"] > 0
+    # the control times the base's own code: its ratio to the base is one of two equal jobs
+    low, high = result["aa_ratio_quartiles"]
+    assert 0 < low <= result["aa_ratio_median"] <= high

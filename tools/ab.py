@@ -4,19 +4,22 @@
 
 Each revision's ``src/`` is unpacked with ``git archive`` into a temporary
 directory outside the checkout; without --head, the head side is the
-working tree's ``src/``.  Both packages are imported side by side, as
-``lamconn_base`` and ``lamconn_head``, and both run the first N inputs of
-the workload W for seed S, taken with the op itself from the working
+working tree's ``src/``.  The packages are imported side by side, as
+``lamconn_base`` and ``lamconn_head``, with a second copy of the base side
+as ``lamconn_control``, an A/A control, and each runs the first N inputs
+of the workload W for seed S, taken with the op itself from the working
 tree's ``benchmarks/workloads.py``, which is only read.
 
-After one untimed pass per side, which also compares the two sides'
-output fingerprints, R rounds each time both sides over all N inputs,
-base first in odd rounds and head first in even ones.  It prints each
-side's median seconds per round, and the median and quartiles of the
-per-round ratio head / base, then one JSON line with the same figures.
-A ratio below 1 means the head is faster.  Run it with the interpreter
-that is to be measured; an A/A check, ``--base HEAD`` on an unchanged
-tree, should give quartiles around 1.
+After one untimed pass per side, which also compares the base and head
+output fingerprints, R rounds each time the three sides over all N
+inputs, in the order base, head, control in odd rounds and the reverse in
+even ones.  It prints each side's median seconds per round, the median
+and quartiles of the per-round ratio head / base, and under it those of
+control / base, then one JSON line with the same figures.  A ratio below
+1 means the head is faster.  The control runs the same code as the base,
+so its ratio shows how far the run's noise alone moves a ratio: a
+head / base median inside the control's quartiles is no resolved
+difference.  Run it with the interpreter that is to be measured.
 """
 
 from __future__ import annotations
@@ -74,24 +77,34 @@ def timed(job) -> float:
     return time.perf_counter() - start
 
 
+SIDES = ("base", "head", "control")
+
+
+def ratio_figures(name: str, top: list[float], bottom: list[float]) -> dict:
+    """The median and the quartiles of the per-round ratios top / bottom, under the keys NAME_median
+    and NAME_quartiles."""
+    ratios = [t / b for t, b in zip(top, bottom)]
+    quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    return {f"{name}_median": statistics.median(ratios), f"{name}_quartiles": [quartiles[0], quartiles[2]]}
+
+
 def compare(sides: dict, workload, seed: int, ops: int, rounds: int) -> dict:
-    """Seconds per round of each side, base and head, in alternating rounds, with the pair ratios,
-    and the number of ops whose output fingerprints the two sides share."""
+    """Seconds per round of each side, base, head and control (a second copy of the base), in
+    alternating rounds, with the pair ratios head / base and control / base, and the number of ops
+    whose output fingerprints the base and head share."""
     inputs = list(islice(workload.inputs(seed), ops))
     outputs = {side: [workload.run(lc, inp) for inp in inputs] for side, lc in sides.items()}
     equal = sum(workload.fingerprint(b) == workload.fingerprint(h) for b, h in zip(outputs["base"], outputs["head"]))
     jobs = {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}
-    seconds = {"base": [], "head": []}
+    seconds = {side: [] for side in SIDES}
     for round_index in range(rounds):
-        for side in ("base", "head") if round_index % 2 == 0 else ("head", "base"):
+        for side in SIDES if round_index % 2 == 0 else SIDES[::-1]:
             seconds[side].append(timed(jobs[side]))
-    ratios = [h / b for b, h in zip(seconds["base"], seconds["head"])]
-    quartiles = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     return {
         "base_s_median": statistics.median(seconds["base"]),
         "head_s_median": statistics.median(seconds["head"]),
-        "ratio_median": statistics.median(ratios),
-        "ratio_quartiles": [quartiles[0], quartiles[2]],
+        **ratio_figures("ratio", seconds["head"], seconds["base"]),
+        **ratio_figures("aa_ratio", seconds["control"], seconds["base"]),
         "fingerprints_equal": equal,
     }
 
@@ -116,7 +129,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="lamconn-ab-") as tmp:
         base_src = unpack_src(args.base, Path(tmp) / "base")
         head_src = unpack_src(args.head, Path(tmp) / "head") if args.head else ROOT / "src"
-        sides = {"base": load_package(base_src, "lamconn_base"), "head": load_package(head_src, "lamconn_head")}
+        sides = {"base": load_package(base_src, "lamconn_base"), "head": load_package(head_src, "lamconn_head"),
+                 "control": load_package(base_src, "lamconn_control")}
         result = compare(sides, workload, args.seed, args.ops, args.rounds)
     head = args.head or "working tree"
     low, high = result["ratio_quartiles"]
@@ -125,6 +139,8 @@ def main(argv=None) -> int:
     print(f"  base {args.base}: median {result['base_s_median'] * 1e3:.3f} ms per round")
     print(f"  head {head}: median {result['head_s_median'] * 1e3:.3f} ms per round")
     print(f"  head / base: median {result['ratio_median']:.3f}, quartiles {low:.3f} to {high:.3f}")
+    low, high = result["aa_ratio_quartiles"]
+    print(f"  base / base (A/A control): median {result['aa_ratio_median']:.3f}, quartiles {low:.3f} to {high:.3f}")
     print(f"  output fingerprints equal on {result['fingerprints_equal']} of {args.ops} ops")
     record = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
               "rounds": args.rounds, "base": args.base, "head": args.head, "python": platform.python_version(),

@@ -12,7 +12,9 @@ never ran, then one JSON line of counts per module.  The traffic is:
 - the battery, ``selftest.run_all()``;
 - the first 300 seed-101 inputs of ``layouts``, 150 of ``operators`` and
   30 of ``expansions`` (``benchmarks/workloads.py``, loaded as
-  ``tools/ab.py`` loads it), each run and checked as the benchmark does.
+  ``tools/ab.py`` loads it), each run and checked, and its output
+  fingerprinted and measured in coefficient bits, as ``benchmarks/run.py``
+  does on every op.
 
 These files are only read.  lamconn is imported under the tracer, so the
 lines that run when a module loads count as run.  A statement line is the
@@ -92,7 +94,7 @@ def unrun_lines(hits: dict[str, set[int]]) -> dict[str, tuple[list[tuple[int, st
 
 
 def traffic() -> None:
-    """The golden corpus, the battery and the workloads' first inputs, run in that order."""
+    """The golden corpus, the battery and the workloads' first inputs (``run_ops``), run in that order."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
     from ab import load_module, load_workload
 
@@ -107,9 +109,17 @@ def traffic() -> None:
                 cli.main(command.split())
     selftest.run_all()
     for name, count in OPS.items():
-        workload = load_workload(name)
-        for inp in islice(workload.inputs(SEED), count):
-            workload.check(lamconn, inp, workload.run(lamconn, inp))
+        run_ops(lamconn, load_workload(name), count)
+
+
+def run_ops(lc, workload, count: int) -> None:
+    """The first count seed-101 inputs of workload, each run on lc and checked, and its
+    output fingerprinted and measured in coefficient bits, as benchmarks/run.py treats an op."""
+    for inp in islice(workload.inputs(SEED), count):
+        out = workload.run(lc, inp)
+        workload.check(lc, inp, out)
+        workload.fingerprint(out)
+        workload.coeff_bits(out)
 
 
 def main() -> int:
