@@ -27,7 +27,7 @@ _NAMES = {
     "exact": "LaurentPoly RatMatrix det invert parse_rat rank solve",
     "errors": "ContractError DimensionError HypothesisError InputError SingularMatrixError",
     "algebra": "ABElement conj_b homogeneous_components linear_factor_product shift_identity_check",
-    "exponents": "Case DependencyData DetIdentityReport ExponentData LayoutAnalysis MonomialMu dependency "
+    "exponents": "DependencyData DetIdentityReport ExponentData LayoutAnalysis MonomialMu dependency "
                  "dependency_solution det_identity_check validate_hypotheses",
     "connection": "SigmaTau nabla_formula pde_coefficients push_nabla push_nabla_via_shift sigma_tau",
     "families": "CrossValidationReport FamilyResult cross_validate family_a family_b match_family "

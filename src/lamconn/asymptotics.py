@@ -96,9 +96,9 @@ or "n" when d is 1, from each coefficient's two parts.  So each coefficient
 is converted to decimal once however many formats are written.  ``to_json``
 returns those cell dicts themselves, read-only, in a new "table" dict;
 ``csv_chunks`` writes each row from them, each run of absent degrees as one
-",0" * gap, and yields the rows of one (i, k) ladder at a time, which
-``to_csv`` joins and the CLI writes to its file as they come.  Entries are
-never changed once the table exists.
+",0" * gap, and yields the rows in runs of M + 1, one (i, k) ladder of a
+propagated table each, which ``to_csv`` joins and the CLI writes to its
+file as they come.  Entries are never changed once the table exists.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -118,7 +118,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
@@ -277,7 +277,9 @@ class ExpansionTable:
     The entries are not changed once the table exists.  The first to_json,
     to_csv or csv_chunks call renders every cell's key and coefficients to
     text, and both formats read that rendering for the rest of the table's
-    life; a copy made with dataclasses.replace renders its own entries.
+    life; a copy made with dataclasses.replace renders its own entries.  The
+    CSV is written in runs of M + 1 rows, one (i, k) ladder each when the
+    table holds every order of its ladders, as a propagated one does.
     """
 
     spec: ExpansionSpec
@@ -315,9 +317,10 @@ class ExpansionTable:
         return "".join(self.csv_chunks())
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CSV text of to_csv in pieces: the header line, then the rows of
-        each (i, k) ladder together, so that the text can be written as it is
-        made.
+        """The CSV text of to_csv in pieces: the header line, then the rows in
+        runs of M + 1, so that the text can be written as it is made.  A run
+        is one (i, k) ladder of a table that ``propagate`` made, which holds
+        every order 0..M of each ladder.
 
         No field can hold a comma, quote or line break, so none is quoted and
         the rows are plain joins; each run of absent degrees is written as one
@@ -327,22 +330,17 @@ class ExpansionTable:
         width = max((int(next(reversed(cell))) for cell in cells.values() if cell), default=-1) + 1
         yield ",".join(["i", "k", "m"] + [f"L^{e}" for e in range(width)]) + "\r\n"
         zeros = [",0" * gap for gap in range(width + 1)]
-        out: list[str] = []
-        ladder = "-"  # the "i,k," that the keys of the rows in out start with
-        for key, cell in cells.items():
-            if not key.startswith(ladder):
-                if out:
-                    yield "".join(out)
-                    out = []
-                ladder = key[: key.rindex(",") + 1]
-            out.append(key)
-            top = -1
-            for e, c in cell.items():
-                e = int(e)
-                out += zeros[e - top - 1], ",", c
-                top = e
-            out += zeros[width - 1 - top], "\r\n"
-        if out:
+        rows = iter(cells.items())
+        for run in iter(lambda: list(islice(rows, self.spec.order + 1)), []):
+            out: list[str] = []
+            for key, cell in run:
+                out.append(key)
+                top = -1
+                for e, c in cell.items():
+                    e = int(e)
+                    out += zeros[e - top - 1], ",", c
+                    top = e
+                out += zeros[width - 1 - top], "\r\n"
             yield "".join(out)
 
 

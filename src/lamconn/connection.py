@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ABElement, Rows
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError
 from .exact import check_coefficient
 from .exponents import ExponentData, MonomialMu
 
@@ -70,9 +70,9 @@ class SigmaTau:
 
 def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
     """Read sigma = w_0 / det and tau = sum(w_(i+1) * (beta_i + 1)) / det off the
-    numerators w of the last row of M~^-1 over det = det M~."""
-    if len(mu.beta) != data.n + 1:
-        raise InputError(f"mu must have {data.n + 1} entries, got {len(mu.beta)}")
+    numerators w of the last row of M~^-1 over det = det M~.  mu is checked
+    first by ``MonomialMu.check_length``, then hypothesis i)."""
+    mu.check_length(data.n)
     w, det = data.analysis.inverse_numerators, data.analysis.det_m_tilde
     if w is None:
         raise HypothesisError("; ".join(data.analysis.failure_messages()))

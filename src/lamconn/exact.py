@@ -164,7 +164,9 @@ class LaurentPoly:
     polynomial equals no number and no polynomial of the other type.
 
     ``__init__``, ``const`` and ``lam_power`` validate what they are given;
-    every arithmetic result is built by ``_make``, which trusts its input.
+    every arithmetic result is built by ``_make``, which trusts its input,
+    drops its zeros and hands the rest to ``_adopt``, the one constructor
+    that writes a polynomial's terms without checking them.
     """
 
     __slots__ = ("_terms",)
@@ -182,10 +184,9 @@ class LaurentPoly:
 
     @classmethod
     def _make(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
-        """Trusted constructor: int exponents and Fraction values; only zeros are dropped."""
-        poly = object.__new__(cls)
-        poly._terms = {e: c for e, c in terms.items() if c}
-        return poly
+        """Trusted constructor: int exponents and Fraction values; the zeros are
+        dropped, and ``_adopt`` keeps the new dict of the rest."""
+        return cls._adopt({e: c for e, c in terms.items() if c})
 
     @classmethod
     def _adopt(cls, terms: dict[int, Fraction]) -> "LaurentPoly":

@@ -9,9 +9,10 @@ lam * x^alpha_(n+2).  Two hypotheses make the analysis work:
 
 Under ii) the last exponent has a unique rational expansion in the basis,
 cleared to the minimal integer relation r * alpha_(n+2) = sum p_j * alpha_j.
-The sign pattern of the p_j splits the analysis into two cases and fixes the
-rational sigma together with the lam power carried by the lower operator
-block downstream.
+The sign pattern of the p_j splits the analysis into two cases, held as the
+strings that reports print, "I" and "II", and fixes the rational sigma
+together with the lam power carried by the lower operator block
+downstream: +r in case I, -r in case II.
 
 All of the rank, determinant and solution data comes from two fraction-free
 forward eliminations per layout, each followed by an exact integer back
@@ -31,11 +32,12 @@ so Fraction(numerator, det) is the solution's entry, sign included.
 A layout's JSON object is read here whole: ``ExponentData.from_json`` reads
 n and alphas, and ``MonomialMu.from_json`` the optional "mu" list, the
 exponents of the reference monomial that ``connection.sigma_tau`` takes.
+``MonomialMu.check_length`` is the one statement of the rule that mu has
+n+1 entries, which both of them apply.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,15 +215,18 @@ class MonomialMu:
     @classmethod
     def from_json(cls, obj, n: int) -> "MonomialMu":
         """The optional "mu" list of a layout's JSON object, whose layout has
-        n+1 variables; the constant monomial when it has none.  A list of
-        another length is refused as ``connection.sigma_tau`` refuses it."""
+        n+1 variables; the constant monomial when it has none.  Its entries
+        are checked first, then its length."""
         beta = json_object(obj, "exponent", ()).get("mu", [0] * (n + 1))
         if not isinstance(beta, list):
             raise InputError("mu must be a list of exponents")
-        mu = cls(beta=beta)
-        if len(beta) != n + 1:
-            raise InputError(f"mu must have {n + 1} entries, got {len(beta)}")
-        return mu
+        return cls(beta=beta).check_length(n)
+
+    def check_length(self, n: int) -> "MonomialMu":
+        """This monomial, when it is one in the n+1 variables of a layout with this n."""
+        if len(self.beta) != n + 1:
+            raise InputError(f"mu must have {n + 1} entries, got {len(self.beta)}")
+        return self
 
     @property
     def k(self) -> int:
@@ -236,18 +241,15 @@ def validate_hypotheses(data: ExponentData) -> LayoutAnalysis:
     return data.analysis
 
 
-class Case(enum.Enum):
-    CASE_I = "I"
-    CASE_II = "II"
-
-
 @dataclass(frozen=True)
 class DependencyData:
     """Minimal integer relation and the derived case data.
 
     r * alpha_(n+2) = sum p_j * alpha_j with r >= 1 minimal; d and h come
-    from the positive / nonpositive split of the p_j; sigma = r/(r - sum p)
-    and the operator's lam power is +r in case I, -r in case II.
+    from the positive / nonpositive split of the p_j; case is "I" when the
+    nonpositive side r - sum(p_j <= 0) is the larger, "II" otherwise;
+    sigma = r/(r - sum p) and the operator's lam power is +r in case I, -r
+    in case II.
     """
 
     r: int
@@ -255,7 +257,7 @@ class DependencyData:
     sum_p: int
     d: int
     h: int
-    case: Case
+    case: str
     sigma: Fraction
     lambda_exponent: int
 
@@ -266,7 +268,7 @@ class DependencyData:
             "sum_p": self.sum_p,
             "d": self.d,
             "h": self.h,
-            "case": self.case.value,
+            "case": self.case,
             "sigma": str(self.sigma),
             "lambda_exponent": self.lambda_exponent,
         }
@@ -305,8 +307,7 @@ def dependency(data: ExponentData) -> DependencyData:
         raise ContractError(f"degenerate case split r - sum(p_j <= 0) = sum(p_j > 0) = {side_pos}")
     d = min(side_nonpos, side_pos)
     h = max(side_nonpos, side_pos) - d
-    case = Case.CASE_I if side_nonpos > side_pos else Case.CASE_II
-    sigma = Fraction(r, r - sum_p)
+    case, lambda_exponent = ("I", r) if side_nonpos > side_pos else ("II", -r)
     return DependencyData(
         r=r,
         p=p,
@@ -314,8 +315,8 @@ def dependency(data: ExponentData) -> DependencyData:
         d=d,
         h=h,
         case=case,
-        sigma=sigma,
-        lambda_exponent=r if case is Case.CASE_I else -r,
+        sigma=Fraction(r, r - sum_p),
+        lambda_exponent=lambda_exponent,
     )
 
 

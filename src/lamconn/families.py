@@ -27,7 +27,7 @@ from .algebra import ABElement, _flat, linear_factor_product
 from .connection import nabla_formula, sigma_tau
 from .errors import InputError
 from .exact import check_int, first_difference, power_text, term_text
-from .exponents import Case, DependencyData, ExponentData, MonomialMu, dependency, det_identity_check
+from .exponents import DependencyData, ExponentData, MonomialMu, dependency, det_identity_check
 
 @dataclass(frozen=True)
 class FamilyResult:
@@ -148,6 +148,14 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
     return FamilyResult("B", (p, q, u, v), exponents, roots_top, roots_low, 2, nabla_one)
 
 
+# What each closed form claims of its layout's minimal relation, by kind: the DependencyData
+# fields in the order cross_validate checks them.  r = 2, d = 2 and h = 1 hold for both.
+RELATION_CLAIMS = {
+    "A": {"r": 2, "p": (1, 1, 1), "d": 2, "h": 1, "case": "II", "sigma": Fraction(-2)},
+    "B": {"r": 2, "p": (1, 1, -1), "d": 2, "h": 1, "case": "I", "sigma": Fraction(2)},
+}
+
+
 def monodromy_candidates(result: FamilyResult) -> list[Fraction]:
     """Low-part roots reduced mod 1 into [0, 1), multiplicities kept, in root order."""
     return [x - (x.numerator // x.denominator) for x in result.roots_low]
@@ -211,11 +219,11 @@ class CrossValidationReport:
 def cross_validate(result: FamilyResult) -> CrossValidationReport:
     """Recompute the derived quantities from the exponents and compare.
 
-    The closed forms fix r = 2, d = 2, h = 1 for both layouts, case II with
-    sigma = -2 for A and case I with sigma = 2 for B; the connection formula
-    applied to mu = 1 must reproduce the stored lam*nabla([1]).  dependency
-    raises HypothesisError on a layout that fails a rank hypothesis, so no
-    check records them.
+    The relation read off the matrices is checked field by field against
+    its family's row of ``RELATION_CLAIMS``, then the lam exponent and the
+    determinant identity; the connection formula applied to mu = 1 must
+    reproduce the stored lam*nabla([1]).  dependency raises HypothesisError
+    on a layout that fails a rank hypothesis, so no check records them.
     """
     checks: list[CheckOutcome] = []
 
@@ -224,14 +232,8 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
 
     data = result.exponents
     dep: DependencyData = dependency(data)
-    expected_case = Case.CASE_II if result.kind == "A" else Case.CASE_I
-    expected_p = (1, 1, 1) if result.kind == "A" else (1, 1, -1)
-    record("r", 2, dep.r)
-    record("p", expected_p, dep.p)
-    record("d", 2, dep.d)
-    record("h", 1, dep.h)
-    record("case", expected_case.value, dep.case.value)
-    record("sigma", Fraction(-2) if result.kind == "A" else Fraction(2), dep.sigma)
+    for name, expected in RELATION_CLAIMS[result.kind].items():
+        record(name, expected, getattr(dep, name))
     record("lambda_exponent", result.lambda_exponent, dep.lambda_exponent)
     det_report = det_identity_check(data, dep)
     record("determinant_identity", True, det_report.passed)

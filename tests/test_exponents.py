@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lamconn.errors import ContractError, HypothesisError, InputError, SingularMatrixError
 from lamconn.exact import det, invert, rank, solve
 from lamconn.exponents import (
-    Case,
     ExponentData,
     dependency,
     dependency_solution,
@@ -126,7 +125,7 @@ class TestDependency:
         dep = dependency(LAYOUT_A)
         assert (dep.r, dep.p, dep.sum_p) == (2, (1, 1, 1), 3)
         assert (dep.d, dep.h) == (2, 1)
-        assert dep.case is Case.CASE_II
+        assert dep.case == "II"
         assert dep.sigma == -2
         assert dep.lambda_exponent == -2
 
@@ -134,7 +133,7 @@ class TestDependency:
         dep = dependency(LAYOUT_B)
         assert (dep.r, dep.p, dep.sum_p) == (2, (1, 1, -1), 1)
         assert (dep.d, dep.h) == (2, 1)
-        assert dep.case is Case.CASE_I
+        assert dep.case == "I"
         assert dep.sigma == 2
         assert dep.lambda_exponent == 2
 
@@ -144,7 +143,7 @@ class TestDependency:
         dep = dependency(data)
         assert dep.r == 1
         assert dep.p == (1, 1)
-        assert dep.case is Case.CASE_II
+        assert dep.case == "II"
         assert dep.sigma == F(1, 1 - 2)
 
     def test_zero_last_exponent_rejected(self):
@@ -227,7 +226,8 @@ class TestRandomLayouts:
         dep = dependency(data)
         assert abs(dep.sigma) == F(dep.r, dep.h)
         assert dep.sigma == F(dep.r, dep.r - dep.sum_p)
-        assert (dep.sigma > 0) == (dep.case is Case.CASE_I)
+        assert (dep.sigma > 0) == (dep.case == "I")
+        assert dep.lambda_exponent == (dep.r if dep.case == "I" else -dep.r)
         assert dep.d >= 1 and dep.h >= 1
         assert dep.d + dep.h >= 2
         report = det_identity_check(data, dep)

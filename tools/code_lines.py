@@ -5,10 +5,11 @@ leaving out docstrings, comments and blank lines.
 
 prints one "count path" line per module, sorted by path, and then the total
 for the directory.  A docstring is the string statement that opens a
-module, class or function body, as ``ast.get_docstring`` finds it; each
-line it spans is left out.  Every other line counts when a token that is
-not a comment, a line break or an indentation change starts on it, or a
-string token runs across it.
+module, class or function body, as ``ast.get_docstring`` finds it
+(``docstrings``, which ``traffic_lines`` reads too); each line it spans is
+left out.  Every other line counts when a token that is not a comment, a
+line break or an indentation change starts on it, or a string token runs
+across it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,20 @@ from pathlib import Path
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
+def docstrings(tree: ast.AST) -> list[ast.stmt]:
+    """The docstring statements of tree: each string statement that opens a
+    module, class or function body."""
+    return [
+        node.body[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    ]
+
+
 def code_lines(source: str) -> int:
     """The number of code lines in source."""
-    docstring_lines: set[int] = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            if ast.get_docstring(node, clean=False) is not None:
-                first = node.body[0]
-                docstring_lines.update(range(first.lineno, first.end_lineno + 1))
+    docstring_lines = {n for doc in docstrings(ast.parse(source)) for n in range(doc.lineno, doc.end_lineno + 1)}
     lines: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in NOT_CODE:

@@ -19,7 +19,9 @@ never ran, then one JSON line of counts per module.  The traffic is:
 These files are only read.  lamconn is imported under the tracer, so the
 lines that run when a module loads count as run.  A statement line is the
 first line of a statement that is not a docstring and that the compiler
-gives code of its own; an ``else:`` or a decorator is not one.
+gives code of its own; an ``else:`` or a decorator is not one.  Docstrings
+are found by ``code_lines.docstrings``, so this audit and the code-line
+count leave out the same ones.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tools")]  # code_lines here, and ab for the traffic
+from code_lines import docstrings  # noqa: E402
+
 PACKAGE = ROOT / "src" / "lamconn"
 SEED = 101
 OPS = {"layouts": 300, "operators": 150, "expansions": 30}
@@ -43,12 +48,8 @@ def statement_lines(source: str) -> set[int]:
     """The first line of every statement of source that is not a docstring
     and at which the compiled code has an instruction."""
     tree = ast.parse(source)
-    docstrings = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            if ast.get_docstring(node, clean=False) is not None:
-                docstrings.add(node.body[0].lineno)
-    statements = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)} - docstrings
+    statements = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)}
+    statements -= {doc.lineno for doc in docstrings(tree)}
     coded, codes = set(), [compile(tree, "<source>", "exec")]
     while codes:
         code = codes.pop()
@@ -95,7 +96,7 @@ def unrun_lines(hits: dict[str, set[int]]) -> dict[str, tuple[list[tuple[int, st
 
 def traffic() -> None:
     """The golden corpus, the battery and the workloads' first inputs (``run_ops``), run in that order."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
+    sys.path[:0] = [str(ROOT / "src")]
     from ab import load_module, load_workload
 
     regenerate = load_module(ROOT / "tests" / "golden" / "regenerate.py", "lamconn_traffic_regenerate")
