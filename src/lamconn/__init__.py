@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # Each module, in the order it is registered, with the public names it defines.
 _NAMES = {
-    "exact": "LaurentPoly RatMatrix det invert parse_rat rank solve",
+    "exact": "LaurentPoly det invert parse_rat rank solve",
     "errors": "ContractError DimensionError HypothesisError InputError SingularMatrixError",
     "algebra": "ABElement conj_b homogeneous_components linear_factor_product shift_identity_check",
     "exponents": "DependencyData DetIdentityReport ExponentData LayoutAnalysis MonomialMu dependency "

@@ -331,7 +331,7 @@ class ABElement:
                     num = int(p) if p else 1
                     den = int(q) if q else 1
                     if not den:
-                        raise InputError(f"zero denominator: {p + '/' + q!r}")
+                        raise ValueError  # parse_rat's rescan below words it
                     e = int(e) if e else 1 if lam else 0
                     parts.append(((i, j, e), -num if minus != ("-" in lam_sep) else num, den))
             except ValueError:

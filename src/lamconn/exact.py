@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, Laurent polynomials in lam, rational matrices.
+"""Exact scalar arithmetic: rationals, Laurent polynomials in lam, rational matrices as rows.
 
 Every quantity in this package is an exact rational; floats are never
 introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
@@ -34,11 +34,13 @@ and writes itself.
 Matrix determinant, rank, inverse and solution all come from one
 fraction-free forward elimination on Python ints (``_eliminate``, Bareiss)
 with exact divisions; ``_solve_square`` follows it with an exact integer
-back substitution for det * A^-1 * B.  The RatMatrix functions scale the
-rows to integers once, and ``det`` and ``_solve_augmented``, the one solve
-of [m | B] behind ``invert`` and ``solve``, build their Fractions once at the
-end; an exponent layout is integral, so its eliminations in ``exponents``
-build no Fraction at all.
+back substitution for det * A^-1 * B.  ``det``, ``rank``, ``invert`` and
+``solve`` take a matrix as a sequence of rows of ints or Fractions, and one
+gate, ``_integer_rows``, checks its shape and entries and scales each row to
+integers.  ``det`` and ``_solve_augmented``, the one solve of [m | B] behind
+``invert`` and ``solve``, build their Fractions once at the end; an exponent
+layout is integral, so its eliminations in ``exponents`` build no Fraction
+at all.
 """
 
 from __future__ import annotations
@@ -273,80 +275,27 @@ class LaurentPoly:
         return f"{type(self).__name__}({self})"
 
 
-class RatMatrix:
-    """Dense matrix of Fractions with exact elimination-based operations."""
+def _integer_rows(rows: Sequence[Sequence[Fraction | int]], square: str | None = None) -> tuple[int, list[list[int]]]:
+    """The one gate of the matrix functions: each row times the lcm of its
+    denominators, and the product of those multipliers.
 
-    __slots__ = ("_rows", "nrows", "ncols")
-
-    def __init__(self, rows: Iterable[Iterable[Fraction | int]]):
-        data = tuple(tuple(Fraction(check_coefficient(x)) for x in row) for row in rows)
-        if not data or not data[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise DimensionError("ragged rows in matrix")
-        self._rows = data
-        self.nrows = len(data)
-        self.ncols = width
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
-        height = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionError("inner dimensions differ")
-        return RatMatrix(
-            [
-                [
-                    sum((self._rows[i][k] * other._rows[k][j] for k in range(self.ncols)), Fraction(0))
-                    for j in range(other.ncols)
-                ]
-                for i in range(self.nrows)
-            ]
-        )
-
-    def apply(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
-        if len(vec) != self.ncols:
-            raise DimensionError("vector length does not match column count")
-        v = [Fraction(check_coefficient(x)) for x in vec]
-        return [sum((row[k] * v[k] for k in range(self.ncols)), Fraction(0)) for row in self._rows]
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"RatMatrix[{body}]"
-
-
-def _integer_rows(rows: Iterable[Sequence[Fraction | int]]) -> tuple[int, list[list[int]]]:
-    """Each row times the lcm of its denominators, and the product of those multipliers."""
+    A matrix has at least one row and column, rows of one length and entries
+    that ``check_coefficient`` takes; square, when given, names the function
+    that refuses a matrix that is not square.
+    """
+    if not rows or not rows[0]:
+        raise DimensionError("matrix must have at least one row and column")
+    width = len(rows[0])
     scale = 1
     out = []
     for row in rows:
-        s = math.lcm(*(x.denominator for x in row))
+        if len(row) != width:
+            raise DimensionError("ragged rows in matrix")
+        s = math.lcm(*(check_coefficient(x).denominator for x in row))
         scale *= s
         out.append([x.numerator * (s // x.denominator) for x in row])
+    if square is not None and len(out) != width:
+        raise DimensionError(f"{square} needs a square matrix")
     return scale, out
 
 
@@ -413,41 +362,37 @@ def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list
     return rk, d, columns
 
 
-def det(m: RatMatrix) -> Fraction:
+def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Determinant: the signed last pivot of the elimination over the row scales."""
-    if not m.is_square():
-        raise DimensionError("determinant needs a square matrix")
-    scale, rows = _integer_rows(m.rows())
-    return Fraction(_solve_square(rows, m.nrows)[1], scale)
+    scale, m = _integer_rows(rows, "determinant")
+    return Fraction(_solve_square(m, len(m))[1], scale)
 
 
-def rank(m: RatMatrix) -> int:
-    return _eliminate(_integer_rows(m.rows())[1], m.ncols)[0]
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    m = _integer_rows(rows)[1]
+    return _eliminate(m, len(m[0]))[0]
 
 
-def _solve_augmented(m: RatMatrix, right: list[tuple]) -> list[list[Fraction]]:
-    """The columns of m^-1 B, where right holds the rows of B, from one
-    elimination of [m | B]; raises SingularMatrixError when det m = 0."""
-    augmented = [r + b for r, b in zip(m.rows(), right)]
-    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], m.nrows)
+def _solve_augmented(rows: Sequence[Sequence[Fraction | int]], right: list[list]) -> list[list[Fraction]]:
+    """The columns of m^-1 B, for m the square rows that the gate took and right
+    the rows of B, from one elimination of [m | B], which the gate scales; raises
+    SingularMatrixError when det m = 0."""
+    augmented = [[*r, *b] for r, b in zip(rows, right)]
+    _, pivot, columns = _solve_square(_integer_rows(augmented)[1], len(rows))
     if columns is None:
         raise SingularMatrixError("matrix is singular")
     return [[Fraction(x, pivot) for x in column] for column in columns]
 
 
-def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse by forward elimination and back substitution on [m | I]; raises
-    SingularMatrixError when det = 0."""
-    if not m.is_square():
-        raise DimensionError("inverse needs a square matrix")
-    n = m.nrows
-    return RatMatrix.from_columns(_solve_augmented(m, [tuple(int(i == j) for j in range(n)) for i in range(n)]))
+def invert(rows: Sequence[Sequence[Fraction | int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the inverse, by forward elimination and back substitution on
+    [m | I]; raises SingularMatrixError when det = 0."""
+    n = len(_integer_rows(rows, "inverse")[1])
+    return tuple(zip(*_solve_augmented(rows, [[int(i == j) for j in range(n)] for i in range(n)])))
 
 
-def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
+def solve(rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve m * x = rhs for square invertible m."""
-    if not m.is_square():
-        raise DimensionError("solve needs a square matrix")
-    if len(rhs) != m.nrows:
+    if len(rhs) != len(_integer_rows(rows, "solve")[1]):
         raise DimensionError("right-hand side length does not match")
-    return _solve_augmented(m, [(Fraction(check_coefficient(v)),) for v in rhs])[0]
+    return _solve_augmented(rows, [[v] for v in rhs])[0]

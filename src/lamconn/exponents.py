@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, HypothesisError, InputError
-from .exact import RatMatrix, _solve_square, check_int, json_object
+from .exact import _solve_square, check_int, json_object
 
 # Work budget of a JSON layout, checked by ExponentData.from_json before any
 # elimination: (n + 2)^3, the order of the updates in each of the two
@@ -146,14 +146,13 @@ class ExponentData:
             # lam would multiply the constant monomial: the relation is r * 0 = 0.
             raise InputError("the parameter monomial has exponent zero; no usable relation")
 
-    def matrix_m_prime(self) -> RatMatrix:
-        """The (n+1) x (n+1) matrix whose columns are the first n+1 exponents."""
-        return RatMatrix.from_columns(self.alphas[: self.n + 1])
+    def matrix_m_prime(self) -> tuple[tuple[int, ...], ...]:
+        """The int rows of the (n+1) x (n+1) matrix whose columns are the first n+1 exponents."""
+        return tuple(zip(*self.alphas[: self.n + 1]))
 
-    def matrix_m_tilde(self) -> RatMatrix:
-        """All n+2 exponent columns bordered by a first row of ones."""
-        cols = [(1,) + a for a in self.alphas]
-        return RatMatrix.from_columns(cols)
+    def matrix_m_tilde(self) -> tuple[tuple[int, ...], ...]:
+        """The int rows of the matrix of all n+2 exponent columns bordered by a first row of ones."""
+        return tuple(zip(*((1,) + a for a in self.alphas)))
 
     @cached_property
     def analysis(self) -> LayoutAnalysis:

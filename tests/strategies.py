@@ -12,7 +12,6 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
-from lamconn.exact import RatMatrix
 
 
 def rationals(low, high, max_denominator):
@@ -64,8 +63,3 @@ matrix_entry = st.integers(min_value=-9, max_value=9) | rationals(-9, 9, 6)
 def entry_rows(nrows, ncols):
     """nrows lists of ncols matrix entries."""
     return st.lists(st.lists(matrix_entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
-
-
-def matrix(nrows, ncols):
-    """A RatMatrix of nrows x ncols matrix entries."""
-    return entry_rows(nrows, ncols).map(RatMatrix)

@@ -25,14 +25,15 @@ CUBE = ExponentData(n=2, alphas=((3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)))
 
 class TestValidation:
     def test_matrices(self):
-        m_tilde = LAYOUT_A.matrix_m_tilde()
-        assert m_tilde.rows() == (
+        m_tilde, m_prime = LAYOUT_A.matrix_m_tilde(), LAYOUT_A.matrix_m_prime()
+        assert m_tilde == (
             (1, 1, 1, 1),
             (4, 0, 0, 2),
             (0, 4, 0, 2),
             (0, 0, 2, 1),
         )
-        assert LAYOUT_A.matrix_m_prime().rows() == ((4, 0, 0), (0, 4, 0), (0, 0, 2))
+        assert m_prime == ((4, 0, 0), (0, 4, 0), (0, 0, 2))
+        assert {type(x) for row in m_tilde + m_prime for x in row} == {int}
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(InputError):
@@ -287,7 +288,7 @@ class TestCachedAnalysis:
             with pytest.raises(SingularMatrixError):
                 invert(m_tilde)
         else:
-            inverse_row = invert(m_tilde).row(n + 1)
+            inverse_row = invert(m_tilde)[n + 1]
             assert tuple(F(w, analysis.det_m_tilde) for w in analysis.inverse_numerators) == inverse_row
         if analysis.det_m_prime == 0:
             assert analysis.relation_numerators is None

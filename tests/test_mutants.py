@@ -257,6 +257,11 @@ MUTANTS = [
            {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "det M~"),
             7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION},
            (test_exact.TestMatrixFrozen().test_det_golden,)),
+    # the matrix gate without its ragged test: the elimination zips each row with the pivot
+    # row, so a longer later row is cut short without a word; the battery builds no ragged matrix
+    Mutant("integer_rows_lets_ragged_through", slipped(exact._integer_rows, "len(row) != width", "False"),
+           {}, (partial(test_exact.TestMatrixErrors().test_every_solver_goes_through_the_gate,
+                        *next(p.values for p in test_exact.GATE_REFUSALS if p.id == "det-ragged")),)),
     # the slip subtracts b*Q, one degree above Q, which has degree 3 here
     Mutant("shift_identity_with_k_slip", rebind(algebra.shift_identity_check, shift_identity_with_k_slip),
            {6: ("shift identity fails for", "(0, 4, 0)")}),
