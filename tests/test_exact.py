@@ -285,13 +285,14 @@ class TestMatrixFrozen:
 SOLVERS = {"det": det, "rank": rank, "invert": invert, "solve": lambda rows: solve(rows, [1] * len(rows))}
 NO_ROW_OR_COLUMN = "matrix must have at least one row and column"
 # Every solver on each matrix the gate refuses, and every one but rank on a
-# 1 x 2.  The ragged matrix has its longer row second, which a zip over the
-# rows would truncate without a word.
+# 1 x 2.  One ragged matrix has its longer row second, which a zip over the
+# rows would truncate without a word, and one its shorter row second.
 GATE_REFUSALS = [
     pytest.param(solver, rows, error, message, id=f"{name}-{case}")
     for name, solver in SOLVERS.items()
     for case, rows, error, message in [
         ("ragged", [[1, 2], [3, 4, 5]], DimensionError, "ragged rows in matrix"),
+        ("short-row", [[1, 2], [3]], DimensionError, "ragged rows in matrix"),
         ("no-rows", [], DimensionError, NO_ROW_OR_COLUMN),
         ("empty-row", [[]], DimensionError, NO_ROW_OR_COLUMN),
         ("float", [[1, 0.5], [0, 1]], TypeError, "coefficient must be an int or a Fraction, got 0.5"),
@@ -304,10 +305,6 @@ GATE_REFUSALS = [
 
 
 class TestMatrixErrors:
-    def test_ragged(self):
-        with pytest.raises(DimensionError):
-            rank([[1, 2], [3]])
-
     def test_empty(self):
         with pytest.raises(DimensionError):
             rank([])
