@@ -18,33 +18,59 @@ for t = 0..k, so the product of two normal monomials is
 
     (a^i * b^j) * (a^k * b^l) = sum_t (-1)^t C(k,t) j(j+1)...(j+t-1) a^(i+k-t) * b^(j+t+l)
 
-and ``ABElement.__mul__`` applies it once per pair of terms, adding their lam
-exponents.  The rule multiplies only by integers, so the product runs on the
-numerators over the product of the two denominators.  It is the general
-product: ``scale`` and ``times_a`` multiply by a degree-0 element and by a,
-and conjugation by b is b * x with every b power lowered by one.
+with the lam exponents added.  On a whole row, the terms of one total degree
+d and lam exponent, one b is a single backward pass: with g the row's
+numerators indexed by the a power,
 
-Every term the rule emits for one pair has the same total degree i+j+k+l
+    b * sum_k g_k a^k b^(d-k) = sum_p T(g)_p a^p b^(d+1-p),    T(g)_p = g_p - (p+1)*T(g)_(p+1),
+
+from the row's largest a power down (b*a = a*b - b^2 is T of g = (0, 1)).
+So b^j times a row is T^j of it, and a^i*b^j times it is T^j(g) with every a
+power raised by i.  Both rules multiply only by integers, so the product runs
+on the numerators over the product of the two denominators.  It is the
+general product: ``scale`` and ``times_a`` multiply by a degree-0 element and
+by a, and conjugation by b is b * x with every b power lowered by one.
+
+``ABElement.__mul__`` groups the right operand's terms by (degree, lam
+exponent) once.  For each left term c*lam^e*a^i*b^j and group, one
+comparison picks the rule:
+
+- j = 0: the closed rule's t = 0 term alone, a shift of the group's a powers
+  by i;
+- j * span <= emitted, where span is the group's largest a power + 1 and
+  emitted, the sum of k + 1 over its terms, is the number of terms the
+  closed rule emits for it: T^j of the group's dense row.  The powers
+  g, T(g), T^2(g), ... are made once per group, on first use, and reused
+  for every later left term, so the dense row, its j passes and the span
+  values added cost at most three times the closed rule's terms;
+- otherwise the closed rule, term by term, because j passes would cost more
+  than the terms it emits: b^(10^9)*a emits two terms, where 10^9 passes
+  would never end.
+
+A dense list is sized by its group's span, never by its degree.
+
+Every term emitted for one left term and group has the same total degree
 and lam exponent, so the product sums into accumulator rows keyed by
-(degree, lam exponent), each a dict from the a power to its numerator: inside
-a row the a power fixes the b power, so the inner loop hashes one small int
-instead of an (i, j, e) tuple.  The right operand's terms are grouped by
-(degree, lam exponent) once, so each row is looked up once per left term and
-group, not per pair.  A row is a dict, not a list sized by its degree,
-because it is sparse: a^(10^9) times a^(10^9)*b^2 fills one entry of a row
-of degree 2*10^9 + 2.  ``_from_rows`` turns the rows back into the flat map
-once per result, dropping zero numerators in the same pass, and divides out
-the gcd with the denominator only when it is not 1.
+(degree, lam exponent), each a dict from the a power to its numerator:
+inside a row the a power fixes the b power, so the inner loop hashes one
+small int instead of an (i, j, e) tuple.  An accumulator row is a dict, not
+a list, because it is sparse: a^(10^9) times a^(10^9)*b^2 fills one entry of
+a row of degree 2*10^9 + 2.  ``_from_rows`` turns the rows back into the flat
+map once per result, dropping zero numerators in the same pass, and divides
+out the gcd with the denominator only when it is not 1.
 
-``linear_factor_product`` uses a two-term case of the rule instead, in one
-pass on the flat map (rows measured no faster there), and is tested against the
-general product:
+``linear_factor_product`` uses a two-term case of the closed rule instead,
+in one pass on the flat map (rows measured no faster there), and is tested
+against the general product:
 
     a^i*b^j * a = a^(i+1)*b^j - j*a^i*b^(j+1)
 
-``connection.push_nabla`` sums b*theta(Q) + conj_b(Q)*N into the same rows,
-in one pass over Q's numerators; ``conj_b`` and the product are its
-independent route.
+``connection.push_nabla`` runs its own T pass on each row of Q, one degree
+up, and ``connection.push_nabla_via_shift`` reaches the same recurrence
+through this product's.  The two lam*nabla routes keep separate loops
+rather than one shared T helper: criterion 7 compares them, and a slip in a
+shared helper would move both routes alike and pass.  ``conj_b`` and the
+product are push_nabla's independent route in the tests as well.
 
 The module owns the text format of elements: ``__str__`` writes it and
 ``parse`` reads exactly the text ``__str__`` writes, in this grammar:
@@ -246,24 +272,60 @@ class ABElement:
         right: dict[RowKey, list[tuple[int, int]]] = {}
         for (k, l, e2), c2 in other._terms.items():
             right.setdefault((k + l, e2), []).append((k, c2))
+        plans = None
         rows: Rows = {}
         for (i, j, e1), c1 in self._terms.items():
-            for (d2, e2), group in right.items():
+            if not j:
+                # a^i times a^k*b^l is a^(i+k)*b^l: the a power shifts by i
+                for (d2, e2), group in right.items():
+                    key = (i + d2, e1 + e2)
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = {}
+                    for k, c2 in group:
+                        v = c1 * c2
+                        p = i + k
+                        row[p] = row[p] + v if p in row else v
+                continue
+            if plans is None:
+                # each group with its span (largest a power + 1), the number of terms the closed
+                # rule emits for it, and its T powers [g, T(g), T^2(g), ...], made on first use
+                plans = []
+                for (d2, e2), group in right.items():
+                    ks = [k for k, _ in group]
+                    plans.append((d2, e2, group, max(ks) + 1, sum(ks) + len(ks), []))
+            for d2, e2, group, span, emitted, powers in plans:
                 key = (i + j + d2, e1 + e2)
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = {}
+                if j * span <= emitted:
+                    # b^j times the group is T^j of its dense row, added at a powers i..i+span-1;
+                    # _from_rows drops a zero that lands in the row
+                    if not powers:
+                        dense = [0] * span
+                        for k, c2 in group:
+                            dense[k] = c2
+                        powers.append(dense)
+                    while len(powers) <= j:
+                        acc, h, t = 0, powers[-1], [0] * span
+                        for p in range(span - 1, -1, -1):
+                            acc = h[p] - (p + 1) * acc
+                            t[p] = acc
+                        powers.append(t)
+                    for p, v in enumerate(powers[j], i):
+                        v *= c1
+                        row[p] = row[p] + v if p in row else v
+                    continue
                 for k, c2 in group:
-                    # v = c1*c2 * (-1)^t C(k,t) j(j+1)...(j+t-1) at a^(i+k-t); the division
-                    # is exact, and every t > 0 term vanishes when j = 0
+                    # v = c1*c2 * (-1)^t C(k,t) j(j+1)...(j+t-1) at a^(i+k-t); the division is exact
                     v = c1 * c2
                     p = i + k
                     row[p] = row[p] + v if p in row else v
-                    if j:
-                        for t in range(k):
-                            v = -v * (k - t) * (j + t) // (t + 1)
-                            p -= 1
-                            row[p] = row[p] + v if p in row else v
+                    for t in range(k):
+                        v = -v * (k - t) * (j + t) // (t + 1)
+                        p -= 1
+                        row[p] = row[p] + v if p in row else v
         return ABElement._from_rows(rows, self._den * other._den)
 
     def __eq__(self, other: object) -> bool:

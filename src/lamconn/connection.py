@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ABElement, Rows
+from .algebra import ABElement, FlatKey, Rows
 from .errors import HypothesisError
 from .exact import check_coefficient
 from .exponents import ExponentData, MonomialMu
@@ -96,36 +96,52 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
     nabla through the word conjugates every generator by b and lands on
     nabla([mu]) itself.  Both contributions stay polynomial in lam, 1/lam.
     So the result is b * theta(Q) + conj_b(Q) * N with N = (na*a + nb*b)/nd
-    from ``nabla_formula``, summed in one pass over Q's numerators.  With
-    w_0 = 1 and w_(t+1) = -w_t*(i - t), conj_b(a^i*b^j) = (a - b)^i*b^j
-    = sum_t w_t a^(i-t)*b^(j+t), and b*a^i*b^j has the same w_t with one more
-    b; a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1).  So a term c*lam^e*a^i*b^j
-    adds, for t = 0..i with p = i - t and s = j + t, c*w_t*na at a^(p+1)*b^s
-    and c*w_t*(e*nd + nb - s*na) at a^p*b^(s+1), all over den*nd.  Every one
-    of these has degree i+j+1, so they are summed in the accumulator row
-    (i+j+1, e) of ``algebra``, keyed by the a power alone; the a^p parts of
-    steps t and t+1 are added before they enter the row.
-    ``push_nabla_via_shift`` is the independent route through the product.
+    from ``nabla_formula``.
+
+    Q is taken one row at a time: g, the numerators of its terms of degree d
+    and lam exponent e, indexed by the a power.  conj_b of the row is
+    w = T(g), the backward pass w_p = g_p - (p + 1)*w_(p+1) of ``algebra``
+    from the row's largest a power down, at degree d; b times the row is the
+    same w at degree d + 1.  With a^p*b^s*a = a^(p+1)*b^s - s*a^p*b^(s+1),
+    the row (d + 1, e) of the result is
+
+        na*w_(p-1) + (e*nd + nb - (d - p)*na)*w_p    at a^p*b^(d+1-p)
+
+    for p from 0 to the row's largest a power + 1, over den*nd, formed in
+    the same pass as w.
+    Each row of the result comes from one row of Q, so its values go
+    straight into the flat map, and a row costs one pass over its a powers:
+    Q = a*b^(10^9) is two steps.
+
+    ``push_nabla_via_shift`` is the independent route through the product,
+    whose b*R runs the same recurrence in ``ABElement.__mul__``.  The two
+    keep separate loops rather than one shared T helper: criterion 7
+    compares them, and a slip in a shared helper would move both alike.
     """
     n = nabla_formula(st)
     na, nb, nd = n._terms.get((1, 0, 0), 0), n._terms.get((0, 1, 0), 0), n._den
     rows: Rows = {}
-    for (i, j, e), w in q._terms.items():
-        key = (i + j + 1, e)
+    for (i, j, e), c in q._terms.items():
+        key = (i + j, e)
         row = rows.get(key)
         if row is None:
             row = rows[key] = {}
-        lam_b = e * nd + nb
-        top = i + 1
-        v = w * na
-        row[top] = row[top] + v if top in row else v
-        for t in range(i + 1):
-            p = i - t
-            v = w * (lam_b - (j + t) * na)
-            w = -w * p
-            v += w * na
-            row[p] = row[p] + v if p in row else v
-    return ABElement._from_rows(rows, q._den * nd)
+        row[i] = c
+    nums: dict[FlatKey, int] = {}
+    for (d, e), row in rows.items():
+        # w is w_(p+1) on entry and w_p after the step; the value at a^(p+1) needs both
+        lam_b = e * nd + nb - d * na
+        w = 0
+        for p in range(max(row), -1, -1):
+            v = (lam_b + (p + 1) * na) * w
+            w = row.get(p, 0) - (p + 1) * w
+            v += na * w
+            if v:
+                nums[(p + 1, d - p, e)] = v
+        v = lam_b * w
+        if v:
+            nums[(0, d + 1, e)] = v
+    return ABElement._reduced(nums, q._den * nd)
 
 
 def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
@@ -139,10 +155,12 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
 
     where a term c*lam^e*a^i*b^j of Q contributes (e - tau + (k+i+j)*sigma)*c
     to R: e*c from b*theta(Q) and -(tau - (k+i+j)*sigma)*c from L_(i+j).
-    Both products go through the general ``ABElement.__mul__``, and only b*R
-    has b on the left.  It never calls ``push_nabla`` or ``conj_b``: the
-    product's own normal-ordering rule stands against push_nabla's w_t
-    recurrence, so the two implementations must agree term for term.
+    Both products go through the general ``ABElement.__mul__``: (-sigma*a)*Q
+    has no b on the left and takes its shift rule, and b*R takes one T pass
+    per row of R.  It never calls ``push_nabla`` or ``conj_b``, and its T
+    pass is the product's loop, not push_nabla's: the two routes keep
+    separate loops, so that a slip in either shows as a difference between
+    them instead of moving both alike, and they must agree term for term.
     """
     sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
     # over sd*td, (e - tau + (k+g)*sigma) is e*sd*td + g*sn*td + (k*sn*td - tn*sd) at degree g

@@ -77,6 +77,10 @@ def word_to_element(word):
     return out
 
 
+def word_sum_to_element(word_sums):
+    return sum((word_to_element(word).scale(c) for word, c in word_sums.items()), ABElement.zero())
+
+
 def element_to_word_map(x):
     out = {}
     for (i, j), coeff in x.terms.items():
@@ -105,7 +109,7 @@ class TestNormalForm:
     @pytest.mark.parametrize("k", range(7))
     @pytest.mark.parametrize("j", range(7))
     def test_closed_rule_on_whole_powers(self, j, k):
-        # b^j * a^k, the one product the closed normal-ordering rule expands
+        # b^j * a^k: one T pass on a^k when j = 1, the closed normal-ordering rule when j >= 2
         product = ABElement.monomial(0, j) * ABElement.monomial(k, 0)
         assert element_to_word_map(product) == rewrite_words({"b" * j + "a" * k: F(1)})
 
@@ -140,6 +144,21 @@ class TestNormalForm:
         coeff = LaurentPoly.lam_power(-5, 3)
         product = ABElement.monomial(10**9, 0) * ABElement.monomial(10**9, 2, coeff)
         assert product == ABElement.monomial(2 * 10**9, 2, coeff)
+
+    def test_huge_b_power_times_a(self):
+        # 10^9 passes of T, or a row sized by the degree, would never end: the closed rule
+        # emits the two terms
+        product = ABElement.monomial(0, 10**9) * A
+        assert product == ABElement.parse("a*b^1000000000 - 1000000000*b^1000000001")
+
+    def test_t_powers_reused_across_left_terms(self):
+        # b, b^2 and b^3 against one dense group of degree 4: each takes T^j of it (3 passes of
+        # span 5 against the closed rule's 15 terms), T^1 and T^2 made once for all three
+        left = {"b": F(2), "bb": F(-1, 3), "bbb": F(5)}
+        right = {"aaaa": F(1), "aaab": F(-2), "aabb": F(3, 2), "abbb": F(1), "bbbb": F(-4)}
+        product = word_sum_to_element(left) * word_sum_to_element(right)
+        expected = rewrite_words({u + v: c * d for u, c in left.items() for v, d in right.items()})
+        assert element_to_word_map(product) == expected
 
     def test_negative_powers_rejected(self):
         with pytest.raises(InputError):

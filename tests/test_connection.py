@@ -169,6 +169,13 @@ class TestPushNabla:
         expected = ABElement.parse("2*a - 8*b") * result.full_operator
         assert push_nabla(result.full_operator, st_data) == expected
 
+    def test_routes_agree_at_a_huge_b_power(self):
+        # each route takes one pass over a row's two a powers; a row sized by its degree,
+        # 10^9 + 1, would never end
+        st_data = sigma_tau(LAYOUT_A, MonomialMu.unit(2))
+        q = ABElement.monomial(1, 10**9)
+        assert push_nabla(q, st_data) == push_nabla_via_shift(q, st_data)
+
     @given(
         abelement_lam | st.just(ABElement.zero()),
         st.integers(min_value=0, max_value=2**32),

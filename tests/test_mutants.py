@@ -183,15 +183,21 @@ MUTANTS = [
     Mutant("reduced_keeps_gcd_2", slipped(ABElement._reduced, "if g != 1:", "if g > 2:"),
            {2: ("operator match True, nabla match False, matrix route True; no key differs, so the two sides "
                 "differ only in form", None), 8: CROSS_VALIDATION}, (test_algebra.TestNormalForm().test_identity_element,)),
-    # the product's t-step with j + t - 1 for j + t: b*a loses its -b^2, which first shows where
-    # the commuting slip does, and in every criterion that multiplies; the first oracle
-    # compares b*a with the word-rewriting oracle
+    # the closed rule's t-step with j + t - 1 for j + t: the product runs it only where j passes
+    # of T would cost more than the terms it emits, as for b^2*a, b^3*a^2 and b^3 times a dense
+    # group of degree 2 or 3; the first oracle compares b^3*a^2 with the word-rewriting oracle
     Mutant("product_t_step_one_low", slipped(ABElement.__mul__, "(j + t)", "(j + t - 1)"),
-           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
-            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(0, 3, -2)"),
-            8: ("operator is not the product of its factors", "(0, 2, -2)")},
-           (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 1, 1),
+           {6: ("shift identity fails for", "(0, 4, 0)"), 8: ("operator is not the product of its factors", "(0, 3, 0)")},
+           (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 3, 2),
             test_algebra.TestNormalForm().test_b2_times_a_frozen)),
+    # the product's T pass with p for p + 1: b*a loses its -b^2, as if a and b commuted, which
+    # first shows where the commuting slip does, and in every criterion that multiplies; the
+    # oracle compares b*a with the word-rewriting oracle
+    Mutant("product_t_pass_factor_one_low", slipped(ABElement.__mul__, "(p + 1) * acc", "p * acc"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            6: ("shift identity fails for", "(1, 3, 0)"), 7: ("uniform shift fails for", "(0, 3, -2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")},
+           (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 1, 1),)),
     # the fields of both layouts sort by name: sum_p is compared with the rest of the dependency block
     Mutant("sum_p", slipped(exponents.dependency, "sum_p=sum_p,", "sum_p=sum_p + 1,"),
            {3: ("first layout", "('first layout', 'sum_p')")}),
@@ -235,9 +241,11 @@ MUTANTS = [
     # difference has a lam power
     Mutant("push_nabla_without_lam_derivative", slipped(connection.push_nabla, "lam_b = e * nd + nb", "lam_b = nb"),
            {7: ("uniform shift fails for", "(0, 3, -2)")}),
-    # push_nabla's w_t*na part of a term put at a^i in place of a^(i+1), one b power higher
-    Mutant("push_nabla_top_a_power_one_low", slipped(connection.push_nabla, "top = i + 1", "top = i"),
-           {7: ("uniform shift fails for", "(0, 3, -2)")}, (test_connection.TestPushNabla().test_on_b_frozen,)),
+    # push_nabla's T pass with p for p + 1: conj_b(a) loses its -b, which b alone, with no a
+    # power, cannot show
+    Mutant("push_nabla_t_pass_factor_one_low", slipped(connection.push_nabla, "- (p + 1) * w", "- p * w"),
+           {7: ("uniform shift fails for", "(0, 3, -2)")},
+           (test_connection.TestPushNabla().test_family_a_operator_frozen,)),
     # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
     Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(i + j) * per_degree",
                                                    "(i + j + (i + j > 3)) * per_degree"),
@@ -362,7 +370,7 @@ MUTANTS = [
     # _from_rows' one-pass flattening keeps only the positive numerators of a product
     Mutant("from_rows_drops_negative_terms", slipped(ABElement._from_rows, "row.items() if n}", "row.items() if n > 0}"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
-            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(2, 1, -2)"),
+            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(1, 2, -2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")},
            (test_families.TestClosedFormOracle().test_family_a_grid,)),
     # the rendered cells in entry order: propagate makes its entries in key order, so only a
