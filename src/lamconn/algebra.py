@@ -39,10 +39,11 @@ comparison picks the rule:
   by i;
 - j * span <= emitted, where span is the group's largest a power + 1 and
   emitted, the sum of k + 1 over its terms, is the number of terms the
-  closed rule emits for it: T^j of the group's dense row.  The powers
-  g, T(g), T^2(g), ... are made once per group, on first use, and reused
-  for every later left term, so the dense row, its j passes and the span
-  values added cost at most three times the closed rule's terms;
+  closed rule emits for it: T^j of the group's dense row g.  g is made
+  once per group, at the first left term with j > 0, and T(g), T^2(g), ...
+  once each, on first use, then reused for every later left term; so the
+  dense row, its j passes and the span values added cost at most three
+  times the closed rule's terms;
 - otherwise the closed rule, term by term, because j passes would cost more
   than the terms it emits: b^(10^9)*a emits two terms, where 10^9 passes
   would never end.
@@ -289,11 +290,15 @@ class ABElement:
                 continue
             if plans is None:
                 # each group with its span (largest a power + 1), the number of terms the closed
-                # rule emits for it, and its T powers [g, T(g), T^2(g), ...], made on first use
+                # rule emits for it, and its T powers [g, T(g), T^2(g), ...], g its dense row and
+                # the others made on first use
                 plans = []
                 for (d2, e2), group in right.items():
                     ks = [k for k, _ in group]
-                    plans.append((d2, e2, group, max(ks) + 1, sum(ks) + len(ks), []))
+                    dense = [0] * (max(ks) + 1)
+                    for k, c2 in group:
+                        dense[k] = c2
+                    plans.append((d2, e2, group, len(dense), sum(ks) + len(ks), [dense]))
             for d2, e2, group, span, emitted, powers in plans:
                 key = (i + j + d2, e1 + e2)
                 row = rows.get(key)
@@ -302,11 +307,6 @@ class ABElement:
                 if j * span <= emitted:
                     # b^j times the group is T^j of its dense row, added at a powers i..i+span-1;
                     # _from_rows drops a zero that lands in the row
-                    if not powers:
-                        dense = [0] * span
-                        for k, c2 in group:
-                            dense[k] = c2
-                        powers.append(dense)
                     while len(powers) <= j:
                         acc, h, t = 0, powers[-1], [0] * span
                         for p in range(span - 1, -1, -1):
