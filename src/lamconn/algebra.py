@@ -102,9 +102,12 @@ and the rule.
 
 ``__str__`` sorts the flat keys once by (-(i+j), -i, e), so each (i, j) is
 one run of ascending lam exponents, reduces each term's n/den with one gcd
-and writes every piece into one list that it joins once; it writes the
-grammar itself rather than through ``exact.term_text`` and
-``exact.join_signed``, and the fuzz tests hold it to those writers.
+and writes every piece into one list that it joins once.  A run of one
+term with no lam, a rational coefficient, is written bare on its own path;
+only a coefficient with lam or with more than one term enters the loop
+that writes a parenthesized lam sum.  It writes the grammar itself rather
+than through ``exact.term_text`` and ``exact.join_signed``, and the fuzz
+tests hold it to those writers.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ class ABElement:
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
     Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
     ``_make`` builds every arithmetic result, products through
-    ``_from_rows``, and ``_linear`` every factor (na*a + nb*b)/den from int
-    numerators; all three trust their input and end in ``_reduced``.
+    ``_from_rows``, both ending in ``_reduced``, and ``_linear`` every factor
+    (na*a + nb*b)/den from int numerators, with one gcd of its own; all
+    three trust their input.
     """
 
     __slots__ = ("_terms", "_den")
@@ -197,8 +201,20 @@ class ABElement:
 
     @classmethod
     def _linear(cls, na: int, nb: int, den: int) -> "ABElement":
-        """Trusted (na*a + nb*b) / den from int numerators over an int den >= 1."""
-        return cls._make({(1, 0, 0): na, (0, 1, 0): nb}, den)
+        """Trusted (na*a + nb*b) / den from int numerators over an int den >= 1,
+        reduced with one gcd of all three; a zero numerator leaves out its term."""
+        g = math.gcd(na, nb, den)
+        if g != 1:
+            na, nb, den = na // g, nb // g, den // g
+        nums = {}
+        if na:
+            nums[(1, 0, 0)] = na
+        if nb:
+            nums[(0, 1, 0)] = nb
+        x = object.__new__(cls)
+        x._terms = nums
+        x._den = den
+        return x
 
     @classmethod
     def one(cls) -> "ABElement":
@@ -351,23 +367,29 @@ class ABElement:
             a_text = "" if i == 0 else "a" if i == 1 else f"a^{i}"
             b_text = "" if j == 0 else "b" if j == 1 else f"b^{j}"
             monomial = f"{a_text}*{b_text}" if a_text and b_text else a_text or b_text
+            if e == 0 and stop == start + 1:
+                # a rational coefficient: the term alone, its sign its separator
+                n = nums[keys[start]]
+                g = math.gcd(n, den)
+                mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+                out.append((" - " if out else "-") if n < 0 else " + " if out else "")
+                out.append(f"{mag}*{monomial}" if monomial and mag != "1" else monomial or mag)
+                start = stop
+                continue
             # A coefficient involving lam is always parenthesized so the term
             # boundary stays unambiguous; its sign lives inside the parentheses.
-            grouped = e != 0 or stop > start + 1
-            if grouped:
-                out.append(" + (" if out else "(")
+            out.append(" + (" if out else "(")
             for pos in range(start, stop):
                 key = keys[pos]
                 n = nums[key]
                 g = math.gcd(n, den)
                 mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
-                lead = pos == start if grouped else not out
+                lead = pos == start
                 out.append(("-" if lead else " - ") if n < 0 else "" if lead else " + ")
                 e = key[2]
-                var = ("" if e == 0 else "lam" if e == 1 else f"lam^{e}") if grouped else monomial
+                var = "" if e == 0 else "lam" if e == 1 else f"lam^{e}"
                 out.append(f"{mag}*{var}" if var and mag != "1" else var or mag)
-            if grouped:
-                out.append(f")*{monomial}" if monomial else ")")
+            out.append(f")*{monomial}" if monomial else ")")
             start = stop
         return "".join(out) or "0"
 

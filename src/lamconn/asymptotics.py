@@ -46,10 +46,10 @@ which is D[k] over z*E*P*s*(L*lam)^j; dividing by e + 1 integrates.  Then
 E <- E*z*(e+1), divided together with the W by the small
 gcd(z*(e+1), W[0], ..., W[K]), P <- P*s, L <- L*lam (the lcm of the s so
 far) and V <- W, and each emitted coefficient is one reduced
-Fraction(V[k], E*P*L^(K-k)), built only for a nonzero V[k] by ``_fraction``:
-one gcd, and the reduced parts set straight into the two slots that Fraction
-keeps, without Fraction's own constructor.  This module alone reads those
-slots.  The inner loop needs no big gcd.  When the bit length of E*P*L^K
+Fraction(V[k], E*P*L^(K-k)), built only for a nonzero V[k] by
+``exact._fraction``: one gcd, and the reduced parts set straight into the
+two slots that Fraction keeps, without Fraction's own constructor.  The
+inner loop needs no big gcd.  When the bit length of E*P*L^K
 passes twice that of the widest reduced denominator plus 256, as
 telescoping chains (beta a multiple of alpha) make it, the chain
 renormalizes: E becomes the lcm of the reduced denominators, P = L = 1, and
@@ -122,7 +122,7 @@ from itertools import chain, islice, product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DIGIT_LIMIT_MESSAGE, InputError
-from .exact import _ZERO, LaurentPoly, check_coefficient, check_int, json_object, json_rat, parse_int
+from .exact import _ZERO, LaurentPoly, _fraction, check_coefficient, check_int, json_object, json_rat, parse_int
 
 SeedKey = tuple[int, int, int]
 
@@ -382,7 +382,7 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
     rows holds the ladder's term dicts by depth, then by order.  The values of
     depth k are integer numerators V[k] over E*P*L^(K-k), where K is the top
     seeded depth; see the module docstring for the step.  Each coefficient
-    is built from V[k] and that denominator by ``_fraction``, and the widest
+    is built from V[k] and that denominator by ``exact._fraction``, and the widest
     reduced denominator, which sets when the chain renormalizes, is read
     from the part it holds.  bound is 10**limit
     for Python's int/str conversion limit, or None for no limit, and a
@@ -444,19 +444,6 @@ def _chain(spec: ExpansionSpec, rho: Fraction, m0: int, values: dict[int, Fracti
             big_e = math.lcm(*(c.denominator for c in emitted))
             v = [c.numerator * (big_e // c.denominator) for c in emitted] + [0]
             big_p = big_l = 1
-
-
-def _fraction(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for ints n and d >= 1, reduced with one gcd and built
-    without Fraction.__new__, which would test the types and the signs again.
-
-    The result is the object Fraction(n, d) makes: the reduced parts in the
-    two slots that fractions.Fraction keeps, _numerator and _denominator."""
-    g = math.gcd(n, d)
-    c = object.__new__(Fraction)
-    c._numerator = n // g
-    c._denominator = d // g
-    return c
 
 
 def _check_digits(coefficients: Iterable[Fraction], bound: int) -> None:

@@ -7,20 +7,24 @@ sigma * a[mu] + tau * b[mu].  Everything exported here multiplies the
 connection by lam once, so each formula is polynomial in lam and 1/lam and
 the 1/lam in nabla itself is stated explicitly in rendered reports.
 
-Every value here is formed from integer numerators with one reduction each:
-sigma and tau from the numerators of the inverse row over det M~, beta and
-each linear operator (na*a + nb*b)/den from sigma = sn/sd and tau = tn/td
-over sd*td, and alpha is -sigma.
+Every value here is formed from integer numerators with one reduction each,
+by ``exact._fraction`` or ``ABElement._linear``: sigma and tau from the
+numerators of the inverse row over det M~, beta and each linear operator
+(na*a + nb*b)/den from sigma = sn/sd and tau = tn/td over sd*td, and alpha
+is -sigma.  ``SigmaTau.to_json`` writes the texts of alpha and beta from
+those integer parts, without building either Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import ABElement, FlatKey, Rows
 from .errors import HypothesisError
-from .exact import check_coefficient
+from .exact import _fraction, check_coefficient
 from .exponents import ExponentData, MonomialMu
 
 
@@ -43,28 +47,42 @@ class SigmaTau:
         check_coefficient(self.sigma)
         check_coefficient(self.tau)
 
+    def _parts(self) -> tuple[int, int, int, int, int]:
+        """k and the reduced numerator and denominator of alpha and of beta.
+
+        With sigma = sn/sd and tau = tn/td, alpha = -sn/sd and
+        beta = ((k*sd - sn)*td - tn*sd)/(sd*td), reduced with one gcd.
+        """
+        k = self.mu.k
+        sn, sd, tn, td = self.sigma.numerator, self.sigma.denominator, self.tau.numerator, self.tau.denominator
+        bn, bd = (k * sd - sn) * td - tn * sd, sd * td
+        g = math.gcd(bn, bd)
+        return k, -sn, sd, bn // g, bd // g
+
     @property
     def alpha(self) -> Fraction:
-        return -self.sigma
+        _, an, ad, _, _ = self._parts()
+        return _fraction(an, ad)
 
     @property
     def beta(self) -> Fraction:
-        sn, sd, tn, td = self.sigma.numerator, self.sigma.denominator, self.tau.numerator, self.tau.denominator
-        return Fraction((self.mu.k * sd - sn) * td - tn * sd, sd * td)
+        _, _, _, bn, bd = self._parts()
+        return _fraction(bn, bd)
 
     def to_json(self) -> dict:
         """The connection block of the analyze report, without nabla."""
+        k, an, ad, bn, bd = self._parts()
         return {
             "sigma": str(self.sigma),
             "tau": str(self.tau),
-            "k": self.mu.k,
+            "k": k,
             "pde": {
                 "raw": PDE_RAW,
                 "normalized": PDE_NORMALIZED,
-                "alpha": str(self.alpha),
-                "beta": str(self.beta),
+                "alpha": f"{an}/{ad}" if ad != 1 else str(an),
+                "beta": f"{bn}/{bd}" if bd != 1 else str(bn),
             },
-            "mu": self.mu.to_json(),
+            "mu": {"beta": list(self.mu.beta), "k": k},
         }
 
 
@@ -76,8 +94,10 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
     w, det = data.analysis.inverse_numerators, data.analysis.det_m_tilde
     if w is None:
         raise HypothesisError("; ".join(data.analysis.failure_messages()))
-    tau = sum(x * (b + 1) for x, b in zip(w[1:], mu.beta))
-    return SigmaTau(sigma=Fraction(w[0], det), tau=Fraction(tau, det), mu=mu)
+    # tau's numerator sum(w_(i+1) * (beta_i + 1)), as the pairing with beta plus the row's sum
+    row = w[1:]
+    tau = sum(map(mul, row, mu.beta)) + sum(row)
+    return SigmaTau(sigma=_fraction(w[0], det), tau=_fraction(tau, det), mu=mu)
 
 
 def nabla_formula(st: SigmaTau) -> ABElement:

@@ -4,6 +4,16 @@ Every quantity in this package is an exact rational; floats are never
 introduced.  Rationals are stdlib ``fractions.Fraction`` values, which already
 guarantee a positive denominator, full reduction and a unique zero.
 
+``_fraction(n, d)`` is the package's one trusted Fraction constructor: for
+ints n and d != 0 it divides out gcd(n, d), negated when d < 0, so the
+denominator it writes is positive, and writes the reduced parts straight
+into the two slots that Fraction keeps, ``_numerator`` and ``_denominator``.
+It is the object ``Fraction(n, d)`` makes, without that constructor's type
+and sign tests.  ``asymptotics._chain`` builds each expansion coefficient
+with it; ``exponents.dependency`` builds sigma, ``det_identity_check`` the
+predicted det M~ and the determinant route to sigma, ``connection.sigma_tau``
+sigma and tau, and ``SigmaTau`` the PDE coefficients alpha and beta.
+
 Every number from outside passes one gate, kept here and called by every
 other module: ``check_int`` takes an int that is not a bool, at least a
 given minimum, for counts, exponents and keys; ``check_coefficient`` takes
@@ -55,6 +65,18 @@ from .errors import DimensionError, InputError, SingularMatrixError
 
 _ZERO = Fraction(0)
 _RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d != 0, reduced with one gcd that carries
+    the sign of d, and set in the two slots that Fraction keeps."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    c = object.__new__(Fraction)
+    c._numerator = n // g
+    c._denominator = d // g
+    return c
 
 
 def parse_int(digits: str) -> int:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, HypothesisError, InputError
-from .exact import _solve_square, check_int, json_object
+from .exact import _fraction, _solve_square, check_int, json_object
 
 # Work budget of a JSON layout, checked by ExponentData.from_json before any
 # elimination: (n + 2)^3, the order of the updates in each of the two
@@ -314,7 +314,7 @@ def dependency(data: ExponentData) -> DependencyData:
         d=d,
         h=h,
         case=case,
-        sigma=Fraction(r, r - sum_p),
+        sigma=_fraction(r, r - sum_p),
         lambda_exponent=lambda_exponent,
     )
 
@@ -357,12 +357,12 @@ def det_identity_check(data: ExponentData, dep: DependencyData) -> DetIdentityRe
     signed_prime = -d_prime if data.n % 2 == 0 else d_prime
     predicted_times_r = signed_prime * (dep.r - dep.sum_p)
     identity_holds = d_tilde * dep.r == predicted_times_r
-    sigma_det = Fraction(signed_prime, d_tilde)
+    sigma_det = _fraction(signed_prime, d_tilde)
     sigma_matches = dep.sigma == sigma_det
     return DetIdentityReport(
         det_m_prime=d_prime,
         det_m_tilde=d_tilde,
-        predicted_det_m_tilde=Fraction(predicted_times_r, dep.r),
+        predicted_det_m_tilde=_fraction(predicted_times_r, dep.r),
         identity_holds=identity_holds,
         sigma_from_determinants=sigma_det,
         sigma_matches=sigma_matches,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
+from lamconn.exponents import ExponentData
 
 
 def rationals(low, high, max_denominator):
@@ -63,3 +64,13 @@ matrix_entry = st.integers(min_value=-9, max_value=9) | rationals(-9, 9, 6)
 def entry_rows(nrows, ncols):
     """nrows lists of ncols matrix entries."""
     return st.lists(st.lists(matrix_entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def layouts(draw, max_n=3, max_entry=3):
+    """An ExponentData with n in 1..max_n: n+2 distinct exponent vectors with entries in
+    0..max_entry, the last not zero.  Either rank hypothesis may fail."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vector = st.tuples(*[st.integers(min_value=0, max_value=max_entry)] * (n + 1))
+    alphas = draw(st.lists(vector, min_size=n + 2, max_size=n + 2, unique=True).filter(lambda a: any(a[-1])))
+    return ExponentData(n=n, alphas=alphas)

@@ -327,6 +327,15 @@ class TestTrustedConstructor:
         expected = {k: v * poly for k, v in x.terms.items() if not (v * poly).is_zero()}
         assert x.scale(c).terms == expected
 
+    @pytest.mark.parametrize(
+        "na, nb, den",
+        [(0, 3, 2), (-5, 0, 3), (0, 0, 7), (4, -6, 2), (-6, 9, 12)],
+        ids=["no-a", "no-b", "zero", "shared-2", "shared-3"],
+    )
+    def test_linear_factor_is_what_the_constructor_makes(self, na, nb, den):
+        # _linear reduces by its own gcd and leaves out a zero term
+        assert ABElement._linear(na, nb, den) == ABElement({(1, 0): F(na, den), (0, 1): F(nb, den)})
+
 
 # Int, zero and Fraction roots, as drawn or with the first one repeated or every sign flipped.
 root_lists = st.lists(st.integers(-4, 4) | small_fraction, max_size=5).flatmap(

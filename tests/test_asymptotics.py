@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
 from lamconn.asymptotics import (
-    _fraction,
     ExpansionSpec,
     ExpansionTable,
     MAX_CELLS,
@@ -313,25 +312,6 @@ def chain_specs(draw):
     if telescoping or draw(st.booleans()):
         seed = {(0, spec.log_depth, 0): draw(seed_values), **seed}
     return spec, seed
-
-
-# a part of up to 3,000 bits, times a common factor of up to 1,000 bits
-wide_ints = st.integers(min_value=-(2**3000), max_value=2**3000)
-common_factors = st.integers(min_value=1, max_value=2**1000)
-
-
-@given(wide_ints, wide_ints.map(lambda d: abs(d) + 1), common_factors)
-@example(0, 7, 5)
-@example(-12, 18, 1)
-def test_fraction_from_parts_is_what_the_constructor_makes(n, d, g):
-    # _chain's Fractions are built in the two slots that fractions.Fraction keeps
-    assert F.__slots__ == ("_numerator", "_denominator")
-    made, expected = _fraction(n * g, d * g), F(n * g, d * g)
-    assert type(made) is F
-    assert made == expected
-    assert (made.numerator, made.denominator) == (expected.numerator, expected.denominator)
-    assert hash(made) == hash(expected)
-    assert str(made) == str(expected)
 
 
 class TestChainKernel:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement, conj_b
@@ -18,10 +18,10 @@ from lamconn.connection import (
 )
 from lamconn.errors import HypothesisError, InputError
 from lamconn.exact import LaurentPoly, invert
-from lamconn.exponents import ExponentData, MonomialMu, dependency
+from lamconn.exponents import ExponentData, MonomialMu, dependency, det_identity_check
 from lamconn.families import family_a
 from lamconn.selftest import random_exponent_data
-from strategies import abelements, polys, rationals
+from strategies import abelements, layouts, polys, rationals
 
 A = ABElement.gen_a()
 B = ABElement.gen_b()
@@ -98,6 +98,30 @@ class TestSigmaTau:
             st_data = sigma_tau(LAYOUT_A, MonomialMu(beta=beta))
             expected = sum(c * (b + 1) for c, b in zip(inv_row, beta))
             assert st_data.tau == expected
+
+
+@given(layouts(), st.lists(st.integers(0, 4), min_size=4, max_size=4))
+# beta = k - sigma - tau = 1 - 3/2 + 5/4 is 6/8 over sd*td = 8 before its reduction
+@example(ExponentData(n=1, alphas=((3, 1), (0, 2), (2, 0))), [1, 0, 0, 0])
+def test_records_match_fraction_arithmetic(data, entries):
+    # every record built from integer parts against plain Fraction arithmetic on the same integers
+    assume(data.analysis.passed)
+    analysis = data.analysis
+    dep = dependency(data)
+    assert dep.sigma == F(dep.r, dep.r - dep.sum_p)
+    report = det_identity_check(data, dep)
+    signed_prime = (-1) ** (data.n + 1) * analysis.det_m_prime
+    assert report.sigma_from_determinants == F(signed_prime, analysis.det_m_tilde)
+    assert report.predicted_det_m_tilde == F(signed_prime * (dep.r - dep.sum_p), dep.r)
+    mu = MonomialMu(beta=tuple(entries[: data.n + 1]))
+    st_data = sigma_tau(data, mu)
+    w = analysis.inverse_numerators
+    assert st_data.sigma == F(w[0], analysis.det_m_tilde)
+    assert st_data.tau == F(sum(x * (b + 1) for x, b in zip(w[1:], mu.beta)), analysis.det_m_tilde)
+    alpha, beta = -st_data.sigma, mu.k - st_data.sigma - st_data.tau
+    assert (st_data.alpha, st_data.beta) == (alpha, beta)
+    pde = st_data.to_json()["pde"]
+    assert (pde["alpha"], pde["beta"]) == (str(alpha), str(beta))
 
 
 class TestNablaFormula:

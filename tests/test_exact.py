@@ -12,6 +12,7 @@ from lamconn.asymptotics import LogPoly
 from lamconn.errors import DimensionError, InputError, SingularMatrixError
 from lamconn.exact import (
     LaurentPoly,
+    _fraction,
     _integer_rows,
     _solve_square,
     check_int,
@@ -108,6 +109,29 @@ class TestRat:
     @given(small_fraction)
     def test_round_trip(self, x):
         assert parse_rat(str(x)) == x
+
+
+# a part of up to 3,000 bits, times a common factor of up to 1,000 bits
+wide_ints = st.integers(min_value=-(2**3000), max_value=2**3000)
+common_factors = st.integers(min_value=1, max_value=2**1000)
+
+
+# a denominator of either sign: the sign moves to the numerator, as Fraction moves it
+@given(wide_ints, wide_ints.filter(bool), common_factors)
+@example(0, 7, 5)
+@example(-12, 18, 1)
+@example(0, -7, 5)
+@example(3, -1, 1)
+@example(-12, -18, 1)
+def test_fraction_from_parts_is_what_the_constructor_makes(n, d, g):
+    # the trusted constructor writes the two slots that fractions.Fraction keeps
+    assert F.__slots__ == ("_numerator", "_denominator")
+    made, expected = _fraction(n * g, d * g), F(n * g, d * g)
+    assert type(made) is F
+    assert made == expected
+    assert (made.numerator, made.denominator) == (expected.numerator, expected.denominator)
+    assert hash(made) == hash(expected)
+    assert str(made) == str(expected)
 
 
 flat_maps = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-2, 2), max_size=6)

@@ -178,11 +178,15 @@ MUTANTS = [
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")}),
     # _reduced dividing out a gcd only above 2: an element whose numerators and denominator share
-    # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees, so
-    # criterion 2 names no key
+    # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees; no
+    # result of the battery's products and sums has a gcd of 2, so no criterion fails
     Mutant("reduced_keeps_gcd_2", slipped(ABElement._reduced, "if g != 1:", "if g > 2:"),
+           {}, (test_algebra.TestNormalForm().test_identity_element,)),
+    # ... and _linear: the golden nabla (4*a - 6*b)/2 stays over 2, so criterion 2 names no key
+    Mutant("linear_keeps_gcd_2", slipped(ABElement._linear, "if g != 1:", "if g > 2:"),
            {2: ("operator match True, nabla match False, matrix route True; no key differs, so the two sides "
-                "differ only in form", None), 8: CROSS_VALIDATION}, (test_algebra.TestNormalForm().test_identity_element,)),
+                "differ only in form", None), 8: CROSS_VALIDATION},
+           (partial(test_algebra.TestTrustedConstructor().test_linear_factor_is_what_the_constructor_makes, 4, -6, 2),)),
     # the closed rule's t-step with j + t - 1 for j + t: the product runs it only where j passes
     # of T would cost more than the terms it emits, as for b^2*a, b^3*a^2 and b^3 times a dense
     # group of degree 2 or 3; the first oracle compares b^3*a^2 with the word-rewriting oracle
@@ -246,6 +250,10 @@ MUTANTS = [
     Mutant("push_nabla_t_pass_factor_one_low", slipped(connection.push_nabla, "- (p + 1) * w", "- p * w"),
            {7: ("uniform shift fails for", "(0, 3, -2)")},
            (test_connection.TestPushNabla().test_family_a_operator_frozen,)),
+    # the PDE's beta written unreduced: only the text of the analyze report shows it, as the
+    # properties build their Fractions through the reducing constructor
+    Mutant("beta_unreduced", slipped(connection.SigmaTau._parts, "g = math.gcd(bn, bd)", "g = 1"),
+           {}, (test_connection.test_records_match_fraction_arithmetic,) + REPLAY),
     # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
     Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(i + j) * per_degree",
                                                    "(i + j + (i + j > 3)) * per_degree"),
@@ -263,13 +271,13 @@ MUTANTS = [
     cross_check("case", slipped(exponents.dependency, '("I", r) if side_nonpos > side_pos else ("II", -r)',
                                 '("II", r) if side_nonpos > side_pos else ("I", -r)'),
                 {3: ("first layout", "('first layout', 'case')")}),
-    cross_check("sigma", slipped(exponents.dependency, "Fraction(r, r - sum_p)", "Fraction(r, r - sum_p) + 1")),
+    cross_check("sigma", slipped(exponents.dependency, "_fraction(r, r - sum_p)", "_fraction(r, r - sum_p) + 1")),
     cross_check("lambda_exponent", slipped(families.family_a, "roots_low, -2, nabla_one)", "roots_low, 2, nabla_one)")),
     # the check reading det M' negated, as if its sign were (-1)^n for (-1)^(n+1): it also
     # fails criterion 5's comparison of determinants
     cross_check("determinant_identity", slipped(exponents.det_identity_check, "d_prime = data", "d_prime = -data"),
                 {5: ("identity fails on", "det M'")}),
-    cross_check("sigma_from_inverse", slipped(connection.sigma_tau, "Fraction(w[0], det)", "Fraction(w[0], det) + 1")),
+    cross_check("sigma_from_inverse", slipped(connection.sigma_tau, "_fraction(w[0], det)", "_fraction(w[0], det) + 1")),
     cross_check("nabla_one", slipped(families.family_a, "roots_low, -2, nabla_one)",
                                      "roots_low, -2, nabla_one + ABElement.gen_b())")),
     # criterion 9 in the order of its FAIL branches.  propagate's step factor m + rho + 1 read
@@ -295,11 +303,20 @@ MUTANTS = [
     # it vanishes at log depth 0, so the golden spec passes
     Mutant("frobenius_sign_slip", slipped(selftest.frobenius_table, "(p - quotient)", "(p + quotient)"),
            {9: ("closed-form route differs from propagate for spec", "(0, 1, 1, 1)")}),
-    # each emitted coefficient left unreduced when its parts share a factor: it equals no
-    # reduced Fraction of its value, and the first golden value emitted so is 1/10 at L^2
-    Mutant("fraction_unreduced", slipped(asymptotics._fraction, "g = math.gcd(n, d)", "g = 1"),
-           {9: ("golden values differ on the golden spec", "(0, 0, 2, 2)")},
-           FROBENIUS_GOLDEN + (test_asymptotics.test_fraction_from_parts_is_what_the_constructor_makes,)),
+    # each Fraction of the trusted constructor left unreduced when its parts share a factor: it
+    # equals no reduced Fraction of its value, so sigma from the inverse row differs from the other
+    # routes and the determinant identity's sigma check fails; the first golden value emitted
+    # so is 1/10 at L^2
+    Mutant("fraction_unreduced", slipped(exact._fraction, "g = math.gcd(n, d)", "g = 1"),
+           {4: (SIGMA_ROUTES, "inverse row"), 5: ("identity fails on", "passed"), 8: CROSS_VALIDATION,
+            9: ("golden values differ on the golden spec", "(0, 0, 2, 2)")},
+           FROBENIUS_GOLDEN + (test_exact.test_fraction_from_parts_is_what_the_constructor_makes,)),
+    # ... and with its sign rule dropped: a negative denominator stays where it is, and the first
+    # golden layout's sigma prints as 2/-1
+    Mutant("fraction_sign_rule_dropped", slipped(exact._fraction, "if d < 0:", "if False:"),
+           {3: ("first layout", "('first layout', 'sigma')"), 4: (SIGMA_ROUTES, "inverse row"),
+            5: ("identity fails on", "passed"), 8: CROSS_VALIDATION},
+           (test_exact.test_fraction_from_parts_is_what_the_constructor_makes,)),
     # a cache keyed by the spec alone hands a second seed the first seed's table
     Mutant("propagate_cached_by_spec", propagate_cached_by_spec,
            {9: ("propagate is not additive in the seed for spec", "(0, 0, 0, 0)")}),
@@ -347,9 +364,15 @@ MUTANTS = [
     Mutant("candidates_with_a_zero", slipped(families.monodromy_candidates, "for x in result.roots_low]",
                                              "for x in result.roots_low] + [Fraction(0)]"),
            {11: ("first layout", "('first layout', 'length')")}),
-    # the one-pass printer's magnitudes left unreduced: 1/2*a + 1/3*b prints as 3/6*a + 2/6*b,
-    # which reads back to the same element, so no criterion fails
-    Mutant("printer_magnitude_unreduced", slipped(ABElement.__str__, "g = math.gcd(n, den)", "g = 1"),
+    # the printer's magnitudes of rational coefficients left unreduced: 1/2*a + 1/3*b prints as
+    # 3/6*a + 2/6*b, which reads back to the same element, so no criterion fails
+    Mutant("printer_magnitude_unreduced", slipped(
+        ABElement.__str__, "nums[keys[start]]\n            g = math.gcd(n, den)", "nums[keys[start]]\n            g = 1"),
+           {}, (test_algebra.TestPrinting().test_shared_denominator_terms_print_reduced,
+                test_fuzz.test_parsers_match_fraction_oracle)),
+    # ... and of the terms of a lam sum: (1/2 + 1/3*lam)*b prints as (3/6 + 2/6*lam)*b
+    Mutant("printer_lam_magnitude_unreduced", slipped(
+        ABElement.__str__, "nums[key]\n            g = math.gcd(n, den)", "nums[key]\n            g = 1"),
            {}, (test_algebra.TestPrinting().test_shared_denominator_terms_print_reduced,
                 test_fuzz.test_parsers_match_fraction_oracle)),
     # parse drops a term's own sign where it signs the term's literals: "a - 2*b" reads as

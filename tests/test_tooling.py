@@ -153,6 +153,22 @@ def test_traffic_lines_reports_what_a_job_never_ran():
     assert len(texts) < statements
 
 
+def test_traffic_check_fails_on_a_count_that_grew(capsys):
+    # the committed counts with one module one lower: that module's count grew, so the check
+    # fails and names it; raised by one instead, the count fell, which passes and is printed
+    tool = load_module(ROOT / "tools", "traffic_lines")
+    counts = json.loads((ROOT / "tools" / "unrun_counts.json").read_text(encoding="utf-8"))
+    lower = {**counts, "exact.py": {**counts["exact.py"], "unrun": counts["exact.py"]["unrun"] - 1}}
+    unrun = counts["exact.py"]["unrun"]
+    assert tool.check(counts, lower) == 1
+    assert capsys.readouterr().out == f"exact.py: {unrun} unrun statement lines, up from {unrun - 1}: audit the new ones\n"
+    higher = {**counts, "exact.py": {**counts["exact.py"], "unrun": counts["exact.py"]["unrun"] + 1}}
+    assert tool.check(counts, higher) == 0
+    assert capsys.readouterr().out.startswith("exact.py: ")
+    assert tool.check(counts, counts) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_traffic_ops_are_run_checked_fingerprinted_and_measured():
     # benchmarks/run.py fingerprints every op and measures its coefficient bits, and the
     # operators measure reads ABElement.terms, so the traffic runs that property too

@@ -1,10 +1,16 @@
 """List the statement lines of lamconn that no traffic runs.
 
-    python3 tools/traffic_lines.py
+    python3 tools/traffic_lines.py [--check tools/unrun_counts.json]
 
 Runs the package's traffic under a ``sys.settrace`` line tracer (stdlib
 only) and prints, per module of ``src/lamconn``, each statement line that
-never ran, then one JSON line of counts per module.  The traffic is:
+never ran, then one JSON line of counts per module.  With --check COUNTS,
+it then compares each module's count of unrun lines with the one in
+COUNTS, a file of that JSON line: it names each module whose count grew
+and exits 1, and it only prints a count that fell, which COUNTS should
+then be lowered to.  The committed ``tools/unrun_counts.json`` holds the
+counts of the lines that the audit in ROADMAP.md accounts for, on CPython
+3.11, whose compiler sets which lines hold code.  The traffic is:
 
 - every command of ``tests/golden/outputs.json`` through ``cli.main``, in
   the temporary working directory that ``tests/golden/regenerate.py``
@@ -26,6 +32,7 @@ count leave out the same ones.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import json
@@ -123,7 +130,26 @@ def run_ops(lc, workload, count: int) -> None:
         workload.coeff_bits(out)
 
 
-def main() -> int:
+def check(counts: dict[str, dict[str, int]], committed: dict[str, dict[str, int]]) -> int:
+    """1 when a module's unrun count in counts is above its count in committed (0 for a
+    module that committed lacks), naming each such module; 0 otherwise.  A count below
+    its committed one is printed and passes."""
+    status = 0
+    for module, now in counts.items():
+        unrun, before = now["unrun"], committed.get(module, {"unrun": 0})["unrun"]
+        if unrun > before:
+            print(f"{module}: {unrun} unrun statement lines, up from {before}: audit the new ones")
+            status = 1
+        elif unrun < before:
+            print(f"{module}: {unrun} unrun statement lines, down from {before}: lower the committed count")
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="List the statement lines of lamconn that no traffic runs.")
+    parser.add_argument("--check", type=Path, metavar="COUNTS",
+                        help="exit 1 when a module has more unrun lines than this JSON file of counts holds")
+    args = parser.parse_args(argv)
     report = unrun_lines(trace_lines(traffic))
     counts = {}
     for module, (lines, statements) in report.items():
@@ -132,7 +158,9 @@ def main() -> int:
         for number, text in lines:
             print(f"  {number:4d}  {text}")
     print(json.dumps(counts))
-    return 0
+    if args.check is None:
+        return 0
+    return check(counts, json.loads(args.check.read_text(encoding="utf-8")))
 
 
 if __name__ == "__main__":
