@@ -47,31 +47,26 @@ class SigmaTau:
         check_coefficient(self.sigma)
         check_coefficient(self.tau)
 
-    def _parts(self) -> tuple[int, int, int, int, int]:
-        """k and the reduced numerator and denominator of alpha and of beta.
-
-        With sigma = sn/sd and tau = tn/td, alpha = -sn/sd and
-        beta = ((k*sd - sn)*td - tn*sd)/(sd*td), reduced with one gcd.
-        """
-        k = self.mu.k
+    def _beta_parts(self, k: int) -> tuple[int, int]:
+        """The reduced numerator and denominator of beta, given k = mu.k: with sigma = sn/sd
+        and tau = tn/td, beta = ((k*sd - sn)*td - tn*sd)/(sd*td), reduced with one gcd."""
         sn, sd, tn, td = self.sigma.numerator, self.sigma.denominator, self.tau.numerator, self.tau.denominator
         bn, bd = (k * sd - sn) * td - tn * sd, sd * td
         g = math.gcd(bn, bd)
-        return k, -sn, sd, bn // g, bd // g
+        return bn // g, bd // g
 
     @property
     def alpha(self) -> Fraction:
-        _, an, ad, _, _ = self._parts()
-        return _fraction(an, ad)
+        return _fraction(-self.sigma.numerator, self.sigma.denominator)
 
     @property
     def beta(self) -> Fraction:
-        _, _, _, bn, bd = self._parts()
-        return _fraction(bn, bd)
+        return _fraction(*self._beta_parts(self.mu.k))
 
     def to_json(self) -> dict:
         """The connection block of the analyze report, without nabla."""
-        k, an, ad, bn, bd = self._parts()
+        k, an, ad = self.mu.k, -self.sigma.numerator, self.sigma.denominator
+        bn, bd = self._beta_parts(k)
         return {
             "sigma": str(self.sigma),
             "tau": str(self.tau),
@@ -82,7 +77,7 @@ class SigmaTau:
                 "alpha": f"{an}/{ad}" if ad != 1 else str(an),
                 "beta": f"{bn}/{bd}" if bd != 1 else str(bn),
             },
-            "mu": {"beta": list(self.mu.beta), "k": k},
+            "mu": self.mu.to_json(),
         }
 
 

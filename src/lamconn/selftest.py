@@ -126,16 +126,19 @@ def _failed(detail: str, expected: Mapping, got: Mapping) -> tuple[bool, str]:
     return False, f"{detail}; first difference at {key}: {x} vs {y}"
 
 
-def _check_golden(result, expected_operator: ABElement, nabla_text: str) -> tuple[bool, str]:
+def _check_golden(result, expected_operator: ABElement, nabla_text: str, nabla_factor: ABElement) -> tuple[bool, str]:
+    """The operator, the nabla and the nabla of the matrix route against the golden ones; the
+    golden nabla is also compared with nabla_factor, a multiple of a factor formed by a product."""
     expected_nabla = ABElement.parse(nabla_text)
     ok_op = result.full_operator == expected_operator
     ok_nabla = result.nabla_one == expected_nabla
+    ok_factor = nabla_factor == expected_nabla
     st = sigma_tau(result.exponents, MonomialMu.unit(2))
     route = nabla_formula(st)
     ok_route = route == expected_nabla
-    detail = f"operator match {ok_op}, nabla match {ok_nabla}, matrix route {ok_route}"
+    detail = f"operator match {ok_op}, nabla match {ok_nabla and ok_factor}, matrix route {ok_route}"
     compared = ((ok_op, expected_operator, result.full_operator), (ok_nabla, expected_nabla, result.nabla_one),
-                (ok_route, expected_nabla, route))
+                (ok_factor, expected_nabla, nabla_factor), (ok_route, expected_nabla, route))
     for ok, expected, got in compared:
         if not ok:
             return _failed(detail, _flat(expected), _flat(got))
@@ -148,7 +151,8 @@ def _check_golden_a() -> tuple[bool, str]:
         [Fraction(1)]
     ).scale(lam_m2)
     expected = linear_factor_product([Fraction(5, 2)]) * inner
-    return _check_golden(family_a(2, 2, 1), expected, "2*a - 2*b")
+    # the nabla is 2*(a - s*b), s the last root below
+    return _check_golden(family_a(2, 2, 1), expected, "2*a - 2*b", linear_factor_product([Fraction(1)]).scale(2))
 
 
 def _check_golden_b() -> tuple[bool, str]:
@@ -158,7 +162,10 @@ def _check_golden_b() -> tuple[bool, str]:
     top = linear_factor_product([Fraction(5, 2)]) * linear_factor_product([Fraction(5, 4), Fraction(3, 4)])
     low = linear_factor_product([Fraction(2)]) * linear_factor_product([Fraction(1)])
     expected = top + low.scale(lam_p2)
-    return _check_golden(family_b(2, 2, 1, 1), expected, "-2*a + 3/2*b")
+    # the nabla is -2*(a - t*b), t the last root on top: (-8*a + 6*b)/4 before the product
+    # reduces it by its gcd of 2
+    nabla_factor = linear_factor_product([Fraction(3, 4)]).scale(-2)
+    return _check_golden(family_b(2, 2, 1, 1), expected, "-2*a + 3/2*b", nabla_factor)
 
 
 def _by_layout(blocks: Mapping[str, Mapping]) -> dict:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from lamconn.algebra import ABElement
-from lamconn.exponents import ExponentData
 
 
 def rationals(low, high, max_denominator):
@@ -66,11 +65,25 @@ def entry_rows(nrows, ncols):
     return st.lists(st.lists(matrix_entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
 
 
-@st.composite
-def layouts(draw, max_n=3, max_entry=3):
-    """An ExponentData with n in 1..max_n: n+2 distinct exponent vectors with entries in
-    0..max_entry, the last not zero.  Either rank hypothesis may fail."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    vector = st.tuples(*[st.integers(min_value=0, max_value=max_entry)] * (n + 1))
-    alphas = draw(st.lists(vector, min_size=n + 2, max_size=n + 2, unique=True).filter(lambda a: any(a[-1])))
-    return ExponentData(n=n, alphas=alphas)
+def exponent_layouts(max_entry=9):
+    """A layout (n, alphas) with n in 1..3 and n+2 exponent vectors of n+1 entries in
+    0..max_entry, not checked: vectors may repeat and the last may be zero."""
+    def build(args):
+        n, flat = args
+        alphas = tuple(tuple(flat[i * (n + 1) : (i + 1) * (n + 1)]) for i in range(n + 2))
+        return n, alphas
+
+    return (
+        st.integers(min_value=1, max_value=3)
+        .flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.integers(min_value=0, max_value=max_entry),
+                    min_size=(n + 2) * (n + 1),
+                    max_size=(n + 2) * (n + 1),
+                ),
+            )
+        )
+        .map(build)
+    )

@@ -17,6 +17,7 @@ from lamconn.exponents import (
     det_identity_check,
     validate_hypotheses,
 )
+from strategies import exponent_layouts
 
 LAYOUT_A = ExponentData(n=2, alphas=((4, 0, 0), (0, 4, 0), (0, 0, 2), (2, 2, 1)))
 LAYOUT_B = ExponentData(n=2, alphas=((4, 0, 1), (0, 4, 1), (0, 0, 2), (2, 2, 0)))
@@ -190,29 +191,6 @@ class TestDetIdentity:
             dep = dependency(data)
             ratio = F(-1) ** (data.n + 1) * det(data.matrix_m_prime()) / det(data.matrix_m_tilde())
             assert dep.sigma == ratio
-
-
-def exponent_layouts():
-    """Random well-formed layouts; most will fail a hypothesis, some pass."""
-    def build(args):
-        n, flat = args
-        alphas = tuple(tuple(flat[i * (n + 1) : (i + 1) * (n + 1)]) for i in range(n + 2))
-        return n, alphas
-
-    return (
-        st.integers(min_value=1, max_value=3)
-        .flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(
-                    st.integers(min_value=0, max_value=9),
-                    min_size=(n + 2) * (n + 1),
-                    max_size=(n + 2) * (n + 1),
-                ),
-            )
-        )
-        .map(build)
-    )
 
 
 class TestRandomLayouts:

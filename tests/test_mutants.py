@@ -166,6 +166,9 @@ def cross_check(name, install, kills={}):
 
 
 SIGMA_ROUTES = "disagreement on"
+# criterion 2's detail when its nabla is the golden one in value but not in form
+GOLDEN_NABLA_FORM = ("operator match True, nabla match False, matrix route True; no key differs, so the two sides "
+                     "differ only in form")
 # oracles that two entries share
 INVERSE_GOLDEN = (test_exact.TestMatrixFrozen().test_inverse_golden,)
 FROBENIUS_GOLDEN = (test_asymptotics.TestFrobeniusRoute().test_golden,)
@@ -178,14 +181,13 @@ MUTANTS = [
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")}),
     # _reduced dividing out a gcd only above 2: an element whose numerators and denominator share
-    # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees; no
-    # result of the battery's products and sums has a gcd of 2, so no criterion fails
+    # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees, so
+    # criterion 2 names no key: its nabla -2*(a - 3/4*b) stays (-8*a + 6*b)/4
     Mutant("reduced_keeps_gcd_2", slipped(ABElement._reduced, "if g != 1:", "if g > 2:"),
-           {}, (test_algebra.TestNormalForm().test_identity_element,)),
-    # ... and _linear: the golden nabla (4*a - 6*b)/2 stays over 2, so criterion 2 names no key
+           {2: (GOLDEN_NABLA_FORM, None)}, (test_algebra.TestNormalForm().test_identity_element,)),
+    # ... and _linear: the golden nabla (-8*a + 6*b)/4 stays over 2
     Mutant("linear_keeps_gcd_2", slipped(ABElement._linear, "if g != 1:", "if g > 2:"),
-           {2: ("operator match True, nabla match False, matrix route True; no key differs, so the two sides "
-                "differ only in form", None), 8: CROSS_VALIDATION},
+           {2: (GOLDEN_NABLA_FORM, None), 8: CROSS_VALIDATION},
            (partial(test_algebra.TestTrustedConstructor().test_linear_factor_is_what_the_constructor_makes, 4, -6, 2),)),
     # the closed rule's t-step with j + t - 1 for j + t: the product runs it only where j passes
     # of T would cost more than the terms it emits, as for b^2*a, b^3*a^2 and b^3 times a dense
@@ -252,7 +254,7 @@ MUTANTS = [
            (test_connection.TestPushNabla().test_family_a_operator_frozen,)),
     # the PDE's beta written unreduced: only the text of the analyze report shows it, as the
     # properties build their Fractions through the reducing constructor
-    Mutant("beta_unreduced", slipped(connection.SigmaTau._parts, "g = math.gcd(bn, bd)", "g = 1"),
+    Mutant("beta_unreduced", slipped(connection.SigmaTau._beta_parts, "g = math.gcd(bn, bd)", "g = 1"),
            {}, (test_connection.test_records_match_fraction_arithmetic,) + REPLAY),
     # lam*nabla raises the degree by one: the degree-4 part goes to total degree 5
     Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(i + j) * per_degree",

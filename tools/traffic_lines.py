@@ -1,16 +1,16 @@
 """List the statement lines of lamconn that no traffic runs.
 
-    python3 tools/traffic_lines.py [--check tools/unrun_counts.json]
+    python3 tools/traffic_lines.py
 
 Runs the package's traffic under a ``sys.settrace`` line tracer (stdlib
 only) and prints, per module of ``src/lamconn``, each statement line that
-never ran, then one JSON line of counts per module.  With --check COUNTS,
-it then compares each module's count of unrun lines with the one in
-COUNTS, a file of that JSON line: it names each module whose count grew
-and exits 1, and it only prints a count that fell, which COUNTS should
-then be lowered to.  The committed ``tools/unrun_counts.json`` holds the
-counts of the lines that the audit in ROADMAP.md accounts for, on CPython
-3.11, whose compiler sets which lines hold code.  The traffic is:
+never ran, then one JSON line of counts per module.  It then compares each
+module's count of unrun lines with the one in ``tools/unrun_counts.json``,
+a file of that JSON line: it names each module whose count grew and exits
+1, and it only prints a count that fell, which the file should then be
+lowered to.  The committed counts are those of the lines that the audit in
+ROADMAP.md accounts for, on CPython 3.11, whose compiler sets which lines
+hold code.  The traffic is:
 
 - every command of ``tests/golden/outputs.json`` through ``cli.main``, in
   the temporary working directory that ``tests/golden/regenerate.py``
@@ -32,7 +32,6 @@ count leave out the same ones.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import json
@@ -145,11 +144,7 @@ def check(counts: dict[str, dict[str, int]], committed: dict[str, dict[str, int]
     return status
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="List the statement lines of lamconn that no traffic runs.")
-    parser.add_argument("--check", type=Path, metavar="COUNTS",
-                        help="exit 1 when a module has more unrun lines than this JSON file of counts holds")
-    args = parser.parse_args(argv)
+def main() -> int:
     report = unrun_lines(trace_lines(traffic))
     counts = {}
     for module, (lines, statements) in report.items():
@@ -158,9 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         for number, text in lines:
             print(f"  {number:4d}  {text}")
     print(json.dumps(counts))
-    if args.check is None:
-        return 0
-    return check(counts, json.loads(args.check.read_text(encoding="utf-8")))
+    return check(counts, json.loads((ROOT / "tools" / "unrun_counts.json").read_text(encoding="utf-8")))
 
 
 if __name__ == "__main__":
