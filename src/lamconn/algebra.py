@@ -32,23 +32,26 @@ general product: ``scale`` and ``times_a`` multiply by a degree-0 element and
 by a, and conjugation by b is b * x with every b power lowered by one.
 
 ``ABElement.__mul__`` groups the right operand's terms by (degree, lam
-exponent) once.  For each left term c*lam^e*a^i*b^j and group, one
-comparison picks the rule:
+exponent) once and makes each group's plan there: its span, the group's
+largest a power + 1, and emitted, the sum of k + 1 over its terms, which is
+the number of terms the closed rule emits for it.  For each left term
+c*lam^e*a^i*b^j and group, one comparison picks one of two rules:
 
-- j = 0: the closed rule's t = 0 term alone, a shift of the group's a powers
-  by i;
-- j * span <= emitted, where span is the group's largest a power + 1 and
-  emitted, the sum of k + 1 over its terms, is the number of terms the
-  closed rule emits for it: T^j of the group's dense row g.  g is made
-  once per group, at the first left term with j > 0, and T(g), T^2(g), ...
-  once each, on first use, then reused for every later left term; so the
-  dense row, its j passes and the span values added cost at most three
-  times the closed rule's terms;
-- otherwise the closed rule, term by term, because j passes would cost more
-  than the terms it emits: b^(10^9)*a emits two terms, where 10^9 passes
-  would never end.
+- 0 < j * span <= emitted: T^j of the group's dense row g.  g is made once
+  per group, on its first T pass, and T(g), T^2(g), ... once each, on first
+  use, then reused for every later left term; so the dense row, its j
+  passes and the span values added cost at most three times the closed
+  rule's terms;
+- otherwise the closed rule, term by term.  At j = 0 its terms past t = 0
+  carry the factor j = 0, so it adds only the t = 0 term, a shift of the
+  group's a powers by i.  Past emitted, j passes would cost more than the
+  terms it emits: b^(10^9)*a emits two terms, where 10^9 passes would
+  never end.
 
-A dense list is sized by its group's span, never by its degree.
+A dense list is sized by its group's span, never by its degree, and made
+only when a T pass needs it: a product whose left terms all have j = 0
+never reads one, and a sparse group's span can be huge, as a^(10^9) times
+a^(10^9)*b^2 would ask for 10^9 + 1 entries to shift one term.
 
 Every term emitted for one left term and group has the same total degree
 and lam exponent, so the product sums into accumulator rows keyed by
@@ -285,44 +288,33 @@ class ABElement:
     def __mul__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        # other's terms as (k, numerator) lists by (degree, lam exponent): l is the degree minus k
-        right: dict[RowKey, list[tuple[int, int]]] = {}
+        # other's terms as maps k -> numerator by (degree, lam exponent): l is the degree minus k
+        right: dict[RowKey, dict[int, int]] = {}
         for (k, l, e2), c2 in other._terms.items():
-            right.setdefault((k + l, e2), []).append((k, c2))
-        plans = None
+            right.setdefault((k + l, e2), {})[k] = c2
+        # each group with its span (largest a power + 1), the number of terms the closed rule
+        # emits for it, and its T powers [g, T(g), T^2(g), ...]: g, its dense row, is made on
+        # its first T pass, and each power on first use
+        plans = []
+        for (d2, e2), group in right.items():
+            plans.append((d2, e2, group, max(group) + 1, sum(group) + len(group), []))
         rows: Rows = {}
         for (i, j, e1), c1 in self._terms.items():
-            if not j:
-                # a^i times a^k*b^l is a^(i+k)*b^l: the a power shifts by i
-                for (d2, e2), group in right.items():
-                    key = (i + d2, e1 + e2)
-                    row = rows.get(key)
-                    if row is None:
-                        row = rows[key] = {}
-                    for k, c2 in group:
-                        v = c1 * c2
-                        p = i + k
-                        row[p] = row[p] + v if p in row else v
-                continue
-            if plans is None:
-                # each group with its span (largest a power + 1), the number of terms the closed
-                # rule emits for it, and its T powers [g, T(g), T^2(g), ...], g its dense row and
-                # the others made on first use
-                plans = []
-                for (d2, e2), group in right.items():
-                    ks = [k for k, _ in group]
-                    dense = [0] * (max(ks) + 1)
-                    for k, c2 in group:
-                        dense[k] = c2
-                    plans.append((d2, e2, group, len(dense), sum(ks) + len(ks), [dense]))
             for d2, e2, group, span, emitted, powers in plans:
                 key = (i + j + d2, e1 + e2)
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = {}
-                if j * span <= emitted:
+                # T^j when 0 < j * span <= emitted: a left term with j = 0 is a shift, which the
+                # closed rule makes with no dense row, and past emitted j passes of T would cost
+                # more than the terms the closed rule emits
+                if 0 < j * span <= emitted:
                     # b^j times the group is T^j of its dense row, added at a powers i..i+span-1;
                     # _from_rows drops a zero that lands in the row
+                    if not powers:
+                        powers.append([0] * span)
+                        for k, c2 in group.items():
+                            powers[0][k] = c2
                     while len(powers) <= j:
                         acc, h, t = 0, powers[-1], [0] * span
                         for p in range(span - 1, -1, -1):
@@ -333,15 +325,17 @@ class ABElement:
                         v *= c1
                         row[p] = row[p] + v if p in row else v
                     continue
-                for k, c2 in group:
-                    # v = c1*c2 * (-1)^t C(k,t) j(j+1)...(j+t-1) at a^(i+k-t); the division is exact
+                for k, c2 in group.items():
+                    # v = c1*c2 * (-1)^t C(k,t) j(j+1)...(j+t-1) at a^(i+k-t); the division is
+                    # exact, and at j = 0 every term past t = 0 is zero, so only the shift is added
                     v = c1 * c2
                     p = i + k
                     row[p] = row[p] + v if p in row else v
-                    for t in range(k):
-                        v = -v * (k - t) * (j + t) // (t + 1)
-                        p -= 1
-                        row[p] = row[p] + v if p in row else v
+                    if j:
+                        for t in range(k):
+                            v = -v * (k - t) * (j + t) // (t + 1)
+                            p -= 1
+                            row[p] = row[p] + v if p in row else v
         return ABElement._from_rows(rows, self._den * other._den)
 
     def __eq__(self, other: object) -> bool:

@@ -1,10 +1,11 @@
 """The battery's mutants: each entry of MUTANTS is one slip and what kills it.
 
-An entry holds a name, an install, the criteria the slip fails, each with the
-start of its FAIL detail and the first-difference KEY that detail names (None
-when it names none), and Tier-1 oracles that pass unpatched and fail under
-the slip: they raise AssertionError, or pytest's Failed where a
-``pytest.raises`` block sees nothing raised.  Every install follows one
+An entry holds a name, an install, every criterion the slip fails when the
+whole battery runs under it, each with the start of its FAIL detail and the
+first-difference KEY that detail names (None when it names none), and Tier-1
+oracles that pass unpatched and fail under the slip: they raise
+AssertionError, or pytest's Failed where a ``pytest.raises`` block sees
+nothing raised.  Every install follows one
 rule: the slipped object replaces the real one wherever a loaded module
 other than this one binds it, or on its class for a method.  All but five
 entries are installed by ``slipped``, an edit of the package function's own
@@ -166,6 +167,9 @@ def cross_check(name, install, kills={}):
 
 
 SIGMA_ROUTES = "disagreement on"
+# criteria 1 and 2's detail when only the matrix route's operator differs
+MATRIX_ROUTE = "operator match True, nabla match True, matrix route False"
+IDENTITY = ("identity fails on", "identity")
 # criterion 2's detail when its nabla is the golden one in value but not in form
 GOLDEN_NABLA_FORM = ("operator match True, nabla match False, matrix route True; no key differs, so the two sides "
                      "differ only in form")
@@ -196,6 +200,14 @@ MUTANTS = [
            {6: ("shift identity fails for", "(0, 4, 0)"), 8: ("operator is not the product of its factors", "(0, 3, 0)")},
            (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 3, 2),
             test_algebra.TestNormalForm().test_b2_times_a_frozen)),
+    # the closed rule's t = 0 term one a power too high: a^i*b^j times a^k*b^l starts at
+    # a^(i+k+1); every left term with j = 0 takes that rule, as in scale and in the product by 1
+    Mutant("product_shift_one_high", slipped(ABElement.__mul__, "p = i + k", "p = i + k + 1"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(1, 2, -2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")},
+           (test_algebra.TestNormalForm().test_identity_element,
+            test_algebra.TestNormalForm().test_sparse_rows_at_huge_degree)),
     # the product's T pass with p for p + 1: b*a loses its -b^2, as if a and b commuted, which
     # first shows where the commuting slip does, and in every criterion that multiplies; the
     # oracle compares b*a with the word-rewriting oracle
@@ -206,12 +218,14 @@ MUTANTS = [
            (partial(test_algebra.TestNormalForm().test_closed_rule_on_whole_powers, 1, 1),)),
     # the fields of both layouts sort by name: sum_p is compared with the rest of the dependency block
     Mutant("sum_p", slipped(exponents.dependency, "sum_p=sum_p,", "sum_p=sum_p + 1,"),
-           {3: ("first layout", "('first layout', 'sum_p')")}),
+           {3: ("first layout", "('first layout', 'sum_p')"), 4: (SIGMA_ROUTES, "relation"), 5: IDENTITY,
+            8: CROSS_VALIDATION}),
     # each sigma route over |det|: the broken route is the one that differs from the median of the three
     Mutant("inverse_row_over_abs_det", numerators_over_abs_det("inverse_numerators", "det_m_tilde"),
-           {4: (SIGMA_ROUTES, "inverse row")}),
+           {2: (MATRIX_ROUTE, "(0, 1, 0)"), 4: (SIGMA_ROUTES, "inverse row"),
+            7: ("uniform shift fails for", "(0, 3, 2)"), 8: CROSS_VALIDATION}),
     Mutant("relation_over_abs_det", numerators_over_abs_det("relation_numerators", "det_m_prime"),
-           {4: (SIGMA_ROUTES, "relation")}),
+           {4: (SIGMA_ROUTES, "relation"), 5: IDENTITY}),
     # the fresh det M' taken as |det M'| also disagrees with the cached signed one
     Mutant("det_returns_abs", slipped(exact.det, "return Fraction(_solve_square(m, len(m))[1], scale)",
                                       "return abs(Fraction(_solve_square(m, len(m))[1], scale))"),
@@ -219,14 +233,17 @@ MUTANTS = [
     # back substitution's sum over j > i stops before its last term, U[i][n-1] * X[n-1]; both
     # slips break the inverse row and the relation, and the walk names the first in key order
     Mutant("back_substitution_without_last_term", slipped(exact._solve_square, "row[i + 1 : n]", "row[i + 1 : n - 1]"),
-           {4: (SIGMA_ROUTES, "inverse row")}, INVERSE_GOLDEN),
+           {1: (MATRIX_ROUTE, "(0, 1, 0)"), 2: (MATRIX_ROUTE, "(0, 1, 0)"), 4: (SIGMA_ROUTES, "inverse row"),
+            5: IDENTITY, 7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION}, INVERSE_GOLDEN),
     # U X = B' in place of U X = det * B'
     Mutant("back_substitution_without_det", slipped(exact._solve_square, "d * b", "b"),
-           {4: (SIGMA_ROUTES, "inverse row")}, INVERSE_GOLDEN),
+           {1: (MATRIX_ROUTE, "(0, 1, 0)"), 2: (MATRIX_ROUTE, "(0, 1, 0)"),
+            3: ("first layout", "('first layout', 'case')"), 4: (SIGMA_ROUTES, "inverse row"), 5: IDENTITY,
+            7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION}, INVERSE_GOLDEN),
     # forward elimination's row swap without negating the row moved down: every determinant
     # taken through a swap loses its sign, and criterion 5 compares the identity's two sides
     Mutant("eliminate_swap_not_negated", slipped(exact._eliminate, "[-x for x in work[rk]]", "work[rk]"),
-           {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "identity")},
+           {4: (SIGMA_ROUTES, "determinants"), 5: IDENTITY},
            (public_functions_on_a_row_swap,)),
     # a pivot step that leaves the rows with a zero in its column unscaled: their later
     # Bareiss divisions are no longer exact
@@ -263,25 +280,37 @@ MUTANTS = [
     # k*sigma + tau in place of k*sigma - tau on b; push_nabla reads its N off nabla_formula,
     # while the expected left factor is built from sigma and tau
     Mutant("nabla_formula_sign_slip", slipped(connection.nabla_formula, "- tn * sd", "+ tn * sd"),
-           {7: ("uniform shift fails for", "(0, 3, -2)")}, (test_connection.TestNablaFormula().test_layout_a,)),
+           {1: (MATRIX_ROUTE, "(0, 1, 0)"), 2: (MATRIX_ROUTE, "(0, 1, 0)"),
+            7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION},
+           (test_connection.TestNablaFormula().test_layout_a,)),
     # one entry per check of cross_validate, in its order, each failing that check
-    cross_check("r", slipped(exponents.dependency, "r=r,", "r=r + 1,")),
-    cross_check("p", slipped(exponents.dependency, "p=p,", "p=(p[0] + 1,) + p[1:],")),
-    cross_check("d", slipped(exponents.dependency, "d=d,", "d=d + 1,")),
-    cross_check("h", slipped(exponents.dependency, "h=h,", "h=h + 1,")),
+    cross_check("r", slipped(exponents.dependency, "r=r,", "r=r + 1,"),
+                {3: ("first layout", "('first layout', 'r')"), 4: (SIGMA_ROUTES, "relation"), 5: IDENTITY}),
+    cross_check("p", slipped(exponents.dependency, "p=p,", "p=(p[0] + 1,) + p[1:],"),
+                {3: ("first layout", "('first layout', 'p')")}),
+    cross_check("d", slipped(exponents.dependency, "d=d,", "d=d + 1,"),
+                {3: ("first layout", "('first layout', 'd')"), 7: ("uniform shift fails for", "(0, 3, -2)")}),
+    cross_check("h", slipped(exponents.dependency, "h=h,", "h=h + 1,"),
+                {3: ("first layout", "('first layout', 'h')"), 7: ("uniform shift fails for", "(0, 3, -2)")}),
     # "case" is the first field of both layouts in name order
     cross_check("case", slipped(exponents.dependency, '("I", r) if side_nonpos > side_pos else ("II", -r)',
                                 '("II", r) if side_nonpos > side_pos else ("I", -r)'),
                 {3: ("first layout", "('first layout', 'case')")}),
-    cross_check("sigma", slipped(exponents.dependency, "_fraction(r, r - sum_p)", "_fraction(r, r - sum_p) + 1")),
-    cross_check("lambda_exponent", slipped(families.family_a, "roots_low, -2, nabla_one)", "roots_low, 2, nabla_one)")),
+    cross_check("sigma", slipped(exponents.dependency, "_fraction(r, r - sum_p)", "_fraction(r, r - sum_p) + 1"),
+                {3: ("first layout", "('first layout', 'sigma')"), 4: (SIGMA_ROUTES, "reported sigma"),
+                 5: ("identity fails on", "passed")}),
+    cross_check("lambda_exponent", slipped(families.family_a, "roots_low, -2, nabla_one)", "roots_low, 2, nabla_one)"),
+                {1: ("operator match False", "(0, 2, -2)"), 7: ("uniform shift fails for", "(0, 3, 2)")}),
     # the check reading det M' negated, as if its sign were (-1)^n for (-1)^(n+1): it also
     # fails criterion 5's comparison of determinants
     cross_check("determinant_identity", slipped(exponents.det_identity_check, "d_prime = data", "d_prime = -data"),
                 {5: ("identity fails on", "det M'")}),
-    cross_check("sigma_from_inverse", slipped(connection.sigma_tau, "_fraction(w[0], det)", "_fraction(w[0], det) + 1")),
+    cross_check("sigma_from_inverse", slipped(connection.sigma_tau, "_fraction(w[0], det)", "_fraction(w[0], det) + 1"),
+                {1: (MATRIX_ROUTE, "(1, 0, 0)"), 2: (MATRIX_ROUTE, "(1, 0, 0)"), 4: (SIGMA_ROUTES, "inverse row"),
+                 7: ("uniform shift fails for", "(0, 3, -2)")}),
     cross_check("nabla_one", slipped(families.family_a, "roots_low, -2, nabla_one)",
-                                     "roots_low, -2, nabla_one + ABElement.gen_b())")),
+                                     "roots_low, -2, nabla_one + ABElement.gen_b())"),
+                {1: ("operator match True, nabla match False", "(0, 1, 0)")}),
     # criterion 9 in the order of its FAIL branches.  propagate's step factor m + rho + 1 read
     # as m + rho: the golden values name the first wrong cell (i, k, m, L power)
     Mutant("chain_step_at_m_plus_rho", slipped(asymptotics._chain, "s = (m + 1) * rd + rn", "s = m * rd + rn"),
