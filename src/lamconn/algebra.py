@@ -32,10 +32,11 @@ general product: ``scale`` and ``times_a`` multiply by a degree-0 element and
 by a, and conjugation by b is b * x with every b power lowered by one.
 
 ``ABElement.__mul__`` groups the right operand's terms by (degree, lam
-exponent) once and makes each group's plan there: its span, the group's
-largest a power + 1, and emitted, the sum of k + 1 over its terms, which is
-the number of terms the closed rule emits for it.  For each left term
-c*lam^e*a^i*b^j and group, one comparison picks one of two rules:
+exponent) once and loops over the groups outside, the left terms inside.
+Each group's state is local to its pass: its span, the group's largest a
+power + 1, emitted, the sum of k + 1 over its terms, which is the number of
+terms the closed rule emits for it, and its T powers.  For each group and
+left term c*lam^e*a^i*b^j, one comparison picks one of two rules:
 
 - 0 < j * span <= emitted: T^j of the group's dense row g.  g is made once
   per group, on its first T pass, and T(g), T^2(g), ... once each, on first
@@ -59,9 +60,9 @@ and lam exponent, so the product sums into accumulator rows keyed by
 inside a row the a power fixes the b power, so the inner loop hashes one
 small int instead of an (i, j, e) tuple.  An accumulator row is a dict, not
 a list, because it is sparse: a^(10^9) times a^(10^9)*b^2 fills one entry of
-a row of degree 2*10^9 + 2.  ``_from_rows`` turns the rows back into the flat
-map once per result, dropping zero numerators in the same pass, and divides
-out the gcd with the denominator only when it is not 1.
+a row of degree 2*10^9 + 2.  The product flattens the rows back into the
+flat map once per result, dropping zero numerators in the same pass, and
+``_reduced`` divides out the gcd with the denominator only when it is not 1.
 
 ``linear_factor_product`` uses a two-term case of the closed rule instead,
 in one pass on the flat map (rows measured no faster there), and is tested
@@ -150,10 +151,10 @@ class ABElement:
     Every value of ``_terms`` is a nonzero int, ``_den`` is a positive int
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
     Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
-    ``_make`` builds every arithmetic result, products through
-    ``_from_rows``, both ending in ``_reduced``, and ``_linear`` every factor
-    (na*a + nb*b)/den from int numerators, with one gcd of its own; all
-    three trust their input.
+    Three constructors trust their input: ``_make`` builds every arithmetic
+    result but the product, ending in ``_reduced``, which the product calls
+    on its flattened rows, and ``_linear`` every factor (na*a + nb*b)/den
+    from int numerators, with one gcd of its own.
     """
 
     __slots__ = ("_terms", "_den")
@@ -176,14 +177,6 @@ class ABElement:
         Drops zero numerators and divides out their gcd with den.
         """
         return cls._reduced({k: n for k, n in nums.items() if n}, den)
-
-    @classmethod
-    def _from_rows(cls, rows: Rows, den: int) -> "ABElement":
-        """Trusted constructor from accumulator rows: rows[(d, e)][i] is the numerator of lam^e*a^i*b^(d-i).
-
-        Flattens the rows and drops their zero numerators in one pass.
-        """
-        return cls._reduced({(i, d - i, e): n for (d, e), row in rows.items() for i, n in row.items() if n}, den)
 
     @classmethod
     def _reduced(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
@@ -292,15 +285,13 @@ class ABElement:
         right: dict[RowKey, dict[int, int]] = {}
         for (k, l, e2), c2 in other._terms.items():
             right.setdefault((k + l, e2), {})[k] = c2
-        # each group with its span (largest a power + 1), the number of terms the closed rule
-        # emits for it, and its T powers [g, T(g), T^2(g), ...]: g, its dense row, is made on
-        # its first T pass, and each power on first use
-        plans = []
-        for (d2, e2), group in right.items():
-            plans.append((d2, e2, group, max(group) + 1, sum(group) + len(group), []))
         rows: Rows = {}
-        for (i, j, e1), c1 in self._terms.items():
-            for d2, e2, group, span, emitted, powers in plans:
+        for (d2, e2), group in right.items():
+            # the group's span (largest a power + 1), the number of terms the closed rule emits
+            # for it, and its T powers [g, T(g), T^2(g), ...]: g, its dense row, is made on its
+            # first T pass, and each power on first use
+            span, emitted, powers = max(group) + 1, sum(group) + len(group), []
+            for (i, j, e1), c1 in self._terms.items():
                 key = (i + j + d2, e1 + e2)
                 row = rows.get(key)
                 if row is None:
@@ -310,7 +301,7 @@ class ABElement:
                 # more than the terms the closed rule emits
                 if 0 < j * span <= emitted:
                     # b^j times the group is T^j of its dense row, added at a powers i..i+span-1;
-                    # _from_rows drops a zero that lands in the row
+                    # the flattening below drops a zero that lands in the row
                     if not powers:
                         powers.append([0] * span)
                         for k, c2 in group.items():
@@ -336,7 +327,9 @@ class ABElement:
                             v = -v * (k - t) * (j + t) // (t + 1)
                             p -= 1
                             row[p] = row[p] + v if p in row else v
-        return ABElement._from_rows(rows, self._den * other._den)
+        # rows[(d, e)][i] is the numerator of lam^e*a^i*b^(d-i): flattened, its zeros dropped
+        nums = {(i, d - i, e): n for (d, e), row in rows.items() for i, n in row.items() if n}
+        return ABElement._reduced(nums, self._den * other._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABElement):

@@ -89,16 +89,16 @@ It needs only a zero test, so the sum is never reduced, and a Fraction is
 built only for a residual that is not zero.
 
 A table is rendered once.  The first ``to_json`` or CSV call builds its
-cell text with ``_cells_json``, a cached property kept for as long as
-the table lives: for each cell in (i, k, m) order, the "i,k,m" text and
-the degree -> coefficient text, which ``LogPoly.to_json`` writes as "n/d",
-or "n" when d is 1, from each coefficient's two parts.  So each coefficient
-is converted to decimal once however many formats are written.  ``to_json``
-returns those cell dicts themselves, read-only, in a new "table" dict;
-``csv_chunks`` writes each row from them, each run of absent degrees as one
-",0" * gap, and yields the rows in runs of M + 1, one (i, k) ladder of a
-propagated table each, which ``to_csv`` joins and the CLI writes to its
-file as they come.  Entries are never changed once the table exists.
+cell text in ``ExpansionTable._cell_text``, a cached property kept for as
+long as the table lives: for each cell in (i, k, m) order, the "i,k,m"
+text and the degree -> coefficient text, which ``LogPoly.to_json`` writes
+as "n/d", or "n" when d is 1, from each coefficient's two parts.  So each
+coefficient is converted to decimal once however many formats are written.
+``to_json`` returns those cell dicts themselves, read-only, in a new
+"table" dict; ``csv_chunks`` writes each row from them, each run of absent
+degrees as one ",0" * gap, and yields the rows in runs of M + 1, one (i, k)
+ladder of a propagated table each, which ``to_csv`` joins and the CLI
+writes to its file as they come.  Entries are never changed once the table exists.
 
 Exponents are required pairwise non-congruent mod 1: congruent exponents
 would couple their ladders and the per-i propagation would no longer be
@@ -299,8 +299,9 @@ class ExpansionTable:
 
     @cached_property
     def _cell_text(self) -> dict[str, dict[str, str]]:
-        """The JSON table block of the entries, built on the first render."""
-        return _cells_json(self.entries)
+        """The JSON table block of the entries, built on the first render: each cell's
+        "i,k,m" text mapped to its degree -> coefficient text, both in ascending order."""
+        return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(self.entries.items())}
 
     def to_json(self) -> dict:
         """The spec and every cell.  The "table" dict is new on each call, but
@@ -342,13 +343,6 @@ class ExpansionTable:
                     top = e
                 out += zeros[width - 1 - top], "\r\n"
             yield "".join(out)
-
-
-def _cells_json(cells: Mapping[SeedKey, LogPoly]) -> dict[str, dict[str, str]]:
-    """The cell text of a table's entries, which ``ExpansionTable._cell_text``
-    keeps: each cell's "i,k,m" text mapped to its degree -> coefficient text,
-    both in ascending order."""
-    return {f"{i},{k},{m}": poly.to_json() for (i, k, m), poly in sorted(cells.items())}
 
 
 def _check_seed(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> dict[SeedKey, Fraction]:

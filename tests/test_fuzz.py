@@ -182,6 +182,8 @@ def outcome(parse, text):
 @example(text="((lam))")
 @example(text="2*(lam)*b*(3)")
 @example(text="1/2*a - 1/3*b")
+# a lam sum over a shared denominator, whose terms print reduced
+@example(text="(1/2 + 1/3*lam)*b")
 # parts without their "*"
 @example(text="2a + ab")
 # which fault wins; see test_fault_precedence

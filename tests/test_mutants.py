@@ -7,18 +7,17 @@ oracles that pass unpatched and fail under the slip: they raise
 AssertionError, or pytest's Failed where a ``pytest.raises`` block sees
 nothing raised.  Every install follows one
 rule: the slipped object replaces the real one wherever a loaded module
-other than this one binds it, or on its class for a method.  All but five
-entries are installed by ``slipped``, an edit of the package function's own
-source.  Of the five, the two that wrap a real function,
-propagate_cached_by_spec and json_indent_3, capture it here, at import, so
-that the install cannot make it call itself.  An entry that no criterion
-kills has no kills, and its oracles alone kill it.
+other than this one binds it, or on its class for a method or a cached
+property.  All but three entries are installed by ``slipped``, an edit of the
+package function's own source.  Of the three, the two that wrap a real
+function, propagate_cached_by_spec and json_indent_3, capture it here, at
+import, so that the install cannot make it call itself.  An entry that no
+criterion kills has no kills, and its oracles alone kill it.
 
 ``pytest --mutant NAME`` (tests/conftest.py) installs the entry NAME by its
 own install for the whole session.
 """
 
-import dataclasses
 import inspect
 import json
 import re
@@ -26,7 +25,7 @@ import sys
 import tempfile
 import textwrap
 import types
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -71,9 +70,14 @@ def slipped(function, old: str, new: str):
     """The install of function recompiled from its source with the one occurrence of old replaced by new.
 
     The slip runs in its module's own globals, as the original does, so a monkeypatch of
-    a module global reaches both.  A method is replaced on its class, which binds it.
-    The install carries the slip as its ``slip``: (qualname, old, new).
+    a module global reaches both.  A method is replaced on its class, which binds it.  A
+    cached property is slipped through the source of its function, decorator and all, and
+    the recompiled property is named on its class, as the class statement names the real
+    one; an instance that cached its value before the install keeps it.  The install
+    carries the slip as its ``slip``: (qualname, old, new).
     """
+    if isinstance(function, cached_property):
+        function = function.func
     module = inspect.getmodule(function)
     source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, f"{function.__qualname__}: {old!r} occurs {source.count(old)} times, not once"
@@ -83,24 +87,11 @@ def slipped(function, old: str, new: str):
     owner, _, attr = function.__qualname__.rpartition(".")
     install = rebind(function, replacement)
     if owner:
+        if isinstance(replacement, cached_property):
+            replacement.__set_name__(getattr(module, owner), attr)
         install = lambda monkeypatch: monkeypatch.setattr(getattr(module, owner), attr, replacement)
     install.slip = (function.__qualname__, old, new)
     return install
-
-
-CACHED_ANALYSIS = ExponentData.analysis.func
-
-
-def numerators_over_abs_det(numerators: str, determinant: str):
-    """The install of ExponentData.analysis with the named numerators negated when their determinant is negative."""
-
-    def analysis(self):
-        result = CACHED_ANALYSIS(self)
-        if getattr(result, determinant) < 0:
-            result = dataclasses.replace(result, **{numerators: tuple(-x for x in getattr(result, numerators))})
-        return result
-
-    return lambda monkeypatch: monkeypatch.setattr(ExponentData, "analysis", property(analysis))
 
 
 REAL_PROPAGATE = asymptotics.propagate
@@ -221,10 +212,12 @@ MUTANTS = [
            {3: ("first layout", "('first layout', 'sum_p')"), 4: (SIGMA_ROUTES, "relation"), 5: IDENTITY,
             8: CROSS_VALIDATION}),
     # each sigma route over |det|: the broken route is the one that differs from the median of the three
-    Mutant("inverse_row_over_abs_det", numerators_over_abs_det("inverse_numerators", "det_m_tilde"),
+    Mutant("inverse_row_over_abs_det", slipped(ExponentData.analysis, "else tuple(inverse[0])",
+                                               "else tuple(x if det_tilde > 0 else -x for x in inverse[0])"),
            {2: (MATRIX_ROUTE, "(0, 1, 0)"), 4: (SIGMA_ROUTES, "inverse row"),
             7: ("uniform shift fails for", "(0, 3, 2)"), 8: CROSS_VALIDATION}),
-    Mutant("relation_over_abs_det", numerators_over_abs_det("relation_numerators", "det_m_prime"),
+    Mutant("relation_over_abs_det", slipped(ExponentData.analysis, "else tuple(relation[0])",
+                                            "else tuple(x if det_prime > 0 else -x for x in relation[0])"),
            {4: (SIGMA_ROUTES, "relation"), 5: IDENTITY}),
     # the fresh det M' taken as |det M'| also disagrees with the cached signed one
     Mutant("det_returns_abs", slipped(exact.det, "return Fraction(_solve_square(m, len(m))[1], scale)",
@@ -421,15 +414,16 @@ MUTANTS = [
     Mutant("term_parts_without_star", rebind(algebra._TERM_RE, re.compile(
         algebra._TERM_RE.pattern.replace(r"(?(2)\*)", r"\*?").replace(r"(?(3)\*)", r"\*?"))),
            {}, (test_fuzz.test_parsers_match_fraction_oracle,)),
-    # _from_rows' one-pass flattening keeps only the positive numerators of a product
-    Mutant("from_rows_drops_negative_terms", slipped(ABElement._from_rows, "row.items() if n}", "row.items() if n > 0}"),
+    # the product's one-pass flattening of its rows keeps only the positive numerators
+    Mutant("product_drops_negative_terms", slipped(ABElement.__mul__, "row.items() if n}", "row.items() if n > 0}"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
             6: ("shift identity fails for", "(0, 4, 0)"), 7: ("uniform shift fails for", "(1, 2, -2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")},
            (test_families.TestClosedFormOracle().test_family_a_grid,)),
     # the rendered cells in entry order: propagate makes its entries in key order, so only a
     # hand-built table shows the slip and no criterion fails
-    Mutant("cells_json_unsorted", slipped(asymptotics._cells_json, "sorted(cells.items())", "cells.items()"),
+    Mutant("cells_json_unsorted", slipped(ExpansionTable._cell_text, "sorted(self.entries.items())",
+                                          "self.entries.items()"),
            {}, (one_rendering_of_unsorted_entries,)),
     # each run of absent degrees in a CSV row written as one 0; the battery writes no CSV
     Mutant("csv_zero_run_written_once", slipped(ExpansionTable.csv_chunks, '",0" * gap for', '",0" * min(gap, 1) for'),
@@ -459,12 +453,10 @@ def test_every_entry_is_killed_by_something():
 
 
 def test_every_other_entry_slips_the_package_source():
-    # The installs that edit no function's source: two patch a cached property's result,
-    # one caches the real function, one edits a compiled pattern, and one patches
-    # json.dumps itself, which CI's streaming check needs.
+    # The installs that edit no function's source: one caches the real function, one edits
+    # a compiled pattern, and one patches json.dumps itself, which CI's streaming check needs.
     assert {m.name for m in MUTANTS if not hasattr(m.install, "slip")} == {
-        "inverse_row_over_abs_det", "relation_over_abs_det", "propagate_cached_by_spec", "term_parts_without_star",
-        "json_indent_3"}
+        "propagate_cached_by_spec", "term_parts_without_star", "json_indent_3"}
 
 
 def test_cross_validation_passes_unpatched():
