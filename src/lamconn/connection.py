@@ -23,7 +23,6 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import ABElement, FlatKey, Rows
-from .errors import HypothesisError
 from .exact import _fraction, check_coefficient
 from .exponents import ExponentData, MonomialMu
 
@@ -88,7 +87,7 @@ def sigma_tau(data: ExponentData, mu: MonomialMu) -> SigmaTau:
     mu.check_length(data.n)
     w, det = data.analysis.inverse_numerators, data.analysis.det_m_tilde
     if w is None:
-        raise HypothesisError("; ".join(data.analysis.failure_messages()))
+        raise data.analysis.refusal()
     # tau's numerator sum(w_(i+1) * (beta_i + 1)), as the pairing with beta plus the row's sum
     row = w[1:]
     tau = sum(map(mul, row, mu.beta)) + sum(row)

@@ -34,6 +34,12 @@ n and alphas, and ``MonomialMu.from_json`` the optional "mu" list, the
 exponents of the reference monomial that ``connection.sigma_tau`` takes.
 ``MonomialMu.check_length`` is the one statement of the rule that mu has
 n+1 entries, which both of them apply.
+
+The JSON of ``DependencyData`` and ``DetIdentityReport`` is their fields in
+field order, each to_json reshaping only what JSON cannot hold as it is
+(p as a list, sigma and the determinants as text).  ``LayoutAnalysis.refusal``
+is the one wording of a failed hypothesis; each stage keeps its own
+condition and raises that error.
 """
 
 from __future__ import annotations
@@ -106,6 +112,10 @@ class LayoutAnalysis:
         if not self.basis_ok:
             out.append(f"hypothesis ii) fails: rank {self.rank_m_prime} < {self.n + 1}")
         return out
+
+    def refusal(self) -> HypothesisError:
+        """The error that refuses this layout, naming each failed hypothesis."""
+        return HypothesisError("; ".join(self.failure_messages()))
 
     def to_json(self) -> dict:
         out = {
@@ -261,16 +271,8 @@ class DependencyData:
     lambda_exponent: int
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "p": list(self.p),
-            "sum_p": self.sum_p,
-            "d": self.d,
-            "h": self.h,
-            "case": self.case,
-            "sigma": str(self.sigma),
-            "lambda_exponent": self.lambda_exponent,
-        }
+        """The fields in their order, with p as a list and sigma as text."""
+        return {**vars(self), "p": list(self.p), "sigma": str(self.sigma)}
 
 
 def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
@@ -285,7 +287,7 @@ def dependency_solution(data: ExponentData) -> tuple[int, tuple[int, ...]]:
     """
     analysis = data.analysis
     if not analysis.basis_ok:
-        raise HypothesisError("; ".join(analysis.failure_messages()))
+        raise analysis.refusal()
     d, q = analysis.det_m_prime, analysis.relation_numerators
     g = math.gcd(d, *q) if d > 0 else -math.gcd(d, *q)
     return d // g, tuple(x // g for x in q)
@@ -295,7 +297,7 @@ def dependency(data: ExponentData) -> DependencyData:
     """Full case analysis; requires both hypotheses."""
     report = validate_hypotheses(data)
     if not report.passed:
-        raise HypothesisError("; ".join(report.failure_messages()))
+        raise report.refusal()
     r, p = dependency_solution(data)
     sum_p = sum(p)
     side_nonpos = r - sum(x for x in p if x <= 0)
@@ -333,15 +335,8 @@ class DetIdentityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "det_m_prime": str(self.det_m_prime),
-            "det_m_tilde": str(self.det_m_tilde),
-            "predicted_det_m_tilde": str(self.predicted_det_m_tilde),
-            "identity_holds": self.identity_holds,
-            "sigma_from_determinants": str(self.sigma_from_determinants),
-            "sigma_matches": self.sigma_matches,
-            "passed": self.passed,
-        }
+        """The fields in their order, each number as text."""
+        return {name: value if type(value) is bool else str(value) for name, value in vars(self).items()}
 
 
 def det_identity_check(data: ExponentData, dep: DependencyData) -> DetIdentityReport:

@@ -3,15 +3,18 @@
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lamconn.connection import sigma_tau
 from lamconn.errors import ContractError, HypothesisError, InputError, SingularMatrixError
 from lamconn.exact import det, invert, rank, solve
 from lamconn.exponents import (
     ExponentData,
+    MonomialMu,
     dependency,
     dependency_solution,
     det_identity_check,
@@ -120,6 +123,12 @@ class TestHypotheses:
             dependency(CUBE)
         with pytest.raises(HypothesisError):
             dependency_solution(ExponentData(n=1, alphas=((1, 0), (2, 0), (0, 1))))
+        # collinear exponents fail both hypotheses, and every stage words the refusal alike
+        both_fail = ExponentData(n=1, alphas=((1, 0), (2, 0), (3, 0)))
+        for stage in (dependency, dependency_solution, partial(sigma_tau, mu=MonomialMu.unit(1))):
+            with pytest.raises(HypothesisError) as refused:
+                stage(both_fail)
+            assert str(refused.value) == "hypothesis i) fails: rank 2 < 3; hypothesis ii) fails: rank 1 < 2"
 
 
 class TestDependency:
@@ -185,6 +194,18 @@ class TestDetIdentity:
             assert report.det_m_prime == expected_prime
             assert report.identity_holds
             assert report.sigma_matches is True
+
+    def test_reports_print_their_fields(self):
+        for data, det_m_tilde, sigma in ((LAYOUT_A, "16", "-2"), (LAYOUT_B, "-16", "2")):
+            assert det_identity_check(data, dependency(data)).to_json() == {
+                "det_m_prime": "32",
+                "det_m_tilde": det_m_tilde,
+                "predicted_det_m_tilde": det_m_tilde,
+                "identity_holds": True,
+                "sigma_from_determinants": sigma,
+                "sigma_matches": True,
+                "passed": True,
+            }
 
     def test_sigma_equals_det_ratio(self):
         for data in (LAYOUT_A, LAYOUT_B):

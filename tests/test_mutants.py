@@ -41,6 +41,7 @@ import test_asymptotics
 import test_cli
 import test_connection
 import test_exact
+import test_exponents
 import test_families
 import test_fuzz
 import test_golden
@@ -211,6 +212,16 @@ MUTANTS = [
     Mutant("sum_p", slipped(exponents.dependency, "sum_p=sum_p,", "sum_p=sum_p + 1,"),
            {3: ("first layout", "('first layout', 'sum_p')"), 4: (SIGMA_ROUTES, "relation"), 5: IDENTITY,
             8: CROSS_VALIDATION}),
+    # the dependency block keeping p a tuple: its JSON text is the same, so only the comparison
+    # of the block with its golden dict sees the slip
+    Mutant("dependency_json_keeps_p_a_tuple", slipped(exponents.DependencyData.to_json, '"p": list(self.p)',
+                                                      '"p": self.p'),
+           {3: ("first layout", "('first layout', 'p')")}),
+    # the determinant block printing only its Fractions as text, its int determinants as ints;
+    # no command prints the block, so no criterion fails
+    Mutant("det_identity_json_ints_unprinted", slipped(exponents.DetIdentityReport.to_json, "type(value) is bool",
+                                                       "isinstance(value, int)"),
+           {}, (test_exponents.TestDetIdentity().test_reports_print_their_fields,)),
     # each sigma route over |det|: the broken route is the one that differs from the median of the three
     Mutant("inverse_row_over_abs_det", slipped(ExponentData.analysis, "else tuple(inverse[0])",
                                                "else tuple(x if det_tilde > 0 else -x for x in inverse[0])"),
