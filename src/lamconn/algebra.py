@@ -72,10 +72,14 @@ against the general product:
 
 ``connection.push_nabla`` runs its own T pass on each row of Q, one degree
 up, and ``connection.push_nabla_via_shift`` reaches the same recurrence
-through this product's.  The two lam*nabla routes keep separate loops
-rather than one shared T helper: criterion 7 compares them, and a slip in a
-shared helper would move both routes alike and pass.  ``conj_b`` and the
-product are push_nabla's independent route in the tests as well.
+through this product's, as b*R; its (-sigma*a)*Q is a shift that it writes
+itself.  The two lam*nabla routes keep separate loops rather than one
+shared T helper: criterion 7 compares them, and a slip in a shared helper
+would move both routes alike and pass.  ``conj_b`` and the product are
+push_nabla's independent route in the tests as well.  In the benchmark's
+``operators`` op the product runs twice: the family operator times the
+product of linear factors, and b*R.  ``FamilyResult.full_operator`` adds
+its weighted low part into its top part's numerators itself.
 
 The module owns the text format of elements: ``__str__`` writes it and
 ``parse`` reads exactly the text ``__str__`` writes, in this grammar:
@@ -89,9 +93,11 @@ The module owns the text format of elements: ``__str__`` writes it and
 
 The grammar does not ask for canonical text: fractions need not be reduced,
 a monomial may repeat and terms may come in any order; like terms are
-summed.  ``parse`` reads one term per match of ``_TERM_RE``, the coefficient
-of a term being a rational or the text of its lam sum, whose terms
-``_LAM_TERM_RE`` finds, and sends every (i, j, e) key with its numerator and
+summed.  ``parse`` reads one term per match of ``_TERM_RE``, whose groups
+hold the coefficient's one term: the numerator and denominator of a
+rational, or the sign, parts, lam and exponent of a lam sum's first term.
+Only the further terms of a longer lam sum, held whole in one group, are
+read by ``_LAM_TERM_RE``.  Every (i, j, e) key goes with its numerator and
 denominator over one denominator into ``_make``.
 
 A fault is reported by one rule, the leftmost fault wins: terms are read from
@@ -132,16 +138,22 @@ Rows = dict[RowKey, dict[int, int]]  # row -> a power -> numerator
 _RAT = "[0-9]+(?:/[0-9]+)?"
 _LAM_TERM = rf"(?:{_RAT}(?:\*lam(?:\^-?[0-9]+)?)?|lam(?:\^-?[0-9]+)?)"
 # One term of the grammar at pos, with its separator: 1 the separator, 2 the
-# coefficient, a rational or a parenthesized lam sum, 3 and 4 a and its power,
-# 5 and 6 b and its power.  A "*" stands between two parts, and the match is
-# the separator alone when no term follows it.
+# coefficient, a rational or a parenthesized lam sum, 3 the "(" or "(-" that
+# opens a lam sum, 4 and 5 the numerator and denominator of the rational or of
+# the lam sum's first term, 6 and 7 that term's lam and its exponent, 8 the lam
+# sum's further terms, 9 and 10 a and its power, 11 and 12 b and its power.  A
+# "*" stands between two parts, and the match is the separator alone when no
+# term follows it.  The look-ahead after the optional "(" asks for a digit or
+# an l, so that no coefficient is empty; lam is read only where group 3 opened
+# a lam sum.
 _TERM_RE = re.compile(
-    rf"(^-?| [-+] )({_RAT}|\(-?{_LAM_TERM}(?: [-+] {_LAM_TERM})*\))?"
-    r"(?:(?(2)\*)(?=[ab])(?:(a)(?:\^([0-9]+))?)?(?:(?(3)\*)(b)(?:\^([0-9]+))?)?)?"
+    r"(^-?| [-+] )((\(-?)?(?=[0-9l])(?:([0-9]+)(?:/([0-9]+))?)?"
+    rf"(?(3)(?:(?(4)\*)(lam)(?:\^(-?[0-9]+))?)?((?: [-+] {_LAM_TERM})*)\)))?"
+    r"(?:(?(2)\*)(?=[ab])(?:(a)(?:\^([0-9]+))?)?(?:(?(9)\*)(b)(?:\^([0-9]+))?)?)?"
 )
-# One lam term of a coefficient that _TERM_RE matched: its separator, with the
-# "(" of a lam sum, the numerator and denominator, lam and its exponent.
-_LAM_TERM_RE = re.compile(r"(^\(?-?| [-+] )(?:([0-9]+)(?:/([0-9]+))?)?\*?(lam)?(?:\^(-?[0-9]+))?")
+# One further lam term of a lam sum, in group 8 of _TERM_RE: its separator, the
+# numerator and denominator, lam and its exponent.
+_LAM_TERM_RE = re.compile(r"( [-+] )(?:([0-9]+)(?:/([0-9]+))?)?\*?(lam)?(?:\^(-?[0-9]+))?")
 _LITERAL_RE = re.compile(_RAT)
 
 
@@ -393,18 +405,26 @@ class ABElement:
             if m is None or m.end() == m.end(1):
                 raise InputError(f"unexpected {text[pos:pos + 20]!r} in algebra element: {text!r}"
                                  if text else "empty algebra element")
-            sep, coeff, a, i, b, j = m.groups()
+            sep, _, lam_open, p, q, lam, e, more, a, i, b, j = m.groups()
             minus = "-" in sep
             try:
                 i = (int(i) if i else 1) if a else 0
                 j = (int(j) if j else 1) if b else 0
-                for lam_sep, p, q, lam, e in _LAM_TERM_RE.findall(coeff or "1"):
+                # the coefficient's one term, or a lam sum's first, read from this match
+                num = int(p) if p else 1
+                den = int(q) if q else 1
+                if not den:
+                    raise ValueError  # parse_rat's rescan below words it
+                e = int(e) if e else 1 if lam else 0
+                parts.append(((i, j, e), -num if minus != (lam_open == "(-") else num, den))
+                # a longer lam sum's further terms, each with its own separator
+                for lam_sep, p, q, lam, e in _LAM_TERM_RE.findall(more) if more else ():
                     num = int(p) if p else 1
                     den = int(q) if q else 1
                     if not den:
-                        raise ValueError  # parse_rat's rescan below words it
+                        raise ValueError
                     e = int(e) if e else 1 if lam else 0
-                    parts.append(((i, j, e), -num if minus != ("-" in lam_sep) else num, den))
+                    parts.append(((i, j, e), -num if minus != (lam_sep == " - ") else num, den))
             except ValueError:
                 # int() refused a literal past the conversion limit, or a denominator is 0:
                 # parse_rat raises on the leftmost of the term's literals that holds a fault

@@ -13,6 +13,13 @@ numerators of the inverse row over det M~, beta and each linear operator
 (na*a + nb*b)/den from sigma = sn/sd and tau = tn/td over sd*td, and alpha
 is -sigma.  ``SigmaTau.to_json`` writes the texts of alpha and beta from
 those integer parts, without building either Fraction.
+
+The two lam*nabla routes share no helper.  ``push_nabla`` runs its own T
+pass on each row of Q.  ``push_nabla_via_shift`` writes (-sigma*a)*Q as a
+shift of the a powers straight into the numerators of b*R, and only b*R
+goes through the general product, whose T pass is the product's own loop;
+so criterion 7, which compares the routes, still holds two separate loops
+to one another.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from .exponents import ExponentData, MonomialMu
 
 PDE_RAW = "-lam*d/dlam d/ds phi = sigma*d(s*phi)/ds + (tau - k)*phi"
 PDE_NORMALIZED = "lam*d/dlam d/ds phi = alpha*s*d(phi)/ds + beta*phi"
+# the generator b, the left factor of push_nabla_via_shift's one product
+_B = ABElement.gen_b()
 
 
 @dataclass(frozen=True)
@@ -169,18 +178,33 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
 
     where a term c*lam^e*a^i*b^j of Q contributes (e - tau + (k+i+j)*sigma)*c
     to R: e*c from b*theta(Q) and -(tau - (k+i+j)*sigma)*c from L_(i+j).
-    Both products go through the general ``ABElement.__mul__``: (-sigma*a)*Q
-    has no b on the left and takes its shift rule, and b*R takes one T pass
-    per row of R.  It never calls ``push_nabla`` or ``conj_b``, and its T
-    pass is the product's loop, not push_nabla's: the two routes keep
-    separate loops, so that a slip in either shows as a difference between
-    them instead of moving both alike, and they must agree term for term.
+    Only b*R goes through the general ``ABElement.__mul__``, which takes one
+    T pass per row of R.  (-sigma*a)*Q is a plain shift, a^i*b^j ->
+    a^(i+1)*b^j: with sigma = sn/sd, the numerator n of each term of Q adds
+    -sn*n one a power up, straight into b*R's numerators, over one lcm of
+    Q's denominator times sd and b*R's denominator, and one ``_make`` drops
+    what cancels and reduces.  It never calls ``push_nabla`` or ``conj_b``,
+    and its T pass is the product's loop, not push_nabla's: the two routes
+    keep separate loops, so that a slip in either shows as a difference
+    between them instead of moving both alike, and criterion 7 holds them
+    to agree term for term.
     """
     sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
     # over sd*td, (e - tau + (k+g)*sigma) is e*sd*td + g*sn*td + (k*sn*td - tn*sd) at degree g
     den, per_degree, at_zero = sd * td, sn * td, st.mu.k * sn * td - tn * sd
-    r = {(i, j, e): (e * den + (i + j) * per_degree + at_zero) * n for (i, j, e), n in q._terms.items()}
-    return ABElement._linear(-sn, 0, sd) * q + ABElement.gen_b() * ABElement._make(r, q._den * den)
+    # R over q._den*sd*td, the terms whose factor is 0 left out
+    r = {(i, j, e): v for (i, j, e), n in q._terms.items()
+         if (v := (e * den + (i + j) * per_degree + at_zero) * n)}
+    br = _B * ABElement._reduced(r, q._den * den)
+    # (-sigma*a)*Q over q._den*sd, added into b*R's numerators over the lcm of the two denominators
+    d1, d2 = br._den, q._den * sd
+    out_den = d1 if d1 == d2 else math.lcm(d1, d2)
+    m1, m2 = out_den // d1, -sn * (out_den // d2)
+    nums = dict(br._terms) if m1 == 1 else {k: m1 * n for k, n in br._terms.items()}
+    for (i, j, e), n in q._terms.items():
+        key, v = (i + 1, j, e), m2 * n
+        nums[key] = nums[key] + v if key in nums else v
+    return ABElement._make(nums, out_den)
 
 
 def pde_coefficients(st: SigmaTau) -> SigmaTau:

@@ -12,7 +12,8 @@ It is the object ``Fraction(n, d)`` makes, without that constructor's type
 and sign tests.  ``asymptotics._chain`` builds each expansion coefficient
 with it; ``exponents.dependency`` builds sigma, ``det_identity_check`` the
 predicted det M~ and the determinant route to sigma, ``connection.sigma_tau``
-sigma and tau, and ``SigmaTau`` the PDE coefficients alpha and beta.
+sigma and tau, ``SigmaTau`` the PDE coefficients alpha and beta, and
+``families`` the roots of both families.
 
 Every number from outside passes one gate, kept here and called by every
 other module: ``check_int`` takes an int that is not a bool, at least a
@@ -370,17 +371,21 @@ def _solve_square(rows: Iterable[Sequence[int]], n: int) -> tuple[int, int, list
     B' = L B for one invertible L, so U X = det A * B'.  Each entry of X is
     an integer by Cramer's rule, so U_ii * X_i = det A * B'_i - sum over
     j > i of U_ij * X_j holds on integers and the division by U_ii is exact.
+    Each column is a list of n zeros, filled in one pass from X_(n-1) down
+    to X_0; the entries not yet filled are 0, so the sum runs over the
+    whole of row i and takes no slice.
     """
     rk, d, upper = _eliminate(rows, n)
     if rk < n:
         return rk, 0, None
-    columns = [[] for _ in upper[0][n:]]
+    columns = [[0] * n for _ in range(n, len(upper[0]))]
     for i in range(n - 1, -1, -1):
         row = upper[i]
-        u, right = row[i], row[i + 1 : n]
-        for b, x in zip(row[n:], columns):
-            # x holds X_(i+1), ..., X_(n-1) of this column
-            x.insert(0, (d * b - sum(map(mul, right, x))) // u)
+        u = row[i]
+        for c, x in enumerate(columns, n):
+            # x holds X_(i+1), ..., X_(n-1) of this column and 0 up to X_i, and row i of U
+            # is 0 left of U_ii, so the sum over the whole row is the sum over j > i
+            x[i] = (d * row[c] - sum(map(mul, row, x))) // u
     return rk, d, columns
 
 

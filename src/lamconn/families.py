@@ -8,16 +8,18 @@ product of monic linear factors plus -4 * lam^(+-2) times a quadratic one.
 The factor roots are explicit rational expressions in the parameters, and
 every one of them is positive.  Each layout and each root list is written
 once, every root as one Fraction of two integer expressions in the
-parameters; ``FamilyResult`` derives its operator from its roots once, on
-first read, so building or copying a record builds no operator.  The cross check
-recomputes the relation, case data, sigma and lam*nabla([1]) from the
-exponent matrices and compares them with the closed forms, keeping the
-compared values; in JSON a failed check of two algebra elements names the
-first term where they differ, found by ``exact.first_difference``.
+parameters, reduced with one gcd by ``exact._fraction``; ``FamilyResult``
+derives its operator from its roots once, on first read, so building or
+copying a record builds no operator.  The cross check recomputes the
+relation, case data, sigma and lam*nabla([1]) from the exponent matrices
+and compares them with the closed forms, keeping the compared values; in
+JSON a failed check of two algebra elements names the first term where
+they differ, found by ``exact.first_difference``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +28,7 @@ from typing import ClassVar
 from .algebra import ABElement, _flat, linear_factor_product
 from .connection import nabla_formula, sigma_tau
 from .errors import InputError
-from .exact import check_int, first_difference, power_text, term_text
+from .exact import _fraction, check_int, first_difference, power_text, term_text
 from .exponents import DependencyData, ExponentData, MonomialMu, dependency, det_identity_check
 
 @dataclass(frozen=True)
@@ -39,8 +41,11 @@ class FamilyResult:
     roots and lambda exponent once, on first read, never given, so a
     ``dataclasses.replace`` copy derives its own.  The low product is weighted
     by mapping its numerators, (i, j, e) -> (i, j, e + lambda_exponent) times
-    c_coeff, not by a general product.  The low roots reduced mod 1 are the
-    monodromy candidate exponents.
+    c_coeff, not by a general product, and written with top's numerators into
+    one map over lcm(top's denominator, low's denominator times c_coeff's),
+    reduced once.  Top has degree 3 and low degree 2, so no key is shared and
+    the map needs no sums.  The low roots reduced mod 1 are the monodromy
+    candidate exponents.
     """
 
     kind: str
@@ -56,10 +61,16 @@ class FamilyResult:
     def full_operator(self) -> ABElement:
         top = linear_factor_product(self.roots_top)
         low = linear_factor_product(self.roots_low)
-        # c * lam^shift * low: each term moves up by the lam exponent and its numerator takes c's
+        # c * lam^shift * low: each term moves up by the lam exponent and its numerator takes c's;
+        # top's terms and low's share no key, top having degree 3 and low degree 2
         c, shift = self.c_coeff, self.lambda_exponent
-        weighted = {(i, j, e + shift): n * c.numerator for (i, j, e), n in low._terms.items()}
-        return top + ABElement._make(weighted, low._den * c.denominator)
+        d1, d2 = top._den, low._den * c.denominator
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        m1, m2 = den // d1, c.numerator * (den // d2)
+        nums = dict(top._terms) if m1 == 1 else {k: m1 * n for k, n in top._terms.items()}
+        for (i, j, e), n in low._terms.items():
+            nums[(i, j, e + shift)] = m2 * n
+        return ABElement._reduced(nums, den)
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"
@@ -116,13 +127,13 @@ def family_a(u: int, v: int, w: int) -> FamilyResult:
     # s = 1/(2u) + 1/(2v) + 1/(2w); the roots are 2 + (u+v)/(2uv), 1 + (u+w)/(2uw) and
     # (v+w)/(2vw) on top, 3/2 + s and s below
     s_num, s_den = u * v + v * w + w * u, 2 * u * v * w
-    s = Fraction(s_num, s_den)
+    s = _fraction(s_num, s_den)
     roots_top = (
-        Fraction(4 * u * v + u + v, 2 * u * v),
-        Fraction(2 * u * w + u + w, 2 * u * w),
-        Fraction(v + w, 2 * v * w),
+        _fraction(4 * u * v + u + v, 2 * u * v),
+        _fraction(2 * u * w + u + w, 2 * u * w),
+        _fraction(v + w, 2 * v * w),
     )
-    roots_low = (Fraction(3 * u * v * w + s_num, s_den), s)
+    roots_low = (_fraction(3 * u * v * w + s_num, s_den), s)
     nabla_one = ABElement._linear(2 * s.denominator, -2 * s.numerator, s.denominator)
     exponents = ExponentData(n=2, alphas=_layout_a(u, v, w))
     return FamilyResult("A", (u, v, w), exponents, roots_top, roots_low, -2, nabla_one)
@@ -137,11 +148,11 @@ def family_b(p: int, q: int, u: int, v: int) -> FamilyResult:
     # t = (pu + qv + 2pq) / (2pq(u+v)); the roots are 2 + (p+q)/(2pq), 1/2 + t and t on top,
     # 1 + t + 1/(2q) and t + 1/(2p) below
     t_num, t_den = p * u + q * v + 2 * p * q, 2 * p * q * (u + v)
-    t = Fraction(t_num, t_den)
-    roots_top = (Fraction(4 * p * q + p + q, 2 * p * q), Fraction(p * q * (u + v) + t_num, t_den), t)
+    t = _fraction(t_num, t_den)
+    roots_top = (_fraction(4 * p * q + p + q, 2 * p * q), _fraction(p * q * (u + v) + t_num, t_den), t)
     roots_low = (
-        Fraction(t_den + t_num + p * (u + v), t_den),
-        Fraction(t_num + q * (u + v), t_den),
+        _fraction(t_den + t_num + p * (u + v), t_den),
+        _fraction(t_num + q * (u + v), t_den),
     )
     nabla_one = ABElement._linear(-2 * t.denominator, 2 * t.numerator, t.denominator)
     exponents = ExponentData(n=2, alphas=_layout_b(p, q, u, v))
@@ -216,6 +227,10 @@ class CrossValidationReport:
         return {"label": self.label, "passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
+# mu = 1 in the three variables of both families, where cross_validate applies the connection formula
+_UNIT_MU = MonomialMu.unit(2)
+
+
 def cross_validate(result: FamilyResult) -> CrossValidationReport:
     """Recompute the derived quantities from the exponents and compare.
 
@@ -237,7 +252,7 @@ def cross_validate(result: FamilyResult) -> CrossValidationReport:
     record("lambda_exponent", result.lambda_exponent, dep.lambda_exponent)
     det_report = det_identity_check(data, dep)
     record("determinant_identity", True, det_report.passed)
-    st = sigma_tau(data, MonomialMu.unit(data.n))
+    st = sigma_tau(data, _UNIT_MU)
     record("sigma_from_inverse", dep.sigma, st.sigma)
     record("nabla_one", result.nabla_one, nabla_formula(st))
     return CrossValidationReport(label=result.label(), checks=tuple(checks))

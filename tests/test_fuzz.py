@@ -184,6 +184,11 @@ def outcome(parse, text):
 @example(text="1/2*a - 1/3*b")
 # a lam sum over a shared denominator, whose terms print reduced
 @example(text="(1/2 + 1/3*lam)*b")
+# one-term coefficients, read from the term's own match: both signs and a negative
+# exponent, a lam sum without lam, and a zero denominator inside a one-term lam sum
+@example(text="-(-3/4*lam^-2)*b^2")
+@example(text="(5)*a*b")
+@example(text="(3/0*lam)*a")
 # parts without their "*"
 @example(text="2a + ab")
 # which fault wins; see test_fault_precedence

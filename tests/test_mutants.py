@@ -142,6 +142,13 @@ def public_functions_on_a_row_swap():
     test(test_exact.TestEliminationOracle(), test_exact.ROW_SWAP)
 
 
+def routes_agree_where_their_parts_cancel():
+    """Oracle: test_two_routes_agree on its @example where the shift route's two parts cancel, run
+    without hypothesis, which refuses a test method called on a second instance."""
+    test = test_connection.TestPushNabla.test_two_routes_agree.hypothesis.inner_test
+    test(test_connection.TestPushNabla(), test_connection.ROUTE_PARTS_CANCEL)
+
+
 def first_difference_key(detail):
     """KEY of a FAIL detail that ends with '; first difference at KEY: EXPECTED vs GOT'."""
     _, found, tail = detail.rpartition("; first difference at ")
@@ -176,11 +183,18 @@ MUTANTS = [
     Mutant("commuting_factor_product", slipped(algebra.linear_factor_product, "-n * (j * rd + rn)", "-n * rn"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
             8: ("operator is not the product of its factors", "(0, 2, -2)")}),
+    # the family operator's low part written without its lam power: -4*low lands at lam^0
+    Mutant("low_part_without_lam_power", slipped(families.FamilyResult.full_operator, "e + shift", "e"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 0)"),
+            7: ("uniform shift fails for", "(0, 3, 0)"), 8: ("operator is not the product of its factors", "(0, 2, -2)")}),
     # _reduced dividing out a gcd only above 2: an element whose numerators and denominator share
     # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees, so
-    # criterion 2 names no key: its nabla -2*(a - 3/4*b) stays (-8*a + 6*b)/4
+    # criterion 2 names no key: its nabla -2*(a - 3/4*b) stays (-8*a + 6*b)/4; and the family
+    # operator, one map over its two parts' lcm, stays over other factors of 2 than the general
+    # product of its factors, first on A(2, 2, 2)
     Mutant("reduced_keeps_gcd_2", slipped(ABElement._reduced, "if g != 1:", "if g > 2:"),
-           {2: (GOLDEN_NABLA_FORM, None)}, (test_algebra.TestNormalForm().test_identity_element,)),
+           {2: (GOLDEN_NABLA_FORM, None), 8: ("operator is not the product of its factors for A(2, 2, 2)", None)},
+           (test_algebra.TestNormalForm().test_identity_element,)),
     # ... and _linear: the golden nabla (-8*a + 6*b)/4 stays over 2
     Mutant("linear_keeps_gcd_2", slipped(ABElement._linear, "if g != 1:", "if g > 2:"),
            {2: (GOLDEN_NABLA_FORM, None), 8: CROSS_VALIDATION},
@@ -236,11 +250,12 @@ MUTANTS = [
            {4: (SIGMA_ROUTES, "determinants"), 5: ("identity fails on", "det M'")}),
     # back substitution's sum over j > i stops before its last term, U[i][n-1] * X[n-1]; both
     # slips break the inverse row and the relation, and the walk names the first in key order
-    Mutant("back_substitution_without_last_term", slipped(exact._solve_square, "row[i + 1 : n]", "row[i + 1 : n - 1]"),
+    Mutant("back_substitution_without_last_term", slipped(exact._solve_square, "map(mul, row, x)",
+                                                          "map(mul, row, x[: n - 1])"),
            {1: (MATRIX_ROUTE, "(0, 1, 0)"), 2: (MATRIX_ROUTE, "(0, 1, 0)"), 4: (SIGMA_ROUTES, "inverse row"),
             5: IDENTITY, 7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION}, INVERSE_GOLDEN),
     # U X = B' in place of U X = det * B'
-    Mutant("back_substitution_without_det", slipped(exact._solve_square, "d * b", "b"),
+    Mutant("back_substitution_without_det", slipped(exact._solve_square, "d * row[c]", "row[c]"),
            {1: (MATRIX_ROUTE, "(0, 1, 0)"), 2: (MATRIX_ROUTE, "(0, 1, 0)"),
             3: ("first layout", "('first layout', 'case')"), 4: (SIGMA_ROUTES, "inverse row"), 5: IDENTITY,
             7: ("uniform shift fails for", "(0, 3, -2)"), 8: CROSS_VALIDATION}, INVERSE_GOLDEN),
@@ -281,6 +296,12 @@ MUTANTS = [
     Mutant("via_shift_one_degree_too_far", slipped(connection.push_nabla_via_shift, "(i + j) * per_degree",
                                                    "(i + j + (i + j > 3)) * per_degree"),
            {7: ("lam*nabla routes differ on the degree-4 multiple", "(0, 5, 0)")}),
+    # the shift route's (-sigma*a)*Q written at Q's own a powers, as -sigma*Q: only criterion 7
+    # runs the route, on the degree-4 multiple; the oracle's first example is the one where the
+    # route's two parts cancel at a*b
+    Mutant("via_shift_a_term_not_shifted", slipped(connection.push_nabla_via_shift, "(i + 1, j, e)", "(i, j, e)"),
+           {7: ("lam*nabla routes differ on the degree-4 multiple", "(0, 3, -2)")},
+           (routes_agree_where_their_parts_cancel,)),
     # k*sigma + tau in place of k*sigma - tau on b; push_nabla reads its N off nabla_formula,
     # while the expected left factor is built from sigma and tau
     Mutant("nabla_formula_sign_slip", slipped(connection.nabla_formula, "- tn * sd", "+ tn * sd"),
@@ -341,10 +362,12 @@ MUTANTS = [
     # each Fraction of the trusted constructor left unreduced when its parts share a factor: it
     # equals no reduced Fraction of its value, so sigma from the inverse row differs from the other
     # routes and the determinant identity's sigma check fails; the first golden value emitted
-    # so is 1/10 at L^2
+    # so is 1/10 at L^2, and the first golden layout's low root 5/2 is built as 20/8, which
+    # reduced mod 1 stays 4/8
     Mutant("fraction_unreduced", slipped(exact._fraction, "g = math.gcd(n, d)", "g = 1"),
            {4: (SIGMA_ROUTES, "inverse row"), 5: ("identity fails on", "passed"), 8: CROSS_VALIDATION,
-            9: ("golden values differ on the golden spec", "(0, 0, 2, 2)")},
+            9: ("golden values differ on the golden spec", "(0, 0, 2, 2)"),
+            11: ("first layout", "('first layout', 'position 0')")},
            FROBENIUS_GOLDEN + (test_exact.test_fraction_from_parts_is_what_the_constructor_makes,)),
     # ... and with its sign rule dropped: a negative denominator stays where it is, and the first
     # golden layout's sigma prints as 2/-1
@@ -412,18 +435,19 @@ MUTANTS = [
                 test_fuzz.test_parsers_match_fraction_oracle)),
     # parse drops a term's own sign where it signs the term's literals: "a - 2*b" reads as
     # a + 2*b, so the golden nabla texts read back wrong
-    Mutant("literal_read_drops_sign", slipped(ABElement.parse, "minus != (", "False != ("),
+    Mutant("literal_read_drops_sign", slipped(ABElement.parse, "minus != (lam_open", "False != (lam_open"),
            {1: ("operator match True, nabla match False", "(0, 1, 0)"),
             2: ("operator match True, nabla match False", "(1, 0, 0)")},
            (test_algebra.TestTextFormat().test_parse_variants,)),
-    # every term of a lam sum read without its sign: "(-4*lam^-2)*a^2" reads as
-    # (4*lam^-2)*a^2; the battery reads no lam sum, so no criterion fails
-    Mutant("group_term_drops_sign", slipped(ABElement.parse, '"-" in lam_sep', '"-" == lam_sep'),
+    # the first term of a lam sum read without its sign, its "(-" compared with "-":
+    # "(-4*lam^-2)*a^2" reads as (4*lam^-2)*a^2; the battery reads no lam sum, so no
+    # criterion fails
+    Mutant("group_term_drops_sign", slipped(ABElement.parse, 'lam_open == "(-"', 'lam_open == "-"'),
            {}, (test_fuzz.test_parsers_match_fraction_oracle, test_golden.test_algebra_texts_read_back_byte_identically)),
     # a term's parts read without the "*" between them: "2a + ab" reads as 2*a + a*b; no
     # text the package prints lacks one, so only the fuzz oracle's example sees the slip
     Mutant("term_parts_without_star", rebind(algebra._TERM_RE, re.compile(
-        algebra._TERM_RE.pattern.replace(r"(?(2)\*)", r"\*?").replace(r"(?(3)\*)", r"\*?"))),
+        algebra._TERM_RE.pattern.replace(r"(?(2)\*)", r"\*?").replace(r"(?(9)\*)", r"\*?"))),
            {}, (test_fuzz.test_parsers_match_fraction_oracle,)),
     # the product's one-pass flattening of its rows keeps only the positive numerators
     Mutant("product_drops_negative_terms", slipped(ABElement.__mul__, "row.items() if n}", "row.items() if n > 0}"),
@@ -479,11 +503,12 @@ def test_cross_validation_passes_unpatched():
 # test_acceptance's criterion_08, which cross-validates the first golden layout,
 # replay_to_first_change, against the same records, by test_golden's
 # test_corpus_replays_to_recorded_digests, output_streams_unchanged as test_cli's
-# test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries and
-# public_functions_on_a_row_swap as @examples of test_one_rendering_serves_both_formats and
-# test_public_functions_match_oracle.
+# test_output_streams_unchanged[json], and one_rendering_of_unsorted_entries,
+# public_functions_on_a_row_swap and routes_agree_where_their_parts_cancel as @examples of
+# test_one_rendering_serves_both_formats, test_public_functions_match_oracle and
+# test_two_routes_agree.
 RUN_ELSEWHERE = {check_passes, replay_to_first_change, output_streams_unchanged, one_rendering_of_unsorted_entries,
-                 public_functions_on_a_row_swap}
+                 public_functions_on_a_row_swap, routes_agree_where_their_parts_cancel}
 
 
 def test_other_criteria_and_oracles_pass_unpatched():

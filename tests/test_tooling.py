@@ -11,8 +11,8 @@ committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
 leaves docstrings, comments and blank lines out, the A/B timer in tools/
 runs two revisions side by side and counts the ops whose outputs differ,
-and the line tracer in tools/ reports the statement lines that a job never
-ran.
+or counts the opcodes each revision runs, and the line tracer in tools/
+reports the statement lines that a job never ran.
 """
 
 import contextlib
@@ -207,6 +207,38 @@ def test_ab_times_a_revision_against_the_working_tree():
     for name in ("ratio", "aa_ratio"):
         low, high = record[f"{name}_quartiles"]
         assert 0 < low <= record[f"{name}_median"] <= high
+
+
+@pytest.mark.parametrize("workload", ["layouts", "operators", "expansions"])
+def test_ab_counts_the_same_opcodes_for_a_revision_against_itself(workload):
+    # HEAD against HEAD, both unpacked by git archive: the two sides run the same code over the
+    # same inputs, each after its untimed pass, so the counts are equal and head / base is 1.0
+    if not (ROOT / ".git").exists():
+        pytest.skip("tools/ab.py unpacks revisions from a git checkout")
+    argv = ["--base", "HEAD", "--head", "HEAD", "--workload", workload, "--seed", "1", "--ops", "2", "--count"]
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *argv], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"{workload} seed 1: 2 ops, opcodes counted, python " + sys.version.split()[0]
+    assert lines[3] == "  head / base: 1.0000"
+    record = json.loads(lines[-1])
+    assert record["base_opcodes"] == record["head_opcodes"] > 0
+    assert record["opcode_ratio"] == 1.0
+    assert record["fingerprints_equal"] == 2
+
+
+def test_ab_opcode_count_sees_every_frame_of_the_job():
+    # the count takes in the frames that the job calls, and two runs of one job count the same
+    ab = load_module(ROOT / "tools", "ab")
+
+    def inner():
+        return sum(range(3))
+
+    def outer():
+        return [inner() for _ in range(10)]
+
+    assert ab.opcode_count(outer) == ab.opcode_count(outer) > 10 * ab.opcode_count(inner) > 0
 
 
 def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():

@@ -1,6 +1,7 @@
 """Time two revisions of lamconn against each other in one process.
 
     python3 tools/ab.py --base REV [--head REV] --workload W --seed S --ops N --rounds R
+    python3 tools/ab.py --base REV [--head REV] --workload W --seed S --ops N --count
 
 Each revision's ``src/`` is unpacked with ``git archive`` into a temporary
 directory outside the checkout; without --head, the head side is the
@@ -20,6 +21,15 @@ control / base, then one JSON line with the same figures.  A ratio below
 so its ratio shows how far the run's noise alone moves a ratio: a
 head / base median inside the control's quartiles is no resolved
 difference.  Run it with the interpreter that is to be measured.
+
+With --count, nothing is timed: after the untimed pass, each of base and
+head runs the N inputs once more under a ``sys.settrace`` tracer that sets
+``f_trace_opcodes`` on every frame and counts its opcode events.  It prints
+each side's count and head / base, then one JSON line.  The count is the
+same on every run of one interpreter, so it shows the direction of a change
+that the timing noise hides; it overstates a change where big-integer
+arithmetic, one opcode however long it runs, is a share of the op.  Counts
+of different interpreters are not comparable.
 """
 
 from __future__ import annotations
@@ -88,14 +98,50 @@ def ratio_figures(name: str, top: list[float], bottom: list[float]) -> dict:
     return {f"{name}_median": statistics.median(ratios), f"{name}_quartiles": [quartiles[0], quartiles[2]]}
 
 
+def warmed_jobs(sides: dict, workload, seed: int, ops: int) -> tuple[dict, int]:
+    """Each side's job over the first N inputs, after one untimed pass per side, and the number of
+    ops whose output fingerprints the base and head share."""
+    inputs = list(islice(workload.inputs(seed), ops))
+    outputs = {side: [workload.run(lc, inp) for inp in inputs] for side, lc in sides.items()}
+    equal = sum(workload.fingerprint(b) == workload.fingerprint(h) for b, h in zip(outputs["base"], outputs["head"]))
+    return {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}, equal
+
+
+def opcode_count(job) -> int:
+    """The opcode events of every frame that job() runs, counted by a sys.settrace tracer."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_opcodes = True
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        job()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def count_opcodes(sides: dict, workload, seed: int, ops: int) -> dict:
+    """The opcodes that base and head each run over the first N inputs, their ratio head / base,
+    and the number of ops whose output fingerprints the two share."""
+    jobs, equal = warmed_jobs(sides, workload, seed, ops)
+    counts = {side: opcode_count(job) for side, job in jobs.items()}
+    return {"base_opcodes": counts["base"], "head_opcodes": counts["head"],
+            "opcode_ratio": counts["head"] / counts["base"], "fingerprints_equal": equal}
+
+
 def compare(sides: dict, workload, seed: int, ops: int, rounds: int) -> dict:
     """Seconds per round of each side, base, head and control (a second copy of the base), in
     alternating rounds, with the pair ratios head / base and control / base, and the number of ops
     whose output fingerprints the base and head share."""
-    inputs = list(islice(workload.inputs(seed), ops))
-    outputs = {side: [workload.run(lc, inp) for inp in inputs] for side, lc in sides.items()}
-    equal = sum(workload.fingerprint(b) == workload.fingerprint(h) for b, h in zip(outputs["base"], outputs["head"]))
-    jobs = {side: (lambda lc=lc: [workload.run(lc, inp) for inp in inputs]) for side, lc in sides.items()}
+    jobs, equal = warmed_jobs(sides, workload, seed, ops)
     seconds = {side: [] for side in SIDES}
     for round_index in range(rounds):
         for side in SIDES if round_index % 2 == 0 else SIDES[::-1]:
@@ -116,9 +162,12 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True, choices=("layouts", "operators", "expansions"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--ops", type=int, required=True, help="inputs per round")
-    parser.add_argument("--rounds", type=int, required=True)
+    parser.add_argument("--rounds", type=int, help="timed rounds; required unless --count is given")
+    parser.add_argument("--count", action="store_true", help="count each side's opcodes instead of timing")
     args = parser.parse_args(argv)
-    if args.ops < 1 or args.rounds < 1:
+    if args.rounds is None and not args.count:
+        parser.error("--rounds is required unless --count is given")
+    if args.ops < 1 or (args.rounds is not None and args.rounds < 1):
         parser.error("--ops and --rounds must be at least 1")
     return args
 
@@ -129,10 +178,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="lamconn-ab-") as tmp:
         base_src = unpack_src(args.base, Path(tmp) / "base")
         head_src = unpack_src(args.head, Path(tmp) / "head") if args.head else ROOT / "src"
-        sides = {"base": load_package(base_src, "lamconn_base"), "head": load_package(head_src, "lamconn_head"),
-                 "control": load_package(base_src, "lamconn_control")}
-        result = compare(sides, workload, args.seed, args.ops, args.rounds)
+        sides = {"base": load_package(base_src, "lamconn_base"), "head": load_package(head_src, "lamconn_head")}
+        if args.count:
+            result = count_opcodes(sides, workload, args.seed, args.ops)
+        else:
+            sides["control"] = load_package(base_src, "lamconn_control")
+            result = compare(sides, workload, args.seed, args.ops, args.rounds)
     head = args.head or "working tree"
+    record = {"workload": args.workload, "seed": args.seed, "ops": args.ops, "rounds": args.rounds,
+              "base": args.base, "head": args.head, "python": platform.python_version(), **result}
+    if args.count:
+        print(f"{args.workload} seed {args.seed}: {args.ops} ops, opcodes counted, python {platform.python_version()}")
+        print(f"  base {args.base}: {result['base_opcodes']} opcodes")
+        print(f"  head {head}: {result['head_opcodes']} opcodes")
+        print(f"  head / base: {result['opcode_ratio']:.4f}")
+        print(f"  output fingerprints equal on {result['fingerprints_equal']} of {args.ops} ops")
+        print(json.dumps(record))
+        return 0
     low, high = result["ratio_quartiles"]
     print(f"{args.workload} seed {args.seed}: {args.ops} ops x {args.rounds} rounds, "
           f"python {platform.python_version()}")
@@ -142,9 +204,6 @@ def main(argv=None) -> int:
     low, high = result["aa_ratio_quartiles"]
     print(f"  base / base (A/A control): median {result['aa_ratio_median']:.3f}, quartiles {low:.3f} to {high:.3f}")
     print(f"  output fingerprints equal on {result['fingerprints_equal']} of {args.ops} ops")
-    record = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
-              "rounds": args.rounds, "base": args.base, "head": args.head, "python": platform.python_version(),
-              **result}
     print(json.dumps(record))
     return 0
 
