@@ -117,7 +117,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, product
 from typing import Iterable, Iterator, Mapping
 
@@ -447,6 +447,13 @@ def _check_digits(coefficients: Iterable[Fraction], bound: int) -> None:
             raise InputError(DIGIT_LIMIT_MESSAGE.format(sys.get_int_max_str_digits()))
 
 
+@lru_cache(maxsize=1)
+def _digit_bound(limit: int) -> int | None:
+    """10**limit for an int/str conversion limit of limit digits, None for no limit (0).  The
+    limit can change between calls, so the bound is kept for the last limit only."""
+    return 10**limit if limit else None
+
+
 def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> ExpansionTable:
     """Fill the whole table from the seed constants.
 
@@ -461,8 +468,7 @@ def propagate(spec: ExpansionSpec, seed: Mapping[SeedKey, Fraction | int]) -> Ex
     makes it.
     """
     clean_seed = _check_seed(spec, seed)
-    limit = sys.get_int_max_str_digits()
-    bound = 10**limit if limit else None
+    bound = _digit_bound(sys.get_int_max_str_digits())
     chains: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, k, m), value in clean_seed.items():
         chains.setdefault((i, m), {})[k] = value

@@ -10,10 +10,11 @@ every one of them is positive.  Each layout and each root list is written
 once, every root as one Fraction of two integer expressions in the
 parameters, reduced with one gcd by ``exact._fraction``; ``FamilyResult``
 derives its operator from its roots once, on first read, so building or
-copying a record builds no operator.  The cross check recomputes the
-relation, case data, sigma and lam*nabla([1]) from the exponent matrices
-and compares them with the closed forms, keeping the compared values; in
-JSON a failed check of two algebra elements names the first term where
+copying a record builds no operator.  The cross check is one table of
+(name, expected, got) rows: the relation, case data, sigma and
+lam*nabla([1]) recomputed from the exponent matrices against the closed
+forms.  A row keeps the two values, and its verdict is their comparison;
+in JSON a failed check of two algebra elements names the first term where
 they differ, found by ``exact.first_difference``.
 """
 
@@ -42,10 +43,10 @@ class FamilyResult:
     ``dataclasses.replace`` copy derives its own.  The low product is weighted
     by mapping its numerators, (i, j, e) -> (i, j, e + lambda_exponent) times
     c_coeff, not by a general product, and written with top's numerators into
-    one map over lcm(top's denominator, low's denominator times c_coeff's),
-    reduced once.  Top has degree 3 and low degree 2, so no key is shared and
-    the map needs no sums.  The low roots reduced mod 1 are the monodromy
-    candidate exponents.
+    one map over lcm(top's denominator, low's denominator), reduced once:
+    c_coeff is the integer -4, so it adds no denominator of its own.  Top has
+    degree 3 and low degree 2, so no key is shared and the map needs no sums.
+    The low roots reduced mod 1 are the monodromy candidate exponents.
     """
 
     kind: str
@@ -55,18 +56,18 @@ class FamilyResult:
     roots_low: tuple[Fraction, ...]
     lambda_exponent: int
     nabla_one: ABElement
-    c_coeff: ClassVar[Fraction] = Fraction(-4)
+    c_coeff: ClassVar[int] = -4
 
     @cached_property
     def full_operator(self) -> ABElement:
         top = linear_factor_product(self.roots_top)
         low = linear_factor_product(self.roots_low)
-        # c * lam^shift * low: each term moves up by the lam exponent and its numerator takes c's;
+        # c * lam^shift * low: each term moves up by the lam exponent and its numerator is times c;
         # top's terms and low's share no key, top having degree 3 and low degree 2
         c, shift = self.c_coeff, self.lambda_exponent
-        d1, d2 = top._den, low._den * c.denominator
+        d1, d2 = top._den, low._den
         den = d1 if d1 == d2 else math.lcm(d1, d2)
-        m1, m2 = den // d1, c.numerator * (den // d2)
+        m1, m2 = den // d1, c * (den // d2)
         nums = dict(top._terms) if m1 == 1 else {k: m1 * n for k, n in top._terms.items()}
         for (i, j, e), n in low._terms.items():
             nums[(i, j, e + shift)] = m2 * n
@@ -193,24 +194,28 @@ def match_family(data: ExponentData) -> FamilyResult | None:
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """One compared quantity; expected and got keep the values, printed only in to_json."""
+    """One row of the cross check: a name, the closed form's value and the value read off the
+    matrices.  The verdict is their comparison, made where it is read; the values are printed
+    only in to_json."""
 
     name: str
-    passed: bool
     expected: object
     got: object
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.got
 
     def to_json(self) -> dict:
         """The check printed; a failed one also names where two ABElements first
         differ, as flat (i, j, e) -> coefficient maps, and null for other values."""
         out = {"name": self.name, "passed": self.passed, "expected": str(self.expected), "got": str(self.got)}
-        if not self.passed:
+        if not out["passed"]:
             diff = None
             if isinstance(self.expected, ABElement) and isinstance(self.got, ABElement):
                 diff = first_difference(_flat(self.expected), _flat(self.got))
-            out["first_difference"] = (
-                None if diff is None else {"key": list(diff[0]), "expected": str(diff[1]), "got": str(diff[2])}
-            )
+            # diff is None or a (key, expected, got) tuple, which is never empty
+            out["first_difference"] = diff and {"key": list(diff[0]), "expected": str(diff[1]), "got": str(diff[2])}
         return out
 
 
@@ -234,28 +239,25 @@ _UNIT_MU = MonomialMu.unit(2)
 def cross_validate(result: FamilyResult) -> CrossValidationReport:
     """Recompute the derived quantities from the exponents and compare.
 
-    The relation read off the matrices is checked field by field against
-    its family's row of ``RELATION_CLAIMS``, then the lam exponent and the
-    determinant identity; the connection formula applied to mu = 1 must
-    reproduce the stored lam*nabla([1]).  dependency raises HypothesisError
-    on a layout that fails a rank hypothesis, so no check records them.
+    The checks are one table of (name, expected, got) rows: the relation
+    read off the matrices field by field against its family's row of
+    ``RELATION_CLAIMS``, then the lam exponent and the determinant identity,
+    then sigma from the inverse and the connection formula applied to mu = 1,
+    which must reproduce the stored lam*nabla([1]).  dependency raises
+    HypothesisError on a layout that fails a rank hypothesis, so no check
+    records them.
     """
-    checks: list[CheckOutcome] = []
-
-    def record(name: str, expected, got) -> None:
-        checks.append(CheckOutcome(name, expected == got, expected, got))
-
     data = result.exponents
     dep: DependencyData = dependency(data)
-    for name, expected in RELATION_CLAIMS[result.kind].items():
-        record(name, expected, getattr(dep, name))
-    record("lambda_exponent", result.lambda_exponent, dep.lambda_exponent)
-    det_report = det_identity_check(data, dep)
-    record("determinant_identity", True, det_report.passed)
     st = sigma_tau(data, _UNIT_MU)
-    record("sigma_from_inverse", dep.sigma, st.sigma)
-    record("nabla_one", result.nabla_one, nabla_formula(st))
-    return CrossValidationReport(label=result.label(), checks=tuple(checks))
+    rows = (
+        *((name, expected, getattr(dep, name)) for name, expected in RELATION_CLAIMS[result.kind].items()),
+        ("lambda_exponent", result.lambda_exponent, dep.lambda_exponent),
+        ("determinant_identity", True, det_identity_check(data, dep).passed),
+        ("sigma_from_inverse", dep.sigma, st.sigma),
+        ("nabla_one", result.nabla_one, nabla_formula(st)),
+    )
+    return CrossValidationReport(label=result.label(), checks=tuple(CheckOutcome(*row) for row in rows))
 
 
 def _factor_text(root: Fraction) -> str:

@@ -547,6 +547,13 @@ class TestDigitLimit:
         assert refused_at(640, self.NUMERATOR_SPEC, self.NUMERATOR_SEED)
         assert not refused_at(0, self.NUMERATOR_SPEC, self.NUMERATOR_SEED)
 
+    def test_each_call_reads_the_limit_it_runs_under(self):
+        # the 713-digit numerator passes a limit of 800 and not one of 640, call after call,
+        # though the bound for the last limit is kept from one call to the next
+        limits = (800, 640, 640, 800, 640)
+        assert [refused_at(limit, self.NUMERATOR_SPEC, self.NUMERATOR_SEED) for limit in limits] == [
+            False, True, True, False, True]
+
     def test_full_table_under_the_default_limit(self):
         table = propagate(self.SPEC, self.SEED)
         assert len(table.entries) == 17 * 201

@@ -139,7 +139,7 @@ class TestFamilyCommands:
         [["family-a", "--u", "2", "--v", "2", "--w", "1"], ["analyze", "FAMILY_A_FILE"]],
     )
     def test_failed_cross_validation_exits_2(self, tmp_path, capsys, monkeypatch, argv):
-        failing = CrossValidationReport("forced", (CheckOutcome("forced", False, "1", "0"),))
+        failing = CrossValidationReport("forced", (CheckOutcome("forced", "1", "0"),))
         monkeypatch.setattr(families, "cross_validate", lambda result: failing)
         argv = [write_json(tmp_path, FAMILY_A_INPUT) if a == "FAMILY_A_FILE" else a for a in argv]
         assert main(argv) == 2

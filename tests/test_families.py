@@ -318,23 +318,44 @@ class TestClosedFormOracle:
         for params in GRID_B:
             self.check(family_b(*params), *sum_form_b(*params))
 
+
+# (expected, got, whether the check passes) for the kinds of value cross_validate compares
+VERDICTS = [
+    (F(-2), F(-2), True),
+    (F(-2), F(2), False),
+    (F(2), 2, True),
+    ((1, 1, -1), (1, 1, -1), True),
+    ((1, 1, -1), (1, 1, 1), False),
+    (ABElement.parse("2*a - 3/2*b"), ABElement.parse("2*a - 3/2*b"), True),
+    (ABElement.parse("2*a - 3/2*b"), ABElement.parse("2*a - (3/2*lam)*b"), False),
+]
+
+
 class TestCheckOutcome:
     def test_values_kept_and_printed_in_json(self):
-        check = CheckOutcome("sigma", True, F(-2), F(-2))
+        check = CheckOutcome("sigma", F(-2), F(-2))
+        # the record keeps what a check compares, and no verdict of its own
+        assert [f.name for f in dataclasses.fields(CheckOutcome)] == ["name", "expected", "got"]
         assert check.expected == F(-2)
         assert check.to_json() == {"name": "sigma", "passed": True, "expected": "-2", "got": "-2"}
+
+    @pytest.mark.parametrize("expected, got, passed", VERDICTS)
+    def test_verdict_is_the_comparison(self, expected, got, passed):
+        check = CheckOutcome("compared", expected, got)
+        assert check.passed is passed
+        assert check.to_json()["passed"] is passed
 
     def test_failed_elements_name_first_difference(self):
         expected = ABElement.parse("a^2 - 3*a*b + (lam)*b")
         got = ABElement.parse("a^2 - 5/2*a*b + (2*lam)*b")
-        check = CheckOutcome("forced", False, expected, got)
+        check = CheckOutcome("forced", expected, got)
         # (0, 1, 1) is lam*b; a*b differs too, but at the larger key (1, 1, 0)
         assert check.to_json()["first_difference"] == {"key": [0, 1, 1], "expected": "1", "got": "2"}
         report = CrossValidationReport("forced", (check,))
         assert report.to_json()["checks"][0]["first_difference"]["key"] == [0, 1, 1]
 
     def test_failed_text_check_has_no_term(self):
-        check = CheckOutcome("forced", False, "1", "0")
+        check = CheckOutcome("forced", "1", "0")
         assert check.to_json()["first_difference"] is None
 
     def test_passing_reports_unchanged(self):

@@ -74,8 +74,9 @@ def slipped(function, old: str, new: str):
     a module global reaches both.  A method is replaced on its class, which binds it.  A
     cached property is slipped through the source of its function, decorator and all, and
     the recompiled property is named on its class, as the class statement names the real
-    one; an instance that cached its value before the install keeps it.  The install
-    carries the slip as its ``slip``: (qualname, old, new).
+    one; an instance that cached its value before the install keeps it.  A plain property
+    is slipped through its getter, given as ``fget``, and the recompiled property replaces
+    it on its class.  The install carries the slip as its ``slip``: (qualname, old, new).
     """
     if isinstance(function, cached_property):
         function = function.func
@@ -336,6 +337,12 @@ MUTANTS = [
     cross_check("nabla_one", slipped(families.family_a, "roots_low, -2, nabla_one)",
                                      "roots_low, -2, nabla_one + ABElement.gen_b())"),
                 {1: ("operator match True, nabla match False", "(0, 1, 0)")}),
+    # a check's verdict compared with itself: every check passes whatever the matrices read; the
+    # battery cross-validates only instances whose checks pass, so no criterion fails
+    Mutant("verdict_compares_expected_with_itself", slipped(
+        families.CheckOutcome.passed.fget, "self.expected == self.got", "self.expected == self.expected"),
+           {}, tuple(partial(test_families.TestCheckOutcome().test_verdict_is_the_comparison, *row)
+                     for row in test_families.VERDICTS if not row[2])),
     # criterion 9 in the order of its FAIL branches.  propagate's step factor m + rho + 1 read
     # as m + rho: the golden values name the first wrong cell (i, k, m, L power)
     Mutant("chain_step_at_m_plus_rho", slipped(asymptotics._chain, "s = (m + 1) * rd + rn", "s = m * rd + rn"),
@@ -407,7 +414,7 @@ MUTANTS = [
            {}, (test_asymptotics.TestDigitLimit().test_exact_boundary_at_a_denominator,)),
     # no limit (0) read as a bound of 1, which every seed reaches; the battery runs under
     # Python's default limit, so no criterion fails
-    Mutant("no_limit_refuses_everything", slipped(asymptotics.propagate, "if limit else None", "if limit else 1"),
+    Mutant("no_limit_refuses_everything", slipped(asymptotics._digit_bound, "if limit else None", "if limit else 1"),
            {}, (test_asymptotics.TestDigitLimit().test_no_limit_refuses_nothing,)),
     # verify_table's walk down a diagonal keeps reading the order m coefficient at its first degree
     Mutant("verify_rows_not_advanced", slipped(asymptotics.verify_table, "terms.get(e, _ZERO)", "terms.get(0, _ZERO)"),

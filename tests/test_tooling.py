@@ -11,7 +11,8 @@ committed BENCH_*.json record of benchmark runs may name only the workloads
 and metrics that BENCHMARK.json declares.  The code-line counter in tools/
 leaves docstrings, comments and blank lines out, the A/B timer in tools/
 runs two revisions side by side and counts the ops whose outputs differ,
-or counts the opcodes each revision runs, and the line tracer in tools/
+or counts the opcodes each revision runs, the opcode budget in tools/
+fails a count more than 1% past its budget, and the line tracer in tools/
 reports the statement lines that a job never ran.
 """
 
@@ -21,6 +22,8 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import platform
 import re
 import subprocess
 import sys
@@ -241,6 +244,20 @@ def test_ab_opcode_count_sees_every_frame_of_the_job():
     assert ab.opcode_count(outer) == ab.opcode_count(outer) > 10 * ab.opcode_count(inner) > 0
 
 
+def test_ab_opcode_count_sees_a_code_object_traced_for_the_first_time():
+    # each job is a fresh code object, run under an opcode tracer for the first time in the
+    # count: it counts in full, as a job that ran under the tracer before does
+    ab = load_module(ROOT / "tools", "ab")
+
+    def fresh_job():
+        namespace = {}
+        exec("def job():\n    return [x + 1 for x in range(10)]\n", namespace)
+        return namespace["job"]
+
+    job = fresh_job()
+    assert ab.opcode_count(fresh_job()) == ab.opcode_count(job) == ab.opcode_count(job) > 10
+
+
 def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():
     class NegatingSide:
         """lamconn with a push_nabla that negates its result, so each operators op prints other text."""
@@ -264,3 +281,52 @@ def test_ab_times_a_side_whose_output_differs_and_counts_no_equal_fingerprint():
     # the control times the base's own code: its ratio to the base is one of two equal jobs
     low, high = result["aa_ratio_quartiles"]
     assert 0 < low <= result["aa_ratio_median"] <= high
+
+
+def budget_file(tmp_path, opcodes):
+    """A budget of the running interpreter for two seed-1 operators inputs, of opcodes opcodes."""
+    version = ".".join(platform.python_version_tuple()[:2])
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"python": version, "seed": 1,
+                                "workloads": {"operators": {"ops": 2, "opcodes": opcodes}}}), encoding="utf-8")
+    return path
+
+
+def test_opcount_budget_fails_on_a_count_more_than_1_percent_past_it(tmp_path, capsys):
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    count = tool.counts({"seed": 1, "workloads": {"operators": {"ops": 2}}})["operators"]
+    assert count > 0
+    # at the count, and 1% under it, the budget holds; 2% under it, the step fails and names the workload
+    for opcodes, status in ((count, 0), (count * 100 // 101 + 1, 0), (count * 98 // 100, 1)):
+        assert tool.main(budget_file(tmp_path, opcodes)) == status
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"operators: {count} opcodes against a budget of {opcodes} ")
+        assert lines[0].endswith("more than 1% past it: cut the count or raise the budget") == (status == 1)
+        assert json.loads(lines[-1]) == {"operators": count}
+    # a count that fell is printed, to be lowered, and passes
+    assert tool.main(budget_file(tmp_path, count + 1)) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(": lower the budget")
+
+
+def test_opcount_budget_compares_only_its_own_interpreter(tmp_path, capsys):
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    path = budget_file(tmp_path, 1)
+    path.write_text(path.read_text(encoding="utf-8").replace('"python": "3.', '"python": "2.'), encoding="utf-8")
+    assert tool.main(path) == 2
+    assert capsys.readouterr().out.endswith(": nothing compared\n")
+
+
+def test_opcount_does_not_move_with_the_hash_seed():
+    # each workload's first two seed-1 inputs, counted in two processes under two hash seeds
+    script = ("import json, sys; sys.path[:0] = [sys.argv[1]]; import opcount_budget; "
+              "ops = {'ops': 2}; print(json.dumps(opcount_budget.counts({'seed': 1, 'workloads': "
+              "{'layouts': ops, 'operators': ops, 'expansions': ops}})))")
+    found = []
+    for hash_seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-c", script, str(ROOT / "tools")], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        found.append(json.loads(done.stdout))
+    assert found[0] == found[1]
+    assert all(count > 0 for count in found[0].values())

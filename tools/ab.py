@@ -23,9 +23,10 @@ head / base median inside the control's quartiles is no resolved
 difference.  Run it with the interpreter that is to be measured.
 
 With --count, nothing is timed: after the untimed pass, each of base and
-head runs the N inputs once more under a ``sys.settrace`` tracer that sets
-``f_trace_opcodes`` on every frame and counts its opcode events.  It prints
-each side's count and head / base, then one JSON line.  The count is the
+head runs the N inputs twice more, each time under a ``sys.settrace`` tracer
+that sets ``f_trace_opcodes`` on every frame, and the second of these runs
+counts its opcode events (``opcode_count`` says why the first does not).
+It prints each side's count and head / base, then one JSON line.  The count is the
 same on every run of one interpreter, so it shows the direction of a change
 that the timing noise hides; it overstates a change where big-integer
 arithmetic, one opcode however long it runs, is a share of the op.  Counts
@@ -108,7 +109,12 @@ def warmed_jobs(sides: dict, workload, seed: int, ops: int) -> tuple[dict, int]:
 
 
 def opcode_count(job) -> int:
-    """The opcode events of every frame that job() runs, counted by a sys.settrace tracer."""
+    """The opcode events of every frame that job() runs, counted by a sys.settrace tracer.
+
+    job runs twice, each run under a tracer set for it alone, and only the second run is
+    counted: on CPython 3.12 and 3.13 a code object's first run under an opcode tracer
+    reports none or only some of its opcode events, and on 3.12.1 the first tracer set in
+    a process reports none at all, so a job traced once would count low."""
     count = 0
 
     def tracer(frame, event, arg):
@@ -120,11 +126,13 @@ def opcode_count(job) -> int:
         return tracer
 
     previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        job()
-    finally:
-        sys.settrace(previous)
+    for _ in range(2):
+        count = 0
+        sys.settrace(tracer)
+        try:
+            job()
+        finally:
+            sys.settrace(previous)
     return count
 
 
