@@ -62,7 +62,17 @@ small int instead of an (i, j, e) tuple.  An accumulator row is a dict, not
 a list, because it is sparse: a^(10^9) times a^(10^9)*b^2 fills one entry of
 a row of degree 2*10^9 + 2.  The product flattens the rows back into the
 flat map once per result, dropping zero numerators in the same pass, and
-``_reduced`` divides out the gcd with the denominator only when it is not 1.
+``_make`` divides out the gcd with the denominator only when it is not 1.
+
+Every result is made by one of two trusted constructors.  ``_make`` takes
+a map of int numerators over an int denominator: it rebuilds the map only
+when one scan of its values finds a zero, and divides out the gcd with the
+denominator.  ``_linear`` makes a factor (na*a + nb*b)/den with one gcd of
+its own.  Sums go through one helper, ``_plus``, which adds factor times a
+stream of (key, numerator) pairs into an element over the lcm of the two
+denominators and ends in ``_make``: ``__add__`` passes the other element's
+terms, and the callers outside this module that add a part with its own key
+change and factor pass that part, so none of them computes an lcm.
 
 ``linear_factor_product`` uses a two-term case of the closed rule instead,
 in one pass on the flat map (rows measured no faster there), and is tested
@@ -72,14 +82,14 @@ against the general product:
 
 ``connection.push_nabla`` runs its own T pass on each row of Q, one degree
 up, and ``connection.push_nabla_via_shift`` reaches the same recurrence
-through this product's, as b*R; its (-sigma*a)*Q is a shift that it writes
-itself.  The two lam*nabla routes keep separate loops rather than one
-shared T helper: criterion 7 compares them, and a slip in a shared helper
-would move both routes alike and pass.  ``conj_b`` and the product are
+through this product's, as b*R; its (-sigma*a)*Q is a shift that it passes
+to ``_plus`` one a power up.  The two lam*nabla routes keep separate loops
+rather than one shared T helper: criterion 7 compares them, and a slip in a
+shared helper would move both routes alike and pass.  ``conj_b`` and the product are
 push_nabla's independent route in the tests as well.  In the benchmark's
 ``operators`` op the product runs twice: the family operator times the
-product of linear factors, and b*R.  ``FamilyResult.full_operator`` adds
-its weighted low part into its top part's numerators itself.
+product of linear factors, and b*R.  ``FamilyResult.full_operator`` passes
+its low part to ``_plus`` at its lam power, with its weight as the factor.
 
 The module owns the text format of elements: ``__str__`` writes it and
 ``parse`` reads exactly the text ``__str__`` writes, in this grammar:
@@ -125,7 +135,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError
 from .exact import LaurentPoly, check_coefficient, check_int, parse_rat
@@ -163,10 +173,10 @@ class ABElement:
     Every value of ``_terms`` is a nonzero int, ``_den`` is a positive int
     and gcd(_den, *values) is 1.  ``__init__`` and ``monomial`` validate int,
     Fraction or LaurentPoly coefficients; only ``terms`` builds Fractions.
-    Three constructors trust their input: ``_make`` builds every arithmetic
-    result but the product, ending in ``_reduced``, which the product calls
-    on its flattened rows, and ``_linear`` every factor (na*a + nb*b)/den
-    from int numerators, with one gcd of its own.
+    Two constructors trust their input: ``_make`` builds every arithmetic
+    result, the product's flattened rows and ``_plus``'s sums included, and
+    ``_linear`` every factor (na*a + nb*b)/den from int numerators, with one
+    gcd of its own.
     """
 
     __slots__ = ("_terms", "_den")
@@ -186,13 +196,11 @@ class ABElement:
     def _make(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
         """Trusted constructor: (i, j, e) int keys, i, j >= 0, int values over den >= 1.
 
-        Drops zero numerators and divides out their gcd with den.
+        Drops zero numerators, rebuilding nums only when one scan finds a zero, and
+        divides out their gcd with den; nums is kept when neither changes it.
         """
-        return cls._reduced({k: n for k, n in nums.items() if n}, den)
-
-    @classmethod
-    def _reduced(cls, nums: dict[FlatKey, int], den: int) -> "ABElement":
-        """Trusted constructor on nonzero numerators: divides out their gcd with den; keeps nums when it is 1."""
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
         x = object.__new__(cls)
         if den != 1:
             g = math.gcd(den, *nums.values())
@@ -269,14 +277,19 @@ class ABElement:
     def __add__(self, other: "ABElement") -> "ABElement":
         if not isinstance(other, ABElement):
             return NotImplemented
-        d1, d2 = self._den, other._den
-        den = d1 if d1 == d2 else math.lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
+        return self._plus(other._terms.items(), other._den)
+
+    def _plus(self, terms: Iterable[tuple[FlatKey, int]], den: int, factor: int = 1) -> "ABElement":
+        """self + factor * the (key, numerator) pairs of terms over den >= 1, summed over the lcm of
+        the two denominators and made by ``_make``; terms may repeat a key."""
+        d1 = self._den
+        out_den = d1 if d1 == den else math.lcm(d1, den)
+        m1, m2 = out_den // d1, factor * (out_den // den)
         out = dict(self._terms) if m1 == 1 else {k: m1 * n for k, n in self._terms.items()}
-        for k, n in other._terms.items():
+        for k, n in terms:
             n *= m2
             out[k] = out[k] + n if k in out else n
-        return ABElement._make(out, den)
+        return ABElement._make(out, out_den)
 
     def __sub__(self, other: "ABElement") -> "ABElement":
         return self + (-other)
@@ -341,7 +354,7 @@ class ABElement:
                             row[p] = row[p] + v if p in row else v
         # rows[(d, e)][i] is the numerator of lam^e*a^i*b^(d-i): flattened, its zeros dropped
         nums = {(i, d - i, e): n for (d, e), row in rows.items() for i, n in row.items() if n}
-        return ABElement._reduced(nums, self._den * other._den)
+        return ABElement._make(nums, self._den * other._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ABElement):

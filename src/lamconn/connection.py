@@ -15,9 +15,9 @@ is -sigma.  ``SigmaTau.to_json`` writes the texts of alpha and beta from
 those integer parts, without building either Fraction.
 
 The two lam*nabla routes share no helper.  ``push_nabla`` runs its own T
-pass on each row of Q.  ``push_nabla_via_shift`` writes (-sigma*a)*Q as a
-shift of the a powers straight into the numerators of b*R, and only b*R
-goes through the general product, whose T pass is the product's own loop;
+pass on each row of Q.  ``push_nabla_via_shift`` adds (-sigma*a)*Q, a shift
+of the a powers, to b*R through ``ABElement._plus``, and only b*R goes
+through the general product, whose T pass is the product's own loop;
 so criterion 7, which compares the routes, still holds two separate loops
 to one another.
 """
@@ -164,7 +164,7 @@ def push_nabla(q: ABElement, st: SigmaTau) -> ABElement:
         v = lam_b * w
         if v:
             nums[(0, d + 1, e)] = v
-    return ABElement._reduced(nums, q._den * nd)
+    return ABElement._make(nums, q._den * nd)
 
 
 def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
@@ -180,14 +180,13 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     to R: e*c from b*theta(Q) and -(tau - (k+i+j)*sigma)*c from L_(i+j).
     Only b*R goes through the general ``ABElement.__mul__``, which takes one
     T pass per row of R.  (-sigma*a)*Q is a plain shift, a^i*b^j ->
-    a^(i+1)*b^j: with sigma = sn/sd, the numerator n of each term of Q adds
-    -sn*n one a power up, straight into b*R's numerators, over one lcm of
-    Q's denominator times sd and b*R's denominator, and one ``_make`` drops
-    what cancels and reduces.  It never calls ``push_nabla`` or ``conj_b``,
-    and its T pass is the product's loop, not push_nabla's: the two routes
-    keep separate loops, so that a slip in either shows as a difference
-    between them instead of moving both alike, and criterion 7 holds them
-    to agree term for term.
+    a^(i+1)*b^j: with sigma = sn/sd, each term of Q goes one a power up into
+    ``_plus`` on b*R, over Q's denominator times sd with the factor -sn, and
+    the sum drops what cancels and reduces.  It never calls ``push_nabla``
+    or ``conj_b``, and its T pass is the product's loop, not push_nabla's:
+    the two routes keep separate loops, so that a slip in either shows as a
+    difference between them instead of moving both alike, and criterion 7
+    holds them to agree term for term.
     """
     sn, sd, tn, td = st.sigma.numerator, st.sigma.denominator, st.tau.numerator, st.tau.denominator
     # over sd*td, (e - tau + (k+g)*sigma) is e*sd*td + g*sn*td + (k*sn*td - tn*sd) at degree g
@@ -195,16 +194,9 @@ def push_nabla_via_shift(q: ABElement, st: SigmaTau) -> ABElement:
     # R over q._den*sd*td, the terms whose factor is 0 left out
     r = {(i, j, e): v for (i, j, e), n in q._terms.items()
          if (v := (e * den + (i + j) * per_degree + at_zero) * n)}
-    br = _B * ABElement._reduced(r, q._den * den)
-    # (-sigma*a)*Q over q._den*sd, added into b*R's numerators over the lcm of the two denominators
-    d1, d2 = br._den, q._den * sd
-    out_den = d1 if d1 == d2 else math.lcm(d1, d2)
-    m1, m2 = out_den // d1, -sn * (out_den // d2)
-    nums = dict(br._terms) if m1 == 1 else {k: m1 * n for k, n in br._terms.items()}
-    for (i, j, e), n in q._terms.items():
-        key, v = (i + 1, j, e), m2 * n
-        nums[key] = nums[key] + v if key in nums else v
-    return ABElement._make(nums, out_den)
+    br = _B * ABElement._make(r, q._den * den)
+    # (-sigma*a)*Q: Q's numerators one a power up over q._den*sd, times -sn
+    return br._plus((((i + 1, j, e), n) for (i, j, e), n in q._terms.items()), q._den * sd, -sn)
 
 
 def pde_coefficients(st: SigmaTau) -> SigmaTau:

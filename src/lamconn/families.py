@@ -20,7 +20,6 @@ they differ, found by ``exact.first_difference``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -41,11 +40,10 @@ class FamilyResult:
     over roots_top and roots_low; the operator is derived from the record's
     roots and lambda exponent once, on first read, never given, so a
     ``dataclasses.replace`` copy derives its own.  The low product is weighted
-    by mapping its numerators, (i, j, e) -> (i, j, e + lambda_exponent) times
-    c_coeff, not by a general product, and written with top's numerators into
-    one map over lcm(top's denominator, low's denominator), reduced once:
-    c_coeff is the integer -4, so it adds no denominator of its own.  Top has
-    degree 3 and low degree 2, so no key is shared and the map needs no sums.
+    by mapping its numerators, (i, j, e) -> (i, j, e + lambda_exponent), not by
+    a general product, and added to top by ``ABElement._plus`` with c_coeff as
+    its factor: c_coeff is the integer -4, so it adds no denominator of its
+    own.  Top has degree 3 and low degree 2, so no key is shared.
     The low roots reduced mod 1 are the monodromy candidate exponents.
     """
 
@@ -62,16 +60,9 @@ class FamilyResult:
     def full_operator(self) -> ABElement:
         top = linear_factor_product(self.roots_top)
         low = linear_factor_product(self.roots_low)
-        # c * lam^shift * low: each term moves up by the lam exponent and its numerator is times c;
-        # top's terms and low's share no key, top having degree 3 and low degree 2
-        c, shift = self.c_coeff, self.lambda_exponent
-        d1, d2 = top._den, low._den
-        den = d1 if d1 == d2 else math.lcm(d1, d2)
-        m1, m2 = den // d1, c * (den // d2)
-        nums = dict(top._terms) if m1 == 1 else {k: m1 * n for k, n in top._terms.items()}
-        for (i, j, e), n in low._terms.items():
-            nums[(i, j, e + shift)] = m2 * n
-        return ABElement._reduced(nums, den)
+        # c * lam^shift * low: each term moves up by the lam exponent, and _plus multiplies it by c
+        shift = self.lambda_exponent
+        return top._plus((((i, j, e + shift), n) for (i, j, e), n in low._terms.items()), low._den, self.c_coeff)
 
     def label(self) -> str:
         return f"{self.kind}({', '.join(str(x) for x in self.params)})"

@@ -17,7 +17,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Mapping
@@ -302,7 +302,12 @@ def _check_family_grids() -> tuple[bool, str]:
             detail = f"operator is not the product of its factors for {result.label()}"
             return _failed(detail, _flat(expected), _flat(result.full_operator))
         count += 1
-    return True, f"closed forms match matrix data on {count} instances"
+    # a copy of each golden instance with nabla_one doubled, which the cross check must refuse
+    passed = [result.label() for result in (family_a(2, 2, 1), family_b(2, 2, 1, 1))
+              if cross_validate(replace(result, nabla_one=result.nabla_one + result.nabla_one)).passed]
+    detail = (f"cross validation passes a copy of {passed[0]} with nabla_one doubled" if passed
+              else f"closed forms match matrix data on {count} instances")
+    return not passed, detail
 
 
 def frobenius_table(spec: ExpansionSpec, seed: dict) -> ExpansionTable:

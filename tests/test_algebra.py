@@ -336,6 +336,14 @@ class TestTrustedConstructor:
         # _linear reduces by its own gcd and leaves out a zero term
         assert ABElement._linear(na, nb, den) == ABElement({(1, 0): F(na, den), (0, 1): F(nb, den)})
 
+    @pytest.mark.parametrize("factor", [1, -1, -4, -6])
+    def test_plus_adds_factor_times_its_terms(self, factor):
+        # _plus against the product's scaling, over denominators 2 and 6 whose lcm is 6; at
+        # factor -6 the a terms cancel and _make drops them
+        x = ABElement({(1, 0): 1, (0, 1): F(1, 2)})
+        y = ABElement({(1, 0): F(1, 6), (0, 2): LaurentPoly({-2: F(5, 3)})})
+        assert x._plus(y._terms.items(), y._den, factor) == x + y.scale(factor)
+
 
 # Int, zero and Fraction roots, as drawn or with the first one repeated or every sign flipped.
 root_lists = st.lists(st.integers(-4, 4) | small_fraction, max_size=5).flatmap(

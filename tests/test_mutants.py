@@ -188,18 +188,25 @@ MUTANTS = [
     Mutant("low_part_without_lam_power", slipped(families.FamilyResult.full_operator, "e + shift", "e"),
            {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 0)"),
             7: ("uniform shift fails for", "(0, 3, 0)"), 8: ("operator is not the product of its factors", "(0, 2, -2)")}),
-    # _reduced dividing out a gcd only above 2: an element whose numerators and denominator share
+    # _make dividing out a gcd only above 2: an element whose numerators and denominator share
     # just the factor 2 stays unreduced and equals no reduced copy, though every term agrees, so
     # criterion 2 names no key: its nabla -2*(a - 3/4*b) stays (-8*a + 6*b)/4; and the family
-    # operator, one map over its two parts' lcm, stays over other factors of 2 than the general
+    # operator, one sum over its two parts' lcm, stays over other factors of 2 than the general
     # product of its factors, first on A(2, 2, 2)
-    Mutant("reduced_keeps_gcd_2", slipped(ABElement._reduced, "if g != 1:", "if g > 2:"),
+    Mutant("reduced_keeps_gcd_2", slipped(ABElement._make, "if g != 1:", "if g > 2:"),
            {2: (GOLDEN_NABLA_FORM, None), 8: ("operator is not the product of its factors for A(2, 2, 2)", None)},
            (test_algebra.TestNormalForm().test_identity_element,)),
     # ... and _linear: the golden nabla (-8*a + 6*b)/4 stays over 2
     Mutant("linear_keeps_gcd_2", slipped(ABElement._linear, "if g != 1:", "if g > 2:"),
            {2: (GOLDEN_NABLA_FORM, None), 8: CROSS_VALIDATION},
            (partial(test_algebra.TestTrustedConstructor().test_linear_factor_is_what_the_constructor_makes, 4, -6, 2),)),
+    # _plus without its factor: every sum adds its second part at weight 1, so the shift route's
+    # (-sigma*a)*Q and the family operator's -4*lam^(+-2)*low enter unweighted
+    Mutant("plus_drops_its_factor", slipped(ABElement._plus, "factor * (out_den // den)", "out_den // den"),
+           {1: ("operator match False", "(0, 2, -2)"), 2: ("operator match False", "(0, 2, 2)"),
+            7: ("lam*nabla routes differ on the degree-4 multiple", "(1, 3, -2)"),
+            8: ("operator is not the product of its factors", "(0, 2, -2)")},
+           (partial(test_algebra.TestTrustedConstructor().test_plus_adds_factor_times_its_terms, -4),)),
     # the closed rule's t-step with j + t - 1 for j + t: the product runs it only where j passes
     # of T would cost more than the terms it emits, as for b^2*a, b^3*a^2 and b^3 times a dense
     # group of degree 2 or 3; the first oracle compares b^3*a^2 with the word-rewriting oracle
@@ -337,12 +344,13 @@ MUTANTS = [
     cross_check("nabla_one", slipped(families.family_a, "roots_low, -2, nabla_one)",
                                      "roots_low, -2, nabla_one + ABElement.gen_b())"),
                 {1: ("operator match True, nabla match False", "(0, 1, 0)")}),
-    # a check's verdict compared with itself: every check passes whatever the matrices read; the
-    # battery cross-validates only instances whose checks pass, so no criterion fails
+    # a check's verdict compared with itself: every check passes whatever the matrices read, so
+    # criterion 8's copy of the first golden layout with nabla_one doubled passes too
     Mutant("verdict_compares_expected_with_itself", slipped(
         families.CheckOutcome.passed.fget, "self.expected == self.got", "self.expected == self.expected"),
-           {}, tuple(partial(test_families.TestCheckOutcome().test_verdict_is_the_comparison, *row)
-                     for row in test_families.VERDICTS if not row[2])),
+           {8: ("cross validation passes a copy of A(2, 2, 1) with nabla_one doubled", None)},
+           tuple(partial(test_families.TestCheckOutcome().test_verdict_is_the_comparison, *row)
+                 for row in test_families.VERDICTS if not row[2])),
     # criterion 9 in the order of its FAIL branches.  propagate's step factor m + rho + 1 read
     # as m + rho: the golden values name the first wrong cell (i, k, m, L power)
     Mutant("chain_step_at_m_plus_rho", slipped(asymptotics._chain, "s = (m + 1) * rd + rn", "s = m * rd + rn"),

@@ -308,6 +308,31 @@ def test_opcount_budget_fails_on_a_count_more_than_1_percent_past_it(tmp_path, c
     assert capsys.readouterr().out.splitlines()[0].endswith(": lower the budget")
 
 
+def test_opcount_budget_fails_on_a_path_more_than_1_percent_past_it(tmp_path, capsys):
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    key = "family-a --u 2 --v 2 --w 1"
+    count = tool.counts({"seed": 1, "workloads": {}, "paths": {key: {}}})[key]
+    assert count > 0
+    version = ".".join(platform.python_version_tuple()[:2])
+    for opcodes, status in ((count, 0), (count * 98 // 100, 1)):
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps({"python": version, "seed": 1, "workloads": {},
+                                    "paths": {key: {"opcodes": opcodes}}}), encoding="utf-8")
+        assert tool.main(path) == status
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{key}: {count} opcodes against a budget of {opcodes} ")
+        assert lines[0].endswith("more than 1% past it: cut the count or raise the budget") == (status == 1)
+
+
+def test_opcount_budget_refuses_a_path_that_fails():
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    home = os.getcwd()
+    # check on the golden cube exits 2, so its path is refused rather than counted
+    with pytest.raises(RuntimeError, match="^check inputs/cube.json exited 2$"):
+        tool.counts({"seed": 1, "workloads": {}, "paths": {"check inputs/cube.json": {}}})
+    assert os.getcwd() == home
+
+
 def test_opcount_budget_compares_only_its_own_interpreter(tmp_path, capsys):
     tool = load_module(ROOT / "tools", "opcount_budget")
     path = budget_file(tmp_path, 1)
@@ -317,10 +342,11 @@ def test_opcount_budget_compares_only_its_own_interpreter(tmp_path, capsys):
 
 
 def test_opcount_does_not_move_with_the_hash_seed():
-    # each workload's first two seed-1 inputs, counted in two processes under two hash seeds
+    # each workload's first two seed-1 inputs and one CLI path, counted in two processes under two hash seeds
     script = ("import json, sys; sys.path[:0] = [sys.argv[1]]; import opcount_budget; "
               "ops = {'ops': 2}; print(json.dumps(opcount_budget.counts({'seed': 1, 'workloads': "
-              "{'layouts': ops, 'operators': ops, 'expansions': ops}})))")
+              "{'layouts': ops, 'operators': ops, 'expansions': ops}, "
+              "'paths': {'family-b --p 2 --q 2 --u 1 --v 1': {}}})))")
     found = []
     for hash_seed in ("0", "4242"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed}
