@@ -18,6 +18,7 @@ reports the statement lines that a job never ran.
 
 import contextlib
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import io
@@ -33,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import lamconn
+from lamconn import cli, exponents
 from lamconn.asymptotics import LogPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -333,6 +335,46 @@ def test_opcount_budget_refuses_a_path_that_fails():
     assert os.getcwd() == home
 
 
+def test_opcount_budget_counts_a_command_alone():
+    # a path's count is that of the command's own function, parsed and warmed outside the tracer
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    ab = load_module(ROOT / "tools", "ab")
+    regenerate = load_module(ROOT / "tests" / "golden", "regenerate")
+    key = "check inputs/family-a.json"
+    count = tool.counts({"seed": 1, "workloads": {}, "paths": {key: {}}})[key]
+    args = cli.build_parser().parse_args(key.split())
+    with regenerate.workspace(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert args.fn(args) == 0
+        assert ab.opcode_count(functools.partial(args.fn, args)) == count
+
+
+def test_opcount_budget_paths_are_golden_commands():
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    regenerate = load_module(ROOT / "tests" / "golden", "regenerate")
+    paths = json.loads(tool.BUDGET.read_text(encoding="utf-8"))["paths"]
+    assert {tool.BATTERY, tool.PARSER} <= set(paths)
+    golden = {" ".join(argv) for argv in regenerate.commands()}
+    assert set(paths) - {tool.BATTERY, tool.PARSER} <= golden
+
+
+def test_opcount_budget_sees_a_command_that_renders_its_report_twice(monkeypatch, capsys):
+    # +2.8% of check's own count, where the whole cli.main run moves only 0.2%
+    tool = load_module(ROOT / "tools", "opcount_budget")
+    key = "check inputs/family-a.json"
+    budget = {"seed": 1, "workloads": {}, "paths": {key: {}}}
+    count = tool.counts(budget)[key]
+    budget["paths"][key]["opcodes"] = count
+    to_json = exponents.LayoutAnalysis.to_json
+
+    def twice(self):
+        to_json(self)
+        return to_json(self)
+
+    monkeypatch.setattr(exponents.LayoutAnalysis, "to_json", twice)
+    assert tool.check(tool.counts(budget), budget) == 1
+    assert capsys.readouterr().out.startswith(f"{key}: ")
+
+
 def test_opcount_budget_compares_only_its_own_interpreter(tmp_path, capsys):
     tool = load_module(ROOT / "tools", "opcount_budget")
     path = budget_file(tmp_path, 1)
@@ -342,11 +384,12 @@ def test_opcount_budget_compares_only_its_own_interpreter(tmp_path, capsys):
 
 
 def test_opcount_does_not_move_with_the_hash_seed():
-    # each workload's first two seed-1 inputs and one CLI path, counted in two processes under two hash seeds
+    # each workload's first two seed-1 inputs, one CLI command and the parser, counted in two processes under
+    # two hash seeds
     script = ("import json, sys; sys.path[:0] = [sys.argv[1]]; import opcount_budget; "
               "ops = {'ops': 2}; print(json.dumps(opcount_budget.counts({'seed': 1, 'workloads': "
               "{'layouts': ops, 'operators': ops, 'expansions': ops}, "
-              "'paths': {'family-b --p 2 --q 2 --u 1 --v 1': {}}})))")
+              "'paths': {'family-b --p 2 --q 2 --u 1 --v 1': {}, 'cli.build_parser()': {}}})))")
     found = []
     for hash_seed in ("0", "4242"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed}
